@@ -1,7 +1,7 @@
 """Container-style experiment orchestration for robot swarms, simulated.
 
 Declarative service/experiment/cluster definitions, a workload-sensitive
-min-cost max-flow service allocator, a deterministic master-worker
+min-cost assignment service allocator, a deterministic master-worker
 lifecycle simulator, and fairness metrics over allocation histories.
 """
 

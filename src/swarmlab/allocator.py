@@ -2,11 +2,17 @@
 
 Dependent services may either share one worker as a discounted pool or be
 split across workers. Each connected dependency component therefore
-contributes two variants; the allocator solves one min-cost max-flow per
-combination and keeps the outcome that assigns the most services, breaking
+contributes two variants; the allocator solves one maximum-cardinality,
+minimum-cost assignment per combination (``assignment.solve`` on the dense
+cost matrix) and keeps the outcome that assigns the most services, breaking
 ties by cost and then by enumeration order. Enumerating combinations keeps
-"every service placed exactly once" structural: a flow could otherwise
-route through both a pool vertex and its members at the same time.
+"every service placed exactly once" structural: a single matching could
+otherwise place both a pool and its members at the same time. Among
+equal-cost optima the placement is deterministic for a given cost matrix
+but follows no documented rule.
+
+``build_network`` states the same problem as a min-cost max-flow network
+for the ``mcmf`` reference solver; the allocator itself does not use it.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from . import costing, mcmf
+from . import assignment, costing, mcmf
 from .costing import COST_SCALE, CostMatrix, DependencyMatrix
 from .definitions import CostWeights, ExperimentSpec, ServiceSpec
 from .errors import EmptyProblem, TooManyComponents
@@ -28,7 +34,7 @@ MAX_CONFIGURATIONS = 4096
 
 @dataclass(frozen=True)
 class AllocationUnit:
-    """One sink-side vertex: a single service or a pool of dependent ones."""
+    """One assignment column: a single service or a pool of dependent ones."""
 
     members: tuple[str, ...]
 
@@ -55,7 +61,7 @@ class ConfigurationOutcome:
 
     index: int
     units: tuple[AllocationUnit, ...]
-    flow_value: int
+    flow_value: int  # units matched (the flow value of the equivalent network)
     services_assigned: int
     total_cost_scaled: int
     chosen: bool = False
@@ -209,19 +215,14 @@ def allocate(
         unit_members = [tuple(by_name[name] for name in unit.members) for unit in units]
         costs = costing.build_cost_matrix(
             workers, unit_members, capabilities, service_index, weights, discount, scale)
-        build = build_network(costs)
-        flow = mcmf.solve(build.net)
-        assigned_pairs = [
-            pair for pair, edge in build.pair_edges.items() if flow.flows[edge] > 0
-        ]
-        assigned_pairs.sort(key=lambda pair: pair[1])
+        assigned_pairs, cost = assignment.solve(costs.scaled(), costs.feasible)
         services_assigned = sum(len(units[u].members) for _, u in assigned_pairs)
         outcomes.append(ConfigurationOutcome(
             index=index,
             units=units,
-            flow_value=flow.total_flow,
+            flow_value=len(assigned_pairs),
             services_assigned=services_assigned,
-            total_cost_scaled=flow.total_cost,
+            total_cost_scaled=cost,
         ))
         extractions.append(assigned_pairs)
 

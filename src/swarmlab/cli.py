@@ -1,7 +1,8 @@
 """Command-line interface: validate, allocate, simulate, scaling.
 
-Exit codes: 0 success, 1 validation failure (including usage errors),
-2 infeasible allocation, 3 internal error (I/O and unexpected failures).
+Exit codes: 0 success, 1 validation failure (including usage errors and
+out-of-range numeric flags), 2 infeasible allocation, 3 internal error (I/O
+and unexpected failures).
 Commands taking a seed are deterministic end to end: identical flags
 produce byte-identical output files.
 """
@@ -196,12 +197,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Smallest admissible value of each numeric flag, keyed by argparse dest.
+_MINIMUMS = {"seed": 0, "iterations": 1, "max_workers": 1, "max_services": 1}
+
+
+def _out_of_range(args) -> "str | None":
+    for dest, minimum in _MINIMUMS.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < minimum:
+            flag = "--" + dest.replace("_", "-")
+            return f"{flag} must be at least {minimum}, got {value}"
+    return None
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help; treat anything else as bad input.
         return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
+    problem = _out_of_range(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         return args.handler(args)
     except (DefinitionSyntaxError, SchemaError, UnresolvedService) as exc:

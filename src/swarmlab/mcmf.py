@@ -1,8 +1,11 @@
 """Minimum-cost maximum-flow over integer capacities and costs.
 
 The solver augments along successive shortest (cheapest) paths found by
-Bellman-Ford on the residual graph. For the bipartite assignment networks
-built by the allocator this is exact and fast; edge insertion order fixes
+Bellman-Ford on the residual graph: exact, obvious and slow, O(flow * V * E).
+It is the reference implementation: the allocator solves its problems with
+``assignment.solve`` and the tests check those results against this solver
+on the equivalent network from ``allocator.build_network``, and ``verify``
+checks any flow against its network. Edge insertion order fixes
 tie-breaking, so identical inputs always produce identical flows.
 """
 

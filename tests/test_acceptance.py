@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from swarmlab import assignment
 from swarmlab.allocator import allocate, build_network, enumerate_unit_configurations
 from swarmlab.cli import main
 from swarmlab.costing import (
@@ -37,7 +38,7 @@ from swarmlab.definitions import (
     serialize_edf,
 )
 from swarmlab.errors import DefinitionSyntaxError, SchemaError, UnresolvedService
-from swarmlab.mcmf import solve, verify
+from swarmlab.mcmf import FlowResult, solve, verify
 from swarmlab.metrics import build_history, fairness_series
 from swarmlab.swarmsim import SimConfig, WorkloadGenerator, measure_scaling, run_experiment
 
@@ -137,6 +138,17 @@ def test_criterion_2_allocator_matches_exhaustive_enumeration():
 # ---------------------------------------------------------------------------
 
 
+def _matching_as_flow(build, pairs, cost):
+    """Unit flow on each matched pair edge and on its source and sink edges."""
+    index = {(e.u, e.v): k for k, e in enumerate(build.net.edges)}
+    flows = [0] * len(build.net.edges)
+    for worker, unit in pairs:
+        w, u = build.worker_vertex(worker), build.unit_vertex(unit)
+        for edge in ((build.net.source, w), (w, u), (u, build.net.sink)):
+            flows[index[edge]] += 1
+    return FlowResult(flows=tuple(flows), total_flow=len(pairs), total_cost=cost)
+
+
 def test_criterion_3_flow_validity_across_randomized_suite():
     with criterion(3, "zero capacity/conservation violations over the suite"):
         rng = np.random.default_rng(20240)  # same instances as criterion 2
@@ -152,6 +164,14 @@ def test_criterion_3_flow_validity_across_randomized_suite():
                                           weights, discount)
                 build = build_network(costs)
                 assert verify(build.net, solve(build.net)) == []
+
+                # the matching the allocator actually uses, as a flow
+                reference = solve(build.net)
+                pairs, cost = assignment.solve(costs.scaled(), costs.feasible)
+                flow = _matching_as_flow(build, pairs, cost)
+                assert verify(build.net, flow) == []
+                assert (flow.total_flow, flow.total_cost) == (
+                    reference.total_flow, reference.total_cost)
 
 
 # ---------------------------------------------------------------------------

@@ -222,3 +222,26 @@ def test_missing_required_flag_rejected(capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--iterations", "0", "--seed", "1"]),
+    ("simulate", ["--seed", "-1"]),
+    ("allocate", ["--seed", "-3"]),
+    ("scaling", ["--seed", "-1"]),
+    ("scaling", ["--max-workers", "0", "--seed", "1"]),
+    ("scaling", ["--max-services", "0", "--seed", "1"]),
+])
+def test_bad_numeric_argument_is_one_line_validation_error(tmp_path, artifacts, capsys,
+                                                           command, flags):
+    edf, cluster = artifacts
+    where = {
+        "simulate": ["--edf", str(edf), "--cluster", str(cluster), "--out-dir", str(tmp_path / "o")],
+        "allocate": ["--edf", str(edf), "--cluster", str(cluster)],
+        "scaling": ["--cluster-template", str(cluster), "--out", str(tmp_path / "g.csv")],
+    }[command]
+    assert main([command, *where, *flags]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists() and not (tmp_path / "g.csv").exists()
