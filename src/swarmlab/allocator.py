@@ -165,7 +165,6 @@ def build_network(costs: CostMatrix) -> NetworkBuild:
     num_workers, num_units = costs.values.shape
     if num_workers == 0 or num_units == 0:
         raise EmptyProblem("allocation needs at least one worker and one unit")
-    capacities = costing.build_capacity_matrix(num_workers, num_units).entries
     scaled = costs.scaled()
 
     net = mcmf.FlowNetwork(num_workers + num_units + 2, source=0, sink=num_workers + num_units + 1)
@@ -175,8 +174,7 @@ def build_network(costs: CostMatrix) -> NetworkBuild:
     for i in range(num_workers):
         for u in range(num_units):
             if costs.feasible[i, u]:
-                edge = net.add_edge(1 + i, 1 + num_workers + u,
-                                    int(capacities[i, u]), int(scaled[i, u]))
+                edge = net.add_edge(1 + i, 1 + num_workers + u, 1, int(scaled[i, u]))
                 build.pair_edges[(i, u)] = edge
     for u in range(num_units):
         net.add_edge(1 + num_workers + u, net.sink, 1, 0)

@@ -1,8 +1,8 @@
 """Command-line interface: validate, allocate, simulate, scaling.
 
-Exit codes: 0 success, 1 validation failure (including usage errors and
-out-of-range numeric flags), 2 infeasible allocation, 3 internal error (I/O
-and unexpected failures).
+Exit codes: 0 success, 1 validation failure (including usage errors,
+out-of-range numeric flags and input files that are not UTF-8), 2 infeasible
+allocation, 3 internal error (I/O and unexpected failures).
 Commands taking a seed are deterministic end to end: identical flags
 produce byte-identical output files.
 """
@@ -56,19 +56,17 @@ def cmd_validate(args) -> int:
     issues = 0
     for raw in args.paths:
         path = Path(raw)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INTERNAL
         parse = _classify(path)
         if parse is None:
             print(f"{path}: unknown artifact kind (expected *.cdf.json, *.edf.json or *.cluster.json)")
             issues += 1
             continue
         try:
-            parse(text, path)
-        except (DefinitionSyntaxError, SchemaError, UnresolvedService) as exc:
+            parse(path.read_text(encoding="utf-8"), path)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
+        except (DefinitionSyntaxError, SchemaError, UnresolvedService, UnicodeDecodeError) as exc:
             print(f"{path}: {exc}")
             issues += 1
     return EXIT_VALIDATION if issues else EXIT_OK
@@ -222,7 +220,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     try:
         return args.handler(args)
-    except (DefinitionSyntaxError, SchemaError, UnresolvedService) as exc:
+    except (DefinitionSyntaxError, SchemaError, UnresolvedService, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

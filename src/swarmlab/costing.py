@@ -13,6 +13,12 @@ one worker. Co-located services cost the sum of their members' costs times
 a discount factor. Feasibility is a separate boolean channel: a worker can
 host a service iff the service's required capability tags are a subset of
 the worker's tags; infeasible pairs carry no cost at all.
+
+The scalar functions check their domains and are the reference.
+``build_cost_matrix`` builds a whole worker x unit matrix at once, with numpy
+products and sums in the scalar order, so every cell equals its scalar value
+bit for bit; it skips the per-cell checks, since ``WorkloadSample``,
+``ServiceSpec`` and ``ExperimentSpec`` validate on construction.
 """
 
 from __future__ import annotations
@@ -85,7 +91,10 @@ def pooled_cost(members: Sequence[ServiceSpec], workload: WorkloadSample,
         raise PoolTooSmall(f"a pool needs at least 2 members, got {len(members)}")
     if not (isinstance(discount, (int, float)) and math.isfinite(discount) and 0.0 < discount <= 1.0):
         raise DomainError(f"discount must be within (0, 1], got {discount!r}")
-    return discount * sum(edge_cost(m.predefined_cost, workload, weights) for m in members)
+    total = 0.0
+    for m in members:  # left to right, the order build_cost_matrix adds them in
+        total += edge_cost(m.predefined_cost, workload, weights)
+    return discount * total
 
 
 @dataclass(frozen=True)
@@ -157,22 +166,11 @@ class CostMatrix:
     scale: int = COST_SCALE
 
     def scaled(self) -> np.ndarray:
-        out = np.zeros_like(self.values, dtype=np.int64)
-        rows, cols = np.nonzero(self.feasible)
-        for i, u in zip(rows.tolist(), cols.tolist()):
-            out[i, u] = integerize_cost(float(self.values[i, u]), self.scale)
-        return out
-
-
-@dataclass(frozen=True)
-class CapacityMatrix:
-    """Unit capacities: every worker can host exactly one allocation unit."""
-
-    entries: np.ndarray  # shape (workers, units), dtype int64, all ones
-
-
-def build_capacity_matrix(num_workers: int, num_units: int) -> CapacityMatrix:
-    return CapacityMatrix(entries=np.ones((num_workers, num_units), dtype=np.int64))
+        """``integerize_cost`` of every feasible cell, 0 elsewhere."""
+        if (self.values < 0).any():
+            raise DomainError(f"costs must be non-negative, got {self.values.min()!r}")
+        # np.rint rounds half to even, as round() does in integerize_cost.
+        return np.where(self.feasible, np.rint(self.values * self.scale), 0).astype(np.int64)
 
 
 def build_cost_matrix(workers: Sequence[WorkerState],
@@ -188,16 +186,21 @@ def build_cost_matrix(workers: Sequence[WorkerState],
     single-member unit costs its plain edge cost, a pool costs the
     discounted member sum and is feasible only where every member is.
     """
+    # Per-worker load terms, computed with Python floats exactly as the scalar functions do.
+    cpu4, vram4, swap, link4 = np.array(
+        [(s.cpu**4, s.vram**4, s.swap, (1.0 - s.bandwidth) ** 4) for s in (w.workload for w in workers)],
+        dtype=np.float64).reshape(-1, 4).T[:, :, None]
+
     values = np.zeros((len(workers), len(unit_members)), dtype=np.float64)
-    feasible = np.zeros((len(workers), len(unit_members)), dtype=bool)
-    for u, members in enumerate(unit_members):
-        member_cols = [service_index[m.name] for m in members]
-        for i, worker in enumerate(workers):
-            if not pooled_capability(capabilities, i, member_cols):
-                continue
-            feasible[i, u] = True
-            if len(members) == 1:
-                values[i, u] = edge_cost(members[0].predefined_cost, worker.workload, weights)
-            else:
-                values[i, u] = pooled_cost(members, worker.workload, weights, discount)
+    feasible = np.ones(values.shape, dtype=bool)
+    # Member p of every unit that has one, so pools add their members left to right.
+    for p in range(max(map(len, unit_members), default=0)):
+        units = [u for u, members in enumerate(unit_members) if len(members) > p]
+        base = np.array([unit_members[u][p].predefined_cost for u in units], dtype=np.float64)
+        values[:, units] += (weights.cpu * (base * cpu4) + weights.vram * (base * vram4)
+                             + weights.swap * (base * swap) + weights.bandwidth * (base * link4))
+        feasible[:, units] &= capabilities.entries[
+            :, [service_index[unit_members[u][p].name] for u in units]]
+    values[:, [len(members) > 1 for members in unit_members]] *= discount
+    values[~feasible] = 0.0
     return CostMatrix(values=values, feasible=feasible, scale=scale)

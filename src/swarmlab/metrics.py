@@ -26,8 +26,13 @@ def jains_index(values: Iterable[float]) -> float:
     if any(x < 0 for x in xs):
         raise DomainError("Jain's index is defined for non-negative values")
     square_sum = sum(x * x for x in xs)
-    if square_sum == 0.0:
-        raise DomainError("Jain's index is undefined for an all-zero vector")
+    if square_sum < np.finfo(np.float64).tiny:
+        # The squares underflow; the index is scale-free, so divide by the peak first.
+        peak = max(xs)
+        if peak == 0.0:
+            raise DomainError("Jain's index is undefined for an all-zero vector")
+        xs = [x / peak for x in xs]
+        square_sum = sum(x * x for x in xs)
     total = sum(xs)
     return (total * total) / (len(xs) * square_sum)
 

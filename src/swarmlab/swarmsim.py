@@ -6,6 +6,10 @@ the allocation is computed, and each assigned worker registers its overlay
 endpoint and simulates fetching and starting its services. All latencies
 are configuration values, all randomness flows from the config seed, so
 equal configs produce bit-identical traces.
+
+The lifecycle exists only as trace events; no ``SwarmState`` is kept. One
+``WorkloadGenerator`` per worker serves a whole ``run_experiment`` or
+``measure_scaling`` call, so a trace file is parsed once, not every round.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocator import AllocationResult, AllocationUnit, allocate_experiment
+from .allocator import AllocationResult, allocate_experiment
 from .definitions import (
     ClusterWorker,
     ExperimentSpec,
@@ -26,8 +30,8 @@ from .definitions import (
     UniformWorkload,
     WorkloadModel,
 )
-from .errors import EmptyProblem, KeyAbsent, SchemaError
-from .model import WorkerState, WorkerStatus, WorkloadSample, join_worker, new_swarm
+from .errors import DuplicateAgent, EmptyProblem, KeyAbsent, SchemaError
+from .model import WorkerState, WorkloadSample, join_worker  # noqa: F401 (perfbench traces it)
 
 _LEVEL_TAG = 0xB15E
 _JITTER_TAG = 0x171E
@@ -51,6 +55,10 @@ class WorkloadGenerator:
         self.worker_index = worker_index
         self.base_dir = Path(base_dir) if base_dir is not None else None
         self._trace_rows: list[tuple[float, float, float, float]] | None = None
+        if isinstance(model, UniformWorkload):  # the persistent level: one draw per worker
+            center = np.asarray(model.center)
+            self._level = np.random.default_rng([seed, worker_index, _LEVEL_TAG]).uniform(
+                center - model.half_width, center + model.half_width)
 
     def _rows(self, path: str) -> list[tuple[float, float, float, float]]:
         if self._trace_rows is not None:
@@ -84,14 +92,11 @@ class WorkloadGenerator:
         if isinstance(model, FixedWorkload):
             values = model.values
         elif isinstance(model, UniformWorkload):
-            level_rng = np.random.default_rng([self.seed, self.worker_index, _LEVEL_TAG])
-            center = np.asarray(model.center)
-            level = level_rng.uniform(center - model.half_width, center + model.half_width)
             jitter_rng = np.random.default_rng(
                 [self.seed, self.worker_index, iteration, _JITTER_TAG])
             jitter_width = model.half_width * JITTER_FRACTION
             jitter = jitter_rng.uniform(-jitter_width, jitter_width, size=4)
-            values = tuple(np.clip(level + jitter, 0.0, 1.0).tolist())
+            values = tuple(np.clip(self._level + jitter, 0.0, 1.0).tolist())
         elif isinstance(model, TraceWorkload):
             rows = self._rows(model.path)
             values = rows[iteration % len(rows)]
@@ -199,6 +204,10 @@ class SimConfig:
         object.__setattr__(self, "workers", tuple(self.workers))
         if not self.workers:
             raise EmptyProblem("simulation needs at least one worker")
+        ids = [w.id for w in self.workers]
+        if len(set(ids)) != len(ids):
+            twice = next(i for k, i in enumerate(ids) if i in ids[:k])
+            raise DuplicateAgent(f"agent {twice!r} appears twice in the simulated fleet")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         if self.seed < 0:
@@ -208,40 +217,35 @@ class SimConfig:
                 raise ValueError(f"{name} must be non-negative")
 
 
+def _generators(workers, seed: int, base_dir) -> list[WorkloadGenerator]:
+    return [WorkloadGenerator(w.workload, seed, idx, base_dir) for idx, w in enumerate(workers)]
+
+
 def run_iteration(cfg: SimConfig, iter_index: int) -> tuple[AllocationResult, SimTrace]:
     """Run one full lifecycle round and return its allocation and trace."""
+    return _run_round(cfg, iter_index, _generators(cfg.workers, cfg.seed, cfg.base_dir))
+
+
+def _run_round(cfg: SimConfig, iter_index: int,
+               generators: "list[WorkloadGenerator]") -> tuple[AllocationResult, SimTrace]:
+    """``run_iteration`` sampling from ``generators``, one per worker of ``cfg``."""
     experiment = cfg.experiment
     num_services = len(experiment.services)
     per_worker_ms = cfg.poll_rtt_ms + num_services * cfg.cost_calc_ms
 
-    request_tick: list[int] = []
-    reply_tick: list[int] = []
-    clock = 0
-    for _ in cfg.workers:
-        if cfg.parallel_cost_calc:
-            request_tick.append(0)
-            reply_tick.append(per_worker_ms)
-        else:
-            request_tick.append(clock)
-            clock += per_worker_ms
-            reply_tick.append(clock)
+    stagger = 0 if cfg.parallel_cost_calc else per_worker_ms
+    request_tick = [idx * stagger for idx in range(len(cfg.workers))]
+    reply_tick = [tick + per_worker_ms for tick in request_tick]
     cost_end = max(reply_tick)
 
-    swarm = new_swarm("master", swarm_id=f"{experiment.name}#{cfg.seed}#{iter_index}")
-    events: list[TraceEvent] = []
-    worker_states: list[WorkerState] = []
-    for idx, cluster_worker in enumerate(cfg.workers):
-        generator = WorkloadGenerator(cluster_worker.workload, cfg.seed, idx, cfg.base_dir)
-        sample = generator.sample(iter_index, timestamp=reply_tick[idx])
-        state = WorkerState(id=cluster_worker.id, profile=cluster_worker.profile, workload=sample)
-        swarm = join_worker(swarm, state)
-        worker_states.append(state)
-        events.append(TraceEvent(0, "Join", {"worker": cluster_worker.id}))
-    for idx, cluster_worker in enumerate(cfg.workers):
-        events.append(TraceEvent(request_tick[idx], "CostRequest",
-                                 {"worker": cluster_worker.id, "services": num_services}))
-    for idx, cluster_worker in enumerate(cfg.workers):
-        events.append(TraceEvent(reply_tick[idx], "CostReply", {"worker": cluster_worker.id}))
+    worker_states = [WorkerState(id=w.id, profile=w.profile,
+                                 workload=generator.sample(iter_index, timestamp=tick))
+                     for w, generator, tick in zip(cfg.workers, generators, reply_tick)]
+    events = [TraceEvent(0, "Join", {"worker": w.id}) for w in cfg.workers]
+    events += [TraceEvent(tick, "CostRequest", {"worker": w.id, "services": num_services})
+               for w, tick in zip(cfg.workers, request_tick)]
+    events += [TraceEvent(tick, "CostReply", {"worker": w.id})
+               for w, tick in zip(cfg.workers, reply_tick)]
 
     result = allocate_experiment(worker_states, experiment)
     alloc_tick = cost_end + cfg.alloc_compute_ms
@@ -252,14 +256,9 @@ def run_iteration(cfg: SimConfig, iter_index: int) -> tuple[AllocationResult, Si
     }))
 
     registry = KvRegistry()
-    registry.put("overlay/subnet", experiment.network.subnet)
-    registry.put("overlay/ports", list(experiment.network.ports))
-
     roster_index = {w.id: i for i, w in enumerate(cfg.workers)}
     by_name = {s.name: s for s in experiment.services}
-    assigned_units: dict[str, AllocationUnit] = {}
-    for assignment in result.assignments.values():
-        assigned_units[assignment.worker] = assignment.unit
+    assigned_units = {a.worker: a.unit for a in result.assignments.values()}
 
     subnet = ipaddress.ip_network(experiment.network.subnet)
     end_tick = alloc_tick
@@ -284,11 +283,6 @@ def run_iteration(cfg: SimConfig, iter_index: int) -> tuple[AllocationResult, Si
             events.append(TraceEvent(started, "ServiceStarted",
                                      {"service": name, "worker": worker_id}))
         end_tick = max(end_tick, started)
-        # Walk the lifecycle for assigned workers; with_status guards order.
-        swarm = replace(swarm, workers=tuple(
-            w.with_status(WorkerStatus.ALLOCATED).with_status(WorkerStatus.RUNNING)
-            if w.id == worker_id else w
-            for w in swarm.workers))
 
     events.sort(key=lambda e: e.tick)
     timings = {
@@ -303,7 +297,8 @@ def run_iteration(cfg: SimConfig, iter_index: int) -> tuple[AllocationResult, Si
 
 def run_experiment(cfg: SimConfig) -> list[tuple[AllocationResult, SimTrace]]:
     """Run ``cfg.iterations`` independent rounds with re-sampled workloads."""
-    return [run_iteration(cfg, k) for k in range(cfg.iterations)]
+    generators = _generators(cfg.workers, cfg.seed, cfg.base_dir)
+    return [_run_round(cfg, k, generators) for k in range(cfg.iterations)]
 
 
 @dataclass(frozen=True)
@@ -326,17 +321,13 @@ def measure_scaling(worker_counts, service_counts, template: SimConfig) -> list[
         raise EmptyProblem("scaling needs non-empty worker and service ranges")
     prototype_workers = template.workers
     prototype_service = template.experiment.services[0]
+    fleet = tuple(replace(prototype_workers[i % len(prototype_workers)], id=f"w{i + 1:03d}")
+                  for i in range(max(worker_counts)))
+    generators = _generators(fleet, template.seed, template.base_dir)
 
     cells = []
     for num_workers in worker_counts:
-        workers = tuple(
-            ClusterWorker(
-                id=f"w{i + 1:03d}",
-                profile=prototype_workers[i % len(prototype_workers)].profile,
-                workload=prototype_workers[i % len(prototype_workers)].workload,
-            )
-            for i in range(num_workers)
-        )
+        workers = fleet[:max(num_workers, 0)]
         for num_services in service_counts:
             services = tuple(
                 replace(prototype_service, name=f"svc{k + 1:03d}")
@@ -344,7 +335,7 @@ def measure_scaling(worker_counts, service_counts, template: SimConfig) -> list[
             )
             experiment = replace(template.experiment, services=services, dependencies=())
             cfg = replace(template, workers=workers, experiment=experiment, iterations=1)
-            _, trace = run_iteration(cfg, 0)
+            _, trace = _run_round(cfg, 0, generators[:num_workers])
             cells.append(ScalingCell(num_workers, num_services, trace.timings["total_ms"]))
     return cells
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -6,10 +7,13 @@ import pytest
 from swarmlab.cli import main
 from swarmlab.definitions import (
     ClusterSpec,
+    ClusterWorker,
     ExperimentSpec,
+    TraceWorkload,
     serialize_cluster,
     serialize_edf,
 )
+from swarmlab.model import HardwareProfile
 
 from factories import balanced_cluster, bench_experiment, make_service
 
@@ -245,3 +249,60 @@ def test_bad_numeric_argument_is_one_line_validation_error(tmp_path, artifacts, 
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "o").exists() and not (tmp_path / "g.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# undecodable input and odd worker ids
+
+
+def _with_byte(text: str, byte: bytes) -> bytes:
+    """``text`` encoded as UTF-8 with ``byte`` spliced in after its second byte."""
+    raw = text.encode("utf-8")
+    return raw[:2] + byte + raw[2:]
+
+
+@pytest.mark.parametrize("kind, byte", [
+    ("edf", b"\xe9"),
+    ("cluster", b"\xff"),
+    ("trace", b"\xe9"),
+])
+def test_non_utf8_input_is_one_line_validation_error(tmp_path, artifacts, capsys, kind, byte):
+    edf, cluster = artifacts
+    if kind == "edf":
+        bad = edf
+        bad.write_bytes(_with_byte(edf.read_text(encoding="utf-8"), byte))
+    elif kind == "cluster":
+        bad = cluster
+        bad.write_bytes(_with_byte(cluster.read_text(encoding="utf-8"), byte))
+    else:
+        bad = tmp_path / "load.csv"
+        bad.write_bytes(_with_byte("0.1,0.2,0.3,0.4\n", byte))
+        worker = ClusterWorker(id="t1", profile=HardwareProfile(), workload=TraceWorkload("load.csv"))
+        cluster.write_text(serialize_cluster(ClusterSpec(workers=(worker,))), encoding="utf-8")
+
+    for argv in (["allocate", "--edf", str(edf), "--cluster", str(cluster), "--seed", "1"],
+                 ["simulate", "--edf", str(edf), "--cluster", str(cluster), "--seed", "1",
+                  "--iterations", "2", "--out-dir", str(tmp_path / "out")]):
+        assert main(argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    assert main(["validate", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.out.startswith(f"{bad}: ") and captured.out.count("\n") == 1
+
+
+def test_worker_named_master_is_an_ordinary_worker(tmp_path, capsys):
+    edf = tmp_path / "three.edf.json"
+    edf.write_text(serialize_edf(bench_experiment(3)), encoding="utf-8")
+    workers = balanced_cluster(4)
+    workers = (replace(workers[0], id="master"),) + workers[1:]
+    cluster = tmp_path / "master.cluster.json"
+    cluster.write_text(serialize_cluster(ClusterSpec(workers=workers)), encoding="utf-8")
+    allocate = main(["allocate", "--edf", str(edf), "--cluster", str(cluster), "--seed", "4"])
+    simulate = main(["simulate", "--edf", str(edf), "--cluster", str(cluster), "--seed", "4",
+                     "--iterations", "3", "--out-dir", str(tmp_path / "out")])
+    assert simulate == allocate == 0
+    assert "Traceback" not in capsys.readouterr().err

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from swarmlab.costing import (
     COST_SCALE,
+    CostMatrix,
     bandwidth_cost,
     build_capability_matrix,
     build_cost_matrix,
@@ -189,3 +190,68 @@ def test_cost_matrix_masks_infeasible_pairs():
     assert matrix.feasible.tolist() == [[True, True], [False, True]]
     assert matrix.values[1, 0] == 0.0
     assert matrix.scaled()[0, 0] == integerize_cost(edge_cost(80.0, workers[0].workload, EQUAL))
+
+
+def _random_costing_case(rng):
+    """Workers, units and parameters with the edge cases the matrix build must keep."""
+    def load():
+        return float(rng.choice([0.0, 1.0, rng.random()], p=[0.2, 0.2, 0.6]))
+
+    num_workers = int(rng.integers(1, 7))
+    workers = [make_worker(f"w{i}", {f"t{k}" for k in range(3) if rng.random() < 0.7},
+                           load(), load(), load(), load())
+               for i in range(num_workers)]
+    services = []
+    for j in range(int(rng.integers(1, 8))):
+        base = float(rng.choice([0.0, 100.0, rng.uniform(0.0, 100.0)], p=[0.1, 0.1, 0.8]))
+        tags = {f"t{k}" for k in range(3) if rng.random() < 0.3}
+        if rng.random() < 0.1:
+            tags = {"absent"}  # no worker holds it: an all-infeasible column
+        services.append(make_service(f"s{j}", base, capabilities=tags))
+    # Split the services into units: singles and pools of 2 or more, in random order.
+    order = [services[j] for j in rng.permutation(len(services))]
+    units = []
+    while order:
+        size = int(rng.integers(2, 5)) if len(order) >= 2 and rng.random() < 0.5 else 1
+        units.append(tuple(order[:size]))
+        order = order[size:]
+    raw = rng.random(4) * (rng.random(4) < 0.8)
+    weights = CostWeights(*(raw / raw.sum()).tolist()) if raw.sum() > 0 else EQUAL
+    discount = 1.0 if rng.random() < 0.3 else float(rng.uniform(0.05, 1.0))
+    return workers, services, units, weights, discount
+
+
+def test_cost_matrix_equals_scalar_reference_exactly():
+    rng = np.random.default_rng(20261018)
+    seen = {"pool": 0, "infeasible column": 0, "discount 1": 0}
+    for _ in range(600):
+        workers, services, units, weights, discount = _random_costing_case(rng)
+        capabilities = build_capability_matrix(workers, services)
+        index = {s.name: j for j, s in enumerate(services)}
+        matrix = build_cost_matrix(workers, units, capabilities, index, weights, discount)
+        scaled = matrix.scaled()
+        assert matrix.values.shape == scaled.shape == (len(workers), len(units))
+        for u, members in enumerate(units):
+            cols = [index[m.name] for m in members]
+            for i, worker in enumerate(workers):
+                feasible = pooled_capability(capabilities, i, cols)
+                assert matrix.feasible[i, u] == feasible
+                if not feasible:
+                    assert matrix.values[i, u] == 0.0 and scaled[i, u] == 0
+                    continue
+                if len(members) == 1:
+                    expected = edge_cost(members[0].predefined_cost, worker.workload, weights)
+                else:
+                    expected = pooled_cost(members, worker.workload, weights, discount)
+                assert matrix.values[i, u] == expected  # float equality, not approx
+                assert scaled[i, u] == integerize_cost(expected)
+            seen["pool"] += len(members) > 1
+            seen["infeasible column"] += not matrix.feasible[:, u].any()
+        seen["discount 1"] += discount == 1.0
+    assert all(count > 0 for count in seen.values()), seen
+
+
+def test_scaled_rejects_negative_costs():
+    matrix = CostMatrix(values=np.array([[1.0, -0.5]]), feasible=np.array([[True, True]]))
+    with pytest.raises(DomainError):
+        matrix.scaled()

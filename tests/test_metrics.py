@@ -62,6 +62,14 @@ def test_jain_k_active_of_n():
             assert jains_index(vector) == pytest.approx(k / n, abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [7.875080418812185e-160 * 0.001953125, 1e-300, 5e-324])
+def test_jain_of_tiny_shares_does_not_underflow(scale):
+    # Squares of these shares underflow to zero or lose their precision.
+    assert jains_index([scale]) == 1.0
+    assert jains_index([scale, 0.0]) == pytest.approx(0.5, abs=1e-12)
+    assert jains_index([scale, 3 * scale]) == pytest.approx(jains_index([1.0, 3.0]), rel=1e-9)
+
+
 @pytest.mark.parametrize("bad", [[], [-1.0, 2.0], [0.0, 0.0]])
 def test_jain_domain_errors(bad):
     with pytest.raises(DomainError):

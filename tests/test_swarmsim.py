@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,7 @@ from swarmlab.definitions import (
     TraceWorkload,
     UniformWorkload,
 )
-from swarmlab.errors import EmptyProblem, KeyAbsent, SchemaError
+from swarmlab.errors import DuplicateAgent, EmptyProblem, KeyAbsent, SchemaError
 from swarmlab.model import HardwareProfile
 from swarmlab.swarmsim import (
     FetchLatency,
@@ -84,6 +85,46 @@ def test_trace_generator_cycles(tmp_path):
     assert generator.sample(0).cpu == 0.1
     assert generator.sample(1).cpu == 0.5
     assert generator.sample(2).cpu == 0.1
+
+
+def _trace_template(tmp_path, num_workers=6, iterations=1):
+    workers = []
+    for i in range(num_workers):
+        (tmp_path / f"w{i}.csv").write_text(
+            "".join(f"0.{(i + k) % 9 + 1},0.2,0.1,0.{k % 9 + 1}\n" for k in range(5)),
+            encoding="utf-8")
+        workers.append(ClusterWorker(id=f"w{i}", profile=HardwareProfile(),
+                                     workload=TraceWorkload(f"w{i}.csv")))
+    return SimConfig(workers=tuple(workers),
+                     experiment=ExperimentSpec(name="trace", services=(make_service("proto"),)),
+                     seed=3, iterations=iterations, base_dir=str(tmp_path))
+
+
+@pytest.fixture
+def read_count(monkeypatch):
+    """Counts Path.read_text calls made while the test runs."""
+    calls = []
+    original = Path.read_text
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.name)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting)
+    return calls
+
+
+def test_scaling_grid_reads_each_trace_once_per_generator(tmp_path, read_count):
+    cells = measure_scaling(range(1, 9), range(1, 9), _trace_template(tmp_path))
+    assert len(cells) == 64
+    # One generator for each of the 8 grid workers; the 7th and 8th replay w0.csv and w1.csv.
+    assert len(read_count) <= 8
+
+
+def test_experiment_reads_each_trace_once(tmp_path, read_count):
+    results = run_experiment(_trace_template(tmp_path, iterations=5))
+    assert len(results) == 5
+    assert sorted(read_count) == [f"w{i}.csv" for i in range(6)]
 
 
 def test_trace_generator_rejects_bad_rows(tmp_path):
@@ -227,6 +268,13 @@ def test_config_validation():
         bench_config(iterations=0)
     with pytest.raises(ValueError):
         bench_config(seed=-1)
+
+
+def test_config_rejects_duplicate_worker_ids():
+    workers = balanced_cluster(3)
+    twice = workers + (workers[1],)
+    with pytest.raises(DuplicateAgent, match="w02"):
+        run_experiment(SimConfig(workers=twice, experiment=bench_experiment(1), seed=0))
 
 
 # ---------------------------------------------------------------------------
