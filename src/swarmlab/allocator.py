@@ -11,6 +11,11 @@ otherwise place both a pool and its members at the same time. Among
 equal-cost optima the placement is deterministic for a given cost matrix
 but follows no documented rule.
 
+Each round builds one cost matrix, over every single service and every
+pool, and integerizes it once: a combination only selects its columns, and
+a placed service's cost is read from its own single-service column, times
+the discount when it is pooled.
+
 ``build_network`` states the same problem as a min-cost max-flow network
 for the ``mcmf`` reference solver; the allocator itself does not use it.
 """
@@ -19,12 +24,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from . import assignment, costing, mcmf
-from .costing import COST_SCALE, CostMatrix, DependencyMatrix
+from .costing import COST_SCALE, CostMatrix
 from .definitions import CostWeights, ExperimentSpec, ServiceSpec
 from .errors import EmptyProblem, TooManyComponents
 from .model import WorkerState
@@ -77,18 +82,16 @@ class AllocationResult:
     feasible: bool
     unassigned: frozenset[str]
     outcomes: tuple[ConfigurationOutcome, ...] = ()
-    scale: int = COST_SCALE
 
     @property
     def num_services(self) -> int:
         return len(self.assignments) + len(self.unassigned)
 
 
-def _components(dependencies: DependencyMatrix) -> list[list[int]]:
+def _components(dependencies: np.ndarray) -> list[list[int]]:
     """Connected components of the undirected dependency closure."""
-    entries = dependencies.entries
-    n = entries.shape[0]
-    undirected = (entries + entries.T) > 0
+    n = dependencies.shape[0]
+    undirected = (dependencies + dependencies.T) > 0
     seen = [False] * n
     components = []
     for start in range(n):
@@ -110,7 +113,7 @@ def _components(dependencies: DependencyMatrix) -> list[list[int]]:
 
 def enumerate_unit_configurations(
     services: Sequence[ServiceSpec],
-    dependencies: DependencyMatrix,
+    dependencies: np.ndarray,
     max_configurations: int = MAX_CONFIGURATIONS,
 ) -> list[tuple[AllocationUnit, ...]]:
     """All pool-or-split combinations, one choice per dependency component.
@@ -184,12 +187,9 @@ def build_network(costs: CostMatrix) -> NetworkBuild:
 def allocate(
     workers: Sequence[WorkerState],
     services: Sequence[ServiceSpec],
-    dependencies: Union[DependencyMatrix, Sequence[tuple[str, str]]],
+    dependencies: Sequence[tuple[str, str]],
     weights: CostWeights,
     discount: float,
-    *,
-    scale: int = COST_SCALE,
-    max_configurations: int = MAX_CONFIGURATIONS,
 ) -> AllocationResult:
     """Place every service on a capable worker at minimum total cost.
 
@@ -199,27 +199,29 @@ def allocate(
     """
     if not workers or not services:
         raise EmptyProblem("allocation needs at least one worker and one service")
-    if not isinstance(dependencies, DependencyMatrix):
-        dependencies = costing.build_dependency_matrix(services, dependencies)
+    configurations = enumerate_unit_configurations(
+        services, costing.build_dependency_matrix(services, dependencies))
 
+    # Every unit any configuration uses: the single services in service order,
+    # then the pools of the first configuration, which pools every component.
     service_index = {s.name: j for j, s in enumerate(services)}
-    by_name = {s.name: s for s in services}
-    capabilities = costing.build_capability_matrix(workers, services)
-    configurations = enumerate_unit_configurations(services, dependencies, max_configurations)
+    columns = [(s.name,) for s in services] + [u.members for u in configurations[0] if u.is_pool]
+    column_of = {members: c for c, members in enumerate(columns)}
+    costs = costing.build_cost_matrix(
+        workers, [[services[service_index[name]] for name in members] for members in columns],
+        costing.build_capability_matrix(workers, services), service_index, weights, discount)
+    scaled = costs.scaled()
 
     outcomes: list[ConfigurationOutcome] = []
     extractions: list[list[tuple[int, int]]] = []  # (worker index, unit index) pairs
     for index, units in enumerate(configurations):
-        unit_members = [tuple(by_name[name] for name in unit.members) for unit in units]
-        costs = costing.build_cost_matrix(
-            workers, unit_members, capabilities, service_index, weights, discount, scale)
-        assigned_pairs, cost = assignment.solve(costs.scaled(), costs.feasible)
-        services_assigned = sum(len(units[u].members) for _, u in assigned_pairs)
+        cols = [column_of[unit.members] for unit in units]
+        assigned_pairs, cost = assignment.solve(scaled[:, cols], costs.feasible[:, cols])
         outcomes.append(ConfigurationOutcome(
             index=index,
             units=units,
             flow_value=len(assigned_pairs),
-            services_assigned=services_assigned,
+            services_assigned=sum(len(units[u].members) for _, u in assigned_pairs),
             total_cost_scaled=cost,
         ))
         extractions.append(assigned_pairs)
@@ -228,50 +230,34 @@ def allocate(
                key=lambda i: (-outcomes[i].services_assigned, outcomes[i].total_cost_scaled, i))
     outcomes[best] = replace(outcomes[best], chosen=True)
 
-    chosen_units = configurations[best]
-    placement: dict[str, tuple[str, AllocationUnit, float]] = {}
+    placement: dict[str, Assignment] = {}
     for worker_i, unit_i in extractions[best]:
-        unit = chosen_units[unit_i]
-        worker = workers[worker_i]
+        unit = configurations[best][unit_i]
         for name in unit.members:
-            member_cost = costing.edge_cost(by_name[name].predefined_cost, worker.workload, weights)
+            cost = float(costs.values[worker_i, service_index[name]])
             if unit.is_pool:
-                member_cost *= discount
-            placement[name] = (worker.id, unit, member_cost)
+                cost *= discount
+            placement[name] = Assignment(service=name, worker=workers[worker_i].id,
+                                         unit=unit, cost=cost)
 
-    assignments = {
-        s.name: Assignment(service=s.name, worker=placement[s.name][0],
-                           unit=placement[s.name][1], cost=placement[s.name][2])
-        for s in services if s.name in placement
-    }
+    assignments = {s.name: placement[s.name] for s in services if s.name in placement}
     unassigned = frozenset(s.name for s in services if s.name not in placement)
     total_scaled = outcomes[best].total_cost_scaled
     return AllocationResult(
         assignments=assignments,
-        total_cost=total_scaled / scale,
+        total_cost=total_scaled / COST_SCALE,
         total_cost_scaled=total_scaled,
         feasible=not unassigned,
         unassigned=unassigned,
         outcomes=tuple(outcomes),
-        scale=scale,
     )
 
 
 def allocate_experiment(workers: Sequence[WorkerState],
-                        experiment: ExperimentSpec,
-                        *,
-                        scale: int = COST_SCALE,
-                        max_configurations: int = MAX_CONFIGURATIONS) -> AllocationResult:
+                        experiment: ExperimentSpec) -> AllocationResult:
     """Allocate an experiment's services using its own weights and discount."""
-    return allocate(
-        workers,
-        experiment.services,
-        experiment.dependencies,
-        experiment.weights,
-        experiment.pool_discount,
-        scale=scale,
-        max_configurations=max_configurations,
-    )
+    return allocate(workers, experiment.services, experiment.dependencies,
+                    experiment.weights, experiment.pool_discount)
 
 
 def explain(result: AllocationResult) -> str:
@@ -300,5 +286,5 @@ def explain(result: AllocationResult) -> str:
         units = "".join(f"[{unit.label}]" for unit in outcome.units)
         lines.append(
             f"  #{outcome.index + 1} {units} services={outcome.services_assigned} "
-            f"cost={outcome.total_cost_scaled / result.scale:.6f}{marker}")
+            f"cost={outcome.total_cost_scaled / COST_SCALE:.6f}{marker}")
     return "\n".join(lines) + "\n"

@@ -31,7 +31,6 @@ from .errors import (
     SwarmLabError,
     UnresolvedService,
 )
-from .model import WorkerState
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -72,23 +71,12 @@ def cmd_validate(args) -> int:
     return EXIT_VALIDATION if issues else EXIT_OK
 
 
-def _sampled_workers(cluster, seed: int, base_dir: Path) -> list[WorkerState]:
-    workers = []
-    for idx, cluster_worker in enumerate(cluster.workers):
-        generator = swarmsim.WorkloadGenerator(cluster_worker.workload, seed, idx, base_dir)
-        workers.append(WorkerState(
-            id=cluster_worker.id,
-            profile=cluster_worker.profile,
-            workload=generator.sample(0),
-        ))
-    return workers
-
-
 def cmd_allocate(args) -> int:
     experiment = load_edf(args.edf)
     cluster_path = Path(args.cluster)
     cluster = load_cluster(cluster_path)
-    workers = _sampled_workers(cluster, args.seed, cluster_path.parent)
+    generators = swarmsim.workload_generators(cluster.workers, args.seed, cluster_path.parent)
+    workers = swarmsim.sample_workers(cluster.workers, generators, 0, [0] * len(cluster.workers))
     result = allocator.allocate_experiment(workers, experiment)
     report = allocator.explain(result)
     if args.out:

@@ -18,7 +18,13 @@ The scalar functions check their domains and are the reference.
 ``build_cost_matrix`` builds a whole worker x unit matrix at once, with numpy
 products and sums in the scalar order, so every cell equals its scalar value
 bit for bit; it skips the per-cell checks, since ``WorkloadSample``,
-``ServiceSpec`` and ``ExperimentSpec`` validate on construction.
+``ServiceSpec`` and ``ExperimentSpec`` validate on construction. The
+allocator calls it once per round, over every single service and every
+pool any configuration can use, and reads both its solver input and its
+placement costs from that one matrix.
+
+Capability and dependency relations are plain numpy arrays: ``bool``
+worker x service and ``int8`` service x service.
 """
 
 from __future__ import annotations
@@ -97,43 +103,26 @@ def pooled_cost(members: Sequence[ServiceSpec], workload: WorkloadSample,
     return discount * total
 
 
-@dataclass(frozen=True)
-class CapabilityMatrix:
-    """Boolean worker x service feasibility from capability tag inclusion."""
-
-    entries: np.ndarray  # shape (workers, services), dtype bool
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape  # type: ignore[return-value]
-
-
 def build_capability_matrix(workers: Sequence[WorkerState],
-                            services: Sequence[ServiceSpec]) -> CapabilityMatrix:
-    """Entry (i, j) is True iff worker i's tags cover service j's needs."""
+                            services: Sequence[ServiceSpec]) -> np.ndarray:
+    """Bool worker x service array: (i, j) is True iff worker i's tags cover service j's needs."""
     entries = np.zeros((len(workers), len(services)), dtype=bool)
     for i, worker in enumerate(workers):
         tags = worker.profile.capabilities
         for j, service in enumerate(services):
             entries[i, j] = service.required_capabilities <= tags
-    return CapabilityMatrix(entries=entries)
+    return entries
 
 
-def pooled_capability(capabilities: CapabilityMatrix, worker_index: int,
+def pooled_capability(capabilities: np.ndarray, worker_index: int,
                       member_indices: Sequence[int]) -> bool:
     """A worker can host a pool iff it can host every member."""
-    return bool(capabilities.entries[worker_index, list(member_indices)].all())
-
-
-@dataclass(frozen=True)
-class DependencyMatrix:
-    """Binary service x service relation: entry (k, j) means k depends on j."""
-
-    entries: np.ndarray  # shape (services, services), dtype int8, zero diagonal
+    return bool(capabilities[worker_index, list(member_indices)].all())
 
 
 def build_dependency_matrix(services: Sequence[ServiceSpec],
-                            pairs: Sequence[tuple[str, str]]) -> DependencyMatrix:
+                            pairs: Sequence[tuple[str, str]]) -> np.ndarray:
+    """Int8 service x service array, zero diagonal: (k, j) is 1 iff k depends on j."""
     index = {s.name: j for j, s in enumerate(services)}
     entries = np.zeros((len(services), len(services)), dtype=np.int8)
     for dependent, dependency in pairs:
@@ -142,14 +131,14 @@ def build_dependency_matrix(services: Sequence[ServiceSpec],
         if dependent == dependency:
             raise DomainError(f"service {dependent!r} cannot depend on itself")
         entries[index[dependent], index[dependency]] = 1
-    return DependencyMatrix(entries=entries)
+    return entries
 
 
-def integerize_cost(value: float, scale: int = COST_SCALE) -> int:
+def integerize_cost(value: float) -> int:
     """Round a float cost onto the solver's integer grid (half to even)."""
     if value < 0:
         raise DomainError(f"costs must be non-negative, got {value!r}")
-    return int(round(value * scale))
+    return int(round(value * COST_SCALE))
 
 
 @dataclass(frozen=True)
@@ -163,23 +152,21 @@ class CostMatrix:
 
     values: np.ndarray    # shape (workers, units), float64; 0.0 where infeasible
     feasible: np.ndarray  # shape (workers, units), bool
-    scale: int = COST_SCALE
 
     def scaled(self) -> np.ndarray:
         """``integerize_cost`` of every feasible cell, 0 elsewhere."""
         if (self.values < 0).any():
             raise DomainError(f"costs must be non-negative, got {self.values.min()!r}")
         # np.rint rounds half to even, as round() does in integerize_cost.
-        return np.where(self.feasible, np.rint(self.values * self.scale), 0).astype(np.int64)
+        return np.where(self.feasible, np.rint(self.values * COST_SCALE), 0).astype(np.int64)
 
 
 def build_cost_matrix(workers: Sequence[WorkerState],
                       unit_members: Sequence[Sequence[ServiceSpec]],
-                      capabilities: CapabilityMatrix,
+                      capabilities: np.ndarray,
                       service_index: "dict[str, int]",
                       weights: CostWeights,
-                      discount: float,
-                      scale: int = COST_SCALE) -> CostMatrix:
+                      discount: float) -> CostMatrix:
     """Cost and feasibility of every (worker, unit) pair.
 
     ``unit_members`` lists the member services of each allocation unit; a
@@ -199,8 +186,8 @@ def build_cost_matrix(workers: Sequence[WorkerState],
         base = np.array([unit_members[u][p].predefined_cost for u in units], dtype=np.float64)
         values[:, units] += (weights.cpu * (base * cpu4) + weights.vram * (base * vram4)
                              + weights.swap * (base * swap) + weights.bandwidth * (base * link4))
-        feasible[:, units] &= capabilities.entries[
+        feasible[:, units] &= capabilities[
             :, [service_index[unit_members[u][p].name] for u in units]]
     values[:, [len(members) > 1 for members in unit_members]] *= discount
     values[~feasible] = 0.0
-    return CostMatrix(values=values, feasible=feasible, scale=scale)
+    return CostMatrix(values=values, feasible=feasible)

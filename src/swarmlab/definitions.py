@@ -553,7 +553,11 @@ def _workload_from_obj(obj: dict, path: str) -> WorkloadModel:
         return UniformWorkload(center=_get_float_vector(obj, "center", path), half_width=half_width)
     if kind == "trace":
         _check_keys(obj, {"kind", "path"}, path)
-        return TraceWorkload(path=_get_str(obj, "path", path, required=True))
+        trace_path = _get_str(obj, "path", path, required=True)
+        if not trace_path or "\0" in trace_path:  # "" names the directory; open() rejects NUL
+            raise SchemaError("trace path must be non-empty and contain no NUL character",
+                              f"{path}.path" if path else "path")
+        return TraceWorkload(path=trace_path)
     raise SchemaError(f"unknown workload kind {kind!r}", f"{path}.kind" if path else "kind")
 
 

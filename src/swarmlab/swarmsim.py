@@ -10,6 +10,8 @@ equal configs produce bit-identical traces.
 The lifecycle exists only as trace events; no ``SwarmState`` is kept. One
 ``WorkloadGenerator`` per worker serves a whole ``run_experiment`` or
 ``measure_scaling`` call, so a trace file is parsed once, not every round.
+``sample_workers`` builds every round's worker states, here and for the
+CLI's single ``allocate`` round.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import ipaddress
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -217,13 +220,23 @@ class SimConfig:
                 raise ValueError(f"{name} must be non-negative")
 
 
-def _generators(workers, seed: int, base_dir) -> list[WorkloadGenerator]:
+def workload_generators(workers: "Sequence[ClusterWorker]", seed: int,
+                        base_dir: "str | Path | None") -> list[WorkloadGenerator]:
+    """One generator per worker, indexed by the worker's position in ``workers``."""
     return [WorkloadGenerator(w.workload, seed, idx, base_dir) for idx, w in enumerate(workers)]
+
+
+def sample_workers(workers: "Sequence[ClusterWorker]", generators: "Sequence[WorkloadGenerator]",
+                   iteration: int, ticks: "Sequence[int]") -> list[WorkerState]:
+    """The round's worker states: each worker's ``iteration`` sample, stamped with its tick."""
+    return [WorkerState(id=w.id, profile=w.profile,
+                        workload=generator.sample(iteration, timestamp=tick))
+            for w, generator, tick in zip(workers, generators, ticks)]
 
 
 def run_iteration(cfg: SimConfig, iter_index: int) -> tuple[AllocationResult, SimTrace]:
     """Run one full lifecycle round and return its allocation and trace."""
-    return _run_round(cfg, iter_index, _generators(cfg.workers, cfg.seed, cfg.base_dir))
+    return _run_round(cfg, iter_index, workload_generators(cfg.workers, cfg.seed, cfg.base_dir))
 
 
 def _run_round(cfg: SimConfig, iter_index: int,
@@ -238,9 +251,7 @@ def _run_round(cfg: SimConfig, iter_index: int,
     reply_tick = [tick + per_worker_ms for tick in request_tick]
     cost_end = max(reply_tick)
 
-    worker_states = [WorkerState(id=w.id, profile=w.profile,
-                                 workload=generator.sample(iter_index, timestamp=tick))
-                     for w, generator, tick in zip(cfg.workers, generators, reply_tick)]
+    worker_states = sample_workers(cfg.workers, generators, iter_index, reply_tick)
     events = [TraceEvent(0, "Join", {"worker": w.id}) for w in cfg.workers]
     events += [TraceEvent(tick, "CostRequest", {"worker": w.id, "services": num_services})
                for w, tick in zip(cfg.workers, request_tick)]
@@ -297,7 +308,7 @@ def _run_round(cfg: SimConfig, iter_index: int,
 
 def run_experiment(cfg: SimConfig) -> list[tuple[AllocationResult, SimTrace]]:
     """Run ``cfg.iterations`` independent rounds with re-sampled workloads."""
-    generators = _generators(cfg.workers, cfg.seed, cfg.base_dir)
+    generators = workload_generators(cfg.workers, cfg.seed, cfg.base_dir)
     return [_run_round(cfg, k, generators) for k in range(cfg.iterations)]
 
 
@@ -323,7 +334,7 @@ def measure_scaling(worker_counts, service_counts, template: SimConfig) -> list[
     prototype_service = template.experiment.services[0]
     fleet = tuple(replace(prototype_workers[i % len(prototype_workers)], id=f"w{i + 1:03d}")
                   for i in range(max(worker_counts)))
-    generators = _generators(fleet, template.seed, template.base_dir)
+    generators = workload_generators(fleet, template.seed, template.base_dir)
 
     cells = []
     for num_workers in worker_counts:

@@ -9,7 +9,9 @@ from swarmlab.allocator import (
     enumerate_unit_configurations,
     explain,
 )
+from swarmlab import costing
 from swarmlab.costing import (
+    CostMatrix,
     build_capability_matrix,
     build_cost_matrix,
     build_dependency_matrix,
@@ -180,6 +182,43 @@ def _oracle_matrices(workers, services, config, weights, discount):
         feasible.append(ok_row)
     sizes = [len(group) for group in config]
     return int_costs, feasible, sizes
+
+
+def test_one_cost_matrix_per_allocation(monkeypatch):
+    calls = {"build_cost_matrix": 0, "scaled": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(costing, "build_cost_matrix")
+    counted(CostMatrix, "scaled")
+    workers = [make_worker(f"w{i}", cpu=0.05 * i, bandwidth=0.5) for i in range(8)]
+    services = [make_service(f"s{j}", 10.0 + 5 * j) for j in range(6)]
+    result = allocate(workers, services, [("s0", "s1"), ("s2", "s3"), ("s5", "s4")], EQUAL, 0.9)
+    assert len(result.outcomes) == 8
+    assert calls == {"build_cost_matrix": 1, "scaled": 1}
+
+
+def test_placement_costs_equal_scalar_reference():
+    rng = np.random.default_rng(61)
+    pooled = 0
+    for _ in range(300):
+        workers, services, deps, weights, discount = random_instance(rng)
+        result = allocate(workers, services, deps, weights, discount)
+        by_id = {w.id: w for w in workers}
+        by_name = {s.name: s for s in services}
+        for name, placed in result.assignments.items():
+            expected = edge_cost(by_name[name].predefined_cost, by_id[placed.worker].workload, weights)
+            if placed.unit.is_pool:
+                expected *= discount
+                pooled += 1
+            assert placed.cost == expected
+    assert pooled > 0
 
 
 def test_worker_exclusivity_and_pool_consistency():

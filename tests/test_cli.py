@@ -294,6 +294,28 @@ def test_non_utf8_input_is_one_line_validation_error(tmp_path, artifacts, capsys
     assert captured.out.startswith(f"{bad}: ") and captured.out.count("\n") == 1
 
 
+@pytest.mark.parametrize("trace_path", ["a\u0000b.csv", "\u0000", "load.csv\u0000", ""])
+def test_unusable_trace_path_is_one_line_validation_error(tmp_path, artifacts, capsys, trace_path):
+    edf, cluster = artifacts
+    workers = balanced_cluster(1) + (
+        ClusterWorker(id="t1", profile=HardwareProfile(), workload=TraceWorkload(trace_path)),)
+    cluster.write_text(serialize_cluster(ClusterSpec(workers=workers)), encoding="utf-8")
+
+    assert main(["validate", str(cluster)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.out.startswith(f"{cluster}: workers[1].workload.path: ")
+    assert captured.out.count("\n") == 1
+
+    for argv in (["allocate", "--edf", str(edf), "--cluster", str(cluster), "--seed", "1"],
+                 ["simulate", "--edf", str(edf), "--cluster", str(cluster), "--seed", "1",
+                  "--iterations", "2", "--out-dir", str(tmp_path / "out")]):
+        assert main(argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_worker_named_master_is_an_ordinary_worker(tmp_path, capsys):
     edf = tmp_path / "three.edf.json"
     edf.write_text(serialize_edf(bench_experiment(3)), encoding="utf-8")

@@ -140,15 +140,15 @@ def test_capability_matrix_against_subset_oracle():
     for i, worker in enumerate(workers):
         for j, service in enumerate(services):
             expected = service.required_capabilities <= worker.profile.capabilities
-            assert matrix.entries[i, j] == expected
+            assert matrix[i, j] == expected
 
 
 def test_capability_matrix_trivial_columns():
     workers = [make_worker(f"w{i}") for i in range(3)]
     no_needs = build_capability_matrix(workers, [make_service("s")])
-    assert no_needs.entries.all()
+    assert no_needs.all()
     needs_gpu = build_capability_matrix(workers, [make_service("s", capabilities={"gpu"})])
-    assert not needs_gpu.entries.any()
+    assert not needs_gpu.any()
 
 
 def test_pooled_capability_is_conjunction():
@@ -163,9 +163,9 @@ def test_pooled_capability_is_conjunction():
 def test_dependency_matrix():
     services = [make_service(f"s{j}") for j in range(3)]
     matrix = build_dependency_matrix(services, [("s1", "s0")])
-    assert matrix.entries[1, 0] == 1
-    assert matrix.entries.sum() == 1
-    assert not matrix.entries.diagonal().any()
+    assert matrix[1, 0] == 1
+    assert matrix.sum() == 1
+    assert not matrix.diagonal().any()
     with pytest.raises(DomainError):
         build_dependency_matrix(services, [("s0", "s0")])
     with pytest.raises(DomainError):
