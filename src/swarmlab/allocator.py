@@ -11,10 +11,14 @@ otherwise place both a pool and its members at the same time. Among
 equal-cost optima the placement is deterministic for a given cost matrix
 but follows no documented rule.
 
-Each round builds one cost matrix, over every single service and every
-pool, and integerizes it once: a combination only selects its columns, and
-a placed service's cost is read from its own single-service column, times
-the discount when it is pooled.
+``prepare`` builds what the workers' samples do not change, once per fleet
+and experiment: the configurations, the columns (every single service and
+every pool), their feasibility and base costs, and each configuration's
+column selection. ``PreparedAllocation.allocate`` is one round: it builds
+the cost matrix from the samples and integerizes it once, solves each
+configuration's columns, and reads a placed service's cost from its own
+single-service column, times the discount when it is pooled. ``allocate``
+is ``prepare`` plus one round; the simulator prepares once per command.
 
 ``build_network`` states the same problem as a min-cost max-flow network
 for the ``mcmf`` reference solver; the allocator itself does not use it.
@@ -23,7 +27,7 @@ for the ``mcmf`` reference solver; the allocator itself does not use it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -89,24 +93,24 @@ class AllocationResult:
 
 
 def _components(dependencies: np.ndarray) -> list[list[int]]:
-    """Connected components of the undirected dependency closure."""
+    """Connected components of the undirected dependency closure, by smallest member."""
     n = dependencies.shape[0]
-    undirected = (dependencies + dependencies.T) > 0
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for dependent, dependency in zip(*(axis.tolist() for axis in np.nonzero(dependencies))):
+        neighbours[dependent].append(dependency)
+        neighbours[dependency].append(dependent)
     seen = [False] * n
     components = []
     for start in range(n):
         if seen[start]:
             continue
-        queue = [start]
         seen[start] = True
-        component = []
-        while queue:
-            j = queue.pop(0)
-            component.append(j)
-            for k in np.nonzero(undirected[j])[0].tolist():
+        component = [start]
+        for j in component:  # grows while it is walked: a breadth-first search
+            for k in neighbours[j]:
                 if not seen[k]:
                     seen[k] = True
-                    queue.append(k)
+                    component.append(k)
         components.append(sorted(component))
     return components
 
@@ -184,6 +188,112 @@ def build_network(costs: CostMatrix) -> NetworkBuild:
     return build
 
 
+@dataclass(frozen=True)
+class PreparedAllocation:
+    """The part of an allocation that the workers' samples do not change.
+
+    ``prepare`` builds it once per fleet and experiment: the pool-or-split
+    configurations, the cost-matrix columns (every single service in
+    service order, then the pools of the first configuration, which pools
+    every component), their feasibility and base costs, and each
+    configuration's column selection. ``allocate`` then costs, solves and
+    places one round of samples.
+    """
+
+    services: tuple[ServiceSpec, ...]
+    configurations: tuple[tuple[AllocationUnit, ...], ...]
+    costs: costing.UnitCosts
+    #: Per configuration: its columns, their feasibility and each unit's size.
+    selections: tuple[tuple[list[int], np.ndarray, tuple[int, ...]], ...]
+    service_index: dict[str, int]
+    discount: float
+
+    def allocate(self, workers: Sequence[WorkerState]) -> AllocationResult:
+        """Place every service given one sample per prepared worker, in the same order.
+
+        Infeasibility is a result, not an error: when no configuration can
+        place all services, the best partial placement is returned with
+        ``feasible`` false and the left-over services in ``unassigned``.
+        """
+        if len(workers) != self.costs.feasible.shape[0]:
+            raise ValueError(f"prepared for {self.costs.feasible.shape[0]} workers, got {len(workers)}")
+        costs = self.costs.matrix([w.workload for w in workers])
+        scaled = costs.scaled()
+
+        solved = []  # (matched (worker, unit) pairs, services assigned, cost) per configuration
+        for cols, feasible, sizes in self.selections:
+            pairs, cost = assignment.solve(scaled[:, cols], feasible)
+            solved.append((pairs, sum(sizes[u] for _, u in pairs), cost))
+        best = min(range(len(solved)), key=lambda i: (-solved[i][1], solved[i][2], i))
+        outcomes = tuple(
+            ConfigurationOutcome(index=index, units=units, flow_value=len(pairs),
+                                 services_assigned=assigned, total_cost_scaled=cost,
+                                 chosen=index == best)
+            for index, (units, (pairs, assigned, cost)) in enumerate(zip(self.configurations, solved)))
+
+        placement: dict[str, Assignment] = {}
+        for worker_i, unit_i in solved[best][0]:
+            unit = self.configurations[best][unit_i]
+            for name in unit.members:
+                cost = float(costs.values[worker_i, self.service_index[name]])
+                if unit.is_pool:
+                    cost *= self.discount
+                placement[name] = Assignment(service=name, worker=workers[worker_i].id,
+                                             unit=unit, cost=cost)
+
+        assignments = {s.name: placement[s.name] for s in self.services if s.name in placement}
+        unassigned = frozenset(s.name for s in self.services if s.name not in placement)
+        total_scaled = outcomes[best].total_cost_scaled
+        return AllocationResult(
+            assignments=assignments,
+            total_cost=total_scaled / COST_SCALE,
+            total_cost_scaled=total_scaled,
+            feasible=not unassigned,
+            unassigned=unassigned,
+            outcomes=outcomes,
+        )
+
+
+def prepare(
+    workers: Sequence[WorkerState],
+    services: Sequence[ServiceSpec],
+    dependencies: Sequence[tuple[str, str]],
+    weights: CostWeights,
+    discount: float,
+) -> PreparedAllocation:
+    """The sample-independent inputs of allocating ``services`` to ``workers``.
+
+    Only the workers' profiles are read, so ``workers`` may be any sequence
+    of objects with a ``profile`` (cluster workers as well as worker states).
+    """
+    if not workers or not services:
+        raise EmptyProblem("allocation needs at least one worker and one service")
+    configurations = enumerate_unit_configurations(
+        services, costing.build_dependency_matrix(services, dependencies))
+
+    service_index = {s.name: j for j, s in enumerate(services)}
+    columns = [(s.name,) for s in services] + [u.members for u in configurations[0] if u.is_pool]
+    column_of = {members: c for c, members in enumerate(columns)}
+    costs = costing.prepare_unit_costs(
+        [[services[service_index[name]] for name in members] for members in columns],
+        costing.build_capability_matrix(workers, services), service_index, weights, discount)
+
+    selections = []
+    for units in configurations:
+        cols = [column_of[unit.members] for unit in units]
+        selections.append((cols, costs.feasible[:, cols], tuple(len(unit.members) for unit in units)))
+    return PreparedAllocation(services=tuple(services), configurations=tuple(configurations),
+                              costs=costs, selections=tuple(selections),
+                              service_index=service_index, discount=discount)
+
+
+def prepare_experiment(workers: Sequence[WorkerState],
+                       experiment: ExperimentSpec) -> PreparedAllocation:
+    """``prepare`` with the experiment's own services, dependencies, weights and discount."""
+    return prepare(workers, experiment.services, experiment.dependencies,
+                   experiment.weights, experiment.pool_discount)
+
+
 def allocate(
     workers: Sequence[WorkerState],
     services: Sequence[ServiceSpec],
@@ -197,67 +307,13 @@ def allocate(
     place all services, the best partial placement is returned with
     ``feasible`` false and the left-over services in ``unassigned``.
     """
-    if not workers or not services:
-        raise EmptyProblem("allocation needs at least one worker and one service")
-    configurations = enumerate_unit_configurations(
-        services, costing.build_dependency_matrix(services, dependencies))
-
-    # Every unit any configuration uses: the single services in service order,
-    # then the pools of the first configuration, which pools every component.
-    service_index = {s.name: j for j, s in enumerate(services)}
-    columns = [(s.name,) for s in services] + [u.members for u in configurations[0] if u.is_pool]
-    column_of = {members: c for c, members in enumerate(columns)}
-    costs = costing.build_cost_matrix(
-        workers, [[services[service_index[name]] for name in members] for members in columns],
-        costing.build_capability_matrix(workers, services), service_index, weights, discount)
-    scaled = costs.scaled()
-
-    outcomes: list[ConfigurationOutcome] = []
-    extractions: list[list[tuple[int, int]]] = []  # (worker index, unit index) pairs
-    for index, units in enumerate(configurations):
-        cols = [column_of[unit.members] for unit in units]
-        assigned_pairs, cost = assignment.solve(scaled[:, cols], costs.feasible[:, cols])
-        outcomes.append(ConfigurationOutcome(
-            index=index,
-            units=units,
-            flow_value=len(assigned_pairs),
-            services_assigned=sum(len(units[u].members) for _, u in assigned_pairs),
-            total_cost_scaled=cost,
-        ))
-        extractions.append(assigned_pairs)
-
-    best = min(range(len(outcomes)),
-               key=lambda i: (-outcomes[i].services_assigned, outcomes[i].total_cost_scaled, i))
-    outcomes[best] = replace(outcomes[best], chosen=True)
-
-    placement: dict[str, Assignment] = {}
-    for worker_i, unit_i in extractions[best]:
-        unit = configurations[best][unit_i]
-        for name in unit.members:
-            cost = float(costs.values[worker_i, service_index[name]])
-            if unit.is_pool:
-                cost *= discount
-            placement[name] = Assignment(service=name, worker=workers[worker_i].id,
-                                         unit=unit, cost=cost)
-
-    assignments = {s.name: placement[s.name] for s in services if s.name in placement}
-    unassigned = frozenset(s.name for s in services if s.name not in placement)
-    total_scaled = outcomes[best].total_cost_scaled
-    return AllocationResult(
-        assignments=assignments,
-        total_cost=total_scaled / COST_SCALE,
-        total_cost_scaled=total_scaled,
-        feasible=not unassigned,
-        unassigned=unassigned,
-        outcomes=tuple(outcomes),
-    )
+    return prepare(workers, services, dependencies, weights, discount).allocate(workers)
 
 
 def allocate_experiment(workers: Sequence[WorkerState],
                         experiment: ExperimentSpec) -> AllocationResult:
     """Allocate an experiment's services using its own weights and discount."""
-    return allocate(workers, experiment.services, experiment.dependencies,
-                    experiment.weights, experiment.pool_discount)
+    return prepare_experiment(workers, experiment).allocate(workers)
 
 
 def explain(result: AllocationResult) -> str:

@@ -30,16 +30,15 @@ def solve(scaled: np.ndarray, feasible: np.ndarray) -> tuple[list[tuple[int, int
     num_workers, num_units = feasible.shape
     if num_workers == 0 or num_units == 0:
         return [], 0
-    costs = scaled.tolist()
-    allowed = feasible.tolist()
+    big_m = int(scaled[feasible].sum()) + 1
+    matrix = np.where(feasible, scaled, big_m)
     transposed = num_workers > num_units
     if transposed:
-        costs = [list(col) for col in zip(*costs)]
-        allowed = [list(col) for col in zip(*allowed)]
-    big_m = sum(c for row, ok in zip(costs, allowed) for c, f in zip(row, ok) if f) + 1
-    matrix = [[c if f else big_m for c, f in zip(row, ok)] for row, ok in zip(costs, allowed)]
+        matrix, feasible = matrix.T, feasible.T
+    costs = matrix.tolist()  # Python ints from here on
+    allowed = feasible.tolist()
 
-    col_for_row = _shortest_augmenting_paths(matrix)
+    col_for_row = _shortest_augmenting_paths(costs)
 
     pairs = []
     total = 0

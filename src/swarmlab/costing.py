@@ -18,10 +18,13 @@ The scalar functions check their domains and are the reference.
 ``build_cost_matrix`` builds a whole worker x unit matrix at once, with numpy
 products and sums in the scalar order, so every cell equals its scalar value
 bit for bit; it skips the per-cell checks, since ``WorkloadSample``,
-``ServiceSpec`` and ``ExperimentSpec`` validate on construction. The
-allocator calls it once per round, over every single service and every
-pool any configuration can use, and reads both its solver input and its
-placement costs from that one matrix.
+``ServiceSpec`` and ``ExperimentSpec`` validate on construction. It is two
+steps: ``prepare_unit_costs`` keeps what no sample changes (feasibility,
+each member position's base costs and columns, the pool discount), and
+``UnitCosts.matrix`` adds one round's load terms. The allocator prepares
+once per fleet and experiment, over every single service and every pool any
+configuration can use, and calls ``matrix`` once per round; it reads both
+its solver input and its placement costs from that one matrix.
 
 Capability and dependency relations are plain numpy arrays: ``bool``
 worker x service and ``int8`` service x service.
@@ -161,6 +164,61 @@ class CostMatrix:
         return np.where(self.feasible, np.rint(self.values * COST_SCALE), 0).astype(np.int64)
 
 
+@dataclass(frozen=True)
+class UnitCosts:
+    """The part of a worker x unit cost matrix that no workload sample changes.
+
+    ``prepare_unit_costs`` builds it once per fleet and unit list: the
+    feasibility of every cell, each member position's base costs and unit
+    columns, and the factor that discounts pools and zeroes infeasible
+    cells. ``matrix`` adds a round's load terms.
+    """
+
+    feasible: np.ndarray  # shape (workers, units), bool, read-only
+    positions: tuple[tuple["slice | np.ndarray", np.ndarray], ...]  # (unit columns, base costs)
+    factor: np.ndarray    # shape (workers, units): 1.0, the discount for pools, 0.0 where infeasible
+    weights: np.ndarray   # shape (4, 1, 1): cpu, vram, swap, bandwidth
+
+    def matrix(self, workloads: Sequence[WorkloadSample]) -> CostMatrix:
+        """The cost matrix for one sample per worker, in the prepared worker order."""
+        # Per-worker load terms, computed with Python floats exactly as the scalar functions do.
+        loads = np.array([(s.cpu**4, s.vram**4, s.swap, (1.0 - s.bandwidth) ** 4) for s in workloads],
+                         dtype=np.float64).reshape(-1, 4).T[:, :, None]
+        values = np.zeros(self.feasible.shape, dtype=np.float64)
+        # Member p of every unit that has one, so pools add their members left to right.
+        for units, base in self.positions:
+            terms = self.weights * (base * loads)
+            values[:, units] += terms[0] + terms[1] + terms[2] + terms[3]
+        values *= self.factor
+        return CostMatrix(values=values, feasible=self.feasible)
+
+
+def prepare_unit_costs(unit_members: Sequence[Sequence[ServiceSpec]],
+                       capabilities: np.ndarray,
+                       service_index: "dict[str, int]",
+                       weights: CostWeights,
+                       discount: float) -> UnitCosts:
+    """The sample-independent part of ``build_cost_matrix``'s result.
+
+    ``capabilities`` is the worker x service matrix of the fleet whose
+    samples ``UnitCosts.matrix`` will cost.
+    """
+    feasible = np.ones((capabilities.shape[0], len(unit_members)), dtype=bool)
+    positions = []
+    for p in range(max(map(len, unit_members), default=0)):
+        units = [u for u, members in enumerate(unit_members) if len(members) > p]
+        feasible[:, units] &= capabilities[
+            :, [service_index[unit_members[u][p].name] for u in units]]
+        base = np.array([unit_members[u][p].predefined_cost for u in units], dtype=np.float64)
+        positions.append((slice(None) if len(units) == len(unit_members) else np.array(units), base))
+    pooled = np.array([len(members) > 1 for members in unit_members], dtype=bool)
+    # x * 1.0 == x and, for the finite non-negative x here, x * 0.0 == 0.0.
+    factor = np.where(feasible, np.where(pooled, discount, 1.0), 0.0)
+    feasible.flags.writeable = False  # shared by every round's CostMatrix
+    return UnitCosts(feasible=feasible, positions=tuple(positions), factor=factor,
+                     weights=np.array(weights.as_tuple(), dtype=np.float64).reshape(4, 1, 1))
+
+
 def build_cost_matrix(workers: Sequence[WorkerState],
                       unit_members: Sequence[Sequence[ServiceSpec]],
                       capabilities: np.ndarray,
@@ -173,21 +231,5 @@ def build_cost_matrix(workers: Sequence[WorkerState],
     single-member unit costs its plain edge cost, a pool costs the
     discounted member sum and is feasible only where every member is.
     """
-    # Per-worker load terms, computed with Python floats exactly as the scalar functions do.
-    cpu4, vram4, swap, link4 = np.array(
-        [(s.cpu**4, s.vram**4, s.swap, (1.0 - s.bandwidth) ** 4) for s in (w.workload for w in workers)],
-        dtype=np.float64).reshape(-1, 4).T[:, :, None]
-
-    values = np.zeros((len(workers), len(unit_members)), dtype=np.float64)
-    feasible = np.ones(values.shape, dtype=bool)
-    # Member p of every unit that has one, so pools add their members left to right.
-    for p in range(max(map(len, unit_members), default=0)):
-        units = [u for u, members in enumerate(unit_members) if len(members) > p]
-        base = np.array([unit_members[u][p].predefined_cost for u in units], dtype=np.float64)
-        values[:, units] += (weights.cpu * (base * cpu4) + weights.vram * (base * vram4)
-                             + weights.swap * (base * swap) + weights.bandwidth * (base * link4))
-        feasible[:, units] &= capabilities[
-            :, [service_index[unit_members[u][p].name] for u in units]]
-    values[:, [len(members) > 1 for members in unit_members]] *= discount
-    values[~feasible] = 0.0
-    return CostMatrix(values=values, feasible=feasible)
+    return prepare_unit_costs(unit_members, capabilities, service_index, weights,
+                              discount).matrix([w.workload for w in workers])

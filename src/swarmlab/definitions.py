@@ -247,6 +247,8 @@ def _loads(text: str):
         raise DefinitionSyntaxError(exc.msg, exc.lineno, exc.colno) from None
     except RecursionError:
         raise DefinitionSyntaxError("document nested too deeply") from None
+    except ValueError:  # an integer literal past sys.get_int_max_str_digits()
+        raise DefinitionSyntaxError("integer literal has too many digits") from None
 
 
 def _as_object(value, path: str) -> dict:
@@ -272,6 +274,14 @@ def _get_str(obj: dict, key: str, path: str, *, required: bool = False, default:
     return value
 
 
+def _as_float(value: "int | float") -> float:
+    """``float(value)``, with an int too large for a float mapped to infinity."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _get_number(obj: dict, key: str, path: str, *, required: bool = False, default: float = 0.0) -> float:
     if key not in obj:
         if required:
@@ -281,9 +291,10 @@ def _get_number(obj: dict, key: str, path: str, *, required: bool = False, defau
     field = f"{path}.{key}" if path else key
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"expected a number, got {type(value).__name__}", field)
+    value = _as_float(value)
     if not math.isfinite(value):
         raise SchemaError("number must be finite", field)
-    return float(value)
+    return value
 
 
 def _get_int(obj: dict, key: str, path: str, *, required: bool = False, default: int = 0) -> int:
@@ -320,7 +331,8 @@ def _get_float_vector(obj: dict, key: str, path: str) -> tuple[float, float, flo
         raise SchemaError("expected an array of 4 utilization values", field)
     out = []
     for i, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, (int, float)) or not math.isfinite(item):
+        number = not isinstance(item, bool) and isinstance(item, (int, float))
+        if not (number and math.isfinite(_as_float(item))):
             raise SchemaError("expected a finite number", f"{field}[{i}]")
         if not 0.0 <= item <= 1.0:
             raise SchemaError(f"utilization must be within [0, 1], got {item!r}", f"{field}[{i}]")

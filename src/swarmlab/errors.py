@@ -30,11 +30,12 @@ class IllegalTransition(SwarmLabError):
 class DefinitionSyntaxError(SwarmLabError):
     """A definition document is not well-formed JSON.
 
-    Carries the 1-based line and column of the first offending character.
+    Carries the 1-based line and column of the first offending character;
+    0 for both when the parser does not report a position.
     """
 
     def __init__(self, message: str, line: int = 0, column: int = 0):
-        super().__init__(f"{message} (line {line}, column {column})")
+        super().__init__(f"{message} (line {line}, column {column})" if line else message)
         self.line = line
         self.column = column
 

@@ -11,7 +11,11 @@ The lifecycle exists only as trace events; no ``SwarmState`` is kept. One
 ``WorkloadGenerator`` per worker serves a whole ``run_experiment`` or
 ``measure_scaling`` call, so a trace file is parsed once, not every round.
 ``sample_workers`` builds every round's worker states, here and for the
-CLI's single ``allocate`` round.
+CLI's single ``allocate`` round. What no sample changes is built once per
+command (once per grid cell for ``measure_scaling``): the prepared
+allocation inputs, the Join / CostRequest / CostReply events and their
+ticks, the parsed overlay subnet and the roster lookups. A round samples,
+allocates and adds only the events that depend on its allocation.
 """
 
 from __future__ import annotations
@@ -24,11 +28,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .allocator import AllocationResult, allocate_experiment
+from .allocator import AllocationResult, PreparedAllocation, prepare_experiment
+from .allocator import allocate_experiment  # noqa: F401 (perfbench traces it)
 from .definitions import (
     ClusterWorker,
     ExperimentSpec,
     FixedWorkload,
+    ServiceSpec,
     TraceWorkload,
     UniformWorkload,
     WorkloadModel,
@@ -43,12 +49,33 @@ _JITTER_TAG = 0x171E
 JITTER_FRACTION = 0.25
 
 
+def _entropy_words(value: int) -> list[int]:
+    """The 32-bit words ``np.random.SeedSequence`` makes of a non-negative int.
+
+    Little-endian; 0 is ``[0]``. A list of ints seeds the same stream as
+    the ``uint32`` array of its elements' words, concatenated.
+    """
+    if value < 0:
+        raise ValueError(f"entropy must be non-negative, got {value}")
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
+
+
+_JITTER_TAG_WORDS = _entropy_words(_JITTER_TAG)
+
+
 class WorkloadGenerator:
     """Seeded utilization source for one worker.
 
     The stream is a pure function of (seed, worker index, iteration), so
     any iteration can be re-sampled independently and reruns are
-    bit-identical.
+    bit-identical. A ``uniform`` sample's jitter comes from
+    ``default_rng([seed, worker_index, iteration, _JITTER_TAG])``, seeded
+    from the same entropy words as a ``uint32`` array, which is cheaper.
     """
 
     def __init__(self, model: WorkloadModel, seed: int, worker_index: int,
@@ -61,7 +88,9 @@ class WorkloadGenerator:
         if isinstance(model, UniformWorkload):  # the persistent level: one draw per worker
             center = np.asarray(model.center)
             self._level = np.random.default_rng([seed, worker_index, _LEVEL_TAG]).uniform(
-                center - model.half_width, center + model.half_width)
+                center - model.half_width, center + model.half_width).tolist()
+            self._jitter_width = model.half_width * JITTER_FRACTION
+            self._jitter_prefix = _entropy_words(seed) + _entropy_words(worker_index)
 
     def _rows(self, path: str) -> list[tuple[float, float, float, float]]:
         if self._trace_rows is not None:
@@ -95,11 +124,12 @@ class WorkloadGenerator:
         if isinstance(model, FixedWorkload):
             values = model.values
         elif isinstance(model, UniformWorkload):
-            jitter_rng = np.random.default_rng(
-                [self.seed, self.worker_index, iteration, _JITTER_TAG])
-            jitter_width = model.half_width * JITTER_FRACTION
-            jitter = jitter_rng.uniform(-jitter_width, jitter_width, size=4)
-            values = tuple(np.clip(self._level + jitter, 0.0, 1.0).tolist())
+            entropy = np.array(self._jitter_prefix + _entropy_words(iteration) + _JITTER_TAG_WORDS,
+                               dtype=np.uint32)
+            jitter = np.random.default_rng(entropy).uniform(
+                -self._jitter_width, self._jitter_width, size=4).tolist()
+            # np.clip(level + jitter, 0.0, 1.0) on Python floats; max(0.0, -0.0) is 0.0 as in numpy.
+            values = tuple(min(max(0.0, level + j), 1.0) for level, j in zip(self._level, jitter))
         elif isinstance(model, TraceWorkload):
             rows = self._rows(model.path)
             values = rows[iteration % len(rows)]
@@ -234,14 +264,23 @@ def sample_workers(workers: "Sequence[ClusterWorker]", generators: "Sequence[Wor
             for w, generator, tick in zip(workers, generators, ticks)]
 
 
-def run_iteration(cfg: SimConfig, iter_index: int) -> tuple[AllocationResult, SimTrace]:
-    """Run one full lifecycle round and return its allocation and trace."""
-    return _run_round(cfg, iter_index, workload_generators(cfg.workers, cfg.seed, cfg.base_dir))
+@dataclass(frozen=True)
+class _Rounds:
+    """What every round of one command shares: nothing here depends on a sample."""
+
+    cfg: SimConfig
+    generators: "Sequence[WorkloadGenerator]"
+    allocation: PreparedAllocation
+    reply_tick: list[int]
+    cost_end: int
+    skeleton: tuple[TraceEvent, ...]  # the Join, CostRequest and CostReply events
+    subnet: "ipaddress.IPv4Network | ipaddress.IPv6Network"
+    roster_index: dict[str, int]
+    by_name: dict[str, ServiceSpec]
 
 
-def _run_round(cfg: SimConfig, iter_index: int,
-               generators: "list[WorkloadGenerator]") -> tuple[AllocationResult, SimTrace]:
-    """``run_iteration`` sampling from ``generators``, one per worker of ``cfg``."""
+def _prepare_rounds(cfg: SimConfig, generators: "Sequence[WorkloadGenerator]") -> _Rounds:
+    """The command-level inputs of ``cfg``'s rounds, sampling from ``generators``."""
     experiment = cfg.experiment
     num_services = len(experiment.services)
     per_worker_ms = cfg.poll_rtt_ms + num_services * cfg.cost_calc_ms
@@ -249,17 +288,39 @@ def _run_round(cfg: SimConfig, iter_index: int,
     stagger = 0 if cfg.parallel_cost_calc else per_worker_ms
     request_tick = [idx * stagger for idx in range(len(cfg.workers))]
     reply_tick = [tick + per_worker_ms for tick in request_tick]
-    cost_end = max(reply_tick)
 
-    worker_states = sample_workers(cfg.workers, generators, iter_index, reply_tick)
     events = [TraceEvent(0, "Join", {"worker": w.id}) for w in cfg.workers]
     events += [TraceEvent(tick, "CostRequest", {"worker": w.id, "services": num_services})
                for w, tick in zip(cfg.workers, request_tick)]
     events += [TraceEvent(tick, "CostReply", {"worker": w.id})
                for w, tick in zip(cfg.workers, reply_tick)]
+    return _Rounds(
+        cfg=cfg,
+        generators=generators,
+        allocation=prepare_experiment(cfg.workers, experiment),
+        reply_tick=reply_tick,
+        cost_end=max(reply_tick),
+        skeleton=tuple(events),
+        subnet=ipaddress.ip_network(experiment.network.subnet),
+        roster_index={w.id: i for i, w in enumerate(cfg.workers)},
+        by_name={s.name: s for s in experiment.services},
+    )
 
-    result = allocate_experiment(worker_states, experiment)
-    alloc_tick = cost_end + cfg.alloc_compute_ms
+
+def run_iteration(cfg: SimConfig, iter_index: int) -> tuple[AllocationResult, SimTrace]:
+    """Run one full lifecycle round and return its allocation and trace."""
+    generators = workload_generators(cfg.workers, cfg.seed, cfg.base_dir)
+    return _run_round(_prepare_rounds(cfg, generators), iter_index)
+
+
+def _run_round(rounds: _Rounds, iter_index: int) -> tuple[AllocationResult, SimTrace]:
+    """``run_iteration`` on inputs prepared once per command."""
+    cfg = rounds.cfg
+    worker_states = sample_workers(cfg.workers, rounds.generators, iter_index, rounds.reply_tick)
+    result = rounds.allocation.allocate(worker_states)
+
+    events = list(rounds.skeleton)
+    alloc_tick = rounds.cost_end + cfg.alloc_compute_ms
     events.append(TraceEvent(alloc_tick, "AllocationComputed", {
         "feasible": result.feasible,
         "services_assigned": len(result.assignments),
@@ -267,11 +328,8 @@ def _run_round(cfg: SimConfig, iter_index: int,
     }))
 
     registry = KvRegistry()
-    roster_index = {w.id: i for i, w in enumerate(cfg.workers)}
-    by_name = {s.name: s for s in experiment.services}
+    roster_index, by_name, subnet = rounds.roster_index, rounds.by_name, rounds.subnet
     assigned_units = {a.worker: a.unit for a in result.assignments.values()}
-
-    subnet = ipaddress.ip_network(experiment.network.subnet)
     end_tick = alloc_tick
     for worker_id in sorted(assigned_units, key=lambda w: roster_index[w]):
         unit = assigned_units[worker_id]
@@ -298,7 +356,7 @@ def _run_round(cfg: SimConfig, iter_index: int,
     events.sort(key=lambda e: e.tick)
     timings = {
         "join_ms": 0,
-        "cost_ms": cost_end,
+        "cost_ms": rounds.cost_end,
         "allocation_ms": cfg.alloc_compute_ms,
         "deploy_ms": end_tick - alloc_tick,
         "total_ms": end_tick,
@@ -308,8 +366,8 @@ def _run_round(cfg: SimConfig, iter_index: int,
 
 def run_experiment(cfg: SimConfig) -> list[tuple[AllocationResult, SimTrace]]:
     """Run ``cfg.iterations`` independent rounds with re-sampled workloads."""
-    generators = workload_generators(cfg.workers, cfg.seed, cfg.base_dir)
-    return [_run_round(cfg, k, generators) for k in range(cfg.iterations)]
+    rounds = _prepare_rounds(cfg, workload_generators(cfg.workers, cfg.seed, cfg.base_dir))
+    return [_run_round(rounds, k) for k in range(cfg.iterations)]
 
 
 @dataclass(frozen=True)
@@ -334,19 +392,18 @@ def measure_scaling(worker_counts, service_counts, template: SimConfig) -> list[
     prototype_service = template.experiment.services[0]
     fleet = tuple(replace(prototype_workers[i % len(prototype_workers)], id=f"w{i + 1:03d}")
                   for i in range(max(worker_counts)))
+    services = tuple(replace(prototype_service, name=f"svc{k + 1:03d}")
+                     for k in range(max(service_counts)))
     generators = workload_generators(fleet, template.seed, template.base_dir)
 
     cells = []
     for num_workers in worker_counts:
         workers = fleet[:max(num_workers, 0)]
         for num_services in service_counts:
-            services = tuple(
-                replace(prototype_service, name=f"svc{k + 1:03d}")
-                for k in range(num_services)
-            )
-            experiment = replace(template.experiment, services=services, dependencies=())
+            experiment = replace(template.experiment, services=services[:max(num_services, 0)],
+                                 dependencies=())
             cfg = replace(template, workers=workers, experiment=experiment, iterations=1)
-            _, trace = _run_round(cfg, 0, generators[:num_workers])
+            _, trace = _run_round(_prepare_rounds(cfg, generators[:num_workers]), 0)
             cells.append(ScalingCell(num_workers, num_services, trace.timings["total_ms"]))
     return cells
 

@@ -8,6 +8,7 @@ from swarmlab.allocator import (
     build_network,
     enumerate_unit_configurations,
     explain,
+    prepare,
 )
 from swarmlab import costing
 from swarmlab.costing import (
@@ -23,7 +24,7 @@ from swarmlab.errors import EmptyProblem, TooManyComponents
 from swarmlab.mcmf import solve, verify
 
 import oracles
-from factories import make_service, make_worker, random_instance
+from factories import make_service, make_worker, make_workload, random_instance
 
 EQUAL = CostWeights()
 
@@ -185,7 +186,9 @@ def _oracle_matrices(workers, services, config, weights, discount):
 
 
 def test_one_cost_matrix_per_allocation(monkeypatch):
-    calls = {"build_cost_matrix": 0, "scaled": 0}
+    # UnitCosts.matrix is the per-round costing entry point (build_cost_matrix
+    # is prepare_unit_costs plus one matrix call).
+    calls = {"matrix": 0, "scaled": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -195,13 +198,27 @@ def test_one_cost_matrix_per_allocation(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(costing, "build_cost_matrix")
+    counted(costing.UnitCosts, "matrix")
     counted(CostMatrix, "scaled")
     workers = [make_worker(f"w{i}", cpu=0.05 * i, bandwidth=0.5) for i in range(8)]
     services = [make_service(f"s{j}", 10.0 + 5 * j) for j in range(6)]
     result = allocate(workers, services, [("s0", "s1"), ("s2", "s3"), ("s5", "s4")], EQUAL, 0.9)
     assert len(result.outcomes) == 8
-    assert calls == {"build_cost_matrix": 1, "scaled": 1}
+    assert calls == {"matrix": 1, "scaled": 1}
+
+
+def test_prepared_allocation_serves_many_rounds():
+    rng = np.random.default_rng(73)
+    for _ in range(60):
+        workers, services, deps, weights, discount = random_instance(rng)
+        prepared = prepare(workers, services, deps, weights, discount)
+        rounds = [[w.with_workload(make_workload(*rng.random(4).tolist())) for w in workers]
+                  for _ in range(3)]
+        first = [prepared.allocate(r) for r in rounds]
+        again = [prepared.allocate(r) for r in reversed(rounds)][::-1]  # no state leaks between rounds
+        assert first == again == [allocate(r, services, deps, weights, discount) for r in rounds]
+        with pytest.raises(ValueError):
+            prepared.allocate(workers + workers)
 
 
 def test_placement_costs_equal_scalar_reference():

@@ -328,3 +328,55 @@ def test_worker_named_master_is_an_ordinary_worker(tmp_path, capsys):
                      "--iterations", "3", "--out-dir", str(tmp_path / "out")])
     assert simulate == allocate == 0
     assert "Traceback" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# numbers too large to parse or to hold as a float
+
+TOO_BIG_FOR_A_FLOAT = "1" + "0" * 400
+TOO_MANY_DIGITS = "7" * 5000  # past Python's default int-to-str digit limit (4300)
+_SENTINEL = 9876.54321
+
+
+def _set(document: dict, path: tuple, value):
+    for key in path[:-1]:
+        document = document[key]
+    document[path[-1]] = value
+
+
+@pytest.mark.parametrize("kind, path, literal", [
+    ("edf", ("services", 0, "predefined_cost"), TOO_BIG_FOR_A_FLOAT),
+    ("edf", ("services", 0, "image_size_mb"), TOO_BIG_FOR_A_FLOAT),
+    ("edf", ("weights", "cpu"), TOO_BIG_FOR_A_FLOAT),
+    ("edf", ("pool_discount",), TOO_BIG_FOR_A_FLOAT),
+    ("edf", ("pool_discount",), TOO_MANY_DIGITS),
+    ("cluster", ("workers", 0, "workload", "half_width"), TOO_BIG_FOR_A_FLOAT),
+    ("cluster", ("workers", 0, "workload", "center", 2), TOO_BIG_FOR_A_FLOAT),
+    ("cluster", ("workers", 0, "workload", "values", 1), TOO_BIG_FOR_A_FLOAT),
+    ("cluster", ("workers", 0, "profile", "cpu_cores"), TOO_MANY_DIGITS),
+], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else
+        (f"{len(v)}digits" if isinstance(v, str) and v.isdigit() else str(v)))
+def test_oversized_number_is_one_line_validation_error(tmp_path, artifacts, capsys,
+                                                       kind, path, literal):
+    edf, cluster = artifacts
+    bad = edf if kind == "edf" else cluster
+    document = json.loads(bad.read_text(encoding="utf-8"))
+    if "weights" in path:
+        document["weights"] = {"cpu": 0.25, "vram": 0.25, "swap": 0.25, "bandwidth": 0.25}
+    if "values" in path:
+        document["workers"][0]["workload"] = {"kind": "fixed", "values": [0.1, 0.2, 0.3, 0.4]}
+    _set(document, path, _SENTINEL)
+    bad.write_text(json.dumps(document).replace(repr(_SENTINEL), literal), encoding="utf-8")
+
+    assert main(["validate", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.out.startswith(f"{bad}: ") and captured.out.count("\n") == 1
+
+    for argv in (["allocate", "--edf", str(edf), "--cluster", str(cluster), "--seed", "1"],
+                 ["simulate", "--edf", str(edf), "--cluster", str(cluster), "--seed", "1",
+                  "--iterations", "2", "--out-dir", str(tmp_path / "out")]):
+        assert main(argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1

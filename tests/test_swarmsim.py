@@ -1,7 +1,11 @@
 import json
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from swarmlab import allocator, costing
 
 from swarmlab.definitions import (
     ClusterWorker,
@@ -13,6 +17,9 @@ from swarmlab.definitions import (
 from swarmlab.errors import DuplicateAgent, EmptyProblem, KeyAbsent, SchemaError
 from swarmlab.model import HardwareProfile
 from swarmlab.swarmsim import (
+    _JITTER_TAG,
+    _LEVEL_TAG,
+    JITTER_FRACTION,
     FetchLatency,
     KvRegistry,
     SimConfig,
@@ -60,6 +67,32 @@ def test_uniform_generator_is_deterministic_and_bounded():
         for value, center in zip((a.cpu, a.vram, a.swap, a.bandwidth), model.center):
             assert 0.0 <= value <= 1.0
             assert abs(value - center) <= envelope
+
+
+def _reference_uniform_sample(model, seed, worker_index, iteration):
+    """The uniform model as first written: list-seeded generators and np.clip."""
+    center = np.asarray(model.center)
+    level = np.random.default_rng([seed, worker_index, _LEVEL_TAG]).uniform(
+        center - model.half_width, center + model.half_width)
+    width = model.half_width * JITTER_FRACTION
+    jitter = np.random.default_rng([seed, worker_index, iteration, _JITTER_TAG]).uniform(
+        -width, width, size=4)
+    return tuple(np.clip(level + jitter, 0.0, 1.0).tolist())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**32 + 5, 2**64 + 3, 3**50])
+def test_uniform_sample_matches_reference_formula_bit_for_bit(seed):
+    for half_width in (0.0, 0.04, 0.1, 0.5, 1.0):
+        # Centers at the bounds make the clip bite.
+        model = UniformWorkload(center=(0.0, 0.3, 0.97, 1.0), half_width=half_width)
+        for worker_index in (0, 5, 2**33 + 1):
+            generator = WorkloadGenerator(model, seed, worker_index)
+            for iteration in (0, 1, 7, 2**32 - 1, 2**32, 2**40 + 11):
+                sample = generator.sample(iteration)
+                got = (sample.cpu, sample.vram, sample.swap, sample.bandwidth)
+                expected = _reference_uniform_sample(model, seed, worker_index, iteration)
+                assert got == expected, (half_width, worker_index, iteration)
+                assert [v.hex() for v in got] == [v.hex() for v in expected]  # signed zeros too
 
 
 def test_uniform_generator_keeps_worker_level_persistent():
@@ -119,6 +152,30 @@ def test_scaling_grid_reads_each_trace_once_per_generator(tmp_path, read_count):
     assert len(cells) == 64
     # One generator for each of the 8 grid workers; the 7th and 8th replay w0.csv and w1.csv.
     assert len(read_count) <= 8
+
+
+def test_command_level_inputs_are_built_once(monkeypatch):
+    calls = Counter()
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(allocator, "enumerate_unit_configurations")
+    counted(costing, "build_capability_matrix")
+    counted(costing.UnitCosts, "matrix")
+    counted(costing.CostMatrix, "scaled")
+    cfg = SimConfig(workers=balanced_cluster(6),
+                    experiment=bench_experiment(4, dependencies=(("svc01", "svc02"),)),
+                    seed=5, iterations=5)
+    results = run_experiment(cfg)
+    assert [len(result.outcomes) for result, _ in results] == [2] * 5
+    assert calls == {"enumerate_unit_configurations": 1, "build_capability_matrix": 1,
+                     "matrix": 5, "scaled": 5}
 
 
 def test_experiment_reads_each_trace_once(tmp_path, read_count):
