@@ -217,6 +217,9 @@ def main(argv=None) -> int:
     except SwarmLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except Exception as exc:  # a defect: still one line, never a traceback
+        print(f"error: unexpected {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

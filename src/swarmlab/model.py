@@ -85,6 +85,20 @@ class WorkloadSample:
         if self.timestamp < 0:
             raise ValueError("timestamp must be non-negative")
 
+    @classmethod
+    def trusted(cls, cpu: float, vram: float, swap: float, bandwidth: float,
+                timestamp: int = 0) -> "WorkloadSample":
+        """A sample of values the caller has already checked, built without re-validating.
+
+        For producers whose values are known to be finite floats in [0, 1]
+        and whose timestamp is non-negative; everyone else uses the
+        validating constructor.
+        """
+        sample = object.__new__(cls)
+        sample.__dict__.update(cpu=cpu, vram=vram, swap=swap, bandwidth=bandwidth,
+                               timestamp=timestamp)
+        return sample
+
 
 @dataclass(frozen=True)
 class WorkerState:

@@ -10,21 +10,26 @@ equal configs produce bit-identical traces.
 The lifecycle exists only as trace events; no ``SwarmState`` is kept. One
 ``WorkloadGenerator`` per worker serves a whole ``run_experiment`` or
 ``measure_scaling`` call, so a trace file is parsed once, not every round.
-``sample_workers`` builds every round's worker states, here and for the
-CLI's single ``allocate`` round. What no sample changes is built once per
+The ``uniform`` workers' samples are drawn in batches: one
+``rng.uniform_rows`` call covers every uniform worker over a block of up to
+``DRAW_BLOCK_ROWS`` rows of iterations, bit-identical to seeding one
+``default_rng`` per sample as the stream is defined. ``sample_workers``
+builds one round's worker states, for ``run_iteration`` and the CLI's
+single ``allocate`` round. What no sample changes is built once per
 command (once per grid cell for ``measure_scaling``): the prepared
 allocation inputs, the Join / CostRequest / CostReply events and their
-ticks, the parsed overlay subnet and the roster lookups. A round samples,
-allocates and adds only the events that depend on its allocation.
+ticks, the parsed overlay subnet and the roster lookups. A round allocates
+its samples and adds only the events that depend on its allocation.
 """
 
 from __future__ import annotations
 
 import ipaddress
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -41,12 +46,17 @@ from .definitions import (
 )
 from .errors import DuplicateAgent, EmptyProblem, KeyAbsent, SchemaError
 from .model import WorkerState, WorkloadSample, join_worker  # noqa: F401 (perfbench traces it)
+from .rng import uniform_rows
 
 _LEVEL_TAG = 0xB15E
 _JITTER_TAG = 0x171E
 #: Per-iteration jitter applied around a worker's persistent level, as a
 #: fraction of the configured half-width.
 JITTER_FRACTION = 0.25
+#: Most jitter rows (uniform workers x iterations) drawn in one batch; bounds
+#: the draw's memory whatever the iteration count. A block holds at least
+#: one iteration.
+DRAW_BLOCK_ROWS = 4096
 
 
 def _entropy_words(value: int) -> list[int]:
@@ -65,6 +75,7 @@ def _entropy_words(value: int) -> list[int]:
     return words
 
 
+_LEVEL_TAG_WORDS = _entropy_words(_LEVEL_TAG)
 _JITTER_TAG_WORDS = _entropy_words(_JITTER_TAG)
 
 
@@ -73,9 +84,16 @@ class WorkloadGenerator:
 
     The stream is a pure function of (seed, worker index, iteration), so
     any iteration can be re-sampled independently and reruns are
-    bit-identical. A ``uniform`` sample's jitter comes from
-    ``default_rng([seed, worker_index, iteration, _JITTER_TAG])``, seeded
-    from the same entropy words as a ``uint32`` array, which is cheaper.
+    bit-identical. A ``uniform`` worker's persistent level is
+    ``default_rng([seed, worker_index, _LEVEL_TAG]).uniform(center -
+    half_width, center + half_width)``; an iteration's sample adds the
+    jitter ``default_rng([seed, worker_index, iteration,
+    _JITTER_TAG]).uniform(-w, w, size=4)``, w = ``half_width *
+    JITTER_FRACTION``, and clips to [0, 1]. That definition is unchanged,
+    but the draws are batched: ``rng.uniform_rows`` computes them bit for
+    bit, the level together with the first jitter rows. ``sample`` draws
+    one iteration; simulation rounds draw every uniform worker's block of
+    iterations in one call.
     """
 
     def __init__(self, model: WorkloadModel, seed: int, worker_index: int,
@@ -85,12 +103,12 @@ class WorkloadGenerator:
         self.worker_index = worker_index
         self.base_dir = Path(base_dir) if base_dir is not None else None
         self._trace_rows: list[tuple[float, float, float, float]] | None = None
-        if isinstance(model, UniformWorkload):  # the persistent level: one draw per worker
-            center = np.asarray(model.center)
-            self._level = np.random.default_rng([seed, worker_index, _LEVEL_TAG]).uniform(
-                center - model.half_width, center + model.half_width).tolist()
-            self._jitter_width = model.half_width * JITTER_FRACTION
+        self._level: np.ndarray | None = None  # drawn with the first jitter rows
+        if isinstance(model, UniformWorkload):
             self._jitter_prefix = _entropy_words(seed) + _entropy_words(worker_index)
+            self._jitter_width = model.half_width * JITTER_FRACTION
+            center = np.asarray(model.center)
+            self._level_bounds = (center - model.half_width, center + model.half_width)
 
     def _rows(self, path: str) -> list[tuple[float, float, float, float]]:
         if self._trace_rows is not None:
@@ -121,22 +139,42 @@ class WorkloadGenerator:
 
     def sample(self, iteration: int, timestamp: int = 0) -> WorkloadSample:
         model = self.model
-        if isinstance(model, FixedWorkload):
-            values = model.values
-        elif isinstance(model, UniformWorkload):
-            entropy = np.array(self._jitter_prefix + _entropy_words(iteration) + _JITTER_TAG_WORDS,
-                               dtype=np.uint32)
-            jitter = np.random.default_rng(entropy).uniform(
-                -self._jitter_width, self._jitter_width, size=4).tolist()
-            # np.clip(level + jitter, 0.0, 1.0) on Python floats; max(0.0, -0.0) is 0.0 as in numpy.
-            values = tuple(min(max(0.0, level + j), 1.0) for level, j in zip(self._level, jitter))
+        if isinstance(model, FixedWorkload):  # nothing has checked these values yet
+            return WorkloadSample(*model.values, timestamp=timestamp)
+        if timestamp < 0:
+            raise ValueError("timestamp must be non-negative")
+        if isinstance(model, UniformWorkload):
+            values = _uniform_values([self], [iteration])[0][0]
         elif isinstance(model, TraceWorkload):
             rows = self._rows(model.path)
             values = rows[iteration % len(rows)]
         else:
             raise TypeError(f"unknown workload model {model!r}")
-        return WorkloadSample(cpu=values[0], vram=values[1], swap=values[2],
-                              bandwidth=values[3], timestamp=timestamp)
+        return WorkloadSample.trusted(*values, timestamp=timestamp)
+
+
+def _uniform_values(generators: "Sequence[WorkloadGenerator]",
+                    iterations: "Sequence[int]") -> list[list[list[float]]]:
+    """``values[k][g]``: uniform ``generators[g]``'s sample at ``iterations[k]``.
+
+    One ``uniform_rows`` call draws every jitter row and the persistent
+    levels that are not drawn yet. The sum ``level + jitter`` and the clip
+    are those of the stream's definition, on the same doubles.
+    """
+    fresh = [g for g in generators if g._level is None]
+    entropy = [g._jitter_prefix + _LEVEL_TAG_WORDS for g in fresh]
+    entropy += [g._jitter_prefix + suffix
+                for suffix in [_entropy_words(k) + _JITTER_TAG_WORDS for k in iterations]
+                for g in generators]
+    bounds = np.reshape([g._level_bounds for g in fresh], (-1, 2, 4))
+    widths = np.tile([[g._jitter_width] for g in generators], (len(iterations), 4))
+    draws = uniform_rows(entropy, np.concatenate([bounds[:, 0], -widths]),
+                         np.concatenate([bounds[:, 1], widths]))
+    for g, level in zip(fresh, draws):
+        g._level = level
+    levels = np.array([g._level for g in generators])
+    jitter = draws[len(fresh):].reshape(len(iterations), len(generators), 4)
+    return np.clip(levels + jitter, 0.0, 1.0).tolist()
 
 
 class KvRegistry:
@@ -182,7 +220,10 @@ class FetchLatency:
     per_mb_ms: float = 2.0
 
     def duration_ms(self, size_mb: float) -> int:
-        return int(round(self.base_ms + self.per_mb_ms * size_mb))
+        duration = self.base_ms + self.per_mb_ms * size_mb
+        if not math.isfinite(duration):
+            raise SchemaError(f"fetching {size_mb!r} MB takes no finite time", "image_size_mb")
+        return int(round(duration))
 
 
 @dataclass(frozen=True)
@@ -256,12 +297,45 @@ def workload_generators(workers: "Sequence[ClusterWorker]", seed: int,
     return [WorkloadGenerator(w.workload, seed, idx, base_dir) for idx, w in enumerate(workers)]
 
 
+def _draws(generators: "Sequence[WorkloadGenerator]",
+           iterations: "Sequence[int]") -> Iterator[tuple[int, dict[int, list[float]]]]:
+    """Each of ``iterations`` with its uniform workers' samples, keyed by position.
+
+    One ``uniform_rows`` call draws a block of iterations for every uniform
+    worker: ``DRAW_BLOCK_ROWS`` jitter rows at most, or one iteration's when
+    there are more uniform workers, plus the levels still missing. None is
+    made when no worker is uniform.
+    """
+    uniform = [i for i, g in enumerate(generators) if isinstance(g.model, UniformWorkload)]
+    if not uniform:
+        for iteration in iterations:
+            yield iteration, {}
+        return
+    per_block = max(1, DRAW_BLOCK_ROWS // len(uniform))
+    for start in range(0, len(iterations), per_block):
+        block = iterations[start:start + per_block]
+        for iteration, values in zip(block, _uniform_values([generators[i] for i in uniform], block)):
+            yield iteration, dict(zip(uniform, values))
+
+
+def _worker_states(workers: "Sequence[ClusterWorker]", generators: "Sequence[WorkloadGenerator]",
+                   iteration: int, ticks: "Sequence[int]",
+                   drawn: "dict[int, list[float]]") -> list[WorkerState]:
+    """One round's worker states: ``drawn`` uniform samples, the others' ``sample(iteration)``."""
+    states = []
+    for idx, (w, generator, tick) in enumerate(zip(workers, generators, ticks)):
+        values = drawn.get(idx)
+        workload = (generator.sample(iteration, timestamp=tick) if values is None
+                    else WorkloadSample.trusted(*values, timestamp=tick))
+        states.append(WorkerState(id=w.id, profile=w.profile, workload=workload))
+    return states
+
+
 def sample_workers(workers: "Sequence[ClusterWorker]", generators: "Sequence[WorkloadGenerator]",
                    iteration: int, ticks: "Sequence[int]") -> list[WorkerState]:
     """The round's worker states: each worker's ``iteration`` sample, stamped with its tick."""
-    return [WorkerState(id=w.id, profile=w.profile,
-                        workload=generator.sample(iteration, timestamp=tick))
-            for w, generator, tick in zip(workers, generators, ticks)]
+    _, drawn = next(_draws(generators, [iteration]))
+    return _worker_states(workers, generators, iteration, ticks, drawn)
 
 
 @dataclass(frozen=True)
@@ -269,7 +343,6 @@ class _Rounds:
     """What every round of one command shares: nothing here depends on a sample."""
 
     cfg: SimConfig
-    generators: "Sequence[WorkloadGenerator]"
     allocation: PreparedAllocation
     reply_tick: list[int]
     cost_end: int
@@ -279,8 +352,8 @@ class _Rounds:
     by_name: dict[str, ServiceSpec]
 
 
-def _prepare_rounds(cfg: SimConfig, generators: "Sequence[WorkloadGenerator]") -> _Rounds:
-    """The command-level inputs of ``cfg``'s rounds, sampling from ``generators``."""
+def _prepare_rounds(cfg: SimConfig) -> _Rounds:
+    """The command-level inputs of ``cfg``'s rounds."""
     experiment = cfg.experiment
     num_services = len(experiment.services)
     per_worker_ms = cfg.poll_rtt_ms + num_services * cfg.cost_calc_ms
@@ -296,7 +369,6 @@ def _prepare_rounds(cfg: SimConfig, generators: "Sequence[WorkloadGenerator]") -
                for w, tick in zip(cfg.workers, reply_tick)]
     return _Rounds(
         cfg=cfg,
-        generators=generators,
         allocation=prepare_experiment(cfg.workers, experiment),
         reply_tick=reply_tick,
         cost_end=max(reply_tick),
@@ -310,13 +382,13 @@ def _prepare_rounds(cfg: SimConfig, generators: "Sequence[WorkloadGenerator]") -
 def run_iteration(cfg: SimConfig, iter_index: int) -> tuple[AllocationResult, SimTrace]:
     """Run one full lifecycle round and return its allocation and trace."""
     generators = workload_generators(cfg.workers, cfg.seed, cfg.base_dir)
-    return _run_round(_prepare_rounds(cfg, generators), iter_index)
+    rounds = _prepare_rounds(cfg)
+    return _run_round(rounds, sample_workers(cfg.workers, generators, iter_index, rounds.reply_tick))
 
 
-def _run_round(rounds: _Rounds, iter_index: int) -> tuple[AllocationResult, SimTrace]:
-    """``run_iteration`` on inputs prepared once per command."""
+def _run_round(rounds: _Rounds, worker_states: "list[WorkerState]") -> tuple[AllocationResult, SimTrace]:
+    """``run_iteration`` on inputs prepared once per command and the round's samples."""
     cfg = rounds.cfg
-    worker_states = sample_workers(cfg.workers, rounds.generators, iter_index, rounds.reply_tick)
     result = rounds.allocation.allocate(worker_states)
 
     events = list(rounds.skeleton)
@@ -366,8 +438,10 @@ def _run_round(rounds: _Rounds, iter_index: int) -> tuple[AllocationResult, SimT
 
 def run_experiment(cfg: SimConfig) -> list[tuple[AllocationResult, SimTrace]]:
     """Run ``cfg.iterations`` independent rounds with re-sampled workloads."""
-    rounds = _prepare_rounds(cfg, workload_generators(cfg.workers, cfg.seed, cfg.base_dir))
-    return [_run_round(rounds, k) for k in range(cfg.iterations)]
+    generators = workload_generators(cfg.workers, cfg.seed, cfg.base_dir)
+    rounds = _prepare_rounds(cfg)
+    return [_run_round(rounds, _worker_states(cfg.workers, generators, k, rounds.reply_tick, drawn))
+            for k, drawn in _draws(generators, range(cfg.iterations))]
 
 
 @dataclass(frozen=True)
@@ -395,6 +469,7 @@ def measure_scaling(worker_counts, service_counts, template: SimConfig) -> list[
     services = tuple(replace(prototype_service, name=f"svc{k + 1:03d}")
                      for k in range(max(service_counts)))
     generators = workload_generators(fleet, template.seed, template.base_dir)
+    _, drawn = next(_draws(generators, [0]))  # every cell samples iteration 0
 
     cells = []
     for num_workers in worker_counts:
@@ -403,7 +478,9 @@ def measure_scaling(worker_counts, service_counts, template: SimConfig) -> list[
             experiment = replace(template.experiment, services=services[:max(num_services, 0)],
                                  dependencies=())
             cfg = replace(template, workers=workers, experiment=experiment, iterations=1)
-            _, trace = _run_round(_prepare_rounds(cfg, generators[:num_workers]), 0)
+            rounds = _prepare_rounds(cfg)
+            states = _worker_states(workers, generators, 0, rounds.reply_tick, drawn)
+            _, trace = _run_round(rounds, states)
             cells.append(ScalingCell(num_workers, num_services, trace.timings["total_ms"]))
     return cells
 

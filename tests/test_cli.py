@@ -380,3 +380,36 @@ def test_oversized_number_is_one_line_validation_error(tmp_path, artifacts, caps
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# failures found while simulating
+
+
+def test_overflowing_fetch_time_is_one_line_validation_error(tmp_path, capsys):
+    edf = tmp_path / "mapping-demo.edf.json"
+    document = json.loads((SAMPLES / "mapping-demo.edf.json").read_text(encoding="utf-8"))
+    (bag,) = [s for s in document["services"] if s["name"] == "bag-recorder"]
+    bag["image_size_mb"] = 1e308  # finite, so validate accepts it; its fetch time is not
+    edf.write_text(json.dumps(document), encoding="utf-8")
+    assert main(["validate", str(edf)]) == 0
+
+    assert main(["simulate", "--edf", str(edf), "--cluster", str(SAMPLES / "bench.cluster.json"),
+                 "--iterations", "2", "--seed", "1", "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "image_size_mb" in err
+
+
+def test_unexpected_exception_is_one_line_internal_error(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("injected\nfailure")
+
+    monkeypatch.setattr("swarmlab.swarmsim.run_experiment", broken)
+    assert main(["simulate", "--edf", str(SAMPLES / "mapping-demo.edf.json"),
+                 "--cluster", str(SAMPLES / "bench.cluster.json"), "--iterations", "2",
+                 "--seed", "1", "--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == "error: unexpected RuntimeError: injected failure\n"

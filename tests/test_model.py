@@ -98,8 +98,10 @@ def test_profile_rejects_bad_numbers(kwargs):
 
 @pytest.mark.parametrize("kwargs", [
     {"cpu": -0.1}, {"vram": 1.5}, {"swap": float("nan")}, {"bandwidth": 2.0},
+    {"cpu": 1.5}, {"cpu": float("nan")}, {"bandwidth": float("inf")},
 ])
 def test_workload_rejects_out_of_range(kwargs):
+    # The public constructor keeps validating; only generators use WorkloadSample.trusted.
     values = {"cpu": 0.0, "vram": 0.0, "swap": 0.0, "bandwidth": 0.0}
     values.update(kwargs)
     with pytest.raises(ValueError):
@@ -130,3 +132,9 @@ def test_operation_sequences_keep_invariants(ops):
         assert swarm.master not in ids
         for agent_id in ids + (swarm.master,):
             assert role_of(swarm, agent_id) in (Role.MASTER, Role.WORKER)
+
+
+def test_trusted_workload_sample_equals_validated_one():
+    trusted = WorkloadSample.trusted(0.1, 0.2, 0.3, 1.0, timestamp=7)
+    checked = WorkloadSample(cpu=0.1, vram=0.2, swap=0.3, bandwidth=1.0, timestamp=7)
+    assert trusted == checked and hash(trusted) == hash(checked) and repr(trusted) == repr(checked)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swarmlab import allocator, costing
+from swarmlab import allocator, costing, swarmsim
 
 from swarmlab.definitions import (
     ClusterWorker,
@@ -93,6 +93,114 @@ def test_uniform_sample_matches_reference_formula_bit_for_bit(seed):
                 expected = _reference_uniform_sample(model, seed, worker_index, iteration)
                 assert got == expected, (half_width, worker_index, iteration)
                 assert [v.hex() for v in got] == [v.hex() for v in expected]  # signed zeros too
+
+
+def _mixed_fleet(tmp_path):
+    """Uniform workers of several shapes around a fixed and a trace worker."""
+    (tmp_path / "load.csv").write_text("0.1,0.2,0.3,0.4\n0.5,0.5,0.5,0.5\n", encoding="utf-8")
+    models = [UniformWorkload(center=(0.3, 0.3, 0.1, 0.3), half_width=0.1),
+              FixedWorkload((0.2, 0.2, 0.2, 0.2)),
+              UniformWorkload(center=(0.0, 0.5, 0.97, 1.0), half_width=0.5),
+              TraceWorkload("load.csv"),
+              UniformWorkload(center=(0.6, 0.1, 0.4, 0.9), half_width=0.0),
+              UniformWorkload(center=(0.2, 0.8, 0.5, 0.5), half_width=1.0)]
+    return tuple(ClusterWorker(id=f"w{i}", profile=HardwareProfile(), workload=model)
+                 for i, model in enumerate(models))
+
+
+@pytest.fixture
+def allocated_states(monkeypatch):
+    """Records the worker states each round hands to the allocation."""
+    seen = []
+    original = allocator.PreparedAllocation.allocate
+
+    def recording(self, workers):
+        seen.append(workers)
+        return original(self, workers)
+
+    monkeypatch.setattr(allocator.PreparedAllocation, "allocate", recording)
+    return seen
+
+
+@pytest.fixture
+def kernel_rows(monkeypatch):
+    """The row count of every ``uniform_rows`` call the simulator makes."""
+    calls = []
+    original = swarmsim.uniform_rows
+
+    def counting(entropy, low, high):
+        calls.append(len(entropy))
+        return original(entropy, low, high)
+
+    monkeypatch.setattr(swarmsim, "uniform_rows", counting)
+    return calls
+
+
+def _assert_rounds_match_reference(rounds, workers, seed, ticks):
+    for iteration, states in enumerate(rounds):
+        for index, (worker, state) in enumerate(zip(workers, states)):
+            got = (state.workload.cpu, state.workload.vram, state.workload.swap,
+                   state.workload.bandwidth)
+            model = worker.workload
+            if isinstance(model, UniformWorkload):
+                expected = _reference_uniform_sample(model, seed, index, iteration)
+            elif isinstance(model, FixedWorkload):
+                expected = model.values
+            else:
+                expected = ((0.1, 0.2, 0.3, 0.4), (0.5, 0.5, 0.5, 0.5))[iteration % 2]
+            assert [v.hex() for v in got] == [v.hex() for v in expected], (iteration, index)
+            assert state.id == worker.id and state.workload.timestamp == ticks[index]
+
+
+def test_long_experiment_samples_match_per_sample_default_rng(tmp_path, allocated_states,
+                                                              kernel_rows):
+    workers = _mixed_fleet(tmp_path)
+    cfg = SimConfig(workers=workers, experiment=bench_experiment(2), seed=2**32 + 9,
+                    iterations=240, parallel_cost_calc=False, base_dir=str(tmp_path))
+    run_experiment(cfg)
+    assert len(allocated_states) == 240
+    ticks = [(k + 1) * (cfg.poll_rtt_ms + 2 * cfg.cost_calc_ms) for k in range(len(workers))]
+    _assert_rounds_match_reference(allocated_states, workers, cfg.seed, ticks)
+    # One batch for the whole command: four levels and 4 x 240 jitter rows.
+    assert kernel_rows == [4 + 4 * 240]
+
+
+def test_iterations_crossing_draw_blocks_match_reference(tmp_path, allocated_states,
+                                                         kernel_rows, monkeypatch):
+    monkeypatch.setattr(swarmsim, "DRAW_BLOCK_ROWS", 9)  # two iterations of 4 uniform workers
+    workers = _mixed_fleet(tmp_path)
+    cfg = SimConfig(workers=workers, experiment=bench_experiment(2), seed=17, iterations=7,
+                    base_dir=str(tmp_path))
+    blocked = run_experiment(cfg)
+    assert kernel_rows == [4 + 8, 8, 8, 4]
+    per_worker = cfg.poll_rtt_ms + 2 * cfg.cost_calc_ms
+    _assert_rounds_match_reference(allocated_states, workers, cfg.seed, [per_worker] * len(workers))
+
+    monkeypatch.setattr(swarmsim, "DRAW_BLOCK_ROWS", 4096)
+    whole = run_experiment(cfg)
+    assert kernel_rows[4:] == [4 + 4 * 7]
+    assert [trace_to_jsonl(t) for _, t in blocked] == [trace_to_jsonl(t) for _, t in whole]
+    assert [r.assignments for r, _ in blocked] == [r.assignments for r, _ in whole]
+
+
+def test_allocate_round_draws_iteration_zero_only(tmp_path, kernel_rows):
+    workers = _mixed_fleet(tmp_path)
+    generators = swarmsim.workload_generators(workers, 3, tmp_path)
+    states = swarmsim.sample_workers(workers, generators, 0, [0] * len(workers))
+    assert kernel_rows == [4 + 4]  # the four levels and the four iteration-0 jitter rows
+    _assert_rounds_match_reference([states], workers, 3, [0] * len(workers))
+
+
+def test_fleets_without_uniform_workers_make_no_kernel_call(tmp_path, kernel_rows):
+    run_experiment(_trace_template(tmp_path, iterations=3))
+    measure_scaling(range(1, 4), range(1, 3), _trace_template(tmp_path))
+    assert kernel_rows == []
+
+
+def test_scaling_grid_draws_uniform_samples_once(kernel_rows):
+    cells = measure_scaling(range(1, 6), range(1, 4), bench_config(num_workers=3))
+    assert len(cells) == 15
+    assert kernel_rows == [5 + 5]  # the grid's five workers, iteration 0
 
 
 def test_uniform_generator_keeps_worker_level_persistent():
