@@ -1,8 +1,9 @@
 """Container-style experiment orchestration for robot swarms, simulated.
 
 Declarative service/experiment/cluster definitions, a workload-sensitive
-min-cost assignment service allocator, a deterministic master-worker
-lifecycle simulator, and fairness metrics over allocation histories.
+min-cost assignment service allocator, a deterministic simulator that emits
+the master-worker lifecycle as trace events, and fairness metrics over
+allocation histories.
 """
 
 from .allocator import (
@@ -49,20 +50,8 @@ from .metrics import (
     fairness_series,
     jains_index,
 )
-from .model import (
-    HardwareProfile,
-    Role,
-    SwarmState,
-    WorkerState,
-    WorkerStatus,
-    WorkloadSample,
-    join_worker,
-    leave_worker,
-    new_swarm,
-    role_of,
-)
+from .model import HardwareProfile, WorkerState, WorkloadSample
 from .swarmsim import (
-    KvRegistry,
     SimConfig,
     SimTrace,
     WorkloadGenerator,
@@ -72,4 +61,4 @@ from .swarmsim import (
     trace_to_jsonl,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

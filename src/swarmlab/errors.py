@@ -12,19 +12,7 @@ class DomainError(SwarmLabError):
 
 
 class DuplicateAgent(SwarmLabError):
-    """An agent id is already present in the swarm."""
-
-
-class MasterConflict(SwarmLabError):
-    """An operation would give the master a second, conflicting role."""
-
-
-class UnknownAgent(SwarmLabError):
-    """An agent id is not part of the swarm."""
-
-
-class IllegalTransition(SwarmLabError):
-    """A worker status transition violates the lifecycle order."""
+    """An agent id appears twice in a fleet."""
 
 
 class DefinitionSyntaxError(SwarmLabError):
@@ -73,10 +61,6 @@ class EmptyProblem(SwarmLabError):
 
 class TooManyComponents(SwarmLabError):
     """Pool enumeration would exceed the configuration bound."""
-
-
-class KeyAbsent(SwarmLabError):
-    """A registry key was read before it was ever written."""
 
 
 class EmptyHistory(SwarmLabError):

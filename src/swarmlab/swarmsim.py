@@ -7,7 +7,9 @@ endpoint and simulates fetching and starting its services. All latencies
 are configuration values, all randomness flows from the config seed, so
 equal configs produce bit-identical traces.
 
-The lifecycle exists only as trace events; no ``SwarmState`` is kept. One
+The lifecycle exists only as trace events; no swarm roster or overlay
+store is kept. Every round registers each assigned worker's key once, so
+every ``MemberRegistered`` event carries version 1. One
 ``WorkloadGenerator`` per worker serves a whole ``run_experiment`` or
 ``measure_scaling`` call, so a trace file is parsed once, not every round.
 The ``uniform`` workers' samples are drawn in batches: one
@@ -44,8 +46,8 @@ from .definitions import (
     UniformWorkload,
     WorkloadModel,
 )
-from .errors import DuplicateAgent, EmptyProblem, KeyAbsent, SchemaError
-from .model import WorkerState, WorkloadSample, join_worker  # noqa: F401 (perfbench traces it)
+from .errors import DuplicateAgent, EmptyProblem, SchemaError
+from .model import WorkerState, WorkloadSample
 from .rng import uniform_rows
 
 _LEVEL_TAG = 0xB15E
@@ -175,41 +177,6 @@ def _uniform_values(generators: "Sequence[WorkloadGenerator]",
     levels = np.array([g._level for g in generators])
     jitter = draws[len(fresh):].reshape(len(iterations), len(generators), 4)
     return np.clip(levels + jitter, 0.0, 1.0).tolist()
-
-
-class KvRegistry:
-    """Versioned last-write-wins key-value store shared within a swarm.
-
-    The master is the only writer in this simulation, which is what keeps
-    the store conflict-free; reads always see the highest version.
-    """
-
-    def __init__(self):
-        self._entries: dict[str, tuple[object, int]] = {}
-
-    def put(self, key: str, value: object) -> int:
-        """Store ``value`` and return the new (strictly increasing) version."""
-        if not key:
-            raise ValueError("registry keys must be non-empty")
-        version = self._entries[key][1] + 1 if key in self._entries else 1
-        self._entries[key] = (value, version)
-        return version
-
-    def get(self, key: str) -> object:
-        if key not in self._entries:
-            raise KeyAbsent(f"key {key!r} was never written")
-        return self._entries[key][0]
-
-    def version(self, key: str) -> int:
-        if key not in self._entries:
-            raise KeyAbsent(f"key {key!r} was never written")
-        return self._entries[key][1]
-
-    def keys(self, prefix: str = "") -> list[str]:
-        return sorted(k for k in self._entries if k.startswith(prefix))
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 @dataclass(frozen=True)
@@ -399,7 +366,6 @@ def _run_round(rounds: _Rounds, worker_states: "list[WorkerState]") -> tuple[All
         "total_cost": round(result.total_cost, 6),
     }))
 
-    registry = KvRegistry()
     roster_index, by_name, subnet = rounds.roster_index, rounds.by_name, rounds.subnet
     assigned_units = {a.worker: a.unit for a in result.assignments.values()}
     end_tick = alloc_tick
@@ -407,10 +373,8 @@ def _run_round(rounds: _Rounds, worker_states: "list[WorkerState]") -> tuple[All
         unit = assigned_units[worker_id]
         index = roster_index[worker_id]
         vtep = str(subnet[(2 + index) % subnet.num_addresses])
-        version = registry.put(f"overlay/members/{worker_id}",
-                               {"services": list(unit.members), "vtep": vtep})
         events.append(TraceEvent(alloc_tick, "MemberRegistered", {
-            "key": f"overlay/members/{worker_id}", "version": version,
+            "key": f"overlay/members/{worker_id}", "version": 1,
             "worker": worker_id, "vtep": vtep,
         }))
         fetch_ms = cfg.fetch_latency.duration_ms(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -212,8 +214,8 @@ def test_prepared_allocation_serves_many_rounds():
     for _ in range(60):
         workers, services, deps, weights, discount = random_instance(rng)
         prepared = prepare(workers, services, deps, weights, discount)
-        rounds = [[w.with_workload(make_workload(*rng.random(4).tolist())) for w in workers]
-                  for _ in range(3)]
+        rounds = [[dataclasses.replace(w, workload=make_workload(*rng.random(4).tolist()))
+                   for w in workers] for _ in range(3)]
         first = [prepared.allocate(r) for r in rounds]
         again = [prepared.allocate(r) for r in reversed(rounds)][::-1]  # no state leaks between rounds
         assert first == again == [allocate(r, services, deps, weights, discount) for r in rounds]

@@ -1,8 +1,12 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from swarmlab.cli import main
 from swarmlab.definitions import (
@@ -413,3 +417,115 @@ def test_unexpected_exception_is_one_line_internal_error(tmp_path, monkeypatch, 
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err == "error: unexpected RuntimeError: injected failure\n"
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: any argv ends in a documented exit code, never a traceback
+
+# Placeholder for the example's temporary directory; every output path is under it.
+TMP = "<tmp>"
+
+MALFORMED = {
+    "broken.edf.json": b'{"name": "x", "services": [',
+    "empty.edf.json": b"",
+    "deep.edf.json": b"[" * 100_000,
+    "array.cdf.json": b"[]",
+    "ghost.edf.json": b'{"name": "g", "services": [{"ref": "ghost"}]}',
+    "lidar.edf.json": b'{"name": "l", "services": [{"name": "s", "entrypoint": "run", '
+                      b'"predefined_cost": 10, "required_capabilities": ["lidar"]}]}',
+    "weights.edf.json": b'{"name": "w", "services": [{"name": "s", "entrypoint": "run", '
+                        b'"predefined_cost": 10}], "weights": {"cpu": 1, "vram": 1, '
+                        b'"swap": 0, "bandwidth": 0}}',
+    "latin1.cluster.json": b'{"workers": [{"id": "\xe9"}]}',
+    "none.cluster.json": b'{"workers": []}',
+    "nan.cluster.json": b'{"workers": [{"id": "a", "workload": {"kind": "fixed", '
+                        b'"values": [NaN, 0, 0, 0]}}]}',
+    "missing-trace.cluster.json": b'{"workers": [{"id": "a", "workload": {"kind": "trace", '
+                                  b'"path": "absent.csv"}}]}',
+    "bad-trace.cluster.json": b'{"workers": [{"id": "a", "workload": {"kind": "trace", '
+                              b'"path": "rows.csv"}}]}',
+    "rows.csv": b"0.1,0.2\nx,y,z,w\n",
+    "notes.txt": b"not a definition",
+}
+SAMPLE_FILES = [str(p) for p in sorted(SAMPLES.glob("*.json"))]
+INPUT_PATHS = SAMPLE_FILES + [f"{TMP}/{name}" for name in MALFORMED] + [
+    TMP, f"{TMP}/absent.edf.json", f"{TMP}/dir.cluster.json"]
+OUTPUT_PATHS = [f"{TMP}/out", f"{TMP}/out.csv", f"{TMP}/notes.txt", f"{TMP}/dir.cluster.json",
+                f"{TMP}/no/such/dir/out.csv"]
+WORDS = ["", "x", "1.5", "nan", "1e3", "0x10", " 4", "٣", "-", "--"]
+INTEGERS = st.integers(-3, 8).map(str)
+NUMBERS = st.one_of(INTEGERS, INTEGERS, INTEGERS, st.sampled_from(WORDS))
+INPUTS = st.sampled_from(INPUT_PATHS)
+OUTPUTS = st.sampled_from(OUTPUT_PATHS)
+DEMO_EDF = st.just(str(SAMPLES / "mapping-demo.edf.json")) | INPUTS
+DEMO_CLUSTER = st.just(str(SAMPLES / "bench.cluster.json")) | INPUTS
+COMMANDS = {
+    "validate": {},
+    "allocate": {"--edf": DEMO_EDF, "--cluster": DEMO_CLUSTER, "--seed": NUMBERS,
+                 "--out": OUTPUTS},
+    "simulate": {"--edf": DEMO_EDF, "--cluster": DEMO_CLUSTER, "--iterations": NUMBERS,
+                 "--seed": NUMBERS, "--out-dir": OUTPUTS},
+    "scaling": {"--cluster-template": DEMO_CLUSTER, "--max-workers": NUMBERS,
+                "--max-services": NUMBERS, "--seed": NUMBERS, "--out": OUTPUTS},
+}
+OUTPUT_FLAGS = ["--out", "--out-dir"]
+LONE_FLAGS = sorted({flag for flags in COMMANDS.values() for flag in flags} - set(OUTPUT_FLAGS))
+
+# Extra tokens: a flag with a value, a lone flag or a bare token. Bare tokens
+# never start with "--" and a lone flag is never an output flag, so argparse
+# can pair an output flag only with a path under the temporary directory.
+NOISE = st.one_of(
+    st.tuples(st.sampled_from(OUTPUT_FLAGS), OUTPUTS),
+    st.tuples(st.sampled_from(LONE_FLAGS), NUMBERS | INPUTS),
+    st.tuples(st.sampled_from(LONE_FLAGS + ["--help", "-h"])),
+    st.tuples(INPUTS | NUMBERS.filter(lambda t: not t.startswith("--"))),
+)
+
+
+def _command_argv(command):
+    """``command`` with each of its flags, a few paths if it takes any, and some noise."""
+    flags = [st.tuples(st.just(flag), values) for flag, values in COMMANDS[command].items()]
+    paths = st.lists(INPUTS.map(lambda p: (p,)), min_size=1, max_size=3) if command == "validate" \
+        else st.just([])
+    noise = st.just([]) | st.just([]) | st.lists(NOISE, min_size=1, max_size=2)
+    tokens = st.tuples(st.tuples(*flags), paths, noise).map(
+        lambda parts: [*parts[0], *parts[1], *parts[2]])
+    return tokens.flatmap(st.permutations).map(
+        lambda tokens: [command] + [arg for token in tokens for arg in token])
+
+
+ARGV = st.one_of(
+    *[_command_argv(command) for command in COMMANDS],
+    st.tuples(st.sampled_from(["bogus", ""]), st.lists(NOISE, max_size=4)).map(
+        lambda parts: ([parts[0]] if parts[0] else []) + [arg for token in parts[1] for arg in token]),
+)
+
+
+def _run_in_tmp(argv):
+    """``main(argv)`` with the placeholder resolved to a fresh directory of malformed files."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in MALFORMED.items():
+            (Path(tmp) / name).write_bytes(data)
+        (Path(tmp) / "dir.cluster.json").mkdir()
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([arg.replace(TMP, tmp) for arg in argv])
+    return code, err.getvalue()
+
+
+_DEMO = ["--edf", str(SAMPLES / "mapping-demo.edf.json"), "--cluster", str(SAMPLES / "bench.cluster.json")]
+_LIDAR = ["--edf", f"{TMP}/lidar.edf.json", "--cluster", str(SAMPLES / "bench.cluster.json")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ARGV)
+@example(["simulate", *_DEMO, "--iterations", "2", "--seed", "1", "--out-dir", f"{TMP}/out"])
+@example(["allocate", *_LIDAR, "--seed", "1"])  # infeasible: exit 2
+@example(["simulate", *_LIDAR, "--iterations", "2", "--seed", "1", "--out-dir", f"{TMP}/out"])
+@example(["scaling", "--cluster-template", f"{TMP}/bad-trace.cluster.json", "--seed", "1",
+          "--out", f"{TMP}/out.csv"])
+@example(["validate", f"{TMP}/deep.edf.json", f"{TMP}/latin1.cluster.json", TMP])
+def test_any_argv_exits_with_a_documented_code(argv):
+    code, err = _run_in_tmp(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err, (argv, err)

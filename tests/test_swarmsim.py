@@ -13,15 +13,16 @@ from swarmlab.definitions import (
     FixedWorkload,
     TraceWorkload,
     UniformWorkload,
+    load_cluster,
+    load_edf,
 )
-from swarmlab.errors import DuplicateAgent, EmptyProblem, KeyAbsent, SchemaError
+from swarmlab.errors import DuplicateAgent, EmptyProblem, SchemaError
 from swarmlab.model import HardwareProfile
 from swarmlab.swarmsim import (
     _JITTER_TAG,
     _LEVEL_TAG,
     JITTER_FRACTION,
     FetchLatency,
-    KvRegistry,
     SimConfig,
     WorkloadGenerator,
     grid_to_csv,
@@ -32,6 +33,8 @@ from swarmlab.swarmsim import (
 )
 
 from factories import balanced_cluster, bench_experiment, make_service
+
+SAMPLES = Path(__file__).resolve().parent.parent / "docs" / "samples"
 
 
 def bench_config(num_workers=12, num_services=6, seed=42, iterations=1, **kwargs):
@@ -304,33 +307,6 @@ def test_trace_generator_rejects_bad_rows(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# registry
-
-
-def test_registry_put_get_versions():
-    registry = KvRegistry()
-    assert registry.put("overlay/subnet", "10.0.0.0/24") == 1
-    assert registry.get("overlay/subnet") == "10.0.0.0/24"
-    assert registry.put("overlay/subnet", "10.1.0.0/24") == 2
-    assert registry.get("overlay/subnet") == "10.1.0.0/24"
-    assert registry.version("overlay/subnet") == 2
-    with pytest.raises(KeyAbsent):
-        registry.get("never/written")
-    with pytest.raises(ValueError):
-        registry.put("", 1)
-
-
-def test_registry_prefix_listing():
-    registry = KvRegistry()
-    for worker in ("w2", "w1", "w3"):
-        registry.put(f"overlay/members/{worker}", {})
-    registry.put("overlay/subnet", "s")
-    assert registry.keys("overlay/members/") == [
-        "overlay/members/w1", "overlay/members/w2", "overlay/members/w3"]
-    assert len(registry) == 4
-
-
-# ---------------------------------------------------------------------------
 # iterations
 
 
@@ -386,7 +362,8 @@ def test_member_registration_matches_assignments():
     registered = trace.of_kind("MemberRegistered")
     assigned_workers = {a.worker for a in result.assignments.values()}
     assert {e.payload["worker"] for e in registered} == assigned_workers
-    assert all(e.payload["key"].startswith("overlay/members/") for e in registered)
+    assert all(e.payload["key"] == f"overlay/members/{e.payload['worker']}" for e in registered)
+    assert all(e.payload["version"] == 1 for e in registered)
     vteps = [e.payload["vtep"] for e in registered]
     assert len(set(vteps)) == len(vteps)
 
@@ -416,6 +393,16 @@ def test_run_experiment_lengths():
     results = run_experiment(bench_config(iterations=10))
     assert len(results) == 10
     assert all(result.feasible for result, _ in results)
+
+
+def test_demo_trace_matches_golden():
+    # Three rounds of the shipped demo: a pooled placement and two registrations each.
+    cluster = load_cluster(SAMPLES / "bench.cluster.json")
+    cfg = SimConfig(workers=cluster.workers, experiment=load_edf(SAMPLES / "mapping-demo.edf.json"),
+                    seed=7, iterations=3, base_dir=str(SAMPLES))
+    jsonl = "".join(trace_to_jsonl(trace) for _, trace in run_experiment(cfg))
+    golden = Path(__file__).parent / "fixtures" / "simulate_trace_demo.jsonl"
+    assert jsonl.encode("utf-8") == golden.read_bytes()
 
 
 def test_trace_jsonl_round_trips():
