@@ -61,4 +61,4 @@ from .swarmsim import (
     trace_to_jsonl,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

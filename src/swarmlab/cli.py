@@ -76,7 +76,7 @@ def cmd_allocate(args) -> int:
     cluster_path = Path(args.cluster)
     cluster = load_cluster(cluster_path)
     generators = swarmsim.workload_generators(cluster.workers, args.seed, cluster_path.parent)
-    workers = swarmsim.sample_workers(cluster.workers, generators, 0, [0] * len(cluster.workers))
+    workers = next(swarmsim.sample_rounds(cluster.workers, generators, [0]))
     result = allocator.allocate_experiment(workers, experiment)
     report = allocator.explain(result)
     if args.out:
@@ -97,8 +97,12 @@ def cmd_simulate(args) -> int:
         iterations=args.iterations,
         base_dir=str(cluster_path.parent),
     )
-    pairs = swarmsim.run_experiment(cfg)
-    results = [result for result, _ in pairs]
+    results = swarmsim.run_experiment(cfg)
+    if not results[0].assignments:
+        # Which services can be placed depends on capabilities only, not on the samples.
+        print(f"error: infeasible: no worker can host any of the {len(experiment.services)} "
+              "services; no report written", file=sys.stderr)
+        return EXIT_INFEASIBLE
     history = metrics.build_history(
         results,
         workers=[w.id for w in cluster.workers],

@@ -9,7 +9,7 @@ allocated costs, iteration by iteration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,6 +44,8 @@ class AllocationHistory:
     results: tuple[AllocationResult, ...]
     workers: tuple[str, ...]
     services: tuple[str, ...]
+    #: ``fairness_series`` by basis, each computed on first use.
+    _series: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def build_history(results: Sequence[AllocationResult],
@@ -73,18 +75,23 @@ class FairnessSeries:
 
 
 def fairness_series(history: AllocationHistory, basis: str = "cost") -> FairnessSeries:
-    """Cumulative fairness over allocated costs (canonical) or counts."""
+    """Cumulative fairness over allocated costs (canonical) or counts.
+
+    Computed once per history and basis; later calls return the same series.
+    """
     if basis not in ("cost", "count"):
         raise ValueError(f"basis must be 'cost' or 'count', got {basis!r}")
     if not history.results:
         raise EmptyHistory("fairness series needs at least one iteration")
-    cumulative = {w: 0.0 for w in history.workers}
-    values = []
-    for result in history.results:
-        for assignment in result.assignments.values():
-            cumulative[assignment.worker] += assignment.cost if basis == "cost" else 1.0
-        values.append(jains_index(cumulative.values()))
-    return FairnessSeries(values=tuple(values), basis=basis)
+    if basis not in history._series:
+        cumulative = {w: 0.0 for w in history.workers}
+        values = []
+        for result in history.results:
+            for assignment in result.assignments.values():
+                cumulative[assignment.worker] += assignment.cost if basis == "cost" else 1.0
+            values.append(jains_index(cumulative.values()))
+        history._series[basis] = FairnessSeries(values=tuple(values), basis=basis)
+    return history._series[basis]
 
 
 def cost_dispersion(history: AllocationHistory) -> tuple[float, float]:

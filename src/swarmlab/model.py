@@ -42,28 +42,22 @@ class WorkloadSample:
     vram: float
     swap: float
     bandwidth: float
-    timestamp: int = 0
 
     def __post_init__(self):
         for name in ("cpu", "vram", "swap", "bandwidth"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and 0.0 <= value <= 1.0):
                 raise ValueError(f"{name} utilization must be within [0, 1], got {value!r}")
-        if self.timestamp < 0:
-            raise ValueError("timestamp must be non-negative")
 
     @classmethod
-    def trusted(cls, cpu: float, vram: float, swap: float, bandwidth: float,
-                timestamp: int = 0) -> "WorkloadSample":
+    def trusted(cls, cpu: float, vram: float, swap: float, bandwidth: float) -> "WorkloadSample":
         """A sample of values the caller has already checked, built without re-validating.
 
-        For producers whose values are known to be finite floats in [0, 1]
-        and whose timestamp is non-negative; everyone else uses the
-        validating constructor.
+        For producers whose values are known to be finite floats in [0, 1];
+        everyone else uses the validating constructor.
         """
         sample = object.__new__(cls)
-        sample.__dict__.update(cpu=cpu, vram=vram, swap=swap, bandwidth=bandwidth,
-                               timestamp=timestamp)
+        sample.__dict__.update(cpu=cpu, vram=vram, swap=swap, bandwidth=bandwidth)
         return sample
 
 

@@ -1,27 +1,25 @@
 """Deterministic master-worker orchestration simulator.
 
-One iteration walks the full lifecycle on a logical millisecond clock:
-workers join, the master polls every worker for its per-service cost row,
-the allocation is computed, and each assigned worker registers its overlay
-endpoint and simulates fetching and starting its services. All latencies
-are configuration values, all randomness flows from the config seed, so
-equal configs produce bit-identical traces.
+A round samples every worker's workload and allocates the experiment's
+services on those samples. For the callers that read it, ``_trace`` renders
+the round's lifecycle on a logical millisecond clock: workers join, the
+master polls every worker for its per-service cost row, the allocation is
+computed, and each assigned worker registers its overlay endpoint and
+simulates fetching and starting its services. All latencies are
+configuration values and all randomness flows from the config seed, so
+equal configs produce bit-identical results and traces.
 
-The lifecycle exists only as trace events; no swarm roster or overlay
-store is kept. Every round registers each assigned worker's key once, so
-every ``MemberRegistered`` event carries version 1. One
-``WorkloadGenerator`` per worker serves a whole ``run_experiment`` or
-``measure_scaling`` call, so a trace file is parsed once, not every round.
-The ``uniform`` workers' samples are drawn in batches: one
-``rng.uniform_rows`` call covers every uniform worker over a block of up to
+``sample_rounds`` is the one sampling path. One ``rng.uniform_rows`` call
+draws every ``uniform`` worker's samples over a block of up to
 ``DRAW_BLOCK_ROWS`` rows of iterations, bit-identical to seeding one
-``default_rng`` per sample as the stream is defined. ``sample_workers``
-builds one round's worker states, for ``run_iteration`` and the CLI's
-single ``allocate`` round. What no sample changes is built once per
-command (once per grid cell for ``measure_scaling``): the prepared
-allocation inputs, the Join / CostRequest / CostReply events and their
-ticks, the parsed overlay subnet and the roster lookups. A round allocates
-its samples and adds only the events that depend on its allocation.
+``default_rng`` per sample as the stream is defined; ``fixed`` and
+``trace`` workers sample through ``WorkloadGenerator.sample``. One
+generator per worker serves a whole command, so a trace file is parsed
+once. ``run_experiment`` prepares the allocation once and returns only the
+rounds' results; ``run_iteration`` returns one round's result and trace;
+``measure_scaling`` samples its largest fleet once and reads each grid
+cell's ``total_ms`` from the cell's trace. The lifecycle exists only as
+trace events, so every ``MemberRegistered`` event carries version 1.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .allocator import AllocationResult, PreparedAllocation, prepare_experiment
+from .allocator import AllocationResult, prepare_experiment
 from .allocator import allocate_experiment  # noqa: F401 (perfbench traces it)
 from .definitions import (
     ClusterWorker,
@@ -139,12 +137,10 @@ class WorkloadGenerator:
         self._trace_rows = rows
         return rows
 
-    def sample(self, iteration: int, timestamp: int = 0) -> WorkloadSample:
+    def sample(self, iteration: int) -> WorkloadSample:
         model = self.model
         if isinstance(model, FixedWorkload):  # nothing has checked these values yet
-            return WorkloadSample(*model.values, timestamp=timestamp)
-        if timestamp < 0:
-            raise ValueError("timestamp must be non-negative")
+            return WorkloadSample(*model.values)
         if isinstance(model, UniformWorkload):
             values = _uniform_values([self], [iteration])[0][0]
         elif isinstance(model, TraceWorkload):
@@ -152,7 +148,7 @@ class WorkloadGenerator:
             values = rows[iteration % len(rows)]
         else:
             raise TypeError(f"unknown workload model {model!r}")
-        return WorkloadSample.trusted(*values, timestamp=timestamp)
+        return WorkloadSample.trusted(*values)
 
 
 def _uniform_values(generators: "Sequence[WorkloadGenerator]",
@@ -227,7 +223,9 @@ class SimConfig:
     Latency values are model parameters, not measurements: polling a
     worker costs a round trip plus one sequential per-service computation
     charge; with ``parallel_cost_calc`` the master polls all workers
-    concurrently, otherwise one after another.
+    concurrently, otherwise one after another. Fetching all of the
+    experiment's images must take a finite time, or ``SchemaError`` is
+    raised.
     """
 
     workers: tuple[ClusterWorker, ...]
@@ -256,6 +254,8 @@ class SimConfig:
         for name in ("cost_calc_ms", "poll_rtt_ms", "alloc_compute_ms"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        # A unit fetches some of the experiment's images, never more than all of them.
+        self.fetch_latency.duration_ms(sum(s.image_size_mb for s in self.experiment.services))
 
 
 def workload_generators(workers: "Sequence[ClusterWorker]", seed: int,
@@ -264,54 +264,35 @@ def workload_generators(workers: "Sequence[ClusterWorker]", seed: int,
     return [WorkloadGenerator(w.workload, seed, idx, base_dir) for idx, w in enumerate(workers)]
 
 
-def _draws(generators: "Sequence[WorkloadGenerator]",
-           iterations: "Sequence[int]") -> Iterator[tuple[int, dict[int, list[float]]]]:
-    """Each of ``iterations`` with its uniform workers' samples, keyed by position.
+def sample_rounds(workers: "Sequence[ClusterWorker]", generators: "Sequence[WorkloadGenerator]",
+                  iterations: "Sequence[int]") -> Iterator[list[WorkerState]]:
+    """Each of ``iterations``' worker states, one per worker in roster order.
 
     One ``uniform_rows`` call draws a block of iterations for every uniform
     worker: ``DRAW_BLOCK_ROWS`` jitter rows at most, or one iteration's when
     there are more uniform workers, plus the levels still missing. None is
-    made when no worker is uniform.
+    made when no worker is uniform. The other workers' samples come from
+    ``WorkloadGenerator.sample``.
     """
     uniform = [i for i, g in enumerate(generators) if isinstance(g.model, UniformWorkload)]
-    if not uniform:
-        for iteration in iterations:
-            yield iteration, {}
-        return
-    per_block = max(1, DRAW_BLOCK_ROWS // len(uniform))
+    uniform_generators = [generators[i] for i in uniform]
+    per_block = max(1, DRAW_BLOCK_ROWS // max(1, len(uniform)))
     for start in range(0, len(iterations), per_block):
         block = iterations[start:start + per_block]
-        for iteration, values in zip(block, _uniform_values([generators[i] for i in uniform], block)):
-            yield iteration, dict(zip(uniform, values))
-
-
-def _worker_states(workers: "Sequence[ClusterWorker]", generators: "Sequence[WorkloadGenerator]",
-                   iteration: int, ticks: "Sequence[int]",
-                   drawn: "dict[int, list[float]]") -> list[WorkerState]:
-    """One round's worker states: ``drawn`` uniform samples, the others' ``sample(iteration)``."""
-    states = []
-    for idx, (w, generator, tick) in enumerate(zip(workers, generators, ticks)):
-        values = drawn.get(idx)
-        workload = (generator.sample(iteration, timestamp=tick) if values is None
-                    else WorkloadSample.trusted(*values, timestamp=tick))
-        states.append(WorkerState(id=w.id, profile=w.profile, workload=workload))
-    return states
-
-
-def sample_workers(workers: "Sequence[ClusterWorker]", generators: "Sequence[WorkloadGenerator]",
-                   iteration: int, ticks: "Sequence[int]") -> list[WorkerState]:
-    """The round's worker states: each worker's ``iteration`` sample, stamped with its tick."""
-    _, drawn = next(_draws(generators, [iteration]))
-    return _worker_states(workers, generators, iteration, ticks, drawn)
+        drawn = _uniform_values(uniform_generators, block) if uniform else [[] for _ in block]
+        for iteration, values in zip(block, drawn):
+            drawn_at = dict(zip(uniform, values))
+            yield [WorkerState(id=w.id, profile=w.profile,
+                               workload=WorkloadSample.trusted(*drawn_at[idx]) if idx in drawn_at
+                               else generator.sample(iteration))
+                   for idx, (w, generator) in enumerate(zip(workers, generators))]
 
 
 @dataclass(frozen=True)
 class _Rounds:
-    """What every round of one command shares: nothing here depends on a sample."""
+    """What the traces of one command's rounds share: nothing here depends on a sample."""
 
     cfg: SimConfig
-    allocation: PreparedAllocation
-    reply_tick: list[int]
     cost_end: int
     skeleton: tuple[TraceEvent, ...]  # the Join, CostRequest and CostReply events
     subnet: "ipaddress.IPv4Network | ipaddress.IPv6Network"
@@ -320,25 +301,23 @@ class _Rounds:
 
 
 def _prepare_rounds(cfg: SimConfig) -> _Rounds:
-    """The command-level inputs of ``cfg``'s rounds."""
+    """The command-level inputs of ``cfg``'s round traces."""
     experiment = cfg.experiment
     num_services = len(experiment.services)
     per_worker_ms = cfg.poll_rtt_ms + num_services * cfg.cost_calc_ms
 
     stagger = 0 if cfg.parallel_cost_calc else per_worker_ms
-    request_tick = [idx * stagger for idx in range(len(cfg.workers))]
-    reply_tick = [tick + per_worker_ms for tick in request_tick]
+    request_ticks = [idx * stagger for idx in range(len(cfg.workers))]
+    reply_ticks = [tick + per_worker_ms for tick in request_ticks]
 
     events = [TraceEvent(0, "Join", {"worker": w.id}) for w in cfg.workers]
     events += [TraceEvent(tick, "CostRequest", {"worker": w.id, "services": num_services})
-               for w, tick in zip(cfg.workers, request_tick)]
+               for w, tick in zip(cfg.workers, request_ticks)]
     events += [TraceEvent(tick, "CostReply", {"worker": w.id})
-               for w, tick in zip(cfg.workers, reply_tick)]
+               for w, tick in zip(cfg.workers, reply_ticks)]
     return _Rounds(
         cfg=cfg,
-        allocation=prepare_experiment(cfg.workers, experiment),
-        reply_tick=reply_tick,
-        cost_end=max(reply_tick),
+        cost_end=max(reply_ticks),
         skeleton=tuple(events),
         subnet=ipaddress.ip_network(experiment.network.subnet),
         roster_index={w.id: i for i, w in enumerate(cfg.workers)},
@@ -348,16 +327,15 @@ def _prepare_rounds(cfg: SimConfig) -> _Rounds:
 
 def run_iteration(cfg: SimConfig, iter_index: int) -> tuple[AllocationResult, SimTrace]:
     """Run one full lifecycle round and return its allocation and trace."""
+    allocation = prepare_experiment(cfg.workers, cfg.experiment)
     generators = workload_generators(cfg.workers, cfg.seed, cfg.base_dir)
-    rounds = _prepare_rounds(cfg)
-    return _run_round(rounds, sample_workers(cfg.workers, generators, iter_index, rounds.reply_tick))
+    result = allocation.allocate(next(sample_rounds(cfg.workers, generators, [iter_index])))
+    return result, _trace(_prepare_rounds(cfg), result)
 
 
-def _run_round(rounds: _Rounds, worker_states: "list[WorkerState]") -> tuple[AllocationResult, SimTrace]:
-    """``run_iteration`` on inputs prepared once per command and the round's samples."""
+def _trace(rounds: _Rounds, result: AllocationResult) -> SimTrace:
+    """The lifecycle trace of a round that allocated ``result``."""
     cfg = rounds.cfg
-    result = rounds.allocation.allocate(worker_states)
-
     events = list(rounds.skeleton)
     alloc_tick = rounds.cost_end + cfg.alloc_compute_ms
     events.append(TraceEvent(alloc_tick, "AllocationComputed", {
@@ -397,15 +375,18 @@ def _run_round(rounds: _Rounds, worker_states: "list[WorkerState]") -> tuple[All
         "deploy_ms": end_tick - alloc_tick,
         "total_ms": end_tick,
     }
-    return result, SimTrace(events=tuple(events), timings=timings)
+    return SimTrace(events=tuple(events), timings=timings)
 
 
-def run_experiment(cfg: SimConfig) -> list[tuple[AllocationResult, SimTrace]]:
-    """Run ``cfg.iterations`` independent rounds with re-sampled workloads."""
+def run_experiment(cfg: SimConfig) -> list[AllocationResult]:
+    """Allocate ``cfg.iterations`` independent rounds with re-sampled workloads.
+
+    The allocation is prepared once for all rounds; no trace is built.
+    """
+    allocation = prepare_experiment(cfg.workers, cfg.experiment)
     generators = workload_generators(cfg.workers, cfg.seed, cfg.base_dir)
-    rounds = _prepare_rounds(cfg)
-    return [_run_round(rounds, _worker_states(cfg.workers, generators, k, rounds.reply_tick, drawn))
-            for k, drawn in _draws(generators, range(cfg.iterations))]
+    return [allocation.allocate(states)
+            for states in sample_rounds(cfg.workers, generators, range(cfg.iterations))]
 
 
 @dataclass(frozen=True)
@@ -433,7 +414,7 @@ def measure_scaling(worker_counts, service_counts, template: SimConfig) -> list[
     services = tuple(replace(prototype_service, name=f"svc{k + 1:03d}")
                      for k in range(max(service_counts)))
     generators = workload_generators(fleet, template.seed, template.base_dir)
-    _, drawn = next(_draws(generators, [0]))  # every cell samples iteration 0
+    states = next(sample_rounds(fleet, generators, [0]))  # every cell samples iteration 0
 
     cells = []
     for num_workers in worker_counts:
@@ -442,9 +423,8 @@ def measure_scaling(worker_counts, service_counts, template: SimConfig) -> list[
             experiment = replace(template.experiment, services=services[:max(num_services, 0)],
                                  dependencies=())
             cfg = replace(template, workers=workers, experiment=experiment, iterations=1)
-            rounds = _prepare_rounds(cfg)
-            states = _worker_states(workers, generators, 0, rounds.reply_tick, drawn)
-            _, trace = _run_round(rounds, states)
+            result = prepare_experiment(workers, experiment).allocate(states[:len(workers)])
+            trace = _trace(_prepare_rounds(cfg), result)
             cells.append(ScalingCell(num_workers, num_services, trace.timings["total_ms"]))
     return cells
 

@@ -14,9 +14,8 @@ from swarmlab.definitions import (
 from swarmlab.model import HardwareProfile, WorkerState, WorkloadSample
 
 
-def make_workload(cpu=0.0, vram=0.0, swap=0.0, bandwidth=0.0, timestamp=0):
-    return WorkloadSample(cpu=cpu, vram=vram, swap=swap, bandwidth=bandwidth,
-                          timestamp=timestamp)
+def make_workload(cpu=0.0, vram=0.0, swap=0.0, bandwidth=0.0):
+    return WorkloadSample(cpu=cpu, vram=vram, swap=swap, bandwidth=bandwidth)
 
 
 def make_worker(worker_id, capabilities=(), cpu=0.0, vram=0.0, swap=0.0, bandwidth=0.0):

@@ -183,8 +183,7 @@ def test_criterion_4_desk_scale_replication():
         cluster = balanced_cluster(12)
         experiment = bench_experiment(6)
         cfg = SimConfig(workers=cluster, experiment=experiment, seed=seed, iterations=100)
-        pairs = run_experiment(cfg)
-        results = [result for result, _ in pairs]
+        results = run_experiment(cfg)
 
         # (a) every iteration feasible
         assert all(result.feasible for result in results)

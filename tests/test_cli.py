@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from swarmlab import metrics
 from swarmlab.cli import main
 from swarmlab.definitions import (
     ClusterSpec,
@@ -22,6 +23,7 @@ from swarmlab.model import HardwareProfile
 from factories import balanced_cluster, bench_experiment, make_service
 
 SAMPLES = Path(__file__).resolve().parent.parent / "docs" / "samples"
+SCALING_GOLDEN = Path(__file__).resolve().parent / "fixtures" / "scaling_golden"
 
 
 @pytest.fixture
@@ -182,6 +184,22 @@ def test_simulate_is_byte_deterministic(tmp_path, artifacts):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+def test_simulate_computes_each_fairness_series_once(tmp_path, artifacts, monkeypatch):
+    calls = []
+    original = metrics.jains_index
+
+    def counting(values):
+        calls.append(1)
+        return original(values)
+
+    monkeypatch.setattr(metrics, "jains_index", counting)
+    edf, cluster = artifacts
+    assert main(["simulate", "--edf", str(edf), "--cluster", str(cluster),
+                 "--iterations", "5", "--seed", "21", "--out-dir", str(tmp_path / "out")]) == 0
+    # The report and fairness.csv share the cost series; the count series is the other one.
+    assert len(calls) == 2 * 5
+
+
 # ---------------------------------------------------------------------------
 # scaling
 
@@ -212,6 +230,17 @@ def test_scaling_service_axis_monotone(tmp_path, artifacts):
         by_workers.setdefault(workers, []).append(int(elapsed))
     for elapsed in by_workers.values():
         assert all(b >= a for a, b in zip(elapsed, elapsed[1:]))
+
+
+@pytest.mark.parametrize("template, golden", [
+    (SAMPLES / "bench.cluster.json", "bench_4x3.csv"),  # uniform workers
+    (SCALING_GOLDEN / "two-workers.cluster.json", "trace_4x3.csv"),  # trace replay
+])
+def test_scaling_output_matches_golden(tmp_path, template, golden):
+    out = tmp_path / "grid.csv"
+    assert main(["scaling", "--cluster-template", str(template), "--max-workers", "4",
+                 "--max-services", "3", "--seed", "7", "--out", str(out)]) == 0
+    assert out.read_bytes() == (SCALING_GOLDEN / golden).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +433,21 @@ def test_overflowing_fetch_time_is_one_line_validation_error(tmp_path, capsys):
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "image_size_mb" in err
+
+
+def test_simulate_that_places_nothing_is_infeasible(tmp_path, capsys):
+    # The argv fuzz's lidar example: no worker of the shipped cluster offers lidar.
+    edf = tmp_path / "lidar.edf.json"
+    edf.write_bytes(MALFORMED["lidar.edf.json"])
+    inputs = ["--edf", str(edf), "--cluster", str(SAMPLES / "bench.cluster.json"), "--seed", "1"]
+    assert main(["allocate", *inputs]) == 2
+    capsys.readouterr()
+
+    out_dir = tmp_path / "out"
+    assert main(["simulate", *inputs, "--iterations", "2", "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: infeasible: ") and err.count("\n") == 1
+    assert not out_dir.exists()
 
 
 def test_unexpected_exception_is_one_line_internal_error(tmp_path, monkeypatch, capsys):

@@ -129,7 +129,7 @@ def test_balanced_simulation_dispersion_is_small():
     )
     cfg = SimConfig(workers=balanced_cluster(12, half_width=0.02),
                     experiment=experiment, seed=123, iterations=100)
-    results = [result for result, _ in run_experiment(cfg)]
+    results = run_experiment(cfg)
     history = build_history(results, [w.id for w in cfg.workers],
                             experiment.service_names())
     _, cv = cost_dispersion(history)
@@ -160,7 +160,7 @@ def test_frequency_zero_row_for_idle_worker():
 def test_concentration_on_balanced_run():
     cfg = SimConfig(workers=balanced_cluster(12), experiment=bench_experiment(6),
                     seed=42, iterations=100)
-    results = [result for result, _ in run_experiment(cfg)]
+    results = run_experiment(cfg)
     history = build_history(results, [w.id for w in cfg.workers],
                             cfg.experiment.service_names())
     counts = allocation_frequency(history)

@@ -27,6 +27,6 @@ def test_workload_rejects_out_of_range(kwargs):
 
 
 def test_trusted_workload_sample_equals_validated_one():
-    trusted = WorkloadSample.trusted(0.1, 0.2, 0.3, 1.0, timestamp=7)
-    checked = WorkloadSample(cpu=0.1, vram=0.2, swap=0.3, bandwidth=1.0, timestamp=7)
+    trusted = WorkloadSample.trusted(0.1, 0.2, 0.3, 1.0)
+    checked = WorkloadSample(cpu=0.1, vram=0.2, swap=0.3, bandwidth=1.0)
     assert trusted == checked and hash(trusted) == hash(checked) and repr(trusted) == repr(checked)

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -139,7 +140,7 @@ def kernel_rows(monkeypatch):
     return calls
 
 
-def _assert_rounds_match_reference(rounds, workers, seed, ticks):
+def _assert_rounds_match_reference(rounds, workers, seed):
     for iteration, states in enumerate(rounds):
         for index, (worker, state) in enumerate(zip(workers, states)):
             got = (state.workload.cpu, state.workload.vram, state.workload.swap,
@@ -152,7 +153,7 @@ def _assert_rounds_match_reference(rounds, workers, seed, ticks):
             else:
                 expected = ((0.1, 0.2, 0.3, 0.4), (0.5, 0.5, 0.5, 0.5))[iteration % 2]
             assert [v.hex() for v in got] == [v.hex() for v in expected], (iteration, index)
-            assert state.id == worker.id and state.workload.timestamp == ticks[index]
+            assert state.id == worker.id
 
 
 def test_long_experiment_samples_match_per_sample_default_rng(tmp_path, allocated_states,
@@ -162,8 +163,7 @@ def test_long_experiment_samples_match_per_sample_default_rng(tmp_path, allocate
                     iterations=240, parallel_cost_calc=False, base_dir=str(tmp_path))
     run_experiment(cfg)
     assert len(allocated_states) == 240
-    ticks = [(k + 1) * (cfg.poll_rtt_ms + 2 * cfg.cost_calc_ms) for k in range(len(workers))]
-    _assert_rounds_match_reference(allocated_states, workers, cfg.seed, ticks)
+    _assert_rounds_match_reference(allocated_states, workers, cfg.seed)
     # One batch for the whole command: four levels and 4 x 240 jitter rows.
     assert kernel_rows == [4 + 4 * 240]
 
@@ -176,22 +176,22 @@ def test_iterations_crossing_draw_blocks_match_reference(tmp_path, allocated_sta
                     base_dir=str(tmp_path))
     blocked = run_experiment(cfg)
     assert kernel_rows == [4 + 8, 8, 8, 4]
-    per_worker = cfg.poll_rtt_ms + 2 * cfg.cost_calc_ms
-    _assert_rounds_match_reference(allocated_states, workers, cfg.seed, [per_worker] * len(workers))
+    _assert_rounds_match_reference(allocated_states, workers, cfg.seed)
 
     monkeypatch.setattr(swarmsim, "DRAW_BLOCK_ROWS", 4096)
     whole = run_experiment(cfg)
     assert kernel_rows[4:] == [4 + 4 * 7]
-    assert [trace_to_jsonl(t) for _, t in blocked] == [trace_to_jsonl(t) for _, t in whole]
-    assert [r.assignments for r, _ in blocked] == [r.assignments for r, _ in whole]
+    # Whole results: assignments, every configuration's outcome and the scaled total.
+    assert len(blocked) == len(whole) == 7
+    assert blocked == whole
 
 
 def test_allocate_round_draws_iteration_zero_only(tmp_path, kernel_rows):
     workers = _mixed_fleet(tmp_path)
     generators = swarmsim.workload_generators(workers, 3, tmp_path)
-    states = swarmsim.sample_workers(workers, generators, 0, [0] * len(workers))
+    states = next(swarmsim.sample_rounds(workers, generators, [0]))
     assert kernel_rows == [4 + 4]  # the four levels and the four iteration-0 jitter rows
-    _assert_rounds_match_reference([states], workers, 3, [0] * len(workers))
+    _assert_rounds_match_reference([states], workers, 3)
 
 
 def test_fleets_without_uniform_workers_make_no_kernel_call(tmp_path, kernel_rows):
@@ -204,6 +204,31 @@ def test_scaling_grid_draws_uniform_samples_once(kernel_rows):
     cells = measure_scaling(range(1, 6), range(1, 4), bench_config(num_workers=3))
     assert len(cells) == 15
     assert kernel_rows == [5 + 5]  # the grid's five workers, iteration 0
+
+
+def test_scaling_cells_share_the_largest_fleet_samples(tmp_path, allocated_states):
+    template = SimConfig(workers=_mixed_fleet(tmp_path), experiment=bench_experiment(2), seed=5,
+                         base_dir=str(tmp_path))
+    measure_scaling(range(1, 9), range(1, 3), template)
+    fleet = [replace(template.workers[i % 6], id=f"w{i + 1:03d}") for i in range(8)]
+    full = allocated_states[-1]
+    _assert_rounds_match_reference([full], fleet, template.seed)
+    assert allocated_states == [full[:n] for n in range(1, 9) for _ in range(2)]
+
+
+def test_scaling_samples_each_fleet_worker_once(tmp_path, monkeypatch):
+    calls = []
+    original = WorkloadGenerator.sample
+
+    def counting(self, iteration):
+        calls.append((self.worker_index, iteration))
+        return original(self, iteration)
+
+    monkeypatch.setattr(WorkloadGenerator, "sample", counting)
+    cells = measure_scaling(range(1, 5), range(1, 4), _trace_template(tmp_path, num_workers=2))
+    assert len(cells) == 12
+    # Iteration 0 of each of the four fleet workers, not one sample per worker per cell.
+    assert calls == [(index, 0) for index in range(4)]
 
 
 def test_uniform_generator_keeps_worker_level_persistent():
@@ -284,7 +309,7 @@ def test_command_level_inputs_are_built_once(monkeypatch):
                     experiment=bench_experiment(4, dependencies=(("svc01", "svc02"),)),
                     seed=5, iterations=5)
     results = run_experiment(cfg)
-    assert [len(result.outcomes) for result, _ in results] == [2] * 5
+    assert [len(result.outcomes) for result in results] == [2] * 5
     assert calls == {"enumerate_unit_configurations": 1, "build_capability_matrix": 1,
                      "matrix": 5, "scaled": 5}
 
@@ -372,27 +397,45 @@ def test_iteration_determinism():
     cfg = bench_config(iterations=3)
     first = run_experiment(cfg)
     second = run_experiment(cfg)
-    for (r1, t1), (r2, t2) in zip(first, second):
+    for k, (r1, r2) in enumerate(zip(first, second)):
         assert r1.total_cost_scaled == r2.total_cost_scaled
         assert [a.worker for a in r1.assignments.values()] == \
                [a.worker for a in r2.assignments.values()]
+        (r3, t1), (r4, t2) = run_iteration(cfg, k), run_iteration(cfg, k)
+        assert r3 == r4 == r1
         assert trace_to_jsonl(t1) == trace_to_jsonl(t2)
         assert t1.timings == t2.timings
 
 
 def test_iterations_resample_workloads():
     cfg = bench_config(iterations=2)
-    (first, _), (second, _) = run_experiment(cfg)
+    first, second = run_experiment(cfg)
     costs_first = sorted(a.cost for a in first.assignments.values())
     costs_second = sorted(a.cost for a in second.assignments.values())
     assert costs_first != costs_second
+
+
+def test_run_experiment_builds_no_trace_events(monkeypatch):
+    made = []
+    original = swarmsim.TraceEvent
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(swarmsim, "TraceEvent", counting)
+    results = run_experiment(bench_config(iterations=4))
+    assert len(results) == 4 and all(result.feasible for result in results)
+    assert made == []
+    run_iteration(bench_config(), 0)  # a trace's events do pass through the counter
+    assert len(made) > 0
 
 
 def test_run_experiment_lengths():
     assert len(run_experiment(bench_config(iterations=1))) == 1
     results = run_experiment(bench_config(iterations=10))
     assert len(results) == 10
-    assert all(result.feasible for result, _ in results)
+    assert all(result.feasible for result in results)
 
 
 def test_demo_trace_matches_golden():
@@ -400,7 +443,7 @@ def test_demo_trace_matches_golden():
     cluster = load_cluster(SAMPLES / "bench.cluster.json")
     cfg = SimConfig(workers=cluster.workers, experiment=load_edf(SAMPLES / "mapping-demo.edf.json"),
                     seed=7, iterations=3, base_dir=str(SAMPLES))
-    jsonl = "".join(trace_to_jsonl(trace) for _, trace in run_experiment(cfg))
+    jsonl = "".join(trace_to_jsonl(run_iteration(cfg, k)[1]) for k in range(cfg.iterations))
     golden = Path(__file__).parent / "fixtures" / "simulate_trace_demo.jsonl"
     assert jsonl.encode("utf-8") == golden.read_bytes()
 
