@@ -14,12 +14,15 @@ draws every ``uniform`` worker's samples over a block of up to
 ``DRAW_BLOCK_ROWS`` rows of iterations, bit-identical to seeding one
 ``default_rng`` per sample as the stream is defined; ``fixed`` and
 ``trace`` workers sample through ``WorkloadGenerator.sample``. One
-generator per worker serves a whole command, so a trace file is parsed
-once. ``run_experiment`` prepares the allocation once and returns only the
-rounds' results; ``run_iteration`` returns one round's result and trace;
-``measure_scaling`` samples its largest fleet once and reads each grid
-cell's ``total_ms`` from the cell's trace. The lifecycle exists only as
-trace events, so every ``MemberRegistered`` event carries version 1.
+generator per worker serves a whole command, and the generators of one
+``workload_generators`` call share their parsed trace files, so each file
+is parsed once per command. ``run_experiment`` prepares the allocation once
+and returns only the rounds' results; ``run_iteration`` returns one round's
+result and trace; ``measure_scaling`` samples, prepares, costs and scales
+its largest cell once and only solves each grid cell's top-left block.
+``_timings`` is the one phase-time rule: ``_trace`` and ``measure_scaling``
+both read a round's durations from it. The lifecycle exists only as trace
+events, so every ``MemberRegistered`` event carries version 1.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import assignment
 from .allocator import AllocationResult, prepare_experiment
 from .allocator import allocate_experiment  # noqa: F401 (perfbench traces it)
 from .definitions import (
@@ -103,6 +107,8 @@ class WorkloadGenerator:
         self.worker_index = worker_index
         self.base_dir = Path(base_dir) if base_dir is not None else None
         self._trace_rows: list[tuple[float, float, float, float]] | None = None
+        #: Parsed trace files by location; ``workload_generators`` shares one between its generators.
+        self._parsed: dict[Path, list[tuple[float, float, float, float]]] = {}
         self._level: np.ndarray | None = None  # drawn with the first jitter rows
         if isinstance(model, UniformWorkload):
             self._jitter_prefix = _entropy_words(seed) + _entropy_words(worker_index)
@@ -110,32 +116,16 @@ class WorkloadGenerator:
             center = np.asarray(model.center)
             self._level_bounds = (center - model.half_width, center + model.half_width)
 
-    def _rows(self, path: str) -> list[tuple[float, float, float, float]]:
-        if self._trace_rows is not None:
-            return self._trace_rows
-        location = Path(path)
-        if self.base_dir is not None and not location.is_absolute():
-            location = self.base_dir / location
-        rows = []
-        for lineno, raw in enumerate(location.read_text(encoding="utf-8").splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(",")
-            if len(fields) != 4:
-                raise SchemaError(f"expected 4 utilization values, got {len(fields)}",
-                                  f"{location}:{lineno}")
-            try:
-                values = tuple(float(f) for f in fields)
-            except ValueError:
-                raise SchemaError("expected numeric utilization values", f"{location}:{lineno}") from None
-            if any(not 0.0 <= v <= 1.0 for v in values):
-                raise SchemaError("utilization values must be within [0, 1]", f"{location}:{lineno}")
-            rows.append(values)
-        if not rows:
-            raise SchemaError("trace file holds no samples", str(location))
-        self._trace_rows = rows
-        return rows
+    def _rows(self) -> list[tuple[float, float, float, float]]:
+        if self._trace_rows is None:
+            location = Path(self.model.path)
+            if self.base_dir is not None and not location.is_absolute():
+                location = self.base_dir / location
+            rows = self._parsed.get(location)
+            if rows is None:
+                rows = self._parsed[location] = _read_trace(location)
+            self._trace_rows = rows
+        return self._trace_rows
 
     def sample(self, iteration: int) -> WorkloadSample:
         model = self.model
@@ -144,11 +134,40 @@ class WorkloadGenerator:
         if isinstance(model, UniformWorkload):
             values = _uniform_values([self], [iteration])[0][0]
         elif isinstance(model, TraceWorkload):
-            rows = self._rows(model.path)
+            rows = self._rows()
             values = rows[iteration % len(rows)]
         else:
             raise TypeError(f"unknown workload model {model!r}")
         return WorkloadSample.trusted(*values)
+
+
+def _read_trace(location: Path) -> list[tuple[float, float, float, float]]:
+    """The samples of a trace file: one line of four values in [0, 1] each.
+
+    Blank lines and ``#`` comments are skipped. A malformed line raises
+    ``SchemaError`` at ``location:line``; NaN and infinities are out of range.
+    """
+    rows = []
+    for lineno, raw in enumerate(location.read_text(encoding="utf-8").splitlines(), start=1):
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        fields = line.split(",")
+        if len(fields) != 4:
+            raise SchemaError(f"expected 4 utilization values, got {len(fields)}",
+                              f"{location}:{lineno}")
+        try:
+            row = cpu, vram, swap, bandwidth = (float(fields[0]), float(fields[1]),
+                                                float(fields[2]), float(fields[3]))
+        except ValueError:
+            raise SchemaError("expected numeric utilization values", f"{location}:{lineno}") from None
+        if not (0.0 <= cpu <= 1.0 and 0.0 <= vram <= 1.0 and 0.0 <= swap <= 1.0
+                and 0.0 <= bandwidth <= 1.0):
+            raise SchemaError("utilization values must be within [0, 1]", f"{location}:{lineno}")
+        rows.append(row)
+    if not rows:
+        raise SchemaError("trace file holds no samples", str(location))
+    return rows
 
 
 def _uniform_values(generators: "Sequence[WorkloadGenerator]",
@@ -260,8 +279,15 @@ class SimConfig:
 
 def workload_generators(workers: "Sequence[ClusterWorker]", seed: int,
                         base_dir: "str | Path | None") -> list[WorkloadGenerator]:
-    """One generator per worker, indexed by the worker's position in ``workers``."""
-    return [WorkloadGenerator(w.workload, seed, idx, base_dir) for idx, w in enumerate(workers)]
+    """One generator per worker, indexed by the worker's position in ``workers``.
+
+    The generators share their parsed trace files, so each file is read once.
+    """
+    generators = [WorkloadGenerator(w.workload, seed, idx, base_dir) for idx, w in enumerate(workers)]
+    parsed: dict[Path, list[tuple[float, float, float, float]]] = {}
+    for generator in generators:
+        generator._parsed = parsed
+    return generators
 
 
 def sample_rounds(workers: "Sequence[ClusterWorker]", generators: "Sequence[WorkloadGenerator]",
@@ -293,18 +319,41 @@ class _Rounds:
     """What the traces of one command's rounds share: nothing here depends on a sample."""
 
     cfg: SimConfig
-    cost_end: int
     skeleton: tuple[TraceEvent, ...]  # the Join, CostRequest and CostReply events
     subnet: "ipaddress.IPv4Network | ipaddress.IPv6Network"
     roster_index: dict[str, int]
     by_name: dict[str, ServiceSpec]
 
 
+def _poll_ms(cfg: SimConfig) -> int:
+    """How long polling one worker for its cost row takes."""
+    return cfg.poll_rtt_ms + len(cfg.experiment.services) * cfg.cost_calc_ms
+
+
+def _timings(cfg: SimConfig, fetch_ms: "Sequence[int]") -> dict[str, int]:
+    """The phase durations of a round of ``cfg`` whose placed units fetch for ``fetch_ms``.
+
+    The cost phase ends when the last poll returns; the allocation then
+    takes ``alloc_compute_ms``, and deployment lasts until the slowest
+    placed unit has fetched its images (no time when nothing is placed).
+    """
+    cost_end = _poll_ms(cfg) * (1 if cfg.parallel_cost_calc else len(cfg.workers))
+    alloc_tick = cost_end + cfg.alloc_compute_ms
+    end_tick = max([alloc_tick, *(alloc_tick + ms for ms in fetch_ms)])
+    return {
+        "join_ms": 0,
+        "cost_ms": cost_end,
+        "allocation_ms": cfg.alloc_compute_ms,
+        "deploy_ms": end_tick - alloc_tick,
+        "total_ms": end_tick,
+    }
+
+
 def _prepare_rounds(cfg: SimConfig) -> _Rounds:
     """The command-level inputs of ``cfg``'s round traces."""
     experiment = cfg.experiment
     num_services = len(experiment.services)
-    per_worker_ms = cfg.poll_rtt_ms + num_services * cfg.cost_calc_ms
+    per_worker_ms = _poll_ms(cfg)
 
     stagger = 0 if cfg.parallel_cost_calc else per_worker_ms
     request_ticks = [idx * stagger for idx in range(len(cfg.workers))]
@@ -317,7 +366,6 @@ def _prepare_rounds(cfg: SimConfig) -> _Rounds:
                for w, tick in zip(cfg.workers, reply_ticks)]
     return _Rounds(
         cfg=cfg,
-        cost_end=max(reply_ticks),
         skeleton=tuple(events),
         subnet=ipaddress.ip_network(experiment.network.subnet),
         roster_index={w.id: i for i, w in enumerate(cfg.workers)},
@@ -336,18 +384,22 @@ def run_iteration(cfg: SimConfig, iter_index: int) -> tuple[AllocationResult, Si
 def _trace(rounds: _Rounds, result: AllocationResult) -> SimTrace:
     """The lifecycle trace of a round that allocated ``result``."""
     cfg = rounds.cfg
+    roster_index, by_name, subnet = rounds.roster_index, rounds.by_name, rounds.subnet
+    assigned_units = {a.worker: a.unit for a in result.assignments.values()}
+    placed = sorted(assigned_units, key=roster_index.__getitem__)
+    fetch_ms = [cfg.fetch_latency.duration_ms(
+        sum(by_name[name].image_size_mb for name in assigned_units[worker_id].members))
+        for worker_id in placed]
+    timings = _timings(cfg, fetch_ms)
+
     events = list(rounds.skeleton)
-    alloc_tick = rounds.cost_end + cfg.alloc_compute_ms
+    alloc_tick = timings["cost_ms"] + timings["allocation_ms"]
     events.append(TraceEvent(alloc_tick, "AllocationComputed", {
         "feasible": result.feasible,
         "services_assigned": len(result.assignments),
         "total_cost": round(result.total_cost, 6),
     }))
-
-    roster_index, by_name, subnet = rounds.roster_index, rounds.by_name, rounds.subnet
-    assigned_units = {a.worker: a.unit for a in result.assignments.values()}
-    end_tick = alloc_tick
-    for worker_id in sorted(assigned_units, key=lambda w: roster_index[w]):
+    for worker_id, fetch in zip(placed, fetch_ms):
         unit = assigned_units[worker_id]
         index = roster_index[worker_id]
         vtep = str(subnet[(2 + index) % subnet.num_addresses])
@@ -355,9 +407,7 @@ def _trace(rounds: _Rounds, result: AllocationResult) -> SimTrace:
             "key": f"overlay/members/{worker_id}", "version": 1,
             "worker": worker_id, "vtep": vtep,
         }))
-        fetch_ms = cfg.fetch_latency.duration_ms(
-            sum(by_name[name].image_size_mb for name in unit.members))
-        started = alloc_tick + fetch_ms
+        started = alloc_tick + fetch
         for name in unit.members:
             events.append(TraceEvent(alloc_tick, "FetchStarted", {
                 "service": name, "worker": worker_id,
@@ -365,16 +415,8 @@ def _trace(rounds: _Rounds, result: AllocationResult) -> SimTrace:
             }))
             events.append(TraceEvent(started, "ServiceStarted",
                                      {"service": name, "worker": worker_id}))
-        end_tick = max(end_tick, started)
 
     events.sort(key=lambda e: e.tick)
-    timings = {
-        "join_ms": 0,
-        "cost_ms": rounds.cost_end,
-        "allocation_ms": cfg.alloc_compute_ms,
-        "deploy_ms": end_tick - alloc_tick,
-        "total_ms": end_tick,
-    }
     return SimTrace(events=tuple(events), timings=timings)
 
 
@@ -401,7 +443,14 @@ def measure_scaling(worker_counts, service_counts, template: SimConfig) -> list[
 
     The template's workers are cycled up to each worker count and its
     first service is cloned up to each service count, so every cell runs
-    the same homogeneous workload at a different scale.
+    the same homogeneous workload at a different scale. A cell is iteration
+    0 of the ``SimConfig`` with its first n workers and k services, and is
+    checked as that config is: the first cell in grid order that fails
+    raises its error. A scaling experiment has no dependencies, so a cell's
+    allocation problem is the top-left n x k block of the largest cell's.
+    The grid therefore samples, prepares, costs and scales once, each cell
+    solves only its block, and its time is ``_timings`` of its matched
+    units; no trace is rendered.
     """
     worker_counts = list(worker_counts)
     service_counts = list(service_counts)
@@ -416,16 +465,22 @@ def measure_scaling(worker_counts, service_counts, template: SimConfig) -> list[
     generators = workload_generators(fleet, template.seed, template.base_dir)
     states = next(sample_rounds(fleet, generators, [0]))  # every cell samples iteration 0
 
+    experiment = replace(template.experiment, dependencies=())
+    grid = [replace(template, workers=fleet[:max(num_workers, 0)], iterations=1,
+                    experiment=replace(experiment, services=services[:max(num_services, 0)]))
+            for num_workers in worker_counts for num_services in service_counts]
+    costs = prepare_experiment(fleet, replace(experiment, services=services)).costs
+    matrix = costs.matrix([state.workload for state in states])
+    scaled = matrix.scaled()
+    fetch_ms = [template.fetch_latency.duration_ms(service.image_size_mb) for service in services]
+
     cells = []
-    for num_workers in worker_counts:
-        workers = fleet[:max(num_workers, 0)]
-        for num_services in service_counts:
-            experiment = replace(template.experiment, services=services[:max(num_services, 0)],
-                                 dependencies=())
-            cfg = replace(template, workers=workers, experiment=experiment, iterations=1)
-            result = prepare_experiment(workers, experiment).allocate(states[:len(workers)])
-            trace = _trace(_prepare_rounds(cfg), result)
-            cells.append(ScalingCell(num_workers, num_services, trace.timings["total_ms"]))
+    for cfg in grid:
+        num_workers, num_services = len(cfg.workers), len(cfg.experiment.services)
+        pairs, _ = assignment.solve(scaled[:num_workers, :num_services],
+                                    matrix.feasible[:num_workers, :num_services])
+        timings = _timings(cfg, [fetch_ms[unit] for _, unit in pairs])
+        cells.append(ScalingCell(num_workers, num_services, timings["total_ms"]))
     return cells
 
 

@@ -1,12 +1,14 @@
 import json
+import re
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from swarmlab import allocator, costing, swarmsim
+from swarmlab import allocator, assignment, costing, swarmsim
 
 from swarmlab.definitions import (
     ClusterWorker,
@@ -18,7 +20,7 @@ from swarmlab.definitions import (
     load_edf,
 )
 from swarmlab.errors import DuplicateAgent, EmptyProblem, SchemaError
-from swarmlab.model import HardwareProfile
+from swarmlab.model import HardwareProfile, WorkerState
 from swarmlab.swarmsim import (
     _JITTER_TAG,
     _LEVEL_TAG,
@@ -206,14 +208,44 @@ def test_scaling_grid_draws_uniform_samples_once(kernel_rows):
     assert kernel_rows == [5 + 5]  # the grid's five workers, iteration 0
 
 
-def test_scaling_cells_share_the_largest_fleet_samples(tmp_path, allocated_states):
+def test_scaling_cells_share_the_largest_fleet_samples(tmp_path, monkeypatch):
     template = SimConfig(workers=_mixed_fleet(tmp_path), experiment=bench_experiment(2), seed=5,
                          base_dir=str(tmp_path))
-    measure_scaling(range(1, 9), range(1, 3), template)
+    costed, solved = [], []
+    matrix, solve = costing.UnitCosts.matrix, assignment.solve
+
+    def recording_matrix(self, workloads):
+        costed.append(list(workloads))
+        return matrix(self, workloads)
+
+    def recording_solve(scaled, feasible):
+        solved.append(solve(scaled, feasible))
+        return solved[-1]
+
+    monkeypatch.setattr(costing.UnitCosts, "matrix", recording_matrix)
+    monkeypatch.setattr(assignment, "solve", recording_solve)
+    cells = measure_scaling(range(1, 9), range(1, 3), template)
+    monkeypatch.undo()
+
+    # One cost matrix, on the reference samples of the 8-worker fleet.
     fleet = [replace(template.workers[i % 6], id=f"w{i + 1:03d}") for i in range(8)]
-    full = allocated_states[-1]
-    _assert_rounds_match_reference([full], fleet, template.seed)
-    assert allocated_states == [full[:n] for n in range(1, 9) for _ in range(2)]
+    assert len(costed) == 1
+    states = [WorkerState(id=w.id, profile=w.profile, workload=sample)
+              for w, sample in zip(fleet, costed[0])]
+    _assert_rounds_match_reference([states], fleet, template.seed)
+    # Each cell matches what its own prepared allocation places on the first n samples.
+    services = tuple(replace(template.experiment.services[0], name=f"svc{k + 1:03d}")
+                     for k in range(2))
+    assert [(cell.workers, cell.services) for cell in cells] == \
+        [(n, k) for n in range(1, 9) for k in range(1, 3)]
+    assert len(solved) == len(cells)
+    for cell, (pairs, cost) in zip(cells, solved):
+        experiment = replace(template.experiment, services=services[:cell.services], dependencies=())
+        result = allocator.prepare_experiment(fleet[:cell.workers], experiment).allocate(
+            states[:cell.workers])
+        assert {services[u].name: fleet[i].id for i, u in pairs} == \
+            {name: a.worker for name, a in result.assignments.items()}
+        assert cost == result.total_cost_scaled
 
 
 def test_scaling_samples_each_fleet_worker_once(tmp_path, monkeypatch):
@@ -286,11 +318,13 @@ def read_count(monkeypatch):
 def test_scaling_grid_reads_each_trace_once_per_generator(tmp_path, read_count):
     cells = measure_scaling(range(1, 9), range(1, 9), _trace_template(tmp_path))
     assert len(cells) == 64
-    # One generator for each of the 8 grid workers; the 7th and 8th replay w0.csv and w1.csv.
-    assert len(read_count) <= 8
+    # The 7th and 8th grid workers replay w0.csv and w1.csv, parsed once for the whole grid.
+    assert sorted(read_count) == [f"w{i}.csv" for i in range(6)]
 
 
-def test_command_level_inputs_are_built_once(monkeypatch):
+@pytest.fixture
+def call_counts(monkeypatch):
+    """Counts the calls of the command-level builders and of the solver."""
     calls = Counter()
 
     def counted(owner, name):
@@ -305,19 +339,71 @@ def test_command_level_inputs_are_built_once(monkeypatch):
     counted(costing, "build_capability_matrix")
     counted(costing.UnitCosts, "matrix")
     counted(costing.CostMatrix, "scaled")
+    counted(assignment, "solve")
+    return calls
+
+
+def test_command_level_inputs_are_built_once(call_counts):
     cfg = SimConfig(workers=balanced_cluster(6),
                     experiment=bench_experiment(4, dependencies=(("svc01", "svc02"),)),
                     seed=5, iterations=5)
     results = run_experiment(cfg)
     assert [len(result.outcomes) for result in results] == [2] * 5
-    assert calls == {"enumerate_unit_configurations": 1, "build_capability_matrix": 1,
-                     "matrix": 5, "scaled": 5}
+    assert call_counts == {"enumerate_unit_configurations": 1, "build_capability_matrix": 1,
+                           "matrix": 5, "scaled": 5, "solve": 10}
+
+
+def test_scaling_grid_inputs_are_built_once(call_counts):
+    cells = measure_scaling(range(1, 9), range(1, 9), bench_config(num_workers=3))
+    assert len(cells) == 64
+    # One prepared, costed and scaled 8 x 8 problem; each cell solves its top-left block.
+    assert call_counts == {"enumerate_unit_configurations": 1, "build_capability_matrix": 1,
+                           "matrix": 1, "scaled": 1, "solve": 64}
 
 
 def test_experiment_reads_each_trace_once(tmp_path, read_count):
     results = run_experiment(_trace_template(tmp_path, iterations=5))
     assert len(results) == 5
     assert sorted(read_count) == [f"w{i}.csv" for i in range(6)]
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("0.1,0.2,0.3\n", 1, "expected 4 utilization values, got 3"),
+    ("# cpu,vram,swap,bandwidth\n0.1,0.2,0.3,x\n", 2, "expected numeric utilization values"),
+    ("0.1,0.2,0.3,0.4\n\n0.1,0.2,,0.4\n", 3, "expected numeric utilization values"),
+    ("nan,0.2,0.3,0.4\n", 1, "utilization values must be within [0, 1]"),
+    ("0.1,0.2,0.3,NaN\n", 1, "utilization values must be within [0, 1]"),
+    ("0.1,inf,0.3,0.4\n", 1, "utilization values must be within [0, 1]"),
+    ("0.1,0.2,-0.5,0.4\n", 1, "utilization values must be within [0, 1]"),
+    ("0.1,0.2,0.3,1.0000001\n", 1, "utilization values must be within [0, 1]"),
+])
+def test_trace_rows_are_rejected_at_their_line(tmp_path, text, line, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    generator = WorkloadGenerator(TraceWorkload("bad.csv"), seed=0, worker_index=0, base_dir=tmp_path)
+    with pytest.raises(SchemaError) as raised:
+        generator.sample(0)
+    assert str(raised.value) == f"{path}:{line}: {message}"
+
+
+def test_trace_without_samples_is_rejected(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("# cpu,vram,swap,bandwidth\n\n   \n", encoding="utf-8")
+    with pytest.raises(SchemaError) as raised:
+        WorkloadGenerator(TraceWorkload(str(path)), seed=0, worker_index=0).sample(0)
+    assert str(raised.value) == f"{path}: trace file holds no samples"
+
+
+def test_trace_rows_are_the_floats_of_their_fields(tmp_path):
+    lines = [" 0.5 , 1e-1,1.0,-0.0 ", "0,1,0.25,.5", "0.1,0.2,0.30000000000000004,1E-300"]
+    (tmp_path / "load.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    generator = WorkloadGenerator(TraceWorkload("load.csv"), seed=0, worker_index=0,
+                                  base_dir=tmp_path)
+    for iteration, line in enumerate(lines):
+        sample = generator.sample(iteration)
+        got = (sample.cpu, sample.vram, sample.swap, sample.bandwidth)
+        expected = tuple(float(field) for field in line.strip().split(","))
+        assert [v.hex() for v in got] == [v.hex() for v in expected]  # signed zeros too
 
 
 def test_trace_generator_rejects_bad_rows(tmp_path):
@@ -517,6 +603,102 @@ def test_grid_csv_format():
     lines = text.splitlines()
     assert lines[0] == "workers,services,elapsed_ms"
     assert len(lines) == 2
+
+
+def test_scaling_cell_that_places_nothing_takes_no_deploy_time():
+    capable = ClusterWorker(id="able", profile=HardwareProfile(capabilities=frozenset({"gpu"})),
+                            workload=FixedWorkload((0.1, 0.1, 0.1, 0.1)))
+    incapable = replace(capable, id="unable", profile=HardwareProfile())
+    template = SimConfig(workers=(incapable, capable),
+                         experiment=ExperimentSpec(name="scaling", services=(
+                             make_service("proto", capabilities=("gpu",), image_size_mb=10.0),)),
+                         seed=0, poll_rtt_ms=2, cost_calc_ms=5, alloc_compute_ms=1)
+    cells = measure_scaling([1, 2], [1], template)
+    # Both cells poll in parallel (2 + 5 ms) and allocate (1 ms); only w002 can fetch (50 + 20 ms).
+    assert [cell.elapsed_ms for cell in cells] == [8, 8 + 70]
+
+
+def test_scaling_keeps_each_cells_config_checks():
+    with pytest.raises(EmptyProblem, match="^simulation needs at least one worker$"):
+        measure_scaling([2, 0], [1], scaling_template())
+    with pytest.raises(EmptyProblem, match="^simulation needs at least one worker$"):
+        measure_scaling([-1], [3], scaling_template())
+    huge = replace(scaling_template(), experiment=ExperimentSpec(
+        name="scaling", services=(make_service("proto", image_size_mb=6e307),)))
+    message = re.escape("image_size_mb: fetching 1.2e+308 MB takes no finite time")
+    with pytest.raises(SchemaError, match=f"^{message}$"):
+        measure_scaling([1, 2], [1, 2], huge)
+    # The first failing cell in grid order decides: (1, 2) comes before (0, 1) ...
+    with pytest.raises(SchemaError, match=f"^{message}$"):
+        measure_scaling([1, 0], [1, 2], huge)
+    # ... and (0, 1) before (1, 2).
+    with pytest.raises(EmptyProblem, match="^simulation needs at least one worker$"):
+        measure_scaling([0, 1], [1, 2], huge)
+
+
+@pytest.fixture(scope="module")
+def trace_dir(tmp_path_factory):
+    """Three trace files of different lengths, shared by every example."""
+    directory = tmp_path_factory.mktemp("traces")
+    for f in range(3):
+        (directory / f"t{f}.csv").write_text(
+            "".join(f"0.{(f + k) % 9 + 1},0.{(3 * k) % 10},0.{(f * k) % 10},0.{(k + 5) % 10}\n"
+                    for k in range(f + 2)), encoding="utf-8")
+    return directory
+
+
+CAPABILITIES = st.frozensets(st.sampled_from(["gpu", "lidar", "arm"]), max_size=2)
+WORKLOADS = st.one_of(
+    st.builds(UniformWorkload,
+              center=st.tuples(*[st.floats(0.0, 1.0)] * 4), half_width=st.floats(0.0, 0.5)),
+    st.builds(TraceWorkload, st.sampled_from([f"t{f}.csv" for f in range(3)])))
+COUNTS = st.lists(st.integers(1, 7), min_size=1, max_size=4)
+
+
+def _reference_scaling(worker_counts, service_counts, template):
+    """The grid as each cell once computed it: its own prepared allocation and trace."""
+    fleet = tuple(replace(template.workers[i % len(template.workers)], id=f"w{i + 1:03d}")
+                  for i in range(max(worker_counts)))
+    services = tuple(replace(template.experiment.services[0], name=f"svc{k + 1:03d}")
+                     for k in range(max(service_counts)))
+    generators = swarmsim.workload_generators(fleet, template.seed, template.base_dir)
+    states = next(swarmsim.sample_rounds(fleet, generators, [0]))
+    cells = []
+    for n in worker_counts:
+        for k in service_counts:
+            experiment = replace(template.experiment, services=services[:k], dependencies=())
+            cfg = replace(template, workers=fleet[:n], experiment=experiment, iterations=1)
+            result = allocator.prepare_experiment(fleet[:n], experiment).allocate(states[:n])
+            trace = swarmsim._trace(swarmsim._prepare_rounds(cfg), result)
+            # The timings agree with the rendered events: the last poll reply, the
+            # allocation, and the last service start (none when nothing is placed).
+            alloc_tick = max(e.tick for e in trace.of_kind("CostReply")) + cfg.alloc_compute_ms
+            assert [e.tick for e in trace.of_kind("AllocationComputed")] == [alloc_tick]
+            started = [e.tick for e in trace.of_kind("ServiceStarted")]
+            assert len(started) == len(result.assignments)
+            assert trace.timings["total_ms"] == max([alloc_tick, *started])
+            cells.append(swarmsim.ScalingCell(n, k, trace.timings["total_ms"]))
+    return cells
+
+
+@settings(max_examples=60, deadline=None)
+@given(prototypes=st.lists(st.tuples(CAPABILITIES, WORKLOADS), min_size=1, max_size=4),
+       required=CAPABILITIES, image_size_mb=st.floats(0.5, 500.0), base_cost=st.floats(0.0, 100.0),
+       parallel=st.booleans(), worker_counts=COUNTS, service_counts=COUNTS,
+       seed=st.integers(0, 2**40))
+def test_scaling_matches_per_cell_allocation_and_trace(trace_dir, prototypes, required,
+                                                       image_size_mb, base_cost, parallel,
+                                                       worker_counts, service_counts, seed):
+    workers = tuple(ClusterWorker(id=f"p{i}", profile=HardwareProfile(capabilities=caps),
+                                  workload=model)
+                    for i, (caps, model) in enumerate(prototypes))
+    service = make_service("proto", base_cost=base_cost, capabilities=required,
+                           image_size_mb=image_size_mb)
+    template = SimConfig(workers=workers,
+                         experiment=ExperimentSpec(name="scaling", services=(service,)),
+                         seed=seed, parallel_cost_calc=parallel, base_dir=str(trace_dir))
+    assert measure_scaling(worker_counts, service_counts, template) == \
+        _reference_scaling(worker_counts, service_counts, template)
 
 
 def test_scaling_rejects_empty_ranges():
