@@ -3,22 +3,24 @@
 Dependent services may either share one worker as a discounted pool or be
 split across workers. Each connected dependency component therefore
 contributes two variants; the allocator solves one maximum-cardinality,
-minimum-cost assignment per combination (``assignment.solve`` on the dense
-cost matrix) and keeps the outcome that assigns the most services, breaking
-ties by cost and then by enumeration order. Enumerating combinations keeps
-"every service placed exactly once" structural: a single matching could
-otherwise place both a pool and its members at the same time. Among
-equal-cost optima the placement is deterministic for a given cost matrix
-but follows no documented rule.
+minimum-cost assignment per combination and keeps the outcome that assigns
+the most services, breaking ties by cost and then by enumeration order.
+Enumerating combinations keeps "every service placed exactly once"
+structural: a single matching could otherwise place both a pool and its
+members at the same time. Among equal-cost optima the placement is
+deterministic for a given cost matrix but follows no documented rule.
 
 ``prepare`` builds what the workers' samples do not change, once per fleet
 and experiment: the configurations, the columns (every single service and
 every pool), their feasibility and base costs, and each configuration's
 column selection. ``PreparedAllocation.allocate`` is one round: it builds
-the cost matrix from the samples and integerizes it once, solves each
-configuration's columns, and reads a placed service's cost from its own
-single-service column, times the discount when it is pooled. ``allocate``
-is ``prepare`` plus one round; the simulator prepares once per command.
+the cost matrix from the samples and integerizes it once, solves every
+configuration's columns in one ``assignment.solve_selections`` call, and
+reads a placed service's cost from its own single-service column, times the
+discount when it is pooled. That call visits the configurations in
+reflected Gray-code order of their index, so consecutive ones differ in one
+component and each is warm-started from the last. ``allocate`` is
+``prepare`` plus one round; the simulator prepares once per command.
 
 ``build_network`` states the same problem as a min-cost max-flow network
 for the ``mcmf`` reference solver; the allocator itself does not use it.
@@ -203,8 +205,8 @@ class PreparedAllocation:
     services: tuple[ServiceSpec, ...]
     configurations: tuple[tuple[AllocationUnit, ...], ...]
     costs: costing.UnitCosts
-    #: Per configuration: its columns, their feasibility and each unit's size.
-    selections: tuple[tuple[list[int], np.ndarray, tuple[int, ...]], ...]
+    #: Per configuration: its columns and each unit's size.
+    selections: tuple[tuple[list[int], tuple[int, ...]], ...]
     service_index: dict[str, int]
     discount: float
 
@@ -220,10 +222,13 @@ class PreparedAllocation:
         costs = self.costs.matrix([w.workload for w in workers])
         scaled = costs.scaled()
 
-        solved = []  # (matched (worker, unit) pairs, services assigned, cost) per configuration
-        for cols, feasible, sizes in self.selections:
-            pairs, cost = assignment.solve(scaled[:, cols], feasible)
-            solved.append((pairs, sum(sizes[u] for _, u in pairs), cost))
+        # Reflected Gray-code order: consecutive configurations differ in one component.
+        order = [i ^ (i >> 1) for i in range(len(self.selections))]
+        solved: list = [None] * len(order)  # (matched (worker, unit) pairs, services assigned, cost)
+        for i, (pairs, cost) in zip(order, assignment.solve_selections(
+                scaled, self.costs.feasible, [self.selections[i][0] for i in order])):
+            sizes = self.selections[i][1]
+            solved[i] = (pairs, sum(sizes[u] for _, u in pairs), cost)
         best = min(range(len(solved)), key=lambda i: (-solved[i][1], solved[i][2], i))
         outcomes = tuple(
             ConfigurationOutcome(index=index, units=units, flow_value=len(pairs),
@@ -278,12 +283,10 @@ def prepare(
         [[services[service_index[name]] for name in members] for members in columns],
         costing.build_capability_matrix(workers, services), service_index, weights, discount)
 
-    selections = []
-    for units in configurations:
-        cols = [column_of[unit.members] for unit in units]
-        selections.append((cols, costs.feasible[:, cols], tuple(len(unit.members) for unit in units)))
+    selections = tuple(([column_of[unit.members] for unit in units],
+                        tuple(len(unit.members) for unit in units)) for units in configurations)
     return PreparedAllocation(services=tuple(services), configurations=tuple(configurations),
-                              costs=costs, selections=tuple(selections),
+                              costs=costs, selections=selections,
                               service_index=service_index, discount=discount)
 
 

@@ -1,21 +1,35 @@
-"""Rectangular min-cost assignment by shortest augmenting paths.
+"""Min-cost assignment by shortest augmenting paths, warm-started across column selections.
 
 Every allocator problem is a bipartite matching with unit capacities, so it
 is solved on the dense worker x unit cost matrix rather than as a flow
-network. The smaller side becomes the rows; each row is matched in turn
-along a shortest augmenting path (Dijkstra over reduced costs with row and
-column potentials, as in Jonker & Volgenant 1987 and Crouse 2016, "On
+network. Units are the rows and workers the columns; each row is matched in
+turn along a shortest augmenting path (Dijkstra over reduced costs with row
+and column potentials, as in Jonker & Volgenant 1987 and Crouse 2016, "On
 implementing 2D rectangular assignment algorithms"). All arithmetic is on
 Python ints, so the optimum is exact on the integer cost grid.
 
 Infeasible pairs cost a big M, the sum of all feasible costs plus one:
 a single infeasible pair then outweighs any set of feasible ones, so the
 solution first maximizes the number of feasible pairs and then minimizes
-their cost. Among equal-cost optima the result is deterministic for a
-given matrix but follows no documented rule.
+their cost.
+
+``solve_selections`` solves several selections of the matrix's columns
+(the allocator's pool-or-split configurations) one after another, keeping
+the potentials and the matching from one selection to the next, as the
+dynamic Hungarian algorithm does when costs change (Mills-Tettey, Stentz &
+Dias 2007). The problem is padded to a square (Bijsterbosch & Volgenant
+2010): padding rows cost 0 on every worker, and padding columns cost big M
+on every unit, as an infeasible worker does. Every row and column of a
+square problem is matched, so a column freed by a unit that leaves needs no
+condition on its potential: only rows are taken out and put back, each put
+back along one augmenting path. ``solve`` is the one-selection case. Among
+equal-cost optima the result is deterministic for a given matrix and order
+of selections but follows no documented rule.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -27,83 +41,145 @@ def solve(scaled: np.ndarray, feasible: np.ndarray) -> tuple[list[tuple[int, int
     pairs that may be matched, both shaped (workers, units). Returns the
     matched ``(worker, unit)`` pairs sorted by unit and their total cost.
     """
-    num_workers, num_units = feasible.shape
-    if num_workers == 0 or num_units == 0:
-        return [], 0
+    return solve_selections(scaled, feasible, [range(feasible.shape[1])])[0]
+
+
+def solve_selections(
+    scaled: np.ndarray, feasible: np.ndarray, selections: Sequence[Sequence[int]],
+) -> list[tuple[list[tuple[int, int]], int]]:
+    """``solve`` on each selection of columns in turn, each warm-started from the last.
+
+    A selection lists distinct columns of ``scaled`` and ``feasible``, both
+    shaped (workers, columns). Per selection, in the given order, returns
+    the matched ``(worker, position in the selection)`` pairs sorted by
+    position and their total cost. Consecutive selections that share most
+    columns are cheap: only the rows that change are re-augmented.
+    """
+    num_workers = feasible.shape[0]
+    size = max(num_workers, max(map(len, selections), default=0))
     big_m = int(scaled[feasible].sum()) + 1
-    matrix = np.where(feasible, scaled, big_m)
-    transposed = num_workers > num_units
-    if transposed:
-        matrix, feasible = matrix.T, feasible.T
-    costs = matrix.tolist()  # Python ints from here on
-    allowed = feasible.tolist()
+    costs = np.where(feasible, scaled, big_m).T.tolist()  # one row per column, Python ints
+    if size > num_workers:
+        padding = [big_m] * (size - num_workers)
+        costs = [row + padding for row in costs]
+    zeros = [0] * size
 
-    col_for_row = _shortest_augmenting_paths(costs)
+    row_cost = [zeros] * size
+    row_potential = [0] * size
+    col_potential = [0] * size
+    col_for_row = [-1] * size
+    row_for_col = [-1] * size
+    row_of_unit: dict[int, int] = {}
+    padding_rows: list[int] = []
+    open_rows = list(range(size))  # rows that hold nothing until refilled
 
-    pairs = []
-    total = 0
-    for r, c in enumerate(col_for_row):
-        if allowed[r][c]:
-            pairs.append((c, r) if transposed else (r, c))
-            total += costs[r][c]
-    pairs.sort(key=lambda pair: pair[1])
-    return pairs, total
+    results = []
+    for selection in selections:
+        chosen = set(selection)
+        open_rows += [row_of_unit.pop(unit) for unit in list(row_of_unit) if unit not in chosen]
+        for _ in range(len(padding_rows) + len(selection) - size):
+            open_rows.append(padding_rows.pop())
+        for row in open_rows:
+            col = col_for_row[row]
+            if col >= 0:
+                row_for_col[col] = col_for_row[row] = -1
+
+        for unit in selection:
+            if unit not in row_of_unit:
+                row = row_of_unit[unit] = open_rows.pop()
+                row_cost[row] = costs[unit]
+                _augment(row, row_cost, row_potential, col_potential, col_for_row, row_for_col)
+        if open_rows:
+            # The rows left open are padding, one per free column. A padding row
+            # is tight only on the columns of highest potential. When no unit
+            # holds a column above the lowest free one, padding's own columns
+            # are lowered to that level and padding takes the free columns
+            # without a search; on a cold start every free column still has
+            # potential 0, the highest.
+            free = [col for col in range(size) if row_for_col[col] < 0]
+            level = min(col_potential[col] for col in free)
+            if all(col_potential[col] <= level or row_cost[row_for_col[col]] is zeros
+                   for col in range(size) if row_for_col[col] >= 0):
+                for row in padding_rows:
+                    col_potential[col_for_row[row]] = level
+                    row_potential[row] = -level
+                for row, col in zip(open_rows, free):
+                    row_cost[row] = zeros
+                    row_potential[row] = -level
+                    col_potential[col] = level
+                    col_for_row[row] = col
+                    row_for_col[col] = row
+            else:
+                for row in open_rows:
+                    row_cost[row] = zeros
+                    _augment(row, row_cost, row_potential, col_potential, col_for_row, row_for_col)
+            padding_rows += open_rows
+            open_rows.clear()
+
+        pairs = []
+        total = 0
+        for position, unit in enumerate(selection):
+            worker = col_for_row[row_of_unit[unit]]
+            if worker < num_workers and costs[unit][worker] < big_m:
+                pairs.append((worker, position))
+                total += costs[unit][worker]
+        results.append((pairs, total))
+    return results
 
 
-def _shortest_augmenting_paths(matrix: list[list[int]]) -> list[int]:
-    """Column of every row in a min-cost assignment; needs rows <= columns."""
-    num_rows, num_cols = len(matrix), len(matrix[0])
-    row_potential = [0] * num_rows
-    col_potential = [0] * num_cols
-    col_for_row = [-1] * num_rows
-    row_for_col = [-1] * num_cols
+def _augment(start: int, matrix: list[list[int]], row_potential: list[int],
+             col_potential: list[int], col_for_row: list[int], row_for_col: list[int]) -> None:
+    """Match the free row ``start`` along a shortest augmenting path, updating the potentials.
 
-    for start in range(num_rows):
-        shortest: list[int | None] = [None] * num_cols  # tentative path length per column
-        via_row = [-1] * num_cols  # row preceding each column on its path
-        visited_rows = [start]
-        done_cols = []
-        remaining = list(range(num_cols))
-        min_dist = 0
-        row = start
-        while True:
-            cost_row = matrix[row]
-            offset = min_dist - row_potential[row]
-            best = None
-            best_at = -1
-            for k, col in enumerate(remaining):
-                d = cost_row[col] + offset - col_potential[col]
-                s = shortest[col]
-                if s is None or d < s:
-                    shortest[col] = s = d
-                    via_row[col] = row
-                # Prefer a free column on ties: the path ends sooner.
-                if best is None or s < best or (s == best and row_for_col[col] < 0):
-                    best = s
-                    best_at = k
-            min_dist = best
-            col = remaining[best_at]
-            remaining[best_at] = remaining[-1]
-            remaining.pop()
-            done_cols.append(col)
-            if row_for_col[col] < 0:
-                sink = col
-                break
-            row = row_for_col[col]
-            visited_rows.append(row)
+    Every other row must be matched with reduced costs non-negative and tight
+    on its matched column. ``start``'s own potential needs no initial value:
+    it shifts all of its reduced costs by the same amount.
+    """
+    num_cols = len(col_potential)
+    shortest: list[int | None] = [None] * num_cols  # tentative path length per column
+    via_row = [-1] * num_cols  # row preceding each column on its path
+    visited_rows = [start]
+    done_cols = []
+    remaining = list(range(num_cols))
+    min_dist = 0
+    row = start
+    while True:
+        cost_row = matrix[row]
+        offset = min_dist - row_potential[row]
+        best = None
+        best_at = -1
+        for k, col in enumerate(remaining):
+            d = cost_row[col] + offset - col_potential[col]
+            s = shortest[col]
+            if s is None or d < s:
+                shortest[col] = s = d
+                via_row[col] = row
+            # Prefer a free column on ties: the path ends sooner.
+            if best is None or s < best or (s == best and row_for_col[col] < 0):
+                best = s
+                best_at = k
+        min_dist = best
+        col = remaining[best_at]
+        remaining[best_at] = remaining[-1]
+        remaining.pop()
+        done_cols.append(col)
+        if row_for_col[col] < 0:
+            sink = col
+            break
+        row = row_for_col[col]
+        visited_rows.append(row)
 
-        # Keep reduced costs non-negative and tight along the new matching.
-        row_potential[start] += min_dist
-        for r in visited_rows[1:]:
-            row_potential[r] += min_dist - shortest[col_for_row[r]]
-        for c in done_cols:
-            col_potential[c] -= min_dist - shortest[c]
+    # Keep reduced costs non-negative and tight along the new matching.
+    row_potential[start] += min_dist
+    for r in visited_rows[1:]:
+        row_potential[r] += min_dist - shortest[col_for_row[r]]
+    for c in done_cols:
+        col_potential[c] -= min_dist - shortest[c]
 
-        col = sink
-        while True:
-            row = via_row[col]
-            row_for_col[col] = row
-            col_for_row[row], col = col, col_for_row[row]
-            if row == start:
-                break
-    return col_for_row
+    col = sink
+    while True:
+        row = via_row[col]
+        row_for_col[col] = row
+        col_for_row[row], col = col, col_for_row[row]
+        if row == start:
+            break

@@ -10,6 +10,7 @@ produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -150,6 +151,7 @@ def cmd_scaling(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parsing does not change the parser; in-process callers reuse it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swarmlab",

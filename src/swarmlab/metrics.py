@@ -2,8 +2,10 @@
 
 The central quantity is Jain's index, (sum x)^2 / (n * sum x^2): 1 when
 every worker carries an equal share, 1/n when a single worker carries
-everything. The fairness series tracks it over cumulative per-worker
-allocated costs, iteration by iteration.
+everything. An all-zero vector has equal shares too, so its index is 1
+(the formula itself would divide zero by zero); this is what an experiment
+whose services all cost 0 reports. The fairness series tracks the index over
+cumulative per-worker allocated costs, iteration by iteration.
 """
 
 from __future__ import annotations
@@ -19,7 +21,11 @@ from .errors import DomainError, EmptyHistory
 
 
 def jains_index(values: Iterable[float]) -> float:
-    """Fairness of a share vector: 1 is even, 1/n is fully concentrated."""
+    """Fairness of a share vector: 1 is even, 1/n is fully concentrated.
+
+    An all-zero vector is even: its index is 1. Empty or negative input
+    raises ``DomainError``.
+    """
     xs = [float(v) for v in values]
     if not xs:
         raise DomainError("Jain's index needs at least one value")
@@ -30,7 +36,7 @@ def jains_index(values: Iterable[float]) -> float:
         # The squares underflow; the index is scale-free, so divide by the peak first.
         peak = max(xs)
         if peak == 0.0:
-            raise DomainError("Jain's index is undefined for an all-zero vector")
+            return 1.0  # every share is equal
         xs = [x / peak for x in xs]
         square_sum = sum(x * x for x in xs)
     total = sum(xs)

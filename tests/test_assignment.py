@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from swarmlab import assignment, mcmf
-from swarmlab.allocator import build_network
+from swarmlab.allocator import build_network, prepare
 from swarmlab.costing import COST_SCALE, CostMatrix
+from swarmlab.definitions import CostWeights
+
+from factories import make_service, make_worker
 
 
 def _mcmf_totals(scaled, feasible):
@@ -19,6 +23,22 @@ def _scipy_totals(scaled, feasible):
     rows, cols = linear_sum_assignment(np.where(feasible, scaled, big_m))
     matched = [(r, c) for r, c in zip(rows.tolist(), cols.tolist()) if feasible[r, c]]
     return len(matched), sum(int(scaled[r, c]) for r, c in matched)
+
+
+def _scipy_services_range(scaled, feasible, sizes):
+    """Fewest and most services that an optimal matching places, by scipy.
+
+    Sizes break ties among the matchings of most units and least cost: the
+    costs are weighted above any sum of sizes, which are added or subtracted.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    weight = int(sizes.sum()) + 1
+    big_m = (int(scaled[feasible].sum()) + 1) * weight
+    placed = []
+    for sign in (1, -1):
+        rows, cols = linear_sum_assignment(np.where(feasible, scaled * weight + sign * sizes, big_m))
+        placed.append(sum(int(sizes[c]) for r, c in zip(rows.tolist(), cols.tolist()) if feasible[r, c]))
+    return tuple(placed)
 
 
 def check(scaled, feasible, with_mcmf=True):
@@ -107,3 +127,77 @@ def test_identical_worker_fleets():
 def test_empty_matrix():
     assert assignment.solve(np.zeros((0, 3), dtype=np.int64), np.zeros((0, 3), dtype=bool)) == ([], 0)
     assert assignment.solve(np.zeros((3, 0), dtype=np.int64), np.zeros((3, 0), dtype=bool)) == ([], 0)
+
+
+def test_selections_match_independent_solves():
+    # Random selection sequences, not only Gray-code steps: units leave and
+    # enter in any number, and a selection may hold more units than there are
+    # workers, or none.
+    rng = np.random.default_rng(4242)
+    for _ in range(300):
+        workers, columns = int(rng.integers(0, 7)), int(rng.integers(1, 9))
+        scaled = rng.integers(0, int(rng.choice([3, 1000, 10**8])), size=(workers, columns))
+        if workers > 1 and rng.random() < 0.3:
+            scaled[1] = scaled[0]  # a duplicated worker
+        feasible = rng.random((workers, columns)) < rng.uniform(0.0, 1.0)
+        selections = [rng.permutation(columns)[:int(rng.integers(0, columns + 1))].tolist()
+                      for _ in range(int(rng.integers(1, 8)))]
+        solved = assignment.solve_selections(scaled, feasible, selections)
+        assert len(solved) == len(selections)
+        for cols, (pairs, cost) in zip(selections, solved):
+            assert [p for _, p in pairs] == sorted({p for _, p in pairs})
+            assert len({w for w, _ in pairs}) == len(pairs)
+            assert all(feasible[w, cols[p]] for w, p in pairs)
+            assert cost == sum(int(scaled[w, cols[p]]) for w, p in pairs)
+            reference, reference_cost = assignment.solve(scaled[:, cols], feasible[:, cols])
+            assert (len(pairs), cost) == (len(reference), reference_cost)
+            if workers and cols:
+                assert (len(pairs), cost) == _scipy_totals(scaled[:, cols], feasible[:, cols])
+
+
+# Nobody offers "lidar": a service that needs it is an all-infeasible column,
+# and a worker without tags is an all-infeasible row when every service needs one.
+NEEDS = st.sampled_from([(), ("cam",), ("gpu",), ("lidar",)])
+OFFERS = st.sampled_from([(), ("cam",), ("gpu",), ("cam", "gpu")])
+LOAD = st.floats(0.0, 1.0)
+
+
+@st.composite
+def pooled_fleets(draw):
+    """Workers, some duplicated, and services of which 0-6 pairs may pool."""
+    pools = draw(st.integers(0, 6))
+    services = [make_service(f"s{j:02d}", draw(st.floats(1.0, 100.0)), draw(NEEDS))
+                for j in range(2 * pools + draw(st.integers(0 if pools else 1, 3)))]
+    dependencies = tuple((f"s{2 * k:02d}", f"s{2 * k + 1:02d}") for k in range(pools))
+    distinct = draw(st.lists(st.tuples(OFFERS, LOAD, LOAD, LOAD, LOAD), min_size=1, max_size=5))
+    copies = draw(st.lists(st.sampled_from(distinct), max_size=4))  # tie with their originals
+    workers = [make_worker(f"w{i:02d}", *spec) for i, spec in enumerate(distinct + copies)]
+    return workers, services, dependencies, draw(st.sampled_from([0.5, 0.85, 1.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pooled_fleets(), st.randoms(use_true_random=False))
+def test_warm_started_configurations_match_independent_solves(fleet, random):
+    workers, services, dependencies, discount = fleet
+    prepared = prepare(workers, services, dependencies, CostWeights(), discount)
+    result = prepared.allocate(workers)
+    scaled = prepared.costs.matrix([w.workload for w in workers]).scaled()
+    feasible = prepared.costs.feasible
+    assert len(result.outcomes) == 2 ** len(dependencies)
+
+    order = list(range(len(prepared.selections)))
+    random.shuffle(order)
+    shuffled = assignment.solve_selections(scaled, feasible, [prepared.selections[i][0] for i in order])
+    permuted = dict(zip(order, shuffled))
+    for outcome, (cols, sizes) in zip(result.outcomes, prepared.selections):
+        pairs, cost = assignment.solve(scaled[:, cols], feasible[:, cols])
+        fewest, most = _scipy_services_range(scaled[:, cols], feasible[:, cols], sizes)
+        services_placed = sum(sizes[u] for _, u in pairs)
+        assert (outcome.flow_value, outcome.total_cost_scaled) == (len(pairs), cost) \
+            == _scipy_totals(scaled[:, cols], feasible[:, cols])
+        assert fewest <= outcome.services_assigned <= most
+        other_pairs, other_cost = permuted[outcome.index]
+        assert (len(other_pairs), other_cost) == (len(pairs), cost)
+        if fewest == most:  # otherwise equal-cost optima place different numbers of services
+            assert outcome.services_assigned == services_placed \
+                == sum(sizes[u] for _, u in other_pairs)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from swarmlab import metrics
+from swarmlab import cli, metrics
 from swarmlab.cli import main
 from swarmlab.definitions import (
     ClusterSpec,
@@ -198,6 +198,28 @@ def test_simulate_computes_each_fairness_series_once(tmp_path, artifacts, monkey
                  "--iterations", "5", "--seed", "21", "--out-dir", str(tmp_path / "out")]) == 0
     # The report and fairness.csv share the cost series; the count series is the other one.
     assert len(calls) == 2 * 5
+
+
+def test_simulate_with_all_zero_costs_reports_even_fairness(tmp_path):
+    # Every share stays 0, which is even: Jain's index is 1 throughout.
+    services = tuple(replace(service, predefined_cost=0.0) for service in bench_experiment(3).services)
+    experiment = replace(bench_experiment(3), services=services, dependencies=(("svc01", "svc02"),))
+    edf = tmp_path / "free.edf.json"
+    edf.write_text(serialize_edf(experiment), encoding="utf-8")
+    cluster = tmp_path / "free.cluster.json"
+    cluster.write_text(serialize_cluster(ClusterSpec(workers=balanced_cluster(4), seed=1)),
+                       encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--edf", str(edf), "--cluster", str(cluster),
+                 "--iterations", "3", "--seed", "5", "--out-dir", str(out_dir)]) == 0
+
+    fairness = (out_dir / "fairness.csv").read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[:2] for line in fairness[1:]] == [[str(t), "1.000000"] for t in range(3)]
+    rows = (out_dir / "allocations.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 3 * 3
+    assert all(row.endswith(",0.000000,1.000000") for row in rows)
+    summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+    assert summary["final_jain_cost"] == 1.0 and summary["feasible_iterations"] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +483,16 @@ def test_unexpected_exception_is_one_line_internal_error(tmp_path, monkeypatch, 
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err == "error: unexpected RuntimeError: injected failure\n"
+
+
+def test_parser_is_built_once_per_process(tmp_path, artifacts):
+    cli._build_parser.cache_clear()
+    edf, cluster = artifacts
+    for k in range(2):
+        assert main(["allocate", "--edf", str(edf), "--cluster", str(cluster), "--seed", "3",
+                     "--out", str(tmp_path / f"report{k}.txt")]) == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 # ---------------------------------------------------------------------------

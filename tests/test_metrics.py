@@ -70,10 +70,17 @@ def test_jain_of_tiny_shares_does_not_underflow(scale):
     assert jains_index([scale, 3 * scale]) == pytest.approx(jains_index([1.0, 3.0]), rel=1e-9)
 
 
-@pytest.mark.parametrize("bad", [[], [-1.0, 2.0], [0.0, 0.0]])
+@pytest.mark.parametrize("bad", [[], [-1.0, 2.0]])
 def test_jain_domain_errors(bad):
     with pytest.raises(DomainError):
         jains_index(bad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12])
+def test_jain_of_all_zero_shares_is_one(n):
+    # Every share is equal, so the vector is even; the formula alone is 0/0.
+    assert jains_index([0.0] * n) == 1.0
+    assert jains_index([-0.0] * n) == 1.0
 
 
 @given(st.lists(st.floats(0, 1000, allow_nan=False), min_size=1, max_size=20)

@@ -324,7 +324,8 @@ def test_scaling_grid_reads_each_trace_once_per_generator(tmp_path, read_count):
 
 @pytest.fixture
 def call_counts(monkeypatch):
-    """Counts the calls of the command-level builders and of the solver."""
+    """Counts the calls of the command-level builders and of the solver, and the
+    column selections (configurations or grid cells) the solver is given."""
     calls = Counter()
 
     def counted(owner, name):
@@ -340,6 +341,13 @@ def call_counts(monkeypatch):
     counted(costing.UnitCosts, "matrix")
     counted(costing.CostMatrix, "scaled")
     counted(assignment, "solve")
+    solve_selections = assignment.solve_selections
+
+    def count_selections(scaled, feasible, selections):
+        calls["solve_selections"] += 1
+        calls["selections"] += len(selections)
+        return solve_selections(scaled, feasible, selections)
+    monkeypatch.setattr(assignment, "solve_selections", count_selections)
     return calls
 
 
@@ -350,7 +358,7 @@ def test_command_level_inputs_are_built_once(call_counts):
     results = run_experiment(cfg)
     assert [len(result.outcomes) for result in results] == [2] * 5
     assert call_counts == {"enumerate_unit_configurations": 1, "build_capability_matrix": 1,
-                           "matrix": 5, "scaled": 5, "solve": 10}
+                           "matrix": 5, "scaled": 5, "solve_selections": 5, "selections": 10}
 
 
 def test_scaling_grid_inputs_are_built_once(call_counts):
@@ -358,7 +366,8 @@ def test_scaling_grid_inputs_are_built_once(call_counts):
     assert len(cells) == 64
     # One prepared, costed and scaled 8 x 8 problem; each cell solves its top-left block.
     assert call_counts == {"enumerate_unit_configurations": 1, "build_capability_matrix": 1,
-                           "matrix": 1, "scaled": 1, "solve": 64}
+                           "matrix": 1, "scaled": 1, "solve": 64, "solve_selections": 64,
+                           "selections": 64}
 
 
 def test_experiment_reads_each_trace_once(tmp_path, read_count):
