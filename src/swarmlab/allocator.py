@@ -7,17 +7,26 @@ minimum-cost assignment per combination and keeps the outcome that assigns
 the most services, breaking ties by cost and then by enumeration order.
 Enumerating combinations keeps "every service placed exactly once"
 structural: a single matching could otherwise place both a pool and its
-members at the same time. Among equal-cost optima the placement is
-deterministic for a given cost matrix but follows no documented rule.
+members at the same time. Among a configuration's matchings of most units
+and least cost the solver finds one that places the most services: it sees
+a unit of ``s`` services at ``cost * spread + (s_max - s)``, where ``s_max``
+is the largest unit and ``spread = services * (s_max - 1) + 1`` exceeds any
+sum of the offsets, and the cost is read back as ``total // spread``.
+Without pools ``spread`` is 1 and the encoding is the identity; so it is
+when every column is feasible on at least as many workers as the largest
+configuration has units, since every configuration then places all its
+units. Among equal-cost optima the placement is deterministic for a given
+cost matrix but follows no documented rule.
 
 ``prepare`` builds what the workers' samples do not change, once per fleet
 and experiment: the configurations, the columns (every single service and
-every pool), their feasibility and base costs, and each configuration's
-column selection. ``PreparedAllocation.allocate`` is one round: it builds
-the cost matrix from the samples and integerizes it once, solves every
-configuration's columns in one ``assignment.solve_selections`` call, and
-reads a placed service's cost from its own single-service column, times the
-discount when it is pooled. That call visits the configurations in
+every pool), their feasibility and base costs, each configuration's column
+selection, the columns ordered by cost scale for the solver's seeded cold
+start, and the services tie-break. ``PreparedAllocation.allocate`` is one
+round: it builds the cost matrix from the samples and integerizes it once,
+solves every configuration's columns in one ``assignment.solve_selections``
+call, and reads a placed service's cost from its own single-service column,
+times the discount when it is pooled. That call visits the configurations in
 reflected Gray-code order of their index, so consecutive ones differ in one
 component and each is warm-started from the last. ``allocate`` is
 ``prepare`` plus one round; the simulator prepares once per command.
@@ -197,8 +206,9 @@ class PreparedAllocation:
     ``prepare`` builds it once per fleet and experiment: the pool-or-split
     configurations, the cost-matrix columns (every single service in
     service order, then the pools of the first configuration, which pools
-    every component), their feasibility and base costs, and each
-    configuration's column selection. ``allocate`` then costs, solves and
+    every component), their feasibility and base costs, each
+    configuration's column selection, the column order that seeds the
+    solver and the services tie-break. ``allocate`` then costs, solves and
     places one round of samples.
     """
 
@@ -207,6 +217,12 @@ class PreparedAllocation:
     costs: costing.UnitCosts
     #: Per configuration: its columns and each unit's size.
     selections: tuple[tuple[list[int], tuple[int, ...]], ...]
+    #: Every column, from the largest base cost (times the discount for a pool) to the smallest.
+    scale_order: tuple[int, ...]
+    #: The services tie-break: the solver sees ``cost * spread + offsets[column]``, in
+    #: int64 unless the solver's big M (a sum over every cell) could pass 2**62.
+    spread: int
+    offsets: np.ndarray
     service_index: dict[str, int]
     discount: float
 
@@ -221,14 +237,16 @@ class PreparedAllocation:
             raise ValueError(f"prepared for {self.costs.feasible.shape[0]} workers, got {len(workers)}")
         costs = self.costs.matrix([w.workload for w in workers])
         scaled = costs.scaled()
+        if self.spread > 1:
+            scaled = scaled.astype(self.offsets.dtype, copy=False) * self.spread + self.offsets
 
         # Reflected Gray-code order: consecutive configurations differ in one component.
         order = [i ^ (i >> 1) for i in range(len(self.selections))]
         solved: list = [None] * len(order)  # (matched (worker, unit) pairs, services assigned, cost)
         for i, (pairs, cost) in zip(order, assignment.solve_selections(
-                scaled, self.costs.feasible, [self.selections[i][0] for i in order])):
+                scaled, self.costs.feasible, [self.selections[i][0] for i in order], self.scale_order)):
             sizes = self.selections[i][1]
-            solved[i] = (pairs, sum(sizes[u] for _, u in pairs), cost)
+            solved[i] = (pairs, sum(sizes[u] for _, u in pairs), cost // self.spread)
         best = min(range(len(solved)), key=lambda i: (-solved[i][1], solved[i][2], i))
         outcomes = tuple(
             ConfigurationOutcome(index=index, units=units, flow_value=len(pairs),
@@ -285,9 +303,22 @@ def prepare(
 
     selections = tuple(([column_of[unit.members] for unit in units],
                         tuple(len(unit.members) for unit in units)) for units in configurations)
-    return PreparedAllocation(services=tuple(services), configurations=tuple(configurations),
-                              costs=costs, selections=selections,
-                              service_index=service_index, discount=discount)
+    scale = [sum(services[service_index[name]].predefined_cost for name in members)
+             * (discount if len(members) > 1 else 1.0) for members in columns]
+    largest = max(map(len, columns))
+    # Services can tie only where a configuration may leave a unit unplaced. None can when
+    # every column is feasible on as many workers as a configuration has units (a greedy
+    # matching places them all); then the solver sees the costs as they are.
+    placeable = int(costs.feasible.sum(axis=0).min()) >= max(len(cols) for cols, _ in selections)
+    spread = 1 if placeable else len(services) * (largest - 1) + 1
+    # A cell costs at most its column's scale (the loads and the weights' sum are at most 1).
+    bound = (2 * int(max(scale) * COST_SCALE) + 2) * spread * len(workers) * len(columns)
+    return PreparedAllocation(
+        services=tuple(services), configurations=tuple(configurations), costs=costs,
+        selections=selections, scale_order=tuple(sorted(range(len(columns)), key=lambda c: -scale[c])),
+        spread=spread, offsets=np.array([largest - len(members) for members in columns],
+                                        dtype=np.int64 if bound < 2**62 else object),
+        service_index=service_index, discount=discount)
 
 
 def prepare_experiment(workers: Sequence[WorkerState],

@@ -22,9 +22,21 @@ Dias 2007). The problem is padded to a square (Bijsterbosch & Volgenant
 on every unit, as an infeasible worker does. Every row and column of a
 square problem is matched, so a column freed by a unit that leaves needs no
 condition on its potential: only rows are taken out and put back, each put
-back along one augmenting path. ``solve`` is the one-selection case. Among
-equal-cost optima the result is deterministic for a given matrix and order
-of selections but follows no documented rule.
+back along one augmenting path. ``solve`` is the one-selection case.
+
+Given the columns' ``order`` by cost scale, largest first, a cold start of
+at least ``SEED_MIN_UNITS`` units begins from ``_seed`` instead of an empty
+matching. On costs about a unit's scale times a worker's load every unit
+wants the same cheap workers, so each augmenting path from an empty
+matching walks about half the workers. The seed pairs the units in order
+with the least costly free workers, as the rearrangement inequality
+(Hardy, Littlewood & Polya, *Inequalities*, 10.2) does on exact products,
+telescopes the column potentials back along the pairs, and keeps every
+column that no unit holds at the top potential, 0, where the padding rows
+hold them tight. Pairs left not tight are matched by ``_augment``, the one
+search, so the optimum never depends on the costs' shape. Among equal-cost
+optima the result is deterministic for a given matrix, order of selections
+and column order but follows no documented rule.
 """
 
 from __future__ import annotations
@@ -32,6 +44,12 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+
+#: The fewest units whose first selection starts from ``_seed``'s matching.
+#: Below it the searches from an empty matching are short and the seed's set-up
+#: costs more than it saves: on random two-class fleets of twice as many
+#: workers as units, seeded and plain cold solves break even at about 5 units.
+SEED_MIN_UNITS = 6
 
 
 def solve(scaled: np.ndarray, feasible: np.ndarray) -> tuple[list[tuple[int, int]], int]:
@@ -46,6 +64,7 @@ def solve(scaled: np.ndarray, feasible: np.ndarray) -> tuple[list[tuple[int, int
 
 def solve_selections(
     scaled: np.ndarray, feasible: np.ndarray, selections: Sequence[Sequence[int]],
+    order: Sequence[int] | None = None,
 ) -> list[tuple[list[tuple[int, int]], int]]:
     """``solve`` on each selection of columns in turn, each warm-started from the last.
 
@@ -53,15 +72,17 @@ def solve_selections(
     shaped (workers, columns). Per selection, in the given order, returns
     the matched ``(worker, position in the selection)`` pairs sorted by
     position and their total cost. Consecutive selections that share most
-    columns are cheap: only the rows that change are re-augmented.
+    columns are cheap: only the rows that change are re-augmented. ``order``
+    lists every column from the largest cost scale to the smallest; given
+    it, a first selection of at least ``SEED_MIN_UNITS`` units is seeded.
     """
     num_workers = feasible.shape[0]
     size = max(num_workers, max(map(len, selections), default=0))
     big_m = int(scaled[feasible].sum()) + 1
-    costs = np.where(feasible, scaled, big_m).T.tolist()  # one row per column, Python ints
+    matrix = np.where(feasible, scaled, big_m).T  # one row per column
     if size > num_workers:
-        padding = [big_m] * (size - num_workers)
-        costs = [row + padding for row in costs]
+        matrix = np.hstack([matrix, np.full((len(matrix), size - num_workers), big_m, matrix.dtype)])
+    costs = matrix.tolist()  # Python ints
     zeros = [0] * size
 
     row_cost = [zeros] * size
@@ -84,7 +105,26 @@ def solve_selections(
             if col >= 0:
                 row_for_col[col] = col_for_row[row] = -1
 
-        for unit in selection:
+        if not results and order is not None and len(selection) >= SEED_MIN_UNITS:
+            entering = [unit for unit in order if unit in chosen]
+            col_potential, tight, spare = _seed(matrix, costs, feasible, entering)
+            for unit, col, potential in tight:
+                row = row_of_unit[unit] = open_rows.pop()
+                row_cost[row] = costs[unit]
+                row_potential[row] = potential
+                col_for_row[row] = col
+                row_for_col[col] = row
+            # Padding holds columns that no unit was paired with, all at the top
+            # potential, 0: left free, a dropped pair's column could end below
+            # that level and send every padding row through a search.
+            padding_rows = open_rows[:size - len(selection)]
+            del open_rows[:len(padding_rows)]
+            for row, col in zip(padding_rows, spare):
+                col_for_row[row] = col
+                row_for_col[col] = row
+        else:
+            entering = selection
+        for unit in entering:
             if unit not in row_of_unit:
                 row = row_of_unit[unit] = open_rows.pop()
                 row_cost[row] = costs[unit]
@@ -125,6 +165,60 @@ def solve_selections(
                 total += costs[unit][worker]
         results.append((pairs, total))
     return results
+
+
+def _seed(matrix: np.ndarray, costs: list[list[int]], feasible: np.ndarray,
+          units: list[int]) -> tuple[list[int], list[tuple[int, int, int]], list[int]]:
+    """A cold start for ``units``, listed from the largest cost scale to the smallest.
+
+    Each unit in turn is paired with the first free worker of its
+    feasibility pattern, whose workers are ranked by their cost to the
+    pattern's first unit. On costs that are a unit's scale times a worker's
+    load, that is the least loaded feasible free worker, and without
+    capability classes the pairing is optimal (the rearrangement
+    inequality). Column potentials telescope back from the last pair: each
+    paired column is set as high as keeps every later pair tight, and at
+    most 0, the potential of every column no unit is paired with. Each
+    row's potential is then its least reduced cost over all columns.
+
+    Returns the column potentials, the ``(unit, column, row potential)``
+    pairs that are still tight, and the columns no unit is paired with.
+    """
+    size = matrix.shape[1]
+    ranked: dict[bytes, list] = {}  # per feasibility pattern: its workers by cost, and a cursor
+    taken = [False] * size
+    pairs = []
+    for unit in units:
+        entry = ranked.get(key := feasible[:, unit].tobytes())
+        if entry is None:
+            workers = np.flatnonzero(feasible[:, unit])
+            ranking = np.argsort(matrix[unit, workers], kind="stable")
+            entry = ranked[key] = [workers[ranking].tolist(), 0]
+        workers, at = entry
+        while at < len(workers) and taken[workers[at]]:
+            at += 1
+        entry[1] = at
+        if at < len(workers):
+            taken[workers[at]] = True
+            pairs.append((unit, workers[at]))
+
+    col_potential = [0] * size
+    later: list[tuple[list[int], int]] = []  # (cost row, row potential) of the pairs after this one
+    for unit, col in reversed(pairs):
+        level = 0
+        for cost_row, potential in later:
+            if cost_row[col] - potential < level:
+                level = cost_row[col] - potential
+        col_potential[col] = level
+        later.append((costs[unit], costs[unit][col] - level))
+
+    rows = [unit for unit, _ in pairs]
+    reduced = matrix[rows] - np.array(col_potential, dtype=matrix.dtype)
+    row_potential = reduced.min(axis=1).tolist()
+    own = reduced[np.arange(len(rows)), [col for _, col in pairs]].tolist()
+    tight = [(unit, col, potential) for (unit, col), potential, reduced_own
+             in zip(pairs, row_potential, own) if reduced_own == potential]
+    return col_potential, tight, [col for col in range(size) if not taken[col]]
 
 
 def _augment(start: int, matrix: list[list[int]], row_potential: list[int],

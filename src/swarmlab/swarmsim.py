@@ -141,14 +141,25 @@ class WorkloadGenerator:
         return WorkloadSample.trusted(*values)
 
 
+#: The largest trace file read, in bytes: 16 MiB, about 600,000 rows of four
+#: four-decimal values. Reading stops one byte past it, so a larger file, or
+#: an endless one such as a device or a pipe, is rejected before any parsing.
+MAX_TRACE_BYTES = 16 * 2**20
+
+
 def _read_trace(location: Path) -> list[tuple[float, float, float, float]]:
     """The samples of a trace file: one line of four values in [0, 1] each.
 
     Blank lines and ``#`` comments are skipped. A malformed line raises
     ``SchemaError`` at ``location:line``; NaN and infinities are out of range.
+    A file longer than ``MAX_TRACE_BYTES`` raises ``SchemaError``.
     """
+    with location.open("rb") as stream:
+        data = stream.read(MAX_TRACE_BYTES + 1)
+    if len(data) > MAX_TRACE_BYTES:
+        raise SchemaError(f"trace file exceeds {MAX_TRACE_BYTES} bytes", str(location))
     rows = []
-    for lineno, raw in enumerate(location.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(data.decode("utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line[0] == "#":
             continue
@@ -448,9 +459,11 @@ def measure_scaling(worker_counts, service_counts, template: SimConfig) -> list[
     checked as that config is: the first cell in grid order that fails
     raises its error. A scaling experiment has no dependencies, so a cell's
     allocation problem is the top-left n x k block of the largest cell's.
-    The grid therefore samples, prepares, costs and scales once, each cell
-    solves only its block, and its time is ``_timings`` of its matched
-    units; no trace is rendered.
+    The grid therefore samples, prepares, costs and scales once. The cells
+    of one worker count are one ``assignment.solve_selections`` call, whose
+    selections are the first k units for each service count in turn, each
+    warm-started from the last; a cell's time is ``_timings`` of its
+    matched units, and no trace is rendered.
     """
     worker_counts = list(worker_counts)
     service_counts = list(service_counts)
@@ -475,12 +488,15 @@ def measure_scaling(worker_counts, service_counts, template: SimConfig) -> list[
     fetch_ms = [template.fetch_latency.duration_ms(service.image_size_mb) for service in services]
 
     cells = []
-    for cfg in grid:
-        num_workers, num_services = len(cfg.workers), len(cfg.experiment.services)
-        pairs, _ = assignment.solve(scaled[:num_workers, :num_services],
-                                    matrix.feasible[:num_workers, :num_services])
-        timings = _timings(cfg, [fetch_ms[unit] for _, unit in pairs])
-        cells.append(ScalingCell(num_workers, num_services, timings["total_ms"]))
+    for start in range(0, len(grid), len(service_counts)):
+        row = grid[start:start + len(service_counts)]  # one worker count, every service count
+        num_workers = len(row[0].workers)
+        solved = assignment.solve_selections(
+            scaled[:num_workers], matrix.feasible[:num_workers],
+            [range(len(cfg.experiment.services)) for cfg in row])
+        for cfg, (pairs, _) in zip(row, solved):
+            timings = _timings(cfg, [fetch_ms[unit] for _, unit in pairs])
+            cells.append(ScalingCell(num_workers, len(cfg.experiment.services), timings["total_ms"]))
     return cells
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -195,9 +197,142 @@ def test_warm_started_configurations_match_independent_solves(fleet, random):
         services_placed = sum(sizes[u] for _, u in pairs)
         assert (outcome.flow_value, outcome.total_cost_scaled) == (len(pairs), cost) \
             == _scipy_totals(scaled[:, cols], feasible[:, cols])
-        assert fewest <= outcome.services_assigned <= most
+        assert outcome.services_assigned == most
         other_pairs, other_cost = permuted[outcome.index]
         assert (len(other_pairs), other_cost) == (len(pairs), cost)
         if fewest == most:  # otherwise equal-cost optima place different numbers of services
             assert outcome.services_assigned == services_placed \
                 == sum(sizes[u] for _, u in other_pairs)
+
+
+# Seeded cold starts: rank-1 costs (a unit's scale times a worker's load), capability
+# classes, duplicated workers, all-infeasible rows and columns, more units than workers.
+# The seed must never decide the optimum, so arbitrary costs and orders are drawn too.
+@st.composite
+def seeded_problems(draw):
+    units = draw(st.integers(assignment.SEED_MIN_UNITS, 14))
+    workers = draw(st.integers(1, 18))
+    loads = draw(st.lists(st.integers(0, 1000), min_size=workers, max_size=workers))
+    copies = draw(st.lists(st.integers(0, workers - 1), max_size=4))
+    loads += [loads[i] for i in copies]  # duplicated workers
+    scales = draw(st.lists(st.integers(0, 100), min_size=units, max_size=units))
+    scaled = np.outer(loads, scales)
+    if draw(st.booleans()):  # off the product by one grid step, as rounding leaves it
+        scaled += np.array(draw(st.lists(st.integers(0, 1), min_size=scaled.size,
+                                         max_size=scaled.size))).reshape(scaled.shape)
+    if draw(st.integers(0, 4)) == 0:  # no rank-1 structure at all
+        scaled = np.array(draw(st.lists(st.integers(0, 10**6), min_size=scaled.size,
+                                        max_size=scaled.size))).reshape(scaled.shape)
+    # Capability classes: a unit needs one tag or none; "lidar" (3) is offered by no worker.
+    offers = [draw(st.sampled_from([(), (1,), (2,), (1, 2)])) for _ in range(workers)]
+    offers += [offers[i] for i in copies]
+    needs = [draw(st.sampled_from([0, 0, 1, 2, 3])) for _ in range(units)]
+    feasible = np.array([[need == 0 or need in offer for need in needs] for offer in offers],
+                        dtype=bool).reshape(len(offers), units)
+    order = sorted(range(units), key=lambda u: -scales[u])
+    if draw(st.integers(0, 4)) == 0:
+        order = draw(st.permutations(range(units)))
+    later = draw(st.lists(st.lists(st.integers(0, units - 1), unique=True), max_size=3))
+    return scaled, feasible, order, later
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeded_problems())
+def test_seeded_cold_solves_match_scipy(problem):
+    scaled, feasible, order, later = problem
+    selections = [list(range(scaled.shape[1]))] + later
+    seeded = assignment.solve_selections(scaled, feasible, selections, order)
+    plain = assignment.solve_selections(scaled, feasible, selections)
+    for cols, (pairs, cost), (plain_pairs, plain_cost) in zip(selections, seeded, plain):
+        assert len({w for w, _ in pairs}) == len(pairs)
+        assert all(feasible[w, cols[p]] for w, p in pairs)
+        assert cost == sum(int(scaled[w, cols[p]]) for w, p in pairs)
+        assert (len(pairs), cost) == (len(plain_pairs), plain_cost)
+        if cols:
+            assert (len(pairs), cost) == _scipy_totals(scaled[:, cols], feasible[:, cols])
+
+
+def _counting_augment(monkeypatch):
+    """Records the cost row of every augmenting-path search."""
+    rows = []
+    augment = assignment._augment
+
+    def counting(start, matrix, *rest):
+        rows.append(matrix[start])
+        return augment(start, matrix, *rest)
+    monkeypatch.setattr(assignment, "_augment", counting)
+    return rows
+
+
+def test_product_costs_are_seeded_without_a_search(monkeypatch):
+    # An exact integer product matrix (Monge): the sorted pairing is the optimum,
+    # and the telescoped potentials leave every pair of it tight.
+    searches = _counting_augment(monkeypatch)
+    rng = np.random.default_rng(17)
+    for workers, units in ((12, 12), (30, 10), (40, 20)):
+        loads = rng.permutation(np.arange(1, workers + 1) * 7)
+        scales = rng.permutation(np.arange(1, units + 1) * 3)
+        scaled = np.outer(loads, scales)
+        feasible = np.ones(scaled.shape, dtype=bool)
+        order = np.argsort(-scales, kind="stable").tolist()
+        [(pairs, cost)] = assignment.solve_selections(scaled, feasible, [range(units)], order)
+        assert searches == []
+        by_load = np.argsort(loads, kind="stable").tolist()
+        assert sorted(pairs, key=lambda pair: -scales[pair[1]]) == \
+            [(by_load[rank], unit) for rank, unit in enumerate(order)]
+        assert (len(pairs), cost) == _scipy_totals(scaled, feasible)
+
+
+def test_seeded_cold_starts_run_no_padding_search(monkeypatch):
+    # Twelve workers and eight services of which two pool, as in the shipped demo but with
+    # enough units to seed, then fleet_pools-shaped first configurations: 40 workers, half
+    # with a camera, 20 services, four of which need one, three two-service pools. The seed
+    # hands the padding rows the unpaired columns at the top potential, so no padding row
+    # searches, even where the seed drops pairs that are not tight.
+    searches = _counting_augment(monkeypatch)
+    rng = np.random.default_rng(5)
+    prepared_demo = None
+    dropped = 0
+    for workers, services, pools in [(12, 8, 1)] + [(40, 20, 3)] * 6:
+        fleet = [make_worker(f"w{i:02d}", ("cam",) if i % 2 else (),
+                             *rng.uniform(0.1, 0.8, size=4).tolist()) for i in range(workers)]
+        needs_camera = set(rng.choice(services, size=services // 5, replace=False).tolist())
+        specs = [make_service(f"s{j:02d}", float(rng.uniform(5.0, 95.0)),
+                              ("cam",) if j in needs_camera else ()) for j in range(services)]
+        dependencies = [(f"s{2 * k:02d}", f"s{2 * k + 1:02d}") for k in range(pools)]
+        prepared = prepare(fleet, specs, dependencies, CostWeights(), 0.85)
+        first = prepared.selections[0][0]
+        assert len(first) >= assignment.SEED_MIN_UNITS
+        scaled = prepared.costs.matrix([w.workload for w in fleet]).scaled()
+        searches.clear()
+        assignment.solve_selections(scaled, prepared.costs.feasible, [first], prepared.scale_order)
+        assert all(any(row) for row in searches)  # unit rows only: padding rows cost 0
+        dropped += len(searches)
+        prepared_demo = prepared_demo or (prepared, fleet, len(searches))
+    assert dropped > 0  # some seeds left pairs that were not tight
+
+    # The demo-shaped round: the seed's repairs, then the split's s00 and s01 enter.
+    prepared, fleet, repairs = prepared_demo
+    searches.clear()
+    result = prepared.allocate(fleet)
+    assert result.feasible and len(result.outcomes) == 2
+    assert [any(row) for row in searches] == [True] * (repairs + 2)
+
+
+def test_services_tie_break_past_int64_runs_on_python_ints():
+    # Encoded costs that could pass int64 run on Python ints; any spread above the sum
+    # of the offsets encodes the same optimum.
+    rng = np.random.default_rng(9)
+    workers = [make_worker(f"w{i:02d}", ("cam",) if i % 2 else (),
+                           *rng.uniform(0.1, 0.8, size=4).tolist()) for i in range(12)]
+    services = [make_service(f"s{j}", float(rng.uniform(5.0, 95.0)), ("cam",) if j == 4 else ())
+                for j in range(8)]
+    prepared = prepare(workers, services, [("s0", "s1")], CostWeights(), 0.85)
+    assert prepared.offsets.dtype == np.int64
+    wide = replace(prepared, spread=2**45, offsets=prepared.offsets.astype(object))
+    assert wide.allocate(workers) == prepared.allocate(workers)
+    # One pool of 200 services on 20 workers: spread 39801, pool cells up to 1.7e10.
+    chain = [make_service(f"m{j:03d}", 100.0) for j in range(200)]
+    pairs = [(f"m{j:03d}", f"m{j + 1:03d}") for j in range(199)]
+    fleet = [make_worker(f"v{i:02d}") for i in range(20)]
+    assert prepare(fleet, chain, pairs, CostWeights(), 0.85).offsets.dtype == object

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from swarmlab import cli, metrics
+from swarmlab import cli, metrics, swarmsim
 from swarmlab.cli import main
 from swarmlab.definitions import (
     ClusterSpec,
@@ -347,6 +347,23 @@ def test_non_utf8_input_is_one_line_validation_error(tmp_path, artifacts, capsys
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert captured.out.startswith(f"{bad}: ") and captured.out.count("\n") == 1
+
+
+def test_oversized_trace_is_one_line_validation_error(tmp_path, artifacts, capsys, monkeypatch):
+    edf, cluster = artifacts
+    row = "0.1,0.2,0.3,0.4\n"
+    monkeypatch.setattr(swarmsim, "MAX_TRACE_BYTES", 2 * len(row))
+    worker = ClusterWorker(id="t1", profile=HardwareProfile(), workload=TraceWorkload("load.csv"))
+    cluster.write_text(serialize_cluster(ClusterSpec(workers=(worker,))), encoding="utf-8")
+    argv = ["allocate", "--edf", str(edf), "--cluster", str(cluster), "--seed", "1"]
+
+    (tmp_path / "load.csv").write_text(row * 2, encoding="utf-8")  # exactly at the bound
+    assert main(argv) in (0, 2)
+    capsys.readouterr()
+    (tmp_path / "load.csv").write_text(row * 2 + "\n", encoding="utf-8")  # one byte past it
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'load.csv'}: trace file exceeds {2 * len(row)} bytes\n"
 
 
 @pytest.mark.parametrize("trace_path", ["a\u0000b.csv", "\u0000", "load.csv\u0000", ""])

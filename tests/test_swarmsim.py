@@ -212,18 +212,19 @@ def test_scaling_cells_share_the_largest_fleet_samples(tmp_path, monkeypatch):
     template = SimConfig(workers=_mixed_fleet(tmp_path), experiment=bench_experiment(2), seed=5,
                          base_dir=str(tmp_path))
     costed, solved = [], []
-    matrix, solve = costing.UnitCosts.matrix, assignment.solve
+    matrix, solve_selections = costing.UnitCosts.matrix, assignment.solve_selections
 
     def recording_matrix(self, workloads):
         costed.append(list(workloads))
         return matrix(self, workloads)
 
-    def recording_solve(scaled, feasible):
-        solved.append(solve(scaled, feasible))
-        return solved[-1]
+    def recording_solve_selections(scaled, feasible, selections, order=None):
+        assert [list(cols) for cols in selections] == [[0], [0, 1]]
+        solved.extend(solve_selections(scaled, feasible, selections, order))
+        return solved[-len(selections):]
 
     monkeypatch.setattr(costing.UnitCosts, "matrix", recording_matrix)
-    monkeypatch.setattr(assignment, "solve", recording_solve)
+    monkeypatch.setattr(assignment, "solve_selections", recording_solve_selections)
     cells = measure_scaling(range(1, 9), range(1, 3), template)
     monkeypatch.undo()
 
@@ -303,15 +304,16 @@ def _trace_template(tmp_path, num_workers=6, iterations=1):
 
 @pytest.fixture
 def read_count(monkeypatch):
-    """Counts Path.read_text calls made while the test runs."""
+    """Names the files that Path.open opens for reading while the test runs."""
     calls = []
-    original = Path.read_text
+    original = Path.open
 
-    def counting(self, *args, **kwargs):
-        calls.append(self.name)
-        return original(self, *args, **kwargs)
+    def counting(self, mode="r", *args, **kwargs):
+        if "r" in mode:
+            calls.append(self.name)
+        return original(self, mode, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "read_text", counting)
+    monkeypatch.setattr(Path, "open", counting)
     return calls
 
 
@@ -343,10 +345,10 @@ def call_counts(monkeypatch):
     counted(assignment, "solve")
     solve_selections = assignment.solve_selections
 
-    def count_selections(scaled, feasible, selections):
+    def count_selections(scaled, feasible, selections, order=None):
         calls["solve_selections"] += 1
         calls["selections"] += len(selections)
-        return solve_selections(scaled, feasible, selections)
+        return solve_selections(scaled, feasible, selections, order)
     monkeypatch.setattr(assignment, "solve_selections", count_selections)
     return calls
 
@@ -364,10 +366,10 @@ def test_command_level_inputs_are_built_once(call_counts):
 def test_scaling_grid_inputs_are_built_once(call_counts):
     cells = measure_scaling(range(1, 9), range(1, 9), bench_config(num_workers=3))
     assert len(cells) == 64
-    # One prepared, costed and scaled 8 x 8 problem; each cell solves its top-left block.
+    # One prepared, costed and scaled 8 x 8 problem; each worker count is one warm-started
+    # solve over its eight nested blocks.
     assert call_counts == {"enumerate_unit_configurations": 1, "build_capability_matrix": 1,
-                           "matrix": 1, "scaled": 1, "solve": 64, "solve_selections": 64,
-                           "selections": 64}
+                           "matrix": 1, "scaled": 1, "solve_selections": 8, "selections": 64}
 
 
 def test_experiment_reads_each_trace_once(tmp_path, read_count):
@@ -393,6 +395,31 @@ def test_trace_rows_are_rejected_at_their_line(tmp_path, text, line, message):
     with pytest.raises(SchemaError) as raised:
         generator.sample(0)
     assert str(raised.value) == f"{path}:{line}: {message}"
+
+
+def test_endless_trace_is_read_no_further_than_the_bound(monkeypatch):
+    # A stand-in for an endless file (a device or a pipe): any read returns as many
+    # bytes as asked for, and reading to the end would never return.
+    requested = []
+
+    class Endless:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def read(self, size=-1):
+            assert size >= 0, "read to the end of an endless file"
+            requested.append(size)
+            return b"0" * size
+
+    monkeypatch.setattr(swarmsim, "MAX_TRACE_BYTES", 64)
+    monkeypatch.setattr(Path, "open", lambda self, mode="r": Endless())
+    with pytest.raises(SchemaError) as raised:
+        swarmsim._read_trace(Path("endless.csv"))
+    assert str(raised.value) == "endless.csv: trace file exceeds 64 bytes"
+    assert requested == [65]
 
 
 def test_trace_without_samples_is_rejected(tmp_path):
