@@ -22,14 +22,17 @@ cost matrix but follows no documented rule.
 and experiment: the configurations, the columns (every single service and
 every pool), their feasibility and base costs, each configuration's column
 selection, the columns ordered by cost scale for the solver's seeded cold
-start, and the services tie-break. ``PreparedAllocation.allocate`` is one
-round: it builds the cost matrix from the samples and integerizes it once,
-solves every configuration's columns in one ``assignment.solve_selections``
-call, and reads a placed service's cost from its own single-service column,
-times the discount when it is pooled. That call visits the configurations in
-reflected Gray-code order of their index, so consecutive ones differ in one
-component and each is warm-started from the last. ``allocate`` is
-``prepare`` plus one round; the simulator prepares once per command.
+start, and the services tie-break. ``PreparedAllocation.allocate_rounds``
+takes a block of rounds' load rows: ``costing.UnitCosts.block`` costs,
+integerizes, encodes and lays out the whole block for the solver in one
+pass, so each round is left with one ``assignment.solve_selections`` call
+over every configuration's columns and its placement, which reads a placed
+service's cost from its own single-service column, times the discount when
+it is pooled. That call visits the configurations in reflected Gray-code
+order of their index, so consecutive ones differ in one component and each
+is warm-started from the last. ``PreparedAllocation.allocate`` is the
+one-round case, given worker states; ``allocate`` is ``prepare`` plus one
+round; the simulator prepares once per command.
 
 ``build_network`` states the same problem as a min-cost max-flow network
 for the ``mcmf`` reference solver; the allocator itself does not use it.
@@ -208,15 +211,20 @@ class PreparedAllocation:
     service order, then the pools of the first configuration, which pools
     every component), their feasibility and base costs, each
     configuration's column selection, the column order that seeds the
-    solver and the services tie-break. ``allocate`` then costs, solves and
-    places one round of samples.
+    solver and the services tie-break. ``allocate_rounds`` then costs a
+    block of rounds in one pass and solves and places each; ``allocate`` is
+    its one-round case.
     """
 
     services: tuple[ServiceSpec, ...]
     configurations: tuple[tuple[AllocationUnit, ...], ...]
+    #: The prepared workers' ids, in the order every round's samples follow.
+    worker_ids: tuple[str, ...]
     costs: costing.UnitCosts
     #: Per configuration: its columns and each unit's size.
     selections: tuple[tuple[list[int], tuple[int, ...]], ...]
+    #: The solver's square: at least as many workers as the largest configuration has units.
+    size: int
     #: Every column, from the largest base cost (times the discount for a pool) to the smallest.
     scale_order: tuple[int, ...]
     #: The services tie-break: the solver sees ``cost * spread + offsets[column]``, in
@@ -227,24 +235,37 @@ class PreparedAllocation:
     discount: float
 
     def allocate(self, workers: Sequence[WorkerState]) -> AllocationResult:
-        """Place every service given one sample per prepared worker, in the same order.
+        """Place every service given the prepared workers' states, in the same order.
 
         Infeasibility is a result, not an error: when no configuration can
         place all services, the best partial placement is returned with
         ``feasible`` false and the left-over services in ``unassigned``.
         """
-        if len(workers) != self.costs.feasible.shape[0]:
-            raise ValueError(f"prepared for {self.costs.feasible.shape[0]} workers, got {len(workers)}")
-        costs = self.costs.matrix([w.workload for w in workers])
-        scaled = costs.scaled()
-        if self.spread > 1:
-            scaled = scaled.astype(self.offsets.dtype, copy=False) * self.spread + self.offsets
+        if tuple(w.id for w in workers) != self.worker_ids:
+            raise ValueError(f"prepared for a roster of {len(self.worker_ids)} workers, "
+                             f"got another of {len(workers)}")
+        return self.allocate_rounds([[w.workload for w in workers]])[0]
 
+    def allocate_rounds(self, rounds: Sequence[Sequence[Sequence[float]]]) -> list[AllocationResult]:
+        """``allocate`` for each round of a block, given one load row per prepared worker.
+
+        A load row is (cpu, vram, swap, bandwidth). The block is costed and
+        laid out for the solver in one pass; each round then only solves and
+        places.
+        """
+        block = self.costs.block(rounds, self.size, self.spread, self.offsets)
         # Reflected Gray-code order: consecutive configurations differ in one component.
         order = [i ^ (i >> 1) for i in range(len(self.selections))]
+        selections = [self.selections[i][0] for i in order]
+        return [self._place(values, order, assignment.solve_selections(
+                    solver, rows, big_m, selections, self.scale_order))
+                for values, solver, rows, big_m in zip(block.values, block.solver, block.rows,
+                                                       block.big_m)]
+
+    def _place(self, values: np.ndarray, order: list[int], solutions: list) -> AllocationResult:
+        """The result of one round whose configurations, visited in ``order``, solved to ``solutions``."""
         solved: list = [None] * len(order)  # (matched (worker, unit) pairs, services assigned, cost)
-        for i, (pairs, cost) in zip(order, assignment.solve_selections(
-                scaled, self.costs.feasible, [self.selections[i][0] for i in order], self.scale_order)):
+        for i, (pairs, cost) in zip(order, solutions):
             sizes = self.selections[i][1]
             solved[i] = (pairs, sum(sizes[u] for _, u in pairs), cost // self.spread)
         best = min(range(len(solved)), key=lambda i: (-solved[i][1], solved[i][2], i))
@@ -258,10 +279,10 @@ class PreparedAllocation:
         for worker_i, unit_i in solved[best][0]:
             unit = self.configurations[best][unit_i]
             for name in unit.members:
-                cost = float(costs.values[worker_i, self.service_index[name]])
+                cost = float(values[worker_i, self.service_index[name]])
                 if unit.is_pool:
                     cost *= self.discount
-                placement[name] = Assignment(service=name, worker=workers[worker_i].id,
+                placement[name] = Assignment(service=name, worker=self.worker_ids[worker_i],
                                              unit=unit, cost=cost)
 
         assignments = {s.name: placement[s.name] for s in self.services if s.name in placement}
@@ -286,8 +307,8 @@ def prepare(
 ) -> PreparedAllocation:
     """The sample-independent inputs of allocating ``services`` to ``workers``.
 
-    Only the workers' profiles are read, so ``workers`` may be any sequence
-    of objects with a ``profile`` (cluster workers as well as worker states).
+    Only the workers' ids and profiles are read, so ``workers`` may be
+    cluster workers as well as worker states.
     """
     if not workers or not services:
         raise EmptyProblem("allocation needs at least one worker and one service")
@@ -309,13 +330,15 @@ def prepare(
     # Services can tie only where a configuration may leave a unit unplaced. None can when
     # every column is feasible on as many workers as a configuration has units (a greedy
     # matching places them all); then the solver sees the costs as they are.
+    size = max(len(workers), max(len(cols) for cols, _ in selections))
     placeable = int(costs.feasible.sum(axis=0).min()) >= max(len(cols) for cols, _ in selections)
     spread = 1 if placeable else len(services) * (largest - 1) + 1
     # A cell costs at most its column's scale (the loads and the weights' sum are at most 1).
     bound = (2 * int(max(scale) * COST_SCALE) + 2) * spread * len(workers) * len(columns)
     return PreparedAllocation(
-        services=tuple(services), configurations=tuple(configurations), costs=costs,
-        selections=selections, scale_order=tuple(sorted(range(len(columns)), key=lambda c: -scale[c])),
+        services=tuple(services), configurations=tuple(configurations),
+        worker_ids=tuple(w.id for w in workers), costs=costs, selections=selections, size=size,
+        scale_order=tuple(sorted(range(len(columns)), key=lambda c: -scale[c])),
         spread=spread, offsets=np.array([largest - len(members) for members in columns],
                                         dtype=np.int64 if bound < 2**62 else object),
         service_index=service_index, discount=discount)

@@ -11,7 +11,11 @@ Python ints, so the optimum is exact on the integer cost grid.
 Infeasible pairs cost a big M, the sum of all feasible costs plus one:
 a single infeasible pair then outweighs any set of feasible ones, so the
 solution first maximizes the number of feasible pairs and then minimizes
-their cost.
+their cost. ``padded`` lays out a whole stack of cost matrices this way
+(the allocator's block of rounds) with one sum for their big Ms;
+``solve_selections`` takes one of them, both as the numpy array that
+``_seed`` reads and as its ``tolist()`` rows, so it runs no numpy of its
+own before the search.
 
 ``solve_selections`` solves several selections of the matrix's columns
 (the allocator's pool-or-split configurations) one after another, keeping
@@ -22,7 +26,8 @@ Dias 2007). The problem is padded to a square (Bijsterbosch & Volgenant
 on every unit, as an infeasible worker does. Every row and column of a
 square problem is matched, so a column freed by a unit that leaves needs no
 condition on its potential: only rows are taken out and put back, each put
-back along one augmenting path. ``solve`` is the one-selection case.
+back along one augmenting path. ``solve`` is the one-selection case on a
+plain (workers, units) matrix.
 
 Given the columns' ``order`` by cost scale, largest first, a cold start of
 at least ``SEED_MIN_UNITS`` units begins from ``_seed`` instead of an empty
@@ -52,6 +57,23 @@ import numpy as np
 SEED_MIN_UNITS = 6
 
 
+def padded(scaled: np.ndarray, feasible: np.ndarray, size: int) -> tuple[np.ndarray, list[int]]:
+    """The solver's input for each of a stack of cost matrices, and each one's big M.
+
+    ``scaled`` holds non-negative integer costs shaped (matrices, workers,
+    columns) and ``feasible`` the pairs that may be matched, (workers,
+    columns). Each matrix becomes one row per column, padded to ``size``
+    workers: infeasible and padding cells cost the matrix's big M. The
+    result keeps ``scaled``'s dtype; its ``tolist()`` is the Python ints
+    ``solve_selections`` reads.
+    """
+    big_m = np.where(feasible, scaled, 0).sum(axis=(1, 2)) + 1  # one sum for the whole stack
+    fill = big_m[:, None, None]
+    matrix = np.full((scaled.shape[0], scaled.shape[2], size), fill, dtype=scaled.dtype)
+    matrix[:, :, :scaled.shape[1]] = np.where(feasible, scaled, fill).transpose(0, 2, 1)
+    return matrix, big_m.tolist()
+
+
 def solve(scaled: np.ndarray, feasible: np.ndarray) -> tuple[list[tuple[int, int]], int]:
     """Maximum-cardinality, minimum-cost matching of workers to units.
 
@@ -59,30 +81,27 @@ def solve(scaled: np.ndarray, feasible: np.ndarray) -> tuple[list[tuple[int, int
     pairs that may be matched, both shaped (workers, units). Returns the
     matched ``(worker, unit)`` pairs sorted by unit and their total cost.
     """
-    return solve_selections(scaled, feasible, [range(feasible.shape[1])])[0]
+    [matrix], [big_m] = padded(scaled[None], feasible, max(feasible.shape))
+    return solve_selections(matrix, matrix.tolist(), big_m, [range(feasible.shape[1])])[0]
 
 
 def solve_selections(
-    scaled: np.ndarray, feasible: np.ndarray, selections: Sequence[Sequence[int]],
+    matrix: np.ndarray, costs: list[list[int]], big_m: int, selections: Sequence[Sequence[int]],
     order: Sequence[int] | None = None,
 ) -> list[tuple[list[tuple[int, int]], int]]:
     """``solve`` on each selection of columns in turn, each warm-started from the last.
 
-    A selection lists distinct columns of ``scaled`` and ``feasible``, both
-    shaped (workers, columns). Per selection, in the given order, returns
-    the matched ``(worker, position in the selection)`` pairs sorted by
-    position and their total cost. Consecutive selections that share most
-    columns are cheap: only the rows that change are re-augmented. ``order``
-    lists every column from the largest cost scale to the smallest; given
-    it, a first selection of at least ``SEED_MIN_UNITS`` units is seeded.
+    ``matrix`` is one matrix of ``padded``'s result, ``costs`` its rows as
+    Python ints and ``big_m`` its big M; it must be padded to at least as
+    many workers as the largest selection has columns. A selection lists
+    distinct columns. Per selection, in the given order, returns the matched
+    ``(worker, position in the selection)`` pairs sorted by position and
+    their total cost. Consecutive selections that share most columns are
+    cheap: only the rows that change are re-augmented. ``order`` lists every
+    column from the largest cost scale to the smallest; given it, a first
+    selection of at least ``SEED_MIN_UNITS`` units is seeded from ``matrix``.
     """
-    num_workers = feasible.shape[0]
-    size = max(num_workers, max(map(len, selections), default=0))
-    big_m = int(scaled[feasible].sum()) + 1
-    matrix = np.where(feasible, scaled, big_m).T  # one row per column
-    if size > num_workers:
-        matrix = np.hstack([matrix, np.full((len(matrix), size - num_workers), big_m, matrix.dtype)])
-    costs = matrix.tolist()  # Python ints
+    size = matrix.shape[1]
     zeros = [0] * size
 
     row_cost = [zeros] * size
@@ -107,7 +126,7 @@ def solve_selections(
 
         if not results and order is not None and len(selection) >= SEED_MIN_UNITS:
             entering = [unit for unit in order if unit in chosen]
-            col_potential, tight, spare = _seed(matrix, costs, feasible, entering)
+            col_potential, tight, spare = _seed(matrix, costs, big_m, entering)
             for unit, col, potential in tight:
                 row = row_of_unit[unit] = open_rows.pop()
                 row_cost[row] = costs[unit]
@@ -160,14 +179,14 @@ def solve_selections(
         total = 0
         for position, unit in enumerate(selection):
             worker = col_for_row[row_of_unit[unit]]
-            if worker < num_workers and costs[unit][worker] < big_m:
+            if costs[unit][worker] < big_m:  # a padding worker costs big M too
                 pairs.append((worker, position))
                 total += costs[unit][worker]
         results.append((pairs, total))
     return results
 
 
-def _seed(matrix: np.ndarray, costs: list[list[int]], feasible: np.ndarray,
+def _seed(matrix: np.ndarray, costs: list[list[int]], big_m: int,
           units: list[int]) -> tuple[list[int], list[tuple[int, int, int]], list[int]]:
     """A cold start for ``units``, listed from the largest cost scale to the smallest.
 
@@ -189,9 +208,10 @@ def _seed(matrix: np.ndarray, costs: list[list[int]], feasible: np.ndarray,
     taken = [False] * size
     pairs = []
     for unit in units:
-        entry = ranked.get(key := feasible[:, unit].tobytes())
+        feasible = matrix[unit] < big_m  # big M marks infeasible and padding workers alike
+        entry = ranked.get(key := feasible.tobytes())
         if entry is None:
-            workers = np.flatnonzero(feasible[:, unit])
+            workers = np.flatnonzero(feasible)
             ranking = np.argsort(matrix[unit, workers], kind="stable")
             entry = ranked[key] = [workers[ranking].tolist(), 0]
         workers, at = entry

@@ -77,7 +77,8 @@ def cmd_allocate(args) -> int:
     cluster_path = Path(args.cluster)
     cluster = load_cluster(cluster_path)
     generators = swarmsim.workload_generators(cluster.workers, args.seed, cluster_path.parent)
-    workers = next(swarmsim.sample_rounds(cluster.workers, generators, [0]))
+    [rows] = next(swarmsim.sample_rounds(generators, [0], 1))
+    workers = swarmsim.worker_states(cluster.workers, rows)
     result = allocator.allocate_experiment(workers, experiment)
     report = allocator.explain(result)
     if args.out:

@@ -21,13 +21,23 @@ bit for bit; it skips the per-cell checks, since ``WorkloadSample``,
 ``ServiceSpec`` and ``ExperimentSpec`` validate on construction. It is two
 steps: ``prepare_unit_costs`` keeps what no sample changes (feasibility,
 each member position's base costs and columns, the pool discount), and
-``UnitCosts.matrix`` adds one round's load terms. The allocator prepares
-once per fleet and experiment, over every single service and every pool any
-configuration can use, and calls ``matrix`` once per round; it reads both
-its solver input and its placement costs from that one matrix.
+``UnitCosts`` adds the load terms of a block of rounds at once, one
+(rounds, workers, units) tensor built member position by member position
+in the scalar add order. The load terms ``cpu**4`` and the like stay
+Python-float powers, never ``np.power``, whose SIMD kernels may round
+differently. ``UnitCosts.block`` goes on, in the same pass, to the solver's
+input: the integer grid, the allocator's services tie-break, each round's
+big M from one sum, and the padded, transposed rows as one ``tolist()``.
+``UnitCosts.matrix`` (and so ``build_cost_matrix``) is the float costs of
+one round. The allocator prepares once per fleet and experiment, over every
+single service and every pool any configuration can use, and costs each
+block of simulation rounds once; it reads both its solver input and its
+placement costs from that one block.
 
 Capability and dependency relations are plain numpy arrays: ``bool``
-worker x service and ``int8`` service x service.
+worker x service and ``int8`` service x service. The capability matrix is
+one subset test per pair of capability classes (workers by the tags they
+offer, services by the tags they need), expanded to every pair.
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import assignment
 from .definitions import CostWeights, ServiceSpec
 from .errors import DomainError, PoolTooSmall
 from .model import WorkerState, WorkloadSample
@@ -108,13 +119,18 @@ def pooled_cost(members: Sequence[ServiceSpec], workload: WorkloadSample,
 
 def build_capability_matrix(workers: Sequence[WorkerState],
                             services: Sequence[ServiceSpec]) -> np.ndarray:
-    """Bool worker x service array: (i, j) is True iff worker i's tags cover service j's needs."""
-    entries = np.zeros((len(workers), len(services)), dtype=bool)
-    for i, worker in enumerate(workers):
-        tags = worker.profile.capabilities
-        for j, service in enumerate(services):
-            entries[i, j] = service.required_capabilities <= tags
-    return entries
+    """Bool worker x service array: (i, j) is True iff worker i's tags cover service j's needs.
+
+    Workers are grouped by their tag set and services by the set they need,
+    so there is one subset test per pair of groups, not per pair.
+    """
+    offered: dict[frozenset, int] = {}
+    needed: dict[frozenset, int] = {}
+    worker_group = [offered.setdefault(w.profile.capabilities, len(offered)) for w in workers]
+    service_group = [needed.setdefault(s.required_capabilities, len(needed)) for s in services]
+    covers = np.array([[need <= tags for need in needed] for tags in offered],
+                      dtype=bool).reshape(len(offered), len(needed))
+    return covers.take(worker_group, axis=0).take(service_group, axis=1)
 
 
 def pooled_capability(capabilities: np.ndarray, worker_index: int,
@@ -150,10 +166,11 @@ class CostMatrix:
 
     Infeasible pairs are masked out rather than given a sentinel cost, so
     the solver never trades a real assignment against a fake one.
-    ``scaled()`` yields the integer grid actually handed to the solver.
+    ``scaled()`` yields the integer grid actually handed to the solver. A
+    block of rounds stacks its rounds' values on a leading axis.
     """
 
-    values: np.ndarray    # shape (workers, units), float64; 0.0 where infeasible
+    values: np.ndarray    # shape ([rounds,] workers, units), float64; 0.0 where infeasible
     feasible: np.ndarray  # shape (workers, units), bool
 
     def scaled(self) -> np.ndarray:
@@ -165,32 +182,67 @@ class CostMatrix:
 
 
 @dataclass(frozen=True)
+class CostBlock:
+    """A block of rounds costed in one pass: the float costs and the solver's rows."""
+
+    values: np.ndarray     # shape (rounds, workers, units), float64; 0.0 where infeasible
+    solver: np.ndarray     # shape (rounds, units, size): ``assignment.padded`` of the encoded costs
+    rows: list             # ``solver.tolist()``: per round, per unit, Python ints
+    big_m: list[int]       # per round
+
+
+@dataclass(frozen=True)
 class UnitCosts:
     """The part of a worker x unit cost matrix that no workload sample changes.
 
     ``prepare_unit_costs`` builds it once per fleet and unit list: the
     feasibility of every cell, each member position's base costs and unit
     columns, and the factor that discounts pools and zeroes infeasible
-    cells. ``matrix`` adds a round's load terms.
+    cells. ``block`` costs a block of rounds in one pass, through to the
+    solver's rows; ``matrix`` is its float costs for one round.
     """
 
     feasible: np.ndarray  # shape (workers, units), bool, read-only
     positions: tuple[tuple["slice | np.ndarray", np.ndarray], ...]  # (unit columns, base costs)
     factor: np.ndarray    # shape (workers, units): 1.0, the discount for pools, 0.0 where infeasible
-    weights: np.ndarray   # shape (4, 1, 1): cpu, vram, swap, bandwidth
+    weights: np.ndarray   # shape (4, 1, 1, 1): cpu, vram, swap, bandwidth
 
-    def matrix(self, workloads: Sequence[WorkloadSample]) -> CostMatrix:
-        """The cost matrix for one sample per worker, in the prepared worker order."""
+    def _values(self, rounds: "Sequence[Sequence[Sequence[float]]]") -> np.ndarray:
+        """The (rounds, workers, units) float costs of one load row per worker per round.
+
+        A load row is (cpu, vram, swap, bandwidth), or a ``WorkloadSample``.
+        """
         # Per-worker load terms, computed with Python floats exactly as the scalar functions do.
-        loads = np.array([(s.cpu**4, s.vram**4, s.swap, (1.0 - s.bandwidth) ** 4) for s in workloads],
-                         dtype=np.float64).reshape(-1, 4).T[:, :, None]
-        values = np.zeros(self.feasible.shape, dtype=np.float64)
+        loads = np.array([[(cpu**4, vram**4, swap, (1.0 - bandwidth) ** 4)
+                           for cpu, vram, swap, bandwidth in workers] for workers in rounds],
+                         dtype=np.float64).reshape(len(rounds), -1, 4)
+        loads = np.moveaxis(loads, 2, 0)[..., None]  # (4, rounds, workers, 1)
+        values = np.zeros((len(rounds), *self.feasible.shape), dtype=np.float64)
         # Member p of every unit that has one, so pools add their members left to right.
         for units, base in self.positions:
             terms = self.weights * (base * loads)
-            values[:, units] += terms[0] + terms[1] + terms[2] + terms[3]
+            values[:, :, units] += terms[0] + terms[1] + terms[2] + terms[3]
         values *= self.factor
-        return CostMatrix(values=values, feasible=self.feasible)
+        return values
+
+    def matrix(self, workloads: "Sequence[Sequence[float]]") -> CostMatrix:
+        """The cost matrix for one load row per worker, in the prepared worker order."""
+        return CostMatrix(values=self._values([workloads])[0], feasible=self.feasible)
+
+    def block(self, rounds: "Sequence[Sequence[Sequence[float]]]", size: int, spread: int,
+              offsets: np.ndarray) -> CostBlock:
+        """Cost ``rounds`` of load rows and lay them out for ``assignment.solve_selections``.
+
+        The solver sees ``scaled * spread + offsets`` (the allocator's
+        services tie-break; with ``spread`` 1 the costs as they are), padded
+        to ``size`` workers.
+        """
+        values = self._values(rounds)
+        scaled = CostMatrix(values=values, feasible=self.feasible).scaled()
+        if spread > 1:
+            scaled = scaled.astype(offsets.dtype, copy=False) * spread + offsets
+        solver, big_m = assignment.padded(scaled, self.feasible, size)
+        return CostBlock(values=values, solver=solver, rows=solver.tolist(), big_m=big_m)
 
 
 def prepare_unit_costs(unit_members: Sequence[Sequence[ServiceSpec]],
@@ -216,7 +268,7 @@ def prepare_unit_costs(unit_members: Sequence[Sequence[ServiceSpec]],
     factor = np.where(feasible, np.where(pooled, discount, 1.0), 0.0)
     feasible.flags.writeable = False  # shared by every round's CostMatrix
     return UnitCosts(feasible=feasible, positions=tuple(positions), factor=factor,
-                     weights=np.array(weights.as_tuple(), dtype=np.float64).reshape(4, 1, 1))
+                     weights=np.array(weights.as_tuple(), dtype=np.float64).reshape(4, 1, 1, 1))
 
 
 def build_cost_matrix(workers: Sequence[WorkerState],

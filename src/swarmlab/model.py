@@ -49,6 +49,10 @@ class WorkloadSample:
             if not (isinstance(value, (int, float)) and math.isfinite(value) and 0.0 <= value <= 1.0):
                 raise ValueError(f"{name} utilization must be within [0, 1], got {value!r}")
 
+    def __iter__(self):
+        """The four values in field order, so a sample unpacks like a load row."""
+        return iter((self.cpu, self.vram, self.swap, self.bandwidth))
+
     @classmethod
     def trusted(cls, cpu: float, vram: float, swap: float, bandwidth: float) -> "WorkloadSample":
         """A sample of values the caller has already checked, built without re-validating.

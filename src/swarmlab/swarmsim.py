@@ -9,20 +9,25 @@ simulates fetching and starting its services. All latencies are
 configuration values and all randomness flows from the config seed, so
 equal configs produce bit-identical results and traces.
 
-``sample_rounds`` is the one sampling path. One ``rng.uniform_rows`` call
-draws every ``uniform`` worker's samples over a block of up to
-``DRAW_BLOCK_ROWS`` rows of iterations, bit-identical to seeding one
-``default_rng`` per sample as the stream is defined; ``fixed`` and
-``trace`` workers sample through ``WorkloadGenerator.sample``. One
-generator per worker serves a whole command, and the generators of one
-``workload_generators`` call share their parsed trace files, so each file
-is parsed once per command. ``run_experiment`` prepares the allocation once
-and returns only the rounds' results; ``run_iteration`` returns one round's
-result and trace; ``measure_scaling`` samples, prepares, costs and scales
-its largest cell once and only solves each grid cell's top-left block.
-``_timings`` is the one phase-time rule: ``_trace`` and ``measure_scaling``
-both read a round's durations from it. The lifecycle exists only as trace
-events, so every ``MemberRegistered`` event carries version 1.
+``sample_rounds`` is the one sampling path. It yields blocks of rounds of
+load rows, Python floats in roster order: one ``rng.uniform_rows`` call
+draws every ``uniform`` worker's samples of a block, bit-identical to
+seeding one ``default_rng`` per sample as the stream is defined; ``trace``
+workers replay their cached rows, and ``fixed`` workers are checked once
+per command. One generator per worker serves a whole command, and the
+generators of one ``workload_generators`` call share their parsed trace
+files, so each file is parsed once per command. ``run_experiment`` prepares
+the allocation once and hands each block to
+``PreparedAllocation.allocate_rounds``, which costs it in one pass; a block
+holds ``block_rounds`` rounds, as many as fit ``BLOCK_CELLS`` worker x
+column cost cells, and at least one. It returns only the rounds' results.
+Only the callers that read worker states build them (``worker_states``):
+``run_iteration``, which returns one round's result and trace, and the
+CLI's ``allocate``. ``measure_scaling`` costs the load rows of its largest
+cell once and only solves each grid cell's top-left block. ``_timings`` is
+the one phase-time rule: ``_trace`` and ``measure_scaling`` both read a
+round's durations from it. The lifecycle exists only as trace events, so
+every ``MemberRegistered`` event carries version 1.
 """
 
 from __future__ import annotations
@@ -57,10 +62,15 @@ _JITTER_TAG = 0x171E
 #: Per-iteration jitter applied around a worker's persistent level, as a
 #: fraction of the configured half-width.
 JITTER_FRACTION = 0.25
-#: Most jitter rows (uniform workers x iterations) drawn in one batch; bounds
-#: the draw's memory whatever the iteration count. A block holds at least
-#: one iteration.
-DRAW_BLOCK_ROWS = 4096
+#: Most worker x column cost cells in one block of rounds; bounds the memory
+#: of a block's draws, cost tensors and solver rows whatever the iteration
+#: count. A block holds at least one round.
+BLOCK_CELLS = 2**15
+
+
+def block_rounds(workers: int, columns: int) -> int:
+    """How many rounds of ``workers`` x ``columns`` costs one block holds."""
+    return max(1, BLOCK_CELLS // (workers * columns))
 
 
 def _entropy_words(value: int) -> list[int]:
@@ -96,7 +106,7 @@ class WorkloadGenerator:
     JITTER_FRACTION``, and clips to [0, 1]. That definition is unchanged,
     but the draws are batched: ``rng.uniform_rows`` computes them bit for
     bit, the level together with the first jitter rows. ``sample`` draws
-    one iteration; simulation rounds draw every uniform worker's block of
+    one iteration; ``sample_rounds`` draws every uniform worker's block of
     iterations in one call.
     """
 
@@ -301,28 +311,45 @@ def workload_generators(workers: "Sequence[ClusterWorker]", seed: int,
     return generators
 
 
-def sample_rounds(workers: "Sequence[ClusterWorker]", generators: "Sequence[WorkloadGenerator]",
-                  iterations: "Sequence[int]") -> Iterator[list[WorkerState]]:
-    """Each of ``iterations``' worker states, one per worker in roster order.
+def sample_rounds(generators: "Sequence[WorkloadGenerator]", iterations: "Sequence[int]",
+                  per_block: int) -> Iterator[list[list[Sequence[float]]]]:
+    """``iterations`` in blocks of up to ``per_block`` rounds of load rows.
 
-    One ``uniform_rows`` call draws a block of iterations for every uniform
-    worker: ``DRAW_BLOCK_ROWS`` jitter rows at most, or one iteration's when
-    there are more uniform workers, plus the levels still missing. None is
-    made when no worker is uniform. The other workers' samples come from
-    ``WorkloadGenerator.sample``.
+    A round holds one (cpu, vram, swap, bandwidth) row of Python floats per
+    generator, in roster order. One ``uniform_rows`` call draws a block's
+    rows for every uniform worker, plus the levels still missing; none is
+    made when no worker is uniform. ``trace`` workers replay their cached
+    rows, and a ``fixed`` worker's values are checked once, as
+    ``WorkloadSample`` checks them, before the first block.
     """
-    uniform = [i for i, g in enumerate(generators) if isinstance(g.model, UniformWorkload)]
+    rows: list = [None] * len(generators)  # fixed values; uniform and trace rows change per round
+    uniform, traces = [], []
+    for idx, generator in enumerate(generators):
+        if isinstance(generator.model, UniformWorkload):
+            uniform.append(idx)
+        elif isinstance(generator.model, TraceWorkload):
+            traces.append((idx, generator._rows()))
+        else:
+            rows[idx] = tuple(generator.sample(0))
     uniform_generators = [generators[i] for i in uniform]
-    per_block = max(1, DRAW_BLOCK_ROWS // max(1, len(uniform)))
     for start in range(0, len(iterations), per_block):
         block = iterations[start:start + per_block]
-        drawn = _uniform_values(uniform_generators, block) if uniform else [[] for _ in block]
+        drawn = _uniform_values(uniform_generators, block) if uniform else [[]] * len(block)
+        rounds = []
         for iteration, values in zip(block, drawn):
-            drawn_at = dict(zip(uniform, values))
-            yield [WorkerState(id=w.id, profile=w.profile,
-                               workload=WorkloadSample.trusted(*drawn_at[idx]) if idx in drawn_at
-                               else generator.sample(iteration))
-                   for idx, (w, generator) in enumerate(zip(workers, generators))]
+            for idx, row in zip(uniform, values):
+                rows[idx] = row
+            for idx, trace in traces:
+                rows[idx] = trace[iteration % len(trace)]
+            rounds.append(rows.copy())
+        yield rounds
+
+
+def worker_states(workers: "Sequence[ClusterWorker]",
+                  rows: "Sequence[Sequence[float]]") -> list[WorkerState]:
+    """The workers' states in one round of ``sample_rounds``."""
+    return [WorkerState(id=w.id, profile=w.profile, workload=WorkloadSample.trusted(*row))
+            for w, row in zip(workers, rows)]
 
 
 @dataclass(frozen=True)
@@ -388,7 +415,8 @@ def run_iteration(cfg: SimConfig, iter_index: int) -> tuple[AllocationResult, Si
     """Run one full lifecycle round and return its allocation and trace."""
     allocation = prepare_experiment(cfg.workers, cfg.experiment)
     generators = workload_generators(cfg.workers, cfg.seed, cfg.base_dir)
-    result = allocation.allocate(next(sample_rounds(cfg.workers, generators, [iter_index])))
+    [rows] = next(sample_rounds(generators, [iter_index], 1))
+    result = allocation.allocate(worker_states(cfg.workers, rows))
     return result, _trace(_prepare_rounds(cfg), result)
 
 
@@ -434,12 +462,15 @@ def _trace(rounds: _Rounds, result: AllocationResult) -> SimTrace:
 def run_experiment(cfg: SimConfig) -> list[AllocationResult]:
     """Allocate ``cfg.iterations`` independent rounds with re-sampled workloads.
 
-    The allocation is prepared once for all rounds; no trace is built.
+    The allocation is prepared once for all rounds, and each block of
+    ``block_rounds`` rounds is sampled and costed in one pass; no trace is
+    built.
     """
     allocation = prepare_experiment(cfg.workers, cfg.experiment)
     generators = workload_generators(cfg.workers, cfg.seed, cfg.base_dir)
-    return [allocation.allocate(states)
-            for states in sample_rounds(cfg.workers, generators, range(cfg.iterations))]
+    per_block = block_rounds(*allocation.costs.feasible.shape)
+    return [result for rounds in sample_rounds(generators, range(cfg.iterations), per_block)
+            for result in allocation.allocate_rounds(rounds)]
 
 
 @dataclass(frozen=True)
@@ -460,10 +491,11 @@ def measure_scaling(worker_counts, service_counts, template: SimConfig) -> list[
     raises its error. A scaling experiment has no dependencies, so a cell's
     allocation problem is the top-left n x k block of the largest cell's.
     The grid therefore samples, prepares, costs and scales once. The cells
-    of one worker count are one ``assignment.solve_selections`` call, whose
-    selections are the first k units for each service count in turn, each
-    warm-started from the last; a cell's time is ``_timings`` of its
-    matched units, and no trace is rendered.
+    of one worker count are one ``assignment.solve_selections`` call on the
+    first n workers' padded rows, whose selections are the first k units
+    for each service count in turn, each warm-started from the last; a
+    cell's time is ``_timings`` of its matched units, and no trace is
+    rendered.
     """
     worker_counts = list(worker_counts)
     service_counts = list(service_counts)
@@ -476,24 +508,25 @@ def measure_scaling(worker_counts, service_counts, template: SimConfig) -> list[
     services = tuple(replace(prototype_service, name=f"svc{k + 1:03d}")
                      for k in range(max(service_counts)))
     generators = workload_generators(fleet, template.seed, template.base_dir)
-    states = next(sample_rounds(fleet, generators, [0]))  # every cell samples iteration 0
+    [rows] = next(sample_rounds(generators, [0], 1))  # every cell samples iteration 0
 
     experiment = replace(template.experiment, dependencies=())
     grid = [replace(template, workers=fleet[:max(num_workers, 0)], iterations=1,
                     experiment=replace(experiment, services=services[:max(num_services, 0)]))
             for num_workers in worker_counts for num_services in service_counts]
     costs = prepare_experiment(fleet, replace(experiment, services=services)).costs
-    matrix = costs.matrix([state.workload for state in states])
-    scaled = matrix.scaled()
+    matrix = costs.matrix(rows)
+    scaled = matrix.scaled()[None]
     fetch_ms = [template.fetch_latency.duration_ms(service.image_size_mb) for service in services]
 
     cells = []
     for start in range(0, len(grid), len(service_counts)):
         row = grid[start:start + len(service_counts)]  # one worker count, every service count
         num_workers = len(row[0].workers)
+        [solver], [big_m] = assignment.padded(scaled[:, :num_workers], matrix.feasible[:num_workers],
+                                              max(num_workers, len(services)))
         solved = assignment.solve_selections(
-            scaled[:num_workers], matrix.feasible[:num_workers],
-            [range(len(cfg.experiment.services)) for cfg in row])
+            solver, solver.tolist(), big_m, [range(len(cfg.experiment.services)) for cfg in row])
         for cfg, (pairs, _) in zip(row, solved):
             timings = _timings(cfg, [fetch_ms[unit] for _, unit in pairs])
             cells.append(ScalingCell(num_workers, len(cfg.experiment.services), timings["total_ms"]))

@@ -188,9 +188,10 @@ def _oracle_matrices(workers, services, config, weights, discount):
 
 
 def test_one_cost_matrix_per_allocation(monkeypatch):
-    # UnitCosts.matrix is the per-round costing entry point (build_cost_matrix
-    # is prepare_unit_costs plus one matrix call).
-    calls = {"matrix": 0, "scaled": 0}
+    # UnitCosts.block is the costing entry point of a block of rounds, one round
+    # here; UnitCosts.matrix (build_cost_matrix's one round of float costs) is not
+    # called beside it.
+    calls = {"matrix": 0, "block": 0, "scaled": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -201,12 +202,13 @@ def test_one_cost_matrix_per_allocation(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(costing.UnitCosts, "matrix")
+    counted(costing.UnitCosts, "block")
     counted(CostMatrix, "scaled")
     workers = [make_worker(f"w{i}", cpu=0.05 * i, bandwidth=0.5) for i in range(8)]
     services = [make_service(f"s{j}", 10.0 + 5 * j) for j in range(6)]
     result = allocate(workers, services, [("s0", "s1"), ("s2", "s3"), ("s5", "s4")], EQUAL, 0.9)
     assert len(result.outcomes) == 8
-    assert calls == {"matrix": 1, "scaled": 1}
+    assert calls == {"matrix": 0, "block": 1, "scaled": 1}
 
 
 def test_prepared_allocation_serves_many_rounds():

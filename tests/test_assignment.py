@@ -13,6 +13,13 @@ from swarmlab.definitions import CostWeights
 from factories import make_service, make_worker
 
 
+def solve_selections(scaled, feasible, selections, order=None):
+    """``assignment.solve_selections`` on one (workers, columns) matrix, padded as the allocator pads."""
+    size = max(feasible.shape[0], max(map(len, selections), default=0))
+    [matrix], [big_m] = assignment.padded(np.asarray(scaled)[None], feasible, size)
+    return assignment.solve_selections(matrix, matrix.tolist(), big_m, selections, order)
+
+
 def _mcmf_totals(scaled, feasible):
     costs = CostMatrix(values=np.where(feasible, scaled / COST_SCALE, 0.0), feasible=feasible)
     assert np.array_equal(costs.scaled(), np.where(feasible, scaled, 0))
@@ -144,7 +151,7 @@ def test_selections_match_independent_solves():
         feasible = rng.random((workers, columns)) < rng.uniform(0.0, 1.0)
         selections = [rng.permutation(columns)[:int(rng.integers(0, columns + 1))].tolist()
                       for _ in range(int(rng.integers(1, 8)))]
-        solved = assignment.solve_selections(scaled, feasible, selections)
+        solved = solve_selections(scaled, feasible, selections)
         assert len(solved) == len(selections)
         for cols, (pairs, cost) in zip(selections, solved):
             assert [p for _, p in pairs] == sorted({p for _, p in pairs})
@@ -189,7 +196,7 @@ def test_warm_started_configurations_match_independent_solves(fleet, random):
 
     order = list(range(len(prepared.selections)))
     random.shuffle(order)
-    shuffled = assignment.solve_selections(scaled, feasible, [prepared.selections[i][0] for i in order])
+    shuffled = solve_selections(scaled, feasible, [prepared.selections[i][0] for i in order])
     permuted = dict(zip(order, shuffled))
     for outcome, (cols, sizes) in zip(result.outcomes, prepared.selections):
         pairs, cost = assignment.solve(scaled[:, cols], feasible[:, cols])
@@ -241,8 +248,8 @@ def seeded_problems(draw):
 def test_seeded_cold_solves_match_scipy(problem):
     scaled, feasible, order, later = problem
     selections = [list(range(scaled.shape[1]))] + later
-    seeded = assignment.solve_selections(scaled, feasible, selections, order)
-    plain = assignment.solve_selections(scaled, feasible, selections)
+    seeded = solve_selections(scaled, feasible, selections, order)
+    plain = solve_selections(scaled, feasible, selections)
     for cols, (pairs, cost), (plain_pairs, plain_cost) in zip(selections, seeded, plain):
         assert len({w for w, _ in pairs}) == len(pairs)
         assert all(feasible[w, cols[p]] for w, p in pairs)
@@ -275,7 +282,7 @@ def test_product_costs_are_seeded_without_a_search(monkeypatch):
         scaled = np.outer(loads, scales)
         feasible = np.ones(scaled.shape, dtype=bool)
         order = np.argsort(-scales, kind="stable").tolist()
-        [(pairs, cost)] = assignment.solve_selections(scaled, feasible, [range(units)], order)
+        [(pairs, cost)] = solve_selections(scaled, feasible, [range(units)], order)
         assert searches == []
         by_load = np.argsort(loads, kind="stable").tolist()
         assert sorted(pairs, key=lambda pair: -scales[pair[1]]) == \
@@ -305,7 +312,7 @@ def test_seeded_cold_starts_run_no_padding_search(monkeypatch):
         assert len(first) >= assignment.SEED_MIN_UNITS
         scaled = prepared.costs.matrix([w.workload for w in fleet]).scaled()
         searches.clear()
-        assignment.solve_selections(scaled, prepared.costs.feasible, [first], prepared.scale_order)
+        solve_selections(scaled, prepared.costs.feasible, [first], prepared.scale_order)
         assert all(any(row) for row in searches)  # unit rows only: padding rows cost 0
         dropped += len(searches)
         prepared_demo = prepared_demo or (prepared, fleet, len(searches))

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import tempfile
@@ -172,6 +173,24 @@ def test_simulate_output_matches_golden(tmp_path):
                  "--iterations", "2", "--seed", "31", "--out-dir", str(out_dir)]) == 0
     for name in ("allocations.csv", "fairness.csv", "summary.json"):
         assert (out_dir / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+#: SHA-256 of the shipped demo's 1000-iteration, seed-7 reports, recorded at the commit
+#: before rounds were costed in blocks (when the command drew three blocks of samples).
+DEMO_1000_DIGESTS = {
+    "allocations.csv": "fa23ecae07baa26c41a422e9f03888737722828a5a5044df1b6cb573a4e52022",
+    "fairness.csv": "ce32a4ea1e58c2a5708d1a92e3c16dcb2f660438642d54f3efdfed800dc0fa7d",
+    "summary.json": "01c54ca00e18d891a6547ee76d38f9dc3d58600925175afb24a64e3f7f779f54",
+}
+
+
+def test_simulate_1000_demo_iterations_match_recorded_digests(tmp_path):
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--edf", str(SAMPLES / "mapping-demo.edf.json"),
+                 "--cluster", str(SAMPLES / "bench.cluster.json"),
+                 "--iterations", "1000", "--seed", "7", "--out-dir", str(out_dir)]) == 0
+    assert {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in DEMO_1000_DIGESTS} == DEMO_1000_DIGESTS
 
 
 def test_simulate_is_byte_deterministic(tmp_path, artifacts):

@@ -115,16 +115,16 @@ def _mixed_fleet(tmp_path):
 
 
 @pytest.fixture
-def allocated_states(monkeypatch):
-    """Records the worker states each round hands to the allocation."""
+def allocated_rounds(monkeypatch):
+    """Records, for each round handed to the allocation, every worker's (id, load row)."""
     seen = []
-    original = allocator.PreparedAllocation.allocate
+    original = allocator.PreparedAllocation.allocate_rounds
 
-    def recording(self, workers):
-        seen.append(workers)
-        return original(self, workers)
+    def recording(self, rounds):
+        seen.extend(list(zip(self.worker_ids, rows)) for rows in rounds)
+        return original(self, rounds)
 
-    monkeypatch.setattr(allocator.PreparedAllocation, "allocate", recording)
+    monkeypatch.setattr(allocator.PreparedAllocation, "allocate_rounds", recording)
     return seen
 
 
@@ -143,10 +143,11 @@ def kernel_rows(monkeypatch):
 
 
 def _assert_rounds_match_reference(rounds, workers, seed):
-    for iteration, states in enumerate(rounds):
-        for index, (worker, state) in enumerate(zip(workers, states)):
-            got = (state.workload.cpu, state.workload.vram, state.workload.swap,
-                   state.workload.bandwidth)
+    """``rounds[k]`` holds each worker's (id, load row) at iteration k."""
+    for iteration, pairs in enumerate(rounds):
+        assert len(pairs) == len(workers)
+        for index, (worker, (worker_id, row)) in enumerate(zip(workers, pairs)):
+            got = tuple(row)
             model = worker.workload
             if isinstance(model, UniformWorkload):
                 expected = _reference_uniform_sample(model, seed, index, iteration)
@@ -155,32 +156,33 @@ def _assert_rounds_match_reference(rounds, workers, seed):
             else:
                 expected = ((0.1, 0.2, 0.3, 0.4), (0.5, 0.5, 0.5, 0.5))[iteration % 2]
             assert [v.hex() for v in got] == [v.hex() for v in expected], (iteration, index)
-            assert state.id == worker.id
+            assert worker_id == worker.id
 
 
-def test_long_experiment_samples_match_per_sample_default_rng(tmp_path, allocated_states,
+def test_long_experiment_samples_match_per_sample_default_rng(tmp_path, allocated_rounds,
                                                               kernel_rows):
     workers = _mixed_fleet(tmp_path)
     cfg = SimConfig(workers=workers, experiment=bench_experiment(2), seed=2**32 + 9,
                     iterations=240, parallel_cost_calc=False, base_dir=str(tmp_path))
     run_experiment(cfg)
-    assert len(allocated_states) == 240
-    _assert_rounds_match_reference(allocated_states, workers, cfg.seed)
+    assert len(allocated_rounds) == 240
+    _assert_rounds_match_reference(allocated_rounds, workers, cfg.seed)
     # One batch for the whole command: four levels and 4 x 240 jitter rows.
     assert kernel_rows == [4 + 4 * 240]
 
 
-def test_iterations_crossing_draw_blocks_match_reference(tmp_path, allocated_states,
+def test_iterations_crossing_draw_blocks_match_reference(tmp_path, allocated_rounds,
                                                          kernel_rows, monkeypatch):
-    monkeypatch.setattr(swarmsim, "DRAW_BLOCK_ROWS", 9)  # two iterations of 4 uniform workers
+    default = swarmsim.BLOCK_CELLS
+    monkeypatch.setattr(swarmsim, "BLOCK_CELLS", 24)  # two rounds of 6 workers x 2 columns
     workers = _mixed_fleet(tmp_path)
     cfg = SimConfig(workers=workers, experiment=bench_experiment(2), seed=17, iterations=7,
                     base_dir=str(tmp_path))
     blocked = run_experiment(cfg)
     assert kernel_rows == [4 + 8, 8, 8, 4]
-    _assert_rounds_match_reference(allocated_states, workers, cfg.seed)
+    _assert_rounds_match_reference(allocated_rounds, workers, cfg.seed)
 
-    monkeypatch.setattr(swarmsim, "DRAW_BLOCK_ROWS", 4096)
+    monkeypatch.setattr(swarmsim, "BLOCK_CELLS", default)
     whole = run_experiment(cfg)
     assert kernel_rows[4:] == [4 + 4 * 7]
     # Whole results: assignments, every configuration's outcome and the scaled total.
@@ -191,9 +193,10 @@ def test_iterations_crossing_draw_blocks_match_reference(tmp_path, allocated_sta
 def test_allocate_round_draws_iteration_zero_only(tmp_path, kernel_rows):
     workers = _mixed_fleet(tmp_path)
     generators = swarmsim.workload_generators(workers, 3, tmp_path)
-    states = next(swarmsim.sample_rounds(workers, generators, [0]))
+    [rows] = next(swarmsim.sample_rounds(generators, [0], 1))
     assert kernel_rows == [4 + 4]  # the four levels and the four iteration-0 jitter rows
-    _assert_rounds_match_reference([states], workers, 3)
+    states = swarmsim.worker_states(workers, rows)  # what allocate hands the allocation
+    _assert_rounds_match_reference([[(s.id, s.workload) for s in states]], workers, 3)
 
 
 def test_fleets_without_uniform_workers_make_no_kernel_call(tmp_path, kernel_rows):
@@ -218,9 +221,9 @@ def test_scaling_cells_share_the_largest_fleet_samples(tmp_path, monkeypatch):
         costed.append(list(workloads))
         return matrix(self, workloads)
 
-    def recording_solve_selections(scaled, feasible, selections, order=None):
+    def recording_solve_selections(matrix, costs, big_m, selections, order=None):
         assert [list(cols) for cols in selections] == [[0], [0, 1]]
-        solved.extend(solve_selections(scaled, feasible, selections, order))
+        solved.extend(solve_selections(matrix, costs, big_m, selections, order))
         return solved[-len(selections):]
 
     monkeypatch.setattr(costing.UnitCosts, "matrix", recording_matrix)
@@ -231,9 +234,8 @@ def test_scaling_cells_share_the_largest_fleet_samples(tmp_path, monkeypatch):
     # One cost matrix, on the reference samples of the 8-worker fleet.
     fleet = [replace(template.workers[i % 6], id=f"w{i + 1:03d}") for i in range(8)]
     assert len(costed) == 1
-    states = [WorkerState(id=w.id, profile=w.profile, workload=sample)
-              for w, sample in zip(fleet, costed[0])]
-    _assert_rounds_match_reference([states], fleet, template.seed)
+    states = swarmsim.worker_states(fleet, costed[0])
+    _assert_rounds_match_reference([[(s.id, s.workload) for s in states]], fleet, template.seed)
     # Each cell matches what its own prepared allocation places on the first n samples.
     services = tuple(replace(template.experiment.services[0], name=f"svc{k + 1:03d}")
                      for k in range(2))
@@ -251,17 +253,17 @@ def test_scaling_cells_share_the_largest_fleet_samples(tmp_path, monkeypatch):
 
 def test_scaling_samples_each_fleet_worker_once(tmp_path, monkeypatch):
     calls = []
-    original = WorkloadGenerator.sample
+    original = swarmsim.sample_rounds
 
-    def counting(self, iteration):
-        calls.append((self.worker_index, iteration))
-        return original(self, iteration)
+    def recording(generators, iterations, per_block):
+        calls.append(([g.worker_index for g in generators], list(iterations)))
+        return original(generators, iterations, per_block)
 
-    monkeypatch.setattr(WorkloadGenerator, "sample", counting)
+    monkeypatch.setattr(swarmsim, "sample_rounds", recording)
     cells = measure_scaling(range(1, 5), range(1, 4), _trace_template(tmp_path, num_workers=2))
     assert len(cells) == 12
     # Iteration 0 of each of the four fleet workers, not one sample per worker per cell.
-    assert calls == [(index, 0) for index in range(4)]
+    assert calls == [([0, 1, 2, 3], [0])]
 
 
 def test_uniform_generator_keeps_worker_level_persistent():
@@ -341,26 +343,34 @@ def call_counts(monkeypatch):
     counted(allocator, "enumerate_unit_configurations")
     counted(costing, "build_capability_matrix")
     counted(costing.UnitCosts, "matrix")
+    counted(costing.UnitCosts, "block")
     counted(costing.CostMatrix, "scaled")
     counted(assignment, "solve")
     solve_selections = assignment.solve_selections
 
-    def count_selections(scaled, feasible, selections, order=None):
+    def count_selections(matrix, costs, big_m, selections, order=None):
         calls["solve_selections"] += 1
         calls["selections"] += len(selections)
-        return solve_selections(scaled, feasible, selections, order)
+        return solve_selections(matrix, costs, big_m, selections, order)
     monkeypatch.setattr(assignment, "solve_selections", count_selections)
     return calls
 
 
-def test_command_level_inputs_are_built_once(call_counts):
+def test_command_level_inputs_are_built_once(call_counts, monkeypatch):
     cfg = SimConfig(workers=balanced_cluster(6),
                     experiment=bench_experiment(4, dependencies=(("svc01", "svc02"),)),
                     seed=5, iterations=5)
-    results = run_experiment(cfg)
-    assert [len(result.outcomes) for result in results] == [2] * 5
-    assert call_counts == {"enumerate_unit_configurations": 1, "build_capability_matrix": 1,
-                           "matrix": 5, "scaled": 5, "solve_selections": 5, "selections": 10}
+    # The whole command in one block, then blocks of two rounds (60 cells): each block is
+    # costed and scaled once, and each round is one solve of its two configurations.
+    for block_cells in (swarmsim.BLOCK_CELLS, 60):
+        monkeypatch.setattr(swarmsim, "BLOCK_CELLS", block_cells)
+        call_counts.clear()
+        results = run_experiment(cfg)
+        assert [len(result.outcomes) for result in results] == [2] * 5
+        blocks = -(-cfg.iterations // swarmsim.block_rounds(6, 4 + 1))  # 4 services and a pool
+        assert call_counts == {"enumerate_unit_configurations": 1, "build_capability_matrix": 1,
+                               "block": blocks, "scaled": blocks,
+                               "solve_selections": 5, "selections": 10}
 
 
 def test_scaling_grid_inputs_are_built_once(call_counts):
@@ -698,7 +708,8 @@ def _reference_scaling(worker_counts, service_counts, template):
     services = tuple(replace(template.experiment.services[0], name=f"svc{k + 1:03d}")
                      for k in range(max(service_counts)))
     generators = swarmsim.workload_generators(fleet, template.seed, template.base_dir)
-    states = next(swarmsim.sample_rounds(fleet, generators, [0]))
+    [rows] = next(swarmsim.sample_rounds(generators, [0], 1))
+    states = swarmsim.worker_states(fleet, rows)
     cells = []
     for n in worker_counts:
         for k in service_counts:
@@ -740,3 +751,54 @@ def test_scaling_matches_per_cell_allocation_and_trace(trace_dir, prototypes, re
 def test_scaling_rejects_empty_ranges():
     with pytest.raises(EmptyProblem):
         measure_scaling([], [1], scaling_template())
+
+
+# ---------------------------------------------------------------------------
+# blocks of rounds
+
+
+FIXED = st.builds(FixedWorkload, st.tuples(*[st.floats(0.0, 1.0)] * 4))
+SERVICE_NEEDS = st.sampled_from([(), (), ("gpu",), ("arm",), ("lidar",)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(fleet=st.lists(st.tuples(CAPABILITIES, st.one_of(FIXED, WORKLOADS)), min_size=1, max_size=5),
+       services=st.lists(st.tuples(st.floats(0.0, 100.0), SERVICE_NEEDS), min_size=1, max_size=6),
+       pools=st.integers(0, 3), discount=st.sampled_from([0.5, 0.85, 1.0]),
+       iterations=st.integers(1, 7), block_cells=st.sampled_from([1, 7, 30, swarmsim.BLOCK_CELLS]),
+       seed=st.integers(0, 2**40))
+def test_block_rounds_equal_per_round_allocations(trace_dir, fleet, services, pools, discount,
+                                                  iterations, block_cells, seed):
+    # Mixed fixed, trace and uniform workers; pools of columns that may be feasible on
+    # fewer workers than a configuration has units (spread > 1); often more units than
+    # workers; and blocks small enough to split the command anywhere.
+    workers = tuple(ClusterWorker(id=f"w{i}", profile=HardwareProfile(capabilities=caps),
+                                  workload=model) for i, (caps, model) in enumerate(fleet))
+    specs = tuple(make_service(f"s{j}", cost, needs) for j, (cost, needs) in enumerate(services))
+    pools = min(pools, len(specs) // 2)
+    experiment = ExperimentSpec(name="blocks", services=specs, pool_discount=discount,
+                                dependencies=tuple((f"s{2 * k}", f"s{2 * k + 1}")
+                                                   for k in range(pools)))
+    cfg = SimConfig(workers=workers, experiment=experiment, seed=seed, iterations=iterations,
+                    base_dir=str(trace_dir))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(swarmsim, "BLOCK_CELLS", block_cells)
+        blocked = run_experiment(cfg)
+
+    prepared = allocator.prepare_experiment(workers, experiment)
+    generators = [WorkloadGenerator(w.workload, seed, i, trace_dir) for i, w in enumerate(workers)]
+    per_round = [prepared.allocate([WorkerState(id=w.id, profile=w.profile, workload=g.sample(k))
+                                    for w, g in zip(workers, generators)])
+                 for k in range(iterations)]
+    assert blocked == per_round
+
+
+def test_block_rule_bounds_the_cells_of_a_block():
+    # The shipped demo (12 workers x 3 services and a pool) runs 50 iterations in one
+    # block; a 1000 x 500 fleet costs one round at a time.
+    assert swarmsim.block_rounds(12, 3 + 1) >= 50
+    assert swarmsim.block_rounds(1000, 500) == 1
+    for workers, columns in ((1, 1), (6, 5), (12, 4), (181, 181), (1000, 500)):
+        per_block = swarmsim.block_rounds(workers, columns)
+        assert per_block == 1 or per_block * workers * columns <= swarmsim.BLOCK_CELLS
+        assert (per_block + 1) * workers * columns > swarmsim.BLOCK_CELLS
