@@ -192,6 +192,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 #: Smallest admissible value of each numeric flag, keyed by argparse dest.
 _MINIMUMS = {"seed": 0, "iterations": 1, "max_workers": 1, "max_services": 1}
+#: Most cells of one ``scaling`` grid; bounds the memory of its fleet and its cells.
+MAX_SCALING_CELLS = 10**6
 
 
 def _out_of_range(args) -> "str | None":
@@ -200,6 +202,9 @@ def _out_of_range(args) -> "str | None":
         if value is not None and value < minimum:
             flag = "--" + dest.replace("_", "-")
             return f"{flag} must be at least {minimum}, got {value}"
+    cells = getattr(args, "max_workers", 0) * getattr(args, "max_services", 0)
+    if cells > MAX_SCALING_CELLS:
+        return f"--max-workers x --max-services must be at most {MAX_SCALING_CELLS}, got {cells}"
     return None
 
 

@@ -219,7 +219,10 @@ class ClusterWorker:
 
 @dataclass(frozen=True)
 class ClusterSpec:
-    """A simulated fleet: worker hardware plus workload generators."""
+    """A simulated fleet: worker hardware plus workload generators.
+
+    No command reads ``seed``; each takes ``--seed``. It is only checked and serialized.
+    """
 
     workers: tuple[ClusterWorker, ...]
     seed: int = 0

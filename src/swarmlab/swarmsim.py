@@ -23,9 +23,9 @@ holds ``block_rounds`` rounds, as many as fit ``BLOCK_CELLS`` worker x
 column cost cells, and at least one. It returns only the rounds' results.
 Only the callers that read worker states build them (``worker_states``):
 ``run_iteration``, which returns one round's result and trace, and the
-CLI's ``allocate``. ``measure_scaling`` costs the load rows of its largest
-cell once and only solves each grid cell's top-left block. ``_timings`` is
-the one phase-time rule: ``_trace`` and ``measure_scaling`` both read a
+CLI's ``allocate``. ``measure_scaling`` solves no allocation: a grid cell
+deploys its cloned service iff one of its workers can host it. ``_timings``
+is the one phase-time rule: ``_trace`` and ``measure_scaling`` both read a
 round's durations from it. The lifecycle exists only as trace events, so
 every ``MemberRegistered`` event carries version 1.
 """
@@ -41,7 +41,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import assignment
+from . import costing
 from .allocator import AllocationResult, prepare_experiment
 from .allocator import allocate_experiment  # noqa: F401 (perfbench traces it)
 from .definitions import (
@@ -488,48 +488,35 @@ def measure_scaling(worker_counts, service_counts, template: SimConfig) -> list[
     the same homogeneous workload at a different scale. A cell is iteration
     0 of the ``SimConfig`` with its first n workers and k services, and is
     checked as that config is: the first cell in grid order that fails
-    raises its error. A scaling experiment has no dependencies, so a cell's
-    allocation problem is the top-left n x k block of the largest cell's.
-    The grid therefore samples, prepares, costs and scales once. The cells
-    of one worker count are one ``assignment.solve_selections`` call on the
-    first n workers' padded rows, whose selections are the first k units
-    for each service count in turn, each warm-started from the last; a
-    cell's time is ``_timings`` of its matched units, and no trace is
-    rendered.
+    raises its error. Every unit clones the prototype, so a maximum-cardinality
+    allocation places at least one, each fetching the same image, iff one of
+    the first n workers can host the prototype. A cell's time is ``_timings``
+    of that one fetch or of none; nothing is solved and no trace is rendered.
     """
     worker_counts = list(worker_counts)
     service_counts = list(service_counts)
     if not worker_counts or not service_counts:
         raise EmptyProblem("scaling needs non-empty worker and service ranges")
-    prototype_workers = template.workers
     prototype_service = template.experiment.services[0]
-    fleet = tuple(replace(prototype_workers[i % len(prototype_workers)], id=f"w{i + 1:03d}")
+    fleet = tuple(replace(template.workers[i % len(template.workers)], id=f"w{i + 1:03d}")
                   for i in range(max(worker_counts)))
     services = tuple(replace(prototype_service, name=f"svc{k + 1:03d}")
                      for k in range(max(service_counts)))
     generators = workload_generators(fleet, template.seed, template.base_dir)
-    [rows] = next(sample_rounds(generators, [0], 1))  # every cell samples iteration 0
-
+    # The fleet's one input check: trace files are read and parsed, fixed values checked.
+    next(sample_rounds(generators, [0], 1))
+    # hostable[n - 1]: one of the first n workers can host the prototype.
+    hostable = np.logical_or.accumulate(
+        costing.build_capability_matrix(fleet, [prototype_service])[:, 0]).tolist()
+    fetch_ms = [template.fetch_latency.duration_ms(prototype_service.image_size_mb)]
     experiment = replace(template.experiment, dependencies=())
-    grid = [replace(template, workers=fleet[:max(num_workers, 0)], iterations=1,
-                    experiment=replace(experiment, services=services[:max(num_services, 0)]))
-            for num_workers in worker_counts for num_services in service_counts]
-    costs = prepare_experiment(fleet, replace(experiment, services=services)).costs
-    matrix = costs.matrix(rows)
-    scaled = matrix.scaled()[None]
-    fetch_ms = [template.fetch_latency.duration_ms(service.image_size_mb) for service in services]
-
     cells = []
-    for start in range(0, len(grid), len(service_counts)):
-        row = grid[start:start + len(service_counts)]  # one worker count, every service count
-        num_workers = len(row[0].workers)
-        [solver], [big_m] = assignment.padded(scaled[:, :num_workers], matrix.feasible[:num_workers],
-                                              max(num_workers, len(services)))
-        solved = assignment.solve_selections(
-            solver, solver.tolist(), big_m, [range(len(cfg.experiment.services)) for cfg in row])
-        for cfg, (pairs, _) in zip(row, solved):
-            timings = _timings(cfg, [fetch_ms[unit] for _, unit in pairs])
-            cells.append(ScalingCell(num_workers, len(cfg.experiment.services), timings["total_ms"]))
+    for num_workers in worker_counts:
+        for num_services in service_counts:
+            cfg = replace(template, workers=fleet[:max(num_workers, 0)], iterations=1,
+                          experiment=replace(experiment, services=services[:max(num_services, 0)]))
+            timings = _timings(cfg, fetch_ms if hostable[num_workers - 1] else [])
+            cells.append(ScalingCell(num_workers, num_services, timings["total_ms"]))
     return cells
 
 

@@ -112,6 +112,21 @@ def test_allocate_infeasible_exit_code(tmp_path, artifacts, capsys):
     assert "Unassigned: needs-gpu" in capsys.readouterr().out
 
 
+def test_cluster_seed_is_read_by_no_command(tmp_path, artifacts):
+    edf, cluster = artifacts
+    other = tmp_path / "other.cluster.json"
+    other.write_text(serialize_cluster(ClusterSpec(workers=balanced_cluster(12), seed=99)),
+                     encoding="utf-8")
+    assert other.read_bytes() != cluster.read_bytes()
+    reports = []
+    for path in (cluster, other):
+        out = tmp_path / f"{path.name}.txt"
+        assert main(["allocate", "--edf", str(edf), "--cluster", str(path), "--seed", "3",
+                     "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_allocate_same_seed_same_report(tmp_path, artifacts):
     edf, cluster = artifacts
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -284,6 +299,36 @@ def test_scaling_output_matches_golden(tmp_path, template, golden):
     assert out.read_bytes() == (SCALING_GOLDEN / golden).read_bytes()
 
 
+def test_scaling_100x100_output_is_unchanged(tmp_path):
+    out = tmp_path / "grid.csv"
+    assert main(["scaling", "--cluster-template", str(SAMPLES / "bench.cluster.json"),
+                 "--max-workers", "100", "--max-services", "100", "--seed", "7",
+                 "--out", str(out)]) == 0
+    # The digest of the output when every worker count was solved as an assignment.
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "dce7f83e813fd7dcbc1a9125f1872bf84da4486b9d1db9b866f80ee58aa54949"
+
+
+def test_scaling_grid_over_the_cell_bound_is_refused_before_loading(tmp_path, monkeypatch,
+                                                                     capsys):
+    monkeypatch.setattr(cli, "MAX_SCALING_CELLS", 6)
+    template = str(SAMPLES / "bench.cluster.json")
+    out = tmp_path / "grid.csv"
+    assert main(["scaling", "--cluster-template", template, "--max-workers", "3",
+                 "--max-services", "2", "--seed", "7", "--out", str(out)]) == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 6
+    out.unlink()
+
+    def no_loading(path):
+        raise AssertionError("the cluster is loaded")
+    monkeypatch.setattr(cli, "load_cluster", no_loading)
+    assert main(["scaling", "--cluster-template", template, "--max-workers", "7",
+                 "--max-services", "1", "--seed", "7", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --max-workers x --max-services must be at most 6, got 7\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # flags and exit codes
 
@@ -354,13 +399,18 @@ def test_non_utf8_input_is_one_line_validation_error(tmp_path, artifacts, capsys
         worker = ClusterWorker(id="t1", profile=HardwareProfile(), workload=TraceWorkload("load.csv"))
         cluster.write_text(serialize_cluster(ClusterSpec(workers=(worker,))), encoding="utf-8")
 
-    for argv in (["allocate", "--edf", str(edf), "--cluster", str(cluster), "--seed", "1"],
-                 ["simulate", "--edf", str(edf), "--cluster", str(cluster), "--seed", "1",
-                  "--iterations", "2", "--out-dir", str(tmp_path / "out")]):
+    argvs = [["allocate", "--edf", str(edf), "--cluster", str(cluster), "--seed", "1"],
+             ["simulate", "--edf", str(edf), "--cluster", str(cluster), "--seed", "1",
+              "--iterations", "2", "--out-dir", str(tmp_path / "out")]]
+    if kind != "edf":  # scaling reads no experiment; its fleet sample reads the traces
+        argvs.append(["scaling", "--cluster-template", str(cluster), "--seed", "1",
+                      "--out", str(tmp_path / "grid.csv")])
+    for argv in argvs:
         assert main(argv) == 1, argv[0]
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "grid.csv").exists()
 
     assert main(["validate", str(bad)]) == 1
     captured = capsys.readouterr()

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from swarmlab import allocator, assignment, costing, swarmsim
 
@@ -211,46 +211,6 @@ def test_scaling_grid_draws_uniform_samples_once(kernel_rows):
     assert kernel_rows == [5 + 5]  # the grid's five workers, iteration 0
 
 
-def test_scaling_cells_share_the_largest_fleet_samples(tmp_path, monkeypatch):
-    template = SimConfig(workers=_mixed_fleet(tmp_path), experiment=bench_experiment(2), seed=5,
-                         base_dir=str(tmp_path))
-    costed, solved = [], []
-    matrix, solve_selections = costing.UnitCosts.matrix, assignment.solve_selections
-
-    def recording_matrix(self, workloads):
-        costed.append(list(workloads))
-        return matrix(self, workloads)
-
-    def recording_solve_selections(matrix, costs, big_m, selections, order=None):
-        assert [list(cols) for cols in selections] == [[0], [0, 1]]
-        solved.extend(solve_selections(matrix, costs, big_m, selections, order))
-        return solved[-len(selections):]
-
-    monkeypatch.setattr(costing.UnitCosts, "matrix", recording_matrix)
-    monkeypatch.setattr(assignment, "solve_selections", recording_solve_selections)
-    cells = measure_scaling(range(1, 9), range(1, 3), template)
-    monkeypatch.undo()
-
-    # One cost matrix, on the reference samples of the 8-worker fleet.
-    fleet = [replace(template.workers[i % 6], id=f"w{i + 1:03d}") for i in range(8)]
-    assert len(costed) == 1
-    states = swarmsim.worker_states(fleet, costed[0])
-    _assert_rounds_match_reference([[(s.id, s.workload) for s in states]], fleet, template.seed)
-    # Each cell matches what its own prepared allocation places on the first n samples.
-    services = tuple(replace(template.experiment.services[0], name=f"svc{k + 1:03d}")
-                     for k in range(2))
-    assert [(cell.workers, cell.services) for cell in cells] == \
-        [(n, k) for n in range(1, 9) for k in range(1, 3)]
-    assert len(solved) == len(cells)
-    for cell, (pairs, cost) in zip(cells, solved):
-        experiment = replace(template.experiment, services=services[:cell.services], dependencies=())
-        result = allocator.prepare_experiment(fleet[:cell.workers], experiment).allocate(
-            states[:cell.workers])
-        assert {services[u].name: fleet[i].id for i, u in pairs} == \
-            {name: a.worker for name, a in result.assignments.items()}
-        assert cost == result.total_cost_scaled
-
-
 def test_scaling_samples_each_fleet_worker_once(tmp_path, monkeypatch):
     calls = []
     original = swarmsim.sample_rounds
@@ -329,7 +289,7 @@ def test_scaling_grid_reads_each_trace_once_per_generator(tmp_path, read_count):
 @pytest.fixture
 def call_counts(monkeypatch):
     """Counts the calls of the command-level builders and of the solver, and the
-    column selections (configurations or grid cells) the solver is given."""
+    configurations the solver is given."""
     calls = Counter()
 
     def counted(owner, name):
@@ -376,10 +336,8 @@ def test_command_level_inputs_are_built_once(call_counts, monkeypatch):
 def test_scaling_grid_inputs_are_built_once(call_counts):
     cells = measure_scaling(range(1, 9), range(1, 9), bench_config(num_workers=3))
     assert len(cells) == 64
-    # One prepared, costed and scaled 8 x 8 problem; each worker count is one warm-started
-    # solve over its eight nested blocks.
-    assert call_counts == {"enumerate_unit_configurations": 1, "build_capability_matrix": 1,
-                           "matrix": 1, "scaled": 1, "solve_selections": 8, "selections": 64}
+    # One capability column decides every cell: nothing is prepared, costed, scaled or solved.
+    assert call_counts == {"build_capability_matrix": 1}
 
 
 def test_experiment_reads_each_trace_once(tmp_path, read_count):
@@ -728,11 +686,32 @@ def _reference_scaling(worker_counts, service_counts, template):
     return cells
 
 
+_LEVEL = UniformWorkload((0.3, 0.3, 0.1, 0.3), 0.1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(prototypes=st.lists(st.tuples(CAPABILITIES, WORKLOADS), min_size=1, max_size=4),
        required=CAPABILITIES, image_size_mb=st.floats(0.5, 500.0), base_cost=st.floats(0.0, 100.0),
        parallel=st.booleans(), worker_counts=COUNTS, service_counts=COUNTS,
        seed=st.integers(0, 2**40))
+# No prototype offers the required tag: no cell places anything.
+@example(prototypes=[(frozenset(), _LEVEL), (frozenset({"lidar"}), TraceWorkload("t0.csv"))],
+         required=frozenset({"gpu"}), image_size_mb=10.0, base_cost=50.0, parallel=True,
+         worker_counts=[1, 4, 2], service_counts=[2, 1], seed=0)
+# Only the second prototype offers it: the 1-worker cells place nothing.
+@example(prototypes=[(frozenset(), _LEVEL), (frozenset({"gpu"}), TraceWorkload("t1.csv")),
+                     (frozenset({"arm"}), _LEVEL)],
+         required=frozenset({"gpu"}), image_size_mb=20.0, base_cost=30.0, parallel=True,
+         worker_counts=[3, 1, 2, 7], service_counts=[1, 3], seed=5)
+# Only the third prototype offers it: the 1- and 2-worker cells place nothing.
+@example(prototypes=[(frozenset({"arm"}), TraceWorkload("t2.csv")), (frozenset(), _LEVEL),
+                     (frozenset({"gpu", "arm"}), _LEVEL)],
+         required=frozenset({"gpu", "arm"}), image_size_mb=0.5, base_cost=100.0, parallel=True,
+         worker_counts=[1, 2, 3, 4], service_counts=[4, 2], seed=9)
+# Sequential polling: the cost phase grows with the worker count, placed or not.
+@example(prototypes=[(frozenset(), _LEVEL), (frozenset({"lidar"}), TraceWorkload("t0.csv"))],
+         required=frozenset({"lidar"}), image_size_mb=250.0, base_cost=0.0, parallel=False,
+         worker_counts=[5, 1, 3], service_counts=[1, 4], seed=2**33)
 def test_scaling_matches_per_cell_allocation_and_trace(trace_dir, prototypes, required,
                                                        image_size_mb, base_cost, parallel,
                                                        worker_counts, service_counts, seed):
