@@ -16,26 +16,34 @@ seeding one ``default_rng`` per sample as the stream is defined; ``trace``
 workers replay their cached rows, and ``fixed`` workers are checked once
 per command. One generator per worker serves a whole command, and the
 generators of one ``workload_generators`` call share their parsed trace
-files, so each file is parsed once per command. ``run_experiment`` prepares
-the allocation once and hands each block to
+files, so each file is parsed once per command, in one bulk pass into one
+``(rows, 4)`` array (``_read_trace``); a block converts only the rows it
+replays to Python floats. ``run_experiment`` prepares the allocation once
+and hands each block to
 ``PreparedAllocation.allocate_rounds``, which costs it in one pass; a block
 holds ``block_rounds`` rounds, as many as fit ``BLOCK_CELLS`` worker x
 column cost cells, and at least one. It returns only the rounds' results.
 Only the callers that read worker states build them (``worker_states``):
 ``run_iteration``, which returns one round's result and trace, and the
 CLI's ``allocate``. ``measure_scaling`` solves no allocation: a grid cell
-deploys its cloned service iff one of its workers can host it. ``_timings``
-is the one phase-time rule: ``_trace`` and ``measure_scaling`` both read a
-round's durations from it. The lifecycle exists only as trace events, so
-every ``MemberRegistered`` event carries version 1.
+deploys its cloned service iff one of its workers can host it, and its
+checks are decided once per worker count and per service count, so a cell
+costs O(1). ``_timings`` is the one phase-time rule: ``_trace`` and
+``measure_scaling`` both read a round's durations from it. The lifecycle
+exists only as trace events, so every ``MemberRegistered`` event carries
+version 1.
 """
 
 from __future__ import annotations
 
+import bisect
+import io
 import ipaddress
 import json
 import math
+import warnings
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -116,9 +124,9 @@ class WorkloadGenerator:
         self.seed = seed
         self.worker_index = worker_index
         self.base_dir = Path(base_dir) if base_dir is not None else None
-        self._trace_rows: list[tuple[float, float, float, float]] | None = None
+        self._trace_rows: np.ndarray | None = None
         #: Parsed trace files by location; ``workload_generators`` shares one between its generators.
-        self._parsed: dict[Path, list[tuple[float, float, float, float]]] = {}
+        self._parsed: dict[Path, np.ndarray] = {}
         self._level: np.ndarray | None = None  # drawn with the first jitter rows
         if isinstance(model, UniformWorkload):
             self._jitter_prefix = _entropy_words(seed) + _entropy_words(worker_index)
@@ -126,7 +134,7 @@ class WorkloadGenerator:
             center = np.asarray(model.center)
             self._level_bounds = (center - model.half_width, center + model.half_width)
 
-    def _rows(self) -> list[tuple[float, float, float, float]]:
+    def _rows(self) -> np.ndarray:
         if self._trace_rows is None:
             location = Path(self.model.path)
             if self.base_dir is not None and not location.is_absolute():
@@ -145,7 +153,7 @@ class WorkloadGenerator:
             values = _uniform_values([self], [iteration])[0][0]
         elif isinstance(model, TraceWorkload):
             rows = self._rows()
-            values = rows[iteration % len(rows)]
+            values = rows[iteration % len(rows)].tolist()
         else:
             raise TypeError(f"unknown workload model {model!r}")
         return WorkloadSample.trusted(*values)
@@ -154,20 +162,65 @@ class WorkloadGenerator:
 #: The largest trace file read, in bytes: 16 MiB, about 600,000 rows of four
 #: four-decimal values. Reading stops one byte past it, so a larger file, or
 #: an endless one such as a device or a pipe, is rejected before any parsing.
+#: A file at the bound parses in one bulk pass into a 19 MB array.
 MAX_TRACE_BYTES = 16 * 2**20
 
+#: The bytes of a trace file that numpy's reader may parse: printable ASCII, tab and line ends.
+_PLAIN_BYTES = bytes([9, 10, 13, *range(32, 127)])
 
-def _read_trace(location: Path) -> list[tuple[float, float, float, float]]:
-    """The samples of a trace file: one line of four values in [0, 1] each.
 
-    Blank lines and ``#`` comments are skipped. A malformed line raises
-    ``SchemaError`` at ``location:line``; NaN and infinities are out of range.
-    A file longer than ``MAX_TRACE_BYTES`` raises ``SchemaError``.
+def _read_trace(location: Path) -> np.ndarray:
+    """The samples of a trace file as a ``(rows, 4)`` float64 array.
+
+    A sample is one line of four values in [0, 1] each. Blank lines and
+    ``#`` comments are skipped. A malformed line raises ``SchemaError`` at
+    ``location:line``; NaN and infinities are out of range. A file longer
+    than ``MAX_TRACE_BYTES`` raises ``SchemaError``. The file is parsed in
+    one bulk pass (``_bulk_rows``); the line loop (``_line_rows``) judges
+    any file that pass refuses.
     """
     with location.open("rb") as stream:
         data = stream.read(MAX_TRACE_BYTES + 1)
     if len(data) > MAX_TRACE_BYTES:
         raise SchemaError(f"trace file exceeds {MAX_TRACE_BYTES} bytes", str(location))
+    rows = _bulk_rows(data)
+    if rows is None:
+        rows = np.array(_line_rows(data, location), dtype=np.float64)
+    return rows
+
+
+def _bulk_rows(data: bytes) -> "np.ndarray | None":
+    """The rows of ``data`` in one pass of numpy's C reader, or None if it must not judge them.
+
+    The reader runs only where it reads what the line loop reads: plain
+    bytes (``_PLAIN_BYTES``), lines that end in LF or CR LF, and ``#`` only
+    as the first non-blank character of a line (the reader would drop a
+    comment after a value, which the loop refuses). Its fields are
+    parsed by the routine ``float()`` uses, so the values are the loop's.
+    Anything it refuses (a bad or out-of-range line, no rows, an underscore
+    in a number, a blank line of spaces) is left to the loop.
+    """
+    if data.translate(None, _PLAIN_BYTES) or data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    hash_at = data.find(b"#")
+    while hash_at >= 0:
+        if data[data.rfind(b"\n", 0, hash_at) + 1:hash_at].strip(b" \t"):
+            return None
+        line_end = data.find(b"\n", hash_at)
+        hash_at = data.find(b"#", line_end) if line_end >= 0 else -1
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a file without rows warns; the loop raises
+            rows = np.loadtxt(io.BytesIO(data), delimiter=",", ndmin=2)
+    except ValueError:
+        return None
+    if rows.shape[1:] != (4,) or not ((rows >= 0.0) & (rows <= 1.0)).all():
+        return None
+    return rows
+
+
+def _line_rows(data: bytes, location: Path) -> list[tuple[float, float, float, float]]:
+    """The rows of ``data``, parsed line by line; raises at the first bad line."""
     rows = []
     for lineno, raw in enumerate(data.decode("utf-8").splitlines(), start=1):
         line = raw.strip()
@@ -305,7 +358,7 @@ def workload_generators(workers: "Sequence[ClusterWorker]", seed: int,
     The generators share their parsed trace files, so each file is read once.
     """
     generators = [WorkloadGenerator(w.workload, seed, idx, base_dir) for idx, w in enumerate(workers)]
-    parsed: dict[Path, list[tuple[float, float, float, float]]] = {}
+    parsed: dict[Path, np.ndarray] = {}
     for generator in generators:
         generator._parsed = parsed
     return generators
@@ -319,8 +372,9 @@ def sample_rounds(generators: "Sequence[WorkloadGenerator]", iterations: "Sequen
     generator, in roster order. One ``uniform_rows`` call draws a block's
     rows for every uniform worker, plus the levels still missing; none is
     made when no worker is uniform. ``trace`` workers replay their cached
-    rows, and a ``fixed`` worker's values are checked once, as
-    ``WorkloadSample`` checks them, before the first block.
+    arrays, converting only the block's rows; a ``fixed`` worker's values
+    are checked once, as ``WorkloadSample`` checks them, before the first
+    block.
     """
     rows: list = [None] * len(generators)  # fixed values; uniform and trace rows change per round
     uniform, traces = [], []
@@ -335,12 +389,13 @@ def sample_rounds(generators: "Sequence[WorkloadGenerator]", iterations: "Sequen
     for start in range(0, len(iterations), per_block):
         block = iterations[start:start + per_block]
         drawn = _uniform_values(uniform_generators, block) if uniform else [[]] * len(block)
+        replayed = [trace[np.remainder(block, len(trace))].tolist() for _, trace in traces]
         rounds = []
-        for iteration, values in zip(block, drawn):
+        for r, values in enumerate(drawn):
             for idx, row in zip(uniform, values):
                 rows[idx] = row
-            for idx, trace in traces:
-                rows[idx] = trace[iteration % len(trace)]
+            for (idx, _), replay in zip(traces, replayed):
+                rows[idx] = replay[r]
             rounds.append(rows.copy())
         yield rounds
 
@@ -363,21 +418,23 @@ class _Rounds:
     by_name: dict[str, ServiceSpec]
 
 
-def _poll_ms(cfg: SimConfig) -> int:
-    """How long polling one worker for its cost row takes."""
-    return cfg.poll_rtt_ms + len(cfg.experiment.services) * cfg.cost_calc_ms
+def _poll_ms(cfg: SimConfig, num_services: int) -> int:
+    """How long polling one worker for its cost row of ``num_services`` services takes."""
+    return cfg.poll_rtt_ms + num_services * cfg.cost_calc_ms
 
 
-def _timings(cfg: SimConfig, fetch_ms: "Sequence[int]") -> dict[str, int]:
-    """The phase durations of a round of ``cfg`` whose placed units fetch for ``fetch_ms``.
+def _timings(cfg: SimConfig, num_workers: int, num_services: int,
+             fetch_ms: "Sequence[int]") -> dict[str, int]:
+    """The phase durations of a round of ``num_workers`` x ``num_services`` under ``cfg``.
 
-    The cost phase ends when the last poll returns; the allocation then
-    takes ``alloc_compute_ms``, and deployment lasts until the slowest
-    placed unit has fetched its images (no time when nothing is placed).
+    ``cfg`` gives the latencies, and the placed units fetch their images
+    for ``fetch_ms``. The cost phase ends when the last poll returns; the
+    allocation then takes ``alloc_compute_ms``, and deployment lasts until
+    the slowest placed unit has fetched (no time when nothing is placed).
     """
-    cost_end = _poll_ms(cfg) * (1 if cfg.parallel_cost_calc else len(cfg.workers))
+    cost_end = _poll_ms(cfg, num_services) * (1 if cfg.parallel_cost_calc else num_workers)
     alloc_tick = cost_end + cfg.alloc_compute_ms
-    end_tick = max([alloc_tick, *(alloc_tick + ms for ms in fetch_ms)])
+    end_tick = alloc_tick + max([0, *fetch_ms])
     return {
         "join_ms": 0,
         "cost_ms": cost_end,
@@ -391,7 +448,7 @@ def _prepare_rounds(cfg: SimConfig) -> _Rounds:
     """The command-level inputs of ``cfg``'s round traces."""
     experiment = cfg.experiment
     num_services = len(experiment.services)
-    per_worker_ms = _poll_ms(cfg)
+    per_worker_ms = _poll_ms(cfg, num_services)
 
     stagger = 0 if cfg.parallel_cost_calc else per_worker_ms
     request_ticks = [idx * stagger for idx in range(len(cfg.workers))]
@@ -429,7 +486,7 @@ def _trace(rounds: _Rounds, result: AllocationResult) -> SimTrace:
     fetch_ms = [cfg.fetch_latency.duration_ms(
         sum(by_name[name].image_size_mb for name in assigned_units[worker_id].members))
         for worker_id in placed]
-    timings = _timings(cfg, fetch_ms)
+    timings = _timings(cfg, len(cfg.workers), len(cfg.experiment.services), fetch_ms)
 
     events = list(rounds.skeleton)
     alloc_tick = timings["cost_ms"] + timings["allocation_ms"]
@@ -473,7 +530,7 @@ def run_experiment(cfg: SimConfig) -> list[AllocationResult]:
             for result in allocation.allocate_rounds(rounds)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScalingCell:
     workers: int
     services: int
@@ -486,12 +543,15 @@ def measure_scaling(worker_counts, service_counts, template: SimConfig) -> list[
     The template's workers are cycled up to each worker count and its
     first service is cloned up to each service count, so every cell runs
     the same homogeneous workload at a different scale. A cell is iteration
-    0 of the ``SimConfig`` with its first n workers and k services, and is
-    checked as that config is: the first cell in grid order that fails
-    raises its error. Every unit clones the prototype, so a maximum-cardinality
-    allocation places at least one, each fetching the same image, iff one of
-    the first n workers can host the prototype. A cell's time is ``_timings``
-    of that one fetch or of none; nothing is solved and no trace is rendered.
+    0 of the ``SimConfig`` with its first n workers and k services, and
+    fails as that config would: the first cell in grid order that fails
+    raises its error, from that config. What can fail is decided once per
+    count: n < 1, k < 1, and whether k images fetch in a finite time
+    (``_fetch_limit``); a cell then costs O(1). Every unit clones the
+    prototype, so a maximum-cardinality allocation places at least one,
+    each fetching the same image, iff one of the first n workers can host
+    the prototype. A cell's time is ``_timings`` of that one fetch or of
+    none; nothing is solved and no trace is rendered.
     """
     worker_counts = list(worker_counts)
     service_counts = list(service_counts)
@@ -509,15 +569,42 @@ def measure_scaling(worker_counts, service_counts, template: SimConfig) -> list[
     hostable = np.logical_or.accumulate(
         costing.build_capability_matrix(fleet, [prototype_service])[:, 0]).tolist()
     fetch_ms = [template.fetch_latency.duration_ms(prototype_service.image_size_mb)]
+    fetch_limit = _fetch_limit(template, prototype_service.image_size_mb, len(services))
     experiment = replace(template.experiment, dependencies=())
     cells = []
     for num_workers in worker_counts:
         for num_services in service_counts:
-            cfg = replace(template, workers=fleet[:max(num_workers, 0)], iterations=1,
-                          experiment=replace(experiment, services=services[:max(num_services, 0)]))
-            timings = _timings(cfg, fetch_ms if hostable[num_workers - 1] else [])
+            if num_workers < 1 or not 1 <= num_services < fetch_limit:
+                # The cell's own config raises its error.
+                replace(template, workers=fleet[:max(num_workers, 0)], iterations=1,
+                        experiment=replace(experiment, services=services[:max(num_services, 0)]))
+                raise AssertionError(f"cell {num_workers} x {num_services} passed its checks")
+            timings = _timings(template, num_workers, num_services,
+                               fetch_ms if hostable[num_workers - 1] else [])
             cells.append(ScalingCell(num_workers, num_services, timings["total_ms"]))
     return cells
+
+
+def _fetch_limit(template: SimConfig, size_mb: float, most: int) -> int:
+    """The fewest images of ``size_mb``, up to ``most``, that ``SimConfig`` refuses; else ``most + 1``.
+
+    ``SimConfig`` refuses k images whose summed size (its ``sum``) takes no
+    finite time to fetch with ``template.fetch_latency``. The size is
+    positive, so the sum only grows with k, the fetch time moves one way,
+    and the refused counts are all those from some least count up. That
+    count is found with one ``sum`` when ``most`` images pass, and with
+    O(log most) of them otherwise.
+    """
+    def refused(count: int) -> bool:
+        try:
+            template.fetch_latency.duration_ms(sum(repeat(size_mb, count)))
+        except SchemaError:
+            return True
+        return False
+
+    if most < 1 or not refused(most):
+        return most + 1
+    return 1 + bisect.bisect_left(range(1, most + 1), True, key=refused)
 
 
 def grid_to_csv(cells: "list[ScalingCell]") -> str:

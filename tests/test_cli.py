@@ -208,6 +208,50 @@ def test_simulate_1000_demo_iterations_match_recorded_digests(tmp_path):
             for name in DEMO_1000_DIGESTS} == DEMO_1000_DIGESTS
 
 
+#: SHA-256 of the reports of ``_write_trace_replay``'s 12-iteration, seed-3 run, recorded
+#: when trace files were parsed line by line into tuples of floats.
+TRACE_REPLAY_DIGESTS = {
+    "allocations.csv": "7d4187b47ce38cb363cc87624d5125a274e3704551aaeebf4f14e091087aab9d",
+    "fairness.csv": "4faf15d1c81fc2e962d7781365d27bc2c2c28f0d07e2de84c80b0b8f17ec65dd",
+    "summary.json": "4c018cbd13356b1210991d76a939482114bd19d07092dcd38724cbb36a0f7366",
+}
+
+
+def _write_trace_replay(directory):
+    """Four trace workers, whose files hold 3, 5, 7 and 2 rows, and a uniform one.
+
+    The files mix a comment header, CRLF line ends, padded fields and ``.5`` spellings.
+    """
+    workers = []
+    for f, length in enumerate((3, 5, 7, 2)):
+        rows = [[((7 * k + 13 * f + 3 * c) % 97) / 97 for c in range(4)] for k in range(length)]
+        lines = [",".join(f"{v:.4f}" for v in row) for row in rows]
+        if f == 1:
+            lines = [" , ".join(f"{v:.4f}".lstrip("0") for v in row) for row in rows]
+        text = ("# cpu,vram,swap,bandwidth\n" if f % 2 == 0 else "") + \
+            ("\r\n" if f == 2 else "\n").join(lines) + "\n"
+        (directory / f"trace{f}.csv").write_bytes(text.encode("ascii"))
+        workers.append(ClusterWorker(id=f"t{f}", profile=HardwareProfile(),
+                                     workload=TraceWorkload(f"trace{f}.csv")))
+    workers += balanced_cluster(1)
+    cluster = directory / "replay.cluster.json"
+    cluster.write_text(serialize_cluster(ClusterSpec(workers=tuple(workers))), encoding="utf-8")
+    edf = directory / "replay.edf.json"
+    edf.write_text(serialize_edf(bench_experiment(4, dependencies=(("svc01", "svc02"),))),
+                   encoding="utf-8")
+    return edf, cluster
+
+
+def test_simulate_trace_replay_matches_recorded_digests(tmp_path):
+    edf, cluster = _write_trace_replay(tmp_path)
+    out_dir = tmp_path / "out"
+    # 12 iterations: every trace wraps at least once.
+    assert main(["simulate", "--edf", str(edf), "--cluster", str(cluster),
+                 "--iterations", "12", "--seed", "3", "--out-dir", str(out_dir)]) == 0
+    assert {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in TRACE_REPLAY_DIGESTS} == TRACE_REPLAY_DIGESTS
+
+
 def test_simulate_is_byte_deterministic(tmp_path, artifacts):
     edf, cluster = artifacts
     first, second = tmp_path / "run1", tmp_path / "run2"

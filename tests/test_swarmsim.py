@@ -14,6 +14,7 @@ from swarmlab.definitions import (
     ClusterWorker,
     ExperimentSpec,
     FixedWorkload,
+    ServiceSpec,
     TraceWorkload,
     UniformWorkload,
     load_cluster,
@@ -333,11 +334,25 @@ def test_command_level_inputs_are_built_once(call_counts, monkeypatch):
                                "solve_selections": 5, "selections": 10}
 
 
-def test_scaling_grid_inputs_are_built_once(call_counts):
-    cells = measure_scaling(range(1, 9), range(1, 9), bench_config(num_workers=3))
-    assert len(cells) == 64
-    # One capability column decides every cell: nothing is prepared, costed, scaled or solved.
-    assert call_counts == {"build_capability_matrix": 1}
+def test_scaling_grid_inputs_are_built_once(call_counts, monkeypatch):
+    template = bench_config(num_workers=3)
+    for cls in (ClusterWorker, ServiceSpec, ExperimentSpec, SimConfig):
+        original = cls.__init__
+
+        def counted(self, *args, _name=cls.__name__, _init=original, **kwargs):
+            call_counts[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    for worker_counts, service_counts in ((range(1, 9), range(1, 9)), ([5, 2, 5, 1, 2], [3, 7, 3])):
+        call_counts.clear()
+        cells = measure_scaling(worker_counts, service_counts, template)
+        assert len(cells) == len(worker_counts) * len(service_counts)
+        # One capability column decides every cell: nothing is prepared, costed, scaled or
+        # solved. The largest fleet's workers and services are built once each, the
+        # experiment without dependencies once, and no cell builds a config or an experiment.
+        assert call_counts == Counter(build_capability_matrix=1, ClusterWorker=max(worker_counts),
+                                      ServiceSpec=max(service_counts), ExperimentSpec=1,
+                                      SimConfig=0)
 
 
 def test_experiment_reads_each_trace_once(tmp_path, read_count):
@@ -408,6 +423,97 @@ def test_trace_rows_are_the_floats_of_their_fields(tmp_path):
         got = (sample.cpu, sample.vram, sample.swap, sample.bandwidth)
         expected = tuple(float(field) for field in line.strip().split(","))
         assert [v.hex() for v in got] == [v.hex() for v in expected]  # signed zeros too
+
+
+def _reference_read_trace(location):
+    """A trace file's rows as they were parsed before the bulk pass: line by line."""
+    with location.open("rb") as stream:
+        data = stream.read(swarmsim.MAX_TRACE_BYTES + 1)
+    if len(data) > swarmsim.MAX_TRACE_BYTES:
+        raise SchemaError(f"trace file exceeds {swarmsim.MAX_TRACE_BYTES} bytes", str(location))
+    rows = []
+    for lineno, raw in enumerate(data.decode("utf-8").splitlines(), start=1):
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        fields = line.split(",")
+        if len(fields) != 4:
+            raise SchemaError(f"expected 4 utilization values, got {len(fields)}",
+                              f"{location}:{lineno}")
+        try:
+            row = cpu, vram, swap, bandwidth = (float(fields[0]), float(fields[1]),
+                                                float(fields[2]), float(fields[3]))
+        except ValueError:
+            raise SchemaError("expected numeric utilization values", f"{location}:{lineno}") from None
+        if not (0.0 <= cpu <= 1.0 and 0.0 <= vram <= 1.0 and 0.0 <= swap <= 1.0
+                and 0.0 <= bandwidth <= 1.0):
+            raise SchemaError("utilization values must be within [0, 1]", f"{location}:{lineno}")
+        rows.append(row)
+    if not rows:
+        raise SchemaError("trace file holds no samples", str(location))
+    return rows
+
+
+VALUES = st.sampled_from(["0", "1", "0.25", "0.5", "1e-3", ".5", "1.", "-0.0", "0.1234", "1E-300",
+                          "+0.75", " 0.5 ", "\t0.3", "0.0_1", "nan", "inf", "1.5", "-0.1", "",
+                          "x", "0x1", "0.5 # late"])
+PLAIN_VALUES = st.sampled_from(["0", "1", "0.25", "1e-3", ".5", "1.", "-0.0", "0.8765", " 0.5 "])
+TRACE_LINES = st.one_of(
+    st.lists(PLAIN_VALUES, min_size=4, max_size=4).map(",".join),
+    st.lists(PLAIN_VALUES, min_size=4, max_size=4).map(",".join),
+    st.lists(VALUES, min_size=3, max_size=5).map(",".join),
+    st.lists(PLAIN_VALUES, min_size=4, max_size=4).map(lambda v: ",".join(v) + ","),
+    st.tuples(st.lists(PLAIN_VALUES, min_size=3, max_size=3), st.integers(0, 3),
+              st.sampled_from(["1.5", "-0.1", "inf", "-inf", "nan", "1.0000001"])).map(
+        lambda t: ",".join(t[0][:t[1]] + [t[2]] + t[0][t[1]:])),
+    st.sampled_from(["", "   ", "\t", "# cpu,vram,swap,bandwidth", "  # indented", "\t#x",
+                     "#", "0.1,0.2\x0c,0.3,0.4", "0.1,0.2,0.3,0.4\x0c", "\x0c", "0.1,0.2\x0b0.3,0.4",
+                     "0.1,0.2,0.3,0.4 # trailing", "0.1,0.2,0.3,0.4#", "0.1,,0.3,0.4"]))
+LINE_ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(st.tuples(TRACE_LINES, LINE_ENDS), max_size=8), last_end=st.booleans())
+@example(lines=[("# cpu,vram,swap,bandwidth", "\n"), ("0.1,0.2,0.3,0.4 # late", "\n")],
+         last_end=True)
+@example(lines=[("0.0_1,0.2,0.3,0.4", "\n"), (".5,1.,-0.0,1e-3", "\r\n")], last_end=False)
+@example(lines=[("0.1,0.2\x0c,0.3,0.4", "\n")], last_end=True)
+@example(lines=[("0.1,0.2,0.3,0.4", "\n"), ("0.1,1.5,0.3,0.4", "\n")], last_end=True)
+@example(lines=[("0.1,0.2,inf,0.4", "\n")], last_end=True)
+@example(lines=[("0.1,0.2,0.3,0.4", "\r\n"), ("   ", "\r\n"), ("  # c", "\r\n")], last_end=True)
+def test_trace_reader_matches_the_line_loop(tmp_path_factory, lines, last_end):
+    text = "".join(line + end for line, end in lines)
+    if lines and not last_end:
+        text = text[:-len(lines[-1][1])]
+    path = tmp_path_factory.mktemp("trace") / "load.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = _reference_read_trace(path)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as raised:
+            swarmsim._read_trace(path)
+        assert str(raised.value) == str(exc)
+        return
+    rows = swarmsim._read_trace(path)
+    assert rows.dtype == np.float64 and rows.shape == (len(expected), 4)
+    replayed = [WorkloadGenerator(TraceWorkload("load.csv"), seed=0, worker_index=0,
+                                  base_dir=path.parent).sample(k) for k in range(len(expected))]
+    for row, sample, want in zip(rows.tolist(), replayed, expected):
+        assert all(type(v) is float for v in row)
+        assert [v.hex() for v in row] == [v.hex() for v in want]  # signed zeros too
+        assert [v.hex() for v in (sample.cpu, sample.vram, sample.swap, sample.bandwidth)] == \
+            [v.hex() for v in want]
+
+
+def test_plain_trace_is_parsed_in_one_bulk_pass(tmp_path, monkeypatch):
+    (tmp_path / "load.csv").write_bytes(b"# cpu,vram,swap,bandwidth\r\n#\r\n"
+                                        b"0.1, 0.2 ,0.3,0.4\r\n\r\n.5,1.,-0.0,1e-3")
+
+    def no_line_loop(data, location):
+        raise AssertionError("the line loop parsed a plain file")
+    monkeypatch.setattr(swarmsim, "_line_rows", no_line_loop)
+    rows = swarmsim._read_trace(tmp_path / "load.csv")
+    assert rows.tolist() == [[0.1, 0.2, 0.3, 0.4], [0.5, 1.0, -0.0, 1e-3]]
 
 
 def test_trace_generator_rejects_bad_rows(tmp_path):
@@ -725,6 +831,79 @@ def test_scaling_matches_per_cell_allocation_and_trace(trace_dir, prototypes, re
                          seed=seed, parallel_cost_calc=parallel, base_dir=str(trace_dir))
     assert measure_scaling(worker_counts, service_counts, template) == \
         _reference_scaling(worker_counts, service_counts, template)
+
+
+def _reference_checked_scaling(worker_counts, service_counts, template):
+    """The grid as it was computed when every cell built and checked its own config."""
+    worker_counts = list(worker_counts)
+    service_counts = list(service_counts)
+    if not worker_counts or not service_counts:
+        raise EmptyProblem("scaling needs non-empty worker and service ranges")
+    prototype_service = template.experiment.services[0]
+    fleet = tuple(replace(template.workers[i % len(template.workers)], id=f"w{i + 1:03d}")
+                  for i in range(max(worker_counts)))
+    services = tuple(replace(prototype_service, name=f"svc{k + 1:03d}")
+                     for k in range(max(service_counts)))
+    generators = swarmsim.workload_generators(fleet, template.seed, template.base_dir)
+    next(swarmsim.sample_rounds(generators, [0], 1))
+    hostable = np.logical_or.accumulate(
+        costing.build_capability_matrix(fleet, [prototype_service])[:, 0]).tolist()
+    fetch_ms = [template.fetch_latency.duration_ms(prototype_service.image_size_mb)]
+    experiment = replace(template.experiment, dependencies=())
+    cells = []
+    for num_workers in worker_counts:
+        for num_services in service_counts:
+            cfg = replace(template, workers=fleet[:max(num_workers, 0)], iterations=1,
+                          experiment=replace(experiment, services=services[:max(num_services, 0)]))
+            timings = swarmsim._timings(cfg, len(cfg.workers), len(cfg.experiment.services),
+                                        fetch_ms if hostable[num_workers - 1] else [])
+            cells.append(swarmsim.ScalingCell(num_workers, num_services, timings["total_ms"]))
+    return cells
+
+
+def _outcome(function, *args):
+    """What ``function(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return function(*args)
+    except Exception as exc:  # noqa: BLE001 (the oracle compares any error)
+        return type(exc), str(exc)
+
+
+SIGNED_COUNTS = st.lists(st.integers(-2, 7), min_size=1, max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(worker_counts=SIGNED_COUNTS, service_counts=SIGNED_COUNTS,
+       image_size_mb=st.sampled_from([0.5, 250.0, 1e307, 3e307, 6e307, 1e308]),
+       per_mb_ms=st.sampled_from([0.5, 1.0, 1.5]), base_ms=st.sampled_from([0, 50]),
+       hosts=st.lists(st.booleans(), min_size=1, max_size=3), parallel=st.booleans())
+# Two images overflow: (1, 2) fails before (0, 1) ...
+@example(worker_counts=[1, 0], service_counts=[1, 2], image_size_mb=1e308, per_mb_ms=1.0,
+         base_ms=50, hosts=[True], parallel=True)
+# ... and (0, 1) before (1, 2).
+@example(worker_counts=[0, 1], service_counts=[1, 2], image_size_mb=1e308, per_mb_ms=1.0,
+         base_ms=50, hosts=[True], parallel=True)
+# No service, then no worker; three images are the first to overflow.
+@example(worker_counts=[3, -1], service_counts=[2, 0, 5], image_size_mb=6e307, per_mb_ms=0.5,
+         base_ms=0, hosts=[False, True], parallel=False)
+@example(worker_counts=[3, 7, 3], service_counts=[5, 3, 3], image_size_mb=6e307,
+         per_mb_ms=0.5, base_ms=0, hosts=[False, True], parallel=False)
+# Nothing fails: the cells alone are compared.
+@example(worker_counts=[7, 1, 4], service_counts=[6, 1, 6], image_size_mb=250.0,
+         per_mb_ms=1.5, base_ms=50, hosts=[False, False, True], parallel=False)
+def test_scaling_raises_the_first_failing_cells_error(worker_counts, service_counts,
+                                                      image_size_mb, per_mb_ms, base_ms, hosts,
+                                                      parallel):
+    workers = tuple(ClusterWorker(id=f"p{i}",
+                                  profile=HardwareProfile(capabilities=frozenset({"gpu"} if h else ())),
+                                  workload=_LEVEL) for i, h in enumerate(hosts))
+    service = make_service("proto", capabilities=("gpu",), image_size_mb=image_size_mb)
+    template = SimConfig(workers=workers,
+                         experiment=ExperimentSpec(name="scaling", services=(service,)), seed=4,
+                         fetch_latency=FetchLatency(base_ms=base_ms, per_mb_ms=per_mb_ms),
+                         parallel_cost_calc=parallel)
+    assert _outcome(measure_scaling, worker_counts, service_counts, template) == \
+        _outcome(_reference_checked_scaling, worker_counts, service_counts, template)
 
 
 def test_scaling_rejects_empty_ranges():
