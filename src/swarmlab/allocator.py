@@ -132,21 +132,21 @@ def _components(dependencies: np.ndarray) -> list[list[int]]:
 def enumerate_unit_configurations(
     services: Sequence[ServiceSpec],
     dependencies: np.ndarray,
-    max_configurations: int = MAX_CONFIGURATIONS,
 ) -> list[tuple[AllocationUnit, ...]]:
     """All pool-or-split combinations, one choice per dependency component.
 
     Components with a single service always yield a single unit. For each
     multi-service component the pooled variant comes first, so the first
-    configuration pools everything and the last splits everything.
+    configuration pools everything and the last splits everything. More
+    than ``MAX_CONFIGURATIONS`` raises ``TooManyComponents``.
     """
     names = [s.name for s in services]
     components = _components(dependencies)
     multi = sum(1 for c in components if len(c) > 1)
-    if 2**multi > max_configurations:
+    if 2**multi > MAX_CONFIGURATIONS:
         raise TooManyComponents(
             f"{multi} poolable components yield {2**multi} configurations "
-            f"(bound {max_configurations})")
+            f"(bound {MAX_CONFIGURATIONS})")
 
     options: list[list[tuple[tuple[int, ...], ...]]] = []
     for component in components:

@@ -113,7 +113,7 @@ def cmd_simulate(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "allocations.csv").write_text(metrics.emit_report(history, "csv"), encoding="utf-8")
+    (out_dir / "allocations.csv").write_text(metrics.emit_report(history), encoding="utf-8")
 
     cost_series = metrics.fairness_series(history, basis="cost").values
     count_series = metrics.fairness_series(history, basis="count").values
@@ -192,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 #: Smallest admissible value of each numeric flag, keyed by argparse dest.
 _MINIMUMS = {"seed": 0, "iterations": 1, "max_workers": 1, "max_services": 1}
-#: Most cells of one ``scaling`` grid; bounds the memory of its fleet and its cells.
+#: Most cells of one ``scaling`` grid; bounds the memory of its cells and its CSV text.
 MAX_SCALING_CELLS = 10**6
 
 

@@ -166,8 +166,9 @@ class CostMatrix:
 
     Infeasible pairs are masked out rather than given a sentinel cost, so
     the solver never trades a real assignment against a fake one.
-    ``scaled()`` yields the integer grid actually handed to the solver. A
-    block of rounds stacks its rounds' values on a leading axis.
+    ``scaled()`` yields the integer grid handed to the solver, the one
+    ``UnitCosts.block`` computes for its rounds. A block of rounds stacks
+    its rounds' values on a leading axis.
     """
 
     values: np.ndarray    # shape ([rounds,] workers, units), float64; 0.0 where infeasible
@@ -238,7 +239,9 @@ class UnitCosts:
         to ``size`` workers.
         """
         values = self._values(rounds)
-        scaled = CostMatrix(values=values, feasible=self.feasible).scaled()
+        # Infeasible cells are already 0.0 (``factor``) and no cost is negative, so the
+        # integer grid is ``scaled()``'s without its mask and its sign check.
+        scaled = np.rint(values * COST_SCALE).astype(np.int64)
         if spread > 1:
             scaled = scaled.astype(offsets.dtype, copy=False) * spread + offsets
         solver, big_m = assignment.padded(scaled, self.feasible, size)

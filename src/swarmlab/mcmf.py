@@ -165,61 +165,3 @@ def verify(net: FlowNetwork, result: FlowResult) -> list[Violation]:
             f"reported {result.total_cost}, edges sum to {cost}"))
     return violations
 
-
-# ---------------------------------------------------------------------------
-# text fixtures
-#
-# One network per file, 1-based vertex numbers:
-#   c <comment>
-#   p min <vertices> <edges>
-#   n <vertex> s          (source)
-#   n <vertex> t          (sink)
-#   a <tail> <head> <capacity> <cost>
-
-
-def format_dimacs(net: FlowNetwork, comment: str = "") -> str:
-    lines = []
-    if comment:
-        lines.append(f"c {comment}")
-    lines.append(f"p min {net.num_vertices} {len(net.edges)}")
-    lines.append(f"n {net.source + 1} s")
-    lines.append(f"n {net.sink + 1} t")
-    for e in net.edges:
-        lines.append(f"a {e.u + 1} {e.v + 1} {e.capacity} {e.cost}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_dimacs(text: str) -> FlowNetwork:
-    num_vertices = source = sink = None
-    arcs: list[tuple[int, int, int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        try:
-            if fields[0] == "p":
-                if fields[1] != "min" or len(fields) != 4:
-                    raise ValueError("expected 'p min <vertices> <edges>'")
-                num_vertices = int(fields[2])
-            elif fields[0] == "n":
-                if len(fields) != 3 or fields[2] not in ("s", "t"):
-                    raise ValueError("expected 'n <vertex> s|t'")
-                if fields[2] == "s":
-                    source = int(fields[1]) - 1
-                else:
-                    sink = int(fields[1]) - 1
-            elif fields[0] == "a":
-                if len(fields) != 5:
-                    raise ValueError("expected 'a <tail> <head> <capacity> <cost>'")
-                arcs.append((int(fields[1]) - 1, int(fields[2]) - 1, int(fields[3]), int(fields[4])))
-            else:
-                raise ValueError(f"unknown line type {fields[0]!r}")
-        except (ValueError, IndexError) as exc:
-            raise MalformedNetwork(f"line {lineno}: {exc}") from None
-    if num_vertices is None or source is None or sink is None:
-        raise MalformedNetwork("missing problem or source/sink designation lines")
-    net = FlowNetwork(num_vertices, source, sink)
-    for u, v, capacity, cost in arcs:
-        net.add_edge(u, v, capacity, cost)
-    return net

@@ -10,7 +10,6 @@ cumulative per-worker allocated costs, iteration by iteration.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -129,35 +128,21 @@ def allocation_frequency(history: AllocationHistory) -> np.ndarray:
 REPORT_HEADER = "iteration,worker,service,cost,jain_cumulative"
 
 
-def emit_report(history: AllocationHistory, format: str = "csv") -> str:
-    """Flat per-assignment report with the cumulative fairness column.
+def emit_report(history: AllocationHistory) -> str:
+    """Flat per-assignment CSV report with the cumulative fairness column.
 
     Rows are ordered by iteration, then by service roster order, so equal
     histories produce byte-identical documents.
     """
-    if format not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
     if not history.results:
         raise EmptyHistory("report needs at least one iteration")
     series = fairness_series(history, basis="cost").values
 
-    records = []
+    lines = [REPORT_HEADER]
     for t, result in enumerate(history.results):
         for service in history.services:
             assignment = result.assignments.get(service)
-            if assignment is None:
-                continue
-            records.append((t, assignment.worker, service, assignment.cost, series[t]))
-
-    if format == "csv":
-        lines = [REPORT_HEADER]
-        for t, worker, service, cost, jain in records:
-            lines.append(f"{t},{worker},{service},{cost:.6f},{jain:.6f}")
-        return "\n".join(lines) + "\n"
-
-    rows = [
-        {"iteration": t, "worker": worker, "service": service,
-         "cost": round(cost, 6), "jain_cumulative": round(jain, 6)}
-        for t, worker, service, cost, jain in records
-    ]
-    return json.dumps({"rows": rows}, indent=2) + "\n"
+            if assignment is not None:
+                lines.append(f"{t},{assignment.worker},{service},"
+                             f"{assignment.cost:.6f},{series[t]:.6f}")
+    return "\n".join(lines) + "\n"

@@ -9,12 +9,13 @@ simulates fetching and starting its services. All latencies are
 configuration values and all randomness flows from the config seed, so
 equal configs produce bit-identical results and traces.
 
-``sample_rounds`` is the one sampling path. It yields blocks of rounds of
-load rows, Python floats in roster order: one ``rng.uniform_rows`` call
-draws every ``uniform`` worker's samples of a block, bit-identical to
-seeding one ``default_rng`` per sample as the stream is defined; ``trace``
-workers replay their cached rows, and ``fixed`` workers are checked once
-per command. One generator per worker serves a whole command, and the
+``sample_rounds`` is the one sampling path; ``WorkloadGenerator.sample``
+is its one-worker, one-round case. It yields blocks of rounds of load
+rows, Python floats in roster order: one ``rng.uniform_rows`` call draws
+every ``uniform`` worker's samples of a block, bit-identical to seeding one
+``default_rng`` per sample as the stream is defined; ``trace`` workers
+replay their cached rows, and ``fixed`` workers are checked once per
+command. One generator per worker serves a whole command, and the
 generators of one ``workload_generators`` call share their parsed trace
 files, so each file is parsed once per command, in one bulk pass into one
 ``(rows, 4)`` array (``_read_trace``); a block converts only the rows it
@@ -25,13 +26,14 @@ holds ``block_rounds`` rounds, as many as fit ``BLOCK_CELLS`` worker x
 column cost cells, and at least one. It returns only the rounds' results.
 Only the callers that read worker states build them (``worker_states``):
 ``run_iteration``, which returns one round's result and trace, and the
-CLI's ``allocate``. ``measure_scaling`` solves no allocation: a grid cell
-deploys its cloned service iff one of its workers can host it, and its
-checks are decided once per worker count and per service count, so a cell
-costs O(1). ``_timings`` is the one phase-time rule: ``_trace`` and
-``measure_scaling`` both read a round's durations from it. The lifecycle
-exists only as trace events, so every ``MemberRegistered`` event carries
-version 1.
+CLI's ``allocate``. ``measure_scaling`` solves no allocation and clones no
+worker: a grid cell deploys its cloned service iff one of its workers can
+host it, so only the template's first min(N, T) workers are sampled and
+capability-checked, and a cell's checks are decided once per worker count
+and per service count, so a cell costs O(1). ``_timings`` is the one
+phase-time rule: ``_trace`` and ``measure_scaling`` both read a round's
+durations from it. The lifecycle exists only as trace events, so every
+``MemberRegistered`` event carries version 1.
 """
 
 from __future__ import annotations
@@ -51,11 +53,9 @@ import numpy as np
 
 from . import costing
 from .allocator import AllocationResult, prepare_experiment
-from .allocator import allocate_experiment  # noqa: F401 (perfbench traces it)
 from .definitions import (
     ClusterWorker,
     ExperimentSpec,
-    FixedWorkload,
     ServiceSpec,
     TraceWorkload,
     UniformWorkload,
@@ -113,9 +113,9 @@ class WorkloadGenerator:
     _JITTER_TAG]).uniform(-w, w, size=4)``, w = ``half_width *
     JITTER_FRACTION``, and clips to [0, 1]. That definition is unchanged,
     but the draws are batched: ``rng.uniform_rows`` computes them bit for
-    bit, the level together with the first jitter rows. ``sample`` draws
-    one iteration; ``sample_rounds`` draws every uniform worker's block of
-    iterations in one call.
+    bit, the level together with the first jitter rows. ``sample_rounds``
+    draws every uniform worker's block of iterations in one call; ``sample``
+    is its one-round case for this worker alone.
     """
 
     def __init__(self, model: WorkloadModel, seed: int, worker_index: int,
@@ -146,17 +146,9 @@ class WorkloadGenerator:
         return self._trace_rows
 
     def sample(self, iteration: int) -> WorkloadSample:
-        model = self.model
-        if isinstance(model, FixedWorkload):  # nothing has checked these values yet
-            return WorkloadSample(*model.values)
-        if isinstance(model, UniformWorkload):
-            values = _uniform_values([self], [iteration])[0][0]
-        elif isinstance(model, TraceWorkload):
-            rows = self._rows()
-            values = rows[iteration % len(rows)].tolist()
-        else:
-            raise TypeError(f"unknown workload model {model!r}")
-        return WorkloadSample.trusted(*values)
+        """The sample at ``iteration``: one round of ``sample_rounds`` for this worker alone."""
+        [[row]] = next(sample_rounds([self], [iteration], 1))
+        return WorkloadSample.trusted(*row)
 
 
 #: The largest trace file read, in bytes: 16 MiB, about 600,000 rows of four
@@ -383,13 +375,14 @@ def sample_rounds(generators: "Sequence[WorkloadGenerator]", iterations: "Sequen
             uniform.append(idx)
         elif isinstance(generator.model, TraceWorkload):
             traces.append((idx, generator._rows()))
-        else:
-            rows[idx] = tuple(generator.sample(0))
+        else:  # nothing has checked a fixed worker's values yet
+            rows[idx] = tuple(WorkloadSample(*generator.model.values))
     uniform_generators = [generators[i] for i in uniform]
     for start in range(0, len(iterations), per_block):
         block = iterations[start:start + per_block]
         drawn = _uniform_values(uniform_generators, block) if uniform else [[]] * len(block)
-        replayed = [trace[np.remainder(block, len(trace))].tolist() for _, trace in traces]
+        # Python's %, as the stream's definition: numpy's stops at 2**64.
+        replayed = [trace[[k % len(trace) for k in block]].tolist() for _, trace in traces]
         rounds = []
         for r, values in enumerate(drawn):
             for idx, row in zip(uniform, values):
@@ -545,42 +538,44 @@ def measure_scaling(worker_counts, service_counts, template: SimConfig) -> list[
     the same homogeneous workload at a different scale. A cell is iteration
     0 of the ``SimConfig`` with its first n workers and k services, and
     fails as that config would: the first cell in grid order that fails
-    raises its error, from that config. What can fail is decided once per
-    count: n < 1, k < 1, and whether k images fetch in a finite time
-    (``_fetch_limit``); a cell then costs O(1). Every unit clones the
-    prototype, so a maximum-cardinality allocation places at least one,
-    each fetching the same image, iff one of the first n workers can host
-    the prototype. A cell's time is ``_timings`` of that one fetch or of
-    none; nothing is solved and no trace is rendered.
+    builds that config, the only one built, which raises its error. What
+    can fail is decided once per count: n < 1, k < 1, and whether k images
+    fetch in a finite time (``_fetch_limit``); a cell then costs O(1).
+    Worker i clones template worker i mod T, so only the template's first
+    min(N, T) workers are sampled (the one input check) and
+    capability-checked. Every unit clones the prototype, so a
+    maximum-cardinality allocation places at least one, each fetching the
+    same image, iff one of the first min(n, T) of them can host the
+    prototype. A cell's time is ``_timings`` of that one fetch or of none;
+    nothing is solved and no trace is rendered.
     """
     worker_counts = list(worker_counts)
     service_counts = list(service_counts)
     if not worker_counts or not service_counts:
         raise EmptyProblem("scaling needs non-empty worker and service ranges")
     prototype_service = template.experiment.services[0]
-    fleet = tuple(replace(template.workers[i % len(template.workers)], id=f"w{i + 1:03d}")
-                  for i in range(max(worker_counts)))
-    services = tuple(replace(prototype_service, name=f"svc{k + 1:03d}")
-                     for k in range(max(service_counts)))
-    generators = workload_generators(fleet, template.seed, template.base_dir)
+    # Grid worker i clones template worker i mod T: the first min(N, T) stand for them all.
+    roster = template.workers[:max(max(worker_counts), 0)]
     # The fleet's one input check: trace files are read and parsed, fixed values checked.
-    next(sample_rounds(generators, [0], 1))
-    # hostable[n - 1]: one of the first n workers can host the prototype.
+    next(sample_rounds(workload_generators(roster, template.seed, template.base_dir), [0], 1))
+    # hostable[min(n, len(roster)) - 1]: one of the first n workers can host the prototype.
     hostable = np.logical_or.accumulate(
-        costing.build_capability_matrix(fleet, [prototype_service])[:, 0]).tolist()
+        costing.build_capability_matrix(roster, [prototype_service])[:, 0]).tolist()
     fetch_ms = [template.fetch_latency.duration_ms(prototype_service.image_size_mb)]
-    fetch_limit = _fetch_limit(template, prototype_service.image_size_mb, len(services))
-    experiment = replace(template.experiment, dependencies=())
+    fetch_limit = _fetch_limit(template, prototype_service.image_size_mb, max(service_counts))
     cells = []
     for num_workers in worker_counts:
         for num_services in service_counts:
             if num_workers < 1 or not 1 <= num_services < fetch_limit:
-                # The cell's own config raises its error.
-                replace(template, workers=fleet[:max(num_workers, 0)], iterations=1,
-                        experiment=replace(experiment, services=services[:max(num_services, 0)]))
+                # The cell's own config, the only one built, raises its error.
+                experiment = replace(template.experiment, dependencies=(), services=tuple(
+                    replace(prototype_service, name=f"svc{k + 1:03d}") for k in range(num_services)))
+                replace(template, experiment=experiment, iterations=1, workers=tuple(
+                    replace(template.workers[i % len(template.workers)], id=f"w{i + 1:03d}")
+                    for i in range(num_workers)))
                 raise AssertionError(f"cell {num_workers} x {num_services} passed its checks")
             timings = _timings(template, num_workers, num_services,
-                               fetch_ms if hostable[num_workers - 1] else [])
+                               fetch_ms if hostable[min(num_workers, len(roster)) - 1] else [])
             cells.append(ScalingCell(num_workers, num_services, timings["total_ms"]))
     return cells
 

@@ -12,7 +12,7 @@ from swarmlab.allocator import (
     explain,
     prepare,
 )
-from swarmlab import costing
+from swarmlab import allocator, costing
 from swarmlab.costing import (
     CostMatrix,
     build_capability_matrix,
@@ -78,11 +78,13 @@ def test_enumerate_configurations():
     assert AllocationUnit(("s0", "s1", "s2")) in chain[0]
 
 
-def test_configuration_bound():
+def test_configuration_bound(monkeypatch):
+    monkeypatch.setattr(allocator, "MAX_CONFIGURATIONS", 4)
     services = [make_service(f"s{j}") for j in range(6)]
     deps = build_dependency_matrix(services, [("s0", "s1"), ("s2", "s3"), ("s4", "s5")])
-    with pytest.raises(TooManyComponents):
-        enumerate_unit_configurations(services, deps, max_configurations=4)
+    assert len(enumerate_unit_configurations(services[:4], deps[:4, :4])) == 4
+    with pytest.raises(TooManyComponents, match=r"yield 8 configurations \(bound 4\)"):
+        enumerate_unit_configurations(services, deps)
 
 
 def test_single_worker_pool_wins():
@@ -208,7 +210,8 @@ def test_one_cost_matrix_per_allocation(monkeypatch):
     services = [make_service(f"s{j}", 10.0 + 5 * j) for j in range(6)]
     result = allocate(workers, services, [("s0", "s1"), ("s2", "s3"), ("s5", "s4")], EQUAL, 0.9)
     assert len(result.outcomes) == 8
-    assert calls == {"matrix": 0, "block": 1, "scaled": 1}
+    # The block integerizes its costs itself; CostMatrix.scaled serves build_cost_matrix only.
+    assert calls == {"matrix": 0, "block": 1, "scaled": 0}
 
 
 def test_prepared_allocation_serves_many_rounds():

@@ -5,8 +5,6 @@ from swarmlab.errors import MalformedNetwork
 from swarmlab.mcmf import (
     FlowNetwork,
     FlowResult,
-    format_dimacs,
-    parse_dimacs,
     solve,
     verify,
 )
@@ -174,26 +172,3 @@ def test_verify_checks_reported_totals():
     kinds = {v.kind for v in verify(net, wrong)}
     assert kinds == {"total-flow", "total-cost"}
 
-
-def test_dimacs_round_trip():
-    net = FlowNetwork(4, 0, 3)
-    net.add_edge(0, 1, 2, 7)
-    net.add_edge(1, 3, 1, 0)
-    net.add_edge(0, 2, 1, 3)
-    net.add_edge(2, 3, 1, 1)
-    text = format_dimacs(net, comment="round trip fixture")
-    parsed = parse_dimacs(text)
-    assert parsed.num_vertices == net.num_vertices
-    assert parsed.source == net.source
-    assert parsed.sink == net.sink
-    assert parsed.edges == net.edges
-    assert solve(parsed) == solve(net)
-
-
-def test_dimacs_rejects_garbage():
-    with pytest.raises(MalformedNetwork):
-        parse_dimacs("p min 2\n")
-    with pytest.raises(MalformedNetwork):
-        parse_dimacs("p min 2 1\na 1 2 1 1\n")  # no source/sink lines
-    with pytest.raises(MalformedNetwork):
-        parse_dimacs("p min 2 1\nn 1 s\nn 2 t\nx what\n")

@@ -1,4 +1,3 @@
-import json
 from pathlib import Path
 
 import pytest
@@ -206,31 +205,15 @@ def test_build_history_validates_rosters():
 
 def test_report_header_exact():
     assert REPORT_HEADER == "iteration,worker,service,cost,jain_cumulative"
-    report = emit_report(toy_history(), "csv")
+    report = emit_report(toy_history())
     assert report.splitlines()[0] == REPORT_HEADER
 
 
 def test_report_golden():
     golden = (FIXTURES / "report_toy.csv").read_text(encoding="utf-8")
-    assert emit_report(toy_history(), "csv") == golden
+    assert emit_report(toy_history()) == golden
 
 
-def test_report_csv_json_numeric_identity():
-    history = toy_history()
-    csv_lines = emit_report(history, "csv").strip().splitlines()[1:]
-    rows = json.loads(emit_report(history, "json"))["rows"]
-    assert len(csv_lines) == len(rows)
-    for line, row in zip(csv_lines, rows):
-        iteration, worker, service, cost, jain = line.split(",")
-        assert int(iteration) == row["iteration"]
-        assert worker == row["worker"]
-        assert service == row["service"]
-        assert float(cost) == row["cost"]
-        assert float(jain) == row["jain_cumulative"]
-
-
-def test_report_rejects_unknown_format():
-    with pytest.raises(ValueError):
-        emit_report(toy_history(), "xml")
+def test_report_rejects_empty_history():
     with pytest.raises(EmptyHistory):
-        emit_report(build_history([], ["w"], ["s"]), "csv")
+        emit_report(build_history([], ["w"], ["s"]))

@@ -209,10 +209,14 @@ def test_fleets_without_uniform_workers_make_no_kernel_call(tmp_path, kernel_row
 def test_scaling_grid_draws_uniform_samples_once(kernel_rows):
     cells = measure_scaling(range(1, 6), range(1, 4), bench_config(num_workers=3))
     assert len(cells) == 15
-    assert kernel_rows == [5 + 5]  # the grid's five workers, iteration 0
+    # Grid workers 4 and 5 clone template workers 1 and 2: only the template's three
+    # workers are drawn, their levels and their iteration-0 jitter rows.
+    assert kernel_rows == [3 + 3]
 
 
-def test_scaling_samples_each_fleet_worker_once(tmp_path, monkeypatch):
+@pytest.fixture
+def sampled(monkeypatch):
+    """Records each ``sample_rounds`` call: its generators' worker indices and its iterations."""
     calls = []
     original = swarmsim.sample_rounds
 
@@ -221,10 +225,31 @@ def test_scaling_samples_each_fleet_worker_once(tmp_path, monkeypatch):
         return original(generators, iterations, per_block)
 
     monkeypatch.setattr(swarmsim, "sample_rounds", recording)
+    return calls
+
+
+def test_scaling_samples_each_fleet_worker_once(tmp_path, sampled):
     cells = measure_scaling(range(1, 5), range(1, 4), _trace_template(tmp_path, num_workers=2))
     assert len(cells) == 12
-    # Iteration 0 of each of the four fleet workers, not one sample per worker per cell.
-    assert calls == [([0, 1, 2, 3], [0])]
+    # Iteration 0 of each of the two template workers, which the grid's four clone; not one
+    # sample per grid worker, nor per worker per cell.
+    assert sampled == [([0, 1], [0])]
+
+
+def test_large_scaling_grid_works_on_its_template(tmp_path, sampled, monkeypatch):
+    template = _trace_template(tmp_path, num_workers=2)
+    built = []
+    init = ClusterWorker.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("id"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(ClusterWorker, "__init__", counted)
+    cells = measure_scaling(range(1, 5001), [1], template)
+    # 5000 grid workers, but no clone is built and only the two template workers are sampled.
+    assert [(cell.workers, cell.services) for cell in cells] == [(n, 1) for n in range(1, 5001)]
+    assert built == []
+    assert sampled == [([0, 1], [0])]
 
 
 def test_uniform_generator_keeps_worker_level_persistent():
@@ -250,6 +275,7 @@ def test_trace_generator_cycles(tmp_path):
     assert generator.sample(0).cpu == 0.1
     assert generator.sample(1).cpu == 0.5
     assert generator.sample(2).cpu == 0.1
+    assert generator.sample(2**64 + 1).cpu == 0.5  # past numpy's integers
 
 
 def _trace_template(tmp_path, num_workers=6, iterations=1):
@@ -285,6 +311,10 @@ def test_scaling_grid_reads_each_trace_once_per_generator(tmp_path, read_count):
     assert len(cells) == 64
     # The 7th and 8th grid workers replay w0.csv and w1.csv, parsed once for the whole grid.
     assert sorted(read_count) == [f"w{i}.csv" for i in range(6)]
+    # A grid of at most 3 workers never clones the template's last three: their files stay unread.
+    read_count.clear()
+    assert len(measure_scaling(range(1, 4), [2], _trace_template(tmp_path))) == 3
+    assert sorted(read_count) == [f"w{i}.csv" for i in range(3)]
 
 
 @pytest.fixture
@@ -322,16 +352,17 @@ def test_command_level_inputs_are_built_once(call_counts, monkeypatch):
                     experiment=bench_experiment(4, dependencies=(("svc01", "svc02"),)),
                     seed=5, iterations=5)
     # The whole command in one block, then blocks of two rounds (60 cells): each block is
-    # costed and scaled once, and each round is one solve of its two configurations.
+    # costed once, integerized without a CostMatrix, and each round is one solve of its two
+    # configurations.
     for block_cells in (swarmsim.BLOCK_CELLS, 60):
         monkeypatch.setattr(swarmsim, "BLOCK_CELLS", block_cells)
         call_counts.clear()
         results = run_experiment(cfg)
         assert [len(result.outcomes) for result in results] == [2] * 5
         blocks = -(-cfg.iterations // swarmsim.block_rounds(6, 4 + 1))  # 4 services and a pool
-        assert call_counts == {"enumerate_unit_configurations": 1, "build_capability_matrix": 1,
-                               "block": blocks, "scaled": blocks,
-                               "solve_selections": 5, "selections": 10}
+        assert call_counts == Counter({"enumerate_unit_configurations": 1,
+                                       "build_capability_matrix": 1, "block": blocks,
+                                       "scaled": 0, "solve_selections": 5, "selections": 10})
 
 
 def test_scaling_grid_inputs_are_built_once(call_counts, monkeypatch):
@@ -347,12 +378,10 @@ def test_scaling_grid_inputs_are_built_once(call_counts, monkeypatch):
         call_counts.clear()
         cells = measure_scaling(worker_counts, service_counts, template)
         assert len(cells) == len(worker_counts) * len(service_counts)
-        # One capability column decides every cell: nothing is prepared, costed, scaled or
-        # solved. The largest fleet's workers and services are built once each, the
-        # experiment without dependencies once, and no cell builds a config or an experiment.
-        assert call_counts == Counter(build_capability_matrix=1, ClusterWorker=max(worker_counts),
-                                      ServiceSpec=max(service_counts), ExperimentSpec=1,
-                                      SimConfig=0)
+        # One capability column of the template's workers decides every cell: nothing is
+        # prepared, costed, scaled or solved, and no worker, service, experiment or config
+        # is cloned.
+        assert call_counts == Counter(build_capability_matrix=1)
 
 
 def test_experiment_reads_each_trace_once(tmp_path, read_count):
