@@ -18,6 +18,9 @@ configuration has units, since every configuration then places all its
 units. Among equal-cost optima the placement is deterministic for a given
 cost matrix but follows no documented rule.
 
+``enumerate_unit_configurations`` builds one ``AllocationUnit`` per group,
+every single service and each component's pool, and every configuration
+shares those objects; a unit's ``label`` is computed once.
 ``prepare`` builds what the workers' samples do not change, once per fleet
 and experiment: the configurations, the columns (every single service and
 every pool), their feasibility and base costs, each configuration's column
@@ -42,6 +45,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -65,7 +70,7 @@ class AllocationUnit:
     def is_pool(self) -> bool:
         return len(self.members) > 1
 
-    @property
+    @cached_property  # stored in the instance dict; not a field, so eq/hash/repr ignore it
     def label(self) -> str:
         return "+".join(self.members)
 
@@ -137,8 +142,9 @@ def enumerate_unit_configurations(
 
     Components with a single service always yield a single unit. For each
     multi-service component the pooled variant comes first, so the first
-    configuration pools everything and the last splits everything. More
-    than ``MAX_CONFIGURATIONS`` raises ``TooManyComponents``.
+    configuration pools everything and the last splits everything. Every
+    configuration shares one unit object per group. More than
+    ``MAX_CONFIGURATIONS`` raises ``TooManyComponents``.
     """
     names = [s.name for s in services]
     components = _components(dependencies)
@@ -148,20 +154,22 @@ def enumerate_unit_configurations(
             f"{multi} poolable components yield {2**multi} configurations "
             f"(bound {MAX_CONFIGURATIONS})")
 
-    options: list[list[tuple[tuple[int, ...], ...]]] = []
+    # One unit per group, shared by every configuration, keyed by its first service's index.
+    singles = [(j, AllocationUnit((name,))) for j, name in enumerate(names)]
+    options: list[list[tuple[tuple[int, AllocationUnit], ...]]] = []
     for component in components:
+        split = tuple(singles[j] for j in component)
         if len(component) == 1:
-            options.append([(tuple(component),)])
+            options.append([split])
         else:
-            pooled = (tuple(component),)
-            split = tuple((j,) for j in component)
+            pooled = ((component[0], AllocationUnit(tuple(names[j] for j in component))),)
             options.append([pooled, split])
 
     configurations = []
     for choice in itertools.product(*options):
-        groups = [group for component_groups in choice for group in component_groups]
-        groups.sort(key=lambda g: g[0])
-        configurations.append(tuple(AllocationUnit(tuple(names[j] for j in g)) for g in groups))
+        groups = sorted((group for component_groups in choice for group in component_groups),
+                        key=itemgetter(0))
+        configurations.append(tuple(unit for _, unit in groups))
     return configurations
 
 

@@ -146,9 +146,11 @@ def cmd_scaling(args) -> int:
         seed=args.seed,
         base_dir=str(Path(args.cluster_template).parent),
     )
+    # Every check runs here; a failing grid raises before the output file is opened.
     cells = swarmsim.measure_scaling(
         range(1, args.max_workers + 1), range(1, args.max_services + 1), template)
-    Path(args.out).write_text(swarmsim.grid_to_csv(cells), encoding="utf-8")
+    with open(args.out, "w", encoding="utf-8") as out:
+        out.writelines(swarmsim.grid_to_csv(cells))
     return EXIT_OK
 
 

@@ -261,9 +261,15 @@ def _as_object(value, path: str) -> dict:
 
 
 def _check_keys(obj: dict, allowed: set[str], path: str):
+    if obj.keys() <= allowed:
+        return
     unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise SchemaError(f"unknown field(s): {', '.join(map(str, unknown))}", path)
+    raise SchemaError(f"unknown field(s): {', '.join(map(str, unknown))}", path)
+
+
+def _field(path: str, key: str) -> str:
+    """The path of ``key`` in the object at ``path``; formatted only for an error."""
+    return f"{path}.{key}" if path else key
 
 
 def _get_str(obj: dict, key: str, path: str, *, required: bool = False, default: str = "") -> str:
@@ -273,7 +279,7 @@ def _get_str(obj: dict, key: str, path: str, *, required: bool = False, default:
         return default
     value = obj[key]
     if not isinstance(value, str):
-        raise SchemaError(f"expected a string, got {type(value).__name__}", f"{path}.{key}" if path else key)
+        raise SchemaError(f"expected a string, got {type(value).__name__}", _field(path, key))
     return value
 
 
@@ -291,12 +297,11 @@ def _get_number(obj: dict, key: str, path: str, *, required: bool = False, defau
             raise SchemaError(f"missing required field {key!r}", path)
         return default
     value = obj[key]
-    field = f"{path}.{key}" if path else key
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"expected a number, got {type(value).__name__}", field)
+        raise SchemaError(f"expected a number, got {type(value).__name__}", _field(path, key))
     value = _as_float(value)
     if not math.isfinite(value):
-        raise SchemaError("number must be finite", field)
+        raise SchemaError("number must be finite", _field(path, key))
     return value
 
 
@@ -306,9 +311,8 @@ def _get_int(obj: dict, key: str, path: str, *, required: bool = False, default:
             raise SchemaError(f"missing required field {key!r}", path)
         return default
     value = obj[key]
-    field = f"{path}.{key}" if path else key
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"expected an integer, got {type(value).__name__}", field)
+        raise SchemaError(f"expected an integer, got {type(value).__name__}", _field(path, key))
     return value
 
 
@@ -316,31 +320,29 @@ def _get_str_list(obj: dict, key: str, path: str) -> tuple[str, ...]:
     if key not in obj:
         return ()
     value = obj[key]
-    field = f"{path}.{key}" if path else key
     if not isinstance(value, list):
-        raise SchemaError(f"expected an array, got {type(value).__name__}", field)
-    out = []
+        raise SchemaError(f"expected an array, got {type(value).__name__}", _field(path, key))
     for i, item in enumerate(value):
         if not isinstance(item, str):
-            raise SchemaError(f"expected a string, got {type(item).__name__}", f"{field}[{i}]")
-        out.append(item)
-    return tuple(out)
+            raise SchemaError(f"expected a string, got {type(item).__name__}",
+                              f"{_field(path, key)}[{i}]")
+    return tuple(value)
 
 
 def _get_float_vector(obj: dict, key: str, path: str) -> tuple[float, float, float, float]:
-    field = f"{path}.{key}" if path else key
     value = obj.get(key)
     if not isinstance(value, list) or len(value) != 4:
-        raise SchemaError("expected an array of 4 utilization values", field)
-    out = []
+        raise SchemaError("expected an array of 4 utilization values", _field(path, key))
+    if all(type(item) is float and 0.0 <= item <= 1.0 for item in value):  # NaN fails the range
+        return tuple(value)  # type: ignore[return-value]
     for i, item in enumerate(value):
         number = not isinstance(item, bool) and isinstance(item, (int, float))
         if not (number and math.isfinite(_as_float(item))):
-            raise SchemaError("expected a finite number", f"{field}[{i}]")
+            raise SchemaError("expected a finite number", f"{_field(path, key)}[{i}]")
         if not 0.0 <= item <= 1.0:
-            raise SchemaError(f"utilization must be within [0, 1], got {item!r}", f"{field}[{i}]")
-        out.append(float(item))
-    return tuple(out)  # type: ignore[return-value]
+            raise SchemaError(f"utilization must be within [0, 1], got {item!r}",
+                              f"{_field(path, key)}[{i}]")
+    return tuple(float(item) for item in value)  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +525,7 @@ def serialize_edf(spec: ExperimentSpec) -> str:
 # cluster documents
 
 _PROFILE_KEYS = {"capabilities", "cpu_cores", "vram_mb", "swap_mb", "bandwidth_mbps"}
+_WORKER_KEYS = {"id", "profile", "workload"}
 
 
 def _profile_from_obj(obj: dict, path: str) -> HardwareProfile:
@@ -593,19 +596,21 @@ def parse_cluster(document: str) -> ClusterSpec:
         raise SchemaError("expected a non-empty array of workers", "workers")
     workers = []
     for i, raw in enumerate(raw_workers):
-        entry = _as_object(raw, f"workers[{i}]")
-        _check_keys(entry, {"id", "profile", "workload"}, f"workers[{i}]")
-        worker_id = _get_str(entry, "id", f"workers[{i}]", required=True)
+        where = f"workers[{i}]"
+        entry = _as_object(raw, where)
+        _check_keys(entry, _WORKER_KEYS, where)
+        worker_id = _get_str(entry, "id", where, required=True)
         if not worker_id:
-            raise SchemaError("worker id must be non-empty", f"workers[{i}].id")
-        profile = HardwareProfile()
+            raise SchemaError("worker id must be non-empty", f"{where}.id")
         if "profile" in entry:
-            profile = _profile_from_obj(_as_object(entry["profile"], f"workers[{i}].profile"),
-                                        f"workers[{i}].profile")
+            profile_path = f"{where}.profile"
+            profile = _profile_from_obj(_as_object(entry["profile"], profile_path), profile_path)
+        else:
+            profile = HardwareProfile()
         if "workload" not in entry:
-            raise SchemaError("missing required field 'workload'", f"workers[{i}]")
-        workload = _workload_from_obj(_as_object(entry["workload"], f"workers[{i}].workload"),
-                                      f"workers[{i}].workload")
+            raise SchemaError("missing required field 'workload'", where)
+        workload_path = f"{where}.workload"
+        workload = _workload_from_obj(_as_object(entry["workload"], workload_path), workload_path)
         workers.append(ClusterWorker(id=worker_id, profile=profile, workload=workload))
     return ClusterSpec(workers=tuple(workers), seed=_get_int(obj, "seed", "", default=0))
 

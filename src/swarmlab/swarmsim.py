@@ -19,7 +19,11 @@ command. One generator per worker serves a whole command, and the
 generators of one ``workload_generators`` call share their parsed trace
 files, so each file is parsed once per command, in one bulk pass into one
 ``(rows, 4)`` array (``_read_trace``); a block converts only the rows it
-replays to Python floats. ``run_experiment`` prepares the allocation once
+replays to Python floats. A generator holds what differs per worker, its
+seed words and jitter width; its base directory is resolved only where a
+trace file is read, and ``_uniform_values`` bounds every fresh level of a
+block from one array of centers and half-widths. ``run_experiment``
+prepares the allocation once
 and hands each block to
 ``PreparedAllocation.allocate_rounds``, which costs it in one pass; a block
 holds ``block_rounds`` rounds, as many as fit ``BLOCK_CELLS`` worker x
@@ -30,7 +34,9 @@ CLI's ``allocate``. ``measure_scaling`` solves no allocation and clones no
 worker: a grid cell deploys its cloned service iff one of its workers can
 host it, so only the template's first min(N, T) workers are sampled and
 capability-checked, and a cell's checks are decided once per worker count
-and per service count, so a cell costs O(1). ``_timings`` is the one
+and per service count, so a cell costs O(1). It raises any cell's error
+when called, then makes the cells lazily, and ``grid_to_csv`` yields their
+lines, so ``scaling`` writes a grid in flat memory. ``_timings`` is the one
 phase-time rule: ``_trace`` and ``measure_scaling`` both read a round's
 durations from it. The lifecycle exists only as trace events, so every
 ``MemberRegistered`` event carries version 1.
@@ -43,11 +49,12 @@ import io
 import ipaddress
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -115,7 +122,10 @@ class WorkloadGenerator:
     but the draws are batched: ``rng.uniform_rows`` computes them bit for
     bit, the level together with the first jitter rows. ``sample_rounds``
     draws every uniform worker's block of iterations in one call; ``sample``
-    is its one-round case for this worker alone.
+    is its one-round case for this worker alone. The generator keeps only
+    the seed words and jitter width of its worker: the level bounds are
+    made per block, for all fresh generators at once, and ``base_dir`` is
+    kept as given and resolved only when a trace file is read.
     """
 
     def __init__(self, model: WorkloadModel, seed: int, worker_index: int,
@@ -123,7 +133,8 @@ class WorkloadGenerator:
         self.model = model
         self.seed = seed
         self.worker_index = worker_index
-        self.base_dir = Path(base_dir) if base_dir is not None else None
+        #: Where a relative trace path resolves; only ``_rows`` reads it.
+        self.base_dir = base_dir
         self._trace_rows: np.ndarray | None = None
         #: Parsed trace files by location; ``workload_generators`` shares one between its generators.
         self._parsed: dict[Path, np.ndarray] = {}
@@ -131,14 +142,12 @@ class WorkloadGenerator:
         if isinstance(model, UniformWorkload):
             self._jitter_prefix = _entropy_words(seed) + _entropy_words(worker_index)
             self._jitter_width = model.half_width * JITTER_FRACTION
-            center = np.asarray(model.center)
-            self._level_bounds = (center - model.half_width, center + model.half_width)
 
     def _rows(self) -> np.ndarray:
         if self._trace_rows is None:
             location = Path(self.model.path)
             if self.base_dir is not None and not location.is_absolute():
-                location = self.base_dir / location
+                location = Path(self.base_dir) / location
             rows = self._parsed.get(location)
             if rows is None:
                 rows = self._parsed[location] = _read_trace(location)
@@ -159,6 +168,9 @@ MAX_TRACE_BYTES = 16 * 2**20
 
 #: The bytes of a trace file that numpy's reader may parse: printable ASCII, tab and line ends.
 _PLAIN_BYTES = bytes([9, 10, 13, *range(32, 127)])
+#: The blanks of a later trace line that holds nothing else, or that open its comment, with
+#: the line end before them (a literal first character keeps the regex scan fast).
+_LEADING_BLANKS = re.compile(rb"\n[ \t]+(?=#|\r?\n|\Z)")
 
 
 def _read_trace(location: Path) -> np.ndarray:
@@ -187,12 +199,15 @@ def _bulk_rows(data: bytes) -> "np.ndarray | None":
     The reader runs only where it reads what the line loop reads: plain
     bytes (``_PLAIN_BYTES``), lines that end in LF or CR LF, and ``#`` only
     as the first non-blank character of a line (the reader would drop a
-    comment after a value, which the loop refuses). Its fields are
-    parsed by the routine ``float()`` uses, so the values are the loop's.
-    Anything it refuses (a bad or out-of-range line, no rows, an underscore
-    in a number, a blank line of spaces) is left to the loop.
+    comment after a value, which the loop refuses). The blanks that open a
+    comment line or fill a blank line are dropped first, in one ``re.sub``
+    pass, since the reader refuses what they leave. Its fields are parsed by
+    the routine ``float()`` uses, so the values are the loop's. Anything it
+    refuses (a bad or out-of-range line, no rows, an underscore in a number)
+    is left to the loop.
     """
-    if data.translate(None, _PLAIN_BYTES) or data.count(b"\r") != data.count(b"\r\n"):
+    if data.translate(None, _PLAIN_BYTES) or (
+            b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
         return None
     hash_at = data.find(b"#")
     while hash_at >= 0:
@@ -200,6 +215,8 @@ def _bulk_rows(data: bytes) -> "np.ndarray | None":
             return None
         line_end = data.find(b"\n", hash_at)
         hash_at = data.find(b"#", line_end) if line_end >= 0 else -1
+    # A first line's leading blanks go too: the reader skips them in a field as float() does.
+    data = _LEADING_BLANKS.sub(b"\n", data.lstrip(b" \t"))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a file without rows warns; the loop raises
@@ -249,10 +266,12 @@ def _uniform_values(generators: "Sequence[WorkloadGenerator]",
     entropy += [g._jitter_prefix + suffix
                 for suffix in [_entropy_words(k) + _JITTER_TAG_WORDS for k in iterations]
                 for g in generators]
-    bounds = np.reshape([g._level_bounds for g in fresh], (-1, 2, 4))
+    # The fresh levels' bounds, center -/+ half_width, in one pass over a (fresh, 4) array.
+    centers = np.reshape([g.model.center for g in fresh], (-1, 4))
+    half_widths = np.reshape([g.model.half_width for g in fresh], (-1, 1))
     widths = np.tile([[g._jitter_width] for g in generators], (len(iterations), 4))
-    draws = uniform_rows(entropy, np.concatenate([bounds[:, 0], -widths]),
-                         np.concatenate([bounds[:, 1], widths]))
+    draws = uniform_rows(entropy, np.concatenate([centers - half_widths, -widths]),
+                         np.concatenate([centers + half_widths, widths]))
     for g, level in zip(fresh, draws):
         g._level = level
     levels = np.array([g._level for g in generators])
@@ -530,8 +549,9 @@ class ScalingCell:
     elapsed_ms: int
 
 
-def measure_scaling(worker_counts, service_counts, template: SimConfig) -> list[ScalingCell]:
-    """Elapsed swarm-start-to-services-started time over a size grid.
+def measure_scaling(worker_counts, service_counts,
+                    template: SimConfig) -> Iterator[ScalingCell]:
+    """Elapsed swarm-start-to-services-started time over a size grid, as a lazy iterator.
 
     The template's workers are cycled up to each worker count and its
     first service is cloned up to each service count, so every cell runs
@@ -541,6 +561,10 @@ def measure_scaling(worker_counts, service_counts, template: SimConfig) -> list[
     builds that config, the only one built, which raises its error. What
     can fail is decided once per count: n < 1, k < 1, and whether k images
     fetch in a finite time (``_fetch_limit``); a cell then costs O(1).
+    Every check, and the first failing cell's error, is raised by this call,
+    before any cell is made; the cells are then made one at a time, in grid
+    order, as the returned iterator is read, so a grid of any size is
+    written in flat memory.
     Worker i clones template worker i mod T, so only the template's first
     min(N, T) workers are sampled (the one input check) and
     capability-checked. Every unit clones the prototype, so a
@@ -563,21 +587,21 @@ def measure_scaling(worker_counts, service_counts, template: SimConfig) -> list[
         costing.build_capability_matrix(roster, [prototype_service])[:, 0]).tolist()
     fetch_ms = [template.fetch_latency.duration_ms(prototype_service.image_size_mb)]
     fetch_limit = _fetch_limit(template, prototype_service.image_size_mb, max(service_counts))
-    cells = []
+    # Row n fails at its first cell if n < 1, else at the first refused service count, if any.
+    first_refused = next((k for k in service_counts if not 1 <= k < fetch_limit), None)
     for num_workers in worker_counts:
-        for num_services in service_counts:
-            if num_workers < 1 or not 1 <= num_services < fetch_limit:
-                # The cell's own config, the only one built, raises its error.
-                experiment = replace(template.experiment, dependencies=(), services=tuple(
-                    replace(prototype_service, name=f"svc{k + 1:03d}") for k in range(num_services)))
-                replace(template, experiment=experiment, iterations=1, workers=tuple(
-                    replace(template.workers[i % len(template.workers)], id=f"w{i + 1:03d}")
-                    for i in range(num_workers)))
-                raise AssertionError(f"cell {num_workers} x {num_services} passed its checks")
-            timings = _timings(template, num_workers, num_services,
-                               fetch_ms if hostable[min(num_workers, len(roster)) - 1] else [])
-            cells.append(ScalingCell(num_workers, num_services, timings["total_ms"]))
-    return cells
+        if num_workers < 1 or first_refused is not None:
+            num_services = service_counts[0] if num_workers < 1 else first_refused
+            # The cell's own config, the only one built, raises its error.
+            experiment = replace(template.experiment, dependencies=(), services=tuple(
+                replace(prototype_service, name=f"svc{k + 1:03d}") for k in range(num_services)))
+            replace(template, experiment=experiment, iterations=1, workers=tuple(
+                replace(template.workers[i % len(template.workers)], id=f"w{i + 1:03d}")
+                for i in range(num_workers)))
+            raise AssertionError(f"cell {num_workers} x {num_services} passed its checks")
+    return (ScalingCell(n, k, _timings(template, n, k, fetch_ms if hostable[min(n, len(roster)) - 1]
+                                       else [])["total_ms"])
+            for n in worker_counts for k in service_counts)
 
 
 def _fetch_limit(template: SimConfig, size_mb: float, most: int) -> int:
@@ -602,8 +626,8 @@ def _fetch_limit(template: SimConfig, size_mb: float, most: int) -> int:
     return 1 + bisect.bisect_left(range(1, most + 1), True, key=refused)
 
 
-def grid_to_csv(cells: "list[ScalingCell]") -> str:
-    lines = ["workers,services,elapsed_ms"]
+def grid_to_csv(cells: "Iterable[ScalingCell]") -> Iterator[str]:
+    """The CSV lines of ``cells``, header first, each ending in a newline, made as they are read."""
+    yield "workers,services,elapsed_ms\n"
     for cell in cells:
-        lines.append(f"{cell.workers},{cell.services},{cell.elapsed_ms}")
-    return "\n".join(lines) + "\n"
+        yield f"{cell.workers},{cell.services},{cell.elapsed_ms}\n"

@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swarmlab.allocator import (
     AllocationUnit,
@@ -76,6 +78,72 @@ def test_enumerate_configurations():
         services, build_dependency_matrix(services, [("s0", "s1"), ("s1", "s2")]))
     assert len(chain) == 2
     assert AllocationUnit(("s0", "s1", "s2")) in chain[0]
+
+
+def _reference_configurations(names, edges):
+    """Every pool-or-split combination, from a union-find over ``edges``, pooled variant first."""
+    parent = list(range(len(names)))
+
+    def root(j):
+        while parent[j] != j:
+            j = parent[j]
+        return j
+
+    for a, b in edges:
+        parent[root(a)] = root(b)
+    components = sorted({tuple(j for j in range(len(names)) if root(j) == root(k))
+                         for k in range(len(names))})
+    configurations = []
+    for choice in itertools.product(*([True, False] if len(c) > 1 else [True]
+                                      for c in components)):
+        groups = [g for c, pooled in zip(components, choice)
+                  for g in ([c] if pooled else [(j,) for j in c])]
+        configurations.append(tuple(AllocationUnit(tuple(names[j] for j in g))
+                                    for g in sorted(groups)))
+    return configurations
+
+
+DEPENDENCY_GRAPHS = st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1]), max_size=2 * n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=DEPENDENCY_GRAPHS)
+def test_configurations_match_a_reference_enumeration(graph):
+    n, edges = graph
+    services = [make_service(f"s{j}") for j in range(n)]
+    deps = build_dependency_matrix(services, [(f"s{a}", f"s{b}") for a, b in edges])
+    configurations = enumerate_unit_configurations(services, deps)
+    assert configurations == _reference_configurations([s.name for s in services], edges)
+    for units in configurations:
+        for unit in units:
+            assert unit.label == "+".join(unit.members)
+            assert unit.is_pool == (len(unit.members) > 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=DEPENDENCY_GRAPHS)
+def test_configurations_share_one_unit_per_group(graph):
+    n, edges = graph
+    services = [make_service(f"s{j}") for j in range(n)]
+    deps = build_dependency_matrix(services, [(f"s{a}", f"s{b}") for a, b in edges])
+    units = [unit for config in enumerate_unit_configurations(services, deps) for unit in config]
+    by_members = {}
+    for unit in units:
+        assert by_members.setdefault(unit.members, unit) is unit
+    # Every single service, and every pooled component.
+    assert len(by_members) == n + sum(len(m) > 1 for m in by_members)
+
+
+def test_allocation_unit_label_keeps_value_semantics():
+    unit, twin = AllocationUnit(("a", "b")), AllocationUnit(("a", "b"))
+    assert unit.label == "a+b" and unit.label == "a+b"
+    assert unit == twin and hash(unit) == hash(twin) == hash(AllocationUnit(("a", "b")))
+    assert repr(unit) == repr(twin) == "AllocationUnit(members=('a', 'b'))"
+    assert unit != AllocationUnit(("b", "a")) and AllocationUnit(("a",)).label == "a"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        unit.members = ("c",)
 
 
 def test_configuration_bound(monkeypatch):

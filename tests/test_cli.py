@@ -19,6 +19,7 @@ from swarmlab.definitions import (
     serialize_cluster,
     serialize_edf,
 )
+from swarmlab.errors import SchemaError
 from swarmlab.model import HardwareProfile
 
 from factories import balanced_cluster, bench_experiment, make_service
@@ -351,6 +352,23 @@ def test_scaling_100x100_output_is_unchanged(tmp_path):
     # The digest of the output when every worker count was solved as an assignment.
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         "dce7f83e813fd7dcbc1a9125f1872bf84da4486b9d1db9b866f80ee58aa54949"
+
+
+def test_failing_scaling_grid_writes_nothing(tmp_path, monkeypatch, capsys):
+    original = swarmsim.FetchLatency.duration_ms
+
+    def bounded(self, size_mb):  # three 100 MB images take no finite time
+        if size_mb > 250:
+            raise SchemaError(f"fetching {size_mb!r} MB takes no finite time", "image_size_mb")
+        return original(self, size_mb)
+    monkeypatch.setattr(swarmsim.FetchLatency, "duration_ms", bounded)
+    out = tmp_path / "grid.csv"
+    assert main(["scaling", "--cluster-template", str(SAMPLES / "bench.cluster.json"),
+                 "--max-workers", "3", "--max-services", "4", "--seed", "7",
+                 "--out", str(out)]) == 1
+    # Cell (1, 3) is the first to fail; nothing is written, not even the header.
+    assert capsys.readouterr().err == "error: image_size_mb: fetching 300.0 MB takes no finite time\n"
+    assert not out.exists()
 
 
 def test_scaling_grid_over_the_cell_bound_is_refused_before_loading(tmp_path, monkeypatch,

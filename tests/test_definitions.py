@@ -10,6 +10,7 @@ from swarmlab.definitions import (
     DEFAULT_POOL_DISCOUNT,
     CostWeights,
     ExperimentSpec,
+    FixedWorkload,
     MountVolume,
     OverlayConfig,
     ServiceSpec,
@@ -149,6 +150,126 @@ def test_cluster_rejects_unknown_workload_kind():
     document = {"workers": [{"id": "w1", "workload": {"kind": "sine"}}]}
     with pytest.raises(SchemaError):
         parse_cluster(json.dumps(document))
+
+
+_UNIFORM = {"kind": "uniform", "center": [0.3, 0.3, 0.1, 0.3], "half_width": 0.1}
+
+
+def _cluster_with(worker, index=2):
+    """A cluster whose worker ``index`` is ``worker``, after sound ones."""
+    good = [{"id": f"ok{k}", "workload": _UNIFORM} for k in range(index)]
+    return {"workers": [*good, worker]}
+
+
+def _with_workload(**workload):
+    return _cluster_with({"id": "w", "workload": workload})
+
+
+@pytest.mark.parametrize("document, path, message", [
+    ([], "", "expected an object, got list"),
+    ({"workers": [], "extra": 1}, "", "unknown field(s): extra"),
+    ({}, "workers", "expected a non-empty array of workers"),
+    ({"workers": []}, "workers", "expected a non-empty array of workers"),
+    ({"workers": {"id": "w"}}, "workers", "expected a non-empty array of workers"),
+    (_cluster_with(5), "workers[2]", "expected an object, got int"),
+    (_cluster_with({"id": "w", "workload": _UNIFORM, "gpu": 1}), "workers[2]",
+     "unknown field(s): gpu"),
+    (_cluster_with({"workload": _UNIFORM}), "workers[2]", "missing required field 'id'"),
+    (_cluster_with({"id": 7, "workload": _UNIFORM}), "workers[2].id", "expected a string, got int"),
+    (_cluster_with({"id": "", "workload": _UNIFORM}), "workers[2].id", "worker id must be non-empty"),
+    (_cluster_with({"id": "w"}), "workers[2]", "missing required field 'workload'"),
+    (_cluster_with({"id": "w", "profile": [], "workload": _UNIFORM}), "workers[2].profile",
+     "expected an object, got list"),
+    (_cluster_with({"id": "w", "profile": {"gpus": 1}, "workload": _UNIFORM}),
+     "workers[2].profile", "unknown field(s): gpus"),
+    (_cluster_with({"id": "w", "profile": {"cpu_cores": 0}, "workload": _UNIFORM}),
+     "workers[2].profile", "cpu_cores must be positive"),
+    (_cluster_with({"id": "w", "profile": {"cpu_cores": "2"}, "workload": _UNIFORM}),
+     "workers[2].profile.cpu_cores", "expected an integer, got str"),
+    (_cluster_with({"id": "w", "profile": {"bandwidth_mbps": True}, "workload": _UNIFORM}),
+     "workers[2].profile.bandwidth_mbps", "expected a number, got bool"),
+    (_cluster_with({"id": "w", "profile": {"capabilities": "cam"}, "workload": _UNIFORM}),
+     "workers[2].profile.capabilities", "expected an array, got str"),
+    (_cluster_with({"id": "w", "profile": {"capabilities": ["cam", 1]}, "workload": _UNIFORM}),
+     "workers[2].profile.capabilities[1]", "expected a string, got int"),
+    (_cluster_with({"id": "w", "workload": "uniform"}), "workers[2].workload",
+     "expected an object, got str"),
+    (_with_workload(center=[0.1, 0.1, 0.1, 0.1]), "workers[2].workload",
+     "missing required field 'kind'"),
+    (_with_workload(kind=3), "workers[2].workload.kind", "expected a string, got int"),
+    (_with_workload(kind="sine"), "workers[2].workload.kind", "unknown workload kind 'sine'"),
+    (_with_workload(kind="fixed", values=[0.1] * 4, half_width=0.1), "workers[2].workload",
+     "unknown field(s): half_width"),
+    (_with_workload(kind="fixed"), "workers[2].workload.values",
+     "expected an array of 4 utilization values"),
+    (_with_workload(kind="fixed", values=[0.1] * 3), "workers[2].workload.values",
+     "expected an array of 4 utilization values"),
+    (_with_workload(kind="fixed", values="0.1"), "workers[2].workload.values",
+     "expected an array of 4 utilization values"),
+    (_with_workload(kind="fixed", values=[0.1, "0.2", 0.3, 0.4]), "workers[2].workload.values[1]",
+     "expected a finite number"),
+    (_with_workload(kind="fixed", values=[0.1, 0.2, True, 0.4]), "workers[2].workload.values[2]",
+     "expected a finite number"),
+    (_with_workload(kind="fixed", values=[0.1, 0.2, 0.3, None]), "workers[2].workload.values[3]",
+     "expected a finite number"),
+    (_with_workload(kind="fixed", values=[0.1, 0.2, 0.3, 1.5]), "workers[2].workload.values[3]",
+     "utilization must be within [0, 1], got 1.5"),
+    (_with_workload(kind="fixed", values=[-1, 0.2, 0.3, 0.4]), "workers[2].workload.values[0]",
+     "utilization must be within [0, 1], got -1"),
+    (_with_workload(kind="fixed", values=[2, 0.2, 0.3, 0.4]), "workers[2].workload.values[0]",
+     "utilization must be within [0, 1], got 2"),
+    (_with_workload(kind="fixed", values=[-1e-300, 0.2, 0.3, 0.4]), "workers[2].workload.values[0]",
+     "utilization must be within [0, 1], got -1e-300"),
+    (_with_workload(kind="uniform", center=[0.1] * 4), "workers[2].workload",
+     "missing required field 'half_width'"),
+    (_with_workload(kind="uniform", center=[0.1] * 4, half_width="0.1"),
+     "workers[2].workload.half_width", "expected a number, got str"),
+    (_with_workload(kind="uniform", center=[0.1] * 4, half_width=1.5),
+     "workers[2].workload.half_width", "half_width must be within [0, 1], got 1.5"),
+    (_with_workload(kind="uniform", half_width=0.1), "workers[2].workload.center",
+     "expected an array of 4 utilization values"),
+    (_with_workload(kind="uniform", center=[0.1, 0.1, 1.01, 0.1], half_width=0.1),
+     "workers[2].workload.center[2]", "utilization must be within [0, 1], got 1.01"),
+    (_with_workload(kind="trace"), "workers[2].workload", "missing required field 'path'"),
+    (_with_workload(kind="trace", path=5), "workers[2].workload.path", "expected a string, got int"),
+    (_with_workload(kind="trace", path=""), "workers[2].workload.path",
+     "trace path must be non-empty and contain no NUL character"),
+    (_with_workload(kind="trace", path="a\0b"), "workers[2].workload.path",
+     "trace path must be non-empty and contain no NUL character"),
+    (_with_workload(kind="trace", path="t.csv", values=[]), "workers[2].workload",
+     "unknown field(s): values"),
+    ({"workers": [{"id": "w", "workload": _UNIFORM}] * 2}, "workers",
+     "cluster worker ids must be distinct"),
+    ({"workers": [{"id": "w", "workload": _UNIFORM}], "seed": -1}, "seed",
+     "seed must be a non-negative integer"),
+    ({"workers": [{"id": "w", "workload": _UNIFORM}], "seed": "1"}, "seed",
+     "expected an integer, got str"),
+])
+def test_bad_cluster_documents_name_their_field(document, path, message):
+    with pytest.raises(SchemaError) as raised:
+        parse_cluster(json.dumps(document))
+    assert raised.value.path == path
+    assert str(raised.value) == (f"{path}: {message}" if path else message)
+
+
+@pytest.mark.parametrize("literal, index", [("NaN", 0), ("Infinity", 1), ("-Infinity", 2),
+                                            ("1e400", 3), ("1" + "0" * 400, 0)])
+def test_cluster_utilization_values_must_be_finite(literal, index):
+    values = ["0.5"] * 4
+    values[index] = literal
+    document = ('{"workers": [{"id": "w", "workload": {"kind": "fixed", "values": [%s]}}]}'
+                % ", ".join(values))
+    with pytest.raises(SchemaError) as raised:
+        parse_cluster(document)
+    assert str(raised.value) == f"workers[0].workload.values[{index}]: expected a finite number"
+
+
+def test_cluster_utilization_values_keep_their_float_value():
+    document = _cluster_with({"id": "w", "workload": {"kind": "fixed", "values": [0, 1, -0.0, 0.25]}})
+    [*_, worker] = parse_cluster(json.dumps(document)).workers
+    assert [(type(v), v.hex()) for v in worker.workload.values] == \
+        [(float, v.hex()) for v in (0.0, 1.0, -0.0, 0.25)]
+    assert worker.workload == FixedWorkload((0.0, 1.0, -0.0, 0.25))
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,27 @@ def test_iterations_crossing_draw_blocks_match_reference(tmp_path, allocated_rou
     assert blocked == whole
 
 
+@pytest.mark.parametrize("base_dir", ["str", "path", "none", "absolute trace"])
+def test_sample_rounds_match_per_sample_default_rng(tmp_path, base_dir, monkeypatch):
+    workers = _mixed_fleet(tmp_path)
+    given = {"str": str(tmp_path), "path": tmp_path, "none": None,
+             "absolute trace": tmp_path / "elsewhere"}[base_dir]
+    if base_dir in ("none", "absolute trace"):  # the trace path does not rely on base_dir
+        workers = tuple(replace(w, workload=TraceWorkload(str(tmp_path / w.workload.path)))
+                        if isinstance(w.workload, TraceWorkload) else w for w in workers)
+    monkeypatch.chdir(tmp_path.parent)  # a relative trace path must not resolve against the cwd
+    seed = 2**40 + 3
+    generators = swarmsim.workload_generators(workers, seed, given)
+    blocks = list(swarmsim.sample_rounds(generators, range(7), 3))
+    assert [len(block) for block in blocks] == [3, 3, 1]
+    rounds = [list(zip((w.id for w in workers), rows)) for block in blocks for rows in block]
+    assert all(type(v) is float for pairs in rounds for _, row in pairs for v in row)
+    _assert_rounds_match_reference(rounds, workers, seed)
+    # Later iterations of the same generators, in another block shape, draw the same stream.
+    [later] = list(swarmsim.sample_rounds(generators, [6, 2], 2))
+    assert later == [blocks[2][0], blocks[0][2]]
+
+
 def test_allocate_round_draws_iteration_zero_only(tmp_path, kernel_rows):
     workers = _mixed_fleet(tmp_path)
     generators = swarmsim.workload_generators(workers, 3, tmp_path)
@@ -202,12 +223,12 @@ def test_allocate_round_draws_iteration_zero_only(tmp_path, kernel_rows):
 
 def test_fleets_without_uniform_workers_make_no_kernel_call(tmp_path, kernel_rows):
     run_experiment(_trace_template(tmp_path, iterations=3))
-    measure_scaling(range(1, 4), range(1, 3), _trace_template(tmp_path))
+    list(measure_scaling(range(1, 4), range(1, 3), _trace_template(tmp_path)))
     assert kernel_rows == []
 
 
 def test_scaling_grid_draws_uniform_samples_once(kernel_rows):
-    cells = measure_scaling(range(1, 6), range(1, 4), bench_config(num_workers=3))
+    cells = list(measure_scaling(range(1, 6), range(1, 4), bench_config(num_workers=3)))
     assert len(cells) == 15
     # Grid workers 4 and 5 clone template workers 1 and 2: only the template's three
     # workers are drawn, their levels and their iteration-0 jitter rows.
@@ -229,7 +250,7 @@ def sampled(monkeypatch):
 
 
 def test_scaling_samples_each_fleet_worker_once(tmp_path, sampled):
-    cells = measure_scaling(range(1, 5), range(1, 4), _trace_template(tmp_path, num_workers=2))
+    cells = list(measure_scaling(range(1, 5), range(1, 4), _trace_template(tmp_path, num_workers=2)))
     assert len(cells) == 12
     # Iteration 0 of each of the two template workers, which the grid's four clone; not one
     # sample per grid worker, nor per worker per cell.
@@ -245,7 +266,7 @@ def test_large_scaling_grid_works_on_its_template(tmp_path, sampled, monkeypatch
         built.append(kwargs.get("id"))
         init(self, *args, **kwargs)
     monkeypatch.setattr(ClusterWorker, "__init__", counted)
-    cells = measure_scaling(range(1, 5001), [1], template)
+    cells = list(measure_scaling(range(1, 5001), [1], template))
     # 5000 grid workers, but no clone is built and only the two template workers are sampled.
     assert [(cell.workers, cell.services) for cell in cells] == [(n, 1) for n in range(1, 5001)]
     assert built == []
@@ -307,13 +328,13 @@ def read_count(monkeypatch):
 
 
 def test_scaling_grid_reads_each_trace_once_per_generator(tmp_path, read_count):
-    cells = measure_scaling(range(1, 9), range(1, 9), _trace_template(tmp_path))
+    cells = list(measure_scaling(range(1, 9), range(1, 9), _trace_template(tmp_path)))
     assert len(cells) == 64
     # The 7th and 8th grid workers replay w0.csv and w1.csv, parsed once for the whole grid.
     assert sorted(read_count) == [f"w{i}.csv" for i in range(6)]
     # A grid of at most 3 workers never clones the template's last three: their files stay unread.
     read_count.clear()
-    assert len(measure_scaling(range(1, 4), [2], _trace_template(tmp_path))) == 3
+    assert len(list(measure_scaling(range(1, 4), [2], _trace_template(tmp_path)))) == 3
     assert sorted(read_count) == [f"w{i}.csv" for i in range(3)]
 
 
@@ -376,7 +397,7 @@ def test_scaling_grid_inputs_are_built_once(call_counts, monkeypatch):
         monkeypatch.setattr(cls, "__init__", counted)
     for worker_counts, service_counts in ((range(1, 9), range(1, 9)), ([5, 2, 5, 1, 2], [3, 7, 3])):
         call_counts.clear()
-        cells = measure_scaling(worker_counts, service_counts, template)
+        cells = list(measure_scaling(worker_counts, service_counts, template))
         assert len(cells) == len(worker_counts) * len(service_counts)
         # One capability column of the template's workers decides every cell: nothing is
         # prepared, costed, scaled or solved, and no worker, service, experiment or config
@@ -543,6 +564,20 @@ def test_plain_trace_is_parsed_in_one_bulk_pass(tmp_path, monkeypatch):
     monkeypatch.setattr(swarmsim, "_line_rows", no_line_loop)
     rows = swarmsim._read_trace(tmp_path / "load.csv")
     assert rows.tolist() == [[0.1, 0.2, 0.3, 0.4], [0.5, 1.0, -0.0, 1e-3]]
+
+
+@pytest.mark.parametrize("text", [
+    b"  # note\n0.1,0.2,0.3,0.4\n   \n\t\n0.5,0.6,0.7,0.8\n",
+    b"0.1,0.2,0.3,0.4\r\n \t \r\n\t# tabbed\r\n  #\r\n0.5,0.6,0.7,0.8\r\n  ",
+    b"\t\t# header\n 0.1, 0.2 ,0.3,0.4\n\n  \n#\n.5,1.,-0.0,1e-3\n",
+])
+def test_blank_and_indented_comment_lines_stay_on_the_bulk_path(tmp_path, text):
+    location = tmp_path / "load.csv"
+    rows = swarmsim._bulk_rows(text)
+    assert rows is not None
+    expected = np.array(swarmsim._line_rows(text, location), dtype=np.float64)
+    assert rows.shape == expected.shape
+    assert [v.hex() for v in rows.ravel().tolist()] == [v.hex() for v in expected.ravel().tolist()]
 
 
 def test_trace_generator_rejects_bad_rows(tmp_path):
@@ -712,7 +747,7 @@ def scaling_template(parallel=True):
 
 
 def test_scaling_grid_shape_and_service_monotonicity():
-    cells = measure_scaling(range(1, 5), range(1, 7), scaling_template())
+    cells = list(measure_scaling(range(1, 5), range(1, 7), scaling_template()))
     assert len(cells) == 24
     by_workers = {}
     for cell in cells:
@@ -738,10 +773,26 @@ def test_scaling_sequential_rows_grow():
 
 def test_grid_csv_format():
     cells = measure_scaling([1], [1], scaling_template())
-    text = grid_to_csv(cells)
+    text = "".join(grid_to_csv(cells))
     lines = text.splitlines()
     assert lines[0] == "workers,services,elapsed_ms"
     assert len(lines) == 2
+    assert text.endswith("\n") and text.count("\n") == 2
+
+
+def test_scaling_cells_are_made_as_they_are_read(monkeypatch):
+    timed = []
+    original = swarmsim._timings
+
+    def counting(*args):
+        timed.append(args[1:3])
+        return original(*args)
+    monkeypatch.setattr(swarmsim, "_timings", counting)
+    lines = grid_to_csv(measure_scaling(range(1, 1001), range(1, 1001), scaling_template()))
+    assert timed == []  # the checks ran, but no cell is made before it is read
+    assert [next(lines) for _ in range(3)] == ["workers,services,elapsed_ms\n", "1,1,258\n",
+                                               "1,2,263\n"]
+    assert timed == [(1, 1), (1, 2)]
 
 
 def test_scaling_cell_that_places_nothing_takes_no_deploy_time():
@@ -752,7 +803,7 @@ def test_scaling_cell_that_places_nothing_takes_no_deploy_time():
                          experiment=ExperimentSpec(name="scaling", services=(
                              make_service("proto", capabilities=("gpu",), image_size_mb=10.0),)),
                          seed=0, poll_rtt_ms=2, cost_calc_ms=5, alloc_compute_ms=1)
-    cells = measure_scaling([1, 2], [1], template)
+    cells = list(measure_scaling([1, 2], [1], template))
     # Both cells poll in parallel (2 + 5 ms) and allocate (1 ms); only w002 can fetch (50 + 20 ms).
     assert [cell.elapsed_ms for cell in cells] == [8, 8 + 70]
 
@@ -858,7 +909,7 @@ def test_scaling_matches_per_cell_allocation_and_trace(trace_dir, prototypes, re
     template = SimConfig(workers=workers,
                          experiment=ExperimentSpec(name="scaling", services=(service,)),
                          seed=seed, parallel_cost_calc=parallel, base_dir=str(trace_dir))
-    assert measure_scaling(worker_counts, service_counts, template) == \
+    assert list(measure_scaling(worker_counts, service_counts, template)) == \
         _reference_scaling(worker_counts, service_counts, template)
 
 
@@ -898,6 +949,19 @@ def _outcome(function, *args):
         return type(exc), str(exc)
 
 
+def _scaling_outcome(*args):
+    """``measure_scaling``'s cells, or the type and message of what the call raises.
+
+    Every error is raised by the call itself, before a cell is made: none may
+    surface while the cells are read.
+    """
+    try:
+        cells = measure_scaling(*args)
+    except Exception as exc:  # noqa: BLE001 (the oracle compares any error)
+        return type(exc), str(exc)
+    return list(cells)
+
+
 SIGNED_COUNTS = st.lists(st.integers(-2, 7), min_size=1, max_size=5)
 
 
@@ -931,7 +995,7 @@ def test_scaling_raises_the_first_failing_cells_error(worker_counts, service_cou
                          experiment=ExperimentSpec(name="scaling", services=(service,)), seed=4,
                          fetch_latency=FetchLatency(base_ms=base_ms, per_mb_ms=per_mb_ms),
                          parallel_cost_calc=parallel)
-    assert _outcome(measure_scaling, worker_counts, service_counts, template) == \
+    assert _scaling_outcome(worker_counts, service_counts, template) == \
         _outcome(_reference_checked_scaling, worker_counts, service_counts, template)
 
 
