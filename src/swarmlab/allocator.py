@@ -231,7 +231,7 @@ class PreparedAllocation:
     costs: costing.UnitCosts
     #: Per configuration: its columns and each unit's size.
     selections: tuple[tuple[list[int], tuple[int, ...]], ...]
-    #: The solver's square: at least as many workers as the largest configuration has units.
+    #: The solver's columns: at least as many workers as the largest configuration has units.
     size: int
     #: Every column, from the largest base cost (times the discount for a pool) to the smallest.
     scale_order: tuple[int, ...]

@@ -21,12 +21,18 @@ own before the search.
 (the allocator's pool-or-split configurations) one after another, keeping
 the potentials and the matching from one selection to the next, as the
 dynamic Hungarian algorithm does when costs change (Mills-Tettey, Stentz &
-Dias 2007). The problem is padded to a square (Bijsterbosch & Volgenant
-2010): padding rows cost 0 on every worker, and padding columns cost big M
-on every unit, as an infeasible worker does. Every row and column of a
-square problem is matched, so a column freed by a unit that leaves needs no
-condition on its potential: only rows are taken out and put back, each put
-back along one augmenting path. ``solve`` is the one-selection case on a
+Dias 2007). Padding columns cost big M on every unit, as an infeasible
+worker does, so there are at least as many columns as units. Every column
+that no unit holds belongs to one implicit pool: the rows that would pad
+the problem to a square (Bijsterbosch & Volgenant 2010) all cost 0, so
+dual feasibility puts every column they hold at one level, the highest
+column potential, and one row of potential minus that level stands for
+all of them. A search that reaches the pool settles all of its columns at
+once and relaxes the rest from it, so no search walks the padding row by
+row. A unit that enters takes a column that a leaving unit freed or, when
+none is left, one the pool gives up; a freed column that no unit takes
+returns to the pool, at once when no unit holds a column above it, else
+by one search from the pool. ``solve`` is the one-selection case on a
 plain (workers, units) matrix.
 
 Given the columns' ``order`` by cost scale, largest first, a cold start of
@@ -37,8 +43,8 @@ matching walks about half the workers. The seed pairs the units in order
 with the least costly free workers, as the rearrangement inequality
 (Hardy, Littlewood & Polya, *Inequalities*, 10.2) does on exact products,
 telescopes the column potentials back along the pairs, and keeps every
-column that no unit holds at the top potential, 0, where the padding rows
-hold them tight. Pairs left not tight are matched by ``_augment``, the one
+column that no unit holds at the top potential, 0, where the pool holds
+them tight. Pairs left not tight are matched by ``_augment``, the one
 search, so the optimum never depends on the costs' shape. Among equal-cost
 optima the result is deterministic for a given matrix, order of selections
 and column order but follows no documented rule.
@@ -102,83 +108,65 @@ def solve_selections(
     selection of at least ``SEED_MIN_UNITS`` units is seeded from ``matrix``.
     """
     size = matrix.shape[1]
-    zeros = [0] * size
-
-    row_cost = [zeros] * size
-    row_potential = [0] * size
+    pool = len(costs)  # the pool's row, after the units': it costs 0 on every column
+    rows = [*costs, [0] * size]
+    row_potential = [0] * (pool + 1)  # the pool's is minus its level
     col_potential = [0] * size
-    col_for_row = [-1] * size
-    row_for_col = [-1] * size
-    row_of_unit: dict[int, int] = {}
-    padding_rows: list[int] = []
-    open_rows = list(range(size))  # rows that hold nothing until refilled
+    col_for_row = [-1] * (pool + 1)
+    row_for_col = [pool] * size  # -1 while a column is free
+    held: Sequence[int] = ()
 
     results = []
     for selection in selections:
         chosen = set(selection)
-        open_rows += [row_of_unit.pop(unit) for unit in list(row_of_unit) if unit not in chosen]
-        for _ in range(len(padding_rows) + len(selection) - size):
-            open_rows.append(padding_rows.pop())
-        for row in open_rows:
-            col = col_for_row[row]
-            if col >= 0:
-                row_for_col[col] = col_for_row[row] = -1
+        for unit in held:
+            if unit not in chosen:  # its column is free until a unit or the pool takes it
+                row_for_col[col_for_row[unit]] = -1
+                col_for_row[unit] = -1
 
         if not results and order is not None and len(selection) >= SEED_MIN_UNITS:
             entering = [unit for unit in order if unit in chosen]
-            col_potential, tight, spare = _seed(matrix, costs, big_m, entering)
+            col_potential, tight, unpaired = _seed(matrix, costs, big_m, entering)
+            # The pool takes the columns that no unit was paired with, all at the top
+            # potential, 0; a dropped pair's column is left free.
+            row_for_col = [-1] * size
+            for col in unpaired:
+                row_for_col[col] = pool
             for unit, col, potential in tight:
-                row = row_of_unit[unit] = open_rows.pop()
-                row_cost[row] = costs[unit]
-                row_potential[row] = potential
-                col_for_row[row] = col
-                row_for_col[col] = row
-            # Padding holds columns that no unit was paired with, all at the top
-            # potential, 0: left free, a dropped pair's column could end below
-            # that level and send every padding row through a search.
-            padding_rows = open_rows[:size - len(selection)]
-            del open_rows[:len(padding_rows)]
-            for row, col in zip(padding_rows, spare):
-                col_for_row[row] = col
-                row_for_col[col] = row
+                row_potential[unit] = potential
+                col_for_row[unit] = col
+                row_for_col[col] = unit
         else:
             entering = selection
-        for unit in entering:
-            if unit not in row_of_unit:
-                row = row_of_unit[unit] = open_rows.pop()
-                row_cost[row] = costs[unit]
-                _augment(row, row_cost, row_potential, col_potential, col_for_row, row_for_col)
-        if open_rows:
-            # The rows left open are padding, one per free column. A padding row
-            # is tight only on the columns of highest potential. When no unit
-            # holds a column above the lowest free one, padding's own columns
-            # are lowered to that level and padding takes the free columns
-            # without a search; on a cold start every free column still has
-            # potential 0, the highest.
-            free = [col for col in range(size) if row_for_col[col] < 0]
+        waiting = [unit for unit in entering if col_for_row[unit] < 0]
+        # The pool gives up a column to each unit that no free column is left for.
+        spare = len(waiting) - row_for_col.count(-1)
+        for unit in waiting:
+            if _augment(unit, rows, row_potential, col_potential, col_for_row, row_for_col, spare > 0):
+                spare -= 1
+
+        free = [col for col in range(size) if row_for_col[col] < 0]
+        if free:
+            # The pool is tight only on the columns of highest potential. When no unit
+            # holds a column above the lowest free one, the pool is lowered to that level
+            # and takes the free columns without a search; otherwise one search from the
+            # pool returns each of them.
             level = min(col_potential[col] for col in free)
-            if all(col_potential[col] <= level or row_cost[row_for_col[col]] is zeros
-                   for col in range(size) if row_for_col[col] >= 0):
-                for row in padding_rows:
-                    col_potential[col_for_row[row]] = level
-                    row_potential[row] = -level
-                for row, col in zip(open_rows, free):
-                    row_cost[row] = zeros
-                    row_potential[row] = -level
-                    col_potential[col] = level
-                    col_for_row[row] = col
-                    row_for_col[col] = row
+            if all(col_potential[col] <= level for col in range(size) if 0 <= row_for_col[col] < pool):
+                for col in range(size):
+                    if row_for_col[col] in (-1, pool):
+                        row_for_col[col] = pool
+                        col_potential[col] = level
+                row_potential[pool] = -level
             else:
-                for row in open_rows:
-                    row_cost[row] = zeros
-                    _augment(row, row_cost, row_potential, col_potential, col_for_row, row_for_col)
-            padding_rows += open_rows
-            open_rows.clear()
+                for _ in free:
+                    _augment(pool, rows, row_potential, col_potential, col_for_row, row_for_col, False)
+        held = selection
 
         pairs = []
         total = 0
         for position, unit in enumerate(selection):
-            worker = col_for_row[row_of_unit[unit]]
+            worker = col_for_row[unit]
             if costs[unit][worker] < big_m:  # a padding worker costs big M too
                 pairs.append((worker, position))
                 total += costs[unit][worker]
@@ -241,14 +229,20 @@ def _seed(matrix: np.ndarray, costs: list[list[int]], big_m: int,
     return col_potential, tight, [col for col in range(size) if not taken[col]]
 
 
-def _augment(start: int, matrix: list[list[int]], row_potential: list[int],
-             col_potential: list[int], col_for_row: list[int], row_for_col: list[int]) -> None:
+def _augment(start: int, rows: list[list[int]], row_potential: list[int], col_potential: list[int],
+             col_for_row: list[int], row_for_col: list[int], spare: bool) -> bool:
     """Match the free row ``start`` along a shortest augmenting path, updating the potentials.
 
-    Every other row must be matched with reduced costs non-negative and tight
-    on its matched column. ``start``'s own potential needs no initial value:
-    it shifts all of its reduced costs by the same amount.
+    The last of ``rows`` is the pool: it costs 0 on every column and holds
+    every column that no other row holds, tight on all of them, which puts
+    them all at its level, the highest column potential. Every other row must
+    be matched with reduced costs non-negative and tight on its matched
+    column. A unit's ``start`` potential needs no initial value: it shifts all
+    of its reduced costs by the same amount. The path ends on a free column,
+    or, given ``spare``, on any pool column; returns whether it ended there.
     """
+    pool = len(rows) - 1
+    sinks = (-1, pool) if spare else (-1,)  # the holders whose columns end a path
     num_cols = len(col_potential)
     shortest: list[int | None] = [None] * num_cols  # tentative path length per column
     via_row = [-1] * num_cols  # row preceding each column on its path
@@ -258,7 +252,14 @@ def _augment(start: int, matrix: list[list[int]], row_potential: list[int],
     min_dist = 0
     row = start
     while True:
-        cost_row = matrix[row]
+        if row == pool:
+            # The pool reaches each of its columns at min_dist: settle them all at once.
+            settled = [col for col in remaining if row_for_col[col] == pool]
+            for col in settled:
+                shortest[col] = min_dist
+            done_cols += settled
+            remaining = [col for col in remaining if row_for_col[col] != pool]
+        cost_row = rows[row]
         offset = min_dist - row_potential[row]
         best = None
         best_at = -1
@@ -268,8 +269,8 @@ def _augment(start: int, matrix: list[list[int]], row_potential: list[int],
             if s is None or d < s:
                 shortest[col] = s = d
                 via_row[col] = row
-            # Prefer a free column on ties: the path ends sooner.
-            if best is None or s < best or (s == best and row_for_col[col] < 0):
+            # Prefer a column that ends the path on ties: the path ends sooner.
+            if best is None or s < best or (s == best and row_for_col[col] in sinks):
                 best = s
                 best_at = k
         min_dist = best
@@ -277,10 +278,12 @@ def _augment(start: int, matrix: list[list[int]], row_potential: list[int],
         remaining[best_at] = remaining[-1]
         remaining.pop()
         done_cols.append(col)
-        if row_for_col[col] < 0:
-            sink = col
+        holder = row_for_col[col]
+        if holder in sinks:
             break
-        row = row_for_col[col]
+        if holder == pool:
+            col_for_row[pool] = col  # the column the path enters the pool through
+        row = holder
         visited_rows.append(row)
 
     # Keep reduced costs non-negative and tight along the new matching.
@@ -290,10 +293,12 @@ def _augment(start: int, matrix: list[list[int]], row_potential: list[int],
     for c in done_cols:
         col_potential[c] -= min_dist - shortest[c]
 
-    col = sink
+    # Each row on the path takes the column it reached and gives up the one it held;
+    # the pool takes one column and gives up the one the path entered it through.
     while True:
         row = via_row[col]
         row_for_col[col] = row
         col_for_row[row], col = col, col_for_row[row]
         if row == start:
             break
+    return holder == pool

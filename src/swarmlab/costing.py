@@ -216,7 +216,7 @@ class UnitCosts:
         # Per-worker load terms, computed with Python floats exactly as the scalar functions do.
         loads = np.array([[(cpu**4, vram**4, swap, (1.0 - bandwidth) ** 4)
                            for cpu, vram, swap, bandwidth in workers] for workers in rounds],
-                         dtype=np.float64).reshape(len(rounds), -1, 4)
+                         dtype=np.float64).reshape(len(rounds), self.feasible.shape[0], 4)
         loads = np.moveaxis(loads, 2, 0)[..., None]  # (4, rounds, workers, 1)
         values = np.zeros((len(rounds), *self.feasible.shape), dtype=np.float64)
         # Member p of every unit that has one, so pools add their members left to right.

@@ -23,8 +23,7 @@ replays to Python floats. A generator holds what differs per worker, its
 seed words and jitter width; its base directory is resolved only where a
 trace file is read, and ``_uniform_values`` bounds every fresh level of a
 block from one array of centers and half-widths. ``run_experiment``
-prepares the allocation once
-and hands each block to
+prepares the allocation once and hands each block to
 ``PreparedAllocation.allocate_rounds``, which costs it in one pass; a block
 holds ``block_rounds`` rounds, as many as fit ``BLOCK_CELLS`` worker x
 column cost cells, and at least one. It returns only the rounds' results.

@@ -292,6 +292,7 @@ def test_prepared_allocation_serves_many_rounds():
         first = [prepared.allocate(r) for r in rounds]
         again = [prepared.allocate(r) for r in reversed(rounds)][::-1]  # no state leaks between rounds
         assert first == again == [allocate(r, services, deps, weights, discount) for r in rounds]
+        assert prepared.allocate_rounds([]) == []  # an empty block has no rounds to place
         with pytest.raises(ValueError):
             prepared.allocate(workers + workers)
 

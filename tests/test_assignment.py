@@ -138,10 +138,41 @@ def test_empty_matrix():
     assert assignment.solve(np.zeros((3, 0), dtype=np.int64), np.zeros((3, 0), dtype=bool)) == ([], 0)
 
 
+def _check_selections(scaled, feasible, selections):
+    """Each selection solved in turn matches its independent solve and scipy's."""
+    solved = solve_selections(scaled, feasible, selections)
+    assert len(solved) == len(selections)
+    for cols, (pairs, cost) in zip(selections, solved):
+        assert [p for _, p in pairs] == sorted({p for _, p in pairs})
+        assert len({w for w, _ in pairs}) == len(pairs)
+        assert all(feasible[w, cols[p]] for w, p in pairs)
+        assert cost == sum(int(scaled[w, cols[p]]) for w, p in pairs)
+        reference, reference_cost = assignment.solve(scaled[:, cols], feasible[:, cols])
+        assert (len(pairs), cost) == (len(reference), reference_cost)
+        if scaled.shape[0] and cols:
+            assert (len(pairs), cost) == _scipy_totals(scaled[:, cols], feasible[:, cols])
+
+
+# (workers, columns, seed, selections): each grows to as many units as the solver has
+# columns (the pool holds none), shrinks to none (the pool holds every column) and grows
+# again, on a fleet whose first two workers are duplicates.
+EDGE_SELECTIONS = [
+    (4, 6, 1, [[0, 1, 2, 3, 4, 5], [], [5, 3, 1], [0, 1, 2, 3, 4, 5], [2], []]),
+    (5, 5, 2, [[4, 2], [0, 1, 2, 3, 4], [], [3, 1, 4, 0, 2], [1, 3], []]),
+    (6, 6, 3, [[], [5, 4, 3, 2, 1, 0], [0], [], [0, 1, 2, 3, 4, 5], [2, 3, 4, 5]]),
+    (2, 3, 4, [[0, 1, 2], [], [2, 0, 1], [1]]),
+]
+
+
 def test_selections_match_independent_solves():
-    # Random selection sequences, not only Gray-code steps: units leave and
-    # enter in any number, and a selection may hold more units than there are
-    # workers, or none.
+    # Units leave and enter in any number, and a selection may hold more units than
+    # there are workers, or none: first the edge sequences, then random ones.
+    for workers, columns, seed, selections in EDGE_SELECTIONS:
+        rng = np.random.default_rng(seed)
+        scaled = rng.integers(0, 1000, size=(workers, columns))
+        scaled[1] = scaled[0]
+        for feasible in (np.ones((workers, columns), dtype=bool), rng.random((workers, columns)) < 0.6):
+            _check_selections(scaled, feasible, selections)
     rng = np.random.default_rng(4242)
     for _ in range(300):
         workers, columns = int(rng.integers(0, 7)), int(rng.integers(1, 9))
@@ -151,17 +182,7 @@ def test_selections_match_independent_solves():
         feasible = rng.random((workers, columns)) < rng.uniform(0.0, 1.0)
         selections = [rng.permutation(columns)[:int(rng.integers(0, columns + 1))].tolist()
                       for _ in range(int(rng.integers(1, 8)))]
-        solved = solve_selections(scaled, feasible, selections)
-        assert len(solved) == len(selections)
-        for cols, (pairs, cost) in zip(selections, solved):
-            assert [p for _, p in pairs] == sorted({p for _, p in pairs})
-            assert len({w for w, _ in pairs}) == len(pairs)
-            assert all(feasible[w, cols[p]] for w, p in pairs)
-            assert cost == sum(int(scaled[w, cols[p]]) for w, p in pairs)
-            reference, reference_cost = assignment.solve(scaled[:, cols], feasible[:, cols])
-            assert (len(pairs), cost) == (len(reference), reference_cost)
-            if workers and cols:
-                assert (len(pairs), cost) == _scipy_totals(scaled[:, cols], feasible[:, cols])
+        _check_selections(scaled, feasible, selections)
 
 
 # Nobody offers "lidar": a service that needs it is an all-infeasible column,
@@ -259,16 +280,20 @@ def test_seeded_cold_solves_match_scipy(problem):
             assert (len(pairs), cost) == _scipy_totals(scaled[:, cols], feasible[:, cols])
 
 
+#: Where a search starts when it returns a column to the pool: the row after the units'.
+POOL = "pool"
+
+
 def _counting_augment(monkeypatch):
-    """Records the cost row of every augmenting-path search."""
-    rows = []
+    """Records where every augmenting-path search starts: a unit's row, or ``POOL``."""
+    starts = []
     augment = assignment._augment
 
-    def counting(start, matrix, *rest):
-        rows.append(matrix[start])
-        return augment(start, matrix, *rest)
+    def counting(start, rows, *rest):
+        starts.append(POOL if start == len(rows) - 1 else start)
+        return augment(start, rows, *rest)
     monkeypatch.setattr(assignment, "_augment", counting)
-    return rows
+    return starts
 
 
 def test_product_costs_are_seeded_without_a_search(monkeypatch):
@@ -294,8 +319,8 @@ def test_seeded_cold_starts_run_no_padding_search(monkeypatch):
     # Twelve workers and eight services of which two pool, as in the shipped demo but with
     # enough units to seed, then fleet_pools-shaped first configurations: 40 workers, half
     # with a camera, 20 services, four of which need one, three two-service pools. The seed
-    # hands the padding rows the unpaired columns at the top potential, so no padding row
-    # searches, even where the seed drops pairs that are not tight.
+    # hands the pool the unpaired columns at the top potential, so no search starts from the
+    # pool, even where the seed drops pairs that are not tight.
     searches = _counting_augment(monkeypatch)
     rng = np.random.default_rng(5)
     prepared_demo = None
@@ -313,7 +338,7 @@ def test_seeded_cold_starts_run_no_padding_search(monkeypatch):
         scaled = prepared.costs.matrix([w.workload for w in fleet]).scaled()
         searches.clear()
         solve_selections(scaled, prepared.costs.feasible, [first], prepared.scale_order)
-        assert all(any(row) for row in searches)  # unit rows only: padding rows cost 0
+        assert POOL not in searches
         dropped += len(searches)
         prepared_demo = prepared_demo or (prepared, fleet, len(searches))
     assert dropped > 0  # some seeds left pairs that were not tight
@@ -323,7 +348,63 @@ def test_seeded_cold_starts_run_no_padding_search(monkeypatch):
     searches.clear()
     result = prepared.allocate(fleet)
     assert result.feasible and len(result.outcomes) == 2
-    assert [any(row) for row in searches] == [True] * (repairs + 2)
+    assert len(searches) == repairs + 2 and POOL not in searches
+
+
+class _ScannedRows(list):
+    """A search's rows that records every row the search scans."""
+
+    def __init__(self, rows, scanned):
+        super().__init__(rows)
+        self.scanned = scanned
+
+    def __getitem__(self, index):
+        row = super().__getitem__(index)
+        self.scanned.append(row)
+        return row
+
+
+def test_pooling_steps_search_the_pool_once(monkeypatch):
+    # A fleet_pools-shaped fleet: 40 workers, half with a camera, 20 services of which four
+    # need one, three two-service pools. In Gray-code order a pooling step frees two member
+    # columns and the pool unit takes one; here the other is left below a column that a unit
+    # holds, so the pool takes it back by a search. The pool (all-zero costs) must be
+    # scanned at most once per search, not once per column it holds.
+    searches = []  # per search: (starts from the pool, all-zero rows scanned)
+    augment = assignment._augment
+
+    def counting(start, rows, *rest):
+        scanned = []
+        found = augment(start, _ScannedRows(rows, scanned), *rest)
+        searches.append((not any(rows[start]), sum(not any(row) for row in scanned)))
+        return found
+    monkeypatch.setattr(assignment, "_augment", counting)
+
+    rng = np.random.default_rng(0)
+    fleet = [make_worker(f"w{i:02d}", ("cam",) if i % 2 else (),
+                         *rng.uniform(0.1, 0.8, size=4).tolist()) for i in range(40)]
+    needs_camera = set(rng.choice(20, size=4, replace=False).tolist())
+    specs = [make_service(f"s{j:02d}", float(rng.uniform(5.0, 95.0)),
+                          ("cam",) if j in needs_camera else ()) for j in range(20)]
+    dependencies = [(f"s{2 * k:02d}", f"s{2 * k + 1:02d}") for k in range(3)]
+    prepared = prepare(fleet, specs, dependencies, CostWeights(), 0.85)
+    scaled = prepared.costs.matrix([w.workload for w in fleet]).scaled()
+    feasible = prepared.costs.feasible
+    selections = [prepared.selections[i ^ (i >> 1)][0] for i in range(8)]
+
+    pool_searches = []  # per step
+    for step in range(len(selections)):
+        searches.clear()
+        solved = solve_selections(scaled, feasible, selections[:step + 1], prepared.scale_order)
+        assert all(visits <= 1 for _, visits in searches)
+        pool_searches.append(sum(from_pool for from_pool, _ in searches) - sum(pool_searches))
+        returned = max(len(selections[step - 1]) - len(selections[step]), 0) if step else 0
+        assert pool_searches[-1] <= returned
+    assert sum(pool_searches) > 0  # some pooling step left a column below a held one
+    for cols, (pairs, cost) in zip(selections, solved):
+        reference, reference_cost = assignment.solve(scaled[:, cols], feasible[:, cols])
+        assert (len(pairs), cost) == (len(reference), reference_cost) \
+            == _scipy_totals(scaled[:, cols], feasible[:, cols])
 
 
 def test_services_tie_break_past_int64_runs_on_python_ints():
