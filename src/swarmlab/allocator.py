@@ -26,16 +26,17 @@ and experiment: the configurations, the columns (every single service and
 every pool), their feasibility and base costs, each configuration's column
 selection, the columns ordered by cost scale for the solver's seeded cold
 start, and the services tie-break. ``PreparedAllocation.allocate_rounds``
-takes a block of rounds' load rows: ``costing.UnitCosts.block`` costs,
-integerizes, encodes and lays out the whole block for the solver in one
-pass, so each round is left with one ``assignment.solve_selections`` call
-over every configuration's columns and its placement, which reads a placed
-service's cost from its own single-service column, times the discount when
-it is pooled. That call visits the configurations in reflected Gray-code
-order of their index, so consecutive ones differ in one component and each
-is warm-started from the last. ``PreparedAllocation.allocate`` is the
-one-round case, given worker states; ``allocate`` is ``prepare`` plus one
-round; the simulator prepares once per command.
+takes a block of rounds' load rows: ``costing.UnitCosts.block`` costs the
+whole block in one pass, the allocator puts it on the integer grid and
+applies its services tie-break, and ``assignment.solve_rounds`` solves
+every round over every configuration's columns. Each round's placement
+reads a placed service's cost from its own single-service column, times
+the discount when it is pooled. The solver visits the configurations in
+reflected Gray-code order of their index, so consecutive ones differ in
+one component and each is warm-started from the last.
+``PreparedAllocation.allocate`` is the one-round case, given worker
+states; ``allocate`` is ``prepare`` plus one round; the simulator prepares
+once per command.
 
 ``build_network`` states the same problem as a min-cost max-flow network
 for the ``mcmf`` reference solver; the allocator itself does not use it.
@@ -231,8 +232,6 @@ class PreparedAllocation:
     costs: costing.UnitCosts
     #: Per configuration: its columns and each unit's size.
     selections: tuple[tuple[list[int], tuple[int, ...]], ...]
-    #: The solver's columns: at least as many workers as the largest configuration has units.
-    size: int
     #: Every column, from the largest base cost (times the discount for a pool) to the smallest.
     scale_order: tuple[int, ...]
     #: The services tie-break: the solver sees ``cost * spread + offsets[column]``, in
@@ -258,17 +257,19 @@ class PreparedAllocation:
         """``allocate`` for each round of a block, given one load row per prepared worker.
 
         A load row is (cpu, vram, swap, bandwidth). The block is costed and
-        laid out for the solver in one pass; each round then only solves and
-        places.
+        encoded in one pass; each round then only solves and places.
         """
-        block = self.costs.block(rounds, self.size, self.spread, self.offsets)
+        values = self.costs.block(rounds)
+        # Infeasible cells are 0.0 and no cost is negative: the grid needs no mask.
+        scaled = costing.integer_grid(values)
+        if self.spread > 1:
+            scaled = scaled.astype(self.offsets.dtype, copy=False) * self.spread + self.offsets
         # Reflected Gray-code order: consecutive configurations differ in one component.
         order = [i ^ (i >> 1) for i in range(len(self.selections))]
-        selections = [self.selections[i][0] for i in order]
-        return [self._place(values, order, assignment.solve_selections(
-                    solver, rows, big_m, selections, self.scale_order))
-                for values, solver, rows, big_m in zip(block.values, block.solver, block.rows,
-                                                       block.big_m)]
+        solutions = assignment.solve_rounds(scaled, self.costs.feasible,
+                                            [self.selections[i][0] for i in order], self.scale_order)
+        return [self._place(round_values, order, solved)
+                for round_values, solved in zip(values, solutions)]
 
     def _place(self, values: np.ndarray, order: list[int], solutions: list) -> AllocationResult:
         """The result of one round whose configurations, visited in ``order``, solved to ``solutions``."""
@@ -338,14 +339,13 @@ def prepare(
     # Services can tie only where a configuration may leave a unit unplaced. None can when
     # every column is feasible on as many workers as a configuration has units (a greedy
     # matching places them all); then the solver sees the costs as they are.
-    size = max(len(workers), max(len(cols) for cols, _ in selections))
     placeable = int(costs.feasible.sum(axis=0).min()) >= max(len(cols) for cols, _ in selections)
     spread = 1 if placeable else len(services) * (largest - 1) + 1
     # A cell costs at most its column's scale (the loads and the weights' sum are at most 1).
     bound = (2 * int(max(scale) * COST_SCALE) + 2) * spread * len(workers) * len(columns)
     return PreparedAllocation(
         services=tuple(services), configurations=tuple(configurations),
-        worker_ids=tuple(w.id for w in workers), costs=costs, selections=selections, size=size,
+        worker_ids=tuple(w.id for w in workers), costs=costs, selections=selections,
         scale_order=tuple(sorted(range(len(columns)), key=lambda c: -scale[c])),
         spread=spread, offsets=np.array([largest - len(members) for members in columns],
                                         dtype=np.int64 if bound < 2**62 else object),

@@ -11,11 +11,14 @@ Python ints, so the optimum is exact on the integer cost grid.
 Infeasible pairs cost a big M, the sum of all feasible costs plus one:
 a single infeasible pair then outweighs any set of feasible ones, so the
 solution first maximizes the number of feasible pairs and then minimizes
-their cost. ``padded`` lays out a whole stack of cost matrices this way
-(the allocator's block of rounds) with one sum for their big Ms;
-``solve_selections`` takes one of them, both as the numpy array that
-``_seed`` reads and as its ``tolist()`` rows, so it runs no numpy of its
-own before the search.
+their cost. ``solve_rounds`` takes a stack of rectangular (workers,
+columns) cost matrices, the allocator's block of rounds, and owns their
+layout. It lays out the whole stack at once: one row per column, padded
+with workers of cost big M up to the largest selection's size, one sum
+for the big Ms and one ``tolist()``. Each matrix then goes to
+``solve_selections`` both as the numpy array that ``_seed`` reads and as
+its Python rows, so the search runs no numpy of its own. ``solve`` is the
+one-matrix, one-selection case.
 
 ``solve_selections`` solves several selections of the matrix's columns
 (the allocator's pool-or-split configurations) one after another, keeping
@@ -32,8 +35,7 @@ once and relaxes the rest from it, so no search walks the padding row by
 row. A unit that enters takes a column that a leaving unit freed or, when
 none is left, one the pool gives up; a freed column that no unit takes
 returns to the pool, at once when no unit holds a column above it, else
-by one search from the pool. ``solve`` is the one-selection case on a
-plain (workers, units) matrix.
+by one search from the pool.
 
 Given the columns' ``order`` by cost scale, largest first, a cold start of
 at least ``SEED_MIN_UNITS`` units begins from ``_seed`` instead of an empty
@@ -63,21 +65,20 @@ import numpy as np
 SEED_MIN_UNITS = 6
 
 
-def padded(scaled: np.ndarray, feasible: np.ndarray, size: int) -> tuple[np.ndarray, list[int]]:
-    """The solver's input for each of a stack of cost matrices, and each one's big M.
+def solve_rounds(scaled: np.ndarray, feasible: np.ndarray, selections: Sequence[Sequence[int]],
+                 order: Sequence[int] | None = None) -> list[list[tuple[list[tuple[int, int]], int]]]:
+    """``solve_selections`` on each of a stack of cost matrices.
 
-    ``scaled`` holds non-negative integer costs shaped (matrices, workers,
-    columns) and ``feasible`` the pairs that may be matched, (workers,
-    columns). Each matrix becomes one row per column, padded to ``size``
-    workers: infeasible and padding cells cost the matrix's big M. The
-    result keeps ``scaled``'s dtype; its ``tolist()`` is the Python ints
-    ``solve_selections`` reads.
+    ``scaled`` holds non-negative integer costs shaped (rounds, workers,
+    columns), int64 or Python ints in an object array, and ``feasible`` the
+    pairs that may be matched, (workers, columns). The whole stack is padded
+    in one pass and converted to Python ints by one ``tolist()``; each round
+    is then solved on its own. Returns each round's per-selection results.
     """
-    big_m = np.where(feasible, scaled, 0).sum(axis=(1, 2)) + 1  # one sum for the whole stack
-    fill = big_m[:, None, None]
-    matrix = np.full((scaled.shape[0], scaled.shape[2], size), fill, dtype=scaled.dtype)
-    matrix[:, :, :scaled.shape[1]] = np.where(feasible, scaled, fill).transpose(0, 2, 1)
-    return matrix, big_m.tolist()
+    size = max(feasible.shape[0], max(map(len, selections), default=0))
+    matrices, big_ms = _padded(scaled, feasible, size)
+    return [solve_selections(matrix, rows, big_m, selections, order)
+            for matrix, rows, big_m in zip(matrices, matrices.tolist(), big_ms)]
 
 
 def solve(scaled: np.ndarray, feasible: np.ndarray) -> tuple[list[tuple[int, int]], int]:
@@ -87,8 +88,21 @@ def solve(scaled: np.ndarray, feasible: np.ndarray) -> tuple[list[tuple[int, int
     pairs that may be matched, both shaped (workers, units). Returns the
     matched ``(worker, unit)`` pairs sorted by unit and their total cost.
     """
-    [matrix], [big_m] = padded(scaled[None], feasible, max(feasible.shape))
-    return solve_selections(matrix, matrix.tolist(), big_m, [range(feasible.shape[1])])[0]
+    return solve_rounds(scaled[None], feasible, [range(feasible.shape[1])])[0][0]
+
+
+def _padded(scaled: np.ndarray, feasible: np.ndarray, size: int) -> tuple[np.ndarray, list[int]]:
+    """The solver's input for each of ``solve_rounds``' cost matrices, and each one's big M.
+
+    Each matrix becomes one row per column, padded to ``size`` workers:
+    infeasible and padding cells cost the matrix's big M. The result keeps
+    ``scaled``'s dtype.
+    """
+    big_m = np.where(feasible, scaled, 0).sum(axis=(1, 2)) + 1  # one sum for the whole stack
+    fill = big_m[:, None, None]
+    matrix = np.full((scaled.shape[0], scaled.shape[2], size), fill, dtype=scaled.dtype)
+    matrix[:, :, :scaled.shape[1]] = np.where(feasible, scaled, fill).transpose(0, 2, 1)
+    return matrix, big_m.tolist()
 
 
 def solve_selections(
@@ -97,9 +111,8 @@ def solve_selections(
 ) -> list[tuple[list[tuple[int, int]], int]]:
     """``solve`` on each selection of columns in turn, each warm-started from the last.
 
-    ``matrix`` is one matrix of ``padded``'s result, ``costs`` its rows as
-    Python ints and ``big_m`` its big M; it must be padded to at least as
-    many workers as the largest selection has columns. A selection lists
+    ``matrix`` is one of ``solve_rounds``' padded matrices, ``costs`` its
+    rows as Python ints and ``big_m`` its big M. A selection lists
     distinct columns. Per selection, in the given order, returns the matched
     ``(worker, position in the selection)`` pairs sorted by position and
     their total cost. Consecutive selections that share most columns are

@@ -25,14 +25,13 @@ each member position's base costs and columns, the pool discount), and
 (rounds, workers, units) tensor built member position by member position
 in the scalar add order. The load terms ``cpu**4`` and the like stay
 Python-float powers, never ``np.power``, whose SIMD kernels may round
-differently. ``UnitCosts.block`` goes on, in the same pass, to the solver's
-input: the integer grid, the allocator's services tie-break, each round's
-big M from one sum, and the padded, transposed rows as one ``tolist()``.
-``UnitCosts.matrix`` (and so ``build_cost_matrix``) is the float costs of
-one round. The allocator prepares once per fleet and experiment, over every
-single service and every pool any configuration can use, and costs each
-block of simulation rounds once; it reads both its solver input and its
-placement costs from that one block.
+differently. ``UnitCosts.block`` returns that float tensor and
+``UnitCosts.matrix`` (and so ``build_cost_matrix``) is its one-round case.
+``integer_grid`` rounds costs onto the solver's integer grid, half to even
+as ``integerize_cost`` does. The allocator prepares once per fleet and
+experiment, over every single service and every pool any configuration can
+use, and costs each block of simulation rounds once; it reads both its
+solver input and its placement costs from that one block.
 
 Capability and dependency relations are plain numpy arrays: ``bool``
 worker x service and ``int8`` service x service. The capability matrix is
@@ -48,7 +47,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import assignment
 from .definitions import CostWeights, ServiceSpec
 from .errors import DomainError, PoolTooSmall
 from .model import WorkerState, WorkloadSample
@@ -160,36 +158,28 @@ def integerize_cost(value: float) -> int:
     return int(round(value * COST_SCALE))
 
 
+def integer_grid(values: np.ndarray) -> np.ndarray:
+    """``integerize_cost`` of every cell, for non-negative costs, as int64."""
+    return np.rint(values * COST_SCALE).astype(np.int64)  # np.rint rounds half to even
+
+
 @dataclass(frozen=True)
 class CostMatrix:
     """Worker x allocation-unit costs with an explicit feasibility mask.
 
     Infeasible pairs are masked out rather than given a sentinel cost, so
     the solver never trades a real assignment against a fake one.
-    ``scaled()`` yields the integer grid handed to the solver, the one
-    ``UnitCosts.block`` computes for its rounds. A block of rounds stacks
-    its rounds' values on a leading axis.
+    ``scaled()`` yields the integer grid handed to the solver.
     """
 
-    values: np.ndarray    # shape ([rounds,] workers, units), float64; 0.0 where infeasible
+    values: np.ndarray    # shape (workers, units), float64; 0.0 where infeasible
     feasible: np.ndarray  # shape (workers, units), bool
 
     def scaled(self) -> np.ndarray:
         """``integerize_cost`` of every feasible cell, 0 elsewhere."""
         if (self.values < 0).any():
             raise DomainError(f"costs must be non-negative, got {self.values.min()!r}")
-        # np.rint rounds half to even, as round() does in integerize_cost.
-        return np.where(self.feasible, np.rint(self.values * COST_SCALE), 0).astype(np.int64)
-
-
-@dataclass(frozen=True)
-class CostBlock:
-    """A block of rounds costed in one pass: the float costs and the solver's rows."""
-
-    values: np.ndarray     # shape (rounds, workers, units), float64; 0.0 where infeasible
-    solver: np.ndarray     # shape (rounds, units, size): ``assignment.padded`` of the encoded costs
-    rows: list             # ``solver.tolist()``: per round, per unit, Python ints
-    big_m: list[int]       # per round
+        return integer_grid(np.where(self.feasible, self.values, 0.0))
 
 
 @dataclass(frozen=True)
@@ -199,8 +189,8 @@ class UnitCosts:
     ``prepare_unit_costs`` builds it once per fleet and unit list: the
     feasibility of every cell, each member position's base costs and unit
     columns, and the factor that discounts pools and zeroes infeasible
-    cells. ``block`` costs a block of rounds in one pass, through to the
-    solver's rows; ``matrix`` is its float costs for one round.
+    cells. ``block`` costs a block of rounds in one pass; ``matrix`` is its
+    one-round case.
     """
 
     feasible: np.ndarray  # shape (workers, units), bool, read-only
@@ -208,7 +198,7 @@ class UnitCosts:
     factor: np.ndarray    # shape (workers, units): 1.0, the discount for pools, 0.0 where infeasible
     weights: np.ndarray   # shape (4, 1, 1, 1): cpu, vram, swap, bandwidth
 
-    def _values(self, rounds: "Sequence[Sequence[Sequence[float]]]") -> np.ndarray:
+    def block(self, rounds: "Sequence[Sequence[Sequence[float]]]") -> np.ndarray:
         """The (rounds, workers, units) float costs of one load row per worker per round.
 
         A load row is (cpu, vram, swap, bandwidth), or a ``WorkloadSample``.
@@ -228,24 +218,7 @@ class UnitCosts:
 
     def matrix(self, workloads: "Sequence[Sequence[float]]") -> CostMatrix:
         """The cost matrix for one load row per worker, in the prepared worker order."""
-        return CostMatrix(values=self._values([workloads])[0], feasible=self.feasible)
-
-    def block(self, rounds: "Sequence[Sequence[Sequence[float]]]", size: int, spread: int,
-              offsets: np.ndarray) -> CostBlock:
-        """Cost ``rounds`` of load rows and lay them out for ``assignment.solve_selections``.
-
-        The solver sees ``scaled * spread + offsets`` (the allocator's
-        services tie-break; with ``spread`` 1 the costs as they are), padded
-        to ``size`` workers.
-        """
-        values = self._values(rounds)
-        # Infeasible cells are already 0.0 (``factor``) and no cost is negative, so the
-        # integer grid is ``scaled()``'s without its mask and its sign check.
-        scaled = np.rint(values * COST_SCALE).astype(np.int64)
-        if spread > 1:
-            scaled = scaled.astype(offsets.dtype, copy=False) * spread + offsets
-        solver, big_m = assignment.padded(scaled, self.feasible, size)
-        return CostBlock(values=values, solver=solver, rows=solver.tolist(), big_m=big_m)
+        return CostMatrix(values=self.block([workloads])[0], feasible=self.feasible)
 
 
 def prepare_unit_costs(unit_members: Sequence[Sequence[ServiceSpec]],

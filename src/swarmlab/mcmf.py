@@ -3,9 +3,9 @@
 The solver augments along successive shortest (cheapest) paths found by
 Bellman-Ford on the residual graph: exact, obvious and slow, O(flow * V * E).
 It is the reference implementation: the allocator solves its problems with
-``assignment.solve`` and the tests check those results against this solver
-on the equivalent network from ``allocator.build_network``, and ``verify``
-checks any flow against its network. Edge insertion order fixes
+``assignment.solve_rounds``, and the tests check ``assignment``'s results
+against this solver on the equivalent network from
+``allocator.build_network``; ``verify`` checks any flow against its network. Edge insertion order fixes
 tie-breaking, so identical inputs always produce identical flows.
 """
 

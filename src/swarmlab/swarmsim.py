@@ -25,8 +25,9 @@ trace file is read, and ``_uniform_values`` bounds every fresh level of a
 block from one array of centers and half-widths. ``run_experiment``
 prepares the allocation once and hands each block to
 ``PreparedAllocation.allocate_rounds``, which costs it in one pass; a block
-holds ``block_rounds`` rounds, as many as fit ``BLOCK_CELLS`` worker x
-column cost cells, and at least one. It returns only the rounds' results.
+holds ``block_rounds`` rounds, as many as fit ``BLOCK_CELLS`` cells of the
+solver's padded layout, and at least one. It returns only the rounds'
+results.
 Only the callers that read worker states build them (``worker_states``):
 ``run_iteration``, which returns one round's result and trace, and the
 CLI's ``allocate``. ``measure_scaling`` solves no allocation and clones no
@@ -76,15 +77,16 @@ _JITTER_TAG = 0x171E
 #: Per-iteration jitter applied around a worker's persistent level, as a
 #: fraction of the configured half-width.
 JITTER_FRACTION = 0.25
-#: Most worker x column cost cells in one block of rounds; bounds the memory
-#: of a block's draws, cost tensors and solver rows whatever the iteration
-#: count. A block holds at least one round.
+#: Most cost cells in one block of rounds, counted as the solver lays a round
+#: out (``columns`` rows of ``max(workers, columns)``); bounds the memory of a
+#: block's draws, cost tensors and solver rows whatever the iteration count.
+#: A block holds at least one round.
 BLOCK_CELLS = 2**15
 
 
 def block_rounds(workers: int, columns: int) -> int:
     """How many rounds of ``workers`` x ``columns`` costs one block holds."""
-    return max(1, BLOCK_CELLS // (workers * columns))
+    return max(1, BLOCK_CELLS // (columns * max(workers, columns)))
 
 
 def _entropy_words(value: int) -> list[int]:

@@ -14,10 +14,8 @@ from factories import make_service, make_worker
 
 
 def solve_selections(scaled, feasible, selections, order=None):
-    """``assignment.solve_selections`` on one (workers, columns) matrix, padded as the allocator pads."""
-    size = max(feasible.shape[0], max(map(len, selections), default=0))
-    [matrix], [big_m] = assignment.padded(np.asarray(scaled)[None], feasible, size)
-    return assignment.solve_selections(matrix, matrix.tolist(), big_m, selections, order)
+    """``assignment.solve_selections`` on one (workers, columns) matrix, as one round."""
+    return assignment.solve_rounds(np.asarray(scaled)[None], feasible, selections, order)[0]
 
 
 def _mcmf_totals(scaled, feasible):
@@ -151,6 +149,43 @@ def _check_selections(scaled, feasible, selections):
         assert (len(pairs), cost) == (len(reference), reference_cost)
         if scaled.shape[0] and cols:
             assert (len(pairs), cost) == _scipy_totals(scaled[:, cols], feasible[:, cols])
+
+
+def test_solve_rounds_solves_each_round_on_its_own():
+    # Three rounds of one stack on very different cost scales, so each has its own big M,
+    # on five workers and eight columns (the largest selection needs padding workers).
+    rng = np.random.default_rng(31)
+    feasible = rng.random((5, 8)) < 0.7
+    feasible[:, 6] = False  # an all-infeasible column
+    stack = np.stack([rng.integers(0, high, size=(5, 8)) for high in (3, 1000, 10**8)])
+    assert len({int(scaled[feasible].sum()) + 1 for scaled in stack}) == 3
+    whole = list(range(8))
+    for scaled, [(pairs, cost)] in zip(stack, assignment.solve_rounds(stack, feasible, [whole])):
+        assert (pairs, cost) == assignment.solve(scaled, feasible)
+        assert (len(pairs), cost) == _scipy_totals(scaled, feasible)
+
+    # Several selections, the first one seeded: each round as if it were solved alone.
+    selections = [whole, [7, 1, 3], [], [5, 4, 3, 2, 1, 0], [2]]
+    order = rng.permutation(8).tolist()
+    solved = assignment.solve_rounds(stack, feasible, selections, order)
+    assert len(solved) == len(stack)
+    for scaled, rounds in zip(stack, solved):
+        assert rounds == assignment.solve_rounds(scaled[None], feasible, selections, order)[0]
+        for cols, (pairs, cost) in zip(selections, rounds):
+            reference, reference_cost = assignment.solve(scaled[:, cols], feasible[:, cols])
+            assert (len(pairs), cost) == (len(reference), reference_cost)
+            if cols:
+                assert (len(pairs), cost) == _scipy_totals(scaled[:, cols], feasible[:, cols])
+
+    # Object-dtype costs run on Python ints: the same ints solve the same, and costs past
+    # int64 keep every optimum's size and scale its cost.
+    assert assignment.solve_rounds(stack.astype(object), feasible, selections, order) == solved
+    wide = assignment.solve_rounds(stack.astype(object) * 2**70, feasible, selections, order)
+    assert [[(len(pairs), cost) for pairs, cost in rounds] for rounds in wide] \
+        == [[(len(pairs), cost * 2**70) for pairs, cost in rounds] for rounds in solved]
+
+    # An empty stack has no rounds to solve.
+    assert assignment.solve_rounds(stack[:0], feasible, selections, order) == []
 
 
 # (workers, columns, seed, selections): each grows to as many units as the solver has

@@ -11,6 +11,7 @@ from swarmlab.costing import (
     build_dependency_matrix,
     cpu_cost,
     edge_cost,
+    integer_grid,
     integerize_cost,
     pooled_capability,
     pooled_cost,
@@ -178,6 +179,14 @@ def test_integerize_rounds_half_to_even():
     assert integerize_cost(17.1875) == 17187500
     with pytest.raises(DomainError):
         integerize_cost(-1e-9)
+    # The array grid rounds as integerize_cost does, cell by cell, as int64.
+    values = np.array([[2.5, 3.5], [17.1875 * COST_SCALE, 0.0]]) / COST_SCALE
+    grid = integer_grid(values)
+    assert grid.dtype == np.int64
+    assert grid.tolist() == [[2, 4], [17187500, 0]] \
+        == [[integerize_cost(value) for value in row] for row in values.tolist()]
+    assert CostMatrix(values=values, feasible=np.ones((2, 2), dtype=bool)).scaled().tolist() \
+        == grid.tolist()
 
 
 def test_cost_matrix_masks_infeasible_pairs():

@@ -1046,10 +1046,41 @@ def test_block_rounds_equal_per_round_allocations(trace_dir, fleet, services, po
 
 def test_block_rule_bounds_the_cells_of_a_block():
     # The shipped demo (12 workers x 3 services and a pool) runs 50 iterations in one
-    # block; a 1000 x 500 fleet costs one round at a time.
+    # block; a 1000 x 500 fleet, and one worker with 500 services, cost one round at a time.
     assert swarmsim.block_rounds(12, 3 + 1) >= 50
-    assert swarmsim.block_rounds(1000, 500) == 1
+    assert swarmsim.block_rounds(1000, 500) == swarmsim.block_rounds(1, 500) == 1
+    # With at least as many workers as columns, the solver lays a round out in
+    # workers x columns cells.
     for workers, columns in ((1, 1), (6, 5), (12, 4), (181, 181), (1000, 500)):
         per_block = swarmsim.block_rounds(workers, columns)
         assert per_block == 1 or per_block * workers * columns <= swarmsim.BLOCK_CELLS
         assert (per_block + 1) * workers * columns > swarmsim.BLOCK_CELLS
+
+
+def test_blocks_bound_the_solver_layout_of_few_workers(monkeypatch):
+    # One worker and 24 services of which two pool: 25 columns, and the solver pads each
+    # round to as many workers as the 24-unit split configuration has units, so a round
+    # lays out 25 x 24 cells, not 25 x 1. Every stack the solver lays out stays within
+    # BLOCK_CELLS, or is one round that alone exceeds it.
+    layouts = []  # per stack the solver gets: (rounds, rows, padded workers)
+    padded = assignment._padded
+
+    def recording(*args):
+        matrix, big_m = padded(*args)
+        layouts.append(matrix.shape)
+        return matrix, big_m
+    monkeypatch.setattr(assignment, "_padded", recording)
+    cfg = SimConfig(workers=balanced_cluster(1),
+                    experiment=bench_experiment(24, dependencies=(("svc01", "svc02"),)),
+                    seed=3, iterations=9)
+
+    monkeypatch.setattr(swarmsim, "BLOCK_CELLS", 2**40)
+    whole = run_experiment(cfg)
+    assert layouts == [(9, 25, 24)]
+    for block_cells, blocks in ((2000, 3), (1250, 5), (100, 9)):
+        monkeypatch.setattr(swarmsim, "BLOCK_CELLS", block_cells)
+        layouts.clear()
+        assert run_experiment(cfg) == whole
+        assert len(layouts) == blocks
+        assert all(rounds * rows * workers <= block_cells or rounds == 1
+                   for rounds, rows, workers in layouts)
