@@ -33,9 +33,8 @@ column potential, and one row of potential minus that level stands for
 all of them. A search that reaches the pool settles all of its columns at
 once and relaxes the rest from it, so no search walks the padding row by
 row. A unit that enters takes a column that a leaving unit freed or, when
-none is left, one the pool gives up; a freed column that no unit takes
-returns to the pool, at once when no unit holds a column above it, else
-by one search from the pool.
+none is left, one the pool gives up; each freed column that no unit takes
+returns to the pool by one search from the pool.
 
 Given the columns' ``order`` by cost scale, largest first, a cold start of
 at least ``SEED_MIN_UNITS`` units begins from ``_seed`` instead of an empty
@@ -158,22 +157,9 @@ def solve_selections(
             if _augment(unit, rows, row_potential, col_potential, col_for_row, row_for_col, spare > 0):
                 spare -= 1
 
-        free = [col for col in range(size) if row_for_col[col] < 0]
-        if free:
-            # The pool is tight only on the columns of highest potential. When no unit
-            # holds a column above the lowest free one, the pool is lowered to that level
-            # and takes the free columns without a search; otherwise one search from the
-            # pool returns each of them.
-            level = min(col_potential[col] for col in free)
-            if all(col_potential[col] <= level for col in range(size) if 0 <= row_for_col[col] < pool):
-                for col in range(size):
-                    if row_for_col[col] in (-1, pool):
-                        row_for_col[col] = pool
-                        col_potential[col] = level
-                row_potential[pool] = -level
-            else:
-                for _ in free:
-                    _augment(pool, rows, row_potential, col_potential, col_for_row, row_for_col, False)
+        # Each freed column that no unit took returns to the pool by one search from it.
+        for _ in range(row_for_col.count(-1)):
+            _augment(pool, rows, row_potential, col_potential, col_for_row, row_for_col, False)
         held = selection
 
         pairs = []

@@ -31,7 +31,9 @@ class DefinitionSyntaxError(SwarmLabError):
 class SchemaError(SwarmLabError):
     """A well-formed document violates the artifact schema.
 
-    ``path`` is a slash-separated pointer to the offending field.
+    ``path`` names the offending field as a dotted path with ``[i]``
+    indices, such as ``workers[0].workload.kind``; a trace file's errors
+    name the file instead, with its line where one is at fault.
     """
 
     def __init__(self, message: str, path: str = ""):

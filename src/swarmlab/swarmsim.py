@@ -14,16 +14,16 @@ is its one-worker, one-round case. It yields blocks of rounds of load
 rows, Python floats in roster order: one ``rng.uniform_rows`` call draws
 every ``uniform`` worker's samples of a block, bit-identical to seeding one
 ``default_rng`` per sample as the stream is defined; ``trace`` workers
-replay their cached rows, and ``fixed`` workers are checked once per
-command. One generator per worker serves a whole command, and the
-generators of one ``workload_generators`` call share their parsed trace
-files, so each file is parsed once per command, in one bulk pass into one
-``(rows, 4)`` array (``_read_trace``); a block converts only the rows it
-replays to Python floats. A generator holds what differs per worker, its
-seed words and jitter width; its base directory is resolved only where a
-trace file is read, and ``_uniform_values`` bounds every fresh level of a
-block from one array of centers and half-widths. ``run_experiment``
-prepares the allocation once and hands each block to
+replay their parsed rows, and ``fixed`` workers are checked once. A
+generator is a frozen record of what differs per worker: its workload,
+seed, index and base directory. One ``sample_rounds`` call serves a whole
+command and owns every state that sampling needs, made once per call: the
+parsed trace files, each parsed in one bulk pass into one ``(rows, 4)``
+array (``_read_trace``) however many workers replay it; the uniform
+workers' seed words and jitter widths; and their levels, which
+``_uniform_values`` draws with the first block and later blocks reuse. A
+block converts only the trace rows it replays to Python floats.
+``run_experiment`` prepares the allocation once and hands each block to
 ``PreparedAllocation.allocate_rounds``, which costs it in one pass; a block
 holds ``block_rounds`` rounds, as many as fit ``BLOCK_CELLS`` cells of the
 solver's padded layout, and at least one. It returns only the rounds'
@@ -109,8 +109,9 @@ _LEVEL_TAG_WORDS = _entropy_words(_LEVEL_TAG)
 _JITTER_TAG_WORDS = _entropy_words(_JITTER_TAG)
 
 
+@dataclass(frozen=True)
 class WorkloadGenerator:
-    """Seeded utilization source for one worker.
+    """Seeded utilization source for one worker: what ``sample_rounds`` samples it by.
 
     The stream is a pure function of (seed, worker index, iteration), so
     any iteration can be re-sampled independently and reruns are
@@ -121,42 +122,23 @@ class WorkloadGenerator:
     _JITTER_TAG]).uniform(-w, w, size=4)``, w = ``half_width *
     JITTER_FRACTION``, and clips to [0, 1]. That definition is unchanged,
     but the draws are batched: ``rng.uniform_rows`` computes them bit for
-    bit, the level together with the first jitter rows. ``sample_rounds``
-    draws every uniform worker's block of iterations in one call; ``sample``
-    is its one-round case for this worker alone. The generator keeps only
-    the seed words and jitter width of its worker: the level bounds are
-    made per block, for all fresh generators at once, and ``base_dir`` is
-    kept as given and resolved only when a trace file is read.
+    bit, the level together with the first jitter rows. A ``trace``
+    worker's relative path resolves against ``base_dir`` when given. The
+    generator holds only these four values; ``sample_rounds`` keeps every
+    state that sampling needs, for the one call that needs it.
     """
 
-    def __init__(self, model: WorkloadModel, seed: int, worker_index: int,
-                 base_dir: "str | Path | None" = None):
-        self.model = model
-        self.seed = seed
-        self.worker_index = worker_index
-        #: Where a relative trace path resolves; only ``_rows`` reads it.
-        self.base_dir = base_dir
-        self._trace_rows: np.ndarray | None = None
-        #: Parsed trace files by location; ``workload_generators`` shares one between its generators.
-        self._parsed: dict[Path, np.ndarray] = {}
-        self._level: np.ndarray | None = None  # drawn with the first jitter rows
-        if isinstance(model, UniformWorkload):
-            self._jitter_prefix = _entropy_words(seed) + _entropy_words(worker_index)
-            self._jitter_width = model.half_width * JITTER_FRACTION
-
-    def _rows(self) -> np.ndarray:
-        if self._trace_rows is None:
-            location = Path(self.model.path)
-            if self.base_dir is not None and not location.is_absolute():
-                location = Path(self.base_dir) / location
-            rows = self._parsed.get(location)
-            if rows is None:
-                rows = self._parsed[location] = _read_trace(location)
-            self._trace_rows = rows
-        return self._trace_rows
+    model: WorkloadModel
+    seed: int
+    worker_index: int
+    base_dir: "str | Path | None" = None
 
     def sample(self, iteration: int) -> WorkloadSample:
-        """The sample at ``iteration``: one round of ``sample_rounds`` for this worker alone."""
+        """The sample at ``iteration``: one round of ``sample_rounds`` for this worker alone.
+
+        Each call reads a trace worker's file again and draws a uniform
+        worker's level again; ``sample_rounds`` samples many rounds at once.
+        """
         [[row]] = next(sample_rounds([self], [iteration], 1))
         return WorkloadSample.trusted(*row)
 
@@ -254,30 +236,33 @@ def _line_rows(data: bytes, location: Path) -> list[tuple[float, float, float, f
     return rows
 
 
-def _uniform_values(generators: "Sequence[WorkloadGenerator]",
-                    iterations: "Sequence[int]") -> list[list[list[float]]]:
-    """``values[k][g]``: uniform ``generators[g]``'s sample at ``iterations[k]``.
+def _uniform_values(models: "Sequence[UniformWorkload]", prefixes: "Sequence[list[int]]",
+                    widths: np.ndarray, iterations: "Sequence[int]",
+                    levels: "np.ndarray | None") -> tuple[list[list[list[float]]], np.ndarray]:
+    """``values[k][g]``: uniform worker g's sample at ``iterations[k]``, and the workers' levels.
 
-    One ``uniform_rows`` call draws every jitter row and the persistent
-    levels that are not drawn yet. The sum ``level + jitter`` and the clip
-    are those of the stream's definition, on the same doubles.
+    Worker g has the workload ``models[g]``, the seed words ``prefixes[g]``
+    and the jitter half-width ``widths[g, 0]``. One ``uniform_rows`` call
+    draws every jitter row, and the persistent ``levels`` first when they
+    are None. The sum ``level + jitter`` and the clip are those of the
+    stream's definition, on the same doubles.
     """
-    fresh = [g for g in generators if g._level is None]
-    entropy = [g._jitter_prefix + _LEVEL_TAG_WORDS for g in fresh]
-    entropy += [g._jitter_prefix + suffix
+    entropy = [] if levels is not None else [prefix + _LEVEL_TAG_WORDS for prefix in prefixes]
+    entropy += [prefix + suffix
                 for suffix in [_entropy_words(k) + _JITTER_TAG_WORDS for k in iterations]
-                for g in generators]
-    # The fresh levels' bounds, center -/+ half_width, in one pass over a (fresh, 4) array.
-    centers = np.reshape([g.model.center for g in fresh], (-1, 4))
-    half_widths = np.reshape([g.model.half_width for g in fresh], (-1, 1))
-    widths = np.tile([[g._jitter_width] for g in generators], (len(iterations), 4))
-    draws = uniform_rows(entropy, np.concatenate([centers - half_widths, -widths]),
-                         np.concatenate([centers + half_widths, widths]))
-    for g, level in zip(fresh, draws):
-        g._level = level
-    levels = np.array([g._level for g in generators])
-    jitter = draws[len(fresh):].reshape(len(iterations), len(generators), 4)
-    return np.clip(levels + jitter, 0.0, 1.0).tolist()
+                for prefix in prefixes]
+    high = np.tile(widths, (len(iterations), 4))
+    low = -high
+    if levels is None:  # their bounds, center -/+ half_width, in one pass over a (workers, 4) array
+        centers = np.array([m.center for m in models])
+        half_widths = np.array([[m.half_width] for m in models])
+        low = np.concatenate([centers - half_widths, low])
+        high = np.concatenate([centers + half_widths, high])
+    draws = uniform_rows(entropy, low, high)
+    if levels is None:
+        levels, draws = draws[:len(models)], draws[len(models):]
+    jitter = draws.reshape(len(iterations), len(models), 4)
+    return np.clip(levels + jitter, 0.0, 1.0).tolist(), levels
 
 
 @dataclass(frozen=True)
@@ -365,15 +350,8 @@ class SimConfig:
 
 def workload_generators(workers: "Sequence[ClusterWorker]", seed: int,
                         base_dir: "str | Path | None") -> list[WorkloadGenerator]:
-    """One generator per worker, indexed by the worker's position in ``workers``.
-
-    The generators share their parsed trace files, so each file is read once.
-    """
-    generators = [WorkloadGenerator(w.workload, seed, idx, base_dir) for idx, w in enumerate(workers)]
-    parsed: dict[Path, np.ndarray] = {}
-    for generator in generators:
-        generator._parsed = parsed
-    return generators
+    """One generator per worker, indexed by the worker's position in ``workers``."""
+    return [WorkloadGenerator(w.workload, seed, idx, base_dir) for idx, w in enumerate(workers)]
 
 
 def sample_rounds(generators: "Sequence[WorkloadGenerator]", iterations: "Sequence[int]",
@@ -381,26 +359,41 @@ def sample_rounds(generators: "Sequence[WorkloadGenerator]", iterations: "Sequen
     """``iterations`` in blocks of up to ``per_block`` rounds of load rows.
 
     A round holds one (cpu, vram, swap, bandwidth) row of Python floats per
-    generator, in roster order. One ``uniform_rows`` call draws a block's
-    rows for every uniform worker, plus the levels still missing; none is
-    made when no worker is uniform. ``trace`` workers replay their cached
+    generator, in roster order. The call keeps what its blocks share: each
+    trace file, parsed once into one array, whatever the number of workers
+    that replay it; the uniform workers' seed words and jitter widths; and
+    their levels, which the first block draws and later blocks reuse. One
+    ``uniform_rows`` call draws a block's rows for every uniform worker;
+    none is made when no worker is uniform. ``trace`` workers replay their
     arrays, converting only the block's rows; a ``fixed`` worker's values
     are checked once, as ``WorkloadSample`` checks them, before the first
     block.
     """
     rows: list = [None] * len(generators)  # fixed values; uniform and trace rows change per round
     uniform, traces = [], []
+    parsed: dict[Path, np.ndarray] = {}  # by location
     for idx, generator in enumerate(generators):
-        if isinstance(generator.model, UniformWorkload):
+        model = generator.model
+        if isinstance(model, UniformWorkload):
             uniform.append(idx)
-        elif isinstance(generator.model, TraceWorkload):
-            traces.append((idx, generator._rows()))
+        elif isinstance(model, TraceWorkload):
+            location = Path(model.path)
+            if generator.base_dir is not None and not location.is_absolute():
+                location = Path(generator.base_dir) / location
+            if location not in parsed:
+                parsed[location] = _read_trace(location)
+            traces.append((idx, parsed[location]))
         else:  # nothing has checked a fixed worker's values yet
-            rows[idx] = tuple(WorkloadSample(*generator.model.values))
-    uniform_generators = [generators[i] for i in uniform]
+            rows[idx] = tuple(WorkloadSample(*model.values))
+    models = [generators[i].model for i in uniform]
+    prefixes = [_entropy_words(generators[i].seed) + _entropy_words(generators[i].worker_index)
+                for i in uniform]
+    widths = np.array([[m.half_width * JITTER_FRACTION] for m in models])
+    levels = None
     for start in range(0, len(iterations), per_block):
         block = iterations[start:start + per_block]
-        drawn = _uniform_values(uniform_generators, block) if uniform else [[]] * len(block)
+        drawn, levels = (_uniform_values(models, prefixes, widths, block, levels) if uniform
+                         else ([[]] * len(block), None))
         # Python's %, as the stream's definition: numpy's stops at 2**64.
         replayed = [trace[[k % len(trace) for k in block]].tolist() for _, trace in traces]
         rounds = []

@@ -400,11 +400,12 @@ class _ScannedRows(list):
 
 
 def test_pooling_steps_search_the_pool_once(monkeypatch):
-    # A fleet_pools-shaped fleet: 40 workers, half with a camera, 20 services of which four
+    # fleet_pools-shaped fleets: 40 workers, half with a camera, 20 services of which four
     # need one, three two-service pools. In Gray-code order a pooling step frees two member
-    # columns and the pool unit takes one; here the other is left below a column that a unit
-    # holds, so the pool takes it back by a search. The pool (all-zero costs) must be
-    # scanned at most once per search, not once per column it holds.
+    # columns and the pool unit takes one; the pool takes the other back by exactly one
+    # search, both where a unit holds a column above it (rng 0) and where none does (rng 3).
+    # The pool (all-zero costs) must be scanned at most once per search, not once per
+    # column it holds.
     searches = []  # per search: (starts from the pool, all-zero rows scanned)
     augment = assignment._augment
 
@@ -415,31 +416,32 @@ def test_pooling_steps_search_the_pool_once(monkeypatch):
         return found
     monkeypatch.setattr(assignment, "_augment", counting)
 
-    rng = np.random.default_rng(0)
-    fleet = [make_worker(f"w{i:02d}", ("cam",) if i % 2 else (),
-                         *rng.uniform(0.1, 0.8, size=4).tolist()) for i in range(40)]
-    needs_camera = set(rng.choice(20, size=4, replace=False).tolist())
-    specs = [make_service(f"s{j:02d}", float(rng.uniform(5.0, 95.0)),
-                          ("cam",) if j in needs_camera else ()) for j in range(20)]
-    dependencies = [(f"s{2 * k:02d}", f"s{2 * k + 1:02d}") for k in range(3)]
-    prepared = prepare(fleet, specs, dependencies, CostWeights(), 0.85)
-    scaled = prepared.costs.matrix([w.workload for w in fleet]).scaled()
-    feasible = prepared.costs.feasible
-    selections = [prepared.selections[i ^ (i >> 1)][0] for i in range(8)]
+    for seed in (0, 3):
+        rng = np.random.default_rng(seed)
+        fleet = [make_worker(f"w{i:02d}", ("cam",) if i % 2 else (),
+                             *rng.uniform(0.1, 0.8, size=4).tolist()) for i in range(40)]
+        needs_camera = set(rng.choice(20, size=4, replace=False).tolist())
+        specs = [make_service(f"s{j:02d}", float(rng.uniform(5.0, 95.0)),
+                              ("cam",) if j in needs_camera else ()) for j in range(20)]
+        dependencies = [(f"s{2 * k:02d}", f"s{2 * k + 1:02d}") for k in range(3)]
+        prepared = prepare(fleet, specs, dependencies, CostWeights(), 0.85)
+        scaled = prepared.costs.matrix([w.workload for w in fleet]).scaled()
+        feasible = prepared.costs.feasible
+        selections = [prepared.selections[i ^ (i >> 1)][0] for i in range(8)]
 
-    pool_searches = []  # per step
-    for step in range(len(selections)):
-        searches.clear()
-        solved = solve_selections(scaled, feasible, selections[:step + 1], prepared.scale_order)
-        assert all(visits <= 1 for _, visits in searches)
-        pool_searches.append(sum(from_pool for from_pool, _ in searches) - sum(pool_searches))
-        returned = max(len(selections[step - 1]) - len(selections[step]), 0) if step else 0
-        assert pool_searches[-1] <= returned
-    assert sum(pool_searches) > 0  # some pooling step left a column below a held one
-    for cols, (pairs, cost) in zip(selections, solved):
-        reference, reference_cost = assignment.solve(scaled[:, cols], feasible[:, cols])
-        assert (len(pairs), cost) == (len(reference), reference_cost) \
-            == _scipy_totals(scaled[:, cols], feasible[:, cols])
+        pool_searches = []  # per step
+        for step in range(len(selections)):
+            searches.clear()
+            solved = solve_selections(scaled, feasible, selections[:step + 1], prepared.scale_order)
+            assert all(visits <= 1 for _, visits in searches)
+            pool_searches.append(sum(from_pool for from_pool, _ in searches) - sum(pool_searches))
+            returned = max(len(selections[step - 1]) - len(selections[step]), 0) if step else 0
+            assert pool_searches[-1] == returned
+        assert sum(pool_searches) > 0  # some pooling step returned a column
+        for cols, (pairs, cost) in zip(selections, solved):
+            reference, reference_cost = assignment.solve(scaled[:, cols], feasible[:, cols])
+            assert (len(pairs), cost) == (len(reference), reference_cost) \
+                == _scipy_totals(scaled[:, cols], feasible[:, cols])
 
 
 def test_services_tie_break_past_int64_runs_on_python_ints():

@@ -1,7 +1,7 @@
 import json
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +210,21 @@ def test_sample_rounds_match_per_sample_default_rng(tmp_path, base_dir, monkeypa
     # Later iterations of the same generators, in another block shape, draw the same stream.
     [later] = list(swarmsim.sample_rounds(generators, [6, 2], 2))
     assert later == [blocks[2][0], blocks[0][2]]
+
+
+def test_each_sample_rounds_call_reads_its_own_trace_files(tmp_path):
+    # A call keeps its parsed files to itself: a later call over the same generators
+    # replays the file as it is then, and a generator holds nothing that could go stale.
+    trace = tmp_path / "load.csv"
+    trace.write_text("0.1,0.2,0.3,0.4\n", encoding="utf-8")
+    worker = ClusterWorker(id="t", profile=HardwareProfile(), workload=TraceWorkload("load.csv"))
+    generators = swarmsim.workload_generators([worker], 0, tmp_path)
+    assert list(swarmsim.sample_rounds(generators, [0, 1], 2)) == [[[[0.1, 0.2, 0.3, 0.4]]] * 2]
+    trace.write_text("0.5,0.6,0.7,0.8\n0.9,1.0,0.0,0.1\n", encoding="utf-8")
+    assert list(swarmsim.sample_rounds(generators, [0, 1], 2)) == \
+        [[[[0.5, 0.6, 0.7, 0.8]], [[0.9, 1.0, 0.0, 0.1]]]]
+    with pytest.raises(FrozenInstanceError):
+        generators[0].base_dir = tmp_path.parent
 
 
 def test_allocate_round_draws_iteration_zero_only(tmp_path, kernel_rows):
