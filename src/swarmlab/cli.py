@@ -225,10 +225,7 @@ def main(argv=None) -> int:
     except (DefinitionSyntaxError, SchemaError, UnresolvedService, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except SwarmLabError as exc:
+    except (OSError, SwarmLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as exc:  # a defect: still one line, never a traceback

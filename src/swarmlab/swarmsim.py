@@ -1,13 +1,13 @@
 """Deterministic master-worker orchestration simulator.
 
 A round samples every worker's workload and allocates the experiment's
-services on those samples. For the callers that read it, ``_trace`` renders
-the round's lifecycle on a logical millisecond clock: workers join, the
-master polls every worker for its per-service cost row, the allocation is
-computed, and each assigned worker registers its overlay endpoint and
-simulates fetching and starting its services. All latencies are
-configuration values and all randomness flows from the config seed, so
-equal configs produce bit-identical results and traces.
+services on those samples. ``_trace`` renders a round's lifecycle on a
+logical millisecond clock: workers join, the master polls every worker for
+its per-service cost row, the allocation is computed, and each assigned
+worker registers its overlay endpoint and simulates fetching and starting
+its services. All latencies are configuration values and all randomness
+flows from the config seed, so equal configs produce bit-identical results
+and traces.
 
 ``sample_rounds`` is the one sampling path; ``WorkloadGenerator.sample``
 is its one-worker, one-round case. It yields blocks of rounds of load
@@ -23,14 +23,15 @@ array (``_read_trace``) however many workers replay it; the uniform
 workers' seed words and jitter widths; and their levels, which
 ``_uniform_values`` draws with the first block and later blocks reuse. A
 block converts only the trace rows it replays to Python floats.
-``run_experiment`` prepares the allocation once and hands each block to
-``PreparedAllocation.allocate_rounds``, which costs it in one pass; a block
-holds ``block_rounds`` rounds, as many as fit ``BLOCK_CELLS`` cells of the
-solver's padded layout, and at least one. It returns only the rounds'
-results.
-Only the callers that read worker states build them (``worker_states``):
-``run_iteration``, which returns one round's result and trace, and the
-CLI's ``allocate``. ``measure_scaling`` solves no allocation and clones no
+``_results`` is the one round pipeline: it prepares the allocation once
+and hands each block to ``PreparedAllocation.allocate_rounds``, which costs
+it in one pass; a block holds ``block_rounds`` rounds, as many as fit
+``BLOCK_CELLS`` cells of the solver's padded layout, and at least one.
+``run_experiment`` returns the results of every iteration, and
+``run_iteration`` the result of one iteration with its trace. A trace is a
+view of one round: ``_trace`` draws it from the round's config and result
+alone. Only the CLI's ``allocate`` builds worker states
+(``worker_states``). ``measure_scaling`` solves no allocation and clones no
 worker: a grid cell deploys its cloned service iff one of its workers can
 host it, so only the template's first min(N, T) workers are sampled and
 capability-checked, and a cell's checks are decided once per worker count
@@ -63,7 +64,6 @@ from .allocator import AllocationResult, prepare_experiment
 from .definitions import (
     ClusterWorker,
     ExperimentSpec,
-    ServiceSpec,
     TraceWorkload,
     UniformWorkload,
     WorkloadModel,
@@ -267,10 +267,15 @@ def _uniform_values(models: "Sequence[UniformWorkload]", prefixes: "Sequence[lis
 
 @dataclass(frozen=True)
 class FetchLatency:
-    """Simulated image fetch time: base plus a per-megabyte charge."""
+    """Simulated image fetch time: base plus a per-megabyte charge, neither negative."""
 
     base_ms: int = 50
     per_mb_ms: float = 2.0
+
+    def __post_init__(self):
+        for name in ("base_ms", "per_mb_ms"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
     def duration_ms(self, size_mb: float) -> int:
         duration = self.base_ms + self.per_mb_ms * size_mb
@@ -413,17 +418,6 @@ def worker_states(workers: "Sequence[ClusterWorker]",
             for w, row in zip(workers, rows)]
 
 
-@dataclass(frozen=True)
-class _Rounds:
-    """What the traces of one command's rounds share: nothing here depends on a sample."""
-
-    cfg: SimConfig
-    skeleton: tuple[TraceEvent, ...]  # the Join, CostRequest and CostReply events
-    subnet: "ipaddress.IPv4Network | ipaddress.IPv6Network"
-    roster_index: dict[str, int]
-    by_name: dict[str, ServiceSpec]
-
-
 def _poll_ms(cfg: SimConfig, num_services: int) -> int:
     """How long polling one worker for its cost row of ``num_services`` services takes."""
     return cfg.poll_rtt_ms + num_services * cfg.cost_calc_ms
@@ -450,51 +444,45 @@ def _timings(cfg: SimConfig, num_workers: int, num_services: int,
     }
 
 
-def _prepare_rounds(cfg: SimConfig) -> _Rounds:
-    """The command-level inputs of ``cfg``'s round traces."""
-    experiment = cfg.experiment
-    num_services = len(experiment.services)
-    per_worker_ms = _poll_ms(cfg, num_services)
+def _results(cfg: SimConfig, iterations: "Sequence[int]") -> Iterator[AllocationResult]:
+    """The results of ``cfg``'s rounds at ``iterations``, in order: the one round pipeline.
 
-    stagger = 0 if cfg.parallel_cost_calc else per_worker_ms
-    request_ticks = [idx * stagger for idx in range(len(cfg.workers))]
-    reply_ticks = [tick + per_worker_ms for tick in request_ticks]
-
-    events = [TraceEvent(0, "Join", {"worker": w.id}) for w in cfg.workers]
-    events += [TraceEvent(tick, "CostRequest", {"worker": w.id, "services": num_services})
-               for w, tick in zip(cfg.workers, request_ticks)]
-    events += [TraceEvent(tick, "CostReply", {"worker": w.id})
-               for w, tick in zip(cfg.workers, reply_ticks)]
-    return _Rounds(
-        cfg=cfg,
-        skeleton=tuple(events),
-        subnet=ipaddress.ip_network(experiment.network.subnet),
-        roster_index={w.id: i for i, w in enumerate(cfg.workers)},
-        by_name={s.name: s for s in experiment.services},
-    )
+    The allocation is prepared once, and each block of ``block_rounds``
+    rounds is sampled and costed in one pass.
+    """
+    allocation = prepare_experiment(cfg.workers, cfg.experiment)
+    generators = workload_generators(cfg.workers, cfg.seed, cfg.base_dir)
+    per_block = block_rounds(*allocation.costs.feasible.shape)
+    for rounds in sample_rounds(generators, iterations, per_block):
+        yield from allocation.allocate_rounds(rounds)
 
 
 def run_iteration(cfg: SimConfig, iter_index: int) -> tuple[AllocationResult, SimTrace]:
     """Run one full lifecycle round and return its allocation and trace."""
-    allocation = prepare_experiment(cfg.workers, cfg.experiment)
-    generators = workload_generators(cfg.workers, cfg.seed, cfg.base_dir)
-    [rows] = next(sample_rounds(generators, [iter_index], 1))
-    result = allocation.allocate(worker_states(cfg.workers, rows))
-    return result, _trace(_prepare_rounds(cfg), result)
+    [result] = _results(cfg, [iter_index])
+    return result, _trace(cfg, result)
 
 
-def _trace(rounds: _Rounds, result: AllocationResult) -> SimTrace:
-    """The lifecycle trace of a round that allocated ``result``."""
-    cfg = rounds.cfg
-    roster_index, by_name, subnet = rounds.roster_index, rounds.by_name, rounds.subnet
+def _trace(cfg: SimConfig, result: AllocationResult) -> SimTrace:
+    """The lifecycle trace of a round of ``cfg`` that allocated ``result``."""
+    workers, services = cfg.workers, cfg.experiment.services
+    roster_index = {w.id: i for i, w in enumerate(workers)}
+    by_name = {s.name: s for s in services}
+    subnet = ipaddress.ip_network(cfg.experiment.network.subnet)
     assigned_units = {a.worker: a.unit for a in result.assignments.values()}
     placed = sorted(assigned_units, key=roster_index.__getitem__)
     fetch_ms = [cfg.fetch_latency.duration_ms(
         sum(by_name[name].image_size_mb for name in assigned_units[worker_id].members))
         for worker_id in placed]
-    timings = _timings(cfg, len(cfg.workers), len(cfg.experiment.services), fetch_ms)
+    timings = _timings(cfg, len(workers), len(services), fetch_ms)
 
-    events = list(rounds.skeleton)
+    per_worker_ms = _poll_ms(cfg, len(services))
+    stagger = 0 if cfg.parallel_cost_calc else per_worker_ms
+    events = [TraceEvent(0, "Join", {"worker": w.id}) for w in workers]
+    events += [TraceEvent(idx * stagger, "CostRequest", {"worker": w.id, "services": len(services)})
+               for idx, w in enumerate(workers)]
+    events += [TraceEvent(idx * stagger + per_worker_ms, "CostReply", {"worker": w.id})
+               for idx, w in enumerate(workers)]
     alloc_tick = timings["cost_ms"] + timings["allocation_ms"]
     events.append(TraceEvent(alloc_tick, "AllocationComputed", {
         "feasible": result.feasible,
@@ -523,17 +511,8 @@ def _trace(rounds: _Rounds, result: AllocationResult) -> SimTrace:
 
 
 def run_experiment(cfg: SimConfig) -> list[AllocationResult]:
-    """Allocate ``cfg.iterations`` independent rounds with re-sampled workloads.
-
-    The allocation is prepared once for all rounds, and each block of
-    ``block_rounds`` rounds is sampled and costed in one pass; no trace is
-    built.
-    """
-    allocation = prepare_experiment(cfg.workers, cfg.experiment)
-    generators = workload_generators(cfg.workers, cfg.seed, cfg.base_dir)
-    per_block = block_rounds(*allocation.costs.feasible.shape)
-    return [result for rounds in sample_rounds(generators, range(cfg.iterations), per_block)
-            for result in allocation.allocate_rounds(rounds)]
+    """Allocate ``cfg.iterations`` independent rounds with re-sampled workloads; no trace is built."""
+    return list(_results(cfg, range(cfg.iterations)))
 
 
 @dataclass(frozen=True, slots=True)

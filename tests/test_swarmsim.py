@@ -373,6 +373,8 @@ def call_counts(monkeypatch):
     counted(costing.UnitCosts, "block")
     counted(costing.CostMatrix, "scaled")
     counted(assignment, "solve")
+    counted(allocator.PreparedAllocation, "allocate")
+    counted(swarmsim, "worker_states")
     solve_selections = assignment.solve_selections
 
     def count_selections(matrix, costs, big_m, selections, order=None):
@@ -399,6 +401,13 @@ def test_command_level_inputs_are_built_once(call_counts, monkeypatch):
         assert call_counts == Counter({"enumerate_unit_configurations": 1,
                                        "build_capability_matrix": 1, "block": blocks,
                                        "scaled": 0, "solve_selections": 5, "selections": 10})
+    # One iteration runs the same pipeline: one block of one round, and no worker states.
+    call_counts.clear()
+    run_iteration(cfg, 3)
+    assert call_counts == Counter({"enumerate_unit_configurations": 1,
+                                   "build_capability_matrix": 1, "block": 1,
+                                   "solve_selections": 1, "selections": 2})
+    assert call_counts["allocate"] == call_counts["worker_states"] == 0
 
 
 def test_scaling_grid_inputs_are_built_once(call_counts, monkeypatch):
@@ -682,6 +691,20 @@ def test_iteration_determinism():
         assert t1.timings == t2.timings
 
 
+def test_an_iteration_is_that_round_of_the_experiment(tmp_path, monkeypatch):
+    # Uniform, fixed and trace workers with one pool; 6 workers x 4 columns make two rounds
+    # a block, so later iterations fall in later blocks of run_experiment.
+    monkeypatch.setattr(swarmsim, "BLOCK_CELLS", 48)
+    cfg = SimConfig(workers=_mixed_fleet(tmp_path),
+                    experiment=bench_experiment(3, dependencies=(("svc01", "svc02"),)),
+                    seed=23, iterations=7, base_dir=str(tmp_path))
+    assert swarmsim.block_rounds(6, 4) == 2
+    results = run_experiment(cfg)
+    assert len(results) == 7
+    for k, result in enumerate(results):
+        assert run_iteration(cfg, k)[0] == result
+
+
 def test_iterations_resample_workloads():
     cfg = bench_config(iterations=2)
     first, second = run_experiment(cfg)
@@ -738,6 +761,13 @@ def test_config_validation():
         bench_config(iterations=0)
     with pytest.raises(ValueError):
         bench_config(seed=-1)
+
+
+@pytest.mark.parametrize("field", ["base_ms", "per_mb_ms"])
+def test_fetch_latency_refuses_negative_charges(field):
+    # A negative fetch time would start a service before its allocation was computed.
+    with pytest.raises(ValueError, match=f"^{field} must be non-negative$"):
+        FetchLatency(**{field: -1})
 
 
 def test_config_rejects_duplicate_worker_ids():
@@ -875,7 +905,7 @@ def _reference_scaling(worker_counts, service_counts, template):
             experiment = replace(template.experiment, services=services[:k], dependencies=())
             cfg = replace(template, workers=fleet[:n], experiment=experiment, iterations=1)
             result = allocator.prepare_experiment(fleet[:n], experiment).allocate(states[:n])
-            trace = swarmsim._trace(swarmsim._prepare_rounds(cfg), result)
+            trace = swarmsim._trace(cfg, result)
             # The timings agree with the rendered events: the last poll reply, the
             # allocation, and the last service start (none when nothing is placed).
             alloc_tick = max(e.tick for e in trace.of_kind("CostReply")) + cfg.alloc_compute_ms
