@@ -25,8 +25,10 @@ shares those objects; a unit's ``label`` is computed once.
 and experiment: the configurations, the columns (every single service and
 every pool), their feasibility and base costs, each configuration's column
 selection, the columns ordered by cost scale for the solver's seeded cold
-start, and the services tie-break. ``PreparedAllocation.allocate_rounds``
-takes a block of rounds' load rows: ``costing.UnitCosts.block`` costs the
+start, the services tie-break, and each column's (member name, service
+column) pairs for placement.
+``PreparedAllocation.allocate_rounds`` takes a block of rounds' load rows,
+one ``(rounds, workers, 4)`` array: ``costing.UnitCosts.block`` costs the
 whole block in one pass, the allocator puts it on the integer grid and
 applies its services tie-break, and ``assignment.solve_rounds`` solves
 every round over every configuration's columns. Each round's placement
@@ -35,8 +37,9 @@ the discount when it is pooled. The solver visits the configurations in
 reflected Gray-code order of their index, so consecutive ones differ in
 one component and each is warm-started from the last.
 ``PreparedAllocation.allocate`` is the one-round case, given worker
-states; ``allocate`` is ``prepare`` plus one round; the simulator prepares
-once per command.
+states; ``allocate`` is ``prepare`` plus one round; the CLI and the
+simulator prepare once per command and hand ``allocate_rounds`` their
+sampled arrays.
 
 ``build_network`` states the same problem as a min-cost max-flow network
 for the ``mcmf`` reference solver; the allocator itself does not use it.
@@ -220,7 +223,8 @@ class PreparedAllocation:
     service order, then the pools of the first configuration, which pools
     every component), their feasibility and base costs, each
     configuration's column selection, the column order that seeds the
-    solver and the services tie-break. ``allocate_rounds`` then costs a
+    solver, the services tie-break and each column's members with their
+    service columns, which placement reads. ``allocate_rounds`` then costs a
     block of rounds in one pass and solves and places each; ``allocate`` is
     its one-round case.
     """
@@ -238,7 +242,8 @@ class PreparedAllocation:
     #: int64 unless the solver's big M (a sum over every cell) could pass 2**62.
     spread: int
     offsets: np.ndarray
-    service_index: dict[str, int]
+    #: Per column: each member's (name, service column).
+    member_columns: tuple[tuple[tuple[str, int], ...], ...]
     discount: float
 
     def allocate(self, workers: Sequence[WorkerState]) -> AllocationResult:
@@ -251,13 +256,16 @@ class PreparedAllocation:
         if tuple(w.id for w in workers) != self.worker_ids:
             raise ValueError(f"prepared for a roster of {len(self.worker_ids)} workers, "
                              f"got another of {len(workers)}")
-        return self.allocate_rounds([[w.workload for w in workers]])[0]
+        return self.allocate_rounds([[tuple(w.workload) for w in workers]])[0]
 
-    def allocate_rounds(self, rounds: Sequence[Sequence[Sequence[float]]]) -> list[AllocationResult]:
+    def allocate_rounds(self, rounds: "np.ndarray | Sequence[Sequence[Sequence[float]]]"
+                        ) -> list[AllocationResult]:
         """``allocate`` for each round of a block, given one load row per prepared worker.
 
-        A load row is (cpu, vram, swap, bandwidth). The block is costed and
-        encoded in one pass; each round then only solves and places.
+        ``rounds`` is a ``(rounds, workers, 4)`` array of (cpu, vram, swap,
+        bandwidth) rows, as ``swarmsim.sample_rounds`` yields it, or nested
+        sequences of such rows. The block is costed and encoded in one pass;
+        each round then only solves and places.
         """
         values = self.costs.block(rounds)
         # Infeasible cells are 0.0 and no cost is negative: the grid needs no mask.
@@ -284,18 +292,18 @@ class PreparedAllocation:
                                  chosen=index == best)
             for index, (units, (pairs, assigned, cost)) in enumerate(zip(self.configurations, solved)))
 
-        placement: dict[str, Assignment] = {}
+        placement: list = [None] * len(self.services)  # by service column
+        units, columns = self.configurations[best], self.selections[best][0]
         for worker_i, unit_i in solved[best][0]:
-            unit = self.configurations[best][unit_i]
-            for name in unit.members:
-                cost = float(values[worker_i, self.service_index[name]])
+            unit, worker = units[unit_i], self.worker_ids[worker_i]
+            for name, j in self.member_columns[columns[unit_i]]:
+                cost = float(values[worker_i, j])
                 if unit.is_pool:
                     cost *= self.discount
-                placement[name] = Assignment(service=name, worker=self.worker_ids[worker_i],
-                                             unit=unit, cost=cost)
+                placement[j] = Assignment(service=name, worker=worker, unit=unit, cost=cost)
 
-        assignments = {s.name: placement[s.name] for s in self.services if s.name in placement}
-        unassigned = frozenset(s.name for s in self.services if s.name not in placement)
+        assignments = {a.service: a for a in placement if a is not None}
+        unassigned = frozenset(s.name for s, a in zip(self.services, placement) if a is None)
         total_scaled = outcomes[best].total_cost_scaled
         return AllocationResult(
             assignments=assignments,
@@ -349,7 +357,9 @@ def prepare(
         scale_order=tuple(sorted(range(len(columns)), key=lambda c: -scale[c])),
         spread=spread, offsets=np.array([largest - len(members) for members in columns],
                                         dtype=np.int64 if bound < 2**62 else object),
-        service_index=service_index, discount=discount)
+        member_columns=tuple(tuple((name, service_index[name]) for name in members)
+                             for members in columns),
+        discount=discount)
 
 
 def prepare_experiment(workers: Sequence[WorkerState],

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -77,9 +78,8 @@ def cmd_allocate(args) -> int:
     cluster_path = Path(args.cluster)
     cluster = load_cluster(cluster_path)
     generators = swarmsim.workload_generators(cluster.workers, args.seed, cluster_path.parent)
-    [rows] = next(swarmsim.sample_rounds(generators, [0], 1))
-    workers = swarmsim.worker_states(cluster.workers, rows)
-    result = allocator.allocate_experiment(workers, experiment)
+    rounds = next(swarmsim.sample_rounds(generators, [0], 1))
+    [result] = allocator.prepare_experiment(cluster.workers, experiment).allocate_rounds(rounds)
     report = allocator.explain(result)
     if args.out:
         Path(args.out).write_text(report, encoding="utf-8")
@@ -99,42 +99,39 @@ def cmd_simulate(args) -> int:
         iterations=args.iterations,
         base_dir=str(cluster_path.parent),
     )
-    results = swarmsim.run_experiment(cfg)
-    if not results[0].assignments:
+    results = swarmsim._results(cfg, range(cfg.iterations))
+    first = next(results)
+    if not first.assignments:
         # Which services can be placed depends on capabilities only, not on the samples.
         print(f"error: infeasible: no worker can host any of the {len(experiment.services)} "
               "services; no report written", file=sys.stderr)
         return EXIT_INFEASIBLE
-    history = metrics.build_history(
-        results,
-        workers=[w.id for w in cluster.workers],
-        services=experiment.service_names(),
-    )
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "allocations.csv").write_text(metrics.emit_report(history), encoding="utf-8")
+    fold = metrics.ReportFold([w.id for w in cluster.workers], experiment.service_names())
+    with open(out_dir / "allocations.csv", "w", encoding="utf-8") as allocations, \
+            open(out_dir / "fairness.csv", "w", encoding="utf-8") as fairness:
+        allocations.write(metrics.REPORT_HEADER + "\n")
+        fairness.write("iteration,jain_cost,jain_count\n")
+        for t, result in enumerate(itertools.chain([first], results)):
+            lines, jain_cost, jain_count = fold.add(result)
+            allocations.write(lines)
+            fairness.write(f"{t},{jain_cost:.6f},{jain_count:.6f}\n")
 
-    cost_series = metrics.fairness_series(history, basis="cost").values
-    count_series = metrics.fairness_series(history, basis="count").values
-    fairness_lines = ["iteration,jain_cost,jain_count"]
-    for t, (jc, jn) in enumerate(zip(cost_series, count_series)):
-        fairness_lines.append(f"{t},{jc:.6f},{jn:.6f}")
-    (out_dir / "fairness.csv").write_text("\n".join(fairness_lines) + "\n", encoding="utf-8")
-
-    std, cv = metrics.cost_dispersion(history)
+    std, cv = fold.dispersion()
     summary = {
         "iterations": cfg.iterations,
         "workers": len(cluster.workers),
         "services": len(experiment.services),
-        "feasible_iterations": sum(1 for r in results if r.feasible),
+        "feasible_iterations": fold.feasible_rounds,
         "cost_std": round(std, 6),
         "cost_cv": round(cv, 6),
-        "final_jain_cost": round(cost_series[-1], 6),
-        "final_jain_count": round(count_series[-1], 6),
+        "final_jain_cost": round(jain_cost, 6),
+        "final_jain_count": round(jain_count, 6),
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    return EXIT_OK if all(r.feasible for r in results) else EXIT_INFEASIBLE
+    return EXIT_OK if fold.feasible_rounds == fold.rounds else EXIT_INFEASIBLE
 
 
 def cmd_scaling(args) -> int:

@@ -23,12 +23,12 @@ steps: ``prepare_unit_costs`` keeps what no sample changes (feasibility,
 each member position's base costs and columns, the pool discount), and
 ``UnitCosts`` adds the load terms of a block of rounds at once, one
 (rounds, workers, units) tensor built member position by member position
-in the scalar add order. The load terms ``cpu**4`` and the like stay
-Python-float powers, never ``np.power``, whose SIMD kernels may round
-differently. ``UnitCosts.block`` returns that float tensor and
-``UnitCosts.matrix`` (and so ``build_cost_matrix``) is its one-round case.
-``integer_grid`` rounds costs onto the solver's integer grid, half to even
-as ``integerize_cost`` does. The allocator prepares once per fleet and
+in the scalar add order. The load terms ``cpu**4`` and the like are
+``np.float_power`` over the block's ``(rounds, workers, 4)`` load array,
+never ``np.power`` (``UnitCosts.block`` says why). ``UnitCosts.block``
+returns that float tensor and ``UnitCosts.matrix`` (and so
+``build_cost_matrix``) is its one-round case. ``integer_grid`` rounds costs
+onto the solver's integer grid, half to even as ``integerize_cost`` does. The allocator prepares once per fleet and
 experiment, over every single service and every pool any configuration can
 use, and costs each block of simulation rounds once; it reads both its
 solver input and its placement costs from that one block.
@@ -198,16 +198,20 @@ class UnitCosts:
     factor: np.ndarray    # shape (workers, units): 1.0, the discount for pools, 0.0 where infeasible
     weights: np.ndarray   # shape (4, 1, 1, 1): cpu, vram, swap, bandwidth
 
-    def block(self, rounds: "Sequence[Sequence[Sequence[float]]]") -> np.ndarray:
+    def block(self, rounds: "np.ndarray | Sequence[Sequence[Sequence[float]]]") -> np.ndarray:
         """The (rounds, workers, units) float costs of one load row per worker per round.
 
-        A load row is (cpu, vram, swap, bandwidth), or a ``WorkloadSample``.
+        ``rounds`` is a ``(rounds, workers, 4)`` array of (cpu, vram, swap,
+        bandwidth) rows, or nested sequences of them. The load terms are
+        ``np.float_power`` on the whole block: it calls the C ``pow`` that a
+        Python float's ``**`` calls, so each term equals the scalar
+        function's bit for bit. ``np.power`` is not used: its SIMD loops may
+        round differently.
         """
-        # Per-worker load terms, computed with Python floats exactly as the scalar functions do.
-        loads = np.array([[(cpu**4, vram**4, swap, (1.0 - bandwidth) ** 4)
-                           for cpu, vram, swap, bandwidth in workers] for workers in rounds],
-                         dtype=np.float64).reshape(len(rounds), self.feasible.shape[0], 4)
-        loads = np.moveaxis(loads, 2, 0)[..., None]  # (4, rounds, workers, 1)
+        rounds = np.asarray(rounds, dtype=np.float64).reshape(len(rounds), self.feasible.shape[0], 4)
+        cpu, vram, swap, bandwidth = np.moveaxis(rounds, 2, 0)
+        loads = np.stack([np.float_power(cpu, 4.0), np.float_power(vram, 4.0), swap,
+                          np.float_power(1.0 - bandwidth, 4.0)])[..., None]  # (4, rounds, workers, 1)
         values = np.zeros((len(rounds), *self.feasible.shape), dtype=np.float64)
         # Member p of every unit that has one, so pools add their members left to right.
         for units, base in self.positions:
@@ -217,8 +221,9 @@ class UnitCosts:
         return values
 
     def matrix(self, workloads: "Sequence[Sequence[float]]") -> CostMatrix:
-        """The cost matrix for one load row per worker, in the prepared worker order."""
-        return CostMatrix(values=self.block([workloads])[0], feasible=self.feasible)
+        """The cost matrix for one load row (or ``WorkloadSample``) per worker, in roster order."""
+        return CostMatrix(values=self.block([[tuple(row) for row in workloads]])[0],
+                          feasible=self.feasible)
 
 
 def prepare_unit_costs(unit_members: Sequence[Sequence[ServiceSpec]],

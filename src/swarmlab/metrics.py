@@ -6,17 +6,31 @@ everything. An all-zero vector has equal shares too, so its index is 1
 (the formula itself would divide zero by zero); this is what an experiment
 whose services all cost 0 reports. The fairness series tracks the index over
 cumulative per-worker allocated costs, iteration by iteration.
+
+``ReportFold`` is the one fold over a run: it takes one result at a time,
+adds its placements to the cumulative per-worker cost and count shares, in
+roster order, and returns the round's report lines and both indexes; it
+keeps every placement cost in one float64 buffer for the dispersion. The
+``simulate`` command folds each round as it is made, so its memory does not
+grow with the iteration count beyond that buffer (8 bytes a placement).
+``fairness_series``, ``emit_report`` and ``cost_dispersion`` run the same
+fold over a whole history.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+import sys
+from array import array
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .allocator import AllocationResult
 from .errors import DomainError, EmptyHistory
+
+_TINY = sys.float_info.min  # the smallest normal double, np.finfo(np.float64).tiny
 
 
 def jains_index(values: Iterable[float]) -> float:
@@ -25,19 +39,19 @@ def jains_index(values: Iterable[float]) -> float:
     An all-zero vector is even: its index is 1. Empty or negative input
     raises ``DomainError``.
     """
-    xs = [float(v) for v in values]
+    xs = list(map(float, values))
     if not xs:
         raise DomainError("Jain's index needs at least one value")
-    if any(x < 0 for x in xs):
+    if any(map((0.0).__gt__, xs)):  # any x < 0
         raise DomainError("Jain's index is defined for non-negative values")
-    square_sum = sum(x * x for x in xs)
-    if square_sum < np.finfo(np.float64).tiny:
+    square_sum = sum(map(operator.mul, xs, xs))
+    if square_sum < _TINY:
         # The squares underflow; the index is scale-free, so divide by the peak first.
         peak = max(xs)
         if peak == 0.0:
             return 1.0  # every share is equal
         xs = [x / peak for x in xs]
-        square_sum = sum(x * x for x in xs)
+        square_sum = sum(map(operator.mul, xs, xs))
     total = sum(xs)
     return (total * total) / (len(xs) * square_sum)
 
@@ -49,8 +63,6 @@ class AllocationHistory:
     results: tuple[AllocationResult, ...]
     workers: tuple[str, ...]
     services: tuple[str, ...]
-    #: ``fairness_series`` by basis, each computed on first use.
-    _series: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def build_history(results: Sequence[AllocationResult],
@@ -71,6 +83,57 @@ def build_history(results: Sequence[AllocationResult],
                              services=tuple(services))
 
 
+class ReportFold:
+    """A run's reports, folded one round at a time over fixed rosters.
+
+    ``add`` takes the next round's result; the rosters are trusted, since
+    the allocator only names their workers and services.
+    """
+
+    def __init__(self, workers: Sequence[str], services: Sequence[str]):
+        self.services = tuple(services)
+        self.rounds = 0
+        self.feasible_rounds = 0
+        self._cost = dict.fromkeys(workers, 0.0)  # cumulative shares, in roster order
+        self._count = dict.fromkeys(workers, 0.0)
+        self._placed = array("d")  # every placement's cost, round by round
+
+    def add(self, result: AllocationResult) -> tuple[str, float, float]:
+        """Fold in the next round: its ``emit_report`` lines, and Jain's index of the
+        cumulative cost and count shares after it."""
+        assignments = result.assignments
+        for assignment in assignments.values():
+            self._cost[assignment.worker] += assignment.cost
+            self._count[assignment.worker] += 1.0
+            self._placed.append(assignment.cost)
+        jain_cost, jain_count = jains_index(self._cost.values()), jains_index(self._count.values())
+        t, jain = self.rounds, f"{jain_cost:.6f}"
+        lines = []
+        for service in self.services:
+            a = assignments.get(service)
+            if a is not None:
+                lines.append(f"{t},{a.worker},{service},{a.cost:.6f},{jain}\n")
+        self.rounds += 1
+        self.feasible_rounds += result.feasible
+        return "".join(lines), jain_cost, jain_count
+
+    def dispersion(self) -> tuple[float, float]:
+        """Population standard deviation and coefficient of variation of every placement cost."""
+        if not self._placed:
+            raise EmptyHistory("dispersion needs at least one assignment")
+        costs = np.frombuffer(self._placed, dtype=np.float64)
+        std = float(costs.std())
+        mean = float(costs.mean())
+        cv = 0.0 if std == 0.0 else std / mean
+        return std, cv
+
+
+def _fold(history: AllocationHistory) -> tuple[ReportFold, list[tuple[str, float, float]]]:
+    """The fold over ``history``, and what each round added."""
+    fold = ReportFold(history.workers, history.services)
+    return fold, [fold.add(result) for result in history.results]
+
+
 @dataclass(frozen=True)
 class FairnessSeries:
     """Jain's index after each iteration, over cumulative per-worker shares."""
@@ -80,36 +143,21 @@ class FairnessSeries:
 
 
 def fairness_series(history: AllocationHistory, basis: str = "cost") -> FairnessSeries:
-    """Cumulative fairness over allocated costs (canonical) or counts.
-
-    Computed once per history and basis; later calls return the same series.
-    """
+    """Cumulative fairness over allocated costs (canonical) or counts."""
     if basis not in ("cost", "count"):
         raise ValueError(f"basis must be 'cost' or 'count', got {basis!r}")
     if not history.results:
         raise EmptyHistory("fairness series needs at least one iteration")
-    if basis not in history._series:
-        cumulative = {w: 0.0 for w in history.workers}
-        values = []
-        for result in history.results:
-            for assignment in result.assignments.values():
-                cumulative[assignment.worker] += assignment.cost if basis == "cost" else 1.0
-            values.append(jains_index(cumulative.values()))
-        history._series[basis] = FairnessSeries(values=tuple(values), basis=basis)
-    return history._series[basis]
+    _, rounds = _fold(history)
+    column = 1 if basis == "cost" else 2
+    return FairnessSeries(values=tuple(r[column] for r in rounds), basis=basis)
 
 
 def cost_dispersion(history: AllocationHistory) -> tuple[float, float]:
     """Population standard deviation and coefficient of variation of all
     per-assignment costs across iterations."""
-    costs = [a.cost for result in history.results for a in result.assignments.values()]
-    if not costs:
-        raise EmptyHistory("dispersion needs at least one assignment")
-    arr = np.asarray(costs, dtype=np.float64)
-    std = float(arr.std())
-    mean = float(arr.mean())
-    cv = 0.0 if std == 0.0 else std / mean
-    return std, cv
+    fold, _ = _fold(history)
+    return fold.dispersion()
 
 
 def allocation_frequency(history: AllocationHistory) -> np.ndarray:
@@ -136,13 +184,5 @@ def emit_report(history: AllocationHistory) -> str:
     """
     if not history.results:
         raise EmptyHistory("report needs at least one iteration")
-    series = fairness_series(history, basis="cost").values
-
-    lines = [REPORT_HEADER]
-    for t, result in enumerate(history.results):
-        for service in history.services:
-            assignment = result.assignments.get(service)
-            if assignment is not None:
-                lines.append(f"{t},{assignment.worker},{service},"
-                             f"{assignment.cost:.6f},{series[t]:.6f}")
-    return "\n".join(lines) + "\n"
+    _, rounds = _fold(history)
+    return REPORT_HEADER + "\n" + "".join(lines for lines, _, _ in rounds)

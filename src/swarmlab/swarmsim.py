@@ -10,29 +10,31 @@ flows from the config seed, so equal configs produce bit-identical results
 and traces.
 
 ``sample_rounds`` is the one sampling path; ``WorkloadGenerator.sample``
-is its one-worker, one-round case. It yields blocks of rounds of load
-rows, Python floats in roster order: one ``rng.uniform_rows`` call draws
-every ``uniform`` worker's samples of a block, bit-identical to seeding one
-``default_rng`` per sample as the stream is defined; ``trace`` workers
-replay their parsed rows, and ``fixed`` workers are checked once. A
-generator is a frozen record of what differs per worker: its workload,
-seed, index and base directory. One ``sample_rounds`` call serves a whole
-command and owns every state that sampling needs, made once per call: the
-parsed trace files, each parsed in one bulk pass into one ``(rows, 4)``
-array (``_read_trace``) however many workers replay it; the uniform
-workers' seed words and jitter widths; and their levels, which
-``_uniform_values`` draws with the first block and later blocks reuse. A
-block converts only the trace rows it replays to Python floats.
-``_results`` is the one round pipeline: it prepares the allocation once
-and hands each block to ``PreparedAllocation.allocate_rounds``, which costs
-it in one pass; a block holds ``block_rounds`` rounds, as many as fit
-``BLOCK_CELLS`` cells of the solver's padded layout, and at least one.
-``run_experiment`` returns the results of every iteration, and
-``run_iteration`` the result of one iteration with its trace. A trace is a
-view of one round: ``_trace`` draws it from the round's config and result
-alone. Only the CLI's ``allocate`` builds worker states
-(``worker_states``). ``measure_scaling`` solves no allocation and clones no
-worker: a grid cell deploys its cloned service iff one of its workers can
+is its one-worker, one-round case. It yields each block of rounds as one
+``(rounds, workers, 4)`` float64 array of load rows in roster order, which
+stays one array until it is costed: one ``rng.uniform_rows`` call draws
+every ``uniform`` worker's rows of a block, bit-identical to seeding one
+``default_rng`` per sample as the stream is defined; ``trace`` workers'
+rows are gathered from their parsed arrays, and ``fixed`` workers are
+checked once and broadcast. A generator is a frozen record of what differs
+per worker: its workload, seed, index and base directory. One
+``sample_rounds`` call serves a whole command and owns every state that
+sampling needs, made once per call: the parsed trace files, each parsed in
+one bulk pass into one ``(rows, 4)`` array (``_read_trace``) however many
+workers replay it; the uniform workers' seed words and jitter widths; and
+their levels, which ``_uniform_values`` draws with the first block and
+later blocks reuse. ``_results`` is the one round pipeline: it prepares
+the allocation once, hands each block to
+``PreparedAllocation.allocate_rounds``, which costs it in one pass, and
+yields the results one at a time, so the CLI's ``simulate`` holds one
+block of them at most; a block holds ``block_rounds`` rounds, as many as
+fit ``BLOCK_CELLS`` cells of the solver's padded layout, and at least one.
+The CLI's ``allocate`` runs round 0 through the same two steps, sampling
+before it prepares. ``run_experiment`` returns the results of every
+iteration, and ``run_iteration`` the result of one iteration with its
+trace. A trace is a view of one round: ``_trace`` draws it from the
+round's config and result alone. No command builds worker states.
+``measure_scaling`` solves no allocation and clones no worker: a grid cell deploys its cloned service iff one of its workers can
 host it, so only the template's first min(N, T) workers are sampled and
 capability-checked, and a cell's checks are decided once per worker count
 and per service count, so a cell costs O(1). It raises any cell's error
@@ -69,7 +71,7 @@ from .definitions import (
     WorkloadModel,
 )
 from .errors import DuplicateAgent, EmptyProblem, SchemaError
-from .model import WorkerState, WorkloadSample
+from .model import WorkloadSample
 from .rng import uniform_rows
 
 _LEVEL_TAG = 0xB15E
@@ -139,7 +141,7 @@ class WorkloadGenerator:
         Each call reads a trace worker's file again and draws a uniform
         worker's level again; ``sample_rounds`` samples many rounds at once.
         """
-        [[row]] = next(sample_rounds([self], [iteration], 1))
+        [[row]] = next(sample_rounds([self], [iteration], 1)).tolist()
         return WorkloadSample.trusted(*row)
 
 
@@ -238,8 +240,8 @@ def _line_rows(data: bytes, location: Path) -> list[tuple[float, float, float, f
 
 def _uniform_values(models: "Sequence[UniformWorkload]", prefixes: "Sequence[list[int]]",
                     widths: np.ndarray, iterations: "Sequence[int]",
-                    levels: "np.ndarray | None") -> tuple[list[list[list[float]]], np.ndarray]:
-    """``values[k][g]``: uniform worker g's sample at ``iterations[k]``, and the workers' levels.
+                    levels: "np.ndarray | None") -> tuple[np.ndarray, np.ndarray]:
+    """``values[k, g]``: uniform worker g's sample at ``iterations[k]``, and the workers' levels.
 
     Worker g has the workload ``models[g]``, the seed words ``prefixes[g]``
     and the jitter half-width ``widths[g, 0]``. One ``uniform_rows`` call
@@ -262,19 +264,22 @@ def _uniform_values(models: "Sequence[UniformWorkload]", prefixes: "Sequence[lis
     if levels is None:
         levels, draws = draws[:len(models)], draws[len(models):]
     jitter = draws.reshape(len(iterations), len(models), 4)
-    return np.clip(levels + jitter, 0.0, 1.0).tolist(), levels
+    return np.clip(levels + jitter, 0.0, 1.0), levels
 
 
 @dataclass(frozen=True)
 class FetchLatency:
-    """Simulated image fetch time: base plus a per-megabyte charge, neither negative."""
+    """Simulated image fetch time: base plus a per-megabyte charge, each finite and non-negative."""
 
     base_ms: int = 50
     per_mb_ms: float = 2.0
 
     def __post_init__(self):
         for name in ("base_ms", "per_mb_ms"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if value < 0:
                 raise ValueError(f"{name} must be non-negative")
 
     def duration_ms(self, size_mb: float) -> int:
@@ -360,22 +365,21 @@ def workload_generators(workers: "Sequence[ClusterWorker]", seed: int,
 
 
 def sample_rounds(generators: "Sequence[WorkloadGenerator]", iterations: "Sequence[int]",
-                  per_block: int) -> Iterator[list[list[Sequence[float]]]]:
+                  per_block: int) -> Iterator[np.ndarray]:
     """``iterations`` in blocks of up to ``per_block`` rounds of load rows.
 
-    A round holds one (cpu, vram, swap, bandwidth) row of Python floats per
-    generator, in roster order. The call keeps what its blocks share: each
-    trace file, parsed once into one array, whatever the number of workers
-    that replay it; the uniform workers' seed words and jitter widths; and
-    their levels, which the first block draws and later blocks reuse. One
-    ``uniform_rows`` call draws a block's rows for every uniform worker;
-    none is made when no worker is uniform. ``trace`` workers replay their
-    arrays, converting only the block's rows; a ``fixed`` worker's values
-    are checked once, as ``WorkloadSample`` checks them, before the first
-    block.
+    A block is one ``(rounds, generators, 4)`` float64 array: round k holds
+    one (cpu, vram, swap, bandwidth) row per generator, in roster order. The
+    call keeps what its blocks share: each trace file, parsed once into one
+    array, whatever the number of workers that replay it; the uniform
+    workers' seed words and jitter widths; and their levels, which the first
+    block draws and later blocks reuse. One ``uniform_rows`` call draws a
+    block's rows for every uniform worker; none is made when no worker is
+    uniform. ``trace`` workers gather their block's rows from their arrays;
+    a ``fixed`` worker's values are checked once, as ``WorkloadSample``
+    checks them, before the first block, and broadcast to every round.
     """
-    rows: list = [None] * len(generators)  # fixed values; uniform and trace rows change per round
-    uniform, traces = [], []
+    fixed, uniform, traces = [], [], []
     parsed: dict[Path, np.ndarray] = {}  # by location
     for idx, generator in enumerate(generators):
         model = generator.model
@@ -389,7 +393,7 @@ def sample_rounds(generators: "Sequence[WorkloadGenerator]", iterations: "Sequen
                 parsed[location] = _read_trace(location)
             traces.append((idx, parsed[location]))
         else:  # nothing has checked a fixed worker's values yet
-            rows[idx] = tuple(WorkloadSample(*model.values))
+            fixed.append((idx, tuple(WorkloadSample(*model.values))))
     models = [generators[i].model for i in uniform]
     prefixes = [_entropy_words(generators[i].seed) + _entropy_words(generators[i].worker_index)
                 for i in uniform]
@@ -397,25 +401,15 @@ def sample_rounds(generators: "Sequence[WorkloadGenerator]", iterations: "Sequen
     levels = None
     for start in range(0, len(iterations), per_block):
         block = iterations[start:start + per_block]
-        drawn, levels = (_uniform_values(models, prefixes, widths, block, levels) if uniform
-                         else ([[]] * len(block), None))
-        # Python's %, as the stream's definition: numpy's stops at 2**64.
-        replayed = [trace[[k % len(trace) for k in block]].tolist() for _, trace in traces]
-        rounds = []
-        for r, values in enumerate(drawn):
-            for idx, row in zip(uniform, values):
-                rows[idx] = row
-            for (idx, _), replay in zip(traces, replayed):
-                rows[idx] = replay[r]
-            rounds.append(rows.copy())
+        rounds = np.empty((len(block), len(generators), 4))
+        if uniform:
+            rounds[:, uniform], levels = _uniform_values(models, prefixes, widths, block, levels)
+        for idx, values in fixed:
+            rounds[:, idx] = values
+        for idx, trace in traces:
+            # Python's %, as the stream's definition: numpy's stops at 2**64.
+            rounds[:, idx] = trace[[k % len(trace) for k in block]]
         yield rounds
-
-
-def worker_states(workers: "Sequence[ClusterWorker]",
-                  rows: "Sequence[Sequence[float]]") -> list[WorkerState]:
-    """The workers' states in one round of ``sample_rounds``."""
-    return [WorkerState(id=w.id, profile=w.profile, workload=WorkloadSample.trusted(*row))
-            for w, row in zip(workers, rows)]
 
 
 def _poll_ms(cfg: SimConfig, num_services: int) -> int:
@@ -458,7 +452,12 @@ def _results(cfg: SimConfig, iterations: "Sequence[int]") -> Iterator[Allocation
 
 
 def run_iteration(cfg: SimConfig, iter_index: int) -> tuple[AllocationResult, SimTrace]:
-    """Run one full lifecycle round and return its allocation and trace."""
+    """Run one full lifecycle round and return its allocation and trace.
+
+    A negative ``iter_index`` raises ``ValueError`` before anything is sampled.
+    """
+    if iter_index < 0:
+        raise ValueError(f"iteration must be non-negative, got {iter_index}")
     [result] = _results(cfg, [iter_index])
     return result, _trace(cfg, result)
 

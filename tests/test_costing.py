@@ -51,6 +51,20 @@ def test_cpu_and_vram_agree(base, load):
     assert cpu_cost(base, load) == vram_cost(base, load)
 
 
+def test_float_power_is_python_power_bit_for_bit():
+    # UnitCosts.block takes the quartic load terms with np.float_power, the scalar
+    # functions with Python's **; the golden files hold only while the two agree on
+    # every double in [0, 1], and on 1 - x for the bandwidth term.
+    tiny = np.finfo(np.float64).tiny
+    edges = [0.0, -0.0, 1.0, 5e-324, 1e-310, tiny / 2, tiny, np.nextafter(1.0, 0.0)]
+    xs = np.concatenate([edges, np.random.default_rng(20240601).random(10**6)])
+    for values in (xs, 1.0 - xs):
+        powered = np.float_power(values, 4.0)
+        expected = np.array([x ** 4 for x in values.tolist()], dtype=np.float64)
+        assert powered.dtype == np.float64
+        assert np.array_equal(powered.view(np.uint64), expected.view(np.uint64))
+
+
 @pytest.mark.parametrize("fn", [cpu_cost, vram_cost, swap_cost, bandwidth_cost])
 @pytest.mark.parametrize("base,load", [(-1, 0.5), (101, 0.5), (50, -0.1), (50, 1.1),
                                        (float("nan"), 0.5), (50, float("inf"))])

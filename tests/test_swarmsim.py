@@ -21,7 +21,7 @@ from swarmlab.definitions import (
     load_edf,
 )
 from swarmlab.errors import DuplicateAgent, EmptyProblem, SchemaError
-from swarmlab.model import HardwareProfile, WorkerState
+from swarmlab.model import HardwareProfile, WorkerState, WorkloadSample
 from swarmlab.swarmsim import (
     _JITTER_TAG,
     _LEVEL_TAG,
@@ -203,13 +203,14 @@ def test_sample_rounds_match_per_sample_default_rng(tmp_path, base_dir, monkeypa
     seed = 2**40 + 3
     generators = swarmsim.workload_generators(workers, seed, given)
     blocks = list(swarmsim.sample_rounds(generators, range(7), 3))
-    assert [len(block) for block in blocks] == [3, 3, 1]
-    rounds = [list(zip((w.id for w in workers), rows)) for block in blocks for rows in block]
+    assert [(block.dtype, block.shape) for block in blocks] == \
+        [(np.float64, (3, 6, 4)), (np.float64, (3, 6, 4)), (np.float64, (1, 6, 4))]
+    rounds = [list(zip((w.id for w in workers), rows)) for block in blocks for rows in block.tolist()]
     assert all(type(v) is float for pairs in rounds for _, row in pairs for v in row)
     _assert_rounds_match_reference(rounds, workers, seed)
     # Later iterations of the same generators, in another block shape, draw the same stream.
     [later] = list(swarmsim.sample_rounds(generators, [6, 2], 2))
-    assert later == [blocks[2][0], blocks[0][2]]
+    assert later.tolist() == [blocks[2][0].tolist(), blocks[0][2].tolist()]
 
 
 def test_each_sample_rounds_call_reads_its_own_trace_files(tmp_path):
@@ -219,9 +220,10 @@ def test_each_sample_rounds_call_reads_its_own_trace_files(tmp_path):
     trace.write_text("0.1,0.2,0.3,0.4\n", encoding="utf-8")
     worker = ClusterWorker(id="t", profile=HardwareProfile(), workload=TraceWorkload("load.csv"))
     generators = swarmsim.workload_generators([worker], 0, tmp_path)
-    assert list(swarmsim.sample_rounds(generators, [0, 1], 2)) == [[[[0.1, 0.2, 0.3, 0.4]]] * 2]
+    assert [block.tolist() for block in swarmsim.sample_rounds(generators, [0, 1], 2)] == \
+        [[[[0.1, 0.2, 0.3, 0.4]]] * 2]
     trace.write_text("0.5,0.6,0.7,0.8\n0.9,1.0,0.0,0.1\n", encoding="utf-8")
-    assert list(swarmsim.sample_rounds(generators, [0, 1], 2)) == \
+    assert [block.tolist() for block in swarmsim.sample_rounds(generators, [0, 1], 2)] == \
         [[[[0.5, 0.6, 0.7, 0.8]], [[0.9, 1.0, 0.0, 0.1]]]]
     with pytest.raises(FrozenInstanceError):
         generators[0].base_dir = tmp_path.parent
@@ -232,8 +234,8 @@ def test_allocate_round_draws_iteration_zero_only(tmp_path, kernel_rows):
     generators = swarmsim.workload_generators(workers, 3, tmp_path)
     [rows] = next(swarmsim.sample_rounds(generators, [0], 1))
     assert kernel_rows == [4 + 4]  # the four levels and the four iteration-0 jitter rows
-    states = swarmsim.worker_states(workers, rows)  # what allocate hands the allocation
-    _assert_rounds_match_reference([[(s.id, s.workload) for s in states]], workers, 3)
+    # What allocate hands the allocation: each worker's row.
+    _assert_rounds_match_reference([[(w.id, row) for w, row in zip(workers, rows)]], workers, 3)
 
 
 def test_fleets_without_uniform_workers_make_no_kernel_call(tmp_path, kernel_rows):
@@ -374,7 +376,6 @@ def call_counts(monkeypatch):
     counted(costing.CostMatrix, "scaled")
     counted(assignment, "solve")
     counted(allocator.PreparedAllocation, "allocate")
-    counted(swarmsim, "worker_states")
     solve_selections = assignment.solve_selections
 
     def count_selections(matrix, costs, big_m, selections, order=None):
@@ -401,13 +402,13 @@ def test_command_level_inputs_are_built_once(call_counts, monkeypatch):
         assert call_counts == Counter({"enumerate_unit_configurations": 1,
                                        "build_capability_matrix": 1, "block": blocks,
                                        "scaled": 0, "solve_selections": 5, "selections": 10})
-    # One iteration runs the same pipeline: one block of one round, and no worker states.
+    # One iteration runs the same pipeline: one block of one round, and no one-round allocate.
     call_counts.clear()
     run_iteration(cfg, 3)
     assert call_counts == Counter({"enumerate_unit_configurations": 1,
                                    "build_capability_matrix": 1, "block": 1,
                                    "solve_selections": 1, "selections": 2})
-    assert call_counts["allocate"] == call_counts["worker_states"] == 0
+    assert call_counts["allocate"] == 0
 
 
 def test_scaling_grid_inputs_are_built_once(call_counts, monkeypatch):
@@ -770,6 +771,28 @@ def test_fetch_latency_refuses_negative_charges(field):
         FetchLatency(**{field: -1})
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["base_ms", "per_mb_ms"])
+def test_fetch_latency_refuses_charges_that_are_not_finite(field, value):
+    # Not the image size's fault: the latency names its own field.
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+        FetchLatency(**{field: value})
+
+
+@pytest.mark.parametrize("fleet", ["uniform", "fixed and trace"])
+def test_a_negative_iteration_is_refused_before_sampling(tmp_path, fleet, sampled):
+    if fleet == "uniform":
+        cfg = bench_config(num_workers=3)
+    else:
+        template = _trace_template(tmp_path, num_workers=2)
+        fixed = ClusterWorker(id="f", profile=HardwareProfile(),
+                              workload=FixedWorkload((0.2, 0.2, 0.2, 0.2)))
+        cfg = replace(template, workers=(*template.workers, fixed))
+    with pytest.raises(ValueError, match="^iteration must be non-negative, got -1$"):
+        run_iteration(cfg, -1)
+    assert sampled == []
+
+
 def test_config_rejects_duplicate_worker_ids():
     workers = balanced_cluster(3)
     twice = workers + (workers[1],)
@@ -897,8 +920,9 @@ def _reference_scaling(worker_counts, service_counts, template):
     services = tuple(replace(template.experiment.services[0], name=f"svc{k + 1:03d}")
                      for k in range(max(service_counts)))
     generators = swarmsim.workload_generators(fleet, template.seed, template.base_dir)
-    [rows] = next(swarmsim.sample_rounds(generators, [0], 1))
-    states = swarmsim.worker_states(fleet, rows)
+    [rows] = next(swarmsim.sample_rounds(generators, [0], 1)).tolist()
+    states = [WorkerState(id=w.id, profile=w.profile, workload=WorkloadSample(*row))
+              for w, row in zip(fleet, rows)]
     cells = []
     for n in worker_counts:
         for k in service_counts:
