@@ -8,38 +8,26 @@ the most services, breaking ties by cost and then by enumeration order.
 Enumerating combinations keeps "every service placed exactly once"
 structural: a single matching could otherwise place both a pool and its
 members at the same time. Among a configuration's matchings of most units
-and least cost the solver finds one that places the most services: it sees
-a unit of ``s`` services at ``cost * spread + (s_max - s)``, where ``s_max``
-is the largest unit and ``spread = services * (s_max - 1) + 1`` exceeds any
-sum of the offsets, and the cost is read back as ``total // spread``.
-Without pools ``spread`` is 1 and the encoding is the identity; so it is
-when every column is feasible on at least as many workers as the largest
-configuration has units, since every configuration then places all its
-units. Among equal-cost optima the placement is deterministic for a given
-cost matrix but follows no documented rule.
+and least cost the solver finds one that places the most services: each
+column's weight is its service count, and ``assignment.solve_rounds``
+breaks the tie (see ``assignment``). Among equal-cost optima the placement
+is deterministic for a given cost matrix but follows no documented rule.
 
 ``enumerate_unit_configurations`` builds one ``AllocationUnit`` per group,
 every single service and each component's pool, and every configuration
 shares those objects; a unit's ``label`` is computed once.
 ``prepare`` builds what the workers' samples do not change, once per fleet
-and experiment: the configurations, the columns (every single service and
-every pool), their feasibility and base costs, each configuration's column
-selection, the columns ordered by cost scale for the solver's seeded cold
-start, the services tie-break, and each column's (member name, service
-column) pairs for placement.
+and experiment (``PreparedAllocation``).
 ``PreparedAllocation.allocate_rounds`` takes a block of rounds' load rows,
 one ``(rounds, workers, 4)`` array: ``costing.UnitCosts.block`` costs the
-whole block in one pass, the allocator puts it on the integer grid and
-applies its services tie-break, and ``assignment.solve_rounds`` solves
-every round over every configuration's columns. Each round's placement
-reads a placed service's cost from its own single-service column, times
-the discount when it is pooled. The solver visits the configurations in
-reflected Gray-code order of their index, so consecutive ones differ in
-one component and each is warm-started from the last.
+whole block in one pass, and ``assignment.solve_rounds`` solves its
+integer grid, every round over every configuration's columns. Each round's
+placement reads a placed service's cost from its own single-service
+column, times the discount when it is pooled. The solver visits the
+configurations in reflected Gray-code order of their index, so consecutive
+ones differ in one component and each is warm-started from the last.
 ``PreparedAllocation.allocate`` is the one-round case, given worker
-states; ``allocate`` is ``prepare`` plus one round; the CLI and the
-simulator prepare once per command and hand ``allocate_rounds`` their
-sampled arrays.
+states; ``allocate`` is ``prepare`` plus one round.
 
 ``build_network`` states the same problem as a min-cost max-flow network
 for the ``mcmf`` reference solver; the allocator itself does not use it.
@@ -223,10 +211,10 @@ class PreparedAllocation:
     service order, then the pools of the first configuration, which pools
     every component), their feasibility and base costs, each
     configuration's column selection, the column order that seeds the
-    solver, the services tie-break and each column's members with their
-    service columns, which placement reads. ``allocate_rounds`` then costs a
-    block of rounds in one pass and solves and places each; ``allocate`` is
-    its one-round case.
+    solver and each column's members with their service columns, which
+    placement reads and whose counts weigh the solver's tie-break.
+    ``allocate_rounds`` then costs a block of rounds in one pass and solves
+    and places each; ``allocate`` is its one-round case.
     """
 
     services: tuple[ServiceSpec, ...]
@@ -234,14 +222,10 @@ class PreparedAllocation:
     #: The prepared workers' ids, in the order every round's samples follow.
     worker_ids: tuple[str, ...]
     costs: costing.UnitCosts
-    #: Per configuration: its columns and each unit's size.
-    selections: tuple[tuple[list[int], tuple[int, ...]], ...]
+    #: Per configuration: each unit's column.
+    selections: tuple[list[int], ...]
     #: Every column, from the largest base cost (times the discount for a pool) to the smallest.
     scale_order: tuple[int, ...]
-    #: The services tie-break: the solver sees ``cost * spread + offsets[column]``, in
-    #: int64 unless the solver's big M (a sum over every cell) could pass 2**62.
-    spread: int
-    offsets: np.ndarray
     #: Per column: each member's (name, service column).
     member_columns: tuple[tuple[tuple[str, int], ...], ...]
     discount: float
@@ -264,18 +248,16 @@ class PreparedAllocation:
 
         ``rounds`` is a ``(rounds, workers, 4)`` array of (cpu, vram, swap,
         bandwidth) rows, as ``swarmsim.sample_rounds`` yields it, or nested
-        sequences of such rows. The block is costed and encoded in one pass;
-        each round then only solves and places.
+        sequences of such rows. The block is costed in one pass; each round
+        then only solves and places.
         """
         values = self.costs.block(rounds)
-        # Infeasible cells are 0.0 and no cost is negative: the grid needs no mask.
-        scaled = costing.integer_grid(values)
-        if self.spread > 1:
-            scaled = scaled.astype(self.offsets.dtype, copy=False) * self.spread + self.offsets
         # Reflected Gray-code order: consecutive configurations differ in one component.
         order = [i ^ (i >> 1) for i in range(len(self.selections))]
-        solutions = assignment.solve_rounds(scaled, self.costs.feasible,
-                                            [self.selections[i][0] for i in order], self.scale_order)
+        # Infeasible cells are 0.0 and no cost is negative: the grid needs no mask.
+        solutions = assignment.solve_rounds(costing.integer_grid(values), self.costs.feasible,
+                                            [self.selections[i] for i in order], self.scale_order,
+                                            [len(members) for members in self.member_columns])
         return [self._place(round_values, order, solved)
                 for round_values, solved in zip(values, solutions)]
 
@@ -283,8 +265,8 @@ class PreparedAllocation:
         """The result of one round whose configurations, visited in ``order``, solved to ``solutions``."""
         solved: list = [None] * len(order)  # (matched (worker, unit) pairs, services assigned, cost)
         for i, (pairs, cost) in zip(order, solutions):
-            sizes = self.selections[i][1]
-            solved[i] = (pairs, sum(sizes[u] for _, u in pairs), cost // self.spread)
+            units = self.configurations[i]
+            solved[i] = (pairs, sum(len(units[u].members) for _, u in pairs), cost)
         best = min(range(len(solved)), key=lambda i: (-solved[i][1], solved[i][2], i))
         outcomes = tuple(
             ConfigurationOutcome(index=index, units=units, flow_value=len(pairs),
@@ -293,7 +275,7 @@ class PreparedAllocation:
             for index, (units, (pairs, assigned, cost)) in enumerate(zip(self.configurations, solved)))
 
         placement: list = [None] * len(self.services)  # by service column
-        units, columns = self.configurations[best], self.selections[best][0]
+        units, columns = self.configurations[best], self.selections[best]
         for worker_i, unit_i in solved[best][0]:
             unit, worker = units[unit_i], self.worker_ids[worker_i]
             for name, j in self.member_columns[columns[unit_i]]:
@@ -339,24 +321,13 @@ def prepare(
         [[services[service_index[name]] for name in members] for members in columns],
         costing.build_capability_matrix(workers, services), service_index, weights, discount)
 
-    selections = tuple(([column_of[unit.members] for unit in units],
-                        tuple(len(unit.members) for unit in units)) for units in configurations)
+    selections = tuple([column_of[unit.members] for unit in units] for units in configurations)
     scale = [sum(services[service_index[name]].predefined_cost for name in members)
              * (discount if len(members) > 1 else 1.0) for members in columns]
-    largest = max(map(len, columns))
-    # Services can tie only where a configuration may leave a unit unplaced. None can when
-    # every column is feasible on as many workers as a configuration has units (a greedy
-    # matching places them all); then the solver sees the costs as they are.
-    placeable = int(costs.feasible.sum(axis=0).min()) >= max(len(cols) for cols, _ in selections)
-    spread = 1 if placeable else len(services) * (largest - 1) + 1
-    # A cell costs at most its column's scale (the loads and the weights' sum are at most 1).
-    bound = (2 * int(max(scale) * COST_SCALE) + 2) * spread * len(workers) * len(columns)
     return PreparedAllocation(
         services=tuple(services), configurations=tuple(configurations),
         worker_ids=tuple(w.id for w in workers), costs=costs, selections=selections,
         scale_order=tuple(sorted(range(len(columns)), key=lambda c: -scale[c])),
-        spread=spread, offsets=np.array([largest - len(members) for members in columns],
-                                        dtype=np.int64 if bound < 2**62 else object),
         member_columns=tuple(tuple((name, service_index[name]) for name in members)
                              for members in columns),
         discount=discount)

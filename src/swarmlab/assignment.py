@@ -11,14 +11,22 @@ Python ints, so the optimum is exact on the integer cost grid.
 Infeasible pairs cost a big M, the sum of all feasible costs plus one:
 a single infeasible pair then outweighs any set of feasible ones, so the
 solution first maximizes the number of feasible pairs and then minimizes
-their cost. ``solve_rounds`` takes a stack of rectangular (workers,
-columns) cost matrices, the allocator's block of rounds, and owns their
-layout. It lays out the whole stack at once: one row per column, padded
-with workers of cost big M up to the largest selection's size, one sum
-for the big Ms and one ``tolist()``. Each matrix then goes to
-``solve_selections`` both as the numpy array that ``_seed`` reads and as
-its Python rows, so the search runs no numpy of its own. ``solve`` is the
-one-matrix, one-selection case.
+their cost. Given column weights (the allocator's service counts), it then
+places the most weight: a column of weight ``w`` costs ``cost * spread +
+(w_max - w)``, where ``spread = heaviest * (w_max - 1) + 1`` exceeds any sum
+of the offsets (``heaviest`` is the largest weight of a selection), and a
+total is read back ``// spread``. ``spread`` is 1, the identity, without
+weights above 1 or when every column is feasible on as many workers as the
+largest selection has units, so that every selection places all its units.
+``solve_rounds`` owns every number of the search. ``_encoded`` applies the
+weights and computes each round's big M once, which also picks int64 or,
+from 2**62 on, Python ints. ``_padded`` lays out the whole stack, the
+allocator's block of rounds, at once: one row per column, padded with
+workers of cost big M up to the largest selection's size, and one
+``tolist()``; ``block_rounds`` counts the rounds that fit ``BLOCK_CELLS``
+cells of that layout. Each matrix then goes to ``solve_selections`` both as
+the numpy array that ``_seed`` reads and as its Python rows, so the search
+runs no numpy of its own. ``solve`` is the one-matrix, one-selection case.
 
 ``solve_selections`` solves several selections of the matrix's columns
 (the allocator's pool-or-split configurations) one after another, keeping
@@ -65,19 +73,24 @@ SEED_MIN_UNITS = 6
 
 
 def solve_rounds(scaled: np.ndarray, feasible: np.ndarray, selections: Sequence[Sequence[int]],
-                 order: Sequence[int] | None = None) -> list[list[tuple[list[tuple[int, int]], int]]]:
+                 order: Sequence[int] | None = None, weights: Sequence[int] | None = None,
+                 ) -> list[list[tuple[list[tuple[int, int]], int]]]:
     """``solve_selections`` on each of a stack of cost matrices.
 
     ``scaled`` holds non-negative integer costs shaped (rounds, workers,
-    columns), int64 or Python ints in an object array, and ``feasible`` the
-    pairs that may be matched, (workers, columns). The whole stack is padded
-    in one pass and converted to Python ints by one ``tolist()``; each round
-    is then solved on its own. Returns each round's per-selection results.
+    columns), int64 or Python ints in an object array, ``feasible`` the
+    pairs that may be matched, (workers, columns), and ``weights`` each
+    column's positive weight, if any. Returns each round's per-selection
+    results, their costs in ``scaled``'s units.
     """
-    size = max(feasible.shape[0], max(map(len, selections), default=0))
-    matrices, big_ms = _padded(scaled, feasible, size)
-    return [solve_selections(matrix, rows, big_m, selections, order)
-            for matrix, rows, big_m in zip(matrices, matrices.tolist(), big_ms)]
+    units = max(map(len, selections), default=0)
+    encoded, big_ms, spread = _encoded(scaled, feasible, selections, units, weights)
+    matrices = _padded(encoded, feasible, max(feasible.shape[0], units), big_ms)
+    solved = [solve_selections(matrix, rows, big_m, selections, order)
+              for matrix, rows, big_m in zip(matrices, matrices.tolist(), big_ms)]
+    if spread > 1:  # a total is spread * cost plus offsets that sum to less than spread
+        solved = [[(pairs, total // spread) for pairs, total in rounds] for rounds in solved]
+    return solved
 
 
 def solve(scaled: np.ndarray, feasible: np.ndarray) -> tuple[list[tuple[int, int]], int]:
@@ -90,18 +103,55 @@ def solve(scaled: np.ndarray, feasible: np.ndarray) -> tuple[list[tuple[int, int
     return solve_rounds(scaled[None], feasible, [range(feasible.shape[1])])[0][0]
 
 
-def _padded(scaled: np.ndarray, feasible: np.ndarray, size: int) -> tuple[np.ndarray, list[int]]:
-    """The solver's input for each of ``solve_rounds``' cost matrices, and each one's big M.
+def _encoded(scaled: np.ndarray, feasible: np.ndarray, selections: Sequence[Sequence[int]],
+             units: int, weights: Sequence[int] | None) -> tuple[np.ndarray, list[int], int]:
+    """``scaled`` as the search sees it, each round's big M and the ``spread`` of its totals.
+
+    A big M is the round's encoded feasible costs summed, plus one, as a
+    Python int; the stack is int64 while every big M is below 2**62, else
+    Python ints.
+    """
+    held = feasible.sum(axis=0)  # workers per column
+    spread, extra = 1, 0
+    # Weights tie only where a selection may leave a unit unplaced, and none can when every
+    # column is feasible on as many workers as a selection has units.
+    if weights is not None and held.size and held.min() < units:
+        largest = max(weights)
+        spread = max(sum(weights[c] for c in selection) for selection in selections) \
+            * (largest - 1) + 1
+        offsets = [largest - weight for weight in weights]
+        extra = sum(offset * count for offset, count in zip(offsets, held.tolist()))
+    big_ms = [spread * total + extra + 1
+              for total in np.where(feasible, scaled, 0).sum(axis=(1, 2)).tolist()]
+    dtype = object if scaled.dtype == object or max(big_ms, default=0) >= 2**62 else np.int64
+    scaled = scaled.astype(dtype, copy=False)
+    if spread > 1:
+        scaled = scaled * spread + np.array(offsets, dtype=dtype)
+    return scaled, big_ms, spread
+
+
+def _padded(scaled: np.ndarray, feasible: np.ndarray, size: int, big_ms: list[int]) -> np.ndarray:
+    """The solver's input for each of ``solve_rounds``' cost matrices, given each one's big M.
 
     Each matrix becomes one row per column, padded to ``size`` workers:
     infeasible and padding cells cost the matrix's big M. The result keeps
     ``scaled``'s dtype.
     """
-    big_m = np.where(feasible, scaled, 0).sum(axis=(1, 2)) + 1  # one sum for the whole stack
-    fill = big_m[:, None, None]
+    fill = np.array(big_ms, dtype=scaled.dtype)[:, None, None]
     matrix = np.full((scaled.shape[0], scaled.shape[2], size), fill, dtype=scaled.dtype)
     matrix[:, :, :scaled.shape[1]] = np.where(feasible, scaled, fill).transpose(0, 2, 1)
-    return matrix, big_m.tolist()
+    return matrix
+
+
+#: Most cells of ``_padded``'s layout (``columns`` rows of ``max(workers, columns)``) in a
+#: block of rounds: bounds a block's draws, cost tensors and solver rows whatever the
+#: iteration count. A block holds one round at least.
+BLOCK_CELLS = 2**15
+
+
+def block_rounds(workers: int, columns: int) -> int:
+    """How many rounds of ``workers`` x ``columns`` costs one block holds."""
+    return max(1, BLOCK_CELLS // (columns * max(workers, columns)))
 
 
 def solve_selections(

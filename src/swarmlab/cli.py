@@ -77,9 +77,7 @@ def cmd_allocate(args) -> int:
     experiment = load_edf(args.edf)
     cluster_path = Path(args.cluster)
     cluster = load_cluster(cluster_path)
-    generators = swarmsim.workload_generators(cluster.workers, args.seed, cluster_path.parent)
-    rounds = next(swarmsim.sample_rounds(generators, [0], 1))
-    [result] = allocator.prepare_experiment(cluster.workers, experiment).allocate_rounds(rounds)
+    [result] = swarmsim.round_results(cluster.workers, experiment, args.seed, cluster_path.parent, [0])
     report = allocator.explain(result)
     if args.out:
         Path(args.out).write_text(report, encoding="utf-8")
@@ -99,7 +97,8 @@ def cmd_simulate(args) -> int:
         iterations=args.iterations,
         base_dir=str(cluster_path.parent),
     )
-    results = swarmsim._results(cfg, range(cfg.iterations))
+    results = swarmsim.round_results(cfg.workers, cfg.experiment, cfg.seed, cfg.base_dir,
+                                     range(cfg.iterations))
     first = next(results)
     if not first.assignments:
         # Which services can be placed depends on capabilities only, not on the samples.

@@ -53,17 +53,6 @@ class WorkloadSample:
         """The four values in field order, so a sample unpacks like a load row."""
         return iter((self.cpu, self.vram, self.swap, self.bandwidth))
 
-    @classmethod
-    def trusted(cls, cpu: float, vram: float, swap: float, bandwidth: float) -> "WorkloadSample":
-        """A sample of values the caller has already checked, built without re-validating.
-
-        For producers whose values are known to be finite floats in [0, 1];
-        everyone else uses the validating constructor.
-        """
-        sample = object.__new__(cls)
-        sample.__dict__.update(cpu=cpu, vram=vram, swap=swap, bandwidth=bandwidth)
-        return sample
-
 
 @dataclass(frozen=True)
 class WorkerState:

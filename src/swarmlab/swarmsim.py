@@ -12,28 +12,19 @@ and traces.
 ``sample_rounds`` is the one sampling path; ``WorkloadGenerator.sample``
 is its one-worker, one-round case. It yields each block of rounds as one
 ``(rounds, workers, 4)`` float64 array of load rows in roster order, which
-stays one array until it is costed: one ``rng.uniform_rows`` call draws
-every ``uniform`` worker's rows of a block, bit-identical to seeding one
-``default_rng`` per sample as the stream is defined; ``trace`` workers'
-rows are gathered from their parsed arrays, and ``fixed`` workers are
-checked once and broadcast. A generator is a frozen record of what differs
-per worker: its workload, seed, index and base directory. One
-``sample_rounds`` call serves a whole command and owns every state that
-sampling needs, made once per call: the parsed trace files, each parsed in
-one bulk pass into one ``(rows, 4)`` array (``_read_trace``) however many
-workers replay it; the uniform workers' seed words and jitter widths; and
-their levels, which ``_uniform_values`` draws with the first block and
-later blocks reuse. ``_results`` is the one round pipeline: it prepares
-the allocation once, hands each block to
-``PreparedAllocation.allocate_rounds``, which costs it in one pass, and
-yields the results one at a time, so the CLI's ``simulate`` holds one
-block of them at most; a block holds ``block_rounds`` rounds, as many as
-fit ``BLOCK_CELLS`` cells of the solver's padded layout, and at least one.
-The CLI's ``allocate`` runs round 0 through the same two steps, sampling
-before it prepares. ``run_experiment`` returns the results of every
-iteration, and ``run_iteration`` the result of one iteration with its
-trace. A trace is a view of one round: ``_trace`` draws it from the
-round's config and result alone. No command builds worker states.
+stays one array until it is costed. One ``sample_rounds`` call serves a
+whole command and owns every state that sampling needs, made once per call
+(parsed trace files, seed words, levels); a negative iteration is refused
+before any of it. A generator is a frozen record of what differs per
+worker: its workload, seed, index and base directory.
+``round_results`` is the one round pipeline of every command: it prepares
+the allocation once, before sampling, hands each block of
+``assignment.block_rounds`` rounds to ``PreparedAllocation.allocate_rounds``,
+which costs it in one pass, and yields the results one at a time, so
+``simulate`` holds one block of them at most. ``run_experiment`` returns
+the results of every iteration, and ``run_iteration`` the result of one
+iteration with its trace. A trace is a view of one round: ``_trace`` draws
+it from the round's config and result alone. No command builds worker states.
 ``measure_scaling`` solves no allocation and clones no worker: a grid cell deploys its cloned service iff one of its workers can
 host it, so only the template's first min(N, T) workers are sampled and
 capability-checked, and a cell's checks are decided once per worker count
@@ -61,7 +52,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import costing
+from . import assignment, costing
 from .allocator import AllocationResult, prepare_experiment
 from .definitions import (
     ClusterWorker,
@@ -79,16 +70,6 @@ _JITTER_TAG = 0x171E
 #: Per-iteration jitter applied around a worker's persistent level, as a
 #: fraction of the configured half-width.
 JITTER_FRACTION = 0.25
-#: Most cost cells in one block of rounds, counted as the solver lays a round
-#: out (``columns`` rows of ``max(workers, columns)``); bounds the memory of a
-#: block's draws, cost tensors and solver rows whatever the iteration count.
-#: A block holds at least one round.
-BLOCK_CELLS = 2**15
-
-
-def block_rounds(workers: int, columns: int) -> int:
-    """How many rounds of ``workers`` x ``columns`` costs one block holds."""
-    return max(1, BLOCK_CELLS // (columns * max(workers, columns)))
 
 
 def _entropy_words(value: int) -> list[int]:
@@ -142,7 +123,7 @@ class WorkloadGenerator:
         worker's level again; ``sample_rounds`` samples many rounds at once.
         """
         [[row]] = next(sample_rounds([self], [iteration], 1)).tolist()
-        return WorkloadSample.trusted(*row)
+        return WorkloadSample(*row)
 
 
 #: The largest trace file read, in bytes: 16 MiB, about 600,000 rows of four
@@ -377,8 +358,12 @@ def sample_rounds(generators: "Sequence[WorkloadGenerator]", iterations: "Sequen
     block's rows for every uniform worker; none is made when no worker is
     uniform. ``trace`` workers gather their block's rows from their arrays;
     a ``fixed`` worker's values are checked once, as ``WorkloadSample``
-    checks them, before the first block, and broadcast to every round.
+    checks them, before the first block, and broadcast to every round. A
+    negative iteration raises ``ValueError`` before any file is read or any
+    row drawn.
     """
+    if min(iterations, default=0) < 0:
+        raise ValueError(f"iteration must be non-negative, got {min(iterations)}")
     fixed, uniform, traces = [], [], []
     parsed: dict[Path, np.ndarray] = {}  # by location
     for idx, generator in enumerate(generators):
@@ -438,15 +423,17 @@ def _timings(cfg: SimConfig, num_workers: int, num_services: int,
     }
 
 
-def _results(cfg: SimConfig, iterations: "Sequence[int]") -> Iterator[AllocationResult]:
-    """The results of ``cfg``'s rounds at ``iterations``, in order: the one round pipeline.
+def round_results(workers: "Sequence[ClusterWorker]", experiment: ExperimentSpec, seed: int,
+                  base_dir: "str | Path | None", iterations: "Sequence[int]") -> Iterator[AllocationResult]:
+    """The results of the rounds at ``iterations``, in order: the one round pipeline.
 
-    The allocation is prepared once, and each block of ``block_rounds``
-    rounds is sampled and costed in one pass.
+    It prepares the allocation, then samples and costs one block of
+    ``assignment.block_rounds`` rounds at a time; nothing runs until the
+    first result is read.
     """
-    allocation = prepare_experiment(cfg.workers, cfg.experiment)
-    generators = workload_generators(cfg.workers, cfg.seed, cfg.base_dir)
-    per_block = block_rounds(*allocation.costs.feasible.shape)
+    allocation = prepare_experiment(workers, experiment)
+    generators = workload_generators(workers, seed, base_dir)
+    per_block = assignment.block_rounds(*allocation.costs.feasible.shape)
     for rounds in sample_rounds(generators, iterations, per_block):
         yield from allocation.allocate_rounds(rounds)
 
@@ -458,7 +445,7 @@ def run_iteration(cfg: SimConfig, iter_index: int) -> tuple[AllocationResult, Si
     """
     if iter_index < 0:
         raise ValueError(f"iteration must be non-negative, got {iter_index}")
-    [result] = _results(cfg, [iter_index])
+    [result] = round_results(cfg.workers, cfg.experiment, cfg.seed, cfg.base_dir, [iter_index])
     return result, _trace(cfg, result)
 
 
@@ -511,7 +498,8 @@ def _trace(cfg: SimConfig, result: AllocationResult) -> SimTrace:
 
 def run_experiment(cfg: SimConfig) -> list[AllocationResult]:
     """Allocate ``cfg.iterations`` independent rounds with re-sampled workloads; no trace is built."""
-    return list(_results(cfg, range(cfg.iterations)))
+    return list(round_results(cfg.workers, cfg.experiment, cfg.seed, cfg.base_dir,
+                              range(cfg.iterations)))
 
 
 @dataclass(frozen=True, slots=True)

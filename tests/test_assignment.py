@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,12 +8,14 @@ from swarmlab.allocator import build_network, prepare
 from swarmlab.costing import COST_SCALE, CostMatrix
 from swarmlab.definitions import CostWeights
 
+import oracles
 from factories import make_service, make_worker
 
 
-def solve_selections(scaled, feasible, selections, order=None):
+def solve_selections(scaled, feasible, selections, order=None, weights=None):
     """``assignment.solve_selections`` on one (workers, columns) matrix, as one round."""
-    return assignment.solve_rounds(np.asarray(scaled)[None], feasible, selections, order)[0]
+    return assignment.solve_rounds(np.asarray(scaled)[None], feasible, selections, order,
+                                   weights)[0]
 
 
 def _mcmf_totals(scaled, feasible):
@@ -252,9 +252,10 @@ def test_warm_started_configurations_match_independent_solves(fleet, random):
 
     order = list(range(len(prepared.selections)))
     random.shuffle(order)
-    shuffled = solve_selections(scaled, feasible, [prepared.selections[i][0] for i in order])
+    shuffled = solve_selections(scaled, feasible, [prepared.selections[i] for i in order])
     permuted = dict(zip(order, shuffled))
-    for outcome, (cols, sizes) in zip(result.outcomes, prepared.selections):
+    for outcome, cols in zip(result.outcomes, prepared.selections):
+        sizes = [len(unit.members) for unit in outcome.units]
         pairs, cost = assignment.solve(scaled[:, cols], feasible[:, cols])
         fewest, most = _scipy_services_range(scaled[:, cols], feasible[:, cols], sizes)
         services_placed = sum(sizes[u] for _, u in pairs)
@@ -368,7 +369,7 @@ def test_seeded_cold_starts_run_no_padding_search(monkeypatch):
                               ("cam",) if j in needs_camera else ()) for j in range(services)]
         dependencies = [(f"s{2 * k:02d}", f"s{2 * k + 1:02d}") for k in range(pools)]
         prepared = prepare(fleet, specs, dependencies, CostWeights(), 0.85)
-        first = prepared.selections[0][0]
+        first = prepared.selections[0]
         assert len(first) >= assignment.SEED_MIN_UNITS
         scaled = prepared.costs.matrix([w.workload for w in fleet]).scaled()
         searches.clear()
@@ -427,7 +428,7 @@ def test_pooling_steps_search_the_pool_once(monkeypatch):
         prepared = prepare(fleet, specs, dependencies, CostWeights(), 0.85)
         scaled = prepared.costs.matrix([w.workload for w in fleet]).scaled()
         feasible = prepared.costs.feasible
-        selections = [prepared.selections[i ^ (i >> 1)][0] for i in range(8)]
+        selections = [prepared.selections[i ^ (i >> 1)] for i in range(8)]
 
         pool_searches = []  # per step
         for step in range(len(selections)):
@@ -444,20 +445,86 @@ def test_pooling_steps_search_the_pool_once(monkeypatch):
                 == _scipy_totals(scaled[:, cols], feasible[:, cols])
 
 
-def test_services_tie_break_past_int64_runs_on_python_ints():
-    # Encoded costs that could pass int64 run on Python ints; any spread above the sum
-    # of the offsets encodes the same optimum.
+def test_weights_break_ties_toward_the_most_weight_placed():
+    # Small random instances, many with fewer workers than a selection has units or with
+    # columns few workers can host, on costs of few values so that optima tie: per
+    # selection, the solver's (units, cost) is the exhaustive optimum's, and it places the
+    # most weight of any such optimum.
+    rng = np.random.default_rng(77)
+    tied = encoded = 0
+    for _ in range(300):
+        workers, columns = int(rng.integers(0, 5)), int(rng.integers(1, 8))
+        scaled = rng.integers(0, int(rng.choice([2, 4, 1000])), size=(workers, columns))
+        feasible = rng.random((workers, columns)) < rng.uniform(0.2, 1.0)
+        weights = rng.integers(1, 5, size=columns).tolist()
+        selections = [rng.permutation(columns)[:int(rng.integers(0, columns + 1))].tolist()
+                      for _ in range(int(rng.integers(1, 5)))]
+        order = rng.permutation(columns).tolist() if rng.random() < 0.5 else None
+        encoded += workers == 0 or int(feasible.sum(axis=0).min()) < max(map(len, selections))
+        for cols, (pairs, cost) in zip(selections,
+                                       solve_selections(scaled, feasible, selections, order, weights)):
+            sizes = [weights[c] for c in cols]
+            units, least, placed = oracles.best_matching(scaled[:, cols].tolist(),
+                                                         feasible[:, cols].tolist(), sizes)
+            assert len({w for w, _ in pairs}) == len(pairs)
+            assert all(feasible[w, cols[p]] for w, p in pairs)
+            assert cost == sum(int(scaled[w, cols[p]]) for w, p in pairs)
+            assert (len(pairs), cost) == (units, least)
+            assert sum(sizes[p] for _, p in pairs) == max(placed)
+            tied += len(placed) > 1
+    assert tied > 20 and encoded > 100
+
+
+def test_services_tie_break_past_int64_runs_on_python_ints(monkeypatch):
+    # The encoded costs run on int64 while each round's big M, the sum of its encoded
+    # feasible costs plus one, stays below 2**62, and on Python ints from there on.
+    widths = []  # (dtype, big M) of every matrix solved
+
+    def recording(matrix, costs, big_m, selections, order=None):
+        widths.append((matrix.dtype, big_m))
+        return solve(matrix, costs, big_m, selections, order)
+    solve = assignment.solve_selections
+    monkeypatch.setattr(assignment, "solve_selections", recording)
+
+    # Six camera workers for an eight-unit split: weights tie, spread 8 * (2 - 1) + 1.
     rng = np.random.default_rng(9)
     workers = [make_worker(f"w{i:02d}", ("cam",) if i % 2 else (),
                            *rng.uniform(0.1, 0.8, size=4).tolist()) for i in range(12)]
     services = [make_service(f"s{j}", float(rng.uniform(5.0, 95.0)), ("cam",) if j == 4 else ())
                 for j in range(8)]
     prepared = prepare(workers, services, [("s0", "s1")], CostWeights(), 0.85)
-    assert prepared.offsets.dtype == np.int64
-    wide = replace(prepared, spread=2**45, offsets=prepared.offsets.astype(object))
-    assert wide.allocate(workers) == prepared.allocate(workers)
-    # One pool of 200 services on 20 workers: spread 39801, pool cells up to 1.7e10.
+    scaled = prepared.costs.matrix([w.workload for w in workers]).scaled()
+    feasible = prepared.costs.feasible
+    selections = list(prepared.selections)
+    weights = [len(members) for members in prepared.member_columns]
+    narrow = solve_selections(scaled, feasible, selections, prepared.scale_order, weights)
+    # A forced wide encoding, Python ints from the start, solves the same.
+    wide = solve_selections(scaled.astype(object), feasible, selections, prepared.scale_order,
+                            weights)
+    assert wide == narrow
+    encoded = scaled * 9 + np.array([max(weights) - weight for weight in weights])
+    assert widths == [(np.int64, int(encoded[feasible].sum()) + 1),
+                      (object, int(encoded[feasible].sum()) + 1)]
+    assert [(len(pairs), cost) for pairs, cost in narrow] \
+        == [(outcome.flow_value, outcome.total_cost_scaled)
+            for outcome in prepared.allocate(workers).outcomes]
+
+    # One pool of 200 services on 20 workers: spread 39801 and a big M of about 7.4e15,
+    # so int64; at 2**10 times the costs the big M passes 2**62, and the optimum keeps its
+    # size and the weight it places, and scales its cost.
     chain = [make_service(f"m{j:03d}", 100.0) for j in range(200)]
     pairs = [(f"m{j:03d}", f"m{j + 1:03d}") for j in range(199)]
     fleet = [make_worker(f"v{i:02d}") for i in range(20)]
-    assert prepare(fleet, chain, pairs, CostWeights(), 0.85).offsets.dtype == object
+    prepared = prepare(fleet, chain, pairs, CostWeights(), 0.85)
+    scaled = prepared.costs.matrix([w.workload for w in fleet]).scaled()
+    selections = list(prepared.selections)
+    weights = [len(members) for members in prepared.member_columns]
+    widths.clear()
+    solved = [solve_selections(scaled * factor, prepared.costs.feasible, selections,
+                               prepared.scale_order, weights) for factor in (1, 2**10)]
+    assert [dtype for dtype, _ in widths] == [np.int64, object]
+    assert widths[0][1] < 2**62 <= widths[1][1]
+    narrow, wide = ([(len(found), cost * factor, sum(weights[cols[p]] for _, p in found))
+                     for cols, (found, cost) in zip(selections, rounds)]
+                    for factor, rounds in zip((2**10, 1), solved))
+    assert narrow == wide

@@ -146,6 +146,27 @@ def test_allocate_invalid_edf_is_validation_failure(tmp_path, artifacts, capsys)
                  "--seed", "1"]) == 1
 
 
+def test_allocate_and_simulate_report_the_same_first_fault(tmp_path, capsys):
+    # Two faults: a trace field that is not a number, and 13 two-service pools (8192
+    # configurations). Both commands run one round pipeline, which prepares before it
+    # samples, so both report the pools.
+    (tmp_path / "bad.csv").write_text("0.1,0.2,zz,0.3\n", encoding="ascii")
+    cluster = tmp_path / "bad.cluster.json"
+    cluster.write_text(serialize_cluster(ClusterSpec(workers=(ClusterWorker(
+        id="t", profile=HardwareProfile(), workload=TraceWorkload("bad.csv")),))), encoding="utf-8")
+    edf = tmp_path / "pools.edf.json"
+    edf.write_text(serialize_edf(ExperimentSpec(
+        name="pools", services=tuple(make_service(f"s{j:02d}") for j in range(26)),
+        dependencies=tuple((f"s{2 * k:02d}", f"s{2 * k + 1:02d}") for k in range(13)))),
+        encoding="utf-8")
+    inputs = ["--edf", str(edf), "--cluster", str(cluster), "--seed", "1"]
+    outcomes = []
+    for argv in (["allocate", *inputs], ["simulate", *inputs, "--out-dir", str(tmp_path / "out")]):
+        outcomes.append((main(argv), capsys.readouterr().err))
+    assert outcomes == [(3, "error: 13 poolable components yield 8192 configurations "
+                            "(bound 4096)\n")] * 2
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -624,7 +645,7 @@ def test_unexpected_exception_is_one_line_internal_error(tmp_path, monkeypatch, 
     def broken(*args, **kwargs):
         raise RuntimeError("injected\nfailure")
 
-    monkeypatch.setattr("swarmlab.swarmsim._results", broken)
+    monkeypatch.setattr("swarmlab.swarmsim.round_results", broken)
     assert main(["simulate", "--edf", str(SAMPLES / "mapping-demo.edf.json"),
                  "--cluster", str(SAMPLES / "bench.cluster.json"), "--iterations", "2",
                  "--seed", "1", "--out-dir", str(tmp_path / "out")]) == 3

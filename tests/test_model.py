@@ -19,14 +19,8 @@ def test_profile_rejects_bad_numbers(kwargs):
     {"cpu": 1.5}, {"cpu": float("nan")}, {"bandwidth": float("inf")},
 ])
 def test_workload_rejects_out_of_range(kwargs):
-    # The public constructor keeps validating; only generators use WorkloadSample.trusted.
     values = {"cpu": 0.0, "vram": 0.0, "swap": 0.0, "bandwidth": 0.0}
     values.update(kwargs)
     with pytest.raises(ValueError):
         WorkloadSample(**values)
 
-
-def test_trusted_workload_sample_equals_validated_one():
-    trusted = WorkloadSample.trusted(0.1, 0.2, 0.3, 1.0)
-    checked = WorkloadSample(cpu=0.1, vram=0.2, swap=0.3, bandwidth=1.0)
-    assert trusted == checked and hash(trusted) == hash(checked) and repr(trusted) == repr(checked)

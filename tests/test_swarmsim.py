@@ -174,8 +174,8 @@ def test_long_experiment_samples_match_per_sample_default_rng(tmp_path, allocate
 
 def test_iterations_crossing_draw_blocks_match_reference(tmp_path, allocated_rounds,
                                                          kernel_rows, monkeypatch):
-    default = swarmsim.BLOCK_CELLS
-    monkeypatch.setattr(swarmsim, "BLOCK_CELLS", 24)  # two rounds of 6 workers x 2 columns
+    default = assignment.BLOCK_CELLS
+    monkeypatch.setattr(assignment, "BLOCK_CELLS", 24)  # two rounds of 6 workers x 2 columns
     workers = _mixed_fleet(tmp_path)
     cfg = SimConfig(workers=workers, experiment=bench_experiment(2), seed=17, iterations=7,
                     base_dir=str(tmp_path))
@@ -183,7 +183,7 @@ def test_iterations_crossing_draw_blocks_match_reference(tmp_path, allocated_rou
     assert kernel_rows == [4 + 8, 8, 8, 4]
     _assert_rounds_match_reference(allocated_rounds, workers, cfg.seed)
 
-    monkeypatch.setattr(swarmsim, "BLOCK_CELLS", default)
+    monkeypatch.setattr(assignment, "BLOCK_CELLS", default)
     whole = run_experiment(cfg)
     assert kernel_rows[4:] == [4 + 4 * 7]
     # Whole results: assignments, every configuration's outcome and the scaled total.
@@ -393,12 +393,12 @@ def test_command_level_inputs_are_built_once(call_counts, monkeypatch):
     # The whole command in one block, then blocks of two rounds (60 cells): each block is
     # costed once, integerized without a CostMatrix, and each round is one solve of its two
     # configurations.
-    for block_cells in (swarmsim.BLOCK_CELLS, 60):
-        monkeypatch.setattr(swarmsim, "BLOCK_CELLS", block_cells)
+    for block_cells in (assignment.BLOCK_CELLS, 60):
+        monkeypatch.setattr(assignment, "BLOCK_CELLS", block_cells)
         call_counts.clear()
         results = run_experiment(cfg)
         assert [len(result.outcomes) for result in results] == [2] * 5
-        blocks = -(-cfg.iterations // swarmsim.block_rounds(6, 4 + 1))  # 4 services and a pool
+        blocks = -(-cfg.iterations // assignment.block_rounds(6, 4 + 1))  # 4 services and a pool
         assert call_counts == Counter({"enumerate_unit_configurations": 1,
                                        "build_capability_matrix": 1, "block": blocks,
                                        "scaled": 0, "solve_selections": 5, "selections": 10})
@@ -695,11 +695,11 @@ def test_iteration_determinism():
 def test_an_iteration_is_that_round_of_the_experiment(tmp_path, monkeypatch):
     # Uniform, fixed and trace workers with one pool; 6 workers x 4 columns make two rounds
     # a block, so later iterations fall in later blocks of run_experiment.
-    monkeypatch.setattr(swarmsim, "BLOCK_CELLS", 48)
+    monkeypatch.setattr(assignment, "BLOCK_CELLS", 48)
     cfg = SimConfig(workers=_mixed_fleet(tmp_path),
                     experiment=bench_experiment(3, dependencies=(("svc01", "svc02"),)),
                     seed=23, iterations=7, base_dir=str(tmp_path))
-    assert swarmsim.block_rounds(6, 4) == 2
+    assert assignment.block_rounds(6, 4) == 2
     results = run_experiment(cfg)
     assert len(results) == 7
     for k, result in enumerate(results):
@@ -791,6 +791,20 @@ def test_a_negative_iteration_is_refused_before_sampling(tmp_path, fleet, sample
     with pytest.raises(ValueError, match="^iteration must be non-negative, got -1$"):
         run_iteration(cfg, -1)
     assert sampled == []
+
+
+@pytest.mark.parametrize("model", [UniformWorkload((0.4, 0.4, 0.4, 0.4), 0.2),
+                                   FixedWorkload((0.1, 0.2, 0.3, 0.4)),
+                                   TraceWorkload("absent.csv")], ids=["uniform", "fixed", "trace"])
+def test_sampling_refuses_a_negative_iteration_for_every_workload_kind(tmp_path, model,
+                                                                      kernel_rows):
+    # Refused before anything is read or drawn: the trace file does not even exist.
+    generator = WorkloadGenerator(model, 1, 0, tmp_path)
+    with pytest.raises(ValueError, match="^iteration must be non-negative, got -1$"):
+        generator.sample(-1)
+    with pytest.raises(ValueError, match="^iteration must be non-negative, got -2$"):
+        next(swarmsim.sample_rounds([generator], [0, 3, -2, 5], 2))
+    assert kernel_rows == []
 
 
 def test_config_rejects_duplicate_worker_ids():
@@ -1085,7 +1099,7 @@ SERVICE_NEEDS = st.sampled_from([(), (), ("gpu",), ("arm",), ("lidar",)])
 @given(fleet=st.lists(st.tuples(CAPABILITIES, st.one_of(FIXED, WORKLOADS)), min_size=1, max_size=5),
        services=st.lists(st.tuples(st.floats(0.0, 100.0), SERVICE_NEEDS), min_size=1, max_size=6),
        pools=st.integers(0, 3), discount=st.sampled_from([0.5, 0.85, 1.0]),
-       iterations=st.integers(1, 7), block_cells=st.sampled_from([1, 7, 30, swarmsim.BLOCK_CELLS]),
+       iterations=st.integers(1, 7), block_cells=st.sampled_from([1, 7, 30, assignment.BLOCK_CELLS]),
        seed=st.integers(0, 2**40))
 def test_block_rounds_equal_per_round_allocations(trace_dir, fleet, services, pools, discount,
                                                   iterations, block_cells, seed):
@@ -1102,7 +1116,7 @@ def test_block_rounds_equal_per_round_allocations(trace_dir, fleet, services, po
     cfg = SimConfig(workers=workers, experiment=experiment, seed=seed, iterations=iterations,
                     base_dir=str(trace_dir))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(swarmsim, "BLOCK_CELLS", block_cells)
+        patch.setattr(assignment, "BLOCK_CELLS", block_cells)
         blocked = run_experiment(cfg)
 
     prepared = allocator.prepare_experiment(workers, experiment)
@@ -1116,14 +1130,14 @@ def test_block_rounds_equal_per_round_allocations(trace_dir, fleet, services, po
 def test_block_rule_bounds_the_cells_of_a_block():
     # The shipped demo (12 workers x 3 services and a pool) runs 50 iterations in one
     # block; a 1000 x 500 fleet, and one worker with 500 services, cost one round at a time.
-    assert swarmsim.block_rounds(12, 3 + 1) >= 50
-    assert swarmsim.block_rounds(1000, 500) == swarmsim.block_rounds(1, 500) == 1
+    assert assignment.block_rounds(12, 3 + 1) >= 50
+    assert assignment.block_rounds(1000, 500) == assignment.block_rounds(1, 500) == 1
     # With at least as many workers as columns, the solver lays a round out in
     # workers x columns cells.
     for workers, columns in ((1, 1), (6, 5), (12, 4), (181, 181), (1000, 500)):
-        per_block = swarmsim.block_rounds(workers, columns)
-        assert per_block == 1 or per_block * workers * columns <= swarmsim.BLOCK_CELLS
-        assert (per_block + 1) * workers * columns > swarmsim.BLOCK_CELLS
+        per_block = assignment.block_rounds(workers, columns)
+        assert per_block == 1 or per_block * workers * columns <= assignment.BLOCK_CELLS
+        assert (per_block + 1) * workers * columns > assignment.BLOCK_CELLS
 
 
 def test_blocks_bound_the_solver_layout_of_few_workers(monkeypatch):
@@ -1135,19 +1149,19 @@ def test_blocks_bound_the_solver_layout_of_few_workers(monkeypatch):
     padded = assignment._padded
 
     def recording(*args):
-        matrix, big_m = padded(*args)
+        matrix = padded(*args)
         layouts.append(matrix.shape)
-        return matrix, big_m
+        return matrix
     monkeypatch.setattr(assignment, "_padded", recording)
     cfg = SimConfig(workers=balanced_cluster(1),
                     experiment=bench_experiment(24, dependencies=(("svc01", "svc02"),)),
                     seed=3, iterations=9)
 
-    monkeypatch.setattr(swarmsim, "BLOCK_CELLS", 2**40)
+    monkeypatch.setattr(assignment, "BLOCK_CELLS", 2**40)
     whole = run_experiment(cfg)
     assert layouts == [(9, 25, 24)]
     for block_cells, blocks in ((2000, 3), (1250, 5), (100, 9)):
-        monkeypatch.setattr(swarmsim, "BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(assignment, "BLOCK_CELLS", block_cells)
         layouts.clear()
         assert run_experiment(cfg) == whole
         assert len(layouts) == blocks
