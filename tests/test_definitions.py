@@ -252,6 +252,171 @@ def test_bad_cluster_documents_name_their_field(document, path, message):
     assert str(raised.value) == (f"{path}: {message}" if path else message)
 
 
+_CAM = {"name": "cam", "entrypoint": "run", "predefined_cost": 50}
+
+
+def _cam(**changes):
+    """The ``cam`` service object with ``changes`` applied; a None value deletes its key."""
+    changed = {**_CAM, **changes}
+    return {key: value for key, value in changed.items() if value is not None}
+
+
+@pytest.mark.parametrize("document, path, message", [
+    ([], "", "expected an object, got list"),
+    (_cam(bogus=1, extra=2), "", "unknown field(s): bogus, extra"),
+    (_cam(name=None), "", "missing required field 'name'"),
+    (_cam(entrypoint=None), "", "missing required field 'entrypoint'"),
+    (_cam(predefined_cost=None), "", "missing required field 'predefined_cost'"),
+    (_cam(name=7), "name", "expected a string, got int"),
+    (_cam(entrypoint=[]), "entrypoint", "expected a string, got list"),
+    (_cam(predefined_cost="high"), "predefined_cost", "expected a number, got str"),
+    (_cam(predefined_cost=True), "predefined_cost", "expected a number, got bool"),
+    (_cam(predefined_cost=10**400), "predefined_cost", "number must be finite"),
+    (_cam(base_os=1), "base_os", "expected a string, got int"),
+    (_cam(packages="x"), "packages", "expected an array, got str"),
+    (_cam(packages=["a", 1]), "packages[1]", "expected a string, got int"),
+    (_cam(repositories={}), "repositories", "expected an array, got dict"),
+    (_cam(required_capabilities=[False]), "required_capabilities[0]", "expected a string, got bool"),
+    (_cam(image_size_mb="big"), "image_size_mb", "expected a number, got str"),
+    (_cam(image_size_mb=0), "image_size_mb", "image_size_mb must be positive"),
+    (_cam(volumes={}), "volumes", "expected an array, got dict"),
+    (_cam(volumes=[3]), "volumes[0]", "expected an object, got int"),
+    (_cam(volumes=[{"host_path": "/a", "container_path": "/b", "mode": "ro"}]), "volumes[0]",
+     "unknown field(s): mode"),
+    (_cam(volumes=[{"container_path": "/b"}]), "volumes[0]", "missing required field 'host_path'"),
+    (_cam(volumes=[{"host_path": "/a"}]), "volumes[0]", "missing required field 'container_path'"),
+    (_cam(volumes=[{"host_path": "/a", "container_path": 1}]), "volumes[0].container_path",
+     "expected a string, got int"),
+    (_cam(name=""), "name", "service name must be non-empty"),
+    (_cam(entrypoint=""), "entrypoint", "entrypoint must be non-empty"),
+    (_cam(predefined_cost=150), "predefined_cost", "predefined_cost must be within [0, 100], got 150.0"),
+    (_cam(predefined_cost=-1), "predefined_cost", "predefined_cost must be within [0, 100], got -1.0"),
+    # volumes are read before the name, and every field before the constructor's checks
+    (_cam(name=None, volumes=5), "volumes", "expected an array, got int"),
+    (_cam(name="", image_size_mb="big"), "image_size_mb", "expected a number, got str"),
+])
+def test_bad_service_documents_name_their_field(document, path, message):
+    with pytest.raises(SchemaError) as raised:
+        parse_cdf(json.dumps(document))
+    assert type(raised.value) is SchemaError
+    assert raised.value.path == path
+    assert str(raised.value) == (f"{path}: {message}" if path else message)
+
+
+_REFERENCED = {"cam": ServiceSpec(name="cam", entrypoint="run", predefined_cost=30.0)}
+_PAIR = [{"name": "a", "entrypoint": "run", "predefined_cost": 1},
+         {"name": "b", "entrypoint": "run", "predefined_cost": 2}]
+
+
+def _edf(**changes):
+    """A two-service experiment with ``changes`` applied; a None value deletes its key."""
+    changed = {"name": "e", "services": _PAIR, **changes}
+    return {key: value for key, value in changed.items() if value is not None}
+
+
+def _second_service(**changes):
+    return _edf(services=[_PAIR[0], {**_PAIR[1], **changes}])
+
+
+def _ref(**entry):
+    return _edf(services=[_PAIR[0], entry])
+
+
+@pytest.mark.parametrize("document, path, message, error", [
+    ([], "", "expected an object, got list", SchemaError),
+    (_edf(owner="x"), "", "unknown field(s): owner", SchemaError),
+    (_edf(name=None), "", "missing required field 'name'", SchemaError),
+    (_edf(name=1), "name", "expected a string, got int", SchemaError),
+    (_edf(name=""), "name", "experiment name must be non-empty", SchemaError),
+    (_edf(services=None), "services", "expected a non-empty array of services", SchemaError),
+    (_edf(services=[]), "services", "expected a non-empty array of services", SchemaError),
+    (_edf(services={"name": "a"}), "services", "expected a non-empty array of services", SchemaError),
+    (_edf(services=[_PAIR[0], 1]), "services[1]", "expected an object, got int", SchemaError),
+    (_second_service(bogus=1), "services[1]", "unknown field(s): bogus", SchemaError),
+    (_edf(services=[_PAIR[0], {"name": "b", "predefined_cost": 2}]), "services[1]",
+     "missing required field 'entrypoint'", SchemaError),
+    (_second_service(predefined_cost="x"), "services[1].predefined_cost", "expected a number, got str",
+     SchemaError),
+    (_second_service(packages=["p", 1]), "services[1].packages[1]", "expected a string, got int",
+     SchemaError),
+    (_second_service(volumes=[{"host_path": "/a"}]), "services[1].volumes[0]",
+     "missing required field 'container_path'", SchemaError),
+    (_edf(services=[_PAIR[0], _PAIR[0]]), "services", "duplicate service names: a", SchemaError),
+    # service references and their overrides
+    (_ref(ref="cam", name="x"), "services[1]", "unknown field(s): name", SchemaError),
+    (_ref(ref=5), "services[1].ref", "expected a string, got int", SchemaError),
+    (_ref(ref="cam", predefined_cost="x"), "services[1].predefined_cost", "expected a number, got str",
+     SchemaError),
+    (_ref(ref="cam", predefined_cost=False), "services[1].predefined_cost", "expected a number, got bool",
+     SchemaError),
+    (_ref(ref="cam", required_capabilities="gpu"), "services[1].required_capabilities",
+     "expected an array, got str", SchemaError),
+    (_ref(ref="cam", required_capabilities=["gpu", 1]), "services[1].required_capabilities[1]",
+     "expected a string, got int", SchemaError),
+    # dependencies
+    (_edf(dependencies="a"), "dependencies", "expected an array, got str", SchemaError),
+    (_edf(dependencies=[["a", "b"], ["a"]]), "dependencies[1]",
+     "expected a [dependent, dependency] name pair", SchemaError),
+    (_edf(dependencies=[["a", 1]]), "dependencies[0]", "expected a [dependent, dependency] name pair",
+     SchemaError),
+    (_edf(dependencies=[["a", "b", "a"]]), "dependencies[0]",
+     "expected a [dependent, dependency] name pair", SchemaError),
+    (_edf(dependencies=[["a", "ghost"]]), "dependencies",
+     "dependency references undeclared service 'ghost'", SchemaError),
+    (_edf(dependencies=[["a", "a"]]), "dependencies", "service 'a' cannot depend on itself", SchemaError),
+    # network
+    (_edf(network=[]), "network", "expected an object, got list", SchemaError),
+    (_edf(network={"vlan": 1}), "network", "unknown field(s): vlan", SchemaError),
+    (_edf(network={"ports": "80"}), "network.ports", "expected an array, got str", SchemaError),
+    (_edf(network={"ports": [80, "81"]}), "network.ports[1]", "expected an integer, got str",
+     SchemaError),
+    (_edf(network={"ports": [True]}), "network.ports[0]", "expected an integer, got bool", SchemaError),
+    (_edf(network={"ports": [0]}), "network.ports", "invalid port 0", SchemaError),
+    (_edf(network={"ports": [80, 65536]}), "network.ports", "invalid port 65536", SchemaError),
+    (_edf(network={"subnet": 5}), "network.subnet", "expected a string, got int", SchemaError),
+    (_edf(network={"subnet": "10.0.0.0/33"}), "network.subnet",
+     "invalid subnet CIDR: '10.0.0.0/33' does not appear to be an IPv4 or IPv6 network", SchemaError),
+    (_edf(network={"subnet": 5, "ports": "80"}), "network.ports", "expected an array, got str",
+     SchemaError),
+    # weights
+    (_edf(weights=[]), "weights", "expected an object, got list", SchemaError),
+    (_edf(weights={"cpu": 1}), "weights", "missing required field 'vram'", SchemaError),
+    (_edf(weights={"cpu": 0.25, "vram": 0.25, "swap": 0.25, "bandwidth": 0.25, "gpu": 0}), "weights",
+     "unknown field(s): gpu", SchemaError),
+    (_edf(weights={"cpu": "x", "vram": 0.25, "swap": 0.25, "bandwidth": 0.25}), "weights.cpu",
+     "expected a number, got str", SchemaError),
+    # pool discount
+    (_edf(pool_discount="x"), "pool_discount", "expected a number, got str", SchemaError),
+    (_edf(pool_discount=0), "pool_discount", "pool_discount must be within (0, 1], got 0.0", SchemaError),
+    (_edf(pool_discount=1.5), "pool_discount", "pool_discount must be within (0, 1], got 1.5",
+     SchemaError),
+    # faults are reported in read order: name, services, dependencies, network, weights, discount
+    (_edf(name=None, services=None), "", "missing required field 'name'", SchemaError),
+    (_edf(services=None, dependencies="a"), "services", "expected a non-empty array of services",
+     SchemaError),
+    (_edf(dependencies="a", network=[]), "dependencies", "expected an array, got str", SchemaError),
+    (_edf(network=[], weights=[]), "network", "expected an object, got list", SchemaError),
+    (_edf(weights=[], pool_discount="x"), "weights", "expected an object, got list", SchemaError),
+    (_edf(name="", pool_discount="x"), "pool_discount", "expected a number, got str", SchemaError),
+])
+def test_bad_experiment_documents_name_their_field(document, path, message, error):
+    with pytest.raises(error) as raised:
+        parse_edf(json.dumps(document), _REFERENCED)
+    assert type(raised.value) is error
+    assert raised.value.path == path
+    assert str(raised.value) == (f"{path}: {message}" if path else message)
+
+
+@pytest.mark.parametrize("entry", [
+    {"ref": "ghost"},
+    {"ref": "ghost", "predefined_cost": "x"},  # the reference is resolved before its overrides
+])
+def test_unresolved_reference_names_its_entry(entry):
+    with pytest.raises(UnresolvedService) as raised:
+        parse_edf(json.dumps(_ref(**entry)), _REFERENCED)
+    assert str(raised.value) == "services[1]: no service definition found for 'ghost'"
+
+
 @pytest.mark.parametrize("literal, index", [("NaN", 0), ("Infinity", 1), ("-Infinity", 2),
                                             ("1e400", 3), ("1" + "0" * 400, 0)])
 def test_cluster_utilization_values_must_be_finite(literal, index):
