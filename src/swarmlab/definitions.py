@@ -11,10 +11,11 @@ byte-identical documents; fields holding their default value are elided.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Union
 
@@ -241,6 +242,14 @@ Resolver = Union[Mapping[str, ServiceSpec], Callable[[str], "ServiceSpec | None"
 
 # ---------------------------------------------------------------------------
 # validated JSON access
+#
+# A reader takes a value, the path of the object holding it and its key there
+# (empty for a document or an array item), and returns the value checked; a
+# scalar's reader formats its path only for an error. A required key that a
+# document lacks reaches its reader as ``_ABSENT``, which every reader refuses.
+
+_Reader = Callable[[object, str, str], object]
+_ABSENT = object()
 
 
 def _loads(text: str):
@@ -254,32 +263,34 @@ def _loads(text: str):
         raise DefinitionSyntaxError("integer literal has too many digits") from None
 
 
-def _as_object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaError(f"expected an object, got {type(value).__name__}", path)
-    return value
+def _field(path: str, key: str) -> str:
+    """The path of ``key`` in the object at ``path``; either may be empty."""
+    return f"{path}.{key}" if path and key else path or key
 
 
-def _check_keys(obj: dict, allowed: set[str], path: str):
+def _expected(what: str, value, path: str, key: str) -> SchemaError:
+    """The error for ``value``, at ``key`` of ``path``, not being ``what``."""
+    if value is _ABSENT:
+        return SchemaError(f"missing required field {key!r}", path)
+    return SchemaError(f"expected {what}, got {type(value).__name__}", _field(path, key))
+
+
+def _check_keys(obj: dict, allowed, path: str):
     if obj.keys() <= allowed:
         return
-    unknown = sorted(set(obj) - allowed)
+    unknown = sorted(set(obj) - set(allowed))
     raise SchemaError(f"unknown field(s): {', '.join(map(str, unknown))}", path)
 
 
-def _field(path: str, key: str) -> str:
-    """The path of ``key`` in the object at ``path``; formatted only for an error."""
-    return f"{path}.{key}" if path else key
+def _object(value, path: str, key: str = "") -> dict:
+    if not isinstance(value, dict):
+        raise _expected("an object", value, path, key)
+    return value
 
 
-def _get_str(obj: dict, key: str, path: str, *, required: bool = False, default: str = "") -> str:
-    if key not in obj:
-        if required:
-            raise SchemaError(f"missing required field {key!r}", path)
-        return default
-    value = obj[key]
+def _str(value, path: str, key: str = "") -> str:
     if not isinstance(value, str):
-        raise SchemaError(f"expected a string, got {type(value).__name__}", _field(path, key))
+        raise _expected("a string", value, path, key)
     return value
 
 
@@ -291,46 +302,43 @@ def _as_float(value: "int | float") -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _get_number(obj: dict, key: str, path: str, *, required: bool = False, default: float = 0.0) -> float:
-    if key not in obj:
-        if required:
-            raise SchemaError(f"missing required field {key!r}", path)
-        return default
-    value = obj[key]
+def _number(value, path: str, key: str = "") -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"expected a number, got {type(value).__name__}", _field(path, key))
-    value = _as_float(value)
-    if not math.isfinite(value):
+        raise _expected("a number", value, path, key)
+    number = _as_float(value)
+    if not math.isfinite(number):
         raise SchemaError("number must be finite", _field(path, key))
-    return value
+    return number
 
 
-def _get_int(obj: dict, key: str, path: str, *, required: bool = False, default: int = 0) -> int:
-    if key not in obj:
-        if required:
-            raise SchemaError(f"missing required field {key!r}", path)
-        return default
-    value = obj[key]
+def _int(value, path: str, key: str = "") -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"expected an integer, got {type(value).__name__}", _field(path, key))
+        raise _expected("an integer", value, path, key)
     return value
 
 
-def _get_str_list(obj: dict, key: str, path: str) -> tuple[str, ...]:
-    if key not in obj:
-        return ()
-    value = obj[key]
-    if not isinstance(value, list):
-        raise SchemaError(f"expected an array, got {type(value).__name__}", _field(path, key))
-    for i, item in enumerate(value):
-        if not isinstance(item, str):
-            raise SchemaError(f"expected a string, got {type(item).__name__}",
-                              f"{_field(path, key)}[{i}]")
-    return tuple(value)
+def _array_of(read: _Reader, nonempty: str = "") -> _Reader:
+    """A reader of an array whose every item ``read`` accepts, as a tuple.
+
+    ``nonempty`` names the items of an array that must hold at least one.
+    """
+    def read_array(value, path: str, key: str = "") -> tuple:
+        if nonempty and not (isinstance(value, list) and value):
+            raise SchemaError(f"expected a non-empty array of {nonempty}", _field(path, key))
+        if not isinstance(value, list):
+            raise _expected("an array", value, path, key)
+        where = _field(path, key)
+        return tuple(read(item, f"{where}[{i}]") for i, item in enumerate(value))
+    return read_array
 
 
-def _get_float_vector(obj: dict, key: str, path: str) -> tuple[float, float, float, float]:
-    value = obj.get(key)
+def _strings(value, path: str, key: str = "") -> tuple[str, ...]:
+    if isinstance(value, list) and all(isinstance(item, str) for item in value):
+        return tuple(value)
+    return _array_of(_str)(value, path, key)
+
+
+def _utilizations(value, path: str, key: str = "") -> tuple[float, float, float, float]:
     if not isinstance(value, list) or len(value) != 4:
         raise SchemaError("expected an array of 4 utilization values", _field(path, key))
     if all(type(item) is float and 0.0 <= item <= 1.0 for item in value):  # NaN fails the range
@@ -345,79 +353,96 @@ def _get_float_vector(obj: dict, key: str, path: str) -> tuple[float, float, flo
     return tuple(float(item) for item in value)  # type: ignore[return-value]
 
 
+def _built(build: Callable, values: dict, path: str):
+    """``build(**values)``, its errors located at ``path``, the object being built."""
+    try:
+        return build(**values)
+    except ValueError as exc:  # HardwareProfile's checks name no field
+        raise SchemaError(str(exc), path) from None
+
+
+def _reader(build: Callable, readers: "dict[str, _Reader | None]", required=()) -> _Reader:
+    """A reader of objects whose fields ``readers`` read, in its order, into ``build``.
+
+    Only the keys an object holds are read, so ``build``'s own defaults fill
+    the rest; a key in ``required`` that it lacks is refused at its place in
+    the order, and a key outside ``readers`` before any is read. A key whose
+    reader is None is allowed, and left to the caller.
+    """
+    allowed, required = readers.keys(), frozenset(required)
+    items = tuple((name, read) for name, read in readers.items() if read is not None)
+
+    def read_object(value, path: str, key: str = ""):
+        obj = _object(value, path, key)
+        where = _field(path, key)
+        _check_keys(obj, allowed, where)
+        values = {}
+        for name, read in items:
+            found = obj.get(name, _ABSENT)
+            if found is not _ABSENT or name in required:
+                values[name] = read(found, where, name)
+        return _built(build, values, where)
+    return read_object
+
+
 # ---------------------------------------------------------------------------
 # service documents
 
-_SERVICE_KEYS = {
-    "name", "base_os", "packages", "repositories", "volumes",
-    "entrypoint", "predefined_cost", "required_capabilities", "image_size_mb",
-}
+_service = _reader(ServiceSpec, {
+    "volumes": _array_of(_reader(MountVolume, {"host_path": _str, "container_path": _str},
+                                 required=("host_path", "container_path"))),
+    "name": _str,
+    "entrypoint": _str,
+    "predefined_cost": _number,
+    "base_os": _str,
+    "packages": _strings,
+    "repositories": _strings,
+    "required_capabilities": _strings,
+    "image_size_mb": _number,
+}, required=("name", "entrypoint", "predefined_cost"))
+#: The key order of a serialized service.
+_SERVICE_KEYS = ("name", "base_os", "packages", "repositories", "volumes", "entrypoint",
+                 "predefined_cost", "required_capabilities", "image_size_mb")
 
 
 def parse_cdf(document: str) -> ServiceSpec:
     """Parse a single service definition document."""
-    return _service_from_obj(_as_object(_loads(document), ""), "")
+    return _service(_loads(document), "")
 
 
-def _service_from_obj(obj: dict, path: str) -> ServiceSpec:
-    _check_keys(obj, _SERVICE_KEYS, path)
-    volumes = []
-    raw_volumes = obj.get("volumes", [])
-    vol_path = f"{path}.volumes" if path else "volumes"
-    if not isinstance(raw_volumes, list):
-        raise SchemaError(f"expected an array, got {type(raw_volumes).__name__}", vol_path)
-    for i, raw in enumerate(raw_volumes):
-        entry = _as_object(raw, f"{vol_path}[{i}]")
-        _check_keys(entry, {"host_path", "container_path"}, f"{vol_path}[{i}]")
-        volumes.append(MountVolume(
-            host_path=_get_str(entry, "host_path", f"{vol_path}[{i}]", required=True),
-            container_path=_get_str(entry, "container_path", f"{vol_path}[{i}]", required=True),
-        ))
-    spec = ServiceSpec(
-        name=_get_str(obj, "name", path, required=True),
-        entrypoint=_get_str(obj, "entrypoint", path, required=True),
-        predefined_cost=_get_number(obj, "predefined_cost", path, required=True),
-        base_os=_get_str(obj, "base_os", path, default=DEFAULT_BASE_OS),
-        packages=_get_str_list(obj, "packages", path),
-        repositories=_get_str_list(obj, "repositories", path),
-        volumes=tuple(volumes),
-        required_capabilities=frozenset(_get_str_list(obj, "required_capabilities", path)),
-        image_size_mb=_get_number(obj, "image_size_mb", path, default=DEFAULT_IMAGE_SIZE_MB),
-    )
-    return spec
+def _plain(value):
+    """``value`` as JSON data: a set sorted, a spec as an object of all its fields."""
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    return value
 
 
-def _service_to_obj(spec: ServiceSpec) -> dict:
-    obj: dict = {"name": spec.name}
-    if spec.base_os != DEFAULT_BASE_OS:
-        obj["base_os"] = spec.base_os
-    if spec.packages:
-        obj["packages"] = list(spec.packages)
-    if spec.repositories:
-        obj["repositories"] = list(spec.repositories)
-    if spec.volumes:
-        obj["volumes"] = [
-            {"host_path": v.host_path, "container_path": v.container_path} for v in spec.volumes
-        ]
-    obj["entrypoint"] = spec.entrypoint
-    obj["predefined_cost"] = spec.predefined_cost
-    if spec.required_capabilities:
-        obj["required_capabilities"] = sorted(spec.required_capabilities)
-    if spec.image_size_mb != DEFAULT_IMAGE_SIZE_MB:
-        obj["image_size_mb"] = spec.image_size_mb
-    return obj
+def _elided(spec, keys=None) -> dict:
+    """``spec``'s fields as JSON data in ``keys`` order (its field order by
+    default), less each that equals its dataclass default."""
+    defaults = {f.name: f.default for f in fields(spec)}
+    return {key: _plain(getattr(spec, key)) for key in keys or defaults
+            if getattr(spec, key) != defaults[key]}
+
+
+def _dumps(obj: dict) -> str:
+    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
 def serialize_cdf(spec: ServiceSpec) -> str:
     """Render a service definition in canonical form."""
-    return json.dumps(_service_to_obj(spec), indent=2, ensure_ascii=False) + "\n"
+    return _dumps(_elided(spec, _SERVICE_KEYS))
 
 
 # ---------------------------------------------------------------------------
 # experiment documents
 
-_EDF_KEYS = {"name", "services", "dependencies", "network", "weights", "pool_discount"}
-_REF_KEYS = {"ref", "predefined_cost", "required_capabilities"}
+#: What a ``{"ref": name}`` service entry may override, applied one at a time as each is read.
+_OVERRIDES = {"predefined_cost": _number, "required_capabilities": _strings}
 
 
 def _resolve(resolver: Resolver, name: str, path: str) -> ServiceSpec:
@@ -431,6 +456,27 @@ def _resolve(resolver: Resolver, name: str, path: str) -> ServiceSpec:
     return found
 
 
+def _service_entry(resolver: Resolver) -> _Reader:
+    """A reader of an experiment's service entries: inline services or references."""
+    def read_entry(value, path: str, key: str = "") -> ServiceSpec:
+        entry = _object(value, path, key)
+        if "ref" not in entry:
+            return _service(entry, path)
+        _check_keys(entry, {"ref", *_OVERRIDES}, path)
+        spec = _resolve(resolver, _str(entry["ref"], path, "ref"), path)
+        for name, read in _OVERRIDES.items():
+            if name in entry:
+                spec = _built(functools.partial(replace, spec), {name: read(entry[name], path, name)}, path)
+        return spec
+    return read_entry
+
+
+def _dependency(value, path: str, key: str = "") -> tuple[str, str]:
+    if not (isinstance(value, list) and len(value) == 2 and all(isinstance(name, str) for name in value)):
+        raise SchemaError("expected a [dependent, dependency] name pair", _field(path, key))
+    return tuple(value)  # type: ignore[return-value]
+
+
 def parse_edf(document: str, resolver: Resolver = None) -> ExperimentSpec:
     """Parse an experiment definition document.
 
@@ -439,180 +485,82 @@ def parse_edf(document: str, resolver: Resolver = None) -> ExperimentSpec:
     references may override ``predefined_cost`` and
     ``required_capabilities`` per experiment.
     """
-    obj = _as_object(_loads(document), "")
-    _check_keys(obj, _EDF_KEYS, "")
-    name = _get_str(obj, "name", "", required=True)
-
-    raw_services = obj.get("services")
-    if not isinstance(raw_services, list) or not raw_services:
-        raise SchemaError("expected a non-empty array of services", "services")
-    services = []
-    for i, raw in enumerate(raw_services):
-        entry = _as_object(raw, f"services[{i}]")
-        if "ref" in entry:
-            _check_keys(entry, _REF_KEYS, f"services[{i}]")
-            ref = _get_str(entry, "ref", f"services[{i}]", required=True)
-            spec = _resolve(resolver, ref, f"services[{i}]")
-            if "predefined_cost" in entry:
-                spec = replace(spec, predefined_cost=_get_number(
-                    entry, "predefined_cost", f"services[{i}]", required=True))
-            if "required_capabilities" in entry:
-                spec = replace(spec, required_capabilities=frozenset(
-                    _get_str_list(entry, "required_capabilities", f"services[{i}]")))
-            services.append(spec)
-        else:
-            services.append(_service_from_obj(entry, f"services[{i}]"))
-
-    dependencies = []
-    raw_deps = obj.get("dependencies", [])
-    if not isinstance(raw_deps, list):
-        raise SchemaError(f"expected an array, got {type(raw_deps).__name__}", "dependencies")
-    for i, raw in enumerate(raw_deps):
-        if not (isinstance(raw, list) and len(raw) == 2
-                and all(isinstance(endpoint, str) for endpoint in raw)):
-            raise SchemaError("expected a [dependent, dependency] name pair", f"dependencies[{i}]")
-        dependencies.append((raw[0], raw[1]))
-
-    network = DEFAULT_NETWORK
-    if "network" in obj:
-        net = _as_object(obj["network"], "network")
-        _check_keys(net, {"subnet", "ports"}, "network")
-        ports = net.get("ports", [])
-        if not isinstance(ports, list):
-            raise SchemaError(f"expected an array, got {type(ports).__name__}", "network.ports")
-        for i, port in enumerate(ports):
-            if isinstance(port, bool) or not isinstance(port, int):
-                raise SchemaError(f"expected an integer, got {type(port).__name__}", f"network.ports[{i}]")
-        network = OverlayConfig(
-            subnet=_get_str(net, "subnet", "network", default=DEFAULT_SUBNET),
-            ports=tuple(ports),
-        )
-
-    weights = DEFAULT_WEIGHTS
-    if "weights" in obj:
-        w = _as_object(obj["weights"], "weights")
-        _check_keys(w, set(RESOURCE_NAMES), "weights")
-        weights = CostWeights(**{
-            r: _get_number(w, r, "weights", required=True) for r in RESOURCE_NAMES
-        })
-
-    return ExperimentSpec(
-        name=name,
-        services=tuple(services),
-        dependencies=tuple(dependencies),
-        network=network,
-        weights=weights,
-        pool_discount=_get_number(obj, "pool_discount", "", default=DEFAULT_POOL_DISCOUNT),
-    )
+    read = _reader(ExperimentSpec, {
+        "name": _str,
+        "services": _array_of(_service_entry(resolver), nonempty="services"),
+        "dependencies": _array_of(_dependency),
+        "network": _reader(OverlayConfig, {"ports": _array_of(_int), "subnet": _str}),
+        "weights": _reader(CostWeights, dict.fromkeys(RESOURCE_NAMES, _number), required=RESOURCE_NAMES),
+        "pool_discount": _number,
+    }, required=("name", "services"))
+    return read(_loads(document), "")
 
 
 def serialize_edf(spec: ExperimentSpec) -> str:
     """Render an experiment in canonical form with all services inline."""
-    obj: dict = {"name": spec.name}
-    obj["services"] = [_service_to_obj(s) for s in spec.services]
-    if spec.dependencies:
-        obj["dependencies"] = [list(pair) for pair in spec.dependencies]
-    if spec.network != DEFAULT_NETWORK:
-        obj["network"] = {"subnet": spec.network.subnet, "ports": list(spec.network.ports)}
-    if spec.weights != DEFAULT_WEIGHTS:
-        obj["weights"] = {r: getattr(spec.weights, r) for r in RESOURCE_NAMES}
-    if spec.pool_discount != DEFAULT_POOL_DISCOUNT:
-        obj["pool_discount"] = spec.pool_discount
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    obj = _elided(spec)
+    obj["services"] = [_elided(s, _SERVICE_KEYS) for s in spec.services]
+    return _dumps(obj)
 
 
 # ---------------------------------------------------------------------------
 # cluster documents
 
-_PROFILE_KEYS = {"capabilities", "cpu_cores", "vram_mb", "swap_mb", "bandwidth_mbps"}
-_WORKER_KEYS = {"id", "profile", "workload"}
+
+def _worker_id(value, path: str, key: str) -> str:
+    if not _str(value, path, key):
+        raise SchemaError("worker id must be non-empty", _field(path, key))
+    return value
 
 
-def _profile_from_obj(obj: dict, path: str) -> HardwareProfile:
-    _check_keys(obj, _PROFILE_KEYS, path)
-    try:
-        return HardwareProfile(
-            capabilities=frozenset(_get_str_list(obj, "capabilities", path)),
-            cpu_cores=_get_int(obj, "cpu_cores", path, default=1),
-            vram_mb=_get_int(obj, "vram_mb", path, default=0),
-            swap_mb=_get_int(obj, "swap_mb", path, default=0),
-            bandwidth_mbps=_get_number(obj, "bandwidth_mbps", path, default=100.0),
-        )
-    except ValueError as exc:
-        raise SchemaError(str(exc), path) from None
+def _half_width(value, path: str, key: str) -> float:
+    half_width = _number(value, path, key)
+    if not 0.0 <= half_width <= 1.0:
+        raise SchemaError(f"half_width must be within [0, 1], got {half_width!r}", _field(path, key))
+    return half_width
 
 
-def _profile_to_obj(profile: HardwareProfile) -> dict:
-    obj: dict = {}
-    if profile.capabilities:
-        obj["capabilities"] = sorted(profile.capabilities)
-    if profile.cpu_cores != 1:
-        obj["cpu_cores"] = profile.cpu_cores
-    if profile.vram_mb:
-        obj["vram_mb"] = profile.vram_mb
-    if profile.swap_mb:
-        obj["swap_mb"] = profile.swap_mb
-    if profile.bandwidth_mbps != 100.0:
-        obj["bandwidth_mbps"] = profile.bandwidth_mbps
-    return obj
+def _trace_path(value, path: str, key: str) -> str:
+    if not _str(value, path, key) or "\0" in value:  # "" names the directory; open() rejects NUL
+        raise SchemaError("trace path must be non-empty and contain no NUL character", _field(path, key))
+    return value
 
 
-def _workload_from_obj(obj: dict, path: str) -> WorkloadModel:
-    kind = _get_str(obj, "kind", path, required=True)
-    if kind == "fixed":
-        _check_keys(obj, {"kind", "values"}, path)
-        return FixedWorkload(values=_get_float_vector(obj, "values", path))
-    if kind == "uniform":
-        _check_keys(obj, {"kind", "center", "half_width"}, path)
-        half_width = _get_number(obj, "half_width", path, required=True)
-        if not 0.0 <= half_width <= 1.0:
-            raise SchemaError(f"half_width must be within [0, 1], got {half_width!r}",
-                              f"{path}.half_width" if path else "half_width")
-        return UniformWorkload(center=_get_float_vector(obj, "center", path), half_width=half_width)
-    if kind == "trace":
-        _check_keys(obj, {"kind", "path"}, path)
-        trace_path = _get_str(obj, "path", path, required=True)
-        if not trace_path or "\0" in trace_path:  # "" names the directory; open() rejects NUL
-            raise SchemaError("trace path must be non-empty and contain no NUL character",
-                              f"{path}.path" if path else "path")
-        return TraceWorkload(path=trace_path)
-    raise SchemaError(f"unknown workload kind {kind!r}", f"{path}.kind" if path else "kind")
+_WORKLOADS = {  # by the kind that ``_workload`` reads
+    "fixed": _reader(FixedWorkload, {"kind": None, "values": _utilizations}, required=("values",)),
+    "uniform": _reader(UniformWorkload, {"kind": None, "half_width": _half_width, "center": _utilizations},
+                       required=("half_width", "center")),
+    "trace": _reader(TraceWorkload, {"kind": None, "path": _trace_path}, required=("path",)),
+}
+_KINDS = {FixedWorkload: "fixed", UniformWorkload: "uniform", TraceWorkload: "trace"}
 
 
-def _workload_to_obj(model: WorkloadModel) -> dict:
-    if isinstance(model, FixedWorkload):
-        return {"kind": "fixed", "values": list(model.values)}
-    if isinstance(model, UniformWorkload):
-        return {"kind": "uniform", "center": list(model.center), "half_width": model.half_width}
-    return {"kind": "trace", "path": model.path}
+def _workload(value, path: str, key: str) -> WorkloadModel:
+    obj = _object(value, path, key)
+    where = _field(path, key)
+    kind = _str(obj.get("kind", _ABSENT), where, "kind")
+    if kind not in _WORKLOADS:
+        raise SchemaError(f"unknown workload kind {kind!r}", _field(where, "kind"))
+    return _WORKLOADS[kind](obj, where)
+
+
+_profile = _reader(HardwareProfile, {
+    "capabilities": _strings,
+    "cpu_cores": _int,
+    "vram_mb": _int,
+    "swap_mb": _int,
+    "bandwidth_mbps": _number,
+})
+_worker = _reader(functools.partial(ClusterWorker, profile=HardwareProfile()),
+                  {"id": _worker_id, "profile": _profile, "workload": _workload},
+                  required=("id", "workload"))
+_cluster = _reader(ClusterSpec, {"workers": _array_of(_worker, nonempty="workers"), "seed": _int},
+                   required=("workers",))
 
 
 def parse_cluster(document: str) -> ClusterSpec:
     """Parse a cluster description used to drive simulations."""
-    obj = _as_object(_loads(document), "")
-    _check_keys(obj, {"workers", "seed"}, "")
-    raw_workers = obj.get("workers")
-    if not isinstance(raw_workers, list) or not raw_workers:
-        raise SchemaError("expected a non-empty array of workers", "workers")
-    workers = []
-    for i, raw in enumerate(raw_workers):
-        where = f"workers[{i}]"
-        entry = _as_object(raw, where)
-        _check_keys(entry, _WORKER_KEYS, where)
-        worker_id = _get_str(entry, "id", where, required=True)
-        if not worker_id:
-            raise SchemaError("worker id must be non-empty", f"{where}.id")
-        if "profile" in entry:
-            profile_path = f"{where}.profile"
-            profile = _profile_from_obj(_as_object(entry["profile"], profile_path), profile_path)
-        else:
-            profile = HardwareProfile()
-        if "workload" not in entry:
-            raise SchemaError("missing required field 'workload'", where)
-        workload_path = f"{where}.workload"
-        workload = _workload_from_obj(_as_object(entry["workload"], workload_path), workload_path)
-        workers.append(ClusterWorker(id=worker_id, profile=profile, workload=workload))
-    return ClusterSpec(workers=tuple(workers), seed=_get_int(obj, "seed", "", default=0))
+    return _cluster(_loads(document), "")
 
 
 def serialize_cluster(spec: ClusterSpec) -> str:
@@ -620,12 +568,12 @@ def serialize_cluster(spec: ClusterSpec) -> str:
     workers = []
     for w in spec.workers:
         entry: dict = {"id": w.id}
-        profile = _profile_to_obj(w.profile)
+        profile = _elided(w.profile)
         if profile:
             entry["profile"] = profile
-        entry["workload"] = _workload_to_obj(w.workload)
+        entry["workload"] = {"kind": _KINDS[type(w.workload)], **_plain(w.workload)}
         workers.append(entry)
-    return json.dumps({"workers": workers, "seed": spec.seed}, indent=2, ensure_ascii=False) + "\n"
+    return _dumps({"workers": workers, "seed": spec.seed})
 
 
 # ---------------------------------------------------------------------------
