@@ -7,6 +7,16 @@ total: any input text yields either a spec or a diagnostic that names the
 position (syntax) or field path (schema) of the problem. Serialization is
 canonical, so ``parse(serialize(x)) == x`` and equal specs produce
 byte-identical documents; fields holding their default value are elided.
+
+Each field default is declared once, on its dataclass. An object kind is a
+table of field readers in read order (``_reader``): one loop reads the keys
+an object holds, refuses a required key it lacks at that key's place in the
+order, and builds the dataclass, whose own defaults fill the rest. A check
+made by a dataclass's constructor is located at the object being built, so
+it names ``services[1].predefined_cost`` or ``weights``, not a bare field.
+Serializing compares each field with its dataclass default (``_elided``);
+a cluster's ``seed``, both ``network`` keys and all four ``weights`` are
+always written.
 """
 
 from __future__ import annotations
@@ -121,10 +131,10 @@ class OverlayConfig:
         try:
             ipaddress.ip_network(self.subnet)
         except ValueError as exc:
-            raise SchemaError(f"invalid subnet CIDR: {exc}", "network.subnet") from None
+            raise SchemaError(f"invalid subnet CIDR: {exc}", "subnet") from None
         for port in self.ports:
             if not (isinstance(port, int) and not isinstance(port, bool) and 0 < port < 65536):
-                raise SchemaError(f"invalid port {port!r}", "network.ports")
+                raise SchemaError(f"invalid port {port!r}", "ports")
         object.__setattr__(self, "ports", tuple(sorted(set(self.ports))))
 
 
@@ -334,7 +344,7 @@ def _array_of(read: _Reader, nonempty: str = "") -> _Reader:
 
 def _strings(value, path: str, key: str = "") -> tuple[str, ...]:
     if isinstance(value, list) and all(isinstance(item, str) for item in value):
-        return tuple(value)
+        return tuple(value)  # the common case, with no item's path formatted
     return _array_of(_str)(value, path, key)
 
 
@@ -354,9 +364,12 @@ def _utilizations(value, path: str, key: str = "") -> tuple[float, float, float,
 
 
 def _built(build: Callable, values: dict, path: str):
-    """``build(**values)``, its errors located at ``path``, the object being built."""
+    """``build(**values)``, its errors re-rooted at ``path``, the object being built."""
     try:
         return build(**values)
+    except SchemaError as exc:  # a constructor names a field of its own object, if any
+        message = str(exc)[len(exc.path) + 2:] if exc.path else str(exc)
+        raise type(exc)(message, _field(path, exc.path)) from None
     except ValueError as exc:  # HardwareProfile's checks name no field
         raise SchemaError(str(exc), path) from None
 

@@ -83,15 +83,25 @@ def build_history(results: Sequence[AllocationResult],
                              services=tuple(services))
 
 
+def _csv_field(name: str) -> str:
+    """``name`` as one CSV field: quoted as RFC 4180 quotes it when it holds a
+    comma, a double quote or a line end, and as it is otherwise."""
+    if any(c in name for c in ',"\r\n'):
+        return '"' + name.replace('"', '""') + '"'
+    return name
+
+
 class ReportFold:
     """A run's reports, folded one round at a time over fixed rosters.
 
     ``add`` takes the next round's result; the rosters are trusted, since
-    the allocator only names their workers and services.
+    the allocator only names their workers and services. Each roster name's
+    CSV field is built once, here.
     """
 
     def __init__(self, workers: Sequence[str], services: Sequence[str]):
         self.services = tuple(services)
+        self._fields = {name: _csv_field(name) for name in (*workers, *services)}
         self.rounds = 0
         self.feasible_rounds = 0
         self._cost = dict.fromkeys(workers, 0.0)  # cumulative shares, in roster order
@@ -109,10 +119,11 @@ class ReportFold:
         jain_cost, jain_count = jains_index(self._cost.values()), jains_index(self._count.values())
         t, jain = self.rounds, f"{jain_cost:.6f}"
         lines = []
+        fields = self._fields
         for service in self.services:
             a = assignments.get(service)
             if a is not None:
-                lines.append(f"{t},{a.worker},{service},{a.cost:.6f},{jain}\n")
+                lines.append(f"{t},{fields[a.worker]},{fields[service]},{a.cost:.6f},{jain}\n")
         self.rounds += 1
         self.feasible_rounds += result.feasible
         return "".join(lines), jain_cost, jain_count

@@ -128,7 +128,8 @@ class WorkloadGenerator:
 
 #: The largest trace file read, in bytes: 16 MiB, about 600,000 rows of four
 #: four-decimal values. Reading stops one byte past it, so a larger file, or
-#: an endless one such as a device or a pipe, is rejected before any parsing.
+#: an endless one such as a device, is rejected before any parsing. A FIFO
+#: never gets that far: opening one waits for a writer, so it is refused unopened.
 #: A file at the bound parses in one bulk pass into a 19 MB array.
 MAX_TRACE_BYTES = 16 * 2**20
 
@@ -145,10 +146,12 @@ def _read_trace(location: Path) -> np.ndarray:
     A sample is one line of four values in [0, 1] each. Blank lines and
     ``#`` comments are skipped. A malformed line raises ``SchemaError`` at
     ``location:line``; NaN and infinities are out of range. A file longer
-    than ``MAX_TRACE_BYTES`` raises ``SchemaError``. The file is parsed in
-    one bulk pass (``_bulk_rows``); the line loop (``_line_rows``) judges
-    any file that pass refuses.
+    than ``MAX_TRACE_BYTES``, or a FIFO, raises ``SchemaError``. The file is
+    parsed in one bulk pass (``_bulk_rows``); the line loop (``_line_rows``)
+    judges any file that pass refuses.
     """
+    if location.is_fifo():  # false for a missing file, which open() reports
+        raise SchemaError("trace file is a FIFO; expected a regular file", str(location))
     with location.open("rb") as stream:
         data = stream.read(MAX_TRACE_BYTES + 1)
     if len(data) > MAX_TRACE_BYTES:

@@ -1,6 +1,10 @@
+import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -9,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import swarmlab
 from swarmlab import cli, metrics, swarmsim
 from swarmlab.cli import main
 from swarmlab.definitions import (
@@ -187,6 +192,32 @@ def test_simulate_writes_three_reports(tmp_path, artifacts):
     summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
     assert summary["iterations"] == 5
     assert summary["feasible_iterations"] == 5
+
+
+def test_allocations_report_quotes_names_that_csv_would_split(tmp_path):
+    services = ("bag,recorder", 'say "hi"', "line\nbreak", "plain")
+    workers = ("w,1", "w\n2", 'w"3', "w\r4", "w5")
+    edf = tmp_path / "names.edf.json"
+    edf.write_text(serialize_edf(ExperimentSpec(
+        name="names", services=tuple(make_service(name) for name in services))), encoding="utf-8")
+    cluster = tmp_path / "names.cluster.json"
+    cluster.write_text(serialize_cluster(ClusterSpec(workers=tuple(
+        replace(worker, id=name) for worker, name in zip(balanced_cluster(len(workers)), workers)))),
+        encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--edf", str(edf), "--cluster", str(cluster),
+                 "--iterations", "6", "--seed", "3", "--out-dir", str(out_dir)]) == 0
+
+    with open(out_dir / "allocations.csv", encoding="utf-8", newline="") as report:
+        header, *rows = csv.reader(report)
+    assert header == metrics.REPORT_HEADER.split(",")
+    assert len(rows) == 6 * len(services)
+    assert {len(row) for row in rows} == {5}
+    assert [row[2] for row in rows] == list(services) * 6
+    assert {row[1] for row in rows} <= set(workers)
+    assert {row[0] for row in rows} == {str(t) for t in range(6)}
+    text = (out_dir / "allocations.csv").read_text(encoding="utf-8")
+    assert '"bag,recorder"' in text and '"say ""hi"""' in text and ",plain," in text
 
 
 def test_simulate_single_iteration_series(tmp_path, artifacts):
@@ -516,6 +547,32 @@ def test_oversized_trace_is_one_line_validation_error(tmp_path, artifacts, capsy
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == f"error: {tmp_path / 'load.csv'}: trace file exceeds {2 * len(row)} bytes\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_fifo_trace_is_one_line_validation_error(tmp_path, artifacts, capsys):
+    # Opening a FIFO waits for a writer: each command runs in a child process under a
+    # timeout, so a command that opened it fails this test instead of hanging the suite.
+    edf, cluster = artifacts
+    worker = ClusterWorker(id="t1", profile=HardwareProfile(), workload=TraceWorkload("load.csv"))
+    cluster.write_text(serialize_cluster(ClusterSpec(workers=(worker,))), encoding="utf-8")
+    fifo = tmp_path / "load.csv"
+    os.mkfifo(fifo)
+
+    assert main(["validate", str(cluster)]) == 0  # validate reads no trace file
+    capsys.readouterr()
+    src = Path(swarmlab.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    for argv in (["allocate", "--edf", str(edf), "--cluster", str(cluster), "--seed", "1"],
+                 ["simulate", "--edf", str(edf), "--cluster", str(cluster), "--seed", "1",
+                  "--iterations", "2", "--out-dir", str(tmp_path / "out")],
+                 ["scaling", "--cluster-template", str(cluster), "--seed", "1",
+                  "--out", str(tmp_path / "grid.csv")]):
+        run = subprocess.run([sys.executable, "-m", "swarmlab.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert (run.returncode, run.stdout) == (1, ""), argv[0]
+        assert run.stderr == f"error: {fifo}: trace file is a FIFO; expected a regular file\n", argv[0]
+    assert not (tmp_path / "grid.csv").exists()
 
 
 @pytest.mark.parametrize("trace_path", ["a\u0000b.csv", "\u0000", "load.csv\u0000", ""])

@@ -291,6 +291,8 @@ def _cam(**changes):
     (_cam(entrypoint=""), "entrypoint", "entrypoint must be non-empty"),
     (_cam(predefined_cost=150), "predefined_cost", "predefined_cost must be within [0, 100], got 150.0"),
     (_cam(predefined_cost=-1), "predefined_cost", "predefined_cost must be within [0, 100], got -1.0"),
+    (_cam(volumes=[{"host_path": "", "container_path": "/b"}]), "volumes[0]",
+     "volume paths must be non-empty"),
     # volumes are read before the name, and every field before the constructor's checks
     (_cam(name=None, volumes=5), "volumes", "expected an array, got int"),
     (_cam(name="", image_size_mb="big"), "image_size_mb", "expected a number, got str"),
@@ -390,6 +392,27 @@ def _ref(**entry):
     (_edf(pool_discount=0), "pool_discount", "pool_discount must be within (0, 1], got 0.0", SchemaError),
     (_edf(pool_discount=1.5), "pool_discount", "pool_discount must be within (0, 1], got 1.5",
      SchemaError),
+    # a constructor's fault is located at the object it builds
+    (_second_service(name=""), "services[1].name", "service name must be non-empty", SchemaError),
+    (_second_service(entrypoint=""), "services[1].entrypoint", "entrypoint must be non-empty",
+     SchemaError),
+    (_second_service(predefined_cost=150), "services[1].predefined_cost",
+     "predefined_cost must be within [0, 100], got 150.0", SchemaError),
+    (_second_service(image_size_mb=0), "services[1].image_size_mb", "image_size_mb must be positive",
+     SchemaError),
+    (_edf(services=[{**_PAIR[0], "volumes": [{"host_path": "", "container_path": "/b"}]}, _PAIR[1]]),
+     "services[0].volumes[0]", "volume paths must be non-empty", SchemaError),
+    (_ref(ref="cam", predefined_cost=150), "services[1].predefined_cost",
+     "predefined_cost must be within [0, 100], got 150.0", SchemaError),
+    # a reference's overrides are applied one at a time, as each is read
+    (_ref(ref="cam", predefined_cost=150, required_capabilities="gpu"), "services[1].predefined_cost",
+     "predefined_cost must be within [0, 100], got 150.0", SchemaError),
+    (_edf(weights={"cpu": 1.5, "vram": 0, "swap": 0, "bandwidth": -0.5}), "weights.cpu",
+     "weight must be within [0, 1], got 1.5", WeightError),
+    (_edf(weights={"cpu": 0.25, "vram": 0.25, "swap": 0.25, "bandwidth": -0.5}), "weights.bandwidth",
+     "weight must be within [0, 1], got -0.5", WeightError),
+    (_edf(weights={"cpu": 0.5, "vram": 0.5, "swap": 0.5, "bandwidth": 0.5}), "weights",
+     "weights must sum to 1, got 2.0", WeightError),
     # faults are reported in read order: name, services, dependencies, network, weights, discount
     (_edf(name=None, services=None), "", "missing required field 'name'", SchemaError),
     (_edf(services=None, dependencies="a"), "services", "expected a non-empty array of services",
