@@ -27,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, Union
+from typing import AbstractSet, Callable, Mapping, Union
 
 from .errors import (
     DefinitionSyntaxError,
@@ -285,10 +285,10 @@ def _expected(what: str, value, path: str, key: str) -> SchemaError:
     return SchemaError(f"expected {what}, got {type(value).__name__}", _field(path, key))
 
 
-def _check_keys(obj: dict, allowed, path: str):
+def _check_keys(obj: dict, allowed: AbstractSet[str], path: str):
     if obj.keys() <= allowed:
         return
-    unknown = sorted(set(obj) - set(allowed))
+    unknown = sorted(obj.keys() - allowed)
     raise SchemaError(f"unknown field(s): {', '.join(map(str, unknown))}", path)
 
 
