@@ -362,20 +362,35 @@ def allocate_experiment(workers: Sequence[WorkerState],
     return prepare_experiment(workers, experiment).allocate(workers)
 
 
+#: Each control and line-boundary character, as ``repr`` escapes it: C0, DEL, C1, U+2028, U+2029.
+_ESCAPED = {c: repr(chr(c))[1:-1] for c in (*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029)}
+
+
+def _shown(text: str) -> str:
+    """``text`` with its control and line-boundary characters escaped; any other keeps its bytes."""
+    return text if text.isprintable() else text.translate(_ESCAPED)
+
+
 def explain(result: AllocationResult) -> str:
-    """Human-readable allocation report, stable for identical results."""
+    """Human-readable allocation report, stable for identical results.
+
+    Service names, worker ids and unit labels are written with their
+    control and line-boundary characters escaped (``_shown``), so each
+    table row and each configuration is one line and the columns align;
+    every other character keeps its bytes.
+    """
     lines = []
     status = "FEASIBLE" if result.feasible else "INFEASIBLE"
     lines.append(f"Allocation: {status} ({len(result.assignments)}/{result.num_services} services assigned)")
     lines.append(f"Total cost: {result.total_cost:.6f}")
     if result.unassigned:
-        lines.append(f"Unassigned: {', '.join(sorted(result.unassigned))}")
+        lines.append(f"Unassigned: {_shown(', '.join(sorted(result.unassigned)))}")
     lines.append("")
 
     rows = [("SERVICE", "WORKER", "UNIT", "COST")]
     for assignment in result.assignments.values():
-        rows.append((assignment.service, assignment.worker,
-                     assignment.unit.label, f"{assignment.cost:.6f}"))
+        rows.append((_shown(assignment.service), _shown(assignment.worker),
+                     _shown(assignment.unit.label), f"{assignment.cost:.6f}"))
     widths = [max(len(row[col]) for row in rows) for col in range(4)]
     for row in rows:
         lines.append("  ".join(value.ljust(width) for value, width in zip(row, widths)).rstrip())
@@ -385,7 +400,7 @@ def explain(result: AllocationResult) -> str:
     lines.append(f"Configurations ({len(result.outcomes)} tried, #{chosen + 1} chosen):")
     for outcome in result.outcomes:
         marker = "  <- chosen" if outcome.chosen else ""
-        units = "".join(f"[{unit.label}]" for unit in outcome.units)
+        units = _shown("".join(f"[{unit.label}]" for unit in outcome.units))
         lines.append(
             f"  #{outcome.index + 1} {units} services={outcome.services_assigned} "
             f"cost={outcome.total_cost_scaled / COST_SCALE:.6f}{marker}")

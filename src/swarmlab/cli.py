@@ -42,7 +42,9 @@ EXIT_INTERNAL = 3
 _PARSERS = {
     ".cdf.json": lambda text, path: parse_cdf(text),
     ".edf.json": lambda text, path: parse_edf(text, directory_resolver(path.parent)),
-    ".cluster.json": lambda text, path: parse_cluster(text),
+    # A cluster's trace files, resolved against its directory, are checked as the commands check them.
+    ".cluster.json": lambda text, path: swarmsim.check_fleet_inputs(parse_cluster(text).workers,
+                                                                    path.parent),
 }
 
 

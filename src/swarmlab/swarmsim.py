@@ -25,27 +25,27 @@ which costs it in one pass, and yields the results one at a time, so
 the results of every iteration, and ``run_iteration`` the result of one
 iteration with its trace. A trace is a view of one round: ``_trace`` draws
 it from the round's config and result alone. No command builds worker states.
-``measure_scaling`` solves no allocation and clones no worker: a grid cell deploys its cloned service iff one of its workers can
-host it, so only the template's first min(N, T) workers are sampled and
-capability-checked, and a cell's checks are decided once per worker count
-and per service count, so a cell costs O(1). It raises any cell's error
-when called, then makes the cells lazily, and ``grid_to_csv`` yields their
-lines, so ``scaling`` writes a grid in flat memory. ``_timings`` is the one
-phase-time rule: ``_trace`` and ``measure_scaling`` both read a round's
-durations from it. The lifecycle exists only as trace events, so every
-``MemberRegistered`` event carries version 1.
+``measure_scaling`` solves no allocation and clones no worker: a grid cell
+deploys its cloned service iff one of its workers can host it, so only the
+template's first min(N, T) workers are checked (``check_fleet_inputs``,
+which draws nothing) and capability-checked, and a cell costs O(1). It
+checks the whole grid once when called, then makes the cells lazily, and
+``grid_to_csv`` yields their lines, so ``scaling`` writes a grid in flat
+memory. ``validate`` runs the same ``check_fleet_inputs`` on a cluster.
+``_timings`` is the one phase-time rule: ``_trace`` and ``measure_scaling``
+both read a round's durations from it. The lifecycle exists only as trace
+events, so every ``MemberRegistered`` event carries version 1.
 """
 
 from __future__ import annotations
 
-import bisect
 import io
 import ipaddress
 import json
 import math
 import re
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -400,6 +400,16 @@ def sample_rounds(generators: "Sequence[WorkloadGenerator]", iterations: "Sequen
         yield rounds
 
 
+def check_fleet_inputs(workers: "Sequence[ClusterWorker]", base_dir: "str | Path | None") -> None:
+    """Check what sampling ``workers`` reads, drawing nothing: ``sample_rounds``' set-up alone.
+
+    Each trace file is read and parsed, a relative path against
+    ``base_dir``, and each fixed worker's values are checked, so a fault
+    raises as it would in any round; no row is drawn.
+    """
+    next(sample_rounds(workload_generators(workers, 0, base_dir), [], 1), None)
+
+
 def _poll_ms(cfg: SimConfig, num_services: int) -> int:
     """How long polling one worker for its cost row of ``num_services`` services takes."""
     return cfg.poll_rtt_ms + num_services * cfg.cost_calc_ms
@@ -518,75 +528,41 @@ def measure_scaling(worker_counts, service_counts,
 
     The template's workers are cycled up to each worker count and its
     first service is cloned up to each service count, so every cell runs
-    the same homogeneous workload at a different scale. A cell is iteration
-    0 of the ``SimConfig`` with its first n workers and k services, and
-    fails as that config would: the first cell in grid order that fails
-    builds that config, the only one built, which raises its error. What
-    can fail is decided once per count: n < 1, k < 1, and whether k images
-    fetch in a finite time (``_fetch_limit``); a cell then costs O(1).
-    Every check, and the first failing cell's error, is raised by this call,
-    before any cell is made; the cells are then made one at a time, in grid
-    order, as the returned iterator is read, so a grid of any size is
-    written in flat memory.
+    the same homogeneous workload at a different scale: a cell is iteration
+    0 of the ``SimConfig`` with its first n workers and k services. The
+    grid is checked once, before any cell is made, in this order: both
+    ranges are non-empty and every count is at least 1 (``EmptyProblem``
+    naming the least count); the fleet's inputs (``check_fleet_inputs``);
+    and the largest cell's fetch, k = max(service_counts) images summed as
+    ``SimConfig`` sums them, which refuses exactly the grids that some
+    cell's config refuses, since the fetch time only grows with k. The
+    cells are then made one at a time, in grid order, as the returned
+    iterator is read, so a grid of any size is written in flat memory.
     Worker i clones template worker i mod T, so only the template's first
-    min(N, T) workers are sampled (the one input check) and
-    capability-checked. Every unit clones the prototype, so a
-    maximum-cardinality allocation places at least one, each fetching the
-    same image, iff one of the first min(n, T) of them can host the
-    prototype. A cell's time is ``_timings`` of that one fetch or of none;
-    nothing is solved and no trace is rendered.
+    min(N, T) workers are checked and capability-checked. Every unit clones
+    the prototype, so a maximum-cardinality allocation places at least one,
+    each fetching the same image, iff one of the first min(n, T) of them can
+    host the prototype. A cell's time is ``_timings`` of that one fetch or
+    of none; nothing is sampled or solved, and no trace is rendered.
     """
-    worker_counts = list(worker_counts)
-    service_counts = list(service_counts)
+    worker_counts, service_counts = list(worker_counts), list(service_counts)
     if not worker_counts or not service_counts:
         raise EmptyProblem("scaling needs non-empty worker and service ranges")
+    if (least := min(min(worker_counts), min(service_counts))) < 1:
+        raise EmptyProblem(f"scaling needs worker and service counts of at least 1, got {least}")
     prototype_service = template.experiment.services[0]
     # Grid worker i clones template worker i mod T: the first min(N, T) stand for them all.
-    roster = template.workers[:max(max(worker_counts), 0)]
-    # The fleet's one input check: trace files are read and parsed, fixed values checked.
-    next(sample_rounds(workload_generators(roster, template.seed, template.base_dir), [0], 1))
+    roster = template.workers[:max(worker_counts)]
+    check_fleet_inputs(roster, template.base_dir)
+    # The largest cell fetches the most: if its images take a finite time, every cell's do.
+    template.fetch_latency.duration_ms(sum(repeat(prototype_service.image_size_mb, max(service_counts))))
     # hostable[min(n, len(roster)) - 1]: one of the first n workers can host the prototype.
     hostable = np.logical_or.accumulate(
         costing.build_capability_matrix(roster, [prototype_service])[:, 0]).tolist()
     fetch_ms = [template.fetch_latency.duration_ms(prototype_service.image_size_mb)]
-    fetch_limit = _fetch_limit(template, prototype_service.image_size_mb, max(service_counts))
-    # Row n fails at its first cell if n < 1, else at the first refused service count, if any.
-    first_refused = next((k for k in service_counts if not 1 <= k < fetch_limit), None)
-    for num_workers in worker_counts:
-        if num_workers < 1 or first_refused is not None:
-            num_services = service_counts[0] if num_workers < 1 else first_refused
-            # The cell's own config, the only one built, raises its error.
-            experiment = replace(template.experiment, dependencies=(), services=tuple(
-                replace(prototype_service, name=f"svc{k + 1:03d}") for k in range(num_services)))
-            replace(template, experiment=experiment, iterations=1, workers=tuple(
-                replace(template.workers[i % len(template.workers)], id=f"w{i + 1:03d}")
-                for i in range(num_workers)))
-            raise AssertionError(f"cell {num_workers} x {num_services} passed its checks")
     return (ScalingCell(n, k, _timings(template, n, k, fetch_ms if hostable[min(n, len(roster)) - 1]
                                        else [])["total_ms"])
             for n in worker_counts for k in service_counts)
-
-
-def _fetch_limit(template: SimConfig, size_mb: float, most: int) -> int:
-    """The fewest images of ``size_mb``, up to ``most``, that ``SimConfig`` refuses; else ``most + 1``.
-
-    ``SimConfig`` refuses k images whose summed size (its ``sum``) takes no
-    finite time to fetch with ``template.fetch_latency``. The size is
-    positive, so the sum only grows with k, the fetch time moves one way,
-    and the refused counts are all those from some least count up. That
-    count is found with one ``sum`` when ``most`` images pass, and with
-    O(log most) of them otherwise.
-    """
-    def refused(count: int) -> bool:
-        try:
-            template.fetch_latency.duration_ms(sum(repeat(size_mb, count)))
-        except SchemaError:
-            return True
-        return False
-
-    if most < 1 or not refused(most):
-        return most + 1
-    return 1 + bisect.bisect_left(range(1, most + 1), True, key=refused)
 
 
 def grid_to_csv(cells: "Iterable[ScalingCell]") -> Iterator[str]:

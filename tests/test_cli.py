@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -220,6 +221,31 @@ def test_allocations_report_quotes_names_that_csv_would_split(tmp_path):
     assert '"bag,recorder"' in text and '"say ""hi"""' in text and ",plain," in text
 
 
+def test_allocate_report_escapes_names_that_would_split_its_lines(tmp_path):
+    edf = tmp_path / "names.edf.json"
+    edf.write_text(serialize_edf(ExperimentSpec(
+        name="names", services=(make_service("cam\nera"), make_service("b")))), encoding="utf-8")
+    cluster = tmp_path / "names.cluster.json"
+    cluster.write_text(serialize_cluster(ClusterSpec(workers=tuple(
+        replace(worker, id=name) for worker, name in zip(balanced_cluster(2), ("w\n1", "w2"))))),
+        encoding="utf-8")
+    report = tmp_path / "report.txt"
+    assert main(["allocate", "--edf", str(edf), "--cluster", str(cluster), "--seed", "1",
+                 "--out", str(report)]) == 0
+
+    lines = report.read_text(encoding="utf-8").splitlines()
+    blank = lines.index("", 3)
+    table, configurations = lines[3:blank], lines[blank + 2:]
+    # One line per table row, each of four aligned columns, and one per configuration.
+    assert len(table) == 1 + 2 and len(configurations) == 1
+    columns = [[(m.start(), m.group()) for m in re.finditer(r"\S+", row)] for row in table]
+    assert [len(row) for row in columns] == [4, 4, 4]
+    assert {tuple(start for start, _ in row[:3]) for row in columns} == {(0, 10, 18)}
+    assert sorted((row[0][1], row[1][1], row[2][1]) for row in columns[1:]) == \
+        [("b", "w\\n1", "b"), ("cam\\nera", "w2", "cam\\nera")]
+    assert configurations[0].startswith("  #1 [cam\\nera][b] services=2 cost=")
+
+
 def test_simulate_single_iteration_series(tmp_path, artifacts):
     edf, cluster = artifacts
     out_dir = tmp_path / "one"
@@ -418,8 +444,8 @@ def test_failing_scaling_grid_writes_nothing(tmp_path, monkeypatch, capsys):
     assert main(["scaling", "--cluster-template", str(SAMPLES / "bench.cluster.json"),
                  "--max-workers", "3", "--max-services", "4", "--seed", "7",
                  "--out", str(out)]) == 1
-    # Cell (1, 3) is the first to fail; nothing is written, not even the header.
-    assert capsys.readouterr().err == "error: image_size_mb: fetching 300.0 MB takes no finite time\n"
+    # The largest cell's four images are refused; nothing is written, not even the header.
+    assert capsys.readouterr().err == "error: image_size_mb: fetching 400.0 MB takes no finite time\n"
     assert not out.exists()
 
 
@@ -550,7 +576,7 @@ def test_oversized_trace_is_one_line_validation_error(tmp_path, artifacts, capsy
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
-def test_fifo_trace_is_one_line_validation_error(tmp_path, artifacts, capsys):
+def test_fifo_trace_is_one_line_validation_error(tmp_path, artifacts):
     # Opening a FIFO waits for a writer: each command runs in a child process under a
     # timeout, so a command that opened it fails this test instead of hanging the suite.
     edf, cluster = artifacts
@@ -559,20 +585,58 @@ def test_fifo_trace_is_one_line_validation_error(tmp_path, artifacts, capsys):
     fifo = tmp_path / "load.csv"
     os.mkfifo(fifo)
 
-    assert main(["validate", str(cluster)]) == 0  # validate reads no trace file
-    capsys.readouterr()
     src = Path(swarmlab.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    for argv in (["allocate", "--edf", str(edf), "--cluster", str(cluster), "--seed", "1"],
-                 ["simulate", "--edf", str(edf), "--cluster", str(cluster), "--seed", "1",
-                  "--iterations", "2", "--out-dir", str(tmp_path / "out")],
-                 ["scaling", "--cluster-template", str(cluster), "--seed", "1",
-                  "--out", str(tmp_path / "grid.csv")]):
+    refused = f"{fifo}: trace file is a FIFO; expected a regular file\n"
+    for argv, stdout, stderr in (
+            (["validate", str(cluster)], f"{cluster}: {refused}", ""),
+            (["allocate", "--edf", str(edf), "--cluster", str(cluster), "--seed", "1"],
+             "", f"error: {refused}"),
+            (["simulate", "--edf", str(edf), "--cluster", str(cluster), "--seed", "1",
+              "--iterations", "2", "--out-dir", str(tmp_path / "out")], "", f"error: {refused}"),
+            (["scaling", "--cluster-template", str(cluster), "--seed", "1",
+              "--out", str(tmp_path / "grid.csv")], "", f"error: {refused}")):
         run = subprocess.run([sys.executable, "-m", "swarmlab.cli", *argv], env=env,
                              capture_output=True, text=True, timeout=60)
-        assert (run.returncode, run.stdout) == (1, ""), argv[0]
-        assert run.stderr == f"error: {fifo}: trace file is a FIFO; expected a regular file\n", argv[0]
+        assert (run.returncode, run.stdout, run.stderr) == (1, stdout, stderr), argv[0]
     assert not (tmp_path / "grid.csv").exists()
+
+
+def _trace_cluster(directory: Path, trace: str = "load.csv") -> Path:
+    """A one-worker cluster file in ``directory`` that replays ``trace``, a path relative to it."""
+    directory.mkdir(exist_ok=True)
+    cluster = directory / "fleet.cluster.json"
+    worker = ClusterWorker(id="t1", profile=HardwareProfile(), workload=TraceWorkload(trace))
+    cluster.write_text(serialize_cluster(ClusterSpec(workers=(worker,))), encoding="utf-8")
+    return cluster
+
+
+def test_validate_reads_a_clusters_trace_files_beside_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the trace resolves against the cluster's directory, not the cwd
+    cluster = _trace_cluster(tmp_path / "fleet")
+    (tmp_path / "fleet" / "load.csv").write_text("# cpu,vram,swap,bandwidth\n0.1,0.2,0.3,0.4\n",
+                                                 encoding="utf-8")
+    assert main(["validate", str(cluster)]) == 0
+    assert capsys.readouterr() == ("", "")
+    # The same file, malformed: one located line, as the commands report it.
+    (tmp_path / "fleet" / "load.csv").write_text("0.1,0.2\n", encoding="utf-8")
+    assert main(["validate", str(cluster)]) == 1
+    trace = tmp_path / "fleet" / "load.csv"
+    assert capsys.readouterr() == (f"{cluster}: {trace}:1: expected 4 utilization values, got 2\n", "")
+    assert main(["scaling", "--cluster-template", str(cluster), "--seed", "1",
+                 "--out", str(tmp_path / "grid.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {trace}:1: expected 4 utilization values, got 2\n"
+
+
+def test_validate_of_a_missing_trace_file_is_the_commands_internal_error(tmp_path, capsys):
+    cluster = _trace_cluster(tmp_path, "nope.csv")
+    assert main(["validate", str(cluster)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{tmp_path / 'nope.csv'}'\n"
+    assert main(["scaling", "--cluster-template", str(cluster), "--seed", "1",
+                 "--out", str(tmp_path / "grid.csv")]) == 3
+    assert capsys.readouterr().err == captured.err
 
 
 @pytest.mark.parametrize("trace_path", ["a\u0000b.csv", "\u0000", "load.csv\u0000", ""])

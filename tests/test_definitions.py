@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -8,12 +10,15 @@ from swarmlab.definitions import (
     DEFAULT_BASE_OS,
     DEFAULT_IMAGE_SIZE_MB,
     DEFAULT_POOL_DISCOUNT,
+    ClusterSpec,
+    ClusterWorker,
     CostWeights,
     ExperimentSpec,
     FixedWorkload,
     MountVolume,
     OverlayConfig,
     ServiceSpec,
+    TraceWorkload,
     UniformWorkload,
     directory_resolver,
     parse_cdf,
@@ -29,8 +34,10 @@ from swarmlab.errors import (
     UnresolvedService,
     WeightError,
 )
+from swarmlab.model import HardwareProfile
 
 SAMPLES = Path(__file__).resolve().parent.parent / "docs" / "samples"
+SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
 
 # ---------------------------------------------------------------------------
@@ -608,3 +615,100 @@ def test_pool_discount_range():
     for bad in (0.0, -0.5, 1.5):
         with pytest.raises(SchemaError):
             ExperimentSpec(name="e", services=services, pool_discount=bad)
+
+
+# ---------------------------------------------------------------------------
+# the JSON schemas in docs/schemas agree with the parser
+
+
+def _schema(kind: str) -> dict:
+    return json.loads((SCHEMAS / f"{kind}.schema.json").read_text(encoding="utf-8"))
+
+
+_CDF, _EDF, _CLUSTER = _schema("cdf"), _schema("edf"), _schema("cluster")
+_WORKER = _CLUSTER["properties"]["workers"]["items"]
+_WORKLOAD = {entry["properties"]["kind"]["const"]: entry
+             for entry in _WORKER["properties"]["workload"]["oneOf"]}
+_MINIMAL_SERVICE = {"name": "cam", "entrypoint": "./cam", "predefined_cost": 30}
+_MINIMAL_EXPERIMENT = {"name": "exp", "services": [_MINIMAL_SERVICE]}
+_MINIMAL_WORKER = {"id": "w1", "workload": {"kind": "fixed", "values": [0.1, 0.2, 0.3, 0.4]}}
+
+
+def _in_service(key):
+    return lambda obj: parse_cdf(json.dumps({**_MINIMAL_SERVICE, key: [obj]}))
+
+
+def _in_experiment(key):
+    return lambda obj: parse_edf(json.dumps({**_MINIMAL_EXPERIMENT, key: obj}))
+
+
+def _in_worker(key):
+    return lambda obj: parse_cluster(json.dumps({"workers": [{**_MINIMAL_WORKER, key: obj}]}))
+
+
+#: Each object kind the schemas describe: its schema, its dataclass, an object holding
+#: its required keys alone, and the parse of a document that holds the object.
+SCHEMA_OBJECTS = {
+    "service": (_CDF, ServiceSpec, _MINIMAL_SERVICE, lambda obj: parse_cdf(json.dumps(obj))),
+    "volume": (_CDF["properties"]["volumes"]["items"], MountVolume,
+               {"host_path": "/data", "container_path": "/mnt"}, _in_service("volumes")),
+    "experiment": (_EDF, ExperimentSpec, _MINIMAL_EXPERIMENT, lambda obj: parse_edf(json.dumps(obj))),
+    "network": (_EDF["properties"]["network"], OverlayConfig, {}, _in_experiment("network")),
+    "weights": (_EDF["properties"]["weights"], CostWeights,
+                {"cpu": 0.4, "vram": 0.1, "swap": 0.2, "bandwidth": 0.3}, _in_experiment("weights")),
+    "cluster": (_CLUSTER, ClusterSpec, {"workers": [_MINIMAL_WORKER]},
+                lambda obj: parse_cluster(json.dumps(obj))),
+    "worker": (_WORKER, ClusterWorker, _MINIMAL_WORKER,
+               lambda obj: parse_cluster(json.dumps({"workers": [obj]}))),
+    "profile": (_WORKER["properties"]["profile"], HardwareProfile, {}, _in_worker("profile")),
+    "fixed workload": (_WORKLOAD["fixed"], FixedWorkload, _MINIMAL_WORKER["workload"],
+                       _in_worker("workload")),
+    "uniform workload": (_WORKLOAD["uniform"], UniformWorkload,
+                         {"kind": "uniform", "center": [0.2, 0.3, 0.1, 0.2], "half_width": 0.1},
+                         _in_worker("workload")),
+    "trace workload": (_WORKLOAD["trace"], TraceWorkload, {"kind": "trace", "path": "load.csv"},
+                       _in_worker("workload")),
+}
+#: The required arrays that must hold items: their reader's message stands for a missing key.
+_ARRAY_MESSAGES = {"services": "expected a non-empty array of services",
+                   "workers": "expected a non-empty array of workers",
+                   "values": "expected an array of 4 utilization values",
+                   "center": "expected an array of 4 utilization values"}
+
+
+def test_every_object_kind_of_the_schemas_is_checked():
+    assert set(_WORKLOAD) == {"fixed", "uniform", "trace"}
+    assert all(schema.get("additionalProperties") is False
+               for schema, *_ in SCHEMA_OBJECTS.values())
+
+
+@pytest.mark.parametrize("kind", SCHEMA_OBJECTS)
+def test_schema_properties_are_the_dataclass_fields(kind):
+    schema, spec, _, _ = SCHEMA_OBJECTS[kind]
+    # A workload object also names its kind, which selects the dataclass.
+    assert set(schema["properties"]) - {"kind"} == {f.name for f in fields(spec)}
+
+
+@pytest.mark.parametrize("kind", SCHEMA_OBJECTS)
+def test_schema_defaults_are_the_parsers(kind):
+    schema, _, minimal, parse = SCHEMA_OBJECTS[kind]
+    defaults = {key: prop["default"] for key, prop in schema["properties"].items() if "default" in prop}
+    assert parse({**minimal, **defaults}) == parse(minimal)
+
+
+@pytest.mark.parametrize("kind", SCHEMA_OBJECTS)
+def test_schema_required_keys_are_the_parsers(kind):
+    schema, _, minimal, parse = SCHEMA_OBJECTS[kind]
+    assert set(minimal) == set(schema.get("required", ()))
+    parse(minimal)
+    for key in schema.get("required", ()):
+        message = _ARRAY_MESSAGES.get(key, f"missing required field {key!r}")
+        with pytest.raises(SchemaError, match=f"(^|: ){re.escape(message)}$"):
+            parse({name: value for name, value in minimal.items() if name != key})
+
+
+@pytest.mark.parametrize("kind", SCHEMA_OBJECTS)
+def test_keys_outside_the_schema_properties_are_unknown(kind):
+    _, _, minimal, parse = SCHEMA_OBJECTS[kind]
+    with pytest.raises(SchemaError, match=r"(^|: )unknown field\(s\): extra$"):
+        parse({**minimal, "extra": 1})

@@ -2,6 +2,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -247,9 +248,9 @@ def test_fleets_without_uniform_workers_make_no_kernel_call(tmp_path, kernel_row
 def test_scaling_grid_draws_uniform_samples_once(kernel_rows):
     cells = list(measure_scaling(range(1, 6), range(1, 4), bench_config(num_workers=3)))
     assert len(cells) == 15
-    # Grid workers 4 and 5 clone template workers 1 and 2: only the template's three
-    # workers are drawn, their levels and their iteration-0 jitter rows.
-    assert kernel_rows == [3 + 3]
+    # Grid workers 4 and 5 clone template workers 1 and 2, and a cell reads no load: the
+    # fleet's input check runs sampling's set-up alone, and nothing is drawn.
+    assert kernel_rows == []
 
 
 @pytest.fixture
@@ -269,9 +270,9 @@ def sampled(monkeypatch):
 def test_scaling_samples_each_fleet_worker_once(tmp_path, sampled):
     cells = list(measure_scaling(range(1, 5), range(1, 4), _trace_template(tmp_path, num_workers=2)))
     assert len(cells) == 12
-    # Iteration 0 of each of the two template workers, which the grid's four clone; not one
-    # sample per grid worker, nor per worker per cell.
-    assert sampled == [([0, 1], [0])]
+    # One input check of the two template workers, which the grid's four clone, on no
+    # iteration; not one per grid worker, nor per worker per cell.
+    assert sampled == [([0, 1], [])]
 
 
 def test_large_scaling_grid_works_on_its_template(tmp_path, sampled, monkeypatch):
@@ -284,10 +285,10 @@ def test_large_scaling_grid_works_on_its_template(tmp_path, sampled, monkeypatch
         init(self, *args, **kwargs)
     monkeypatch.setattr(ClusterWorker, "__init__", counted)
     cells = list(measure_scaling(range(1, 5001), [1], template))
-    # 5000 grid workers, but no clone is built and only the two template workers are sampled.
+    # 5000 grid workers, but no clone is built and only the two template workers are checked.
     assert [(cell.workers, cell.services) for cell in cells] == [(n, 1) for n in range(1, 5001)]
     assert built == []
-    assert sampled == [([0, 1], [0])]
+    assert sampled == [([0, 1], [])]
 
 
 def test_uniform_generator_keeps_worker_level_persistent():
@@ -891,21 +892,30 @@ def test_scaling_cell_that_places_nothing_takes_no_deploy_time():
 
 
 def test_scaling_keeps_each_cells_config_checks():
-    with pytest.raises(EmptyProblem, match="^simulation needs at least one worker$"):
+    # Every count is checked before anything else, and the least of them is named.
+    least = "^scaling needs worker and service counts of at least 1, got {}$"
+    with pytest.raises(EmptyProblem, match=least.format(0)):
         measure_scaling([2, 0], [1], scaling_template())
-    with pytest.raises(EmptyProblem, match="^simulation needs at least one worker$"):
-        measure_scaling([-1], [3], scaling_template())
+    with pytest.raises(EmptyProblem, match=least.format(-1)):
+        measure_scaling([0, 2], [3, -1], scaling_template())
+    with pytest.raises(EmptyProblem, match=least.format(-2)):
+        measure_scaling([-2, 0], [2, -1, 0], scaling_template())
     huge = replace(scaling_template(), experiment=ExperimentSpec(
         name="scaling", services=(make_service("proto", image_size_mb=6e307),)))
     message = re.escape("image_size_mb: fetching 1.2e+308 MB takes no finite time")
     with pytest.raises(SchemaError, match=f"^{message}$"):
         measure_scaling([1, 2], [1, 2], huge)
-    # The first failing cell in grid order decides: (1, 2) comes before (0, 1) ...
+    # A count below 1 comes before the fetch, wherever it stands in the grid.
+    for worker_counts in ([1, 0], [0, 1]):
+        with pytest.raises(EmptyProblem, match=least.format(0)):
+            measure_scaling(worker_counts, [1, 2], huge)
+    # The fetch refused names the largest cell's images, not the fewest that overflow (9).
+    large = replace(scaling_template(), experiment=ExperimentSpec(
+        name="scaling", services=(make_service("proto", image_size_mb=1e307),)))
+    message = re.escape(f"image_size_mb: fetching {sum(repeat(1e307, 10))!r} MB takes no finite time")
     with pytest.raises(SchemaError, match=f"^{message}$"):
-        measure_scaling([1, 0], [1, 2], huge)
-    # ... and (0, 1) before (1, 2).
-    with pytest.raises(EmptyProblem, match="^simulation needs at least one worker$"):
-        measure_scaling([0, 1], [1, 2], huge)
+        measure_scaling([1], [8, 10, 9], large)
+    assert len(list(measure_scaling([1], [8, 1], large))) == 2
 
 
 @pytest.fixture(scope="module")
@@ -1045,6 +1055,21 @@ def _scaling_outcome(*args):
     return list(cells)
 
 
+def _documented_scaling_error(worker_counts, service_counts, template):
+    """The type and message of the first fault in ``measure_scaling``'s order, or None.
+
+    The order is: a count below 1; the fleet's inputs, which are uniform workers
+    here and pass; the largest cell's fetch.
+    """
+    if min(worker_counts + service_counts) < 1:
+        least = min(worker_counts + service_counts)
+        return EmptyProblem, f"scaling needs worker and service counts of at least 1, got {least}"
+    largest = sum(repeat(template.experiment.services[0].image_size_mb, max(service_counts)))
+    if isinstance(_outcome(template.fetch_latency.duration_ms, largest), tuple):
+        return SchemaError, f"image_size_mb: fetching {largest!r} MB takes no finite time"
+    return None
+
+
 SIGNED_COUNTS = st.lists(st.integers(-2, 7), min_size=1, max_size=5)
 
 
@@ -1053,15 +1078,15 @@ SIGNED_COUNTS = st.lists(st.integers(-2, 7), min_size=1, max_size=5)
        image_size_mb=st.sampled_from([0.5, 250.0, 1e307, 3e307, 6e307, 1e308]),
        per_mb_ms=st.sampled_from([0.5, 1.0, 1.5]), base_ms=st.sampled_from([0, 50]),
        hosts=st.lists(st.booleans(), min_size=1, max_size=3), parallel=st.booleans())
-# Two images overflow: (1, 2) fails before (0, 1) ...
+# Two images overflow, and a worker count is 0: the count is reported, wherever it stands.
 @example(worker_counts=[1, 0], service_counts=[1, 2], image_size_mb=1e308, per_mb_ms=1.0,
          base_ms=50, hosts=[True], parallel=True)
-# ... and (0, 1) before (1, 2).
 @example(worker_counts=[0, 1], service_counts=[1, 2], image_size_mb=1e308, per_mb_ms=1.0,
          base_ms=50, hosts=[True], parallel=True)
-# No service, then no worker; three images are the first to overflow.
+# No service, then no worker: the least count is named.
 @example(worker_counts=[3, -1], service_counts=[2, 0, 5], image_size_mb=6e307, per_mb_ms=0.5,
          base_ms=0, hosts=[False, True], parallel=False)
+# Three images are the first to overflow; the message names the largest cell's five.
 @example(worker_counts=[3, 7, 3], service_counts=[5, 3, 3], image_size_mb=6e307,
          per_mb_ms=0.5, base_ms=0, hosts=[False, True], parallel=False)
 # Nothing fails: the cells alone are compared.
@@ -1078,8 +1103,13 @@ def test_scaling_raises_the_first_failing_cells_error(worker_counts, service_cou
                          experiment=ExperimentSpec(name="scaling", services=(service,)), seed=4,
                          fetch_latency=FetchLatency(base_ms=base_ms, per_mb_ms=per_mb_ms),
                          parallel_cost_calc=parallel)
+    reference = _outcome(_reference_checked_scaling, worker_counts, service_counts, template)
+    documented = _documented_scaling_error(worker_counts, service_counts, template)
+    # The grids refused are those that some cell's own config refuses ...
+    assert (documented is None) == isinstance(reference, list)
+    # ... and a grid either has the reference's cells or the error of its first fault.
     assert _scaling_outcome(worker_counts, service_counts, template) == \
-        _outcome(_reference_checked_scaling, worker_counts, service_counts, template)
+        (reference if documented is None else documented)
 
 
 def test_scaling_rejects_empty_ranges():
