@@ -1,8 +1,9 @@
 """Command-line interface: validate, allocate, simulate, scaling.
 
 Exit codes: 0 success, 1 validation failure (including usage errors,
-out-of-range numeric flags and input files that are not UTF-8), 2 infeasible
-allocation, 3 internal error (I/O and unexpected failures).
+out-of-range numeric flags, input files that are not UTF-8, FIFOs and files
+past their size bound), 2 infeasible allocation, 3 internal error (I/O and
+unexpected failures).
 Commands taking a seed are deterministic end to end: identical flags
 produce byte-identical output files.
 """
@@ -26,6 +27,7 @@ from .definitions import (
     parse_cdf,
     parse_cluster,
     parse_edf,
+    read_document,
 )
 from .errors import (
     DefinitionSyntaxError,
@@ -55,22 +57,33 @@ def _classify(path: Path):
     return None
 
 
+def _problem(path: Path) -> "str | None":
+    """The line ``validate`` prints for the file at ``path``, None for a valid one.
+
+    An ``OSError`` propagates: ``main`` reports it as an internal error.
+    """
+    parse = _classify(path)
+    if parse is None:
+        return f"{path}: unknown artifact kind (expected *.cdf.json, *.edf.json or *.cluster.json)"
+    try:
+        text = read_document(path)
+    except SchemaError as exc:  # a FIFO or an oversized file: the message names it
+        return str(exc)
+    except UnicodeDecodeError as exc:
+        return f"{path}: {exc}"
+    try:
+        parse(text, path)
+    except (DefinitionSyntaxError, SchemaError, UnresolvedService, UnicodeDecodeError) as exc:
+        return f"{path}: {exc}"
+    return None
+
+
 def cmd_validate(args) -> int:
     issues = 0
     for raw in args.paths:
-        path = Path(raw)
-        parse = _classify(path)
-        if parse is None:
-            print(f"{path}: unknown artifact kind (expected *.cdf.json, *.edf.json or *.cluster.json)")
-            issues += 1
-            continue
-        try:
-            parse(path.read_text(encoding="utf-8"), path)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INTERNAL
-        except (DefinitionSyntaxError, SchemaError, UnresolvedService, UnicodeDecodeError) as exc:
-            print(f"{path}: {exc}")
+        problem = _problem(Path(raw))
+        if problem is not None:
+            print(problem)
             issues += 1
     return EXIT_VALIDATION if issues else EXIT_OK
 

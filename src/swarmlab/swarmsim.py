@@ -15,8 +15,10 @@ is its one-worker, one-round case. It yields each block of rounds as one
 stays one array until it is costed. One ``sample_rounds`` call serves a
 whole command and owns every state that sampling needs, made once per call
 (parsed trace files, seed words, levels); a negative iteration is refused
-before any of it. A generator is a frozen record of what differs per
-worker: its workload, seed, index and base directory.
+before any of it. A trace file is read by ``definitions.read_bounded``, the
+one reader of every input file: at most ``MAX_TRACE_BYTES``, no FIFO, and a
+buffer the size of the file. A generator is a frozen record of what differs
+per worker: its workload, seed, index and base directory.
 ``round_results`` is the one round pipeline of every command: it prepares
 the allocation once, before sampling, hands each block of
 ``assignment.block_rounds`` rounds to ``PreparedAllocation.allocate_rounds``,
@@ -60,6 +62,7 @@ from .definitions import (
     TraceWorkload,
     UniformWorkload,
     WorkloadModel,
+    read_bounded,
 )
 from .errors import DuplicateAgent, EmptyProblem, SchemaError
 from .model import WorkloadSample
@@ -127,10 +130,10 @@ class WorkloadGenerator:
 
 
 #: The largest trace file read, in bytes: 16 MiB, about 600,000 rows of four
-#: four-decimal values. Reading stops one byte past it, so a larger file, or
-#: an endless one such as a device, is rejected before any parsing. A FIFO
-#: never gets that far: opening one waits for a writer, so it is refused unopened.
-#: A file at the bound parses in one bulk pass into a 19 MB array.
+#: four-decimal values. ``read_bounded`` stops one byte past it, so a larger
+#: file, or an endless one such as a device, is rejected before any parsing,
+#: and refuses a FIFO unopened. A file at the bound parses in one bulk pass
+#: into a 19 MB array.
 MAX_TRACE_BYTES = 16 * 2**20
 
 #: The bytes of a trace file that numpy's reader may parse: printable ASCII, tab and line ends.
@@ -146,16 +149,13 @@ def _read_trace(location: Path) -> np.ndarray:
     A sample is one line of four values in [0, 1] each. Blank lines and
     ``#`` comments are skipped. A malformed line raises ``SchemaError`` at
     ``location:line``; NaN and infinities are out of range. A file longer
-    than ``MAX_TRACE_BYTES``, or a FIFO, raises ``SchemaError``. The file is
-    parsed in one bulk pass (``_bulk_rows``); the line loop (``_line_rows``)
-    judges any file that pass refuses.
+    than ``MAX_TRACE_BYTES``, or a FIFO, raises ``SchemaError``; the file
+    is read by ``read_bounded``, the reader of the definitions files, so its
+    buffer is the size of the file. The file is parsed in one bulk pass
+    (``_bulk_rows``); the line loop (``_line_rows``) judges any file that
+    pass refuses.
     """
-    if location.is_fifo():  # false for a missing file, which open() reports
-        raise SchemaError("trace file is a FIFO; expected a regular file", str(location))
-    with location.open("rb") as stream:
-        data = stream.read(MAX_TRACE_BYTES + 1)
-    if len(data) > MAX_TRACE_BYTES:
-        raise SchemaError(f"trace file exceeds {MAX_TRACE_BYTES} bytes", str(location))
+    data = read_bounded(location, MAX_TRACE_BYTES, "trace file")
     rows = _bulk_rows(data)
     if rows is None:
         rows = np.array(_line_rows(data, location), dtype=np.float64)
@@ -198,9 +198,18 @@ def _bulk_rows(data: bytes) -> "np.ndarray | None":
 
 
 def _line_rows(data: bytes, location: Path) -> list[tuple[float, float, float, float]]:
-    """The rows of ``data``, parsed line by line; raises at the first bad line."""
+    """The rows of ``data``, parsed line by line; raises at the first bad line.
+
+    A file that is not UTF-8 is refused first, at the line of its first bad byte.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bytes before the bad one decode; it stands on the line after their last break.
+        lineno = len((data[:exc.start].decode("utf-8") + "_").splitlines())
+        raise SchemaError(str(exc), f"{location}:{lineno}") from None
     rows = []
-    for lineno, raw in enumerate(data.decode("utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line[0] == "#":
             continue

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import swarmlab
-from swarmlab import cli, metrics, swarmsim
+from swarmlab import cli, definitions, metrics, swarmsim
 from swarmlab.cli import main
 from swarmlab.definitions import (
     ClusterSpec,
@@ -545,17 +545,24 @@ def test_non_utf8_input_is_one_line_validation_error(tmp_path, artifacts, capsys
     if kind != "edf":  # scaling reads no experiment; its fleet sample reads the traces
         argvs.append(["scaling", "--cluster-template", str(cluster), "--seed", "1",
                       "--out", str(tmp_path / "grid.csv")])
+    # A trace names its file and line, as for any other trace fault.
+    reason = f"'utf-8' codec can't decode byte 0x{byte.hex()} in position 2: invalid continuation byte"
     for argv in argvs:
         assert main(argv) == 1, argv[0]
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+        if kind == "trace":
+            assert err == f"error: {bad}:1: {reason}\n", argv[0]
     assert not (tmp_path / "grid.csv").exists()
 
     assert main(["validate", str(bad)]) == 1
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert captured.out.startswith(f"{bad}: ") and captured.out.count("\n") == 1
+    if kind == "trace":
+        assert main(["validate", str(cluster)]) == 1
+        assert capsys.readouterr() == (f"{cluster}: {bad}:1: {reason}\n", "")
 
 
 def test_oversized_trace_is_one_line_validation_error(tmp_path, artifacts, capsys, monkeypatch):
@@ -600,6 +607,72 @@ def test_fifo_trace_is_one_line_validation_error(tmp_path, artifacts):
                              capture_output=True, text=True, timeout=60)
         assert (run.returncode, run.stdout, run.stderr) == (1, stdout, stderr), argv[0]
     assert not (tmp_path / "grid.csv").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_fifo_document_is_one_line_validation_error(tmp_path, artifacts):
+    # As for a FIFO trace: each command runs in a child process under a timeout.
+    edf, cluster = artifacts
+    fifo_edf, fifo_cluster, fifo_cdf = (tmp_path / "f.edf.json", tmp_path / "f.cluster.json",
+                                        tmp_path / "f.cdf.json")
+    for fifo in (fifo_edf, fifo_cluster, fifo_cdf):
+        os.mkfifo(fifo)
+
+    src = Path(swarmlab.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+
+    def refused(fifo):
+        return f"{fifo}: document is a FIFO; expected a regular file\n"
+
+    for argv, stdout, stderr in (
+            (["validate", str(fifo_edf)], refused(fifo_edf), ""),
+            (["validate", str(fifo_cluster)], refused(fifo_cluster), ""),
+            (["validate", str(fifo_cdf), str(edf)], refused(fifo_cdf), ""),
+            (["allocate", "--edf", str(fifo_edf), "--cluster", str(cluster), "--seed", "1"],
+             "", f"error: {refused(fifo_edf)}"),
+            (["allocate", "--edf", str(edf), "--cluster", str(fifo_cluster), "--seed", "1"],
+             "", f"error: {refused(fifo_cluster)}"),
+            (["simulate", "--edf", str(fifo_edf), "--cluster", str(cluster), "--seed", "1",
+              "--iterations", "2", "--out-dir", str(tmp_path / "out")], "",
+             f"error: {refused(fifo_edf)}"),
+            (["scaling", "--cluster-template", str(fifo_cluster), "--seed", "1",
+              "--out", str(tmp_path / "grid.csv")], "", f"error: {refused(fifo_cluster)}")):
+        run = subprocess.run([sys.executable, "-m", "swarmlab.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert (run.returncode, run.stdout, run.stderr) == (1, stdout, stderr), argv
+    assert not (tmp_path / "grid.csv").exists() and not (tmp_path / "out").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_device_is_one_line_validation_error(tmp_path, artifacts, capsys, monkeypatch):
+    edf, cluster = artifacts
+    monkeypatch.setattr(definitions, "MAX_DOCUMENT_BYTES", 4096)
+    monkeypatch.setattr(swarmsim, "MAX_TRACE_BYTES", 100_000)
+    assert main(["allocate", "--edf", "/dev/zero", "--cluster", str(cluster), "--seed", "1"]) == 1
+    assert capsys.readouterr() == ("", "error: /dev/zero: document exceeds 4096 bytes\n")
+    worker = ClusterWorker(id="t1", profile=HardwareProfile(), workload=TraceWorkload("/dev/zero"))
+    cluster.write_text(serialize_cluster(ClusterSpec(workers=(worker,))), encoding="utf-8")
+    assert main(["scaling", "--cluster-template", str(cluster), "--seed", "1",
+                 "--out", str(tmp_path / "grid.csv")]) == 1
+    assert capsys.readouterr() == ("", "error: /dev/zero: trace file exceeds 100000 bytes\n")
+    assert main(["validate", str(cluster)]) == 1
+    assert capsys.readouterr() == (f"{cluster}: /dev/zero: trace file exceeds 100000 bytes\n", "")
+    assert not (tmp_path / "grid.csv").exists()
+
+
+def test_oversized_document_is_one_line_validation_error(artifacts, capsys, monkeypatch):
+    edf, cluster = artifacts
+    size = len(edf.read_bytes())
+    monkeypatch.setattr(definitions, "MAX_DOCUMENT_BYTES", max(size, len(cluster.read_bytes())))
+    argv = ["allocate", "--edf", str(edf), "--cluster", str(cluster), "--seed", "1"]
+    assert main(argv) in (0, 2)
+    assert main(["validate", str(edf)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(definitions, "MAX_DOCUMENT_BYTES", size - 1)  # the edf is one byte past it
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {edf}: document exceeds {size - 1} bytes\n")
+    assert main(["validate", str(edf)]) == 1
+    assert capsys.readouterr() == (f"{edf}: document exceeds {size - 1} bytes\n", "")
 
 
 def _trace_cluster(directory: Path, trace: str = "load.csv") -> Path:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from swarmlab import definitions
 from swarmlab.definitions import (
     DEFAULT_BASE_OS,
     DEFAULT_IMAGE_SIZE_MB,
@@ -21,9 +22,14 @@ from swarmlab.definitions import (
     TraceWorkload,
     UniformWorkload,
     directory_resolver,
+    load_cdf,
+    load_cluster,
+    load_edf,
     parse_cdf,
     parse_cluster,
     parse_edf,
+    read_bounded,
+    read_document,
     serialize_cdf,
     serialize_cluster,
     serialize_edf,
@@ -712,3 +718,125 @@ def test_keys_outside_the_schema_properties_are_unknown(kind):
     _, _, minimal, parse = SCHEMA_OBJECTS[kind]
     with pytest.raises(SchemaError, match=r"(^|: )unknown field\(s\): extra$"):
         parse({**minimal, "extra": 1})
+
+
+# ---------------------------------------------------------------------------
+# the bounded reader
+
+
+def _read_text_outcome(path: Path) -> str:
+    """What ``Path.read_text(encoding="utf-8")`` gives for ``path``: its text, or its error's message."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        return f"UnicodeDecodeError: {exc}"
+
+
+def _read_document_outcome(path: Path) -> str:
+    try:
+        return read_document(path)
+    except UnicodeDecodeError as exc:
+        return f"UnicodeDecodeError: {exc}"
+
+
+@pytest.mark.parametrize("data", [
+    b'{"a": 1}\n[2,\n3]\n',  # LF
+    b'{"a": 1}\r\n[2,\r\n3]\r\n',  # CR LF
+    b'{"a": 1}\r[2,\r3]\r',  # lone CR
+    b'{"a":\r\r\n\n\r1}',  # the three mixed, a CR before a CR LF
+    b"\xef\xbb\xbf{}\r\n",  # a BOM stays in the text
+    b"",
+    b'{"a": "\xe9"}',  # invalid UTF-8: a lone Latin-1 byte
+    b'{"a":\r\n "\xff"}',  # after a CR LF, which the position counts as two bytes
+    b'{"a": "\xe2\x82"}',  # a truncated sequence at the end of the file
+    b'{"a": "\xed\xa0\x80"}',  # an encoded surrogate
+    "{\"caf\u00e9\": \"\u2028\"}\r".encode("utf-8"),
+])
+def test_read_document_is_read_text(tmp_path, data):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    assert _read_document_outcome(path) == _read_text_outcome(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.lists(st.sampled_from([b"\r", b"\n", b"\r\n", b"a", b"\xef\xbb\xbf", b"\xc3\xa9",
+                                      b"\xe9", b"\xc3", b"\x85", b"\xe2\x80\xa8"]),
+                     max_size=12).map(b"".join))
+def test_read_document_is_read_text_on_mixed_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("doc") / "doc.json"
+    path.write_bytes(data)
+    assert _read_document_outcome(path) == _read_text_outcome(path)
+
+
+@pytest.fixture
+def read_sizes(monkeypatch):
+    """The sizes that reads of files Path.open opens for reading ask for while the test runs."""
+    sizes = []
+    original = Path.open
+
+    class Recording:
+        def __init__(self, stream):
+            self.stream = stream
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.stream.close()
+            return False
+
+        def read(self, size=-1):
+            sizes.append(size)
+            return self.stream.read(size)
+
+    def recording(self, mode="r", *args, **kwargs):
+        stream = original(self, mode, *args, **kwargs)
+        return Recording(stream) if "r" in mode else stream
+
+    monkeypatch.setattr(Path, "open", recording)
+    return sizes
+
+
+def test_read_bounded_reads_in_chunks_and_stops_at_the_first_short_read(tmp_path, read_sizes):
+    path = tmp_path / "big.bin"
+    data = bytes(range(256)) * 800  # 204,800 bytes: three full chunks and a short one
+    path.write_bytes(data)
+    assert read_bounded(path, 2**24, "file") == data
+    assert read_sizes == [2**16] * 4
+    # A file of whole chunks ends at the empty read after them.
+    read_sizes.clear()
+    path.write_bytes(data[:2**17])
+    assert read_bounded(path, 2**24, "file") == data[:2**17]
+    assert read_sizes == [2**16] * 3
+
+
+def test_read_bounded_asks_for_no_more_than_one_byte_past_the_bound(tmp_path, read_sizes):
+    path = tmp_path / "big.bin"
+    path.write_bytes(b"x" * 204_800)
+    with pytest.raises(SchemaError) as raised:
+        read_bounded(path, 100_000, "file")
+    assert str(raised.value) == f"{path}: file exceeds 100000 bytes"
+    assert read_sizes == [2**16, 100_001 - 2**16]
+    # Exactly at the bound the file is read whole.
+    read_sizes.clear()
+    assert read_bounded(path, 204_800, "file") == b"x" * 204_800
+    assert read_sizes == [2**16] * 3 + [204_801 - 3 * 2**16]
+
+
+@pytest.mark.parametrize("load, text", [
+    (load_cdf, serialize_cdf(ServiceSpec(name="cam", entrypoint="run", predefined_cost=10.0))),
+    (load_edf, serialize_edf(ExperimentSpec(name="e", services=(
+        ServiceSpec(name="cam", entrypoint="run", predefined_cost=10.0),)))),
+    (load_cluster, serialize_cluster(ClusterSpec(workers=(ClusterWorker(
+        id="w", profile=HardwareProfile(), workload=FixedWorkload((0.1, 0.2, 0.3, 0.4))),)))),
+])
+def test_documents_past_the_bound_are_refused(tmp_path, monkeypatch, load, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    size = len(text.encode("utf-8"))
+    monkeypatch.setattr(definitions, "MAX_DOCUMENT_BYTES", size)
+    load(path)  # exactly at the bound
+    monkeypatch.setattr(definitions, "MAX_DOCUMENT_BYTES", size - 1)
+    with pytest.raises(SchemaError) as raised:
+        load(path)
+    assert str(raised.value) == f"{path}: document exceeds {size - 1} bytes"

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from itertools import repeat
@@ -30,6 +31,7 @@ from swarmlab.swarmsim import (
     FetchLatency,
     SimConfig,
     WorkloadGenerator,
+    check_fleet_inputs,
     grid_to_csv,
     measure_scaling,
     run_experiment,
@@ -479,6 +481,40 @@ def test_endless_trace_is_read_no_further_than_the_bound(monkeypatch):
         swarmsim._read_trace(Path("endless.csv"))
     assert str(raised.value) == "endless.csv: trace file exceeds 64 bytes"
     assert requested == [65]
+
+
+def test_trace_read_allocates_the_files_size_not_the_bound(tmp_path):
+    # 240 rows, about 7 KB, as one trace of the benchmark's trace_grid template.
+    (tmp_path / "load.csv").write_text(
+        "".join(f"0.{k % 9 + 1}234,0.2000,0.1000,0.{k % 7 + 1}000\n" for k in range(240)),
+        encoding="utf-8")
+    worker = ClusterWorker(id="t1", profile=HardwareProfile(), workload=TraceWorkload("load.csv"))
+    tracemalloc.start()
+    try:
+        check_fleet_inputs([worker], tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak  # reading MAX_TRACE_BYTES + 1 at once peaked at 16.8 MB
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"\xe90.1,0.2,0.3,0.4\n", 1),
+    (b"0.1,0.2,0.3,0.4\n0.1,0.\xe9,0.3,0.4\n", 2),
+    (b"0.1,0.2,0.3,0.4\r\n# \xc3\xa9t\xc3\xa9\r\n\n0.1,0.2,0.3,0.4\xff\n", 4),
+    (b"0.1,0.2,0.3,0.4\r0.1,0.2,0.3,0.4\r\xe2\x82", 3),  # lone CR line ends, then a cut sequence
+    (b"0.1,0.2\n\xe9", 2),  # not text at all: refused as such, before its first bad row
+])
+def test_non_utf8_trace_is_rejected_at_its_line(tmp_path, data, line):
+    path = tmp_path / "load.csv"
+    path.write_bytes(data)
+    with pytest.raises(SchemaError) as raised:
+        swarmsim._read_trace(path)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        reason = str(exc)
+    assert str(raised.value) == f"{path}:{line}: {reason}"
 
 
 def test_trace_without_samples_is_rejected(tmp_path):
