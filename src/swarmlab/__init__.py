@@ -2,8 +2,8 @@
 
 Declarative service/experiment/cluster definitions, a workload-sensitive
 min-cost assignment service allocator, a deterministic simulator that emits
-the master-worker lifecycle as trace events, and fairness metrics over
-allocation histories.
+the master-worker lifecycle as trace events, and fairness metrics folded
+over a run's allocation rounds.
 """
 
 from .allocator import (
@@ -42,12 +42,9 @@ from .definitions import (
     serialize_edf,
 )
 from .metrics import (
-    AllocationHistory,
+    REPORT_HEADER,
+    ReportFold,
     allocation_frequency,
-    build_history,
-    cost_dispersion,
-    emit_report,
-    fairness_series,
     jains_index,
 )
 from .model import HardwareProfile, WorkerState, WorkloadSample
@@ -61,4 +58,4 @@ from .swarmsim import (
     trace_to_jsonl,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -188,16 +188,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run repeated iterations and write reports")
     p.add_argument("--edf", required=True, help="experiment definition file")
     p.add_argument("--cluster", required=True, help="cluster description file")
-    p.add_argument("--iterations", type=int, default=100)
-    p.add_argument("--seed", required=True, type=int)
+    p.add_argument("--iterations", type=int, default=100, help="allocation rounds to simulate")
+    p.add_argument("--seed", required=True, type=int, help="workload sampling seed")
     p.add_argument("--out-dir", required=True, help="directory for the three report files")
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("scaling", help="measure elapsed time over a size grid")
     p.add_argument("--cluster-template", required=True, help="worker prototypes to cycle")
-    p.add_argument("--max-workers", type=int, default=12)
-    p.add_argument("--max-services", type=int, default=12)
-    p.add_argument("--seed", required=True, type=int)
+    p.add_argument("--max-workers", type=int, default=12, help="largest worker count of the grid")
+    p.add_argument("--max-services", type=int, default=12, help="largest service count of the grid")
+    p.add_argument("--seed", required=True, type=int,
+                   help="required, but the grid samples no workload: every seed gives the same output")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(handler=cmd_scaling)
     return parser

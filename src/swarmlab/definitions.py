@@ -27,6 +27,7 @@ import functools
 import ipaddress
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import AbstractSet, Callable, Mapping, Union
@@ -168,7 +169,7 @@ class ExperimentSpec:
             raise SchemaError("an experiment needs at least one service", "services")
         names = [s.name for s in self.services]
         if len(names) != len(set(names)):
-            dupes = sorted({n for n in names if names.count(n) > 1})
+            dupes = sorted(n for n, count in Counter(names).items() if count > 1)
             raise SchemaError(f"duplicate service names: {', '.join(dupes)}", "services")
         declared = set(names)
         for pair in self.dependencies:

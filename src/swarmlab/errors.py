@@ -66,4 +66,4 @@ class TooManyComponents(SwarmLabError):
 
 
 class EmptyHistory(SwarmLabError):
-    """A metric was requested over an empty allocation history."""
+    """A metric was requested over a run with no rounds, or no placements."""

@@ -1,4 +1,4 @@
-"""Fairness and dispersion analytics over allocation histories.
+r"""Fairness and dispersion analytics over a run's allocation rounds.
 
 The central quantity is Jain's index, (sum x)^2 / (n * sum x^2): 1 when
 every worker carries an equal share, 1/n when a single worker carries
@@ -8,13 +8,18 @@ whose services all cost 0 reports. The fairness series tracks the index over
 cumulative per-worker allocated costs, iteration by iteration.
 
 ``ReportFold`` is the one fold over a run: it takes one result at a time,
-adds its placements to the cumulative per-worker cost and count shares, in
-roster order, and returns the round's report lines and both indexes; it
-keeps every placement cost in one float64 buffer for the dispersion. The
-``simulate`` command folds each round as it is made, so its memory does not
-grow with the iteration count beyond that buffer (8 bytes a placement).
-``fairness_series``, ``emit_report`` and ``cost_dispersion`` run the same
-fold over a whole history.
+checks it against the worker and service rosters, adds its placements to the
+cumulative per-worker cost and count shares, in roster order, and returns the
+round's report lines and both indexes; it keeps every placement cost in one
+float64 buffer for the dispersion. The ``simulate`` command folds each round
+as it is made, so its memory does not grow with the iteration count beyond
+that buffer (8 bytes a placement); a library caller folds a run the same way:
+
+    fold = ReportFold(workers, services)
+    rounds = [fold.add(result) for result in results]
+    report = REPORT_HEADER + "\n" + "".join(lines for lines, _, _ in rounds)
+    cost_series = [jain_cost for _, jain_cost, _ in rounds]
+    std, cv = fold.dispersion()
 """
 
 from __future__ import annotations
@@ -22,8 +27,7 @@ from __future__ import annotations
 import operator
 import sys
 from array import array
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import AbstractSet, Container, Iterable, Sequence
 
 import numpy as np
 
@@ -31,6 +35,8 @@ from .allocator import AllocationResult
 from .errors import DomainError, EmptyHistory
 
 _TINY = sys.float_info.min  # the smallest normal double, np.finfo(np.float64).tiny
+
+REPORT_HEADER = "iteration,worker,service,cost,jain_cumulative"
 
 
 def jains_index(values: Iterable[float]) -> float:
@@ -56,31 +62,16 @@ def jains_index(values: Iterable[float]) -> float:
     return (total * total) / (len(xs) * square_sum)
 
 
-@dataclass(frozen=True)
-class AllocationHistory:
-    """Per-iteration allocation results over fixed worker/service rosters."""
-
-    results: tuple[AllocationResult, ...]
-    workers: tuple[str, ...]
-    services: tuple[str, ...]
-
-
-def build_history(results: Sequence[AllocationResult],
-                  workers: Sequence[str],
-                  services: Sequence[str]) -> AllocationHistory:
-    """Bundle results with their rosters, checking every reference."""
-    worker_set = set(workers)
-    service_set = set(services)
-    for t, result in enumerate(results):
-        for assignment in result.assignments.values():
-            if assignment.worker not in worker_set:
-                raise DomainError(f"iteration {t}: unknown worker {assignment.worker!r}")
-            if assignment.service not in service_set:
-                raise DomainError(f"iteration {t}: unknown service {assignment.service!r}")
-        if not result.unassigned <= service_set:
-            raise DomainError(f"iteration {t}: unassigned services outside the roster")
-    return AllocationHistory(results=tuple(results), workers=tuple(workers),
-                             services=tuple(services))
+def _check_round(t: int, result: AllocationResult,
+                 workers: Container[str], services: AbstractSet[str]) -> None:
+    """Raise ``DomainError`` unless round ``t`` names only roster workers and services."""
+    for assignment in result.assignments.values():
+        if assignment.worker not in workers:
+            raise DomainError(f"iteration {t}: unknown worker {assignment.worker!r}")
+        if assignment.service not in services:
+            raise DomainError(f"iteration {t}: unknown service {assignment.service!r}")
+    if not result.unassigned <= services:
+        raise DomainError(f"iteration {t}: unassigned services outside the roster")
 
 
 def _csv_field(name: str) -> str:
@@ -94,13 +85,14 @@ def _csv_field(name: str) -> str:
 class ReportFold:
     """A run's reports, folded one round at a time over fixed rosters.
 
-    ``add`` takes the next round's result; the rosters are trusted, since
-    the allocator only names their workers and services. Each roster name's
-    CSV field is built once, here.
+    ``add`` takes the next round's result; the rosters are checked: a round
+    that names a worker or service outside them raises ``DomainError`` and
+    leaves the fold as it was. Each roster name's CSV field is built once, here.
     """
 
     def __init__(self, workers: Sequence[str], services: Sequence[str]):
         self.services = tuple(services)
+        self._service_set = frozenset(self.services)
         self._fields = {name: _csv_field(name) for name in (*workers, *services)}
         self.rounds = 0
         self.feasible_rounds = 0
@@ -109,8 +101,10 @@ class ReportFold:
         self._placed = array("d")  # every placement's cost, round by round
 
     def add(self, result: AllocationResult) -> tuple[str, float, float]:
-        """Fold in the next round: its ``emit_report`` lines, and Jain's index of the
-        cumulative cost and count shares after it."""
+        """Fold in the next round: its report lines (rows of the ``REPORT_HEADER``
+        CSV, in service roster order), and Jain's index of the cumulative cost and
+        count shares after it."""
+        _check_round(self.rounds, result, self._cost, self._service_set)
         assignments = result.assignments
         for assignment in assignments.values():
             self._cost[assignment.worker] += assignment.cost
@@ -139,61 +133,19 @@ class ReportFold:
         return std, cv
 
 
-def _fold(history: AllocationHistory) -> tuple[ReportFold, list[tuple[str, float, float]]]:
-    """The fold over ``history``, and what each round added."""
-    fold = ReportFold(history.workers, history.services)
-    return fold, [fold.add(result) for result in history.results]
+def allocation_frequency(results: Sequence[AllocationResult],
+                         workers: Sequence[str], services: Sequence[str]) -> np.ndarray:
+    """How often each (worker, service) pair was assigned, as a count matrix.
 
-
-@dataclass(frozen=True)
-class FairnessSeries:
-    """Jain's index after each iteration, over cumulative per-worker shares."""
-
-    values: tuple[float, ...]
-    basis: str  # "cost" | "count"
-
-
-def fairness_series(history: AllocationHistory, basis: str = "cost") -> FairnessSeries:
-    """Cumulative fairness over allocated costs (canonical) or counts."""
-    if basis not in ("cost", "count"):
-        raise ValueError(f"basis must be 'cost' or 'count', got {basis!r}")
-    if not history.results:
-        raise EmptyHistory("fairness series needs at least one iteration")
-    _, rounds = _fold(history)
-    column = 1 if basis == "cost" else 2
-    return FairnessSeries(values=tuple(r[column] for r in rounds), basis=basis)
-
-
-def cost_dispersion(history: AllocationHistory) -> tuple[float, float]:
-    """Population standard deviation and coefficient of variation of all
-    per-assignment costs across iterations."""
-    fold, _ = _fold(history)
-    return fold.dispersion()
-
-
-def allocation_frequency(history: AllocationHistory) -> np.ndarray:
-    """How often each (worker, service) pair was assigned, as a count matrix."""
-    if not history.results:
+    Every round must name only roster workers and services, as in ``ReportFold.add``.
+    """
+    if not results:
         raise EmptyHistory("allocation frequency needs at least one iteration")
-    worker_row = {w: i for i, w in enumerate(history.workers)}
-    service_col = {s: j for j, s in enumerate(history.services)}
-    counts = np.zeros((len(history.workers), len(history.services)), dtype=np.int64)
-    for result in history.results:
+    worker_row = {w: i for i, w in enumerate(workers)}
+    service_col = {s: j for j, s in enumerate(services)}
+    counts = np.zeros((len(workers), len(services)), dtype=np.int64)
+    for t, result in enumerate(results):
+        _check_round(t, result, worker_row, service_col.keys())
         for assignment in result.assignments.values():
             counts[worker_row[assignment.worker], service_col[assignment.service]] += 1
     return counts
-
-
-REPORT_HEADER = "iteration,worker,service,cost,jain_cumulative"
-
-
-def emit_report(history: AllocationHistory) -> str:
-    """Flat per-assignment CSV report with the cumulative fairness column.
-
-    Rows are ordered by iteration, then by service roster order, so equal
-    histories produce byte-identical documents.
-    """
-    if not history.results:
-        raise EmptyHistory("report needs at least one iteration")
-    _, rounds = _fold(history)
-    return REPORT_HEADER + "\n" + "".join(lines for lines, _, _ in rounds)

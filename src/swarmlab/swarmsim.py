@@ -336,10 +336,11 @@ class SimConfig:
         object.__setattr__(self, "workers", tuple(self.workers))
         if not self.workers:
             raise EmptyProblem("simulation needs at least one worker")
-        ids = [w.id for w in self.workers]
-        if len(set(ids)) != len(ids):
-            twice = next(i for k, i in enumerate(ids) if i in ids[:k])
-            raise DuplicateAgent(f"agent {twice!r} appears twice in the simulated fleet")
+        seen = set()
+        for worker in self.workers:
+            if worker.id in seen:
+                raise DuplicateAgent(f"agent {worker.id!r} appears twice in the simulated fleet")
+            seen.add(worker.id)
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         if self.seed < 0:

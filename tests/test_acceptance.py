@@ -39,7 +39,7 @@ from swarmlab.definitions import (
 )
 from swarmlab.errors import DefinitionSyntaxError, SchemaError, UnresolvedService
 from swarmlab.mcmf import FlowResult, solve, verify
-from swarmlab.metrics import build_history, fairness_series
+from swarmlab.metrics import ReportFold
 from swarmlab.swarmsim import SimConfig, WorkloadGenerator, measure_scaling, run_experiment
 
 import oracles
@@ -212,9 +212,8 @@ def test_criterion_4_desk_scale_replication():
             assert load_factor[chosen_idx].max() <= load_factor[idle_idx].min() + 1e-12
 
         # (c) cumulative cost fairness shows the concentration
-        history = build_history(results, [w.id for w in cluster],
-                                experiment.service_names())
-        final_jain = fairness_series(history, basis="cost").values[-1]
+        fold = ReportFold([w.id for w in cluster], experiment.service_names())
+        final_jain = [fold.add(result) for result in results][-1][1]
         assert final_jain < 0.75
 
 

@@ -422,6 +422,21 @@ def test_scaling_output_matches_golden(tmp_path, template, golden):
     assert out.read_bytes() == (SCALING_GOLDEN / golden).read_bytes()
 
 
+@pytest.mark.parametrize("template, size", [
+    (SAMPLES / "bench.cluster.json", "12"),  # uniform workers
+    (SCALING_GOLDEN / "two-workers.cluster.json", "8"),  # trace replay
+])
+def test_scaling_output_does_not_depend_on_the_seed(tmp_path, template, size):
+    # The grid samples no workload; --seed stays required and changes nothing.
+    outputs = []
+    for seed in ("0", "987654321"):
+        out = tmp_path / f"grid-{seed}.csv"
+        assert main(["scaling", "--cluster-template", str(template), "--max-workers", size,
+                     "--max-services", size, "--seed", seed, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_scaling_100x100_output_is_unchanged(tmp_path):
     out = tmp_path / "grid.csv"
     assert main(["scaling", "--cluster-template", str(SAMPLES / "bench.cluster.json"),

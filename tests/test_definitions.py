@@ -137,6 +137,12 @@ def test_edf_duplicate_service_names():
                 {"name": "a", "entrypoint": "run", "predefined_cost": 2}]
     with pytest.raises(SchemaError):
         parse_edf(json.dumps({"name": "e", "services": services}))
+    # Every repeated name once, sorted.
+    services = [{"name": name, "entrypoint": "run", "predefined_cost": 1}
+                for name in ("c", "a", "b", "a", "c", "c")]
+    with pytest.raises(SchemaError) as raised:
+        parse_edf(json.dumps({"name": "e", "services": services}))
+    assert str(raised.value) == "services: duplicate service names: a, c"
 
 
 def test_cluster_parsing_and_duplicate_ids():

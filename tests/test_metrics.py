@@ -1,27 +1,23 @@
+import json
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from swarmlab.allocator import AllocationResult, AllocationUnit, Assignment
+from swarmlab.cli import main
+from swarmlab.definitions import load_cluster, load_edf
 from swarmlab.errors import DomainError, EmptyHistory
-from swarmlab.metrics import (
-    REPORT_HEADER,
-    allocation_frequency,
-    build_history,
-    cost_dispersion,
-    emit_report,
-    fairness_series,
-    jains_index,
-)
+from swarmlab.metrics import REPORT_HEADER, ReportFold, allocation_frequency, jains_index
 from swarmlab.swarmsim import SimConfig, run_experiment
 
 from factories import balanced_cluster, bench_experiment
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SAMPLES = Path(__file__).resolve().parent.parent / "docs" / "samples"
 
 
-def _result(assignments):
+def _result(assignments, unassigned=frozenset()):
     by_service = {}
     for service, worker, cost in assignments:
         unit = AllocationUnit((service,))
@@ -32,14 +28,27 @@ def _result(assignments):
         total_cost=total,
         total_cost_scaled=int(round(total * 10**6)),
         feasible=True,
-        unassigned=frozenset(),
+        unassigned=frozenset(unassigned),
     )
 
 
-def toy_history():
+TOY_WORKERS, TOY_SERVICES = ["w1", "w2", "w3"], ["s1", "s2"]
+
+
+def toy_results():
     first = _result([("s1", "w1", 2.0), ("s2", "w2", 1.0)])
     second = _result([("s1", "w1", 1.5), ("s2", "w3", 0.5)])
-    return build_history([first, second], ["w1", "w2", "w3"], ["s1", "s2"])
+    return [first, second]
+
+
+def _fold(results, workers, services):
+    """The fold over ``results``, and what each round added."""
+    fold = ReportFold(workers, services)
+    return fold, [fold.add(result) for result in results]
+
+
+def _report(rounds):
+    return REPORT_HEADER + "\n" + "".join(lines for lines, _, _ in rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -106,23 +115,21 @@ def test_jain_is_one_iff_equal(xs):
 
 
 def test_dispersion_identical_costs():
-    history = build_history(
-        [_result([("s1", "w1", 2.0), ("s2", "w2", 2.0)])], ["w1", "w2"], ["s1", "s2"])
-    assert cost_dispersion(history) == (0.0, 0.0)
+    fold, _ = _fold([_result([("s1", "w1", 2.0), ("s2", "w2", 2.0)])], ["w1", "w2"], ["s1", "s2"])
+    assert fold.dispersion() == (0.0, 0.0)
 
 
 def test_dispersion_hand_computed():
-    history = build_history(
-        [_result([("s1", "w1", 1.0), ("s2", "w2", 3.0)])], ["w1", "w2"], ["s1", "s2"])
-    std, cv = cost_dispersion(history)
+    fold, _ = _fold([_result([("s1", "w1", 1.0), ("s2", "w2", 3.0)])], ["w1", "w2"], ["s1", "s2"])
+    std, cv = fold.dispersion()
     assert std == pytest.approx(1.0, abs=1e-12)
     assert cv == pytest.approx(0.5, abs=1e-12)
 
 
 def test_dispersion_empty_history():
-    history = build_history([], ["w1"], ["s1"])
+    fold = ReportFold(["w1"], ["s1"])
     with pytest.raises(EmptyHistory):
-        cost_dispersion(history)
+        fold.dispersion()
 
 
 def test_balanced_simulation_dispersion_is_small():
@@ -136,9 +143,8 @@ def test_balanced_simulation_dispersion_is_small():
     cfg = SimConfig(workers=balanced_cluster(12, half_width=0.02),
                     experiment=experiment, seed=123, iterations=100)
     results = run_experiment(cfg)
-    history = build_history(results, [w.id for w in cfg.workers],
-                            experiment.service_names())
-    _, cv = cost_dispersion(history)
+    fold, _ = _fold(results, [w.id for w in cfg.workers], experiment.service_names())
+    _, cv = fold.dispersion()
     assert cv < 0.1
 
 
@@ -147,8 +153,7 @@ def test_balanced_simulation_dispersion_is_small():
 
 
 def test_allocation_frequency_counts():
-    history = toy_history()
-    counts = allocation_frequency(history)
+    counts = allocation_frequency(toy_results(), TOY_WORKERS, TOY_SERVICES)
     assert counts.sum() == 4
     assert counts[0, 0] == 2       # w1 hosted s1 twice
     assert counts[1, 1] == 1
@@ -157,9 +162,7 @@ def test_allocation_frequency_counts():
 
 
 def test_frequency_zero_row_for_idle_worker():
-    history = build_history(
-        [_result([("s1", "w1", 1.0)])], ["w1", "w2"], ["s1"])
-    counts = allocation_frequency(history)
+    counts = allocation_frequency([_result([("s1", "w1", 1.0)])], ["w1", "w2"], ["s1"])
     assert counts[1].sum() == 0
 
 
@@ -167,36 +170,51 @@ def test_concentration_on_balanced_run():
     cfg = SimConfig(workers=balanced_cluster(12), experiment=bench_experiment(6),
                     seed=42, iterations=100)
     results = run_experiment(cfg)
-    history = build_history(results, [w.id for w in cfg.workers],
-                            cfg.experiment.service_names())
-    counts = allocation_frequency(history)
+    counts = allocation_frequency(results, [w.id for w in cfg.workers],
+                                  cfg.experiment.service_names())
     used_workers = (counts.sum(axis=1) > 0).sum()
     assert counts.sum() == 600
     assert used_workers < 12      # a strict subset carries the whole load
 
 
 def test_fairness_series_cumulative():
-    history = toy_history()
-    series = fairness_series(history)
-    assert series.basis == "cost"
-    assert len(series.values) == 2
+    _, rounds = _fold(toy_results(), TOY_WORKERS, TOY_SERVICES)
+    series = [jain_cost for _, jain_cost, _ in rounds]
+    assert len(series) == 2
     # cumulative shares: after t0 (2,1,0) then (3.5,1,0.5)
-    assert series.values[0] == pytest.approx(jains_index([2.0, 1.0, 0.0]))
-    assert series.values[1] == pytest.approx(jains_index([3.5, 1.0, 0.5]))
-    counts = fairness_series(history, basis="count")
-    assert counts.values[1] == pytest.approx(jains_index([2.0, 1.0, 1.0]))
-    assert all(0.0 < value <= 1.0 for value in series.values)
+    assert series[0] == pytest.approx(jains_index([2.0, 1.0, 0.0]))
+    assert series[1] == pytest.approx(jains_index([3.5, 1.0, 0.5]))
+    assert rounds[1][2] == pytest.approx(jains_index([2.0, 1.0, 1.0]))
+    assert all(0.0 < value <= 1.0 for value in series)
 
 
-def test_fairness_series_needs_results():
-    with pytest.raises(EmptyHistory):
-        fairness_series(build_history([], ["w1"], ["s1"]))
+#: A round that names something outside the toy rosters, and the message it raises.
+ROSTER_FAULTS = [
+    (_result([("s1", "w1", 1.0), ("s2", "ghost", 1.0)]), "iteration 1: unknown worker 'ghost'"),
+    (_result([("s1", "w1", 1.0), ("s9", "w2", 1.0)]), "iteration 1: unknown service 's9'"),
+    (_result([("s1", "w1", 1.0)], unassigned={"s9"}),
+     "iteration 1: unassigned services outside the roster"),
+]
 
 
-def test_build_history_validates_rosters():
-    result = _result([("s1", "ghost", 1.0)])
-    with pytest.raises(DomainError):
-        build_history([result], ["w1"], ["s1"])
+def test_fold_and_frequency_check_rosters():
+    # The fold and the frequency matrix check every round, with the same messages.
+    clean = toy_results()
+    for bad, message in ROSTER_FAULTS:
+        with pytest.raises(DomainError) as raised:
+            allocation_frequency([clean[0], bad], TOY_WORKERS, TOY_SERVICES)
+        assert str(raised.value) == message
+
+        fold = ReportFold(TOY_WORKERS, TOY_SERVICES)
+        first = fold.add(clean[0])
+        with pytest.raises(DomainError) as raised:
+            fold.add(bad)
+        assert str(raised.value) == message
+        # The fold is as it was: the next clean round is round 1 of the clean run.
+        assert (fold.rounds, fold.feasible_rounds) == (1, 1)
+        _, expected = _fold(clean, TOY_WORKERS, TOY_SERVICES)
+        assert [first, fold.add(clean[1])] == expected
+        assert fold.dispersion() == _fold(clean, TOY_WORKERS, TOY_SERVICES)[0].dispersion()
 
 
 # ---------------------------------------------------------------------------
@@ -205,15 +223,32 @@ def test_build_history_validates_rosters():
 
 def test_report_header_exact():
     assert REPORT_HEADER == "iteration,worker,service,cost,jain_cumulative"
-    report = emit_report(toy_history())
-    assert report.splitlines()[0] == REPORT_HEADER
+    _, rounds = _fold(toy_results(), TOY_WORKERS, TOY_SERVICES)
+    assert _report(rounds).splitlines()[0] == REPORT_HEADER
 
 
 def test_report_golden():
     golden = (FIXTURES / "report_toy.csv").read_text(encoding="utf-8")
-    assert emit_report(toy_history()) == golden
+    _, rounds = _fold(toy_results(), TOY_WORKERS, TOY_SERVICES)
+    assert _report(rounds) == golden
 
 
-def test_report_rejects_empty_history():
-    with pytest.raises(EmptyHistory):
-        emit_report(build_history([], ["w"], ["s"]))
+def test_library_fold_reproduces_simulate(tmp_path):
+    # The fold over run_experiment's results writes what the simulate command writes.
+    edf, cluster_path = SAMPLES / "mapping-demo.edf.json", SAMPLES / "bench.cluster.json"
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--edf", str(edf), "--cluster", str(cluster_path),
+                 "--iterations", "20", "--seed", "7", "--out-dir", str(out_dir)]) == 0
+    experiment, cluster = load_edf(edf), load_cluster(cluster_path)
+    cfg = SimConfig(workers=cluster.workers, experiment=experiment, seed=7, iterations=20,
+                    base_dir=str(cluster_path.parent))
+    fold, rounds = _fold(run_experiment(cfg), [w.id for w in cluster.workers],
+                         experiment.service_names())
+
+    assert _report(rounds) == (out_dir / "allocations.csv").read_text(encoding="utf-8")
+    fairness = "iteration,jain_cost,jain_count\n" + "".join(
+        f"{t},{jain_cost:.6f},{jain_count:.6f}\n" for t, (_, jain_cost, jain_count) in enumerate(rounds))
+    assert fairness == (out_dir / "fairness.csv").read_text(encoding="utf-8")
+    summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+    std, cv = fold.dispersion()
+    assert (round(std, 6), round(cv, 6)) == (summary["cost_std"], summary["cost_cv"])

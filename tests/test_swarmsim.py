@@ -849,6 +849,11 @@ def test_config_rejects_duplicate_worker_ids():
     twice = workers + (workers[1],)
     with pytest.raises(DuplicateAgent, match="w02"):
         run_experiment(SimConfig(workers=twice, experiment=bench_experiment(1), seed=0))
+    # The message names the first id that repeats an earlier one.
+    w1, w2, w3 = (replace(worker, id=f"w{k}") for k, worker in enumerate(balanced_cluster(3), 1))
+    with pytest.raises(DuplicateAgent) as raised:
+        SimConfig(workers=(w1, w2, w3, w2, w1), experiment=bench_experiment(1), seed=0)
+    assert str(raised.value) == "agent 'w2' appears twice in the simulated fleet"
 
 
 # ---------------------------------------------------------------------------
