@@ -10,7 +10,6 @@ from .allocator import (
     AllocationResult,
     AllocationUnit,
     Assignment,
-    allocate,
     allocate_experiment,
     enumerate_unit_configurations,
     explain,
@@ -58,4 +57,4 @@ from .swarmsim import (
     trace_to_jsonl,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -16,8 +16,10 @@ is deterministic for a given cost matrix but follows no documented rule.
 ``enumerate_unit_configurations`` builds one ``AllocationUnit`` per group,
 every single service and each component's pool, and every configuration
 shares those objects; a unit's ``label`` is computed once.
-``prepare`` builds what the workers' samples do not change, once per fleet
-and experiment (``PreparedAllocation``).
+``prepare(workers, experiment)`` builds what the workers' samples do not
+change, once per fleet and validated ``ExperimentSpec``
+(``PreparedAllocation``); the experiment is the one description of the
+services, dependencies, weights and discount the allocator accepts.
 ``PreparedAllocation.allocate_rounds`` takes a block of rounds' load rows,
 one ``(rounds, workers, 4)`` array: ``costing.UnitCosts.block`` costs the
 whole block in one pass, and ``assignment.solve_rounds`` solves its
@@ -26,8 +28,8 @@ placement reads a placed service's cost from its own single-service
 column, times the discount when it is pooled. The solver visits the
 configurations in reflected Gray-code order of their index, so consecutive
 ones differ in one component and each is warm-started from the last.
-``PreparedAllocation.allocate`` is the one-round case, given worker
-states; ``allocate`` is ``prepare`` plus one round.
+``allocate_experiment`` is ``prepare`` plus one round of the workers' own
+workloads.
 
 ``build_network`` states the same problem as a min-cost max-flow network
 for the ``mcmf`` reference solver; the allocator itself does not use it.
@@ -36,7 +38,7 @@ for the ``mcmf`` reference solver; the allocator itself does not use it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Sequence
@@ -45,8 +47,8 @@ import numpy as np
 
 from . import assignment, costing, mcmf
 from .costing import COST_SCALE, CostMatrix
-from .definitions import CostWeights, ExperimentSpec, ServiceSpec
-from .errors import EmptyProblem, TooManyComponents
+from .definitions import ExperimentSpec, ServiceSpec, first_repeat
+from .errors import DuplicateAgent, EmptyProblem, TooManyComponents
 from .model import WorkerState
 
 MAX_CONFIGURATIONS = 4096
@@ -167,12 +169,11 @@ def enumerate_unit_configurations(
 
 @dataclass
 class NetworkBuild:
-    """A solver-ready network plus the (worker, unit) edge bookkeeping."""
+    """A solver-ready network plus the vertex numbering of its workers and units."""
 
     net: mcmf.FlowNetwork
     num_workers: int
     num_units: int
-    pair_edges: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def worker_vertex(self, i: int) -> int:
         return 1 + i
@@ -191,15 +192,13 @@ def build_network(costs: CostMatrix) -> NetworkBuild:
     net = mcmf.FlowNetwork(num_workers + num_units + 2, source=0, sink=num_workers + num_units + 1)
     for i in range(num_workers):
         net.add_edge(0, 1 + i, 1, 0)
-    build = NetworkBuild(net=net, num_workers=num_workers, num_units=num_units)
     for i in range(num_workers):
         for u in range(num_units):
             if costs.feasible[i, u]:
-                edge = net.add_edge(1 + i, 1 + num_workers + u, 1, int(scaled[i, u]))
-                build.pair_edges[(i, u)] = edge
+                net.add_edge(1 + i, 1 + num_workers + u, 1, int(scaled[i, u]))
     for u in range(num_units):
         net.add_edge(1 + num_workers + u, net.sink, 1, 0)
-    return build
+    return NetworkBuild(net=net, num_workers=num_workers, num_units=num_units)
 
 
 @dataclass(frozen=True)
@@ -214,7 +213,7 @@ class PreparedAllocation:
     solver and each column's members with their service columns, which
     placement reads and whose counts weigh the solver's tie-break.
     ``allocate_rounds`` then costs a block of rounds in one pass and solves
-    and places each; ``allocate`` is its one-round case.
+    and places each.
     """
 
     services: tuple[ServiceSpec, ...]
@@ -230,26 +229,17 @@ class PreparedAllocation:
     member_columns: tuple[tuple[tuple[str, int], ...], ...]
     discount: float
 
-    def allocate(self, workers: Sequence[WorkerState]) -> AllocationResult:
-        """Place every service given the prepared workers' states, in the same order.
-
-        Infeasibility is a result, not an error: when no configuration can
-        place all services, the best partial placement is returned with
-        ``feasible`` false and the left-over services in ``unassigned``.
-        """
-        if tuple(w.id for w in workers) != self.worker_ids:
-            raise ValueError(f"prepared for a roster of {len(self.worker_ids)} workers, "
-                             f"got another of {len(workers)}")
-        return self.allocate_rounds([[tuple(w.workload) for w in workers]])[0]
-
     def allocate_rounds(self, rounds: "np.ndarray | Sequence[Sequence[Sequence[float]]]"
                         ) -> list[AllocationResult]:
-        """``allocate`` for each round of a block, given one load row per prepared worker.
+        """Place every service in each round of a block, given one load row per prepared worker.
 
         ``rounds`` is a ``(rounds, workers, 4)`` array of (cpu, vram, swap,
         bandwidth) rows, as ``swarmsim.sample_rounds`` yields it, or nested
         sequences of such rows. The block is costed in one pass; each round
-        then only solves and places.
+        then only solves and places. Infeasibility is a result, not an
+        error: when no configuration can place all services, a round's best
+        partial placement has ``feasible`` false and the left-over services
+        in ``unassigned``.
         """
         values = self.costs.block(rounds)
         # Reflected Gray-code order: consecutive configurations differ in one component.
@@ -297,35 +287,35 @@ class PreparedAllocation:
         )
 
 
-def prepare(
-    workers: Sequence[WorkerState],
-    services: Sequence[ServiceSpec],
-    dependencies: Sequence[tuple[str, str]],
-    weights: CostWeights,
-    discount: float,
-) -> PreparedAllocation:
-    """The sample-independent inputs of allocating ``services`` to ``workers``.
+def prepare(workers: Sequence[WorkerState], experiment: ExperimentSpec) -> PreparedAllocation:
+    """The sample-independent inputs of allocating ``experiment``'s services to ``workers``.
 
     Only the workers' ids and profiles are read, so ``workers`` may be
-    cluster workers as well as worker states.
+    cluster workers as well as worker states. An empty fleet raises
+    ``EmptyProblem`` and a repeated worker id ``DuplicateAgent``, before
+    anything is built.
     """
-    if not workers or not services:
+    if not workers:
         raise EmptyProblem("allocation needs at least one worker and one service")
+    if (repeated := first_repeat(w.id for w in workers)) is not None:
+        raise DuplicateAgent(f"agent {repeated!r} appears twice in the fleet")
+    services, discount = experiment.services, experiment.pool_discount
     configurations = enumerate_unit_configurations(
-        services, costing.build_dependency_matrix(services, dependencies))
+        services, costing.build_dependency_matrix(services, experiment.dependencies))
 
     service_index = {s.name: j for j, s in enumerate(services)}
     columns = [(s.name,) for s in services] + [u.members for u in configurations[0] if u.is_pool]
     column_of = {members: c for c, members in enumerate(columns)}
     costs = costing.prepare_unit_costs(
         [[services[service_index[name]] for name in members] for members in columns],
-        costing.build_capability_matrix(workers, services), service_index, weights, discount)
+        costing.build_capability_matrix(workers, services), service_index,
+        experiment.weights, discount)
 
     selections = tuple([column_of[unit.members] for unit in units] for units in configurations)
     scale = [sum(services[service_index[name]].predefined_cost for name in members)
              * (discount if len(members) > 1 else 1.0) for members in columns]
     return PreparedAllocation(
-        services=tuple(services), configurations=tuple(configurations),
+        services=services, configurations=tuple(configurations),
         worker_ids=tuple(w.id for w in workers), costs=costs, selections=selections,
         scale_order=tuple(sorted(range(len(columns)), key=lambda c: -scale[c])),
         member_columns=tuple(tuple((name, service_index[name]) for name in members)
@@ -333,33 +323,11 @@ def prepare(
         discount=discount)
 
 
-def prepare_experiment(workers: Sequence[WorkerState],
-                       experiment: ExperimentSpec) -> PreparedAllocation:
-    """``prepare`` with the experiment's own services, dependencies, weights and discount."""
-    return prepare(workers, experiment.services, experiment.dependencies,
-                   experiment.weights, experiment.pool_discount)
-
-
-def allocate(
-    workers: Sequence[WorkerState],
-    services: Sequence[ServiceSpec],
-    dependencies: Sequence[tuple[str, str]],
-    weights: CostWeights,
-    discount: float,
-) -> AllocationResult:
-    """Place every service on a capable worker at minimum total cost.
-
-    Infeasibility is a result, not an error: when no configuration can
-    place all services, the best partial placement is returned with
-    ``feasible`` false and the left-over services in ``unassigned``.
-    """
-    return prepare(workers, services, dependencies, weights, discount).allocate(workers)
-
-
-def allocate_experiment(workers: Sequence[WorkerState],
-                        experiment: ExperimentSpec) -> AllocationResult:
-    """Allocate an experiment's services using its own weights and discount."""
-    return prepare_experiment(workers, experiment).allocate(workers)
+def allocate_experiment(workers: Sequence[WorkerState], experiment: ExperimentSpec) -> AllocationResult:
+    """Place every service of ``experiment`` on a capable worker, given the workers'
+    own workloads, at minimum total cost; infeasibility is a result (see
+    ``PreparedAllocation.allocate_rounds``)."""
+    return prepare(workers, experiment).allocate_rounds([[tuple(w.workload) for w in workers]])[0]
 
 
 #: Each control and line-boundary character, as ``repr`` escapes it: C0, DEL, C1, U+2028, U+2029.

@@ -18,7 +18,8 @@ The scalar functions check their domains and are the reference.
 ``build_cost_matrix`` builds a whole worker x unit matrix at once, with numpy
 products and sums in the scalar order, so every cell equals its scalar value
 bit for bit; it skips the per-cell checks, since ``WorkloadSample``,
-``ServiceSpec`` and ``ExperimentSpec`` validate on construction. It is two
+``ServiceSpec`` and ``ExperimentSpec`` validate on construction, and checks
+the discount once per call, as ``pooled_cost`` does. It is two
 steps: ``prepare_unit_costs`` keeps what no sample changes (feasibility,
 each member position's base costs and columns, the pool discount), and
 ``UnitCosts`` adds the load terms of a block of rounds at once, one
@@ -61,6 +62,11 @@ def _check_domain(base_cost: float, load: float):
         raise DomainError(f"base cost must be within [0, 100], got {base_cost!r}")
     if not (isinstance(load, (int, float)) and math.isfinite(load) and 0.0 <= load <= 1.0):
         raise DomainError(f"load must be within [0, 1], got {load!r}")
+
+
+def _check_discount(discount: float):
+    if not (isinstance(discount, (int, float)) and math.isfinite(discount) and 0.0 < discount <= 1.0):
+        raise DomainError(f"discount must be within (0, 1], got {discount!r}")
 
 
 def cpu_cost(base_cost: float, load: float) -> float:
@@ -107,8 +113,7 @@ def pooled_cost(members: Sequence[ServiceSpec], workload: WorkloadSample,
     """Discounted cost of co-locating all ``members`` on one worker."""
     if len(members) < 2:
         raise PoolTooSmall(f"a pool needs at least 2 members, got {len(members)}")
-    if not (isinstance(discount, (int, float)) and math.isfinite(discount) and 0.0 < discount <= 1.0):
-        raise DomainError(f"discount must be within (0, 1], got {discount!r}")
+    _check_discount(discount)
     total = 0.0
     for m in members:  # left to right, the order build_cost_matrix adds them in
         total += edge_cost(m.predefined_cost, workload, weights)
@@ -234,8 +239,10 @@ def prepare_unit_costs(unit_members: Sequence[Sequence[ServiceSpec]],
     """The sample-independent part of ``build_cost_matrix``'s result.
 
     ``capabilities`` is the worker x service matrix of the fleet whose
-    samples ``UnitCosts.matrix`` will cost.
+    samples ``UnitCosts.matrix`` will cost. A discount outside (0, 1]
+    raises ``DomainError``, as ``pooled_cost`` does.
     """
+    _check_discount(discount)
     feasible = np.ones((capabilities.shape[0], len(unit_members)), dtype=bool)
     positions = []
     for p in range(max(map(len, unit_members), default=0)):

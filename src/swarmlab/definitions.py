@@ -30,7 +30,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import AbstractSet, Callable, Mapping, Union
+from typing import AbstractSet, Callable, Iterable, Mapping, Union
 
 from .errors import (
     DefinitionSyntaxError,
@@ -46,6 +46,16 @@ DEFAULT_POOL_DISCOUNT = 0.9
 DEFAULT_SUBNET = "10.0.0.0/24"
 
 RESOURCE_NAMES = ("cpu", "vram", "swap", "bandwidth")
+
+
+def first_repeat(names: Iterable[str]) -> "str | None":
+    """The first of ``names`` that repeats an earlier one, or ``None``."""
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            return name
+        seen.add(name)
+    return None
 
 
 @dataclass(frozen=True)
@@ -243,8 +253,7 @@ class ClusterSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "workers", tuple(self.workers))
-        ids = [w.id for w in self.workers]
-        if len(ids) != len(set(ids)):
+        if first_repeat(w.id for w in self.workers) is not None:
             raise SchemaError("cluster worker ids must be distinct", "workers")
         if not (isinstance(self.seed, int) and not isinstance(self.seed, bool) and self.seed >= 0):
             raise SchemaError("seed must be a non-negative integer", "seed")

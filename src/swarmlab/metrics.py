@@ -32,6 +32,7 @@ from typing import AbstractSet, Container, Iterable, Sequence
 import numpy as np
 
 from .allocator import AllocationResult
+from .definitions import first_repeat
 from .errors import DomainError, EmptyHistory
 
 _TINY = sys.float_info.min  # the smallest normal double, np.finfo(np.float64).tiny
@@ -62,6 +63,13 @@ def jains_index(values: Iterable[float]) -> float:
     return (total * total) / (len(xs) * square_sum)
 
 
+def _check_rosters(workers: Sequence[str], services: Sequence[str]) -> None:
+    """Raise ``DomainError`` if a roster names a worker or a service twice."""
+    for kind, names in (("worker", workers), ("service", services)):
+        if (repeated := first_repeat(names)) is not None:
+            raise DomainError(f"{kind} {repeated!r} appears twice in the roster")
+
+
 def _check_round(t: int, result: AllocationResult,
                  workers: Container[str], services: AbstractSet[str]) -> None:
     """Raise ``DomainError`` unless round ``t`` names only roster workers and services."""
@@ -87,10 +95,13 @@ class ReportFold:
 
     ``add`` takes the next round's result; the rosters are checked: a round
     that names a worker or service outside them raises ``DomainError`` and
-    leaves the fold as it was. Each roster name's CSV field is built once, here.
+    leaves the fold as it was. A roster that names a worker or a service
+    twice raises ``DomainError`` here. Each roster name's CSV field is built
+    once, here.
     """
 
     def __init__(self, workers: Sequence[str], services: Sequence[str]):
+        _check_rosters(workers, services)
         self.services = tuple(services)
         self._service_set = frozenset(self.services)
         self._fields = {name: _csv_field(name) for name in (*workers, *services)}
@@ -137,8 +148,10 @@ def allocation_frequency(results: Sequence[AllocationResult],
                          workers: Sequence[str], services: Sequence[str]) -> np.ndarray:
     """How often each (worker, service) pair was assigned, as a count matrix.
 
-    Every round must name only roster workers and services, as in ``ReportFold.add``.
+    Every round must name only roster workers and services, as in
+    ``ReportFold.add``, and no roster may name one twice.
     """
+    _check_rosters(workers, services)
     if not results:
         raise EmptyHistory("allocation frequency needs at least one iteration")
     worker_row = {w: i for i, w in enumerate(workers)}

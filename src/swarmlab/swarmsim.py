@@ -55,13 +55,14 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import assignment, costing
-from .allocator import AllocationResult, prepare_experiment
+from .allocator import AllocationResult, prepare
 from .definitions import (
     ClusterWorker,
     ExperimentSpec,
     TraceWorkload,
     UniformWorkload,
     WorkloadModel,
+    first_repeat,
     read_bounded,
 )
 from .errors import DuplicateAgent, EmptyProblem, SchemaError
@@ -336,11 +337,8 @@ class SimConfig:
         object.__setattr__(self, "workers", tuple(self.workers))
         if not self.workers:
             raise EmptyProblem("simulation needs at least one worker")
-        seen = set()
-        for worker in self.workers:
-            if worker.id in seen:
-                raise DuplicateAgent(f"agent {worker.id!r} appears twice in the simulated fleet")
-            seen.add(worker.id)
+        if (repeated := first_repeat(w.id for w in self.workers)) is not None:
+            raise DuplicateAgent(f"agent {repeated!r} appears twice in the simulated fleet")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         if self.seed < 0:
@@ -450,11 +448,12 @@ def round_results(workers: "Sequence[ClusterWorker]", experiment: ExperimentSpec
                   base_dir: "str | Path | None", iterations: "Sequence[int]") -> Iterator[AllocationResult]:
     """The results of the rounds at ``iterations``, in order: the one round pipeline.
 
-    It prepares the allocation, then samples and costs one block of
+    It prepares the allocation, which refuses an empty fleet or a repeated
+    worker id before anything is sampled, then samples and costs one block of
     ``assignment.block_rounds`` rounds at a time; nothing runs until the
     first result is read.
     """
-    allocation = prepare_experiment(workers, experiment)
+    allocation = prepare(workers, experiment)
     generators = workload_generators(workers, seed, base_dir)
     per_block = assignment.block_rounds(*allocation.costs.feasible.shape)
     for rounds in sample_rounds(generators, iterations, per_block):

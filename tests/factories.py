@@ -36,6 +36,17 @@ def make_service(name, base_cost=50.0, capabilities=(), image_size_mb=100.0):
     )
 
 
+def make_experiment(services, dependencies=(), weights=CostWeights(), discount=0.9):
+    """An experiment of ``services`` and ``dependencies`` under ``weights`` and ``discount``."""
+    return ExperimentSpec(name="t", services=tuple(services), dependencies=tuple(dependencies),
+                          weights=weights, pool_discount=discount)
+
+
+def one_round(workers):
+    """A block of one round: each worker's own workload row, in roster order."""
+    return [[tuple(w.workload) for w in workers]]
+
+
 BENCH_BASE_COSTS = (50.0, 60.0, 70.0, 40.0, 30.0, 20.0)
 
 

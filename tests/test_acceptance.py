@@ -11,7 +11,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from swarmlab import assignment
-from swarmlab.allocator import allocate, build_network, enumerate_unit_configurations
+from swarmlab.allocator import allocate_experiment, build_network, enumerate_unit_configurations
 from swarmlab.cli import main
 from swarmlab.costing import (
     bandwidth_cost,
@@ -43,7 +43,7 @@ from swarmlab.metrics import ReportFold
 from swarmlab.swarmsim import SimConfig, WorkloadGenerator, measure_scaling, run_experiment
 
 import oracles
-from factories import balanced_cluster, bench_experiment, random_instance
+from factories import balanced_cluster, bench_experiment, make_experiment, random_instance
 
 
 @contextmanager
@@ -103,7 +103,7 @@ def test_criterion_2_allocator_matches_exhaustive_enumeration():
         ambiguous = 0
         for _ in range(1000):
             workers, services, deps, weights, discount = random_instance(rng)
-            result = allocate(workers, services, deps, weights, discount)
+            result = allocate_experiment(workers, make_experiment(services, deps, weights, discount))
             configs = oracles.configurations_of(len(services), _dep_indices(services, deps))
             assert len(configs) == len(result.outcomes)
 

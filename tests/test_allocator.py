@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from swarmlab.allocator import (
     AllocationUnit,
-    allocate,
     allocate_experiment,
     build_network,
     enumerate_unit_configurations,
@@ -24,11 +23,13 @@ from swarmlab.costing import (
     integerize_cost,
 )
 from swarmlab.definitions import CostWeights
-from swarmlab.errors import EmptyProblem, TooManyComponents
+from swarmlab.errors import DuplicateAgent, EmptyProblem, SchemaError, TooManyComponents
 from swarmlab.mcmf import solve, verify
 
 import oracles
-from factories import make_service, make_worker, make_workload, random_instance
+from factories import (
+    make_experiment, make_service, make_worker, make_workload, one_round, random_instance,
+)
 
 EQUAL = CostWeights()
 
@@ -40,6 +41,13 @@ def _singles_cost_matrix(workers, services):
         {s.name: j for j, s in enumerate(services)}, EQUAL, 0.9)
 
 
+def _pair_edges(build):
+    """The (worker, unit) index pairs that the network joins by an edge."""
+    workers = {build.worker_vertex(i): i for i in range(build.num_workers)}
+    units = {build.unit_vertex(u): u for u in range(build.num_units)}
+    return {(workers[e.u], units[e.v]) for e in build.net.edges if e.u in workers and e.v in units}
+
+
 def test_build_network_shape():
     workers = [make_worker("w0"), make_worker("w1")]
     services = [make_service("a")]
@@ -47,14 +55,14 @@ def test_build_network_shape():
     # source + 2 workers + 1 unit + sink; 2 source edges + 2 feasible + 1 sink edge
     assert build.net.num_vertices == 5
     assert len(build.net.edges) == 5
-    assert set(build.pair_edges) == {(0, 0), (1, 0)}
+    assert _pair_edges(build) == {(0, 0), (1, 0)}
 
 
 def test_build_network_omits_infeasible_pairs():
     workers = [make_worker("w0", {"cam"}), make_worker("w1")]
     services = [make_service("a", capabilities={"cam"})]
     build = build_network(_singles_cost_matrix(workers, services))
-    assert set(build.pair_edges) == {(0, 0)}
+    assert _pair_edges(build) == {(0, 0)}
     assert len(build.net.edges) == 4
 
 
@@ -158,7 +166,7 @@ def test_configuration_bound(monkeypatch):
 def test_single_worker_pool_wins():
     workers = [make_worker("w0")]
     services = [make_service("a", 40.0), make_service("b", 20.0)]
-    result = allocate(workers, services, [("a", "b")], EQUAL, 0.9)
+    result = allocate_experiment(workers, make_experiment(services, [("a", "b")]))
     assert result.feasible
     assert result.assignments["a"].worker == "w0"
     assert result.assignments["b"].worker == "w0"
@@ -169,7 +177,7 @@ def test_single_worker_pool_wins():
 def test_infeasible_when_nothing_is_hostable():
     workers = [make_worker("w0"), make_worker("w1")]
     services = [make_service("a", capabilities={"gpu"}), make_service("b", capabilities={"gpu"})]
-    result = allocate(workers, services, [], EQUAL, 0.9)
+    result = allocate_experiment(workers, make_experiment(services))
     assert not result.feasible
     assert result.unassigned == {"a", "b"}
     assert result.assignments == {}
@@ -177,10 +185,38 @@ def test_infeasible_when_nothing_is_hostable():
 
 
 def test_empty_problem():
-    with pytest.raises(EmptyProblem):
-        allocate([], [make_service("a")], [], EQUAL, 0.9)
-    with pytest.raises(EmptyProblem):
-        allocate([make_worker("w0")], [], [], EQUAL, 0.9)
+    with pytest.raises(EmptyProblem, match="at least one worker"):
+        allocate_experiment([], make_experiment([make_service("a")]))
+    with pytest.raises(SchemaError, match="at least one service"):
+        allocate_experiment([make_worker("w0")], make_experiment([]))
+
+
+def test_experiment_refuses_bad_parts_before_anything_is_prepared(monkeypatch):
+    # What the five-part entry points once took unchecked: a negative discount (a total
+    # cost of -8.59375), a NaN discount (a cast warning and a cost of about -9.2e12) and
+    # a repeated service name (placed and unassigned at once).
+    def refuse(*_):
+        raise AssertionError("prepare reached")
+    monkeypatch.setattr(allocator, "prepare", refuse)
+    workers = [make_worker("w0", cpu=0.2), make_worker("w1", swap=0.5)]
+    pair = [make_service("a", 40.0), make_service("b", 10.0)]
+    for services, deps, discount, message in (
+            (pair, [("a", "b")], -1.0, r"pool_discount: pool_discount must be within \(0, 1\], got -1.0"),
+            (pair, [("a", "b")], float("nan"), r"pool_discount must be within \(0, 1\], got nan"),
+            ([make_service("a"), make_service("a"), make_service("b")], [], 0.9,
+             "services: duplicate service names: a")):
+        with pytest.raises(SchemaError, match=message):
+            allocator.allocate_experiment(workers, make_experiment(services, deps, EQUAL, discount))
+
+
+def test_prepare_refuses_a_repeated_worker_id(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("built")
+    monkeypatch.setattr(allocator, "enumerate_unit_configurations", refuse)
+    monkeypatch.setattr(costing, "build_capability_matrix", refuse)
+    workers = [make_worker("w1"), make_worker("w2", cpu=0.5), make_worker("w1", cpu=0.9)]
+    with pytest.raises(DuplicateAgent, match="^agent 'w1' appears twice in the fleet$"):
+        allocate_experiment(workers, make_experiment([make_service("a"), make_service("b")]))
 
 
 def test_twelve_workers_six_services_all_distinct():
@@ -191,7 +227,7 @@ def test_twelve_workers_six_services_all_distinct():
         for i in range(12)
     ]
     services = [make_service(f"s{j}", base_cost=float(rng.uniform(20, 70))) for j in range(6)]
-    result = allocate(workers, services, [], EQUAL, 0.9)
+    result = allocate_experiment(workers, make_experiment(services))
     assert result.feasible
     assigned_workers = [a.worker for a in result.assignments.values()]
     assert len(set(assigned_workers)) == 6
@@ -209,7 +245,7 @@ def test_optimality_against_exhaustive_oracle():
     rng = np.random.default_rng(42)
     for _ in range(120):
         workers, services, deps, weights, discount = random_instance(rng)
-        result = allocate(workers, services, deps, weights, discount)
+        result = allocate_experiment(workers, make_experiment(services, deps, weights, discount))
 
         dep_indices = [(next(j for j, s in enumerate(services) if s.name == a),
                         next(j for j, s in enumerate(services) if s.name == b))
@@ -276,7 +312,8 @@ def test_one_cost_matrix_per_allocation(monkeypatch):
     counted(CostMatrix, "scaled")
     workers = [make_worker(f"w{i}", cpu=0.05 * i, bandwidth=0.5) for i in range(8)]
     services = [make_service(f"s{j}", 10.0 + 5 * j) for j in range(6)]
-    result = allocate(workers, services, [("s0", "s1"), ("s2", "s3"), ("s5", "s4")], EQUAL, 0.9)
+    result = allocate_experiment(
+        workers, make_experiment(services, [("s0", "s1"), ("s2", "s3"), ("s5", "s4")]))
     assert len(result.outcomes) == 8
     # The block integerizes its costs itself; CostMatrix.scaled serves build_cost_matrix only.
     assert calls == {"matrix": 0, "block": 1, "scaled": 0}
@@ -286,15 +323,16 @@ def test_prepared_allocation_serves_many_rounds():
     rng = np.random.default_rng(73)
     for _ in range(60):
         workers, services, deps, weights, discount = random_instance(rng)
-        prepared = prepare(workers, services, deps, weights, discount)
+        experiment = make_experiment(services, deps, weights, discount)
+        prepared = prepare(workers, experiment)
         rounds = [[dataclasses.replace(w, workload=make_workload(*rng.random(4).tolist()))
                    for w in workers] for _ in range(3)]
-        first = [prepared.allocate(r) for r in rounds]
-        again = [prepared.allocate(r) for r in reversed(rounds)][::-1]  # no state leaks between rounds
-        assert first == again == [allocate(r, services, deps, weights, discount) for r in rounds]
+        first = [prepared.allocate_rounds(one_round(r))[0] for r in rounds]
+        # No state leaks between rounds.
+        again = [prepared.allocate_rounds(one_round(r))[0] for r in reversed(rounds)][::-1]
+        assert first == again == [allocate_experiment(r, experiment) for r in rounds]
+        assert prepared.allocate_rounds([row for r in rounds for row in one_round(r)]) == first
         assert prepared.allocate_rounds([]) == []  # an empty block has no rounds to place
-        with pytest.raises(ValueError):
-            prepared.allocate(workers + workers)
 
 
 def test_placement_costs_equal_scalar_reference():
@@ -302,7 +340,7 @@ def test_placement_costs_equal_scalar_reference():
     pooled = 0
     for _ in range(300):
         workers, services, deps, weights, discount = random_instance(rng)
-        result = allocate(workers, services, deps, weights, discount)
+        result = allocate_experiment(workers, make_experiment(services, deps, weights, discount))
         by_id = {w.id: w for w in workers}
         by_name = {s.name: s for s in services}
         for name, placed in result.assignments.items():
@@ -318,7 +356,7 @@ def test_worker_exclusivity_and_pool_consistency():
     rng = np.random.default_rng(77)
     for _ in range(150):
         workers, services, deps, weights, discount = random_instance(rng)
-        result = allocate(workers, services, deps, weights, discount)
+        result = allocate_experiment(workers, make_experiment(services, deps, weights, discount))
         workers_per_unit = {}
         for assignment in result.assignments.values():
             workers_per_unit.setdefault(assignment.unit, set()).add(assignment.worker)
@@ -333,10 +371,11 @@ def test_adding_a_worker_never_hurts():
     rng = np.random.default_rng(31)
     for _ in range(100):
         workers, services, deps, weights, discount = random_instance(rng)
-        before = len(allocate(workers, services, deps, weights, discount).assignments)
+        experiment = make_experiment(services, deps, weights, discount)
+        before = len(allocate_experiment(workers, experiment).assignments)
         extra = make_worker("extra", {f"t{j}" for j in range(len(services))
                                       if rng.random() < 0.7})
-        after = len(allocate(workers + [extra], services, deps, weights, discount).assignments)
+        after = len(allocate_experiment(workers + [extra], experiment).assignments)
         assert after >= before
 
 
@@ -359,13 +398,14 @@ def test_explain_formats():
     workers = [make_worker("w0", cpu=0.2, swap=0.1, bandwidth=0.4),
                make_worker("w1", cpu=0.4, swap=0.3, bandwidth=0.4)]
     services = [make_service("camera", 30.0), make_service("mapper", 60.0)]
-    result = allocate(workers, services, [("mapper", "camera")], EQUAL, 0.9)
+    result = allocate_experiment(workers, make_experiment(services, [("mapper", "camera")]))
     report = explain(result)
     assert report.count("\n") >= 6
     assert "Allocation: FEASIBLE (2/2 services assigned)" in report
     assert "Configurations (2 tried" in report
 
-    impossible = allocate(workers, [make_service("gpuish", capabilities={"gpu"})], [], EQUAL, 0.9)
+    impossible = allocate_experiment(
+        workers, make_experiment([make_service("gpuish", capabilities={"gpu"})]))
     report = explain(impossible)
     assert "INFEASIBLE" in report
     assert "Unassigned: gpuish" in report
@@ -374,7 +414,7 @@ def test_explain_formats():
 def test_explain_golden():
     workers = [make_worker("w0", cpu=0.2), make_worker("w1", swap=0.5)]
     services = [make_service("a", 40.0), make_service("b", 10.0)]
-    result = allocate(workers, services, [], EQUAL, 0.9)
+    result = allocate_experiment(workers, make_experiment(services))
     from pathlib import Path
     golden = Path(__file__).parent / "fixtures" / "explain_two_workers.txt"
     assert explain(result) == golden.read_text(encoding="utf-8")

@@ -4,12 +4,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from swarmlab import assignment, mcmf
-from swarmlab.allocator import build_network, prepare
+from swarmlab.allocator import allocate_experiment, build_network, prepare
 from swarmlab.costing import COST_SCALE, CostMatrix
-from swarmlab.definitions import CostWeights
 
 import oracles
-from factories import make_service, make_worker
+from factories import make_experiment, make_service, make_worker, one_round
 
 
 def solve_selections(scaled, feasible, selections, order=None, weights=None):
@@ -244,8 +243,9 @@ def pooled_fleets(draw):
 @given(pooled_fleets(), st.randoms(use_true_random=False))
 def test_warm_started_configurations_match_independent_solves(fleet, random):
     workers, services, dependencies, discount = fleet
-    prepared = prepare(workers, services, dependencies, CostWeights(), discount)
-    result = prepared.allocate(workers)
+    experiment = make_experiment(services, dependencies, discount=discount)
+    prepared = prepare(workers, experiment)
+    result = allocate_experiment(workers, experiment)
     scaled = prepared.costs.matrix([w.workload for w in workers]).scaled()
     feasible = prepared.costs.feasible
     assert len(result.outcomes) == 2 ** len(dependencies)
@@ -368,7 +368,7 @@ def test_seeded_cold_starts_run_no_padding_search(monkeypatch):
         specs = [make_service(f"s{j:02d}", float(rng.uniform(5.0, 95.0)),
                               ("cam",) if j in needs_camera else ()) for j in range(services)]
         dependencies = [(f"s{2 * k:02d}", f"s{2 * k + 1:02d}") for k in range(pools)]
-        prepared = prepare(fleet, specs, dependencies, CostWeights(), 0.85)
+        prepared = prepare(fleet, make_experiment(specs, dependencies, discount=0.85))
         first = prepared.selections[0]
         assert len(first) >= assignment.SEED_MIN_UNITS
         scaled = prepared.costs.matrix([w.workload for w in fleet]).scaled()
@@ -382,7 +382,7 @@ def test_seeded_cold_starts_run_no_padding_search(monkeypatch):
     # The demo-shaped round: the seed's repairs, then the split's s00 and s01 enter.
     prepared, fleet, repairs = prepared_demo
     searches.clear()
-    result = prepared.allocate(fleet)
+    [result] = prepared.allocate_rounds(one_round(fleet))
     assert result.feasible and len(result.outcomes) == 2
     assert len(searches) == repairs + 2 and POOL not in searches
 
@@ -425,7 +425,7 @@ def test_pooling_steps_search_the_pool_once(monkeypatch):
         specs = [make_service(f"s{j:02d}", float(rng.uniform(5.0, 95.0)),
                               ("cam",) if j in needs_camera else ()) for j in range(20)]
         dependencies = [(f"s{2 * k:02d}", f"s{2 * k + 1:02d}") for k in range(3)]
-        prepared = prepare(fleet, specs, dependencies, CostWeights(), 0.85)
+        prepared = prepare(fleet, make_experiment(specs, dependencies, discount=0.85))
         scaled = prepared.costs.matrix([w.workload for w in fleet]).scaled()
         feasible = prepared.costs.feasible
         selections = [prepared.selections[i ^ (i >> 1)] for i in range(8)]
@@ -492,7 +492,7 @@ def test_services_tie_break_past_int64_runs_on_python_ints(monkeypatch):
                            *rng.uniform(0.1, 0.8, size=4).tolist()) for i in range(12)]
     services = [make_service(f"s{j}", float(rng.uniform(5.0, 95.0)), ("cam",) if j == 4 else ())
                 for j in range(8)]
-    prepared = prepare(workers, services, [("s0", "s1")], CostWeights(), 0.85)
+    prepared = prepare(workers, make_experiment(services, [("s0", "s1")], discount=0.85))
     scaled = prepared.costs.matrix([w.workload for w in workers]).scaled()
     feasible = prepared.costs.feasible
     selections = list(prepared.selections)
@@ -507,7 +507,7 @@ def test_services_tie_break_past_int64_runs_on_python_ints(monkeypatch):
                       (object, int(encoded[feasible].sum()) + 1)]
     assert [(len(pairs), cost) for pairs, cost in narrow] \
         == [(outcome.flow_value, outcome.total_cost_scaled)
-            for outcome in prepared.allocate(workers).outcomes]
+            for outcome in prepared.allocate_rounds(one_round(workers))[0].outcomes]
 
     # One pool of 200 services on 20 workers: spread 39801 and a big M of about 7.4e15,
     # so int64; at 2**10 times the costs the big M passes 2**62, and the optimum keeps its
@@ -515,7 +515,7 @@ def test_services_tie_break_past_int64_runs_on_python_ints(monkeypatch):
     chain = [make_service(f"m{j:03d}", 100.0) for j in range(200)]
     pairs = [(f"m{j:03d}", f"m{j + 1:03d}") for j in range(199)]
     fleet = [make_worker(f"v{i:02d}") for i in range(20)]
-    prepared = prepare(fleet, chain, pairs, CostWeights(), 0.85)
+    prepared = prepare(fleet, make_experiment(chain, pairs, discount=0.85))
     scaled = prepared.costs.matrix([w.workload for w in fleet]).scaled()
     selections = list(prepared.selections)
     weights = [len(members) for members in prepared.member_columns]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from swarmlab import costing
 from swarmlab.costing import (
     COST_SCALE,
     CostMatrix,
@@ -15,6 +16,7 @@ from swarmlab.costing import (
     integerize_cost,
     pooled_capability,
     pooled_cost,
+    prepare_unit_costs,
     swap_cost,
     vram_cost,
 )
@@ -126,6 +128,32 @@ def test_pooled_cost_discount():
     single = edge_cost(100.0, workload, EQUAL)
     assert pooled_cost(members, workload, EQUAL, 0.9) == pytest.approx(0.9 * 2 * single)
     assert pooled_cost(members, workload, EQUAL, 1.0) == pytest.approx(2 * single)
+
+
+def test_cost_matrix_refuses_the_discounts_pooled_cost_refuses(monkeypatch):
+    workers = [make_worker("w0", cpu=0.3), make_worker("w1", swap=0.4), make_worker("w2")]
+    members = [make_service("a", 40.0), make_service("b", 20.0)]
+    units = [members[:1], members[1:], members]
+    capabilities = build_capability_matrix(workers, members)
+    index = {"a": 0, "b": 1}
+    for discount in (-1.0, 0.0, 1.5, float("nan"), float("inf")):
+        with pytest.raises(DomainError) as scalar:
+            pooled_cost(members, workers[0].workload, EQUAL, discount)
+        with pytest.raises(DomainError) as matrix:
+            build_cost_matrix(workers, units, capabilities, index, EQUAL, discount)
+        with pytest.raises(DomainError) as prepared:
+            prepare_unit_costs(units, capabilities, index, EQUAL, discount)
+        assert str(matrix.value) == str(prepared.value) == str(scalar.value) \
+            == f"discount must be within (0, 1], got {discount!r}"
+
+    checks = []
+    check = costing._check_discount
+    monkeypatch.setattr(costing, "_check_discount", lambda d: checks.append(d) or check(d))
+    for discount in (0.9, 1.0):
+        matrix = build_cost_matrix(workers, units, capabilities, index, EQUAL, discount)
+        assert checks == [discount]  # once a call, not once a cell
+        assert matrix.values[0, 2] == pooled_cost(members, workers[0].workload, EQUAL, discount)
+        checks.clear()
 
 
 def test_pooled_cost_requires_two_members():

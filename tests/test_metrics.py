@@ -217,6 +217,23 @@ def test_fold_and_frequency_check_rosters():
         assert fold.dispersion() == _fold(clean, TOY_WORKERS, TOY_SERVICES)[0].dispersion()
 
 
+@pytest.mark.parametrize("workers, services, message", [
+    # Keyed by id, the fold once ran Jain's index over 2 shares of this 3-entry roster,
+    # while the frequency matrix had 3 rows, the first always 0.
+    (["w1", "w1", "w2"], TOY_SERVICES, "worker 'w1' appears twice in the roster"),
+    (["w1", "w2", "w3", "w2"], TOY_SERVICES, "worker 'w2' appears twice in the roster"),
+    # A repeated service once wrote its CSV line twice a round.
+    (TOY_WORKERS, ["s1", "s2", "s1"], "service 's1' appears twice in the roster"),
+])
+def test_fold_and_frequency_refuse_repeated_roster_names(workers, services, message):
+    with pytest.raises(DomainError) as raised:
+        ReportFold(workers, services)
+    assert str(raised.value) == message
+    with pytest.raises(DomainError) as raised:
+        allocation_frequency(toy_results(), workers, services)
+    assert str(raised.value) == message
+
+
 # ---------------------------------------------------------------------------
 # reports
 

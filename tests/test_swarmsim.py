@@ -378,7 +378,6 @@ def call_counts(monkeypatch):
     counted(costing.UnitCosts, "block")
     counted(costing.CostMatrix, "scaled")
     counted(assignment, "solve")
-    counted(allocator.PreparedAllocation, "allocate")
     solve_selections = assignment.solve_selections
 
     def count_selections(matrix, costs, big_m, selections, order=None):
@@ -405,13 +404,14 @@ def test_command_level_inputs_are_built_once(call_counts, monkeypatch):
         assert call_counts == Counter({"enumerate_unit_configurations": 1,
                                        "build_capability_matrix": 1, "block": blocks,
                                        "scaled": 0, "solve_selections": 5, "selections": 10})
-    # One iteration runs the same pipeline: one block of one round, and no one-round allocate.
+    # One iteration runs the same pipeline: one block of one round; there is no other
+    # one-round path.
     call_counts.clear()
     run_iteration(cfg, 3)
     assert call_counts == Counter({"enumerate_unit_configurations": 1,
                                    "build_capability_matrix": 1, "block": 1,
                                    "solve_selections": 1, "selections": 2})
-    assert call_counts["allocate"] == 0
+    assert not hasattr(allocator.PreparedAllocation, "allocate")
 
 
 def test_scaling_grid_inputs_are_built_once(call_counts, monkeypatch):
@@ -856,6 +856,21 @@ def test_config_rejects_duplicate_worker_ids():
     assert str(raised.value) == "agent 'w2' appears twice in the simulated fleet"
 
 
+
+def test_round_results_refuses_a_repeated_worker_id_before_sampling(monkeypatch):
+    # ClusterSpec and SimConfig refuse such a fleet first; the pipeline itself refuses it
+    # when it prepares, before it draws a row.
+    def refuse(*_):
+        raise AssertionError("sampled")
+    monkeypatch.setattr(swarmsim, "workload_generators", refuse)
+    monkeypatch.setattr(swarmsim, "sample_rounds", refuse)
+    w1, w2, w3 = (replace(worker, id=f"w{k}") for k, worker in enumerate(balanced_cluster(3), 1))
+    rounds = swarmsim.round_results((w1, w2, w3, w2), bench_experiment(2), 0, None, [0, 1])
+    with pytest.raises(DuplicateAgent) as raised:
+        next(rounds)
+    assert str(raised.value) == "agent 'w2' appears twice in the fleet"
+
+
 # ---------------------------------------------------------------------------
 # scaling
 
@@ -993,7 +1008,7 @@ def _reference_scaling(worker_counts, service_counts, template):
         for k in service_counts:
             experiment = replace(template.experiment, services=services[:k], dependencies=())
             cfg = replace(template, workers=fleet[:n], experiment=experiment, iterations=1)
-            result = allocator.prepare_experiment(fleet[:n], experiment).allocate(states[:n])
+            result = allocator.allocate_experiment(states[:n], experiment)
             trace = swarmsim._trace(cfg, result)
             # The timings agree with the rendered events: the last poll reply, the
             # allocation, and the last service start (none when nothing is placed).
@@ -1190,10 +1205,9 @@ def test_block_rounds_equal_per_round_allocations(trace_dir, fleet, services, po
         patch.setattr(assignment, "BLOCK_CELLS", block_cells)
         blocked = run_experiment(cfg)
 
-    prepared = allocator.prepare_experiment(workers, experiment)
+    prepared = allocator.prepare(workers, experiment)
     generators = [WorkloadGenerator(w.workload, seed, i, trace_dir) for i, w in enumerate(workers)]
-    per_round = [prepared.allocate([WorkerState(id=w.id, profile=w.profile, workload=g.sample(k))
-                                    for w, g in zip(workers, generators)])
+    per_round = [prepared.allocate_rounds([[tuple(g.sample(k)) for g in generators]])[0]
                  for k in range(iterations)]
     assert blocked == per_round
 
