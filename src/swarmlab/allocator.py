@@ -13,13 +13,21 @@ column's weight is its service count, and ``assignment.solve_rounds``
 breaks the tie (see ``assignment``). Among equal-cost optima the placement
 is deterministic for a given cost matrix but follows no documented rule.
 
-``enumerate_unit_configurations`` builds one ``AllocationUnit`` per group,
-every single service and each component's pool, and every configuration
-shares those objects; a unit's ``label`` is computed once.
-``prepare(workers, experiment)`` builds what the workers' samples do not
-change, once per fleet and validated ``ExperimentSpec``
-(``PreparedAllocation``); the experiment is the one description of the
-services, dependencies, weights and discount the allocator accepts.
+One column table describes the configurations (``_columns``): the
+columns are tuples of service indices, every service alone in service
+order and then each component of two or more services as one pool, and
+each configuration selects its columns. ``column_table(experiment)``
+builds it from the experiment's dependency pairs; ``validate`` runs it on
+every experiment definition, so the configuration bound is an input
+check. ``prepare(workers, experiment)`` builds what the workers' samples
+do not change from that table, once per fleet and validated
+``ExperimentSpec`` (``PreparedAllocation``); the experiment is the one
+description of the services, dependencies, weights and discount the
+allocator accepts. Each column is one ``AllocationUnit``, shared by every
+configuration that selects it; a unit's ``label`` is computed once.
+``enumerate_unit_configurations`` is the same table's configurations for
+a caller that holds ``costing.build_dependency_matrix``'s matrix; the
+allocator builds no such matrix.
 ``PreparedAllocation.allocate_rounds`` takes a block of rounds' load rows,
 one ``(rounds, workers, 4)`` array: ``costing.UnitCosts.block`` costs the
 whole block in one pass, and ``assignment.solve_rounds`` solves its
@@ -40,8 +48,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -105,16 +112,15 @@ class AllocationResult:
         return len(self.assignments) + len(self.unassigned)
 
 
-def _components(dependencies: np.ndarray) -> list[list[int]]:
-    """Connected components of the undirected dependency closure, by smallest member."""
-    n = dependencies.shape[0]
-    neighbours: list[list[int]] = [[] for _ in range(n)]
-    for dependent, dependency in zip(*(axis.tolist() for axis in np.nonzero(dependencies))):
+def _components(num_services: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Connected components of the undirected closure of the index ``pairs``, by smallest member."""
+    neighbours: list[list[int]] = [[] for _ in range(num_services)]
+    for dependent, dependency in pairs:
         neighbours[dependent].append(dependency)
         neighbours[dependency].append(dependent)
-    seen = [False] * n
+    seen = [False] * num_services
     components = []
-    for start in range(n):
+    for start in range(num_services):
         if seen[start]:
             continue
         seen[start] = True
@@ -128,43 +134,69 @@ def _components(dependencies: np.ndarray) -> list[list[int]]:
     return components
 
 
+def _columns(num_services: int, pairs: Iterable[tuple[int, int]]
+             ) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """The column table of ``num_services`` services whose dependencies are the index ``pairs``.
+
+    The columns are service-index tuples: every service alone, in service
+    order (column ``j`` is service ``j``), then each dependency component
+    of two or more services as one pool, by smallest member. The selections
+    are each pool-or-split configuration's columns, ordered by their first
+    service. Each component's pooled variant comes first, so the first
+    configuration pools everything and the last splits everything. More
+    than ``MAX_CONFIGURATIONS`` configurations raise ``TooManyComponents``.
+    """
+    components = _components(num_services, pairs)
+    pools = [component for component in components if len(component) > 1]
+    if 2**len(pools) > MAX_CONFIGURATIONS:
+        raise TooManyComponents(
+            f"{len(pools)} poolable components yield {2**len(pools)} configurations "
+            f"(bound {MAX_CONFIGURATIONS})")
+
+    columns = [(j,) for j in range(num_services)] + [tuple(pool) for pool in pools]
+    singles = [component[0] for component in components if len(component) == 1]
+    # A pool's variants: its own column, or its members' columns (a service's column is its index).
+    variants = [([num_services + p], pool) for p, pool in enumerate(pools)]
+    selections = [sorted(itertools.chain(singles, *choice), key=lambda c: columns[c][0])
+                  for choice in itertools.product(*variants)]
+    return columns, selections
+
+
+def column_table(experiment: ExperimentSpec) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """``experiment``'s column table: ``_columns`` of its dependencies as service-index pairs.
+
+    ``prepare`` builds its units, costs and selections from it, and
+    ``validate`` runs it on an experiment definition, so both refuse an
+    experiment past ``MAX_CONFIGURATIONS`` with the same ``TooManyComponents``.
+    """
+    index = {s.name: j for j, s in enumerate(experiment.services)}
+    return _columns(len(index), [(index[a], index[b]) for a, b in experiment.dependencies])
+
+
+def _configurations(services: Sequence[ServiceSpec], columns: Sequence[tuple[int, ...]],
+                    selections: Sequence[list[int]]) -> tuple[tuple[AllocationUnit, ...], ...]:
+    """Each selection's units, one ``AllocationUnit`` per column shared by every configuration."""
+    units = [AllocationUnit(tuple(services[j].name for j in column)) for column in columns]
+    return tuple(tuple(units[c] for c in selection) for selection in selections)
+
+
 def enumerate_unit_configurations(
     services: Sequence[ServiceSpec],
     dependencies: np.ndarray,
 ) -> list[tuple[AllocationUnit, ...]]:
     """All pool-or-split combinations, one choice per dependency component.
 
-    Components with a single service always yield a single unit. For each
-    multi-service component the pooled variant comes first, so the first
-    configuration pools everything and the last splits everything. Every
-    configuration shares one unit object per group. More than
-    ``MAX_CONFIGURATIONS`` raises ``TooManyComponents``.
+    ``dependencies`` is ``costing.build_dependency_matrix``'s matrix; its
+    nonzero pairs go through the column table ``prepare`` builds, so the
+    result is ``prepare(...).configurations`` as a list. Components with a
+    single service always yield a single unit. For each multi-service
+    component the pooled variant comes first, so the first configuration
+    pools everything and the last splits everything. Every configuration
+    shares one unit object per group. More than ``MAX_CONFIGURATIONS``
+    raises ``TooManyComponents``.
     """
-    names = [s.name for s in services]
-    components = _components(dependencies)
-    multi = sum(1 for c in components if len(c) > 1)
-    if 2**multi > MAX_CONFIGURATIONS:
-        raise TooManyComponents(
-            f"{multi} poolable components yield {2**multi} configurations "
-            f"(bound {MAX_CONFIGURATIONS})")
-
-    # One unit per group, shared by every configuration, keyed by its first service's index.
-    singles = [(j, AllocationUnit((name,))) for j, name in enumerate(names)]
-    options: list[list[tuple[tuple[int, AllocationUnit], ...]]] = []
-    for component in components:
-        split = tuple(singles[j] for j in component)
-        if len(component) == 1:
-            options.append([split])
-        else:
-            pooled = ((component[0], AllocationUnit(tuple(names[j] for j in component))),)
-            options.append([pooled, split])
-
-    configurations = []
-    for choice in itertools.product(*options):
-        groups = sorted((group for component_groups in choice for group in component_groups),
-                        key=itemgetter(0))
-        configurations.append(tuple(unit for _, unit in groups))
-    return configurations
+    pairs = zip(*(axis.tolist() for axis in np.nonzero(dependencies)))
+    return list(_configurations(services, *_columns(len(services), pairs)))
 
 
 @dataclass
@@ -205,13 +237,12 @@ def build_network(costs: CostMatrix) -> NetworkBuild:
 class PreparedAllocation:
     """The part of an allocation that the workers' samples do not change.
 
-    ``prepare`` builds it once per fleet and experiment: the pool-or-split
-    configurations, the cost-matrix columns (every single service in
-    service order, then the pools of the first configuration, which pools
-    every component), their feasibility and base costs, each
-    configuration's column selection, the column order that seeds the
-    solver and each column's members with their service columns, which
-    placement reads and whose counts weigh the solver's tie-break.
+    ``prepare`` builds it once per fleet and experiment from the column
+    table (``column_table``): the pool-or-split configurations, the
+    columns' feasibility and base costs, each configuration's column
+    selection, the column order that seeds the solver and each column's
+    members with their service columns, which placement reads and whose
+    counts weigh the solver's tie-break.
     ``allocate_rounds`` then costs a block of rounds in one pass and solves
     and places each.
     """
@@ -300,26 +331,19 @@ def prepare(workers: Sequence[WorkerState], experiment: ExperimentSpec) -> Prepa
     if (repeated := first_repeat(w.id for w in workers)) is not None:
         raise DuplicateAgent(f"agent {repeated!r} appears twice in the fleet")
     services, discount = experiment.services, experiment.pool_discount
-    configurations = enumerate_unit_configurations(
-        services, costing.build_dependency_matrix(services, experiment.dependencies))
-
-    service_index = {s.name: j for j, s in enumerate(services)}
-    columns = [(s.name,) for s in services] + [u.members for u in configurations[0] if u.is_pool]
-    column_of = {members: c for c, members in enumerate(columns)}
+    columns, selections = column_table(experiment)
     costs = costing.prepare_unit_costs(
-        [[services[service_index[name]] for name in members] for members in columns],
-        costing.build_capability_matrix(workers, services), service_index,
+        [[services[j] for j in column] for column in columns],
+        costing.build_capability_matrix(workers, services), {s.name: j for j, s in enumerate(services)},
         experiment.weights, discount)
 
-    selections = tuple([column_of[unit.members] for unit in units] for units in configurations)
-    scale = [sum(services[service_index[name]].predefined_cost for name in members)
-             * (discount if len(members) > 1 else 1.0) for members in columns]
+    scale = [sum(services[j].predefined_cost for j in column) * (discount if len(column) > 1 else 1.0)
+             for column in columns]
     return PreparedAllocation(
-        services=services, configurations=tuple(configurations),
-        worker_ids=tuple(w.id for w in workers), costs=costs, selections=selections,
+        services=services, configurations=_configurations(services, columns, selections),
+        worker_ids=tuple(w.id for w in workers), costs=costs, selections=tuple(selections),
         scale_order=tuple(sorted(range(len(columns)), key=lambda c: -scale[c])),
-        member_columns=tuple(tuple((name, service_index[name]) for name in members)
-                             for members in columns),
+        member_columns=tuple(tuple((services[j].name, j) for j in column) for column in columns),
         discount=discount)
 
 

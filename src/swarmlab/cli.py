@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 validation failure (including usage errors,
 out-of-range numeric flags, input files that are not UTF-8, FIFOs and files
-past their size bound), 2 infeasible allocation, 3 internal error (I/O and
-unexpected failures).
+past their size bound, and experiments with more pool-or-split
+configurations than ``allocator.MAX_CONFIGURATIONS``), 2 infeasible
+allocation, 3 internal error (I/O and unexpected failures).
 Commands taking a seed are deterministic end to end: identical flags
 produce byte-identical output files.
 """
@@ -33,6 +34,7 @@ from .errors import (
     DefinitionSyntaxError,
     SchemaError,
     SwarmLabError,
+    TooManyComponents,
     UnresolvedService,
 )
 
@@ -41,9 +43,13 @@ EXIT_VALIDATION = 1
 EXIT_INFEASIBLE = 2
 EXIT_INTERNAL = 3
 
+#: What an input can be refused with: ``validate`` prints it, and the commands exit 1 with it.
+_INVALID = (DefinitionSyntaxError, SchemaError, TooManyComponents, UnresolvedService, UnicodeDecodeError)
+
 _PARSERS = {
     ".cdf.json": lambda text, path: parse_cdf(text),
-    ".edf.json": lambda text, path: parse_edf(text, directory_resolver(path.parent)),
+    # An experiment's configurations are counted as the commands count them.
+    ".edf.json": lambda text, path: allocator.column_table(parse_edf(text, directory_resolver(path.parent))),
     # A cluster's trace files, resolved against its directory, are checked as the commands check them.
     ".cluster.json": lambda text, path: swarmsim.check_fleet_inputs(parse_cluster(text).workers,
                                                                     path.parent),
@@ -73,7 +79,7 @@ def _problem(path: Path) -> "str | None":
         return f"{path}: {exc}"
     try:
         parse(text, path)
-    except (DefinitionSyntaxError, SchemaError, UnresolvedService, UnicodeDecodeError) as exc:
+    except _INVALID as exc:
         return f"{path}: {exc}"
     return None
 
@@ -234,7 +240,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     try:
         return args.handler(args)
-    except (DefinitionSyntaxError, SchemaError, UnresolvedService, UnicodeDecodeError) as exc:
+    except _INVALID as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (OSError, SwarmLabError) as exc:

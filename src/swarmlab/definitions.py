@@ -253,8 +253,8 @@ class ClusterSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "workers", tuple(self.workers))
-        if first_repeat(w.id for w in self.workers) is not None:
-            raise SchemaError("cluster worker ids must be distinct", "workers")
+        if (repeated := first_repeat(w.id for w in self.workers)) is not None:
+            raise SchemaError(f"cluster worker ids must be distinct; {repeated!r} appears twice", "workers")
         if not (isinstance(self.seed, int) and not isinstance(self.seed, bool) and self.seed >= 0):
             raise SchemaError("seed must be a non-negative integer", "seed")
 

@@ -1,9 +1,11 @@
 import dataclasses
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from swarmlab.allocator import (
     AllocationUnit,
@@ -14,6 +16,7 @@ from swarmlab.allocator import (
     prepare,
 )
 from swarmlab import allocator, costing
+from swarmlab.cli import main
 from swarmlab.costing import (
     CostMatrix,
     build_capability_matrix,
@@ -32,6 +35,7 @@ from factories import (
 )
 
 EQUAL = CostWeights()
+SAMPLES = Path(__file__).resolve().parent.parent / "docs" / "samples"
 
 
 def _singles_cost_matrix(workers, services):
@@ -144,6 +148,73 @@ def test_configurations_share_one_unit_per_group(graph):
     assert len(by_members) == n + sum(len(m) > 1 for m in by_members)
 
 
+@st.composite
+def pooled_graphs(draw):
+    """A service count and dependency index pairs: 0 to 13 components of 2 to 4 services,
+    each a chain or a cycle, among single services, in a shuffled service order, with
+    repeated and reversed pairs, in any order."""
+    sizes = draw(st.lists(st.integers(2, 4), max_size=13))
+    n = sum(sizes) + draw(st.integers(0 if sizes else 1, 4))
+    order = draw(st.permutations(range(n)))
+    pairs, start = [], 0
+    for size in sizes:
+        members, start = order[start:start + size], start + size
+        pairs += zip(members, members[1:])
+        if size > 2 and draw(st.booleans()):
+            pairs.append((members[-1], members[0]))
+    again = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
+    pairs += [(b, a) if draw(st.booleans()) else (a, b) for a, b in again]
+    return n, draw(st.permutations(pairs))
+
+
+def _sharing(configurations):
+    """Each unit's position among the distinct unit objects, in order of first appearance."""
+    first_seen = {}
+    return [[first_seen.setdefault(id(unit), len(first_seen)) for unit in units]
+            for units in configurations]
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=pooled_graphs())
+@example(graph=(24, [(2 * k, 2 * k + 1) for k in range(12)]))  # at the bound: 4096
+@example(graph=(26, [(2 * k + 1, 2 * k) for k in range(13)]))  # past it: 8192
+def test_prepared_configurations_equal_the_matrix_view(graph):
+    n, pairs = graph
+    services = [make_service(f"s{j:02d}") for j in range(n)]
+    named = [(services[a].name, services[b].name) for a, b in pairs]
+    experiment, workers = make_experiment(services, named), [make_worker("w0")]
+    try:
+        expected = tuple(enumerate_unit_configurations(
+            services, build_dependency_matrix(services, named)))
+    except TooManyComponents as exc:
+        with pytest.raises(TooManyComponents, match=f"^{re.escape(str(exc))}$"):
+            prepare(workers, experiment)
+        return
+    configurations = prepare(workers, experiment).configurations
+    assert configurations == expected
+    assert _sharing(configurations) == _sharing(expected)
+
+
+def test_prepare_builds_no_dependency_matrix(monkeypatch, capsys):
+    argv = ["allocate", "--edf", str(SAMPLES / "mapping-demo.edf.json"),
+            "--cluster", str(SAMPLES / "bench.cluster.json"), "--seed", "7"]
+    workers = [make_worker("w0", cpu=0.2), make_worker("w1", swap=0.5), make_worker("w2")]
+    experiment = make_experiment(
+        [make_service("a", 40.0), make_service("b", 10.0), make_service("c")], [("a", "b")])
+
+    def outputs():
+        return main(argv), capsys.readouterr(), explain(allocate_experiment(workers, experiment))
+    expected = outputs()
+
+    def refuse(*_):
+        raise AssertionError("the matrix path was reached")
+    monkeypatch.setattr(costing, "build_dependency_matrix", refuse)
+    monkeypatch.setattr(allocator, "enumerate_unit_configurations", refuse)
+    assert outputs() == expected
+    assert expected[0] == 0 and expected[1].err == ""
+    assert "Configurations (2 tried" in expected[2]
+
+
 def test_allocation_unit_label_keeps_value_semantics():
     unit, twin = AllocationUnit(("a", "b")), AllocationUnit(("a", "b"))
     assert unit.label == "a+b" and unit.label == "a+b"
@@ -212,7 +283,7 @@ def test_experiment_refuses_bad_parts_before_anything_is_prepared(monkeypatch):
 def test_prepare_refuses_a_repeated_worker_id(monkeypatch):
     def refuse(*_):
         raise AssertionError("built")
-    monkeypatch.setattr(allocator, "enumerate_unit_configurations", refuse)
+    monkeypatch.setattr(allocator, "_columns", refuse)
     monkeypatch.setattr(costing, "build_capability_matrix", refuse)
     workers = [make_worker("w1"), make_worker("w2", cpu=0.5), make_worker("w1", cpu=0.9)]
     with pytest.raises(DuplicateAgent, match="^agent 'w1' appears twice in the fleet$"):

@@ -152,25 +152,56 @@ def test_allocate_invalid_edf_is_validation_failure(tmp_path, artifacts, capsys)
                  "--seed", "1"]) == 1
 
 
+def _pools_edf(tmp_path, pools):
+    """An EDF of ``2 * pools`` services in ``pools`` two-service pools."""
+    edf = tmp_path / f"pools{pools}.edf.json"
+    edf.write_text(serialize_edf(ExperimentSpec(
+        name="pools", services=tuple(make_service(f"s{j:02d}") for j in range(2 * pools)),
+        dependencies=tuple((f"s{2 * k:02d}", f"s{2 * k + 1:02d}") for k in range(pools)))),
+        encoding="utf-8")
+    return edf
+
+
 def test_allocate_and_simulate_report_the_same_first_fault(tmp_path, capsys):
     # Two faults: a trace field that is not a number, and 13 two-service pools (8192
     # configurations). Both commands run one round pipeline, which prepares before it
-    # samples, so both report the pools.
+    # samples, so both report the pools, as a validation failure.
     (tmp_path / "bad.csv").write_text("0.1,0.2,zz,0.3\n", encoding="ascii")
     cluster = tmp_path / "bad.cluster.json"
     cluster.write_text(serialize_cluster(ClusterSpec(workers=(ClusterWorker(
         id="t", profile=HardwareProfile(), workload=TraceWorkload("bad.csv")),))), encoding="utf-8")
-    edf = tmp_path / "pools.edf.json"
-    edf.write_text(serialize_edf(ExperimentSpec(
-        name="pools", services=tuple(make_service(f"s{j:02d}") for j in range(26)),
-        dependencies=tuple((f"s{2 * k:02d}", f"s{2 * k + 1:02d}") for k in range(13)))),
-        encoding="utf-8")
+    edf = _pools_edf(tmp_path, 13)
     inputs = ["--edf", str(edf), "--cluster", str(cluster), "--seed", "1"]
     outcomes = []
     for argv in (["allocate", *inputs], ["simulate", *inputs, "--out-dir", str(tmp_path / "out")]):
         outcomes.append((main(argv), capsys.readouterr().err))
-    assert outcomes == [(3, "error: 13 poolable components yield 8192 configurations "
+    assert outcomes == [(1, "error: 13 poolable components yield 8192 configurations "
                             "(bound 4096)\n")] * 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_refuses_an_experiment_past_the_configuration_bound(tmp_path, capsys):
+    # 12 pools make 4096 configurations, the bound; 13 make 8192. validate builds each
+    # EDF's column table, as allocate and simulate do, and prints the commands' message.
+    at_bound, past_bound = _pools_edf(tmp_path, 12), _pools_edf(tmp_path, 13)
+    assert main(["validate", str(at_bound)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["validate", str(at_bound), str(past_bound)]) == 1
+    assert capsys.readouterr().out == (f"{past_bound}: 13 poolable components yield 8192 "
+                                       "configurations (bound 4096)\n")
+
+
+def test_repeated_cluster_worker_id_is_named(tmp_path, artifacts, capsys):
+    edf, _ = artifacts
+    document = json.loads(serialize_cluster(ClusterSpec(workers=balanced_cluster(4))))
+    document["workers"].append(document["workers"][2])
+    cluster = tmp_path / "repeated.cluster.json"
+    cluster.write_text(json.dumps(document), encoding="utf-8")
+    message = "workers: cluster worker ids must be distinct; 'w03' appears twice"
+    assert main(["validate", str(cluster)]) == 1
+    assert capsys.readouterr().out == f"{cluster}: {message}\n"
+    assert main(["allocate", "--edf", str(edf), "--cluster", str(cluster), "--seed", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -258,7 +258,7 @@ def _with_workload(**workload):
     (_with_workload(kind="trace", path="t.csv", values=[]), "workers[2].workload",
      "unknown field(s): values"),
     ({"workers": [{"id": "w", "workload": _UNIFORM}] * 2}, "workers",
-     "cluster worker ids must be distinct"),
+     "cluster worker ids must be distinct; 'w' appears twice"),
     ({"workers": [{"id": "w", "workload": _UNIFORM}], "seed": -1}, "seed",
      "seed must be a non-negative integer"),
     ({"workers": [{"id": "w", "workload": _UNIFORM}], "seed": "1"}, "seed",

@@ -372,7 +372,7 @@ def call_counts(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(allocator, "enumerate_unit_configurations")
+    counted(allocator, "_columns")
     counted(costing, "build_capability_matrix")
     counted(costing.UnitCosts, "matrix")
     counted(costing.UnitCosts, "block")
@@ -401,14 +401,14 @@ def test_command_level_inputs_are_built_once(call_counts, monkeypatch):
         results = run_experiment(cfg)
         assert [len(result.outcomes) for result in results] == [2] * 5
         blocks = -(-cfg.iterations // assignment.block_rounds(6, 4 + 1))  # 4 services and a pool
-        assert call_counts == Counter({"enumerate_unit_configurations": 1,
+        assert call_counts == Counter({"_columns": 1,
                                        "build_capability_matrix": 1, "block": blocks,
                                        "scaled": 0, "solve_selections": 5, "selections": 10})
     # One iteration runs the same pipeline: one block of one round; there is no other
     # one-round path.
     call_counts.clear()
     run_iteration(cfg, 3)
-    assert call_counts == Counter({"enumerate_unit_configurations": 1,
+    assert call_counts == Counter({"_columns": 1,
                                    "build_capability_matrix": 1, "block": 1,
                                    "solve_selections": 1, "selections": 2})
     assert not hasattr(allocator.PreparedAllocation, "allocate")
