@@ -28,14 +28,23 @@ configuration that selects it; a unit's ``label`` is computed once.
 ``enumerate_unit_configurations`` is the same table's configurations for
 a caller that holds ``costing.build_dependency_matrix``'s matrix; the
 allocator builds no such matrix.
-``PreparedAllocation.allocate_rounds`` takes a block of rounds' load rows,
+``PreparedAllocation.place_rounds`` takes a block of rounds' load rows,
 one ``(rounds, workers, 4)`` array: ``costing.UnitCosts.block`` costs the
 whole block in one pass, and ``assignment.solve_rounds`` solves its
-integer grid, every round over every configuration's columns. Each round's
-placement reads a placed service's cost from its own single-service
-column, times the discount when it is pooled. The solver visits the
-configurations in reflected Gray-code order of their index, so consecutive
-ones differ in one component and each is warm-started from the last.
+integer grid, every round over every configuration's columns. The solver
+visits the configurations in reflected Gray-code order of their index, so
+consecutive ones differ in one component and each is warm-started from the
+last. ``place_rounds`` is the one placement builder: each round becomes a
+compact ``RoundRecord`` of positions, with no per-service object (the
+chosen configuration, each service column's worker and cost, and each
+configuration's units matched, services assigned and scaled cost). A
+placed service's cost is read from the block's ``tolist()``, its own
+single-service column's double, times the discount when it is pooled.
+``ReportFold.add_record`` folds a record as it is, and ``simulate`` builds
+nothing more. ``PreparedAllocation.result`` expands a record into its
+``AllocationResult``, with an ``Assignment`` per placed service and a
+``ConfigurationOutcome`` per configuration; ``allocate_rounds`` does so for
+a block.
 ``allocate_experiment`` is ``prepare`` plus one round of the workers' own
 workloads.
 
@@ -48,7 +57,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -110,6 +119,26 @@ class AllocationResult:
     @property
     def num_services(self) -> int:
         return len(self.assignments) + len(self.unassigned)
+
+
+class RoundRecord(NamedTuple):
+    """One placed round, in positions: ``PreparedAllocation.place_rounds`` makes it.
+
+    Workers are positions in the prepared worker ids, services positions in
+    the experiment's services (service columns) and configurations indices
+    into ``PreparedAllocation.configurations``. ``ReportFold.add_record``
+    folds it as it is, and ``PreparedAllocation.result`` expands it into
+    the ``AllocationResult`` it stands for.
+    """
+
+    chosen: int  # the chosen configuration
+    workers: list[int]  # per service column: the worker placed on it, -1 where unplaced
+    costs: list[float]  # per service column: its placement's cost, 0.0 where unplaced
+    outcomes: list[tuple[int, int, int]]  # per configuration: (units matched, services assigned, scaled cost)
+
+    @property
+    def feasible(self) -> bool:
+        return -1 not in self.workers
 
 
 def _components(num_services: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
@@ -241,10 +270,11 @@ class PreparedAllocation:
     table (``column_table``): the pool-or-split configurations, the
     columns' feasibility and base costs, each configuration's column
     selection, the column order that seeds the solver and each column's
-    members with their service columns, which placement reads and whose
-    counts weigh the solver's tie-break.
-    ``allocate_rounds`` then costs a block of rounds in one pass and solves
-    and places each.
+    service columns, which placement reads and whose counts weigh the
+    solver's tie-break.
+    ``place_rounds`` then costs a block of rounds in one pass and solves and
+    places each as a ``RoundRecord``; ``allocate_rounds`` expands each
+    record into its ``AllocationResult`` (``result``).
     """
 
     services: tuple[ServiceSpec, ...]
@@ -256,58 +286,77 @@ class PreparedAllocation:
     selections: tuple[list[int], ...]
     #: Every column, from the largest base cost (times the discount for a pool) to the smallest.
     scale_order: tuple[int, ...]
-    #: Per column: each member's (name, service column).
-    member_columns: tuple[tuple[tuple[str, int], ...], ...]
+    #: Per column: its members' service columns (the column table's columns).
+    member_columns: tuple[tuple[int, ...], ...]
     discount: float
 
-    def allocate_rounds(self, rounds: "np.ndarray | Sequence[Sequence[Sequence[float]]]"
-                        ) -> list[AllocationResult]:
+    def place_rounds(self, rounds: "np.ndarray | Sequence[Sequence[Sequence[float]]]"
+                     ) -> list[RoundRecord]:
         """Place every service in each round of a block, given one load row per prepared worker.
 
         ``rounds`` is a ``(rounds, workers, 4)`` array of (cpu, vram, swap,
         bandwidth) rows, as ``swarmsim.sample_rounds`` yields it, or nested
         sequences of such rows. The block is costed in one pass; each round
-        then only solves and places. Infeasibility is a result, not an
-        error: when no configuration can place all services, a round's best
-        partial placement has ``feasible`` false and the left-over services
-        in ``unassigned``.
+        then only solves and places. The chosen configuration places the
+        most services, then costs least, then comes first. A placed
+        service's cost is its own single-service column's, read from the
+        block's ``tolist()``, times the discount when it is pooled.
+        Infeasibility is a result, not an error: when no configuration can
+        place all services, a round's record places the best part of them.
         """
         values = self.costs.block(rounds)
+        sizes = [len(members) for members in self.member_columns]
         # Reflected Gray-code order: consecutive configurations differ in one component.
         order = [i ^ (i >> 1) for i in range(len(self.selections))]
         # Infeasible cells are 0.0 and no cost is negative: the grid needs no mask.
         solutions = assignment.solve_rounds(costing.integer_grid(values), self.costs.feasible,
-                                            [self.selections[i] for i in order], self.scale_order,
-                                            [len(members) for members in self.member_columns])
-        return [self._place(round_values, order, solved)
-                for round_values, solved in zip(values, solutions)]
+                                            [self.selections[i] for i in order], self.scale_order, sizes)
+        num_services, discount = len(self.services), self.discount
+        records = []
+        for round_costs, solved in zip(values[..., :num_services].tolist(), solutions):
+            outcomes: list = [None] * len(order)
+            matched: list = [None] * len(order)  # per configuration: its (worker, unit) pairs
+            for i, (pairs, cost) in zip(order, solved):
+                columns = self.selections[i]
+                matched[i] = pairs
+                outcomes[i] = (len(pairs), sum([sizes[columns[u]] for _, u in pairs]), cost)
+            best = min(range(len(outcomes)), key=lambda i: (-outcomes[i][1], outcomes[i][2], i))
+            workers, costs = [-1] * num_services, [0.0] * num_services
+            columns = self.selections[best]
+            for w, u in matched[best]:
+                members, worker_costs = self.member_columns[columns[u]], round_costs[w]
+                for j in members:
+                    workers[j] = w
+                    costs[j] = worker_costs[j] * discount if len(members) > 1 else worker_costs[j]
+            records.append(RoundRecord(best, workers, costs, outcomes))
+        return records
 
-    def _place(self, values: np.ndarray, order: list[int], solutions: list) -> AllocationResult:
-        """The result of one round whose configurations, visited in ``order``, solved to ``solutions``."""
-        solved: list = [None] * len(order)  # (matched (worker, unit) pairs, services assigned, cost)
-        for i, (pairs, cost) in zip(order, solutions):
-            units = self.configurations[i]
-            solved[i] = (pairs, sum(len(units[u].members) for _, u in pairs), cost)
-        best = min(range(len(solved)), key=lambda i: (-solved[i][1], solved[i][2], i))
+    def allocate_rounds(self, rounds: "np.ndarray | Sequence[Sequence[Sequence[float]]]"
+                        ) -> list[AllocationResult]:
+        """``place_rounds``' records of a block, each expanded into its ``AllocationResult``."""
+        return [self.result(record) for record in self.place_rounds(rounds)]
+
+    def result(self, record: RoundRecord) -> AllocationResult:
+        """The ``AllocationResult`` that ``record``, a round of this allocation, stands for.
+
+        Its assignments follow the service columns, and its outcomes the configurations.
+        """
         outcomes = tuple(
-            ConfigurationOutcome(index=index, units=units, flow_value=len(pairs),
+            ConfigurationOutcome(index=index, units=units, flow_value=matched,
                                  services_assigned=assigned, total_cost_scaled=cost,
-                                 chosen=index == best)
-            for index, (units, (pairs, assigned, cost)) in enumerate(zip(self.configurations, solved)))
-
+                                 chosen=index == record.chosen)
+            for index, (units, (matched, assigned, cost))
+            in enumerate(zip(self.configurations, record.outcomes)))
         placement: list = [None] * len(self.services)  # by service column
-        units, columns = self.configurations[best], self.selections[best]
-        for worker_i, unit_i in solved[best][0]:
-            unit, worker = units[unit_i], self.worker_ids[worker_i]
-            for name, j in self.member_columns[columns[unit_i]]:
-                cost = float(values[worker_i, j])
-                if unit.is_pool:
-                    cost *= self.discount
-                placement[j] = Assignment(service=name, worker=worker, unit=unit, cost=cost)
-
+        units, columns = self.configurations[record.chosen], self.selections[record.chosen]
+        for unit, column in zip(units, columns):
+            for j in self.member_columns[column]:
+                if (w := record.workers[j]) >= 0:
+                    placement[j] = Assignment(service=self.services[j].name, worker=self.worker_ids[w],
+                                              unit=unit, cost=record.costs[j])
         assignments = {a.service: a for a in placement if a is not None}
         unassigned = frozenset(s.name for s, a in zip(self.services, placement) if a is None)
-        total_scaled = outcomes[best].total_cost_scaled
+        total_scaled = record.outcomes[record.chosen][2]
         return AllocationResult(
             assignments=assignments,
             total_cost=total_scaled / COST_SCALE,
@@ -343,7 +392,7 @@ def prepare(workers: Sequence[WorkerState], experiment: ExperimentSpec) -> Prepa
         services=services, configurations=_configurations(services, columns, selections),
         worker_ids=tuple(w.id for w in workers), costs=costs, selections=tuple(selections),
         scale_order=tuple(sorted(range(len(columns)), key=lambda c: -scale[c])),
-        member_columns=tuple(tuple((services[j].name, j) for j in column) for column in columns),
+        member_columns=tuple(columns),
         discount=discount)
 
 

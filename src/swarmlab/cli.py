@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 validation failure (including usage errors,
 out-of-range numeric flags, input files that are not UTF-8, FIFOs and files
-past their size bound, and experiments with more pool-or-split
-configurations than ``allocator.MAX_CONFIGURATIONS``), 2 infeasible
-allocation, 3 internal error (I/O and unexpected failures).
+past their size bound, experiments with more pool-or-split configurations
+than ``allocator.MAX_CONFIGURATIONS``, and ``simulate`` runs of more
+placements than ``MAX_SIMULATE_PLACEMENTS``), 2 infeasible allocation, 3
+internal error (I/O and unexpected failures).
 Commands taking a seed are deterministic end to end: identical flags
 produce byte-identical output files.
 """
@@ -109,6 +110,11 @@ def cmd_allocate(args) -> int:
 
 def cmd_simulate(args) -> int:
     experiment = load_edf(args.edf)
+    placements = args.iterations * len(experiment.services)
+    if placements > MAX_SIMULATE_PLACEMENTS:  # refused before anything is sampled or written
+        print(f"error: --iterations x services must be at most {MAX_SIMULATE_PLACEMENTS}, "
+              f"got {placements}", file=sys.stderr)
+        return EXIT_VALIDATION
     cluster_path = Path(args.cluster)
     cluster = load_cluster(cluster_path)
     cfg = swarmsim.SimConfig(
@@ -118,10 +124,10 @@ def cmd_simulate(args) -> int:
         iterations=args.iterations,
         base_dir=str(cluster_path.parent),
     )
-    results = swarmsim.round_results(cfg.workers, cfg.experiment, cfg.seed, cfg.base_dir,
+    records = swarmsim.round_records(cfg.workers, cfg.experiment, cfg.seed, cfg.base_dir,
                                      range(cfg.iterations))
-    first = next(results)
-    if not first.assignments:
+    first = next(records)
+    if max(first.workers) < 0:  # nothing placed
         # Which services can be placed depends on capabilities only, not on the samples.
         print(f"error: infeasible: no worker can host any of the {len(experiment.services)} "
               "services; no report written", file=sys.stderr)
@@ -134,8 +140,8 @@ def cmd_simulate(args) -> int:
             open(out_dir / "fairness.csv", "w", encoding="utf-8") as fairness:
         allocations.write(metrics.REPORT_HEADER + "\n")
         fairness.write("iteration,jain_cost,jain_count\n")
-        for t, result in enumerate(itertools.chain([first], results)):
-            lines, jain_cost, jain_count = fold.add(result)
+        for t, record in enumerate(itertools.chain([first], records)):
+            lines, jain_cost, jain_count = fold.add_record(record)
             allocations.write(lines)
             fairness.write(f"{t},{jain_cost:.6f},{jain_count:.6f}\n")
 
@@ -214,6 +220,11 @@ def _build_parser() -> argparse.ArgumentParser:
 _MINIMUMS = {"seed": 0, "iterations": 1, "max_workers": 1, "max_services": 1}
 #: Most cells of one ``scaling`` grid; bounds the memory of its cells and its CSV text.
 MAX_SCALING_CELLS = 10**6
+#: Most placements (iterations x the experiment's services) of one ``simulate`` run. Its
+#: memory grows with the run only in the dispersion buffer, 8 bytes per placement
+#: (``metrics.ReportFold``), so this bounds that buffer at 80 MB; the demo's 3 services
+#: allow 3,333,333 iterations.
+MAX_SIMULATE_PLACEMENTS = 10**7
 
 
 def _out_of_range(args) -> "str | None":

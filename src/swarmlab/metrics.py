@@ -7,13 +7,17 @@ everything. An all-zero vector has equal shares too, so its index is 1
 whose services all cost 0 reports. The fairness series tracks the index over
 cumulative per-worker allocated costs, iteration by iteration.
 
-``ReportFold`` is the one fold over a run: it takes one result at a time,
-checks it against the worker and service rosters, adds its placements to the
-cumulative per-worker cost and count shares, in roster order, and returns the
-round's report lines and both indexes; it keeps every placement cost in one
-float64 buffer for the dispersion. The ``simulate`` command folds each round
-as it is made, so its memory does not grow with the iteration count beyond
-that buffer (8 bytes a placement); a library caller folds a run the same way:
+``ReportFold`` is the one fold over a run, one round at a time, through
+one core: each placement of the round, in service roster order, adds to its
+worker's cumulative cost and count shares and to one float64 buffer of
+placement costs (for the dispersion), and the core returns the round's
+report lines and Jain's index of both share vectors, in worker roster
+order. The ``simulate`` command folds each round's compact
+``allocator.RoundRecord`` as it is made (``add_record``), builds no
+per-service object, and its memory does not grow with the iteration count
+beyond that buffer (8 bytes a placement). A library caller folds a run's
+results through the same core (``add``), each checked against the worker
+and service rosters first:
 
     fold = ReportFold(workers, services)
     rounds = [fold.add(result) for result in results]
@@ -31,7 +35,7 @@ from typing import AbstractSet, Container, Iterable, Sequence
 
 import numpy as np
 
-from .allocator import AllocationResult
+from .allocator import AllocationResult, RoundRecord
 from .definitions import first_repeat
 from .errors import DomainError, EmptyHistory
 
@@ -93,45 +97,64 @@ def _csv_field(name: str) -> str:
 class ReportFold:
     """A run's reports, folded one round at a time over fixed rosters.
 
-    ``add`` takes the next round's result; the rosters are checked: a round
-    that names a worker or service outside them raises ``DomainError`` and
-    leaves the fold as it was. A roster that names a worker or a service
-    twice raises ``DomainError`` here. Each roster name's CSV field is built
-    once, here.
+    One core folds a round given, per service roster position, the roster
+    position of the worker placed on it (-1 where unplaced) and its cost.
+    ``add_record`` folds a ``RoundRecord`` as it is, whose positions are the
+    rosters' when they are the prepared allocation's worker ids and service
+    names, in order; that is how ``simulate`` folds. ``add`` takes an
+    ``AllocationResult``: the rosters are checked, and a round that names a
+    worker or service outside them raises ``DomainError`` and leaves the
+    fold as it was; its names are then mapped to roster positions. A roster
+    that names a worker or a service twice raises ``DomainError`` here. Each
+    roster name's CSV field is built once, here.
     """
 
     def __init__(self, workers: Sequence[str], services: Sequence[str]):
         _check_rosters(workers, services)
         self.services = tuple(services)
-        self._service_set = frozenset(self.services)
-        self._fields = {name: _csv_field(name) for name in (*workers, *services)}
+        self._worker_row = {name: i for i, name in enumerate(workers)}
+        self._service_column = {name: j for j, name in enumerate(self.services)}
+        self._worker_fields = [_csv_field(name) for name in workers]
+        self._service_fields = [_csv_field(name) for name in self.services]
         self.rounds = 0
         self.feasible_rounds = 0
-        self._cost = dict.fromkeys(workers, 0.0)  # cumulative shares, in roster order
-        self._count = dict.fromkeys(workers, 0.0)
+        self._cost = [0.0] * len(self._worker_fields)  # cumulative shares, in roster order
+        self._count = [0.0] * len(self._worker_fields)
         self._placed = array("d")  # every placement's cost, round by round
 
     def add(self, result: AllocationResult) -> tuple[str, float, float]:
+        """Fold in the next round's result, as ``add_record`` folds a record."""
+        _check_round(self.rounds, result, self._worker_row, self._service_column.keys())
+        workers, costs = [-1] * len(self.services), [0.0] * len(self.services)
+        for assignment in result.assignments.values():
+            j = self._service_column[assignment.service]
+            workers[j], costs[j] = self._worker_row[assignment.worker], assignment.cost
+        return self._fold(workers, costs, result.feasible)
+
+    def add_record(self, record: RoundRecord) -> tuple[str, float, float]:
         """Fold in the next round: its report lines (rows of the ``REPORT_HEADER``
         CSV, in service roster order), and Jain's index of the cumulative cost and
         count shares after it."""
-        _check_round(self.rounds, result, self._cost, self._service_set)
-        assignments = result.assignments
-        for assignment in assignments.values():
-            self._cost[assignment.worker] += assignment.cost
-            self._count[assignment.worker] += 1.0
-            self._placed.append(assignment.cost)
-        jain_cost, jain_count = jains_index(self._cost.values()), jains_index(self._count.values())
-        t, jain = self.rounds, f"{jain_cost:.6f}"
-        lines = []
-        fields = self._fields
-        for service in self.services:
-            a = assignments.get(service)
-            if a is not None:
-                lines.append(f"{t},{fields[a.worker]},{fields[service]},{a.cost:.6f},{jain}\n")
+        return self._fold(record.workers, record.costs, record.feasible)
+
+    def _fold(self, workers: Sequence[int], costs: Sequence[float], feasible: bool
+              ) -> tuple[str, float, float]:
+        """The one fold: each placement, in service roster order, adds to its worker's shares."""
+        cost_shares, count_shares, placed = self._cost, self._count, self._placed
+        t, worker_fields, service_fields = self.rounds, self._worker_fields, self._service_fields
+        heads = []  # each report line up to its Jain field
+        for j, i in enumerate(workers):
+            if i >= 0:
+                cost = costs[j]
+                cost_shares[i] += cost
+                count_shares[i] += 1.0
+                placed.append(cost)
+                heads.append(f"{t},{worker_fields[i]},{service_fields[j]},{cost:.6f},")
+        jain_cost, jain_count = jains_index(cost_shares), jains_index(count_shares)
+        ending = f"{jain_cost:.6f}\n"
         self.rounds += 1
-        self.feasible_rounds += result.feasible
-        return "".join(lines), jain_cost, jain_count
+        self.feasible_rounds += feasible
+        return ending.join(heads) + ending if heads else "", jain_cost, jain_count
 
     def dispersion(self) -> tuple[float, float]:
         """Population standard deviation and coefficient of variation of every placement cost."""

@@ -2,7 +2,9 @@
 
 ``uniform_rows`` computes the draws of many seeded generators at once with
 whole-array numpy operations, where building one ``default_rng`` per row
-costs about 20 us. It reproduces numpy's definitions exactly:
+costs about 20 us. The generators' entropy comes as one ``uint32`` word
+matrix, a row per generator, zero-padded past each row's length, so no
+per-row Python list is read. It reproduces numpy's definitions exactly:
 
 - ``SeedSequence``: the entropy words are hashed into a pool of four
   ``uint32`` words and the pool into eight state words. The hash constants
@@ -19,8 +21,6 @@ costs about 20 us. It reproduces numpy's definitions exactly:
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
@@ -124,26 +124,30 @@ def _pcg64_outputs(state: np.ndarray, count: int) -> np.ndarray:
     return (xored >> rot) | (xored << ((np.uint64(64) - rot) & np.uint64(63)))
 
 
-def uniform_rows(entropy: "Sequence[Sequence[int]]", low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """``default_rng(entropy[r]).uniform(low[r], high[r])`` for every row r, bit for bit.
+def uniform_rows(words: np.ndarray, lengths: np.ndarray, low: np.ndarray, high: np.ndarray
+                 ) -> np.ndarray:
+    """``default_rng(words[r, :lengths[r]]).uniform(low[r], high[r])`` for every row r, bit for bit.
 
-    ``entropy`` holds each generator's 32-bit seed words (as
-    ``np.random.SeedSequence`` makes them of an int or a list of ints);
-    ``low`` and ``high`` are ``(rows, k)`` float arrays and each row draws
-    ``k`` values. Rows of up to four words hash like their zero-padded
-    four-word form; longer rows are grouped by length.
+    ``words`` is a ``(rows, width)`` ``uint32`` matrix: row r holds its
+    generator's 32-bit seed words (as ``np.random.SeedSequence`` makes them
+    of an int or a list of ints) in its first ``lengths[r]`` columns, and
+    zeros past them. ``low`` and ``high`` are ``(rows, k)`` float arrays
+    and each row draws ``k`` values. Rows of up to four words hash like
+    their zero-padded four-word form, so they are one group; longer rows
+    are grouped by length.
     """
     low = np.asarray(low, dtype=np.float64)
     high = np.asarray(high, dtype=np.float64)
-    lengths = np.fromiter(map(len, entropy), np.intp, len(entropy))
     padded = np.maximum(lengths, _POOL_SIZE)
-    words = np.zeros((len(entropy), padded.max(initial=_POOL_SIZE)), np.uint32)
-    words[np.arange(words.shape[1]) < lengths[:, None]] = np.fromiter(
-        chain.from_iterable(entropy), np.uint32, lengths.sum())
+    if words.shape[1] < _POOL_SIZE:
+        words = np.concatenate([words, np.zeros((len(words), _POOL_SIZE - words.shape[1]), np.uint32)],
+                               axis=1)
     out = np.empty(low.shape)
-    for length in sorted(set(padded.tolist())):  # np.unique would import numpy.ma
-        rows = np.flatnonzero(padded == length)
-        bits = _pcg64_outputs(_state_words(words[rows, :length].T), low.shape[1]).T
+    groups = np.flatnonzero(np.bincount(padded)).tolist()  # np.unique would import numpy.ma
+    for length in groups:
+        rows = np.flatnonzero(padded == length) if len(groups) > 1 else slice(None)
+        bits = _pcg64_outputs(_state_words(np.ascontiguousarray(words[rows, :length].T)),
+                              low.shape[1]).T
         doubles = (bits >> np.uint64(11)) * (1.0 / 9007199254740992.0)
         out[rows] = low[rows] + (high[rows] - low[rows]) * doubles
     return out

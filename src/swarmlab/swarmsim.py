@@ -15,18 +15,26 @@ is its one-worker, one-round case. It yields each block of rounds as one
 stays one array until it is costed. One ``sample_rounds`` call serves a
 whole command and owns every state that sampling needs, made once per call
 (parsed trace files, seed words, levels); a negative iteration is refused
-before any of it. A trace file is read by ``definitions.read_bounded``, the
-one reader of every input file: at most ``MAX_TRACE_BYTES``, no FIFO, and a
-buffer the size of the file. A generator is a frozen record of what differs
-per worker: its workload, seed, index and base directory.
-``round_results`` is the one round pipeline of every command: it prepares
+before any of it. A block's entropy is one ``uint32`` word matrix, built
+with numpy from word matrices (``_word_matrix``, ``_joined``): each row is a
+uniform worker's seed and index words, the iteration's words and the tag,
+and ``rng.uniform_rows`` hashes it as it is. A trace file is read by
+``definitions.read_bounded``, the one reader of every input file: at most
+``MAX_TRACE_BYTES``, no FIFO, and a buffer the size of the file. A
+generator is a frozen record of what differs per worker: its workload,
+seed, index and base directory.
+``round_records`` is the one round pipeline of every command: it prepares
 the allocation once, before sampling, hands each block of
-``assignment.block_rounds`` rounds to ``PreparedAllocation.allocate_rounds``,
-which costs it in one pass, and yields the results one at a time, so
-``simulate`` holds one block of them at most. ``run_experiment`` returns
-the results of every iteration, and ``run_iteration`` the result of one
-iteration with its trace. A trace is a view of one round: ``_trace`` draws
-it from the round's config and result alone. No command builds worker states.
+``assignment.block_rounds`` rounds to ``PreparedAllocation.place_rounds``,
+which costs it in one pass and places each round as a compact
+``RoundRecord``, and yields the records one at a time, so ``simulate``
+holds one block of them at most and builds no per-service object.
+``round_results`` yields the same rounds as ``AllocationResult`` objects
+(``PreparedAllocation.allocate_rounds``), for ``allocate``,
+``run_experiment``, which returns the results of every iteration, and
+``run_iteration``, which returns the result of one iteration with its
+trace. A trace is a view of one round: ``_trace`` draws it from the
+round's config and result alone. No command builds worker states.
 ``measure_scaling`` solves no allocation and clones no worker: a grid cell
 deploys its cloned service iff one of its workers can host it, so only the
 template's first min(N, T) workers are checked (``check_fleet_inputs``,
@@ -55,7 +63,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import assignment, costing
-from .allocator import AllocationResult, prepare
+from .allocator import AllocationResult, PreparedAllocation, RoundRecord, prepare
 from .definitions import (
     ClusterWorker,
     ExperimentSpec,
@@ -76,24 +84,42 @@ _JITTER_TAG = 0x171E
 JITTER_FRACTION = 0.25
 
 
-def _entropy_words(value: int) -> list[int]:
-    """The 32-bit words ``np.random.SeedSequence`` makes of a non-negative int.
+def _word_matrix(values: "Sequence[int]") -> tuple[np.ndarray, np.ndarray]:
+    """The 32-bit words ``np.random.SeedSequence`` makes of each non-negative int in ``values``.
 
-    Little-endian; 0 is ``[0]``. A list of ints seeds the same stream as
-    the ``uint32`` array of its elements' words, concatenated.
+    One ``(values, width)`` ``uint32`` matrix, a row per value, little-endian
+    and zero-padded past the row's length, and each row's length: 0 is
+    ``[0]``. A list of ints seeds the same stream as the ``uint32`` array
+    of its elements' words, concatenated (``_joined``).
     """
-    if value < 0:
-        raise ValueError(f"entropy must be non-negative, got {value}")
-    words = [value & 0xFFFFFFFF]
-    value >>= 32
-    while value:
-        words.append(value & 0xFFFFFFFF)
-        value >>= 32
-    return words
+    values = list(values)
+    if min(values, default=0) < 0:
+        raise ValueError(f"entropy must be non-negative, got {min(values)}")
+    width = max(1, -(-max(values, default=0).bit_length() // 32))
+    # Shifts of Python ints, as object arrays: exact at any size.
+    shifts = np.array(range(0, 32 * width, 32), dtype=object)
+    words = ((np.array(values, dtype=object).reshape(-1, 1) >> shifts) & 0xFFFFFFFF).astype(np.uint32)
+    # A row's length is one past its last nonzero word, and at least 1.
+    lengths = np.where(words != 0, np.arange(1, width + 1), 1).max(axis=1, initial=1)
+    return words, lengths
 
 
-_LEVEL_TAG_WORDS = _entropy_words(_LEVEL_TAG)
-_JITTER_TAG_WORDS = _entropy_words(_JITTER_TAG)
+def _joined(head: np.ndarray, head_lengths: np.ndarray, tail: np.ndarray, tail_lengths: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ``head`` words, then its ``tail`` words, as one word matrix, and the rows' lengths.
+
+    ``head`` and ``tail`` are word matrices as ``_word_matrix`` makes them,
+    of shapes ``(..., width)`` with lengths of shape ``(...)``; the leading
+    shapes broadcast against each other, and the result has their broadcast
+    shape.
+    """
+    lengths = head_lengths + tail_lengths
+    width = head.shape[-1]
+    joined = np.zeros((*lengths.shape, width + tail.shape[-1]), np.uint32)
+    joined[..., :width] = head
+    for start in set(head_lengths.ravel().tolist()):  # a row's tail starts where its head ends
+        np.copyto(joined[..., start:start + tail.shape[-1]], tail, where=(head_lengths == start)[..., None])
+    return joined, lengths
 
 
 @dataclass(frozen=True)
@@ -232,29 +258,39 @@ def _line_rows(data: bytes, location: Path) -> list[tuple[float, float, float, f
     return rows
 
 
-def _uniform_values(models: "Sequence[UniformWorkload]", prefixes: "Sequence[list[int]]",
+def _uniform_values(models: "Sequence[UniformWorkload]", prefixes: tuple[np.ndarray, np.ndarray],
                     widths: np.ndarray, iterations: "Sequence[int]",
                     levels: "np.ndarray | None") -> tuple[np.ndarray, np.ndarray]:
     """``values[k, g]``: uniform worker g's sample at ``iterations[k]``, and the workers' levels.
 
-    Worker g has the workload ``models[g]``, the seed words ``prefixes[g]``
-    and the jitter half-width ``widths[g, 0]``. One ``uniform_rows`` call
-    draws every jitter row, and the persistent ``levels`` first when they
-    are None. The sum ``level + jitter`` and the clip are those of the
-    stream's definition, on the same doubles.
+    Worker g has the workload ``models[g]``, the seed words in row g of the
+    word matrix ``prefixes`` (its seed's words, then its index's) and the
+    jitter half-width ``widths[g, 0]``. One word matrix holds every row the
+    block draws, iteration by iteration and worker by worker: the worker's
+    prefix, the iteration's words and the jitter tag. One ``uniform_rows``
+    call draws them all, and the persistent ``levels`` first when they are
+    None: a level row is the prefix and the level tag. The sum ``level +
+    jitter`` and the clip are those of the stream's definition, on the same
+    doubles.
     """
-    entropy = [] if levels is not None else [prefix + _LEVEL_TAG_WORDS for prefix in prefixes]
-    entropy += [prefix + suffix
-                for suffix in [_entropy_words(k) + _JITTER_TAG_WORDS for k in iterations]
-                for prefix in prefixes]
+    suffixes, lengths = _word_matrix(iterations)
+    tags = [_JITTER_TAG] * len(iterations)
     high = np.tile(widths, (len(iterations), 4))
     low = -high
     if levels is None:  # their bounds, center -/+ half_width, in one pass over a (workers, 4) array
+        suffixes = np.concatenate([np.zeros((1, suffixes.shape[1]), np.uint32), suffixes])
+        lengths = np.concatenate([[0], lengths])
+        tags.insert(0, _LEVEL_TAG)
         centers = np.array([m.center for m in models])
         half_widths = np.array([[m.half_width] for m in models])
         low = np.concatenate([centers - half_widths, low])
         high = np.concatenate([centers + half_widths, high])
-    draws = uniform_rows(entropy, low, high)
+    # Each tag is one word, after the iteration's.
+    suffixes = np.concatenate([suffixes, np.zeros((len(suffixes), 1), np.uint32)], axis=1)
+    suffixes[np.arange(len(suffixes)), lengths] = tags
+    prefix, prefix_lengths = prefixes
+    words, lengths = _joined(prefix[None], prefix_lengths[None], suffixes[:, None], (lengths + 1)[:, None])
+    draws = uniform_rows(words.reshape(-1, words.shape[-1]), lengths.reshape(-1), low, high)
     if levels is None:
         levels, draws = draws[:len(models)], draws[len(models):]
     jitter = draws.reshape(len(iterations), len(models), 4)
@@ -391,8 +427,10 @@ def sample_rounds(generators: "Sequence[WorkloadGenerator]", iterations: "Sequen
         else:  # nothing has checked a fixed worker's values yet
             fixed.append((idx, tuple(WorkloadSample(*model.values))))
     models = [generators[i].model for i in uniform]
-    prefixes = [_entropy_words(generators[i].seed) + _entropy_words(generators[i].worker_index)
-                for i in uniform]
+    # Word matrices cost about 30 us to make even when empty, so a fleet without a
+    # uniform worker (every trace-replay scaling template) makes none.
+    prefixes = _joined(*_word_matrix([generators[i].seed for i in uniform]),
+                       *_word_matrix([generators[i].worker_index for i in uniform])) if uniform else None
     widths = np.array([[m.half_width * JITTER_FRACTION] for m in models])
     levels = None
     for start in range(0, len(iterations), per_block):
@@ -444,19 +482,35 @@ def _timings(cfg: SimConfig, num_workers: int, num_services: int,
     }
 
 
-def round_results(workers: "Sequence[ClusterWorker]", experiment: ExperimentSpec, seed: int,
-                  base_dir: "str | Path | None", iterations: "Sequence[int]") -> Iterator[AllocationResult]:
-    """The results of the rounds at ``iterations``, in order: the one round pipeline.
+def _blocks(allocation: PreparedAllocation, workers: "Sequence[ClusterWorker]", seed: int,
+            base_dir: "str | Path | None", iterations: "Sequence[int]") -> Iterator[np.ndarray]:
+    """The load rows of the rounds at ``iterations``, in blocks of as many rounds as ``allocation``'s
+    solver lays out at once (``assignment.block_rounds``)."""
+    return sample_rounds(workload_generators(workers, seed, base_dir), iterations,
+                         assignment.block_rounds(*allocation.costs.feasible.shape))
+
+
+def round_records(workers: "Sequence[ClusterWorker]", experiment: ExperimentSpec, seed: int,
+                  base_dir: "str | Path | None", iterations: "Sequence[int]") -> Iterator[RoundRecord]:
+    """The records of the rounds at ``iterations``, in order: the one round pipeline.
 
     It prepares the allocation, which refuses an empty fleet or a repeated
-    worker id before anything is sampled, then samples and costs one block of
-    ``assignment.block_rounds`` rounds at a time; nothing runs until the
-    first result is read.
+    worker id before anything is sampled, then samples, costs and places one
+    block of rounds at a time (``PreparedAllocation.place_rounds``); nothing
+    runs until the first record is read. A record's positions are those of
+    ``workers`` and of the experiment's services.
     """
     allocation = prepare(workers, experiment)
-    generators = workload_generators(workers, seed, base_dir)
-    per_block = assignment.block_rounds(*allocation.costs.feasible.shape)
-    for rounds in sample_rounds(generators, iterations, per_block):
+    for rounds in _blocks(allocation, workers, seed, base_dir, iterations):
+        yield from allocation.place_rounds(rounds)
+
+
+def round_results(workers: "Sequence[ClusterWorker]", experiment: ExperimentSpec, seed: int,
+                  base_dir: "str | Path | None", iterations: "Sequence[int]") -> Iterator[AllocationResult]:
+    """``round_records``' rounds, each as its ``AllocationResult``
+    (``PreparedAllocation.allocate_rounds``)."""
+    allocation = prepare(workers, experiment)
+    for rounds in _blocks(allocation, workers, seed, base_dir, iterations):
         yield from allocation.allocate_rounds(rounds)
 
 

@@ -881,11 +881,44 @@ def test_simulate_that_places_nothing_is_infeasible(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_simulate_refuses_more_placements_than_the_bound(tmp_path, monkeypatch, capsys):
+    # The check runs right after the experiment is read: no cluster is read, nothing is
+    # sampled and no output directory is made.
+    edf = tmp_path / "one.edf.json"
+    edf.write_text(serialize_edf(ExperimentSpec(name="one", services=(make_service("s"),))),
+                   encoding="utf-8")
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached past the placement bound")
+    monkeypatch.setattr(cli, "load_cluster", unreachable)
+    monkeypatch.setattr(swarmsim, "sample_rounds", unreachable)
+    bound = cli.MAX_SIMULATE_PLACEMENTS
+    out_dir = tmp_path / "out"
+    for experiment, iterations, placements in ((edf, bound + 1, bound + 1),
+                                               (SAMPLES / "mapping-demo.edf.json", 10**20, 3 * 10**20)):
+        assert main(["simulate", "--edf", str(experiment), "--cluster", str(SAMPLES / "bench.cluster.json"),
+                     "--iterations", str(iterations), "--seed", "1", "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: --iterations x services must be at most {bound}, got {placements}\n"
+        assert not out_dir.exists()
+
+
+def test_simulate_runs_at_the_placement_bound(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_SIMULATE_PLACEMENTS", 6)  # the demo's 3 services, 2 iterations
+    inputs = ["--edf", str(SAMPLES / "mapping-demo.edf.json"), "--cluster", str(SAMPLES / "bench.cluster.json"),
+              "--seed", "1"]
+    assert main(["simulate", *inputs, "--iterations", "2", "--out-dir", str(tmp_path / "at")]) == 0
+    assert json.loads((tmp_path / "at" / "summary.json").read_text())["iterations"] == 2
+    assert main(["simulate", *inputs, "--iterations", "3", "--out-dir", str(tmp_path / "past")]) == 1
+    assert capsys.readouterr().err == "error: --iterations x services must be at most 6, got 9\n"
+    assert not (tmp_path / "past").exists()
+
+
 def test_unexpected_exception_is_one_line_internal_error(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("injected\nfailure")
 
-    monkeypatch.setattr("swarmlab.swarmsim.round_results", broken)
+    monkeypatch.setattr("swarmlab.swarmsim.round_records", broken)
     assert main(["simulate", "--edf", str(SAMPLES / "mapping-demo.edf.json"),
                  "--cluster", str(SAMPLES / "bench.cluster.json"), "--iterations", "2",
                  "--seed", "1", "--out-dir", str(tmp_path / "out")]) == 3

@@ -1,5 +1,6 @@
 import json
 import re
+import tempfile
 import tracemalloc
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
@@ -10,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from swarmlab import allocator, assignment, costing, swarmsim
-
+from swarmlab import allocator, assignment, costing, metrics, swarmsim
+from swarmlab.allocator import AllocationResult, Assignment, ConfigurationOutcome
+from swarmlab.cli import main
 from swarmlab.definitions import (
+    ClusterSpec,
     ClusterWorker,
     ExperimentSpec,
     FixedWorkload,
@@ -21,6 +24,8 @@ from swarmlab.definitions import (
     UniformWorkload,
     load_cluster,
     load_edf,
+    serialize_cluster,
+    serialize_edf,
 )
 from swarmlab.errors import DuplicateAgent, EmptyProblem, SchemaError
 from swarmlab.model import HardwareProfile, WorkerState, WorkloadSample
@@ -138,9 +143,9 @@ def kernel_rows(monkeypatch):
     calls = []
     original = swarmsim.uniform_rows
 
-    def counting(entropy, low, high):
-        calls.append(len(entropy))
-        return original(entropy, low, high)
+    def counting(words, lengths, low, high):
+        calls.append(len(words))
+        return original(words, lengths, low, high)
 
     monkeypatch.setattr(swarmsim, "uniform_rows", counting)
     return calls
@@ -214,6 +219,21 @@ def test_sample_rounds_match_per_sample_default_rng(tmp_path, base_dir, monkeypa
     # Later iterations of the same generators, in another block shape, draw the same stream.
     [later] = list(swarmsim.sample_rounds(generators, [6, 2], 2))
     assert later.tolist() == [blocks[2][0].tolist(), blocks[0][2].tolist()]
+
+
+def test_one_block_of_mixed_word_lengths_matches_per_sample_default_rng(kernel_rows):
+    # Seeds and worker indices of one to three words, in one block whose iterations cross
+    # 2**32: the block's word matrix holds rows of 4 to 8 words, grouped by length.
+    model = UniformWorkload(center=(0.3, 0.5, 0.7, 0.9), half_width=0.2)
+    generators = [WorkloadGenerator(model, seed, index) for seed, index in
+                  ((0, 0), (2**32, 1), (7, 2**33 + 1), (2**64 + 3, 2**32 - 1))]
+    iterations = [2**32 - 2, 2**32 - 1, 2**32, 5, 2**64]
+    [block] = swarmsim.sample_rounds(generators, iterations, len(iterations))
+    assert kernel_rows == [4 + 4 * 5]
+    for k, iteration in enumerate(iterations):
+        for g, generator in enumerate(generators):
+            expected = _reference_uniform_sample(model, generator.seed, generator.worker_index, iteration)
+            assert [v.hex() for v in block[k, g].tolist()] == [v.hex() for v in expected], (k, g)
 
 
 def test_each_sample_rounds_call_reads_its_own_trace_files(tmp_path):
@@ -1252,3 +1272,142 @@ def test_blocks_bound_the_solver_layout_of_few_workers(monkeypatch):
         assert len(layouts) == blocks
         assert all(rounds * rows * workers <= block_cells or rounds == 1
                    for rounds, rows, workers in layouts)
+
+
+# ---------------------------------------------------------------------------
+# round records
+
+
+def test_simulate_builds_no_per_service_objects(tmp_path, monkeypatch, kernel_rows):
+    # simulate folds each round's record as it is; only a caller that asks for results
+    # builds assignments, outcomes and results.
+    calls = Counter()
+    for cls in (Assignment, ConfigurationOutcome, AllocationResult):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            calls[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    inputs = ["--edf", str(SAMPLES / "mapping-demo.edf.json"),
+              "--cluster", str(SAMPLES / "bench.cluster.json"), "--seed", "7"]
+    assert main(["simulate", *inputs, "--iterations", "50", "--out-dir", str(tmp_path / "out")]) == 0
+    assert calls == Counter()
+    # One block of 50 rounds: one word matrix of the 12 levels and 12 x 50 jitter rows.
+    assert kernel_rows == [12 + 12 * 50]
+
+    assert main(["allocate", *inputs, "--out", str(tmp_path / "report.txt")]) == 0
+    assert calls == Counter(AllocationResult=1, ConfigurationOutcome=2, Assignment=3)
+
+
+def _reference_results(prepared, rounds):
+    """A block's results placed straight from the solver's pairs, with no round record:
+    one ``Assignment`` per placed service, each cost read off the cost block."""
+    values = prepared.costs.block(rounds)
+    order = [i ^ (i >> 1) for i in range(len(prepared.selections))]
+    solutions = assignment.solve_rounds(
+        costing.integer_grid(values), prepared.costs.feasible, [prepared.selections[i] for i in order],
+        prepared.scale_order, [len(members) for members in prepared.member_columns])
+    results = []
+    for round_values, visited in zip(values, solutions):
+        solved = [None] * len(order)
+        for i, (pairs, cost) in zip(order, visited):
+            units = prepared.configurations[i]
+            solved[i] = (pairs, sum(len(units[u].members) for _, u in pairs), cost)
+        best = min(range(len(solved)), key=lambda i: (-solved[i][1], solved[i][2], i))
+        outcomes = tuple(
+            ConfigurationOutcome(index=index, units=units, flow_value=len(pairs),
+                                 services_assigned=assigned, total_cost_scaled=cost, chosen=index == best)
+            for index, (units, (pairs, assigned, cost)) in enumerate(zip(prepared.configurations, solved)))
+        placement = [None] * len(prepared.services)
+        units, columns = prepared.configurations[best], prepared.selections[best]
+        for worker_i, unit_i in solved[best][0]:
+            unit = units[unit_i]
+            for j in prepared.member_columns[columns[unit_i]]:
+                cost = float(round_values[worker_i, j])
+                if unit.is_pool:
+                    cost *= prepared.discount
+                placement[j] = Assignment(service=prepared.services[j].name,
+                                          worker=prepared.worker_ids[worker_i], unit=unit, cost=cost)
+        unassigned = frozenset(s.name for s, a in zip(prepared.services, placement) if a is None)
+        total = outcomes[best].total_cost_scaled
+        results.append(AllocationResult(
+            assignments={a.service: a for a in placement if a is not None},
+            total_cost=total / costing.COST_SCALE, total_cost_scaled=total,
+            feasible=not unassigned, unassigned=unassigned, outcomes=outcomes))
+    return results
+
+
+def _folded_reports(results, workers, services, iterations):
+    """simulate's three files, as ``ReportFold.add`` folds ``results``."""
+    fold = metrics.ReportFold(workers, services)
+    allocations, fairness = [metrics.REPORT_HEADER + "\n"], ["iteration,jain_cost,jain_count\n"]
+    for t, result in enumerate(results):
+        lines, jain_cost, jain_count = fold.add(result)
+        allocations.append(lines)
+        fairness.append(f"{t},{jain_cost:.6f},{jain_count:.6f}\n")
+    std, cv = fold.dispersion()
+    summary = {"iterations": iterations, "workers": len(workers), "services": len(services),
+               "feasible_iterations": fold.feasible_rounds, "cost_std": round(std, 6),
+               "cost_cv": round(cv, 6), "final_jain_cost": round(jain_cost, 6),
+               "final_jain_count": round(jain_count, 6)}
+    return {"allocations.csv": "".join(allocations), "fairness.csv": "".join(fairness),
+            "summary.json": json.dumps(summary, indent=2) + "\n"}
+
+
+#: Name endings that RFC 4180 quotes (a comma, a double quote, a line end) and plain ones.
+NAME_ENDINGS = st.sampled_from(["", "", ",x", '"q"', "\nx", "\r\n", " y"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(fleet=st.lists(st.tuples(st.booleans(), st.one_of(FIXED, WORKLOADS), NAME_ENDINGS),
+                      min_size=1, max_size=6),
+       services=st.lists(st.tuples(st.floats(0.0, 100.0), st.booleans(), NAME_ENDINGS),
+                         min_size=1, max_size=7),
+       pools=st.integers(0, 3), discount=st.sampled_from([0.5, 0.85, 1.0]),
+       iterations=st.integers(1, 9), block_cells=st.sampled_from([1, 20, 90, assignment.BLOCK_CELLS]),
+       seed=st.integers(2**32, 2**70))
+@example(fleet=[(True, FixedWorkload((0.2, 0.2, 0.2, 0.2)), ",x"), (False, FixedWorkload((0.5,) * 4), "")],
+         services=[(10.0, True, '"q"'), (20.0, True, ""), (30.0, False, "\nx")], pools=1,
+         discount=0.85, iterations=3, block_cells=1, seed=2**32)  # camera services on one camera worker
+def test_simulate_reports_equal_the_fold_over_run_experiment(trace_dir, fleet, services, pools,
+                                                             discount, iterations, block_cells, seed):
+    # Camera classes make some rounds partial or infeasible; small blocks split the command.
+    workers = tuple(
+        ClusterWorker(id=f"w{i}{ending}", workload=replace(model, path=str(trace_dir / model.path))
+                      if isinstance(model, TraceWorkload) else model,
+                      profile=HardwareProfile(capabilities=frozenset({"camera"} if camera else ())))
+        for i, (camera, model, ending) in enumerate(fleet))
+    specs = tuple(make_service(f"s{j}{ending}", cost, ("camera",) if camera else ())
+                  for j, (cost, camera, ending) in enumerate(services))
+    pools = min(pools, len(specs) // 2)
+    experiment = ExperimentSpec(name="records", services=specs, pool_discount=discount,
+                                dependencies=tuple((specs[2 * k].name, specs[2 * k + 1].name)
+                                                   for k in range(pools)))
+    cfg = SimConfig(workers=workers, experiment=experiment, seed=seed, iterations=iterations)
+    with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(assignment, "BLOCK_CELLS", block_cells)
+        directory = Path(work)
+        (directory / "x.edf.json").write_text(serialize_edf(experiment), encoding="utf-8")
+        (directory / "x.cluster.json").write_text(serialize_cluster(ClusterSpec(workers=workers)),
+                                                  encoding="utf-8")
+        code = main(["simulate", "--edf", str(directory / "x.edf.json"),
+                     "--cluster", str(directory / "x.cluster.json"), "--iterations", str(iterations),
+                     "--seed", str(seed), "--out-dir", str(directory / "out")])
+        files = {path.name: path.read_bytes().decode("utf-8")
+                 for path in sorted((directory / "out").glob("*"))}
+        results = run_experiment(cfg)
+
+    if not results[0].assignments:  # nothing can be placed: no report at all
+        assert (code, files) == (2, {})
+    else:
+        assert files == _folded_reports(results, [w.id for w in workers], experiment.service_names(),
+                                        iterations)
+        assert code == (0 if all(result.feasible for result in results) else 2)
+
+    # Expanding each round's record gives what placing straight from the solver's pairs
+    # gives: the same outcomes, assignments and explain text.
+    prepared = allocator.prepare(workers, experiment)
+    [rounds] = swarmsim.sample_rounds(swarmsim.workload_generators(workers, seed, None),
+                                      range(iterations), iterations)
+    reference = _reference_results(prepared, rounds)
+    assert prepared.allocate_rounds(rounds) == reference == results
+    assert [allocator.explain(r) for r in results] == [allocator.explain(r) for r in reference]
