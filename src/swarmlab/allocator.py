@@ -28,23 +28,21 @@ configuration that selects it; a unit's ``label`` is computed once.
 ``enumerate_unit_configurations`` is the same table's configurations for
 a caller that holds ``costing.build_dependency_matrix``'s matrix; the
 allocator builds no such matrix.
-``PreparedAllocation.place_rounds`` takes a block of rounds' load rows,
+``PreparedAllocation.allocate_rounds`` takes a block of rounds' load rows,
 one ``(rounds, workers, 4)`` array: ``costing.UnitCosts.block`` costs the
 whole block in one pass, and ``assignment.solve_rounds`` solves its
 integer grid, every round over every configuration's columns. The solver
 visits the configurations in reflected Gray-code order of their index, so
 consecutive ones differ in one component and each is warm-started from the
-last. ``place_rounds`` is the one placement builder: each round becomes a
-compact ``RoundRecord`` of positions, with no per-service object (the
-chosen configuration, each service column's worker and cost, and each
-configuration's units matched, services assigned and scaled cost). A
-placed service's cost is read from the block's ``tolist()``, its own
-single-service column's double, times the discount when it is pooled.
-``ReportFold.add_record`` folds a record as it is, and ``simulate`` builds
-nothing more. ``PreparedAllocation.result`` expands a record into its
-``AllocationResult``, with an ``Assignment`` per placed service and a
-``ConfigurationOutcome`` per configuration; ``allocate_rounds`` does so for
-a block.
+last. Each round becomes one ``AllocationResult`` of positions, with no
+per-service object: the chosen configuration, each service column's worker
+and cost, and each configuration's units matched, services assigned and
+scaled cost. A placed service's cost is read from the block's ``tolist()``,
+its own single-service column's double, times the discount when it is
+pooled. ``ReportFold.add`` folds those positions as they are; the result's
+name-keyed views (``assignments``, ``unassigned``, ``outcomes``) build an
+``Assignment`` per placed service and a ``ConfigurationOutcome`` per
+configuration each time they are read, for ``explain`` and library callers.
 ``allocate_experiment`` is ``prepare`` plus one round of the workers' own
 workloads.
 
@@ -57,13 +55,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import assignment, costing, mcmf
 from .costing import COST_SCALE, CostMatrix
-from .definitions import ExperimentSpec, ServiceSpec, first_repeat
+from .definitions import ExperimentSpec, ServiceSpec, first_repeat, left_sum
 from .errors import DuplicateAgent, EmptyProblem, TooManyComponents
 from .model import WorkerState
 
@@ -105,40 +103,77 @@ class ConfigurationOutcome:
     chosen: bool = False
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AllocationResult:
-    """Final service placement plus the per-configuration solver outcomes."""
+    """One placed round, in positions: ``PreparedAllocation.allocate_rounds`` makes it.
 
-    assignments: dict[str, Assignment]
-    total_cost: float
-    total_cost_scaled: int
-    feasible: bool
-    unassigned: frozenset[str]
-    outcomes: tuple[ConfigurationOutcome, ...] = ()
-
-    @property
-    def num_services(self) -> int:
-        return len(self.assignments) + len(self.unassigned)
-
-
-class RoundRecord(NamedTuple):
-    """One placed round, in positions: ``PreparedAllocation.place_rounds`` makes it.
-
-    Workers are positions in the prepared worker ids, services positions in
-    the experiment's services (service columns) and configurations indices
-    into ``PreparedAllocation.configurations``. ``ReportFold.add_record``
-    folds it as it is, and ``PreparedAllocation.result`` expands it into
-    the ``AllocationResult`` it stands for.
+    Workers are positions in ``allocation.worker_ids``, services positions
+    in ``allocation.services`` (service columns) and configurations indices
+    into ``allocation.configurations``; the constructor refuses positions
+    past the allocation with ``ValueError``. Every other attribute is a
+    read-only view built from these when it is read. Two results are equal
+    when they place the same services on the same workers at the same
+    costs, with the same configuration scores, whichever ``prepare`` call
+    made their allocations.
     """
 
+    allocation: "PreparedAllocation"
     chosen: int  # the chosen configuration
     workers: list[int]  # per service column: the worker placed on it, -1 where unplaced
     costs: list[float]  # per service column: its placement's cost, 0.0 where unplaced
-    outcomes: list[tuple[int, int, int]]  # per configuration: (units matched, services assigned, scaled cost)
+    scores: list[tuple[int, int, int]]  # per configuration: (units matched, services assigned, scaled cost)
+
+    def __post_init__(self):
+        a = self.allocation  # a position past the allocation would fold onto, or name, the wrong worker
+        if not (len(self.workers) == len(self.costs) == len(a.services) and len(self.scores) == len(a.configurations)
+                and 0 <= self.chosen < len(self.scores) and -1 <= min(self.workers)
+                and max(self.workers) < len(a.worker_ids)):
+            raise ValueError("a result's positions must index its allocation's workers, services and configurations")
+
+    def _key(self) -> tuple:
+        a = self.allocation
+        return a.worker_ids, a.services, a.configurations, self.chosen, self.workers, self.costs, self.scores
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, AllocationResult) and self._key() == other._key()
 
     @property
     def feasible(self) -> bool:
         return -1 not in self.workers
+
+    @property
+    def num_services(self) -> int:
+        return len(self.workers)
+
+    @property
+    def total_cost_scaled(self) -> int:
+        return self.scores[self.chosen][2]
+
+    @property
+    def total_cost(self) -> float:
+        return self.total_cost_scaled / COST_SCALE
+
+    @property
+    def unassigned(self) -> frozenset[str]:
+        return frozenset(s.name for s, w in zip(self.allocation.services, self.workers) if w < 0)
+
+    @property
+    def assignments(self) -> dict[str, Assignment]:
+        """Each placed service's ``Assignment``, by name, in service order."""
+        a = self.allocation
+        units: list = [None] * len(self.workers)  # by service column: its unit in the chosen configuration
+        for unit, column in zip(a.configurations[self.chosen], a.selections[self.chosen]):
+            for j in a.member_columns[column]:
+                units[j] = unit
+        return {a.services[j].name: Assignment(a.services[j].name, a.worker_ids[w], units[j], self.costs[j])
+                for j, w in enumerate(self.workers) if w >= 0}
+
+    @property
+    def outcomes(self) -> tuple[ConfigurationOutcome, ...]:
+        """Each configuration's ``ConfigurationOutcome``, in index order."""
+        return tuple(ConfigurationOutcome(index, units, matched, assigned, cost, index == self.chosen)
+                     for index, (units, (matched, assigned, cost))
+                     in enumerate(zip(self.allocation.configurations, self.scores)))
 
 
 def _components(num_services: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
@@ -262,7 +297,7 @@ def build_network(costs: CostMatrix) -> NetworkBuild:
     return NetworkBuild(net=net, num_workers=num_workers, num_units=num_units)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity: its cost arrays do not compare with ==
 class PreparedAllocation:
     """The part of an allocation that the workers' samples do not change.
 
@@ -271,10 +306,8 @@ class PreparedAllocation:
     columns' feasibility and base costs, each configuration's column
     selection, the column order that seeds the solver and each column's
     service columns, which placement reads and whose counts weigh the
-    solver's tie-break.
-    ``place_rounds`` then costs a block of rounds in one pass and solves and
-    places each as a ``RoundRecord``; ``allocate_rounds`` expands each
-    record into its ``AllocationResult`` (``result``).
+    solver's tie-break. ``allocate_rounds`` then costs a block of rounds in
+    one pass and solves and places each as an ``AllocationResult``.
     """
 
     services: tuple[ServiceSpec, ...]
@@ -290,8 +323,8 @@ class PreparedAllocation:
     member_columns: tuple[tuple[int, ...], ...]
     discount: float
 
-    def place_rounds(self, rounds: "np.ndarray | Sequence[Sequence[Sequence[float]]]"
-                     ) -> list[RoundRecord]:
+    def allocate_rounds(self, rounds: "np.ndarray | Sequence[Sequence[Sequence[float]]]"
+                        ) -> list[AllocationResult]:
         """Place every service in each round of a block, given one load row per prepared worker.
 
         ``rounds`` is a ``(rounds, workers, 4)`` array of (cpu, vram, swap,
@@ -302,7 +335,7 @@ class PreparedAllocation:
         service's cost is its own single-service column's, read from the
         block's ``tolist()``, times the discount when it is pooled.
         Infeasibility is a result, not an error: when no configuration can
-        place all services, a round's record places the best part of them.
+        place all services, a round's result places the best part of them.
         """
         values = self.costs.block(rounds)
         sizes = [len(members) for members in self.member_columns]
@@ -312,15 +345,15 @@ class PreparedAllocation:
         solutions = assignment.solve_rounds(costing.integer_grid(values), self.costs.feasible,
                                             [self.selections[i] for i in order], self.scale_order, sizes)
         num_services, discount = len(self.services), self.discount
-        records = []
+        results = []
         for round_costs, solved in zip(values[..., :num_services].tolist(), solutions):
-            outcomes: list = [None] * len(order)
+            scores: list = [None] * len(order)
             matched: list = [None] * len(order)  # per configuration: its (worker, unit) pairs
             for i, (pairs, cost) in zip(order, solved):
                 columns = self.selections[i]
                 matched[i] = pairs
-                outcomes[i] = (len(pairs), sum([sizes[columns[u]] for _, u in pairs]), cost)
-            best = min(range(len(outcomes)), key=lambda i: (-outcomes[i][1], outcomes[i][2], i))
+                scores[i] = (len(pairs), sum([sizes[columns[u]] for _, u in pairs]), cost)
+            best = min(range(len(scores)), key=lambda i: (-scores[i][1], scores[i][2], i))
             workers, costs = [-1] * num_services, [0.0] * num_services
             columns = self.selections[best]
             for w, u in matched[best]:
@@ -328,43 +361,8 @@ class PreparedAllocation:
                 for j in members:
                     workers[j] = w
                     costs[j] = worker_costs[j] * discount if len(members) > 1 else worker_costs[j]
-            records.append(RoundRecord(best, workers, costs, outcomes))
-        return records
-
-    def allocate_rounds(self, rounds: "np.ndarray | Sequence[Sequence[Sequence[float]]]"
-                        ) -> list[AllocationResult]:
-        """``place_rounds``' records of a block, each expanded into its ``AllocationResult``."""
-        return [self.result(record) for record in self.place_rounds(rounds)]
-
-    def result(self, record: RoundRecord) -> AllocationResult:
-        """The ``AllocationResult`` that ``record``, a round of this allocation, stands for.
-
-        Its assignments follow the service columns, and its outcomes the configurations.
-        """
-        outcomes = tuple(
-            ConfigurationOutcome(index=index, units=units, flow_value=matched,
-                                 services_assigned=assigned, total_cost_scaled=cost,
-                                 chosen=index == record.chosen)
-            for index, (units, (matched, assigned, cost))
-            in enumerate(zip(self.configurations, record.outcomes)))
-        placement: list = [None] * len(self.services)  # by service column
-        units, columns = self.configurations[record.chosen], self.selections[record.chosen]
-        for unit, column in zip(units, columns):
-            for j in self.member_columns[column]:
-                if (w := record.workers[j]) >= 0:
-                    placement[j] = Assignment(service=self.services[j].name, worker=self.worker_ids[w],
-                                              unit=unit, cost=record.costs[j])
-        assignments = {a.service: a for a in placement if a is not None}
-        unassigned = frozenset(s.name for s, a in zip(self.services, placement) if a is None)
-        total_scaled = record.outcomes[record.chosen][2]
-        return AllocationResult(
-            assignments=assignments,
-            total_cost=total_scaled / COST_SCALE,
-            total_cost_scaled=total_scaled,
-            feasible=not unassigned,
-            unassigned=unassigned,
-            outcomes=outcomes,
-        )
+            results.append(AllocationResult(self, best, workers, costs, scores))
+        return results
 
 
 def prepare(workers: Sequence[WorkerState], experiment: ExperimentSpec) -> PreparedAllocation:
@@ -386,7 +384,7 @@ def prepare(workers: Sequence[WorkerState], experiment: ExperimentSpec) -> Prepa
         costing.build_capability_matrix(workers, services), {s.name: j for j, s in enumerate(services)},
         experiment.weights, discount)
 
-    scale = [sum(services[j].predefined_cost for j in column) * (discount if len(column) > 1 else 1.0)
+    scale = [left_sum(services[j].predefined_cost for j in column) * (discount if len(column) > 1 else 1.0)
              for column in columns]
     return PreparedAllocation(
         services=services, configurations=_configurations(services, columns, selections),
@@ -421,15 +419,16 @@ def explain(result: AllocationResult) -> str:
     every other character keeps its bytes.
     """
     lines = []
+    assignments, outcomes = result.assignments, result.outcomes  # each view is built once
     status = "FEASIBLE" if result.feasible else "INFEASIBLE"
-    lines.append(f"Allocation: {status} ({len(result.assignments)}/{result.num_services} services assigned)")
+    lines.append(f"Allocation: {status} ({len(assignments)}/{result.num_services} services assigned)")
     lines.append(f"Total cost: {result.total_cost:.6f}")
     if result.unassigned:
         lines.append(f"Unassigned: {_shown(', '.join(sorted(result.unassigned)))}")
     lines.append("")
 
     rows = [("SERVICE", "WORKER", "UNIT", "COST")]
-    for assignment in result.assignments.values():
+    for assignment in assignments.values():
         rows.append((_shown(assignment.service), _shown(assignment.worker),
                      _shown(assignment.unit.label), f"{assignment.cost:.6f}"))
     widths = [max(len(row[col]) for row in rows) for col in range(4)]
@@ -437,9 +436,8 @@ def explain(result: AllocationResult) -> str:
         lines.append("  ".join(value.ljust(width) for value, width in zip(row, widths)).rstrip())
     lines.append("")
 
-    chosen = next((o.index for o in result.outcomes if o.chosen), -1)
-    lines.append(f"Configurations ({len(result.outcomes)} tried, #{chosen + 1} chosen):")
-    for outcome in result.outcomes:
+    lines.append(f"Configurations ({len(outcomes)} tried, #{result.chosen + 1} chosen):")
+    for outcome in outcomes:
         marker = "  <- chosen" if outcome.chosen else ""
         units = _shown("".join(f"[{unit.label}]" for unit in outcome.units))
         lines.append(

@@ -124,9 +124,9 @@ def cmd_simulate(args) -> int:
         iterations=args.iterations,
         base_dir=str(cluster_path.parent),
     )
-    records = swarmsim.round_records(cfg.workers, cfg.experiment, cfg.seed, cfg.base_dir,
+    results = swarmsim.round_results(cfg.workers, cfg.experiment, cfg.seed, cfg.base_dir,
                                      range(cfg.iterations))
-    first = next(records)
+    first = next(results)
     if max(first.workers) < 0:  # nothing placed
         # Which services can be placed depends on capabilities only, not on the samples.
         print(f"error: infeasible: no worker can host any of the {len(experiment.services)} "
@@ -140,8 +140,8 @@ def cmd_simulate(args) -> int:
             open(out_dir / "fairness.csv", "w", encoding="utf-8") as fairness:
         allocations.write(metrics.REPORT_HEADER + "\n")
         fairness.write("iteration,jain_cost,jain_count\n")
-        for t, record in enumerate(itertools.chain([first], records)):
-            lines, jain_cost, jain_count = fold.add_record(record)
+        for t, result in enumerate(itertools.chain([first], results)):
+            lines, jain_cost, jain_count = fold.add(result)
             allocations.write(lines)
             fairness.write(f"{t},{jain_cost:.6f},{jain_count:.6f}\n")
 

@@ -58,6 +58,16 @@ def first_repeat(names: Iterable[str]) -> "str | None":
     return None
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right, with the same bits on every Python: from 3.12
+    the builtin ``sum`` compensates float rounding, so a sum behind an output bit
+    uses this instead."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass(frozen=True)
 class MountVolume:
     host_path: str

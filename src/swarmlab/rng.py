@@ -1,8 +1,10 @@
-"""Batched ``np.random.default_rng(entropy).uniform(low, high)``, bit for bit.
+"""Batched ``Generator(PCG64(SeedSequence(entropy))).uniform(low, high)``, bit for bit.
 
-``uniform_rows`` computes the draws of many seeded generators at once with
-whole-array numpy operations, where building one ``default_rng`` per row
-costs about 20 us. The generators' entropy comes as one ``uint32`` word
+The stream is defined by that construction, which names its bit generator:
+``np.random.default_rng`` builds the same generator today, but NumPy keeps
+the right to change its bit generator (NEP 19). ``uniform_rows`` computes
+the draws of many seeded generators at once with whole-array numpy
+operations, where building one generator per row costs about 20 us. The generators' entropy comes as one ``uint32`` word
 matrix, a row per generator, zero-padded past each row's length, so no
 per-row Python list is read. It reproduces numpy's definitions exactly:
 
@@ -126,7 +128,8 @@ def _pcg64_outputs(state: np.ndarray, count: int) -> np.ndarray:
 
 def uniform_rows(words: np.ndarray, lengths: np.ndarray, low: np.ndarray, high: np.ndarray
                  ) -> np.ndarray:
-    """``default_rng(words[r, :lengths[r]]).uniform(low[r], high[r])`` for every row r, bit for bit.
+    """``Generator(PCG64(SeedSequence(words[r, :lengths[r]]))).uniform(low[r], high[r])`` for every
+    row r, bit for bit.
 
     ``words`` is a ``(rows, width)`` ``uint32`` matrix: row r holds its
     generator's 32-bit seed words (as ``np.random.SeedSequence`` makes them

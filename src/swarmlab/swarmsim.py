@@ -23,18 +23,16 @@ and ``rng.uniform_rows`` hashes it as it is. A trace file is read by
 ``MAX_TRACE_BYTES``, no FIFO, and a buffer the size of the file. A
 generator is a frozen record of what differs per worker: its workload,
 seed, index and base directory.
-``round_records`` is the one round pipeline of every command: it prepares
+``round_results`` is the one round pipeline of every command: it prepares
 the allocation once, before sampling, hands each block of
-``assignment.block_rounds`` rounds to ``PreparedAllocation.place_rounds``,
-which costs it in one pass and places each round as a compact
-``RoundRecord``, and yields the records one at a time, so ``simulate``
-holds one block of them at most and builds no per-service object.
-``round_results`` yields the same rounds as ``AllocationResult`` objects
-(``PreparedAllocation.allocate_rounds``), for ``allocate``,
-``run_experiment``, which returns the results of every iteration, and
-``run_iteration``, which returns the result of one iteration with its
-trace. A trace is a view of one round: ``_trace`` draws it from the
-round's config and result alone. No command builds worker states.
+``assignment.block_rounds`` rounds to
+``PreparedAllocation.allocate_rounds``, which costs it in one pass and
+places each round as a positional ``AllocationResult``, and yields the
+results one at a time, so ``simulate`` holds one block of them at most and
+builds no per-service object. ``run_experiment`` returns the results of
+every iteration, and ``run_iteration`` the result of one iteration with its
+trace. A trace is a view of one round: ``_trace`` draws it from the round's
+config and result alone. No command builds worker states.
 ``measure_scaling`` solves no allocation and clones no worker: a grid cell
 deploys its cloned service iff one of its workers can host it, so only the
 template's first min(N, T) workers are checked (``check_fleet_inputs``,
@@ -63,7 +61,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import assignment, costing
-from .allocator import AllocationResult, PreparedAllocation, RoundRecord, prepare
+from .allocator import AllocationResult, prepare
 from .definitions import (
     ClusterWorker,
     ExperimentSpec,
@@ -71,6 +69,7 @@ from .definitions import (
     UniformWorkload,
     WorkloadModel,
     first_repeat,
+    left_sum,
     read_bounded,
 )
 from .errors import DuplicateAgent, EmptyProblem, SchemaError
@@ -128,14 +127,15 @@ class WorkloadGenerator:
 
     The stream is a pure function of (seed, worker index, iteration), so
     any iteration can be re-sampled independently and reruns are
-    bit-identical. A ``uniform`` worker's persistent level is
-    ``default_rng([seed, worker_index, _LEVEL_TAG]).uniform(center -
-    half_width, center + half_width)``; an iteration's sample adds the
-    jitter ``default_rng([seed, worker_index, iteration,
+    bit-identical. With ``gen(entropy)`` for
+    ``np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))``,
+    a ``uniform`` worker's persistent level is ``gen([seed, worker_index,
+    _LEVEL_TAG]).uniform(center - half_width, center + half_width)``; an
+    iteration's sample adds the jitter ``gen([seed, worker_index, iteration,
     _JITTER_TAG]).uniform(-w, w, size=4)``, w = ``half_width *
-    JITTER_FRACTION``, and clips to [0, 1]. That definition is unchanged,
-    but the draws are batched: ``rng.uniform_rows`` computes them bit for
-    bit, the level together with the first jitter rows. A ``trace``
+    JITTER_FRACTION``, and clips to [0, 1]. The draws are batched:
+    ``rng.uniform_rows`` computes them bit for bit, the level together with
+    the first jitter rows. A ``trace``
     worker's relative path resolves against ``base_dir`` when given. The
     generator holds only these four values; ``sample_rounds`` keeps every
     state that sampling needs, for the one call that needs it.
@@ -383,7 +383,7 @@ class SimConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         # A unit fetches some of the experiment's images, never more than all of them.
-        self.fetch_latency.duration_ms(sum(s.image_size_mb for s in self.experiment.services))
+        self.fetch_latency.duration_ms(left_sum(s.image_size_mb for s in self.experiment.services))
 
 
 def workload_generators(workers: "Sequence[ClusterWorker]", seed: int,
@@ -482,35 +482,20 @@ def _timings(cfg: SimConfig, num_workers: int, num_services: int,
     }
 
 
-def _blocks(allocation: PreparedAllocation, workers: "Sequence[ClusterWorker]", seed: int,
-            base_dir: "str | Path | None", iterations: "Sequence[int]") -> Iterator[np.ndarray]:
-    """The load rows of the rounds at ``iterations``, in blocks of as many rounds as ``allocation``'s
-    solver lays out at once (``assignment.block_rounds``)."""
-    return sample_rounds(workload_generators(workers, seed, base_dir), iterations,
-                         assignment.block_rounds(*allocation.costs.feasible.shape))
-
-
-def round_records(workers: "Sequence[ClusterWorker]", experiment: ExperimentSpec, seed: int,
-                  base_dir: "str | Path | None", iterations: "Sequence[int]") -> Iterator[RoundRecord]:
-    """The records of the rounds at ``iterations``, in order: the one round pipeline.
-
-    It prepares the allocation, which refuses an empty fleet or a repeated
-    worker id before anything is sampled, then samples, costs and places one
-    block of rounds at a time (``PreparedAllocation.place_rounds``); nothing
-    runs until the first record is read. A record's positions are those of
-    ``workers`` and of the experiment's services.
-    """
-    allocation = prepare(workers, experiment)
-    for rounds in _blocks(allocation, workers, seed, base_dir, iterations):
-        yield from allocation.place_rounds(rounds)
-
-
 def round_results(workers: "Sequence[ClusterWorker]", experiment: ExperimentSpec, seed: int,
                   base_dir: "str | Path | None", iterations: "Sequence[int]") -> Iterator[AllocationResult]:
-    """``round_records``' rounds, each as its ``AllocationResult``
-    (``PreparedAllocation.allocate_rounds``)."""
+    """The results of the rounds at ``iterations``, in order: the one round pipeline.
+
+    It prepares the allocation, which refuses an empty fleet or a repeated
+    worker id before anything is sampled, then samples, costs and places
+    one block of rounds at a time, as many as the allocation's solver lays
+    out at once (``assignment.block_rounds``); nothing runs until the first
+    result is read. A result's positions are those of ``workers`` and of
+    the experiment's services.
+    """
     allocation = prepare(workers, experiment)
-    for rounds in _blocks(allocation, workers, seed, base_dir, iterations):
+    for rounds in sample_rounds(workload_generators(workers, seed, base_dir), iterations,
+                                assignment.block_rounds(*allocation.costs.feasible.shape)):
         yield from allocation.allocate_rounds(rounds)
 
 
@@ -531,10 +516,11 @@ def _trace(cfg: SimConfig, result: AllocationResult) -> SimTrace:
     roster_index = {w.id: i for i, w in enumerate(workers)}
     by_name = {s.name: s for s in services}
     subnet = ipaddress.ip_network(cfg.experiment.network.subnet)
-    assigned_units = {a.worker: a.unit for a in result.assignments.values()}
+    assignments = result.assignments
+    assigned_units = {a.worker: a.unit for a in assignments.values()}
     placed = sorted(assigned_units, key=roster_index.__getitem__)
     fetch_ms = [cfg.fetch_latency.duration_ms(
-        sum(by_name[name].image_size_mb for name in assigned_units[worker_id].members))
+        left_sum(by_name[name].image_size_mb for name in assigned_units[worker_id].members))
         for worker_id in placed]
     timings = _timings(cfg, len(workers), len(services), fetch_ms)
 
@@ -548,7 +534,7 @@ def _trace(cfg: SimConfig, result: AllocationResult) -> SimTrace:
     alloc_tick = timings["cost_ms"] + timings["allocation_ms"]
     events.append(TraceEvent(alloc_tick, "AllocationComputed", {
         "feasible": result.feasible,
-        "services_assigned": len(result.assignments),
+        "services_assigned": len(assignments),
         "total_cost": round(result.total_cost, 6),
     }))
     for worker_id, fetch in zip(placed, fetch_ms):
@@ -618,7 +604,7 @@ def measure_scaling(worker_counts, service_counts,
     roster = template.workers[:max(worker_counts)]
     check_fleet_inputs(roster, template.base_dir)
     # The largest cell fetches the most: if its images take a finite time, every cell's do.
-    template.fetch_latency.duration_ms(sum(repeat(prototype_service.image_size_mb, max(service_counts))))
+    template.fetch_latency.duration_ms(left_sum(repeat(prototype_service.image_size_mb, max(service_counts))))
     # hostable[min(n, len(roster)) - 1]: one of the first n workers can host the prototype.
     hostable = np.logical_or.accumulate(
         costing.build_capability_matrix(roster, [prototype_service])[:, 0]).tolist()

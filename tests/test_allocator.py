@@ -498,3 +498,71 @@ def test_allocate_experiment_uses_spec_knobs():
     result = allocate_experiment(workers, experiment)
     assert result.feasible
     assert len(result.outcomes) == 2
+
+
+def test_results_compare_by_placement_costs_and_scores():
+    workers = [make_worker("w0", cpu=0.2), make_worker("w1", swap=0.5), make_worker("w2", cpu=0.9)]
+    experiment = make_experiment([make_service("a", 40.0), make_service("b", 10.0),
+                                  make_service("c", 25.0)], [("a", "b")])
+    first, second = prepare(workers, experiment), prepare(workers, experiment)
+    # A prepared allocation compares by identity: its cost arrays do not compare with ==.
+    assert first != second and first == first
+    [result] = first.allocate_rounds(one_round(workers))
+    [same] = second.allocate_rounds(one_round(workers))
+    assert result == same and not result != same
+    assert result.feasible
+
+    def changed(**fields):
+        return dataclasses.replace(result, **fields)
+    other_worker = [(w + 1) % len(workers) for w in result.workers]
+    other_cost = [result.costs[0] + 1.0, *result.costs[1:]]
+    other_scores = list(result.scores)  # an unchosen configuration's cost differs
+    matched, assigned, cost = other_scores[1 - result.chosen]
+    other_scores[1 - result.chosen] = (matched, assigned, cost + 1)
+    for different in (changed(workers=other_worker), changed(workers=[-1, *result.workers[1:]]),
+                       changed(costs=other_cost), changed(scores=other_scores),
+                       changed(chosen=1 - result.chosen)):
+        assert different != result
+    # The same positions over another fleet place other names.
+    renamed = [dataclasses.replace(w, id=f"x{i}") for i, w in enumerate(workers)]
+    assert changed(allocation=prepare(renamed, experiment)) != result
+    assert result != object() and result != None  # noqa: E711
+
+
+def test_result_views_are_built_from_positions():
+    workers = [make_worker("w0", cpu=0.2), make_worker("w1", swap=0.5)]
+    experiment = make_experiment([make_service("a", 40.0), make_service("b", 10.0),
+                                  make_service("cam", capabilities={"camera"})], [("a", "b")])
+    [result] = prepare(workers, experiment).allocate_rounds(one_round(workers))
+    assert result.workers[2] == -1 and result.costs[2] == 0.0
+    assert (result.feasible, result.num_services, result.unassigned) == (False, 3, frozenset({"cam"}))
+    assert list(result.assignments) == ["a", "b"]
+    for j, (name, placed) in enumerate(result.assignments.items()):
+        assert (placed.service, placed.worker, placed.cost) == (name, workers[result.workers[j]].id,
+                                                                result.costs[j])
+    outcomes = result.outcomes
+    assert [o.chosen for o in outcomes] == [i == result.chosen for i in range(2)]
+    assert [(o.flow_value, o.services_assigned, o.total_cost_scaled) for o in outcomes] == result.scores
+    assert result.total_cost_scaled == result.scores[result.chosen][2]
+    assert result.total_cost == result.total_cost_scaled / costing.COST_SCALE
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.chosen = 0
+    # Positions past the allocation are refused: the fold and the views would read them as they are.
+    for fields in ({"workers": [0, 2, -1]}, {"workers": [0, -2, -1]}, {"workers": [0, 1]},
+                   {"costs": [1.0, 2.0]}, {"chosen": 2}, {"chosen": -1}, {"scores": result.scores[:1]}):
+        with pytest.raises(ValueError, match="positions must index its allocation"):
+            dataclasses.replace(result, **fields)
+    with pytest.raises(AttributeError):
+        result.assignments = {}
+
+
+def test_scale_order_sums_a_pool_left_to_right():
+    # Left to right, 0.1 + 0.2 + 0.3 is 0.6000000000000001, and times 0.9 the pool's scale
+    # is 0.5400000000000001, above the single service's 0.54. A compensated sum (the
+    # builtin sum from Python 3.12) gives 0.54 for both, and the tie would keep the
+    # service's column first.
+    services = [make_service(name, cost) for name, cost in
+                (("p", 0.1), ("q", 0.2), ("r", 0.3), ("s", 0.54))]
+    prepared = prepare([make_worker("w")], make_experiment(services, [("p", "q"), ("q", "r")], discount=0.9))
+    assert prepared.member_columns[4] == (0, 1, 2)
+    assert prepared.scale_order == (4, 3, 2, 1, 0)

@@ -918,7 +918,7 @@ def test_unexpected_exception_is_one_line_internal_error(tmp_path, monkeypatch, 
     def broken(*args, **kwargs):
         raise RuntimeError("injected\nfailure")
 
-    monkeypatch.setattr("swarmlab.swarmsim.round_records", broken)
+    monkeypatch.setattr("swarmlab.swarmsim.round_results", broken)
     assert main(["simulate", "--edf", str(SAMPLES / "mapping-demo.edf.json"),
                  "--cluster", str(SAMPLES / "bench.cluster.json"), "--iterations", "2",
                  "--seed", "1", "--out-dir", str(tmp_path / "out")]) == 3

@@ -4,35 +4,33 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from swarmlab.allocator import AllocationResult, AllocationUnit, Assignment
+from swarmlab.allocator import AllocationResult, prepare
+from swarmlab import metrics
 from swarmlab.cli import main
 from swarmlab.definitions import load_cluster, load_edf
 from swarmlab.errors import DomainError, EmptyHistory
 from swarmlab.metrics import REPORT_HEADER, ReportFold, allocation_frequency, jains_index
 from swarmlab.swarmsim import SimConfig, run_experiment
 
-from factories import balanced_cluster, bench_experiment
+from factories import balanced_cluster, bench_experiment, make_experiment, make_service, make_worker
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SAMPLES = Path(__file__).resolve().parent.parent / "docs" / "samples"
 
 
-def _result(assignments, unassigned=frozenset()):
-    by_service = {}
-    for service, worker, cost in assignments:
-        unit = AllocationUnit((service,))
-        by_service[service] = Assignment(service=service, worker=worker, unit=unit, cost=cost)
-    total = sum(cost for _, _, cost in assignments)
-    return AllocationResult(
-        assignments=by_service,
-        total_cost=total,
-        total_cost_scaled=int(round(total * 10**6)),
-        feasible=True,
-        unassigned=frozenset(unassigned),
-    )
-
-
 TOY_WORKERS, TOY_SERVICES = ["w1", "w2", "w3"], ["s1", "s2"]
+
+
+def _result(assignments, workers=TOY_WORKERS, services=TOY_SERVICES):
+    """A round of an allocation prepared over ``workers`` and ``services``, in positions:
+    each (service, worker, cost) placed, every other service unplaced."""
+    allocation = prepare([make_worker(w) for w in workers],
+                         make_experiment([make_service(s) for s in services]))
+    placed = {service: (workers.index(worker), cost) for service, worker, cost in assignments}
+    positions = [placed.get(s, (-1, 0.0)) for s in services]
+    total = sum(cost for _, _, cost in assignments)
+    return AllocationResult(allocation, 0, [w for w, _ in positions], [c for _, c in positions],
+                            [(len(placed), len(placed), int(round(total * 10**6)))])
 
 
 def toy_results():
@@ -78,7 +76,20 @@ def test_jain_of_tiny_shares_does_not_underflow(scale):
     assert jains_index([scale, 3 * scale]) == pytest.approx(jains_index([1.0, 3.0]), rel=1e-9)
 
 
-@pytest.mark.parametrize("bad", [[], [-1.0, 2.0]])
+@pytest.mark.parametrize("shares, index", [([1e308, 1e308], 1.0), ([1e200, 1e-200], 0.5),
+                                           ([9e153, 9e153], 1.0), ([1.7e308, 0.0, 0.0], 1 / 3)])
+def test_jain_of_huge_shares_does_not_overflow(shares, index):
+    # The squares, or n times their sum, overflow; the shares are divided by their peak.
+    assert jains_index(shares) == index
+
+
+def test_jain_sums_add_left_to_right():
+    # 3.11's builtin sum adds left to right; a correctly rounded sum gives ...ep-1.
+    assert jains_index([0.1] * 10).hex() == "0x1.ffffffffffffap-1"
+
+
+@pytest.mark.parametrize("bad", [[], [-1.0, 2.0], [float("inf"), 1.0], [float("nan"), 1.0],
+                                 [1.0, float("nan")], [1.0, float("-inf")]])
 def test_jain_domain_errors(bad):
     with pytest.raises(DomainError):
         jains_index(bad)
@@ -115,12 +126,14 @@ def test_jain_is_one_iff_equal(xs):
 
 
 def test_dispersion_identical_costs():
-    fold, _ = _fold([_result([("s1", "w1", 2.0), ("s2", "w2", 2.0)])], ["w1", "w2"], ["s1", "s2"])
+    workers = ["w1", "w2"]
+    fold, _ = _fold([_result([("s1", "w1", 2.0), ("s2", "w2", 2.0)], workers)], workers, TOY_SERVICES)
     assert fold.dispersion() == (0.0, 0.0)
 
 
 def test_dispersion_hand_computed():
-    fold, _ = _fold([_result([("s1", "w1", 1.0), ("s2", "w2", 3.0)])], ["w1", "w2"], ["s1", "s2"])
+    workers = ["w1", "w2"]
+    fold, _ = _fold([_result([("s1", "w1", 1.0), ("s2", "w2", 3.0)], workers)], workers, TOY_SERVICES)
     std, cv = fold.dispersion()
     assert std == pytest.approx(1.0, abs=1e-12)
     assert cv == pytest.approx(0.5, abs=1e-12)
@@ -162,7 +175,8 @@ def test_allocation_frequency_counts():
 
 
 def test_frequency_zero_row_for_idle_worker():
-    counts = allocation_frequency([_result([("s1", "w1", 1.0)])], ["w1", "w2"], ["s1"])
+    workers, services = ["w1", "w2"], ["s1"]
+    counts = allocation_frequency([_result([("s1", "w1", 1.0)], workers, services)], workers, services)
     assert counts[1].sum() == 0
 
 
@@ -188,12 +202,21 @@ def test_fairness_series_cumulative():
     assert all(0.0 < value <= 1.0 for value in series)
 
 
-#: A round that names something outside the toy rosters, and the message it raises.
+#: A round of an allocation prepared over other rosters than the toy ones, and the message it raises.
 ROSTER_FAULTS = [
-    (_result([("s1", "w1", 1.0), ("s2", "ghost", 1.0)]), "iteration 1: unknown worker 'ghost'"),
-    (_result([("s1", "w1", 1.0), ("s9", "w2", 1.0)]), "iteration 1: unknown service 's9'"),
-    (_result([("s1", "w1", 1.0)], unassigned={"s9"}),
-     "iteration 1: unassigned services outside the roster"),
+    (_result([("s1", "w1", 1.0), ("s2", "ghost", 1.0)], workers=["w1", "ghost", "w3"]),
+     "iteration 1: the round's worker 1 is 'ghost', the roster's is 'w2'"),
+    (_result([("s1", "w1", 1.0), ("s9", "w2", 1.0)], services=["s1", "s9"]),
+     "iteration 1: the round's service 1 is 's9', the roster's is 's2'"),
+    # The same names in another order: a round's positions are its allocation's.
+    (_result([("s1", "w1", 1.0), ("s2", "w2", 1.0)], workers=["w2", "w1", "w3"]),
+     "iteration 1: the round's worker 0 is 'w2', the roster's is 'w1'"),
+    (_result([("s1", "w1", 1.0)], services=["s2", "s1"]),
+     "iteration 1: the round's service 0 is 's2', the roster's is 's1'"),
+    (_result([("s1", "w1", 1.0), ("s2", "w2", 1.0)], workers=["w1", "w2"]),
+     "iteration 1: the round's worker 2 is None, the roster's is 'w3'"),
+    (_result([("s1", "w1", 1.0)], services=["s1", "s2", "s3"]),
+     "iteration 1: the round's service 2 is 's3', the roster's is None"),
 ]
 
 
@@ -215,6 +238,29 @@ def test_fold_and_frequency_check_rosters():
         _, expected = _fold(clean, TOY_WORKERS, TOY_SERVICES)
         assert [first, fold.add(clean[1])] == expected
         assert fold.dispersion() == _fold(clean, TOY_WORKERS, TOY_SERVICES)[0].dispersion()
+
+
+def test_fold_checks_each_allocation_once(tmp_path, monkeypatch):
+    # simulate folds 20 rounds of one allocation: its rosters are compared once.
+    checks = []  # the round each check ran at
+    check = metrics._check_allocation
+
+    def counting(t, *args):
+        checks.append(t)
+        check(t, *args)
+    monkeypatch.setattr(metrics, "_check_allocation", counting)
+    assert main(["simulate", "--edf", str(SAMPLES / "mapping-demo.edf.json"),
+                 "--cluster", str(SAMPLES / "bench.cluster.json"), "--iterations", "20",
+                 "--seed", "7", "--out-dir", str(tmp_path / "out")]) == 0
+    assert checks == [0]
+    # Rounds of two allocations over the same rosters are each checked where they start.
+    first, second = toy_results()
+    fold = ReportFold(TOY_WORKERS, TOY_SERVICES)
+    for result in (first, first, second, second):
+        fold.add(result)
+    assert checks == [0, 0, 2]
+    assert allocation_frequency([first, first, second], TOY_WORKERS, TOY_SERVICES).sum() == 6
+    assert checks == [0, 0, 2, 0, 2]
 
 
 @pytest.mark.parametrize("workers, services, message", [

@@ -6,6 +6,7 @@ from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from itertools import repeat
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -85,13 +86,14 @@ def test_uniform_generator_is_deterministic_and_bounded():
 
 
 def _reference_uniform_sample(model, seed, worker_index, iteration):
-    """The uniform model as first written: list-seeded generators and np.clip."""
+    """The uniform model as defined: list-seeded PCG64 generators and np.clip."""
+    def generator(entropy):
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
     center = np.asarray(model.center)
-    level = np.random.default_rng([seed, worker_index, _LEVEL_TAG]).uniform(
+    level = generator([seed, worker_index, _LEVEL_TAG]).uniform(
         center - model.half_width, center + model.half_width)
     width = model.half_width * JITTER_FRACTION
-    jitter = np.random.default_rng([seed, worker_index, iteration, _JITTER_TAG]).uniform(
-        -width, width, size=4)
+    jitter = generator([seed, worker_index, iteration, _JITTER_TAG]).uniform(-width, width, size=4)
     return tuple(np.clip(level + jitter, 0.0, 1.0).tolist())
 
 
@@ -1275,12 +1277,12 @@ def test_blocks_bound_the_solver_layout_of_few_workers(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# round records
+# rounds in positions
 
 
 def test_simulate_builds_no_per_service_objects(tmp_path, monkeypatch, kernel_rows):
-    # simulate folds each round's record as it is; only a caller that asks for results
-    # builds assignments, outcomes and results.
+    # simulate folds each round's positions as they are; only a caller that reads a
+    # result's views builds assignments and outcomes.
     calls = Counter()
     for cls in (Assignment, ConfigurationOutcome, AllocationResult):
         def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
@@ -1290,17 +1292,18 @@ def test_simulate_builds_no_per_service_objects(tmp_path, monkeypatch, kernel_ro
     inputs = ["--edf", str(SAMPLES / "mapping-demo.edf.json"),
               "--cluster", str(SAMPLES / "bench.cluster.json"), "--seed", "7"]
     assert main(["simulate", *inputs, "--iterations", "50", "--out-dir", str(tmp_path / "out")]) == 0
-    assert calls == Counter()
+    assert calls == Counter(AllocationResult=50)
     # One block of 50 rounds: one word matrix of the 12 levels and 12 x 50 jitter rows.
     assert kernel_rows == [12 + 12 * 50]
 
+    calls.clear()
     assert main(["allocate", *inputs, "--out", str(tmp_path / "report.txt")]) == 0
     assert calls == Counter(AllocationResult=1, ConfigurationOutcome=2, Assignment=3)
 
 
 def _reference_results(prepared, rounds):
-    """A block's results placed straight from the solver's pairs, with no round record:
-    one ``Assignment`` per placed service, each cost read off the cost block."""
+    """A block's rounds placed straight from the solver's pairs, each as the views a result
+    gives: one ``Assignment`` per placed service, each cost read off the cost block."""
     values = prepared.costs.block(rounds)
     order = [i ^ (i >> 1) for i in range(len(prepared.selections))]
     solutions = assignment.solve_rounds(
@@ -1329,10 +1332,11 @@ def _reference_results(prepared, rounds):
                                           worker=prepared.worker_ids[worker_i], unit=unit, cost=cost)
         unassigned = frozenset(s.name for s, a in zip(prepared.services, placement) if a is None)
         total = outcomes[best].total_cost_scaled
-        results.append(AllocationResult(
+        results.append(SimpleNamespace(
             assignments={a.service: a for a in placement if a is not None},
             total_cost=total / costing.COST_SCALE, total_cost_scaled=total,
-            feasible=not unassigned, unassigned=unassigned, outcomes=outcomes))
+            feasible=not unassigned, unassigned=unassigned, outcomes=outcomes,
+            num_services=len(placement), chosen=best))
     return results
 
 
@@ -1403,11 +1407,16 @@ def test_simulate_reports_equal_the_fold_over_run_experiment(trace_dir, fleet, s
                                         iterations)
         assert code == (0 if all(result.feasible for result in results) else 2)
 
-    # Expanding each round's record gives what placing straight from the solver's pairs
-    # gives: the same outcomes, assignments and explain text.
+    # Each result's views give what placing straight from the solver's pairs gives: the
+    # same outcomes, assignments and explain text. A separately prepared allocation's
+    # results compare equal.
     prepared = allocator.prepare(workers, experiment)
     [rounds] = swarmsim.sample_rounds(swarmsim.workload_generators(workers, seed, None),
                                       range(iterations), iterations)
+    assert prepared.allocate_rounds(rounds) == results
     reference = _reference_results(prepared, rounds)
-    assert prepared.allocate_rounds(rounds) == reference == results
+    views = ("assignments", "unassigned", "outcomes", "total_cost", "total_cost_scaled", "feasible",
+             "num_services", "chosen")
+    assert [[getattr(r, view) for view in views] for r in results] == \
+        [[getattr(r, view) for view in views] for r in reference]
     assert [allocator.explain(r) for r in results] == [allocator.explain(r) for r in reference]
