@@ -57,4 +57,4 @@ from .swarmsim import (
     trace_to_jsonl,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

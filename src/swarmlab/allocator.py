@@ -109,8 +109,9 @@ class AllocationResult:
 
     Workers are positions in ``allocation.worker_ids``, services positions
     in ``allocation.services`` (service columns) and configurations indices
-    into ``allocation.configurations``; the constructor refuses positions
-    past the allocation with ``ValueError``. Every other attribute is a
+    into ``allocation.configurations``; the constructor stores them as
+    tuples, so they cannot change once checked, and refuses positions past
+    the allocation with ``ValueError``. Every other attribute is a
     read-only view built from these when it is read. Two results are equal
     when they place the same services on the same workers at the same
     costs, with the same configuration scores, whichever ``prepare`` call
@@ -119,11 +120,13 @@ class AllocationResult:
 
     allocation: "PreparedAllocation"
     chosen: int  # the chosen configuration
-    workers: list[int]  # per service column: the worker placed on it, -1 where unplaced
-    costs: list[float]  # per service column: its placement's cost, 0.0 where unplaced
-    scores: list[tuple[int, int, int]]  # per configuration: (units matched, services assigned, scaled cost)
+    workers: tuple[int, ...]  # per service column: the worker placed on it, -1 where unplaced
+    costs: tuple[float, ...]  # per service column: its placement's cost, 0.0 where unplaced
+    scores: tuple[tuple[int, int, int], ...]  # per configuration: (units matched, services assigned, scaled cost)
 
     def __post_init__(self):
+        for name in ("workers", "costs", "scores"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         a = self.allocation  # a position past the allocation would fold onto, or name, the wrong worker
         if not (len(self.workers) == len(self.costs) == len(a.services) and len(self.scores) == len(a.configurations)
                 and 0 <= self.chosen < len(self.scores) and -1 <= min(self.workers)

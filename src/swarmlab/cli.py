@@ -23,7 +23,6 @@ from . import allocator, metrics, swarmsim
 from .definitions import (
     ExperimentSpec,
     ServiceSpec,
-    directory_resolver,
     load_cluster,
     load_edf,
     parse_cdf,
@@ -50,7 +49,7 @@ _INVALID = (DefinitionSyntaxError, SchemaError, TooManyComponents, UnresolvedSer
 _PARSERS = {
     ".cdf.json": lambda text, path: parse_cdf(text),
     # An experiment's configurations are counted as the commands count them.
-    ".edf.json": lambda text, path: allocator.column_table(parse_edf(text, directory_resolver(path.parent))),
+    ".edf.json": lambda text, path: allocator.column_table(parse_edf(text, path.parent)),
     # A cluster's trace files, resolved against its directory, are checked as the commands check them.
     ".cluster.json": lambda text, path: swarmsim.check_fleet_inputs(parse_cluster(text).workers,
                                                                     path.parent),

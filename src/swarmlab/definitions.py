@@ -19,6 +19,9 @@ a cluster's ``seed``, both ``network`` keys and all four ``weights`` are
 always written. The file helpers read a document through ``read_bounded``,
 which trace files share: at most ``MAX_DOCUMENT_BYTES``, no FIFO, and a
 buffer the size of the file; it is decoded as ``Path.read_text`` decodes.
+An experiment's ``{"ref": name}`` entries resolve beside the experiment, to
+``<name>.cdf.json`` in its directory, and each named definition is read at
+most once per document, however many entries name it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import AbstractSet, Callable, Iterable, Mapping, Union
+from typing import AbstractSet, Callable, Iterable, Union
 
 from .errors import (
     DefinitionSyntaxError,
@@ -269,9 +272,6 @@ class ClusterSpec:
             raise SchemaError("seed must be a non-negative integer", "seed")
 
 
-Resolver = Union[Mapping[str, ServiceSpec], Callable[[str], "ServiceSpec | None"], None]
-
-
 # ---------------------------------------------------------------------------
 # validated JSON access
 #
@@ -480,25 +480,27 @@ def serialize_cdf(spec: ServiceSpec) -> str:
 _OVERRIDES = {"predefined_cost": _number, "required_capabilities": _strings}
 
 
-def _resolve(resolver: Resolver, name: str, path: str) -> ServiceSpec:
-    found = None
-    if isinstance(resolver, Mapping):
-        found = resolver.get(name)
-    elif callable(resolver):
-        found = resolver(name)
-    if found is None:
-        raise UnresolvedService(f"{path}: no service definition found for {name!r}")
-    return found
+def _service_entry(directory: "Path | None") -> _Reader:
+    """A reader of an experiment's service entries: inline services, or references to
+    ``<directory>/<name>.cdf.json`` with their overrides applied after. Each named
+    definition is read at most once per reader, and so once per document."""
+    loaded: dict[str, ServiceSpec] = {}
 
+    def resolve(name: str, path: str) -> ServiceSpec:
+        if name not in loaded:
+            candidate = None if directory is None else directory / f"{name}.cdf.json"
+            # Only a regular file directly in the directory: not "../cam".
+            if candidate is None or candidate.parent != directory or not candidate.is_file():
+                raise UnresolvedService(f"{path}: no service definition found for {name!r}")
+            loaded[name] = load_cdf(candidate)
+        return loaded[name]
 
-def _service_entry(resolver: Resolver) -> _Reader:
-    """A reader of an experiment's service entries: inline services or references."""
     def read_entry(value, path: str, key: str = "") -> ServiceSpec:
         entry = _object(value, path, key)
         if "ref" not in entry:
             return _service(entry, path)
         _check_keys(entry, {"ref", *_OVERRIDES}, path)
-        spec = _resolve(resolver, _str(entry["ref"], path, "ref"), path)
+        spec = resolve(_str(entry["ref"], path, "ref"), path)
         for name, read in _OVERRIDES.items():
             if name in entry:
                 spec = _built(functools.partial(replace, spec), {name: read(entry[name], path, name)}, path)
@@ -512,17 +514,22 @@ def _dependency(value, path: str, key: str = "") -> tuple[str, str]:
     return tuple(value)  # type: ignore[return-value]
 
 
-def parse_edf(document: str, resolver: Resolver = None) -> ExperimentSpec:
+def parse_edf(document: str, directory: "str | Path | None" = None) -> ExperimentSpec:
     """Parse an experiment definition document.
 
     Service entries are either inline service objects or ``{"ref": name}``
-    references resolved through ``resolver`` (a mapping or a callable);
-    references may override ``predefined_cost`` and
-    ``required_capabilities`` per experiment.
+    references, which resolve beside the experiment: to the service of
+    ``<directory>/<name>.cdf.json``, a regular file directly in
+    ``directory``, read at most once per document however many entries
+    name it. A reference that names no such file, or any reference when
+    ``directory`` is None, raises ``UnresolvedService``. A reference may
+    override ``predefined_cost`` and ``required_capabilities`` per entry,
+    after it is resolved.
     """
     read = _reader(ExperimentSpec, {
         "name": _str,
-        "services": _array_of(_service_entry(resolver), nonempty="services"),
+        "services": _array_of(_service_entry(None if directory is None else Path(directory)),
+                              nonempty="services"),
         "dependencies": _array_of(_dependency),
         "network": _reader(OverlayConfig, {"ports": _array_of(_int), "subnet": _str}),
         "weights": _reader(CostWeights, dict.fromkeys(RESOURCE_NAMES, _number), required=RESOURCE_NAMES),
@@ -669,25 +676,10 @@ def load_cdf(path: "str | Path") -> ServiceSpec:
     return parse_cdf(read_document(Path(path)))
 
 
-def directory_resolver(directory: "str | Path") -> Callable[[str], "ServiceSpec | None"]:
-    """Resolve service references against ``<directory>/<name>.cdf.json``."""
-    base = Path(directory)
-
-    def resolve(name: str) -> "ServiceSpec | None":
-        candidate = base / f"{name}.cdf.json"
-        if candidate.parent != base or not candidate.is_file():
-            return None
-        return load_cdf(candidate)
-
-    return resolve
-
-
-def load_edf(path: "str | Path", resolver: Resolver = None) -> ExperimentSpec:
-    """Load an experiment; references default to CDFs beside the file."""
+def load_edf(path: "str | Path") -> ExperimentSpec:
+    """Load an experiment; its references resolve to CDFs beside the file (``parse_edf``)."""
     location = Path(path)
-    if resolver is None:
-        resolver = directory_resolver(location.parent)
-    return parse_edf(read_document(location), resolver)
+    return parse_edf(read_document(location), location.parent)
 
 
 def load_cluster(path: "str | Path") -> ClusterSpec:

@@ -297,6 +297,16 @@ def _uniform_values(models: "Sequence[UniformWorkload]", prefixes: tuple[np.ndar
     return np.clip(levels + jitter, 0.0, 1.0), levels
 
 
+def _check_latencies(config, names: "Sequence[str]") -> None:
+    """Refuse, with ``ValueError``, each of ``config``'s ``names`` fields that is not finite and non-negative."""
+    for name in names:
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative")
+
+
 @dataclass(frozen=True)
 class FetchLatency:
     """Simulated image fetch time: base plus a per-megabyte charge, each finite and non-negative."""
@@ -305,12 +315,7 @@ class FetchLatency:
     per_mb_ms: float = 2.0
 
     def __post_init__(self):
-        for name in ("base_ms", "per_mb_ms"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative")
+        _check_latencies(self, ("base_ms", "per_mb_ms"))
 
     def duration_ms(self, size_mb: float) -> int:
         duration = self.base_ms + self.per_mb_ms * size_mb
@@ -350,10 +355,11 @@ def trace_to_jsonl(trace: SimTrace) -> str:
 class SimConfig:
     """Everything one simulation needs: fleet, experiment, seed, latencies.
 
-    Latency values are model parameters, not measurements: polling a
-    worker costs a round trip plus one sequential per-service computation
-    charge; with ``parallel_cost_calc`` the master polls all workers
-    concurrently, otherwise one after another. Fetching all of the
+    Latency values are model parameters, not measurements, each finite
+    and non-negative (else ``ValueError``): polling a worker costs a round
+    trip plus one sequential per-service computation charge; with
+    ``parallel_cost_calc`` the master polls all workers concurrently,
+    otherwise one after another. Fetching all of the
     experiment's images must take a finite time, or ``SchemaError`` is
     raised.
     """
@@ -379,9 +385,7 @@ class SimConfig:
             raise ValueError("iterations must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        for name in ("cost_calc_ms", "poll_rtt_ms", "alloc_compute_ms"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        _check_latencies(self, ("cost_calc_ms", "poll_rtt_ms", "alloc_compute_ms"))
         # A unit fetches some of the experiment's images, never more than all of them.
         self.fetch_latency.duration_ms(left_sum(s.image_size_mb for s in self.experiment.services))
 

@@ -542,7 +542,7 @@ def test_result_views_are_built_from_positions():
                                                                 result.costs[j])
     outcomes = result.outcomes
     assert [o.chosen for o in outcomes] == [i == result.chosen for i in range(2)]
-    assert [(o.flow_value, o.services_assigned, o.total_cost_scaled) for o in outcomes] == result.scores
+    assert tuple((o.flow_value, o.services_assigned, o.total_cost_scaled) for o in outcomes) == result.scores
     assert result.total_cost_scaled == result.scores[result.chosen][2]
     assert result.total_cost == result.total_cost_scaled / costing.COST_SCALE
     with pytest.raises(dataclasses.FrozenInstanceError):

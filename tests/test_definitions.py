@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -21,7 +21,6 @@ from swarmlab.definitions import (
     ServiceSpec,
     TraceWorkload,
     UniformWorkload,
-    directory_resolver,
     load_cdf,
     load_cluster,
     load_edf,
@@ -106,17 +105,33 @@ def test_edf_six_services_no_dependencies():
     assert spec.dependencies == ()
 
 
-def test_edf_reference_resolution_and_override():
-    cam = ServiceSpec(name="cam", entrypoint="run", predefined_cost=30.0)
+def _definitions(directory: Path, *services: ServiceSpec) -> Path:
+    """``directory``, made, holding ``<name>.cdf.json`` for each of ``services``."""
+    directory.mkdir(exist_ok=True)
+    for service in services:
+        (directory / f"{service.name}.cdf.json").write_text(serialize_cdf(service), encoding="utf-8")
+    return directory
+
+
+_REFERENCED_CAM = ServiceSpec(name="cam", entrypoint="run", predefined_cost=30.0)
+
+
+@pytest.fixture
+def referenced(tmp_path) -> Path:
+    """A directory holding ``cam.cdf.json``, for experiments that reference ``cam``."""
+    return _definitions(tmp_path / "referenced", _REFERENCED_CAM)
+
+
+def test_edf_reference_resolution_and_override(tmp_path, referenced):
     document = json.dumps({
         "name": "e",
         "services": [{"ref": "cam", "predefined_cost": 55}],
     })
-    spec = parse_edf(document, {"cam": cam})
+    spec = parse_edf(document, referenced)
     assert spec.services[0].predefined_cost == 55.0
     assert spec.services[0].entrypoint == "run"
     with pytest.raises(UnresolvedService):
-        parse_edf(document, {})
+        parse_edf(document, _definitions(tmp_path / "empty"))
     with pytest.raises(UnresolvedService):
         parse_edf(document)
 
@@ -324,7 +339,6 @@ def test_bad_service_documents_name_their_field(document, path, message):
     assert str(raised.value) == (f"{path}: {message}" if path else message)
 
 
-_REFERENCED = {"cam": ServiceSpec(name="cam", entrypoint="run", predefined_cost=30.0)}
 _PAIR = [{"name": "a", "entrypoint": "run", "predefined_cost": 1},
          {"name": "b", "entrypoint": "run", "predefined_cost": 2}]
 
@@ -441,9 +455,9 @@ def _ref(**entry):
     (_edf(weights=[], pool_discount="x"), "weights", "expected an object, got list", SchemaError),
     (_edf(name="", pool_discount="x"), "pool_discount", "expected a number, got str", SchemaError),
 ])
-def test_bad_experiment_documents_name_their_field(document, path, message, error):
+def test_bad_experiment_documents_name_their_field(referenced, document, path, message, error):
     with pytest.raises(error) as raised:
-        parse_edf(json.dumps(document), _REFERENCED)
+        parse_edf(json.dumps(document), referenced)
     assert type(raised.value) is error
     assert raised.value.path == path
     assert str(raised.value) == (f"{path}: {message}" if path else message)
@@ -453,9 +467,9 @@ def test_bad_experiment_documents_name_their_field(document, path, message, erro
     {"ref": "ghost"},
     {"ref": "ghost", "predefined_cost": "x"},  # the reference is resolved before its overrides
 ])
-def test_unresolved_reference_names_its_entry(entry):
+def test_unresolved_reference_names_its_entry(referenced, entry):
     with pytest.raises(UnresolvedService) as raised:
-        parse_edf(json.dumps(_ref(**entry)), _REFERENCED)
+        parse_edf(json.dumps(_ref(**entry)), referenced)
     assert str(raised.value) == "services[1]: no service definition found for 'ghost'"
 
 
@@ -512,14 +526,60 @@ def test_dependency_pairs_survive_reordering():
     assert set(reparsed.dependencies) == {("s0", "s1"), ("s2", "s1")}
 
 
-def test_directory_resolver(tmp_path):
-    (tmp_path / "cam.cdf.json").write_text(
-        serialize_cdf(ServiceSpec(name="cam", entrypoint="run", predefined_cost=5.0)),
-        encoding="utf-8")
-    resolve = directory_resolver(tmp_path)
-    assert resolve("cam").name == "cam"
-    assert resolve("ghost") is None
-    assert resolve("../cam") is None
+def test_references_resolve_beside_the_experiment(tmp_path):
+    # cam.cdf.json sits both in the experiment's directory and in its parent.
+    directory = _definitions(_definitions(tmp_path, _REFERENCED_CAM) / "experiment", _REFERENCED_CAM)
+    (directory / "dir.cdf.json").mkdir()  # not a regular file
+
+    def resolved(name, where=directory):
+        return parse_edf(json.dumps({"name": "e", "services": [{"ref": name}]}), where)
+
+    assert resolved("cam").services == (_REFERENCED_CAM,)
+    assert resolved("cam", str(directory)).services == (_REFERENCED_CAM,)
+    (directory / "e.edf.json").write_text(json.dumps({"name": "e", "services": [{"ref": "cam"}]}),
+                                          encoding="utf-8")
+    assert load_edf(directory / "e.edf.json").services == (_REFERENCED_CAM,)
+    # Only a regular file directly in the directory: not one above it or below it.
+    for name, where in (("ghost", directory), ("../cam", directory), ("dir", directory),
+                        ("experiment/cam", tmp_path), ("cam", None)):
+        with pytest.raises(UnresolvedService) as raised:
+            resolved(name, where)
+        assert str(raised.value) == f"services[0]: no service definition found for {name!r}"
+
+
+def test_each_referenced_definition_is_read_once(tmp_path, monkeypatch):
+    services = [ServiceSpec(name=name, entrypoint="run", predefined_cost=cost)
+                for name, cost in (("a", 1.0), ("b", 2.0), ("c", 3.0))]
+    directory = _definitions(tmp_path, *services)
+    reads = []
+
+    def counted(path):
+        reads.append(Path(path).name)
+        return load_cdf(path)
+    monkeypatch.setattr(definitions, "load_cdf", counted)
+
+    def parsed(*entries):
+        return parse_edf(json.dumps({"name": "e", "services": list(entries)}), directory)
+
+    spec = parsed({"ref": "a"}, {"ref": "b", "predefined_cost": 20}, {"ref": "c"})
+    assert reads == ["a.cdf.json", "b.cdf.json", "c.cdf.json"]
+    assert spec.services == (services[0], replace(services[1], predefined_cost=20.0), services[2])
+    # One name referenced three times is read once, and each entry's overrides still apply:
+    # the second entry's is refused, after the one read.
+    reads.clear()
+    with pytest.raises(SchemaError) as raised:
+        parsed({"ref": "a"}, {"ref": "a", "predefined_cost": 150}, {"ref": "a"})
+    assert str(raised.value) == "services[1].predefined_cost: predefined_cost must be within [0, 100], got 150.0"
+    assert reads == ["a.cdf.json"]
+    reads.clear()
+    with pytest.raises(SchemaError, match="duplicate service names: a"):
+        parsed({"ref": "a"}, {"ref": "a", "required_capabilities": ["gpu"]}, {"ref": "a"})
+    assert reads == ["a.cdf.json"]
+    # Each document reads its definitions anew.
+    reads.clear()
+    parsed({"ref": "a"})
+    parsed({"ref": "a"})
+    assert reads == ["a.cdf.json"] * 2
 
 
 # ---------------------------------------------------------------------------

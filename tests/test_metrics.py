@@ -240,6 +240,27 @@ def test_fold_and_frequency_check_rosters():
         assert fold.dispersion() == _fold(clean, TOY_WORKERS, TOY_SERVICES)[0].dispersion()
 
 
+def test_result_positions_cannot_change_after_their_check():
+    # The constructor checks a result's positions once; they are tuples, so the fold
+    # reads the positions that were checked, and a changed one cannot half-update it.
+    experiment, cluster = load_edf(SAMPLES / "mapping-demo.edf.json"), load_cluster(SAMPLES / "bench.cluster.json")
+    [result] = run_experiment(SimConfig(workers=cluster.workers, experiment=experiment, seed=7))
+    workers, services = [w.id for w in cluster.workers], experiment.service_names()
+    fold = ReportFold(workers, services)
+    for positions in (result.workers, result.costs, result.scores):
+        assert type(positions) is tuple
+        with pytest.raises(TypeError):
+            positions[1] = 17
+    assert (fold.rounds, fold.feasible_rounds) == (0, 0)
+    fresh, [expected] = _fold([result], workers, services)
+    assert fold.add(result) == expected and fold.dispersion() == fresh.dispersion()
+    # A result built by hand from lists holds the same tuples, and is the same round.
+    rebuilt = AllocationResult(result.allocation, result.chosen, list(result.workers), list(result.costs),
+                               list(result.scores))
+    assert rebuilt == result and type(rebuilt.workers) is tuple
+    assert _fold([rebuilt], workers, services)[1] == [expected]
+
+
 def test_fold_checks_each_allocation_once(tmp_path, monkeypatch):
     # simulate folds 20 rounds of one allocation: its rosters are compared once.
     checks = []  # the round each check ran at

@@ -838,6 +838,16 @@ def test_fetch_latency_refuses_charges_that_are_not_finite(field, value):
         FetchLatency(**{field: value})
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("field", ["cost_calc_ms", "poll_rtt_ms", "alloc_compute_ms"])
+def test_sim_config_refuses_latencies_that_are_not_finite(field, value):
+    # An infinite or NaN latency would reach the modelled timings and the scaling grid.
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+        bench_config(**{field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be non-negative$"):
+        bench_config(**{field: -1})
+
+
 @pytest.mark.parametrize("fleet", ["uniform", "fixed and trace"])
 def test_a_negative_iteration_is_refused_before_sampling(tmp_path, fleet, sampled):
     if fleet == "uniform":

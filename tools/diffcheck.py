@@ -17,7 +17,15 @@ in its own output directory. The corpus holds:
 - a fleet with more units than workers, so no round places every service, one
   that can place nothing, and one past the configuration bound;
 - a trace-replay template (trace and fixed workers), through ``validate``,
-  ``scaling``, ``allocate`` and ``simulate``.
+  ``scaling``, ``allocate`` and ``simulate``;
+- the demo experiment as ``{"ref": name}`` references to the sample CDFs beside
+  it, one overriding a cost and one a capability list, through ``validate``,
+  ``allocate`` and a short ``simulate``; and three experiments that are refused
+  (a reference to no file, one to ``../``, one repeated), through ``validate``
+  and ``allocate``;
+- tie-heavy fleets of identical ``fixed`` workers and services of equal base
+  cost, with no pool and with pools at discount 1.0, so configurations and
+  placements tie, through ``allocate`` and ``simulate``.
 
 Each command's record is its exit code, stdout, stderr and every output
 file's bytes (as sha256). The run prints the number of records, how many
@@ -88,6 +96,33 @@ def _trace_template(rng: random.Random, corpus: Path) -> str:
     return _write(corpus / "grid.cluster.json", {"workers": workers})
 
 
+def _references(samples: Path, corpus: Path) -> list[tuple[str, str]]:
+    """The demo experiment as references to the CDFs in ``samples``, and three refused
+    experiments there, as (name, EDF path)."""
+    demo = json.loads((samples / "mapping-demo.edf.json").read_text(encoding="utf-8"))
+    demo["services"] = [{"ref": "camera-driver", "predefined_cost": 42.5},
+                        {"ref": "grid-mapper", "required_capabilities": ["camera"]}, {"ref": "bag-recorder"}]
+    (corpus / "outside.cdf.json").write_bytes((samples / "bag-recorder.cdf.json").read_bytes())
+    refused = {"refs-ghost": [{"ref": "bag-recorder"}, {"ref": "ghost"}],
+               "refs-outside": [{"ref": "bag-recorder"}, {"ref": "../outside"}],  # a regular file, not beside
+               "refs-repeated": [{"ref": "bag-recorder"}, {"ref": "camera-driver"}, {"ref": "bag-recorder"}]}
+    return [("refs-demo", _write(samples / "refs-demo.edf.json", demo)),
+            *((name, _write(samples / f"{name}.edf.json", {"name": name, "services": services}))
+              for name, services in refused.items())]
+
+
+def _ties(corpus: Path, name: str, workers: int, services: int, pools: int) -> tuple[str, str]:
+    """An EDF and a cluster whose placements tie: identical fixed workers, services of one base
+    cost, and ``pools`` pools at discount 1.0, which cost what their members cost apart."""
+    cluster = {"workers": [{"id": f"t{i:02d}", "workload": {"kind": "fixed", "values": [0.25, 0.5, 0.125, 0.25]}}
+                           for i in range(workers)]}
+    experiment = {"name": name, "pool_discount": 1.0,
+                  "services": [{"name": f"e{j:02d}", "entrypoint": "run", "predefined_cost": 40.0}
+                               for j in range(services)],
+                  "dependencies": [[f"e{2 * k:02d}", f"e{2 * k + 1:02d}"] for k in range(pools)]}
+    return (_write(corpus / f"{name}.edf.json", experiment), _write(corpus / f"{name}.cluster.json", cluster))
+
+
 def corpus(seed: int, directory: Path) -> list[tuple[str, list[str]]]:
     """The seeded corpus's inputs, written under ``directory``, and its commands as (id, argv).
 
@@ -130,6 +165,19 @@ def corpus(seed: int, directory: Path) -> list[tuple[str, list[str]]]:
         ("trace-allocate", ["allocate", *traced]),
         ("trace-simulate", ["simulate", *traced, "--iterations", "70", "--out-dir", "out/trace-simulate"]),
     ]
+    for name, referenced in _references(samples, directory):  # after demo-validate has listed the samples
+        inputs = ["--edf", referenced, "--cluster", cluster, "--seed", str(seed)]
+        commands += [(f"{name}-validate", ["validate", referenced]), (f"{name}-allocate", ["allocate", *inputs])]
+        if name == "refs-demo":
+            commands.append((f"{name}-simulate", ["simulate", *inputs, "--iterations", "20",
+                                                  "--out-dir", f"out/{name}-simulate"]))
+    for name, workers, services, pools in (("ties-flat", 6, 5, 0), ("ties-pooled", 6, 6, 1),
+                                           ("ties-pools", 8, 8, 3)):
+        tie_edf, tie_cluster = _ties(directory, name, workers, services, pools)
+        inputs = ["--edf", tie_edf, "--cluster", tie_cluster, "--seed", str(rng.randrange(2**40))]
+        commands += [(f"{name}-allocate", ["allocate", *inputs]),
+                     (f"{name}-simulate", ["simulate", *inputs, "--iterations", "5",
+                                           "--out-dir", f"out/{name}-simulate"])]
     return commands
 
 
