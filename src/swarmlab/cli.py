@@ -134,7 +134,7 @@ def cmd_simulate(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fold = metrics.ReportFold([w.id for w in cluster.workers], experiment.service_names())
+    fold = metrics.ReportFold(first.allocation)
     with open(out_dir / "allocations.csv", "w", encoding="utf-8") as allocations, \
             open(out_dir / "fairness.csv", "w", encoding="utf-8") as fairness:
         allocations.write(metrics.REPORT_HEADER + "\n")

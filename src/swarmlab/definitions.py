@@ -492,7 +492,12 @@ def _service_entry(directory: "Path | None") -> _Reader:
             # Only a regular file directly in the directory: not "../cam".
             if candidate is None or candidate.parent != directory or not candidate.is_file():
                 raise UnresolvedService(f"{path}: no service definition found for {name!r}")
-            loaded[name] = load_cdf(candidate)
+            try:
+                loaded[name] = load_cdf(candidate)
+            except (SchemaError, DefinitionSyntaxError, UnicodeDecodeError) as exc:
+                # Located at the entry, in the file's terms; a read error names the file already.
+                detail = str(exc).removeprefix(f"{candidate}: ")
+                raise SchemaError(f"{candidate.name}: {detail}", path) from None
         return loaded[name]
 
     def read_entry(value, path: str, key: str = "") -> ServiceSpec:
@@ -524,7 +529,9 @@ def parse_edf(document: str, directory: "str | Path | None" = None) -> Experimen
     name it. A reference that names no such file, or any reference when
     ``directory`` is None, raises ``UnresolvedService``. A reference may
     override ``predefined_cost`` and ``required_capabilities`` per entry,
-    after it is resolved.
+    after it is resolved. A fault in the referenced file raises one
+    ``SchemaError`` at the entry that names the file, with the file's own
+    message: ``services[1]: cam.cdf.json: predefined_cost: ...``.
     """
     read = _reader(ExperimentSpec, {
         "name": _str,

@@ -13,13 +13,14 @@ cumulative cost and count shares and to one float64 buffer of placement
 costs (for the dispersion), and the fold returns the round's report lines
 and Jain's index of both share vectors, in worker roster order. It reads a
 result's positions (``AllocationResult.workers`` and ``costs``) as they
-are, so it builds no per-service object, once it has checked that the
-result's allocation placed over the fold's worker and service rosters, in
-order. The ``simulate`` command folds each round as it is made, and its
-memory does not grow with the iteration count beyond that buffer (8 bytes
-a placement). A library caller folds a run the same way:
+are, so it builds no per-service object. Its rosters are those of the
+``PreparedAllocation`` it is built from, the one that placed the run's
+rounds; a round of another allocation is folded once its names are found
+to be the same, in order. The ``simulate`` command folds each round as it
+is made, and its memory does not grow with the iteration count beyond that
+buffer (8 bytes a placement). A library caller folds a run the same way:
 
-    fold = ReportFold(workers, services)
+    fold = ReportFold(results[0].allocation)
     rounds = [fold.add(result) for result in results]
     report = REPORT_HEADER + "\n" + "".join(lines for lines, _, _ in rounds)
     cost_series = [jain_cost for _, jain_cost, _ in rounds]
@@ -40,7 +41,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .allocator import AllocationResult, PreparedAllocation
-from .definitions import first_repeat
 from .errors import DomainError, EmptyHistory
 
 _TINY = sys.float_info.min  # the smallest normal double, np.finfo(np.float64).tiny
@@ -73,21 +73,15 @@ def jains_index(values: Iterable[float]) -> float:
     return (total * total) / (len(xs) * square_sum)
 
 
-def _check_rosters(workers: Sequence[str], services: Sequence[str]) -> None:
-    """Raise ``DomainError`` if a roster names a worker or a service twice."""
-    for kind, names in (("worker", workers), ("service", services)):
-        if (repeated := first_repeat(names)) is not None:
-            raise DomainError(f"{kind} {repeated!r} appears twice in the roster")
-
-
-def _check_allocation(t: int, allocation: PreparedAllocation,
-                      workers: Sequence[str], services: Sequence[str]) -> None:
-    """Raise ``DomainError`` unless round ``t``'s ``allocation`` placed over the rosters, in order.
+def _check_allocation(t: int, allocation: PreparedAllocation, rosters: PreparedAllocation) -> None:
+    """Raise ``DomainError`` unless round ``t``'s ``allocation`` placed over the worker
+    ids and service names of ``rosters``, in order.
 
     The message names the first position whose names differ; None stands for no name.
     """
-    for kind, placed, roster in (("worker", allocation.worker_ids, workers),
-                                 ("service", [s.name for s in allocation.services], services)):
+    for kind, placed, roster in (("worker", allocation.worker_ids, rosters.worker_ids),
+                                 ("service", [s.name for s in allocation.services],
+                                  [s.name for s in rosters.services])):
         for i, (name, expected) in enumerate(zip_longest(placed, roster)):
             if name != expected:
                 raise DomainError(f"iteration {t}: the round's {kind} {i} is {name!r}, "
@@ -103,27 +97,27 @@ def _csv_field(name: str) -> str:
 
 
 class ReportFold:
-    """A run's reports, folded one round at a time over fixed rosters.
+    """A run's reports, folded one round at a time over its allocation's rosters.
 
+    ``allocation`` is the ``PreparedAllocation`` that placed the run's
+    rounds: its worker ids and service names, in order, are the rosters.
     ``add`` folds a round's ``AllocationResult``, whose positions are the
-    rosters' when its allocation was prepared over these worker ids and
-    service names, in order. That is checked once per allocation object: a
-    round of any other allocation raises ``DomainError`` naming the first
-    name that differs, and leaves the fold as it was. A roster that names a
-    worker or a service twice raises ``DomainError`` here. Each roster
-    name's CSV field is built once, here.
+    rosters' when its allocation is this one or one prepared over the same
+    names, in order. That is checked once per allocation object: a round of
+    an allocation over other names raises ``DomainError`` naming the first
+    name that differs, and leaves the fold as it was. Each roster name's CSV
+    field is built once, here.
     """
 
-    def __init__(self, workers: Sequence[str], services: Sequence[str]):
-        _check_rosters(workers, services)
-        self.workers, self.services = tuple(workers), tuple(services)
-        self._checked: "PreparedAllocation | None" = None  # the last allocation found on the rosters
-        self._worker_fields = [_csv_field(name) for name in self.workers]
-        self._service_fields = [_csv_field(name) for name in self.services]
+    def __init__(self, allocation: PreparedAllocation):
+        self.allocation = allocation
+        self._checked = allocation  # the last allocation found on the rosters
+        self._worker_fields = [_csv_field(name) for name in allocation.worker_ids]
+        self._service_fields = [_csv_field(s.name) for s in allocation.services]
         self.rounds = 0
         self.feasible_rounds = 0
-        self._cost = [0.0] * len(self.workers)  # cumulative shares, in roster order
-        self._count = [0.0] * len(self.workers)
+        self._cost = [0.0] * len(allocation.worker_ids)  # cumulative shares, in roster order
+        self._count = [0.0] * len(allocation.worker_ids)
         self._placed = array("d")  # every placement's cost, round by round
 
     def add(self, result: AllocationResult) -> tuple[str, float, float]:
@@ -131,7 +125,7 @@ class ReportFold:
         CSV, in service roster order), and Jain's index of the cumulative cost and
         count shares after it."""
         if result.allocation is not self._checked:
-            _check_allocation(self.rounds, result.allocation, self.workers, self.services)
+            _check_allocation(self.rounds, result.allocation, self.allocation)
             self._checked = result.allocation
         cost_shares, count_shares, placed = self._cost, self._count, self._placed
         t, worker_fields, service_fields = self.rounds, self._worker_fields, self._service_fields
@@ -161,21 +155,20 @@ class ReportFold:
         return std, cv
 
 
-def allocation_frequency(results: Sequence[AllocationResult],
-                         workers: Sequence[str], services: Sequence[str]) -> np.ndarray:
+def allocation_frequency(results: Sequence[AllocationResult]) -> np.ndarray:
     """How often each (worker, service) pair was assigned, as a count matrix.
 
-    Every round's allocation must have been prepared over the rosters, in
-    order, as in ``ReportFold.add``, and no roster may name one twice.
+    The rows and columns are those of ``results[0].allocation``'s workers
+    and services; every later round's allocation must be over the same
+    names, in order, as in ``ReportFold.add``.
     """
-    _check_rosters(workers, services)
     if not results:
         raise EmptyHistory("allocation frequency needs at least one iteration")
-    counts = np.zeros((len(workers), len(services)), dtype=np.int64)
-    checked = None
+    rosters = checked = results[0].allocation
+    counts = np.zeros((len(rosters.worker_ids), len(rosters.services)), dtype=np.int64)
     for t, result in enumerate(results):
         if result.allocation is not checked:
-            _check_allocation(t, result.allocation, workers, services)
+            _check_allocation(t, result.allocation, rosters)
             checked = result.allocation
         for j, i in enumerate(result.workers):
             if i >= 0:

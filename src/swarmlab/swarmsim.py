@@ -515,17 +515,20 @@ def run_iteration(cfg: SimConfig, iter_index: int) -> tuple[AllocationResult, Si
 
 
 def _trace(cfg: SimConfig, result: AllocationResult) -> SimTrace:
-    """The lifecycle trace of a round of ``cfg`` that allocated ``result``."""
+    """The lifecycle trace of a round of ``cfg`` that allocated ``result``.
+
+    It is drawn from the result's positions: the chosen configuration's
+    columns, each placed on the worker of its first member, in roster order.
+    """
     workers, services = cfg.workers, cfg.experiment.services
-    roster_index = {w.id: i for i, w in enumerate(workers)}
-    by_name = {s.name: s for s in services}
     subnet = ipaddress.ip_network(cfg.experiment.network.subnet)
-    assignments = result.assignments
-    assigned_units = {a.worker: a.unit for a in assignments.values()}
-    placed = sorted(assigned_units, key=roster_index.__getitem__)
-    fetch_ms = [cfg.fetch_latency.duration_ms(
-        left_sum(by_name[name].image_size_mb for name in assigned_units[worker_id].members))
-        for worker_id in placed]
+    allocation = result.allocation
+    columns = [allocation.member_columns[c] for c in allocation.selections[result.chosen]]
+    # (worker position, its unit's service columns), in roster order: a worker hosts one unit.
+    placed = sorted((result.workers[members[0]], members) for members in columns
+                    if result.workers[members[0]] >= 0)
+    fetch_ms = [cfg.fetch_latency.duration_ms(left_sum(services[j].image_size_mb for j in members))
+                for _, members in placed]
     timings = _timings(cfg, len(workers), len(services), fetch_ms)
 
     per_worker_ms = _poll_ms(cfg, len(services))
@@ -538,22 +541,22 @@ def _trace(cfg: SimConfig, result: AllocationResult) -> SimTrace:
     alloc_tick = timings["cost_ms"] + timings["allocation_ms"]
     events.append(TraceEvent(alloc_tick, "AllocationComputed", {
         "feasible": result.feasible,
-        "services_assigned": len(assignments),
+        "services_assigned": sum(len(members) for _, members in placed),
         "total_cost": round(result.total_cost, 6),
     }))
-    for worker_id, fetch in zip(placed, fetch_ms):
-        unit = assigned_units[worker_id]
-        index = roster_index[worker_id]
+    for (index, members), fetch in zip(placed, fetch_ms):
+        worker_id = workers[index].id
         vtep = str(subnet[(2 + index) % subnet.num_addresses])
         events.append(TraceEvent(alloc_tick, "MemberRegistered", {
             "key": f"overlay/members/{worker_id}", "version": 1,
             "worker": worker_id, "vtep": vtep,
         }))
         started = alloc_tick + fetch
-        for name in unit.members:
+        for j in members:
+            name = services[j].name
             events.append(TraceEvent(alloc_tick, "FetchStarted", {
                 "service": name, "worker": worker_id,
-                "image_mb": by_name[name].image_size_mb,
+                "image_mb": services[j].image_size_mb,
             }))
             events.append(TraceEvent(started, "ServiceStarted",
                                      {"service": name, "worker": worker_id}))

@@ -212,7 +212,7 @@ def test_criterion_4_desk_scale_replication():
             assert load_factor[chosen_idx].max() <= load_factor[idle_idx].min() + 1e-12
 
         # (c) cumulative cost fairness shows the concentration
-        fold = ReportFold([w.id for w in cluster], experiment.service_names())
+        fold = ReportFold(results[0].allocation)
         final_jain = [fold.add(result) for result in results][-1][1]
         assert final_jain < 0.75
 

@@ -87,6 +87,46 @@ def test_validate_resolves_sibling_cdfs(tmp_path, capsys):
     assert main(["validate", str(edf)]) == 0
 
 
+_CAM = b'{"name": "cam", "entrypoint": "run", "predefined_cost": '
+
+
+@pytest.mark.parametrize("name, data, detail", [
+    ("cam", _CAM + b"150}", "predefined_cost: predefined_cost must be within [0, 100], got 150.0"),
+    ("cut", _CAM.replace(b"cam", b"cut") + b"10", "Expecting ',' delimiter (line 1, column 59)"),
+    ("bad", _CAM.replace(b"cam", b"b\xe9d") + b"10}",
+     "'utf-8' codec can't decode byte 0xe9 in position 11: invalid continuation byte"),
+])
+def test_a_fault_in_a_referenced_cdf_is_located_at_its_entry(tmp_path, capsys, name, data, detail):
+    # The fault is the CDF's, named with its file, at the EDF entry that references it.
+    cdf = tmp_path / f"{name}.cdf.json"
+    cdf.write_bytes(data)
+    (tmp_path / "ok.cdf.json").write_bytes(_CAM.replace(b"cam", b"ok") + b"10}")
+    edf = tmp_path / "e.edf.json"
+    edf.write_text(json.dumps({"name": "e", "services": [{"ref": "ok"}, {"ref": name}]}), encoding="utf-8")
+    line = f"services[1]: {name}.cdf.json: {detail}"
+    assert main(["validate", str(edf)]) == 1
+    assert capsys.readouterr().out == f"{edf}: {line}\n"
+    assert main(["allocate", "--edf", str(edf), "--cluster", str(SAMPLES / "bench.cluster.json"),
+                 "--seed", "1"]) == 1
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+    # The CDF validated on its own keeps its message.
+    assert main(["validate", str(cdf)]) == 1
+    assert capsys.readouterr().out == f"{cdf}: {detail}\n"
+
+
+def test_an_oversized_referenced_cdf_is_named_once(tmp_path, capsys, monkeypatch):
+    cam = tmp_path / "cam.cdf.json"
+    cam.write_bytes(_CAM + b"10}")
+    edf = tmp_path / "e.edf.json"
+    edf.write_text(json.dumps({"name": "e", "services": [{"ref": "cam"}]}), encoding="utf-8")
+    monkeypatch.setattr(definitions, "MAX_DOCUMENT_BYTES", cam.stat().st_size - 1)
+    assert main(["validate", str(edf)]) == 1
+    limit = cam.stat().st_size - 1
+    assert capsys.readouterr().out == f"{edf}: services[0]: cam.cdf.json: document exceeds {limit} bytes\n"
+    assert main(["validate", str(cam)]) == 1
+    assert capsys.readouterr().out == f"{cam}: document exceeds {limit} bytes\n"
+
+
 # ---------------------------------------------------------------------------
 # allocate
 

@@ -39,9 +39,9 @@ def toy_results():
     return [first, second]
 
 
-def _fold(results, workers, services):
-    """The fold over ``results``, and what each round added."""
-    fold = ReportFold(workers, services)
+def _fold(results):
+    """The fold over ``results``, built from the first one's allocation, and what each round added."""
+    fold = ReportFold(results[0].allocation)
     return fold, [fold.add(result) for result in results]
 
 
@@ -127,20 +127,20 @@ def test_jain_is_one_iff_equal(xs):
 
 def test_dispersion_identical_costs():
     workers = ["w1", "w2"]
-    fold, _ = _fold([_result([("s1", "w1", 2.0), ("s2", "w2", 2.0)], workers)], workers, TOY_SERVICES)
+    fold, _ = _fold([_result([("s1", "w1", 2.0), ("s2", "w2", 2.0)], workers)])
     assert fold.dispersion() == (0.0, 0.0)
 
 
 def test_dispersion_hand_computed():
     workers = ["w1", "w2"]
-    fold, _ = _fold([_result([("s1", "w1", 1.0), ("s2", "w2", 3.0)], workers)], workers, TOY_SERVICES)
+    fold, _ = _fold([_result([("s1", "w1", 1.0), ("s2", "w2", 3.0)], workers)])
     std, cv = fold.dispersion()
     assert std == pytest.approx(1.0, abs=1e-12)
     assert cv == pytest.approx(0.5, abs=1e-12)
 
 
 def test_dispersion_empty_history():
-    fold = ReportFold(["w1"], ["s1"])
+    fold = ReportFold(_result([], ["w1"], ["s1"]).allocation)
     with pytest.raises(EmptyHistory):
         fold.dispersion()
 
@@ -156,7 +156,7 @@ def test_balanced_simulation_dispersion_is_small():
     cfg = SimConfig(workers=balanced_cluster(12, half_width=0.02),
                     experiment=experiment, seed=123, iterations=100)
     results = run_experiment(cfg)
-    fold, _ = _fold(results, [w.id for w in cfg.workers], experiment.service_names())
+    fold, _ = _fold(results)
     _, cv = fold.dispersion()
     assert cv < 0.1
 
@@ -166,7 +166,7 @@ def test_balanced_simulation_dispersion_is_small():
 
 
 def test_allocation_frequency_counts():
-    counts = allocation_frequency(toy_results(), TOY_WORKERS, TOY_SERVICES)
+    counts = allocation_frequency(toy_results())
     assert counts.sum() == 4
     assert counts[0, 0] == 2       # w1 hosted s1 twice
     assert counts[1, 1] == 1
@@ -176,7 +176,7 @@ def test_allocation_frequency_counts():
 
 def test_frequency_zero_row_for_idle_worker():
     workers, services = ["w1", "w2"], ["s1"]
-    counts = allocation_frequency([_result([("s1", "w1", 1.0)], workers, services)], workers, services)
+    counts = allocation_frequency([_result([("s1", "w1", 1.0)], workers, services)])
     assert counts[1].sum() == 0
 
 
@@ -184,15 +184,14 @@ def test_concentration_on_balanced_run():
     cfg = SimConfig(workers=balanced_cluster(12), experiment=bench_experiment(6),
                     seed=42, iterations=100)
     results = run_experiment(cfg)
-    counts = allocation_frequency(results, [w.id for w in cfg.workers],
-                                  cfg.experiment.service_names())
+    counts = allocation_frequency(results)
     used_workers = (counts.sum(axis=1) > 0).sum()
     assert counts.sum() == 600
     assert used_workers < 12      # a strict subset carries the whole load
 
 
 def test_fairness_series_cumulative():
-    _, rounds = _fold(toy_results(), TOY_WORKERS, TOY_SERVICES)
+    _, rounds = _fold(toy_results())
     series = [jain_cost for _, jain_cost, _ in rounds]
     assert len(series) == 2
     # cumulative shares: after t0 (2,1,0) then (3.5,1,0.5)
@@ -221,23 +220,24 @@ ROSTER_FAULTS = [
 
 
 def test_fold_and_frequency_check_rosters():
-    # The fold and the frequency matrix check every round, with the same messages.
+    # The fold and the frequency matrix take their rosters from the run's first allocation
+    # and check every later round's against them, with the same messages.
     clean = toy_results()
     for bad, message in ROSTER_FAULTS:
         with pytest.raises(DomainError) as raised:
-            allocation_frequency([clean[0], bad], TOY_WORKERS, TOY_SERVICES)
+            allocation_frequency([clean[0], bad])
         assert str(raised.value) == message
 
-        fold = ReportFold(TOY_WORKERS, TOY_SERVICES)
+        fold = ReportFold(clean[0].allocation)
         first = fold.add(clean[0])
         with pytest.raises(DomainError) as raised:
             fold.add(bad)
         assert str(raised.value) == message
         # The fold is as it was: the next clean round is round 1 of the clean run.
         assert (fold.rounds, fold.feasible_rounds) == (1, 1)
-        _, expected = _fold(clean, TOY_WORKERS, TOY_SERVICES)
+        _, expected = _fold(clean)
         assert [first, fold.add(clean[1])] == expected
-        assert fold.dispersion() == _fold(clean, TOY_WORKERS, TOY_SERVICES)[0].dispersion()
+        assert fold.dispersion() == _fold(clean)[0].dispersion()
 
 
 def test_result_positions_cannot_change_after_their_check():
@@ -245,24 +245,23 @@ def test_result_positions_cannot_change_after_their_check():
     # reads the positions that were checked, and a changed one cannot half-update it.
     experiment, cluster = load_edf(SAMPLES / "mapping-demo.edf.json"), load_cluster(SAMPLES / "bench.cluster.json")
     [result] = run_experiment(SimConfig(workers=cluster.workers, experiment=experiment, seed=7))
-    workers, services = [w.id for w in cluster.workers], experiment.service_names()
-    fold = ReportFold(workers, services)
+    fold = ReportFold(result.allocation)
     for positions in (result.workers, result.costs, result.scores):
         assert type(positions) is tuple
         with pytest.raises(TypeError):
             positions[1] = 17
     assert (fold.rounds, fold.feasible_rounds) == (0, 0)
-    fresh, [expected] = _fold([result], workers, services)
+    fresh, [expected] = _fold([result])
     assert fold.add(result) == expected and fold.dispersion() == fresh.dispersion()
     # A result built by hand from lists holds the same tuples, and is the same round.
     rebuilt = AllocationResult(result.allocation, result.chosen, list(result.workers), list(result.costs),
                                list(result.scores))
     assert rebuilt == result and type(rebuilt.workers) is tuple
-    assert _fold([rebuilt], workers, services)[1] == [expected]
+    assert _fold([rebuilt])[1] == [expected]
 
 
 def test_fold_checks_each_allocation_once(tmp_path, monkeypatch):
-    # simulate folds 20 rounds of one allocation: its rosters are compared once.
+    # simulate folds 20 rounds of the allocation its fold is built from: no rosters are compared.
     checks = []  # the round each check ran at
     check = metrics._check_allocation
 
@@ -273,32 +272,19 @@ def test_fold_checks_each_allocation_once(tmp_path, monkeypatch):
     assert main(["simulate", "--edf", str(SAMPLES / "mapping-demo.edf.json"),
                  "--cluster", str(SAMPLES / "bench.cluster.json"), "--iterations", "20",
                  "--seed", "7", "--out-dir", str(tmp_path / "out")]) == 0
-    assert checks == [0]
-    # Rounds of two allocations over the same rosters are each checked where they start.
+    assert checks == []
+    # Rounds of another allocation over the same rosters are checked where they start.
     first, second = toy_results()
-    fold = ReportFold(TOY_WORKERS, TOY_SERVICES)
+    fold = ReportFold(first.allocation)
     for result in (first, first, second, second):
         fold.add(result)
-    assert checks == [0, 0, 2]
-    assert allocation_frequency([first, first, second], TOY_WORKERS, TOY_SERVICES).sum() == 6
-    assert checks == [0, 0, 2, 0, 2]
-
-
-@pytest.mark.parametrize("workers, services, message", [
-    # Keyed by id, the fold once ran Jain's index over 2 shares of this 3-entry roster,
-    # while the frequency matrix had 3 rows, the first always 0.
-    (["w1", "w1", "w2"], TOY_SERVICES, "worker 'w1' appears twice in the roster"),
-    (["w1", "w2", "w3", "w2"], TOY_SERVICES, "worker 'w2' appears twice in the roster"),
-    # A repeated service once wrote its CSV line twice a round.
-    (TOY_WORKERS, ["s1", "s2", "s1"], "service 's1' appears twice in the roster"),
-])
-def test_fold_and_frequency_refuse_repeated_roster_names(workers, services, message):
-    with pytest.raises(DomainError) as raised:
-        ReportFold(workers, services)
-    assert str(raised.value) == message
-    with pytest.raises(DomainError) as raised:
-        allocation_frequency(toy_results(), workers, services)
-    assert str(raised.value) == message
+    assert checks == [2]
+    assert allocation_frequency([first, first, second]).sum() == 6
+    assert checks == [2, 2]
+    # A round of an allocation other than the fold's own, from the start, is checked at once.
+    fold = ReportFold(first.allocation)
+    fold.add(second)
+    assert checks == [2, 2, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +293,13 @@ def test_fold_and_frequency_refuse_repeated_roster_names(workers, services, mess
 
 def test_report_header_exact():
     assert REPORT_HEADER == "iteration,worker,service,cost,jain_cumulative"
-    _, rounds = _fold(toy_results(), TOY_WORKERS, TOY_SERVICES)
+    _, rounds = _fold(toy_results())
     assert _report(rounds).splitlines()[0] == REPORT_HEADER
 
 
 def test_report_golden():
     golden = (FIXTURES / "report_toy.csv").read_text(encoding="utf-8")
-    _, rounds = _fold(toy_results(), TOY_WORKERS, TOY_SERVICES)
+    _, rounds = _fold(toy_results())
     assert _report(rounds) == golden
 
 
@@ -326,8 +312,7 @@ def test_library_fold_reproduces_simulate(tmp_path):
     experiment, cluster = load_edf(edf), load_cluster(cluster_path)
     cfg = SimConfig(workers=cluster.workers, experiment=experiment, seed=7, iterations=20,
                     base_dir=str(cluster_path.parent))
-    fold, rounds = _fold(run_experiment(cfg), [w.id for w in cluster.workers],
-                         experiment.service_names())
+    fold, rounds = _fold(run_experiment(cfg))
 
     assert _report(rounds) == (out_dir / "allocations.csv").read_text(encoding="utf-8")
     fairness = "iteration,jain_cost,jain_count\n" + "".join(

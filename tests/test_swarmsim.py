@@ -1,3 +1,4 @@
+import ipaddress
 import json
 import re
 import tempfile
@@ -23,6 +24,7 @@ from swarmlab.definitions import (
     ServiceSpec,
     TraceWorkload,
     UniformWorkload,
+    left_sum,
     load_cluster,
     load_edf,
     serialize_cluster,
@@ -36,6 +38,8 @@ from swarmlab.swarmsim import (
     JITTER_FRACTION,
     FetchLatency,
     SimConfig,
+    SimTrace,
+    TraceEvent,
     WorkloadGenerator,
     check_fleet_inputs,
     grid_to_csv,
@@ -1213,6 +1217,72 @@ FIXED = st.builds(FixedWorkload, st.tuples(*[st.floats(0.0, 1.0)] * 4))
 SERVICE_NEEDS = st.sampled_from([(), (), ("gpu",), ("arm",), ("lidar",)])
 
 
+def _reference_trace(cfg, result):
+    """The lifecycle trace as it was once drawn by name, from ``result.assignments``."""
+    workers, services = cfg.workers, cfg.experiment.services
+    roster_index = {w.id: i for i, w in enumerate(workers)}
+    by_name = {s.name: s for s in services}
+    subnet = ipaddress.ip_network(cfg.experiment.network.subnet)
+    assignments = result.assignments
+    assigned_units = {a.worker: a.unit for a in assignments.values()}
+    placed = sorted(assigned_units, key=roster_index.__getitem__)
+    fetch_ms = [cfg.fetch_latency.duration_ms(
+        left_sum(by_name[name].image_size_mb for name in assigned_units[worker_id].members))
+        for worker_id in placed]
+    timings = swarmsim._timings(cfg, len(workers), len(services), fetch_ms)
+
+    per_worker_ms = swarmsim._poll_ms(cfg, len(services))
+    stagger = 0 if cfg.parallel_cost_calc else per_worker_ms
+    events = [TraceEvent(0, "Join", {"worker": w.id}) for w in workers]
+    events += [TraceEvent(idx * stagger, "CostRequest", {"worker": w.id, "services": len(services)})
+               for idx, w in enumerate(workers)]
+    events += [TraceEvent(idx * stagger + per_worker_ms, "CostReply", {"worker": w.id})
+               for idx, w in enumerate(workers)]
+    alloc_tick = timings["cost_ms"] + timings["allocation_ms"]
+    events.append(TraceEvent(alloc_tick, "AllocationComputed", {
+        "feasible": result.feasible, "services_assigned": len(assignments),
+        "total_cost": round(result.total_cost, 6)}))
+    for worker_id, fetch in zip(placed, fetch_ms):
+        unit = assigned_units[worker_id]
+        vtep = str(subnet[(2 + roster_index[worker_id]) % subnet.num_addresses])
+        events.append(TraceEvent(alloc_tick, "MemberRegistered", {
+            "key": f"overlay/members/{worker_id}", "version": 1, "worker": worker_id, "vtep": vtep}))
+        for name in unit.members:
+            events.append(TraceEvent(alloc_tick, "FetchStarted", {
+                "service": name, "worker": worker_id, "image_mb": by_name[name].image_size_mb}))
+            events.append(TraceEvent(alloc_tick + fetch, "ServiceStarted",
+                                     {"service": name, "worker": worker_id}))
+    events.sort(key=lambda e: e.tick)
+    return SimTrace(events=tuple(events), timings=timings)
+
+
+CAMERA_NEEDS = st.sampled_from([(), (), ("camera",)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(fleet=st.lists(st.tuples(st.booleans(), st.one_of(FIXED, WORKLOADS)), min_size=1, max_size=7),
+       services=st.lists(st.tuples(st.floats(0.0, 100.0), CAMERA_NEEDS, st.floats(0.5, 500.0)),
+                         min_size=1, max_size=8),
+       pools=st.integers(0, 4), parallel=st.booleans(), iteration=st.integers(0, 3),
+       seed=st.integers(0, 2**40))
+def test_trace_drawn_by_position_equals_the_name_keyed_trace(trace_dir, fleet, services, pools,
+                                                             parallel, iteration, seed):
+    # Camera classes leave some services unplaceable, or some rounds short of workers.
+    workers = tuple(ClusterWorker(id=f"w{i}", workload=model,
+                                  profile=HardwareProfile(capabilities=frozenset({"camera"} if camera else ())))
+                    for i, (camera, model) in enumerate(fleet))
+    specs = tuple(make_service(f"s{j}", cost, needs, image) for j, (cost, needs, image) in enumerate(services))
+    pools = min(pools, len(specs) // 2)
+    experiment = ExperimentSpec(name="trace", services=specs,
+                                dependencies=tuple((f"s{2 * k}", f"s{2 * k + 1}") for k in range(pools)))
+    cfg = SimConfig(workers=workers, experiment=experiment, seed=seed, parallel_cost_calc=parallel,
+                    base_dir=str(trace_dir))
+    result, trace = run_iteration(cfg, iteration)
+    reference = _reference_trace(cfg, result)
+    assert trace_to_jsonl(trace) == trace_to_jsonl(reference)
+    assert trace.timings == reference.timings
+
+
 @settings(max_examples=80, deadline=None)
 @given(fleet=st.lists(st.tuples(CAPABILITIES, st.one_of(FIXED, WORKLOADS)), min_size=1, max_size=5),
        services=st.lists(st.tuples(st.floats(0.0, 100.0), SERVICE_NEEDS), min_size=1, max_size=6),
@@ -1352,7 +1422,7 @@ def _reference_results(prepared, rounds):
 
 def _folded_reports(results, workers, services, iterations):
     """simulate's three files, as ``ReportFold.add`` folds ``results``."""
-    fold = metrics.ReportFold(workers, services)
+    fold = metrics.ReportFold(results[0].allocation)
     allocations, fairness = [metrics.REPORT_HEADER + "\n"], ["iteration,jain_cost,jain_count\n"]
     for t, result in enumerate(results):
         lines, jain_cost, jain_count = fold.add(result)

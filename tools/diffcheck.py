@@ -25,13 +25,25 @@ in its own output directory. The corpus holds:
   and ``allocate``;
 - tie-heavy fleets of identical ``fixed`` workers and services of equal base
   cost, with no pool and with pools at discount 1.0, so configurations and
-  placements tie, through ``allocate`` and ``simulate``.
+  placements tie, through ``allocate`` and ``simulate``;
+- two seeded draws of each single mutation (``MUTATIONS``: a key dropped, a
+  type changed, a number out of range or ``1e400``, a name repeated, the bytes
+  truncated, one non-UTF-8 byte) of each ``docs/samples`` document, through
+  ``validate`` and, for an experiment or a cluster that is still JSON,
+  ``allocate`` with the other sample (faults inside a referenced CDF are
+  left out);
+- a trace template for each edge of ``TRACE_EDGES`` (CR LF, a lone CR, a BOM,
+  indented comments, a comment after a value, an underscore in a number, a
+  NUL, a non-UTF-8 byte), through ``validate``, ``scaling`` and ``allocate``;
+- seeded ``scaling`` grids up to 40x40 on the demo cluster and the trace
+  template.
 
-Each command's record is its exit code, stdout, stderr and every output
-file's bytes (as sha256). The run prints the number of records, how many
-are identical, and how many differ in each part, then the first differing
-records. It exits 0 when every record is identical, 1 when one differs and
-2 when a tree could not run the corpus. A default run takes a few seconds.
+Each command runs with its own empty output directory, ``out/<id>``. Its
+record is its exit code, stdout, stderr and every output file's bytes (as
+sha256). The run prints the number of records, how many are identical, and
+how many differ in each part, then the first differing records. It exits 0
+when every record is identical, 1 when one differs and 2 when a tree could
+not run the corpus. A default run of its 269 commands takes a few seconds.
 """
 
 from __future__ import annotations
@@ -123,6 +135,119 @@ def _ties(corpus: Path, name: str, workers: int, services: int, pools: int) -> t
     return (_write(corpus / f"{name}.edf.json", experiment), _write(corpus / f"{name}.cluster.json", cluster))
 
 
+#: How each sample document is mutated, once per draw.
+MUTATIONS = ("drop-key", "retype", "number", "repeat-name", "truncate", "non-utf8")
+_HUGE = "__1e400__"  # a placeholder that is written as the literal 1e400, which JSON floats cannot hold
+
+
+def _nodes(node, path: tuple = ()):
+    """Every (path, value) of a JSON document, the document itself first."""
+    yield path, node
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _nodes(child, (*path, key))
+
+
+def _at(document, path: tuple):
+    for key in path:
+        document = document[key]
+    return document
+
+
+def _set(document, path: tuple, value) -> None:
+    _at(document, path[:-1])[path[-1]] = value
+
+
+def _mutant(rng: random.Random, data: bytes, mutation: str) -> bytes:
+    """``data``, a JSON document, with one seeded ``mutation`` of ``MUTATIONS``."""
+    if mutation == "truncate":
+        return data[:rng.randrange(1, len(data))]
+    if mutation == "non-utf8":
+        at = rng.randrange(len(data))
+        return data[:at] + bytes([rng.choice([0x80, 0xE9, 0xFF])]) + data[at + 1:]
+    document = json.loads(data)
+    nodes = list(_nodes(document))
+    if mutation == "drop-key":
+        node = rng.choice([node for _, node in nodes if isinstance(node, dict) and node])
+        del node[rng.choice(sorted(node))]
+    elif mutation == "retype":
+        path, node = rng.choice(nodes[1:])
+        retyped = {str: 7, bool: "true", int: "7", float: "7.5", list: {"x": 1}, dict: [1]}
+        _set(document, path, retyped.get(type(node), "x"))
+    elif mutation == "number":
+        path, _ = rng.choice([(path, node) for path, node in nodes
+                              if isinstance(node, (int, float)) and not isinstance(node, bool)])
+        _set(document, path, rng.choice([-1, 250.5, 2**70, _HUGE]))
+    else:  # repeat-name: one name or id copied onto another, or a document's only name repeated as a key
+        named = [path for path, _ in nodes if len(path) > 1 and path[-1] in ("name", "id")]
+        if len(named) < 2:
+            text = json.dumps(document, indent=1)
+            return text.replace("{", "{" + f'"name": {json.dumps(document["name"])}, ', 1).encode("utf-8")
+        source, target = rng.sample(named, 2)
+        _set(document, target, _at(document, source))
+    return json.dumps(document, indent=1).replace(f'"{_HUGE}"', "1e400").encode("utf-8")
+
+
+def _mutants(rng: random.Random, samples: Path, corpus: Path, edf: str, cluster: str
+             ) -> list[tuple[str, list[str]]]:
+    """Two seeded draws of each mutation of each sample document, through ``validate`` and,
+    for an experiment or a cluster that is still JSON, ``allocate`` with the other sample."""
+    (corpus / "mutants").mkdir()
+    commands = []
+    for document in sorted(samples.glob("*.json")):
+        stem, kind = document.name.split(".", 1)
+        for mutation in MUTATIONS:
+            for draw in range(2):
+                name = f"mutant-{stem}-{mutation}-{draw}"
+                mutant = corpus / "mutants" / f"{name}.{kind}"
+                data = _mutant(rng, document.read_bytes(), mutation)
+                mutant.write_bytes(data)
+                commands.append((f"{name}-validate", ["validate", str(mutant)]))
+                try:
+                    json.loads(data.decode("utf-8"))
+                except ValueError:  # a JSONDecodeError or a UnicodeDecodeError
+                    continue
+                if kind != "cdf.json":
+                    pair = ["--edf", str(mutant), "--cluster", cluster] if kind == "edf.json" else \
+                        ["--edf", edf, "--cluster", str(mutant)]
+                    commands.append((f"{name}-allocate", ["allocate", *pair, "--seed", str(draw)]))
+    return commands
+
+
+#: Trace files whose bytes hold one edge each: (name, how a file of plain LF rows is changed).
+TRACE_EDGES = {
+    "crlf": lambda rows: b"\r\n".join(rows) + b"\r\n",
+    "lone-cr": lambda rows: b"\n".join(rows[:2]) + b"\r" + b"\n".join(rows[2:]) + b"\n",
+    "bom": lambda rows: b"\xef\xbb\xbf" + b"\n".join(rows) + b"\n",
+    "indented-comments": lambda rows: b"\n".join([rows[0], b"  # a note", *rows[1:3], b"\t#x", *rows[3:]]) + b"\n",
+    "comment-after-value": lambda rows: b"\n".join([rows[0], rows[1] + b" # a note", *rows[2:]]) + b"\n",
+    "underscore": lambda rows: b"\n".join([rows[0], b"0.1_5" + rows[1][6:], *rows[2:]]) + b"\n",
+    "nul": lambda rows: b"\n".join([rows[0], rows[1] + b"\x00", *rows[2:]]) + b"\n",
+    "non-utf8": lambda rows: b"\n".join([rows[0], b"# caf\xe9", *rows[1:]]) + b"\n",
+}
+
+
+def _trace_edges(rng: random.Random, corpus: Path, edf: str, seed: int) -> list[tuple[str, list[str]]]:
+    """A template for each of ``TRACE_EDGES``, a camera worker replaying the edge file beside a
+    fixed worker, through ``validate``, a 4x3 ``scaling`` grid and ``allocate``."""
+    commands = []
+    for edge, written in TRACE_EDGES.items():
+        rows = [",".join(f"{rng.random():.4f}" for _ in range(4)).encode("ascii") for _ in range(6)]
+        (corpus / f"edge-{edge}.csv").write_bytes(written(rows))
+        template = _write(corpus / f"edge-{edge}.cluster.json", {"workers": [
+            {"id": "edge", "profile": {"capabilities": ["camera"]},
+             "workload": {"kind": "trace", "path": f"edge-{edge}.csv"}},
+            {"id": "fixed", "profile": {}, "workload": {"kind": "fixed", "values": [0.2, 0.1, 0.3, 0.4]}}]})
+        name = f"edge-{edge}"
+        commands += [
+            (f"{name}-validate", ["validate", template]),
+            (f"{name}-scaling", ["scaling", "--cluster-template", template, "--max-workers", "4",
+                                 "--max-services", "3", "--seed", str(seed), "--out", f"out/{name}-scaling/grid.csv"]),
+            (f"{name}-allocate", ["allocate", "--edf", edf, "--cluster", template, "--seed", str(seed)]),
+        ]
+    return commands
+
+
 def corpus(seed: int, directory: Path) -> list[tuple[str, list[str]]]:
     """The seeded corpus's inputs, written under ``directory``, and its commands as (id, argv).
 
@@ -178,6 +303,14 @@ def corpus(seed: int, directory: Path) -> list[tuple[str, list[str]]]:
         commands += [(f"{name}-allocate", ["allocate", *inputs]),
                      (f"{name}-simulate", ["simulate", *inputs, "--iterations", "5",
                                            "--out-dir", f"out/{name}-simulate"])]
+    commands += _mutants(rng, ROOT / "docs" / "samples", directory, edf, cluster)
+    commands += _trace_edges(rng, directory, edf, seed)
+    for name, grid_template in (("demo", cluster), ("trace", template)):
+        for k, (workers, services) in enumerate([(40, 40), *((rng.randint(1, 40), rng.randint(1, 40))
+                                                             for _ in range(2))]):
+            commands.append((f"{name}-grid{k}-scaling", [
+                "scaling", "--cluster-template", grid_template, "--max-workers", str(workers),
+                "--max-services", str(services), "--seed", str(seed), "--out", f"out/{name}-grid{k}-scaling/grid.csv"]))
     return commands
 
 
@@ -191,10 +324,11 @@ def run_commands(src: str, commands_path: str, records_path: str) -> None:
         raise ImportError(f"swarmlab was imported from {swarmlab.cli.__file__}, not {src}")
     records = {}
     for name, argv in json.loads(Path(commands_path).read_text(encoding="utf-8")):
+        out = Path("out") / name
+        out.mkdir(parents=True)  # scaling's --out and allocate's --out open a file in it
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = swarmlab.cli.main(argv)
-        out = Path("out") / name
         files = {str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
                  for path in sorted(out.rglob("*")) if path.is_file()}
         records[name] = {"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(),
