@@ -31,20 +31,24 @@ allocator builds no such matrix.
 ``PreparedAllocation.allocate_rounds`` takes a block of rounds' load rows,
 one ``(rounds, workers, 4)`` array: ``costing.UnitCosts.block`` costs the
 whole block in one pass, and ``assignment.solve_rounds`` solves its
-integer grid, every round over every configuration's columns. The solver
-visits the configurations in reflected Gray-code order of their index, so
-consecutive ones differ in one component and each is warm-started from the
-last. Each round becomes one ``AllocationResult`` of positions, with no
-per-service object: the chosen configuration, each service column's worker
-and cost, and each configuration's units matched, services assigned and
-scaled cost. A placed service's cost is read from the block's ``tolist()``,
-its own single-service column's double, times the discount when it is
-pooled. ``ReportFold.add`` folds those positions as they are; the result's
-name-keyed views (``assignments``, ``unassigned``, ``outcomes``) build an
-``Assignment`` per placed service and a ``ConfigurationOutcome`` per
-configuration each time they are read, for ``explain`` and library callers.
-``allocate_experiment`` is ``prepare`` plus one round of the workers' own
-workloads.
+integer grid, every round over every configuration's columns, each column
+weighing its service count. It returns the worker at each position of
+every selection and each selection's score: units matched, services
+assigned (the weight placed) and scaled cost. The solver visits the
+configurations in reflected Gray-code order of their index, so consecutive
+ones differ in one component and each is warm-started from the last. The
+block is then placed as a whole, with no per-round or per-service object,
+as one ``RoundBlock`` of arrays: the chosen configuration is one
+``lexsort`` on ``(-services, cost, index)``, and each service column's
+worker and cost are gathered through the tables ``prepare`` built, a
+pooled service's cost times the discount. ``ReportFold.add_block`` folds
+those arrays as they are. ``RoundBlock.result(k)`` builds round ``k`` as
+an ``AllocationResult``, the library's per-round value in positions, for
+``allocate``, ``explain`` and library callers; its name-keyed views
+(``assignments``, ``unassigned``, ``outcomes``) build an ``Assignment`` per
+placed service and a ``ConfigurationOutcome`` per configuration each time
+they are read. ``allocate_experiment`` is ``prepare`` plus one round of the
+workers' own workloads.
 
 ``build_network`` states the same problem as a min-cost max-flow network
 for the ``mcmf`` reference solver; the allocator itself does not use it.
@@ -105,7 +109,7 @@ class ConfigurationOutcome:
 
 @dataclass(frozen=True, eq=False)
 class AllocationResult:
-    """One placed round, in positions: ``PreparedAllocation.allocate_rounds`` makes it.
+    """One placed round, in positions: ``RoundBlock.result`` makes it.
 
     Workers are positions in ``allocation.worker_ids``, services positions
     in ``allocation.services`` (service columns) and configurations indices
@@ -177,6 +181,55 @@ class AllocationResult:
         return tuple(ConfigurationOutcome(index, units, matched, assigned, cost, index == self.chosen)
                      for index, (units, (matched, assigned, cost))
                      in enumerate(zip(self.allocation.configurations, self.scores)))
+
+
+@dataclass(frozen=True, eq=False)
+class RoundBlock:
+    """A block of placed rounds, as arrays: ``PreparedAllocation.allocate_rounds`` makes it.
+
+    Positions are those of ``AllocationResult``: workers index
+    ``allocation.worker_ids``, service columns ``allocation.services`` and
+    configurations ``allocation.configurations``. Its arrays are read-only,
+    so they cannot change once read: the constructor keeps an array that is
+    read-only already and stores a read-only copy of anything else, and it
+    refuses shapes that are not the allocation's with ``ValueError``. The
+    positions are checked where they are read: ``ReportFold.add_block``
+    refuses workers past the allocation, and ``result(k)`` builds round
+    ``k`` as an ``AllocationResult``, which checks all of its positions.
+    """
+
+    allocation: "PreparedAllocation"
+    chosen: np.ndarray   # (rounds,): the chosen configuration
+    workers: np.ndarray  # (rounds, services): the worker placed on each service column, -1 where unplaced
+    costs: np.ndarray    # (rounds, services): each placement's cost, 0.0 where unplaced
+    scores: np.ndarray   # (rounds, configurations, 3): units matched, services assigned, scaled cost
+
+    def __post_init__(self):
+        for name, dtype in (("chosen", np.int64), ("workers", np.int64), ("costs", np.float64),
+                            ("scores", None)):  # int64, or Python ints past it
+            array = np.asarray(getattr(self, name), dtype=dtype)
+            if array.flags.writeable:
+                array = array.copy()
+                array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        a = self.allocation
+        rounds = len(self.chosen)
+        if not (self.workers.shape == self.costs.shape == (rounds, len(a.services))
+                and self.scores.shape == (rounds, len(a.configurations), 3)):
+            raise ValueError("a block's arrays must be shaped by its rounds and its allocation's services "
+                             "and configurations")
+
+    def __len__(self) -> int:
+        return len(self.chosen)
+
+    def result(self, k: int) -> AllocationResult:
+        """Round ``k`` of the block as an ``AllocationResult``."""
+        return AllocationResult(self.allocation, int(self.chosen[k]), self.workers[k].tolist(),
+                                self.costs[k].tolist(), map(tuple, self.scores[k].tolist()))
+
+    def results(self) -> list[AllocationResult]:
+        """Every round of the block as an ``AllocationResult``, in order."""
+        return [self.result(k) for k in range(len(self))]
 
 
 def _components(num_services: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
@@ -307,10 +360,12 @@ class PreparedAllocation:
     ``prepare`` builds it once per fleet and experiment from the column
     table (``column_table``): the pool-or-split configurations, the
     columns' feasibility and base costs, each configuration's column
-    selection, the column order that seeds the solver and each column's
-    service columns, which placement reads and whose counts weigh the
-    solver's tie-break. ``allocate_rounds`` then costs a block of rounds in
-    one pass and solves and places each as an ``AllocationResult``.
+    selection, the column order that seeds the solver, each column's
+    service columns, and the tables that place a solved block: the
+    configurations' visiting order and, per configuration and service
+    column, the position of the unit that holds it and its cost factor.
+    ``allocate_rounds`` then costs, solves and places a block of rounds
+    with a fixed number of array operations.
     """
 
     services: tuple[ServiceSpec, ...]
@@ -325,47 +380,47 @@ class PreparedAllocation:
     #: Per column: its members' service columns (the column table's columns).
     member_columns: tuple[tuple[int, ...], ...]
     discount: float
+    #: The selections in the solver's visiting order, the reflected Gray code of their index:
+    #: consecutive ones differ in one component.
+    visited: tuple[list[int], ...]
+    #: Per configuration: its place in the visiting order.
+    visited_at: np.ndarray
+    #: Per configuration (by index) and service column: the position of the unit that holds
+    #: it among the visited selections' positions, concatenated.
+    service_positions: np.ndarray
+    #: Per configuration and service column: the discount where a pool holds it, else 1.0.
+    service_factors: np.ndarray
 
-    def allocate_rounds(self, rounds: "np.ndarray | Sequence[Sequence[Sequence[float]]]"
-                        ) -> list[AllocationResult]:
+    def allocate_rounds(self, rounds: "np.ndarray | Sequence[Sequence[Sequence[float]]]") -> RoundBlock:
         """Place every service in each round of a block, given one load row per prepared worker.
 
         ``rounds`` is a ``(rounds, workers, 4)`` array of (cpu, vram, swap,
         bandwidth) rows, as ``swarmsim.sample_rounds`` yields it, or nested
-        sequences of such rows. The block is costed in one pass; each round
-        then only solves and places. The chosen configuration places the
-        most services, then costs least, then comes first. A placed
-        service's cost is its own single-service column's, read from the
-        block's ``tolist()``, times the discount when it is pooled.
-        Infeasibility is a result, not an error: when no configuration can
-        place all services, a round's result places the best part of them.
+        sequences of such rows. The block is costed in one pass and solved
+        round by round; it is then placed as a whole. The chosen
+        configuration places the most services, then costs least, then comes
+        first: one ``lexsort`` per block. A placed service's cost is its own
+        single-service column's, gathered from the cost block at once, times
+        the discount when it is pooled. Infeasibility is a result, not an
+        error: when no configuration can place all services, a round places
+        the best part of them.
         """
         values = self.costs.block(rounds)
-        sizes = [len(members) for members in self.member_columns]
-        # Reflected Gray-code order: consecutive configurations differ in one component.
-        order = [i ^ (i >> 1) for i in range(len(self.selections))]
         # Infeasible cells are 0.0 and no cost is negative: the grid needs no mask.
-        solutions = assignment.solve_rounds(costing.integer_grid(values), self.costs.feasible,
-                                            [self.selections[i] for i in order], self.scale_order, sizes)
-        num_services, discount = len(self.services), self.discount
-        results = []
-        for round_costs, solved in zip(values[..., :num_services].tolist(), solutions):
-            scores: list = [None] * len(order)
-            matched: list = [None] * len(order)  # per configuration: its (worker, unit) pairs
-            for i, (pairs, cost) in zip(order, solved):
-                columns = self.selections[i]
-                matched[i] = pairs
-                scores[i] = (len(pairs), sum([sizes[columns[u]] for _, u in pairs]), cost)
-            best = min(range(len(scores)), key=lambda i: (-scores[i][1], scores[i][2], i))
-            workers, costs = [-1] * num_services, [0.0] * num_services
-            columns = self.selections[best]
-            for w, u in matched[best]:
-                members, worker_costs = self.member_columns[columns[u]], round_costs[w]
-                for j in members:
-                    workers[j] = w
-                    costs[j] = worker_costs[j] * discount if len(members) > 1 else worker_costs[j]
-            results.append(AllocationResult(self, best, workers, costs, scores))
-        return results
+        # Each column weighs its service count, so a score's weight is the services assigned.
+        placed, scores = assignment.solve_rounds(
+            costing.integer_grid(values), self.costs.feasible, self.visited, self.scale_order,
+            [len(members) for members in self.member_columns])
+        scores = scores[:, self.visited_at]  # from visiting order to index order
+        chosen = np.lexsort((scores[..., 2], -scores[..., 1]))[:, 0]
+        rounds = np.arange(len(chosen))[:, None]
+        workers = placed[rounds, self.service_positions[chosen]]
+        costs = values[rounds, np.maximum(workers, 0), np.arange(len(self.services))]
+        # The discount where a pool holds a service, and 0.0 where it is unplaced (every cost is finite).
+        costs *= self.service_factors[chosen] * (workers >= 0)
+        for array in (chosen, workers, costs, scores):  # the block keeps them as they are
+            array.setflags(write=False)
+        return RoundBlock(self, chosen, workers, costs, scores)
 
 
 def prepare(workers: Sequence[WorkerState], experiment: ExperimentSpec) -> PreparedAllocation:
@@ -389,19 +444,35 @@ def prepare(workers: Sequence[WorkerState], experiment: ExperimentSpec) -> Prepa
 
     scale = [left_sum(services[j].predefined_cost for j in column) * (discount if len(column) > 1 else 1.0)
              for column in columns]
+    visiting = [i ^ (i >> 1) for i in range(len(selections))]
+    visited = [selections[i] for i in visiting]
+    # Per configuration and service, flat: the position of its unit, and its cost factor.
+    visited_at, at, width = [0] * len(visiting), 0, len(services)
+    positions, factors = [0] * (len(selections) * width), [1.0] * (len(selections) * width)
+    for k, (i, selection) in enumerate(zip(visiting, visited)):
+        visited_at[i] = k
+        for c in selection:
+            if c < width:  # a single service: column c is service c
+                positions[i * width + c] = at
+            else:
+                for j in columns[c]:
+                    positions[i * width + j] = at
+                    factors[i * width + j] = discount
+            at += 1
     return PreparedAllocation(
         services=services, configurations=_configurations(services, columns, selections),
         worker_ids=tuple(w.id for w in workers), costs=costs, selections=tuple(selections),
         scale_order=tuple(sorted(range(len(columns)), key=lambda c: -scale[c])),
-        member_columns=tuple(columns),
-        discount=discount)
+        member_columns=tuple(columns), discount=discount, visited=tuple(visited),
+        visited_at=np.array(visited_at), service_positions=np.array(positions).reshape(-1, width),
+        service_factors=np.array(factors).reshape(-1, width))
 
 
 def allocate_experiment(workers: Sequence[WorkerState], experiment: ExperimentSpec) -> AllocationResult:
     """Place every service of ``experiment`` on a capable worker, given the workers'
     own workloads, at minimum total cost; infeasibility is a result (see
     ``PreparedAllocation.allocate_rounds``)."""
-    return prepare(workers, experiment).allocate_rounds([[tuple(w.workload) for w in workers]])[0]
+    return prepare(workers, experiment).allocate_rounds([[tuple(w.workload) for w in workers]]).result(0)
 
 
 #: Each control and line-boundary character, as ``repr`` escapes it: C0, DEL, C1, U+2028, U+2029.

@@ -26,7 +26,13 @@ workers of cost big M up to the largest selection's size, and one
 ``tolist()``; ``block_rounds`` counts the rounds that fit ``BLOCK_CELLS``
 cells of that layout. Each matrix then goes to ``solve_selections`` both as
 the numpy array that ``_seed`` reads and as its Python rows, so the search
-runs no numpy of its own. ``solve`` is the one-matrix, one-selection case.
+runs no numpy of its own. It returns the worker at each position of its
+selections, -1 where a position is unmatched, and each selection's score:
+the positions matched, the weight they place and the total cost.
+``solve_rounds`` stacks them into one (rounds, positions) array of workers
+and one (rounds, selections, 3) array of scores, which the allocator
+places as a block. ``solve`` is the one-matrix, one-selection case,
+read back as ``(worker, unit)`` pairs.
 
 ``solve_selections`` solves several selections of the matrix's columns
 (the allocator's pool-or-split configurations) one after another, keeping
@@ -74,23 +80,33 @@ SEED_MIN_UNITS = 6
 
 def solve_rounds(scaled: np.ndarray, feasible: np.ndarray, selections: Sequence[Sequence[int]],
                  order: Sequence[int] | None = None, weights: Sequence[int] | None = None,
-                 ) -> list[list[tuple[list[tuple[int, int]], int]]]:
-    """``solve_selections`` on each of a stack of cost matrices.
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """``solve_selections`` on each of a stack of cost matrices, as two arrays.
 
     ``scaled`` holds non-negative integer costs shaped (rounds, workers,
     columns), int64 or Python ints in an object array, ``feasible`` the
     pairs that may be matched, (workers, columns), and ``weights`` each
-    column's positive weight, if any. Returns each round's per-selection
-    results, their costs in ``scaled``'s units.
+    column's positive weight, if any (1 each otherwise). Returns the worker
+    at each position of every selection, concatenated in selection order,
+    -1 where a position is unmatched, as an int64 (rounds, positions)
+    array, and each selection's score, a (rounds, selections, 3) array of
+    the positions matched, the weight they place and their total cost in
+    ``scaled``'s units: int64, or Python ints in an object array when the
+    search runs on them.
     """
     units = max(map(len, selections), default=0)
     encoded, big_ms, spread = _encoded(scaled, feasible, selections, units, weights)
     matrices = _padded(encoded, feasible, max(feasible.shape[0], units), big_ms)
-    solved = [solve_selections(matrix, rows, big_m, selections, order)
+    solved = [solve_selections(matrix, rows, big_m, selections, order, weights)
               for matrix, rows, big_m in zip(matrices, matrices.tolist(), big_ms)]
+    placed = np.array([workers for workers, _ in solved], dtype=np.int64).reshape(
+        len(solved), sum(map(len, selections)))
+    # A total stays below its round's big M: int64 unless the search ran on Python ints.
+    scores = np.array([round_scores for _, round_scores in solved], dtype=matrices.dtype).reshape(
+        len(solved), len(selections), 3)
     if spread > 1:  # a total is spread * cost plus offsets that sum to less than spread
-        solved = [[(pairs, total // spread) for pairs, total in rounds] for rounds in solved]
-    return solved
+        scores[..., 2] //= spread
+    return placed, scores
 
 
 def solve(scaled: np.ndarray, feasible: np.ndarray) -> tuple[list[tuple[int, int]], int]:
@@ -100,7 +116,8 @@ def solve(scaled: np.ndarray, feasible: np.ndarray) -> tuple[list[tuple[int, int
     pairs that may be matched, both shaped (workers, units). Returns the
     matched ``(worker, unit)`` pairs sorted by unit and their total cost.
     """
-    return solve_rounds(scaled[None], feasible, [range(feasible.shape[1])])[0][0]
+    placed, scores = solve_rounds(scaled[None], feasible, [range(feasible.shape[1])])
+    return [(w, u) for u, w in enumerate(placed[0].tolist()) if w >= 0], scores.tolist()[0][0][2]
 
 
 def _encoded(scaled: np.ndarray, feasible: np.ndarray, selections: Sequence[Sequence[int]],
@@ -156,15 +173,17 @@ def block_rounds(workers: int, columns: int) -> int:
 
 def solve_selections(
     matrix: np.ndarray, costs: list[list[int]], big_m: int, selections: Sequence[Sequence[int]],
-    order: Sequence[int] | None = None,
-) -> list[tuple[list[tuple[int, int]], int]]:
+    order: Sequence[int] | None = None, weights: Sequence[int] | None = None,
+) -> tuple[list[int], list[int]]:
     """``solve`` on each selection of columns in turn, each warm-started from the last.
 
     ``matrix`` is one of ``solve_rounds``' padded matrices, ``costs`` its
     rows as Python ints and ``big_m`` its big M. A selection lists
-    distinct columns. Per selection, in the given order, returns the matched
-    ``(worker, position in the selection)`` pairs sorted by position and
-    their total cost. Consecutive selections that share most columns are
+    distinct columns. Returns the worker at each position of every
+    selection, in the given order, concatenated (-1 where a position is
+    unmatched), and each selection's score, flat: the positions matched,
+    the weight they place (each column's of ``weights``, 1 without them)
+    and their total cost. Consecutive selections that share most columns are
     cheap: only the rows that change are re-augmented. ``order`` lists every
     column from the largest cost scale to the smallest; given it, a first
     selection of at least ``SEED_MIN_UNITS`` units is seeded from ``matrix``.
@@ -178,7 +197,9 @@ def solve_selections(
     row_for_col = [pool] * size  # -1 while a column is free
     held: Sequence[int] = ()
 
-    results = []
+    weights = [1] * pool if weights is None else weights
+    placed: list[int] = []
+    scores: list[int] = []
     for selection in selections:
         chosen = set(selection)
         for unit in held:
@@ -186,7 +207,7 @@ def solve_selections(
                 row_for_col[col_for_row[unit]] = -1
                 col_for_row[unit] = -1
 
-        if not results and order is not None and len(selection) >= SEED_MIN_UNITS:
+        if not scores and order is not None and len(selection) >= SEED_MIN_UNITS:
             entering = [unit for unit in order if unit in chosen]
             col_potential, tight, unpaired = _seed(matrix, costs, big_m, entering)
             # The pool takes the columns that no unit was paired with, all at the top
@@ -212,15 +233,19 @@ def solve_selections(
             _augment(pool, rows, row_potential, col_potential, col_for_row, row_for_col, False)
         held = selection
 
-        pairs = []
-        total = 0
-        for position, unit in enumerate(selection):
+        matched = weight = total = 0
+        for unit in selection:
             worker = col_for_row[unit]
-            if costs[unit][worker] < big_m:  # a padding worker costs big M too
-                pairs.append((worker, position))
-                total += costs[unit][worker]
-        results.append((pairs, total))
-    return results
+            cost = costs[unit][worker]
+            if cost < big_m:  # a padding worker costs big M too
+                placed.append(worker)
+                matched += 1
+                weight += weights[unit]
+                total += cost
+            else:
+                placed.append(-1)
+        scores += (matched, weight, total)
+    return placed, scores
 
 
 def _seed(matrix: np.ndarray, costs: list[list[int]], big_m: int,

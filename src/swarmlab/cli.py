@@ -98,7 +98,8 @@ def cmd_allocate(args) -> int:
     experiment = load_edf(args.edf)
     cluster_path = Path(args.cluster)
     cluster = load_cluster(cluster_path)
-    [result] = swarmsim.round_results(cluster.workers, experiment, args.seed, cluster_path.parent, [0])
+    [block] = swarmsim.round_blocks(cluster.workers, experiment, args.seed, cluster_path.parent, [0])
+    result = block.result(0)
     report = allocator.explain(result)
     if args.out:
         Path(args.out).write_text(report, encoding="utf-8")
@@ -123,10 +124,10 @@ def cmd_simulate(args) -> int:
         iterations=args.iterations,
         base_dir=str(cluster_path.parent),
     )
-    results = swarmsim.round_results(cfg.workers, cfg.experiment, cfg.seed, cfg.base_dir,
-                                     range(cfg.iterations))
-    first = next(results)
-    if max(first.workers) < 0:  # nothing placed
+    blocks = swarmsim.round_blocks(cfg.workers, cfg.experiment, cfg.seed, cfg.base_dir,
+                                   range(cfg.iterations))
+    first = next(blocks)
+    if first.workers[0].max() < 0:  # nothing placed in the first round
         # Which services can be placed depends on capabilities only, not on the samples.
         print(f"error: infeasible: no worker can host any of the {len(experiment.services)} "
               "services; no report written", file=sys.stderr)
@@ -139,10 +140,12 @@ def cmd_simulate(args) -> int:
             open(out_dir / "fairness.csv", "w", encoding="utf-8") as fairness:
         allocations.write(metrics.REPORT_HEADER + "\n")
         fairness.write("iteration,jain_cost,jain_count\n")
-        for t, result in enumerate(itertools.chain([first], results)):
-            lines, jain_cost, jain_count = fold.add(result)
+        for block in itertools.chain([first], blocks):
+            t = fold.rounds
+            lines, jain_costs, jain_counts = fold.add_block(block)
             allocations.write(lines)
-            fairness.write(f"{t},{jain_cost:.6f},{jain_count:.6f}\n")
+            fairness.write("".join([f"{t + r},{jain_cost:.6f},{jain_count:.6f}\n"
+                                    for r, (jain_cost, jain_count) in enumerate(zip(jain_costs, jain_counts))]))
 
     std, cv = fold.dispersion()
     summary = {
@@ -152,8 +155,8 @@ def cmd_simulate(args) -> int:
         "feasible_iterations": fold.feasible_rounds,
         "cost_std": round(std, 6),
         "cost_cv": round(cv, 6),
-        "final_jain_cost": round(jain_cost, 6),
-        "final_jain_count": round(jain_count, 6),
+        "final_jain_cost": round(jain_costs[-1], 6),
+        "final_jain_count": round(jain_counts[-1], 6),
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     return EXIT_OK if fold.feasible_rounds == fold.rounds else EXIT_INFEASIBLE

@@ -23,16 +23,17 @@ and ``rng.uniform_rows`` hashes it as it is. A trace file is read by
 ``MAX_TRACE_BYTES``, no FIFO, and a buffer the size of the file. A
 generator is a frozen record of what differs per worker: its workload,
 seed, index and base directory.
-``round_results`` is the one round pipeline of every command: it prepares
+``round_blocks`` is the one round pipeline of every command: it prepares
 the allocation once, before sampling, hands each block of
 ``assignment.block_rounds`` rounds to
-``PreparedAllocation.allocate_rounds``, which costs it in one pass and
-places each round as a positional ``AllocationResult``, and yields the
-results one at a time, so ``simulate`` holds one block of them at most and
-builds no per-service object. ``run_experiment`` returns the results of
-every iteration, and ``run_iteration`` the result of one iteration with its
-trace. A trace is a view of one round: ``_trace`` draws it from the round's
-config and result alone. No command builds worker states.
+``PreparedAllocation.allocate_rounds``, which costs, solves and places it
+as one ``RoundBlock`` of arrays, and yields the blocks one at a time, so
+``simulate`` holds one block at most and builds no per-round or
+per-service object. ``run_experiment`` returns every iteration's
+``AllocationResult``, built from its block, and ``run_iteration`` the
+result of one iteration with its trace. A trace is a view of one round:
+``_trace`` draws it from the round's config and result alone. No command
+builds worker states.
 ``measure_scaling`` solves no allocation and clones no worker: a grid cell
 deploys its cloned service iff one of its workers can host it, so only the
 template's first min(N, T) workers are checked (``check_fleet_inputs``,
@@ -61,7 +62,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import assignment, costing
-from .allocator import AllocationResult, prepare
+from .allocator import AllocationResult, RoundBlock, prepare
 from .definitions import (
     ClusterWorker,
     ExperimentSpec,
@@ -227,7 +228,10 @@ def _bulk_rows(data: bytes) -> "np.ndarray | None":
 def _line_rows(data: bytes, location: Path) -> list[tuple[float, float, float, float]]:
     """The rows of ``data``, parsed line by line; raises at the first bad line.
 
-    A file that is not UTF-8 is refused first, at the line of its first bad byte.
+    A file that is not UTF-8 is refused first, at the line of its first bad
+    byte, and then one that opens with a UTF-8 BOM, at line 1. A value is
+    what ``float()`` reads, except that digit-group underscores (``0.1_5``)
+    are refused, as numpy's reader refuses them.
     """
     try:
         text = data.decode("utf-8")
@@ -235,6 +239,8 @@ def _line_rows(data: bytes, location: Path) -> list[tuple[float, float, float, f
         # The bytes before the bad one decode; it stands on the line after their last break.
         lineno = len((data[:exc.start].decode("utf-8") + "_").splitlines())
         raise SchemaError(str(exc), f"{location}:{lineno}") from None
+    if text.startswith("\ufeff"):
+        raise SchemaError("Unexpected UTF-8 BOM", f"{location}:1")
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -244,6 +250,8 @@ def _line_rows(data: bytes, location: Path) -> list[tuple[float, float, float, f
         if len(fields) != 4:
             raise SchemaError(f"expected 4 utilization values, got {len(fields)}",
                               f"{location}:{lineno}")
+        if "_" in line:  # float() would read "0.1_5" as 0.15
+            raise SchemaError("expected numeric utilization values", f"{location}:{lineno}")
         try:
             row = cpu, vram, swap, bandwidth = (float(fields[0]), float(fields[1]),
                                                 float(fields[2]), float(fields[3]))
@@ -486,21 +494,21 @@ def _timings(cfg: SimConfig, num_workers: int, num_services: int,
     }
 
 
-def round_results(workers: "Sequence[ClusterWorker]", experiment: ExperimentSpec, seed: int,
-                  base_dir: "str | Path | None", iterations: "Sequence[int]") -> Iterator[AllocationResult]:
-    """The results of the rounds at ``iterations``, in order: the one round pipeline.
+def round_blocks(workers: "Sequence[ClusterWorker]", experiment: ExperimentSpec, seed: int,
+                 base_dir: "str | Path | None", iterations: "Sequence[int]") -> Iterator[RoundBlock]:
+    """The rounds at ``iterations``, in order, one ``RoundBlock`` at a time: the one round pipeline.
 
     It prepares the allocation, which refuses an empty fleet or a repeated
     worker id before anything is sampled, then samples, costs and places
     one block of rounds at a time, as many as the allocation's solver lays
     out at once (``assignment.block_rounds``); nothing runs until the first
-    result is read. A result's positions are those of ``workers`` and of
-    the experiment's services.
+    block is read. A block's positions are those of ``workers`` and of the
+    experiment's services.
     """
     allocation = prepare(workers, experiment)
     for rounds in sample_rounds(workload_generators(workers, seed, base_dir), iterations,
                                 assignment.block_rounds(*allocation.costs.feasible.shape)):
-        yield from allocation.allocate_rounds(rounds)
+        yield allocation.allocate_rounds(rounds)
 
 
 def run_iteration(cfg: SimConfig, iter_index: int) -> tuple[AllocationResult, SimTrace]:
@@ -510,7 +518,8 @@ def run_iteration(cfg: SimConfig, iter_index: int) -> tuple[AllocationResult, Si
     """
     if iter_index < 0:
         raise ValueError(f"iteration must be non-negative, got {iter_index}")
-    [result] = round_results(cfg.workers, cfg.experiment, cfg.seed, cfg.base_dir, [iter_index])
+    [block] = round_blocks(cfg.workers, cfg.experiment, cfg.seed, cfg.base_dir, [iter_index])
+    result = block.result(0)
     return result, _trace(cfg, result)
 
 
@@ -567,8 +576,9 @@ def _trace(cfg: SimConfig, result: AllocationResult) -> SimTrace:
 
 def run_experiment(cfg: SimConfig) -> list[AllocationResult]:
     """Allocate ``cfg.iterations`` independent rounds with re-sampled workloads; no trace is built."""
-    return list(round_results(cfg.workers, cfg.experiment, cfg.seed, cfg.base_dir,
-                              range(cfg.iterations)))
+    return [result for block in round_blocks(cfg.workers, cfg.experiment, cfg.seed, cfg.base_dir,
+                                             range(cfg.iterations))
+            for result in block.results()]
 
 
 @dataclass(frozen=True, slots=True)

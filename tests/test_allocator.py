@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from swarmlab.allocator import (
+    AllocationResult,
     AllocationUnit,
     allocate_experiment,
     build_network,
@@ -15,7 +16,7 @@ from swarmlab.allocator import (
     explain,
     prepare,
 )
-from swarmlab import allocator, costing
+from swarmlab import allocator, assignment, costing
 from swarmlab.cli import main
 from swarmlab.costing import (
     CostMatrix,
@@ -28,6 +29,7 @@ from swarmlab.costing import (
 from swarmlab.definitions import CostWeights
 from swarmlab.errors import DuplicateAgent, EmptyProblem, SchemaError, TooManyComponents
 from swarmlab.mcmf import solve, verify
+from swarmlab.metrics import ReportFold
 
 import oracles
 from factories import (
@@ -398,12 +400,12 @@ def test_prepared_allocation_serves_many_rounds():
         prepared = prepare(workers, experiment)
         rounds = [[dataclasses.replace(w, workload=make_workload(*rng.random(4).tolist()))
                    for w in workers] for _ in range(3)]
-        first = [prepared.allocate_rounds(one_round(r))[0] for r in rounds]
+        first = [prepared.allocate_rounds(one_round(r)).result(0) for r in rounds]
         # No state leaks between rounds.
-        again = [prepared.allocate_rounds(one_round(r))[0] for r in reversed(rounds)][::-1]
+        again = [prepared.allocate_rounds(one_round(r)).result(0) for r in reversed(rounds)][::-1]
         assert first == again == [allocate_experiment(r, experiment) for r in rounds]
-        assert prepared.allocate_rounds([row for r in rounds for row in one_round(r)]) == first
-        assert prepared.allocate_rounds([]) == []  # an empty block has no rounds to place
+        assert prepared.allocate_rounds([row for r in rounds for row in one_round(r)]).results() == first
+        assert prepared.allocate_rounds([]).results() == []  # an empty block has no rounds to place
 
 
 def test_placement_costs_equal_scalar_reference():
@@ -507,8 +509,8 @@ def test_results_compare_by_placement_costs_and_scores():
     first, second = prepare(workers, experiment), prepare(workers, experiment)
     # A prepared allocation compares by identity: its cost arrays do not compare with ==.
     assert first != second and first == first
-    [result] = first.allocate_rounds(one_round(workers))
-    [same] = second.allocate_rounds(one_round(workers))
+    [result] = first.allocate_rounds(one_round(workers)).results()
+    [same] = second.allocate_rounds(one_round(workers)).results()
     assert result == same and not result != same
     assert result.feasible
 
@@ -533,7 +535,7 @@ def test_result_views_are_built_from_positions():
     workers = [make_worker("w0", cpu=0.2), make_worker("w1", swap=0.5)]
     experiment = make_experiment([make_service("a", 40.0), make_service("b", 10.0),
                                   make_service("cam", capabilities={"camera"})], [("a", "b")])
-    [result] = prepare(workers, experiment).allocate_rounds(one_round(workers))
+    [result] = prepare(workers, experiment).allocate_rounds(one_round(workers)).results()
     assert result.workers[2] == -1 and result.costs[2] == 0.0
     assert (result.feasible, result.num_services, result.unassigned) == (False, 3, frozenset({"cam"}))
     assert list(result.assignments) == ["a", "b"]
@@ -554,6 +556,102 @@ def test_result_views_are_built_from_positions():
             dataclasses.replace(result, **fields)
     with pytest.raises(AttributeError):
         result.assignments = {}
+
+
+def test_block_positions_are_checked_and_read_only():
+    workers = [make_worker("w0", cpu=0.2), make_worker("w1", swap=0.5)]
+    experiment = make_experiment([make_service("a", 40.0), make_service("b", 10.0),
+                                  make_service("cam", capabilities={"camera"})], [("a", "b")])
+    block = prepare(workers, experiment).allocate_rounds(one_round(workers) * 3)
+    assert len(block) == 3 and block.results() == [block.result(k) for k in range(3)]
+    assert block.result(1) == block.result(0)  # the same loads place the same
+    for array in (block.chosen, block.workers, block.costs, block.scores):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    # A block built by hand from lists holds read-only copies, and is the same rounds.
+    rebuilt = dataclasses.replace(block, chosen=block.chosen.tolist(), workers=block.workers.tolist(),
+                                  costs=block.costs.tolist(), scores=block.scores.tolist())
+    assert rebuilt.results() == block.results() and not rebuilt.workers.flags.writeable
+    # Arrays of other shapes are refused; positions past the allocation are refused where they
+    # are read: by the fold, which would read the workers as they are, and by each result.
+    for fields in ({"workers": block.workers[:, :2]}, {"costs": block.costs[:2]}, {"chosen": block.chosen[:2]},
+                   {"scores": block.scores[:, :1]}):
+        with pytest.raises(ValueError, match="a block's arrays must be shaped by its rounds"):
+            dataclasses.replace(block, **fields)
+    fold = ReportFold(block.allocation)
+    for fields in ({"workers": block.workers + 2}, {"workers": block.workers - 2}):
+        with pytest.raises(ValueError, match="a block's positions must index its allocation's workers"):
+            fold.add_block(dataclasses.replace(block, **fields))
+        assert (fold.rounds, fold.feasible_rounds) == (0, 0)
+        with pytest.raises(ValueError, match="a result's positions must index its allocation"):
+            dataclasses.replace(block, **fields).results()
+    for chosen in ([2, 0, 0], [0, -1, 0]):
+        with pytest.raises(ValueError, match="a result's positions must index its allocation"):
+            dataclasses.replace(block, chosen=chosen).results()
+    # A read-only array is kept as it is; a writable one is copied, so the caller cannot change it.
+    workers = block.workers.copy()
+    assert dataclasses.replace(block, workers=workers).workers is not workers and workers.flags.writeable
+    assert dataclasses.replace(block, workers=block.workers).workers is block.workers
+
+
+def _reference_placements(prepared, rounds):
+    """A block's rounds placed one at a time, as ``allocate_rounds`` placed them before it placed
+    whole blocks: each configuration's score, the choice and the placement, in Python, from
+    the solver's pairs."""
+    values = prepared.costs.block(rounds)
+    sizes = [len(members) for members in prepared.member_columns]
+    order = [i ^ (i >> 1) for i in range(len(prepared.selections))]
+    visited = [prepared.selections[i] for i in order]
+    placed, solved = assignment.solve_rounds(costing.integer_grid(values), prepared.costs.feasible, visited,
+                                             prepared.scale_order, sizes)
+    num_services, discount = len(prepared.services), prepared.discount
+    results = []
+    for round_costs, round_placed, round_solved in zip(values[..., :num_services].tolist(), placed.tolist(),
+                                                       solved.tolist()):
+        scores: list = [None] * len(order)
+        matched: list = [None] * len(order)  # per configuration: its (worker, unit) pairs
+        at = 0
+        for i, columns, (_, _, cost) in zip(order, visited, round_solved):
+            pairs = [(w, u) for u, w in enumerate(round_placed[at:at + len(columns)]) if w >= 0]
+            at += len(columns)
+            matched[i] = pairs
+            scores[i] = (len(pairs), sum([sizes[columns[u]] for _, u in pairs]), cost)
+        best = min(range(len(scores)), key=lambda i: (-scores[i][1], scores[i][2], i))
+        workers, costs = [-1] * num_services, [0.0] * num_services
+        columns = prepared.selections[best]
+        for w, u in matched[best]:
+            members, worker_costs = prepared.member_columns[columns[u]], round_costs[w]
+            for j in members:
+                workers[j] = w
+                costs[j] = worker_costs[j] * discount if len(members) > 1 else worker_costs[j]
+        results.append(AllocationResult(prepared, best, workers, costs, scores))
+    return results
+
+
+@settings(max_examples=150, deadline=None)
+@given(cameras=st.lists(st.booleans(), min_size=1, max_size=6),
+       services=st.lists(st.tuples(st.sampled_from([0.0, 1e-3, 5.0, 40.0, 95.5]), st.booleans()),
+                         min_size=1, max_size=9),
+       pools=st.integers(0, 4), discount=st.sampled_from([0.5, 0.85, 1.0]), rounds=st.integers(1, 6),
+       seed=st.integers(0, 2**32))
+@example(cameras=[False, False], services=[(40.0, True), (5.0, True), (95.5, True)], pools=1, discount=0.85,
+         rounds=3, seed=0)  # no worker can host a camera service: no round places anything
+@example(cameras=[True], services=[(40.0, False), (5.0, False), (95.5, True), (1e-3, False), (0.0, False)],
+         pools=2, discount=0.5, rounds=4, seed=1)  # five services and two pools on one worker
+def test_block_placement_equals_the_per_round_loop(cameras, services, pools, discount, rounds, seed):
+    # Camera classes, units beyond the workers and rounds that place nothing or part: every
+    # round of the block is the round the per-round loop placed.
+    workers = [make_worker(f"w{i}", ("camera",) if camera else ()) for i, camera in enumerate(cameras)]
+    specs = [make_service(f"s{j}", cost, ("camera",) if camera else ()) for j, (cost, camera) in enumerate(services)]
+    pools = min(pools, len(specs) // 2)
+    prepared = prepare(workers, make_experiment(specs, [(f"s{2 * k}", f"s{2 * k + 1}") for k in range(pools)],
+                                                discount=discount))
+    loads = np.random.default_rng(seed).random((rounds, len(workers), 4))
+    block = prepared.allocate_rounds(loads)
+    reference = _reference_placements(prepared, loads)
+    assert block.results() == reference
+    assert [prepared.allocate_rounds(loads[k:k + 1]).result(0) for k in range(rounds)] == reference
+    assert [r.scores for r in block.results()] == [r.scores for r in reference]  # exact ints, per configuration
 
 
 def test_scale_order_sums_a_pool_left_to_right():

@@ -11,10 +11,27 @@ import oracles
 from factories import make_experiment, make_service, make_worker, one_round
 
 
+def solve_rounds(scaled, feasible, selections, order=None, weights=None):
+    """``assignment.solve_rounds``, each round's selections as ``(pairs, total)``: the matched
+    ``(worker, position in the selection)`` pairs sorted by position, and the total. Each
+    score's matched count and weight are checked against the pairs."""
+    placed, scores = assignment.solve_rounds(scaled, feasible, selections, order, weights)
+    rounds = []
+    for workers, round_scores in zip(placed.tolist(), scores.tolist()):
+        solved, at = [], 0
+        for selection, (matched, weight, total) in zip(selections, round_scores):
+            pairs = [(w, p) for p, w in enumerate(workers[at:at + len(selection)]) if w >= 0]
+            assert (matched, weight) == (len(pairs), sum(weights[selection[p]] if weights else 1
+                                                         for _, p in pairs))
+            solved.append((pairs, total))
+            at += len(selection)
+        rounds.append(solved)
+    return rounds
+
+
 def solve_selections(scaled, feasible, selections, order=None, weights=None):
     """``assignment.solve_selections`` on one (workers, columns) matrix, as one round."""
-    return assignment.solve_rounds(np.asarray(scaled)[None], feasible, selections, order,
-                                   weights)[0]
+    return solve_rounds(np.asarray(scaled)[None], feasible, selections, order, weights)[0]
 
 
 def _mcmf_totals(scaled, feasible):
@@ -159,17 +176,17 @@ def test_solve_rounds_solves_each_round_on_its_own():
     stack = np.stack([rng.integers(0, high, size=(5, 8)) for high in (3, 1000, 10**8)])
     assert len({int(scaled[feasible].sum()) + 1 for scaled in stack}) == 3
     whole = list(range(8))
-    for scaled, [(pairs, cost)] in zip(stack, assignment.solve_rounds(stack, feasible, [whole])):
+    for scaled, [(pairs, cost)] in zip(stack, solve_rounds(stack, feasible, [whole])):
         assert (pairs, cost) == assignment.solve(scaled, feasible)
         assert (len(pairs), cost) == _scipy_totals(scaled, feasible)
 
     # Several selections, the first one seeded: each round as if it were solved alone.
     selections = [whole, [7, 1, 3], [], [5, 4, 3, 2, 1, 0], [2]]
     order = rng.permutation(8).tolist()
-    solved = assignment.solve_rounds(stack, feasible, selections, order)
+    solved = solve_rounds(stack, feasible, selections, order)
     assert len(solved) == len(stack)
     for scaled, rounds in zip(stack, solved):
-        assert rounds == assignment.solve_rounds(scaled[None], feasible, selections, order)[0]
+        assert rounds == solve_rounds(scaled[None], feasible, selections, order)[0]
         for cols, (pairs, cost) in zip(selections, rounds):
             reference, reference_cost = assignment.solve(scaled[:, cols], feasible[:, cols])
             assert (len(pairs), cost) == (len(reference), reference_cost)
@@ -178,13 +195,22 @@ def test_solve_rounds_solves_each_round_on_its_own():
 
     # Object-dtype costs run on Python ints: the same ints solve the same, and costs past
     # int64 keep every optimum's size and scale its cost.
-    assert assignment.solve_rounds(stack.astype(object), feasible, selections, order) == solved
-    wide = assignment.solve_rounds(stack.astype(object) * 2**70, feasible, selections, order)
+    assert solve_rounds(stack.astype(object), feasible, selections, order) == solved
+    wide = solve_rounds(stack.astype(object) * 2**70, feasible, selections, order)
     assert [[(len(pairs), cost) for pairs, cost in rounds] for rounds in wide] \
         == [[(len(pairs), cost * 2**70) for pairs, cost in rounds] for rounds in solved]
 
     # An empty stack has no rounds to solve.
-    assert assignment.solve_rounds(stack[:0], feasible, selections, order) == []
+    assert solve_rounds(stack[:0], feasible, selections, order) == []
+
+    # The arrays themselves: every selection's positions side by side, -1 where unmatched,
+    # and the scores in the search's integers.
+    placed, scores = assignment.solve_rounds(stack, feasible, selections, order)
+    assert (placed.dtype, placed.shape, scores.dtype, scores.shape) == (np.int64, (3, 18), np.int64, (3, 5, 3))
+    assert placed.min() == -1 and placed.max() < 5
+    assert assignment.solve_rounds(stack.astype(object) * 2**70, feasible, selections, order)[1].dtype == object
+    placed, scores = assignment.solve_rounds(stack[:0], feasible, selections, order)
+    assert (placed.shape, scores.shape) == ((0, 18), (0, 5, 3))
 
 
 # (workers, columns, seed, selections): each grows to as many units as the solver has
@@ -382,7 +408,7 @@ def test_seeded_cold_starts_run_no_padding_search(monkeypatch):
     # The demo-shaped round: the seed's repairs, then the split's s00 and s01 enter.
     prepared, fleet, repairs = prepared_demo
     searches.clear()
-    [result] = prepared.allocate_rounds(one_round(fleet))
+    [result] = prepared.allocate_rounds(one_round(fleet)).results()
     assert result.feasible and len(result.outcomes) == 2
     assert len(searches) == repairs + 2 and POOL not in searches
 
@@ -480,9 +506,9 @@ def test_services_tie_break_past_int64_runs_on_python_ints(monkeypatch):
     # feasible costs plus one, stays below 2**62, and on Python ints from there on.
     widths = []  # (dtype, big M) of every matrix solved
 
-    def recording(matrix, costs, big_m, selections, order=None):
+    def recording(matrix, costs, big_m, selections, order=None, weights=None):
         widths.append((matrix.dtype, big_m))
-        return solve(matrix, costs, big_m, selections, order)
+        return solve(matrix, costs, big_m, selections, order, weights)
     solve = assignment.solve_selections
     monkeypatch.setattr(assignment, "solve_selections", recording)
 
@@ -507,7 +533,7 @@ def test_services_tie_break_past_int64_runs_on_python_ints(monkeypatch):
                       (object, int(encoded[feasible].sum()) + 1)]
     assert [(len(pairs), cost) for pairs, cost in narrow] \
         == [(outcome.flow_value, outcome.total_cost_scaled)
-            for outcome in prepared.allocate_rounds(one_round(workers))[0].outcomes]
+            for outcome in prepared.allocate_rounds(one_round(workers)).result(0).outcomes]
 
     # One pool of 200 services on 20 workers: spread 39801 and a big M of about 7.4e15,
     # so int64; at 2**10 times the costs the big M passes 2**62, and the optimum keeps its

@@ -413,19 +413,25 @@ def test_simulate_is_byte_deterministic(tmp_path, artifacts):
 
 
 def test_simulate_computes_each_fairness_series_once(tmp_path, artifacts, monkeypatch):
-    calls = []
-    original = metrics.jains_index
+    rows, scalar = [], []  # the share rows of each block's Jain call; the scalar index's calls
+    rows_of, index_of = metrics._jain_rows, metrics.jains_index
 
-    def counting(values):
-        calls.append(1)
-        return original(values)
+    def counting_rows(shares):
+        rows.append(len(shares))
+        return rows_of(shares)
 
-    monkeypatch.setattr(metrics, "jains_index", counting)
+    def counting_index(values):
+        scalar.append(1)
+        return index_of(values)
+
+    monkeypatch.setattr(metrics, "_jain_rows", counting_rows)
+    monkeypatch.setattr(metrics, "jains_index", counting_index)
     edf, cluster = artifacts
     assert main(["simulate", "--edf", str(edf), "--cluster", str(cluster),
                  "--iterations", "5", "--seed", "21", "--out-dir", str(tmp_path / "out")]) == 0
     # The report and fairness.csv share the cost series; the count series is the other one.
-    assert len(calls) == 2 * 5
+    # One block: one call over both series of every round, none left to the scalar index.
+    assert rows == [2 * 5] and scalar == []
 
 
 def test_simulate_with_all_zero_costs_reports_even_fairness(tmp_path):
@@ -787,6 +793,34 @@ def test_validate_reads_a_clusters_trace_files_beside_it(tmp_path, monkeypatch, 
     assert capsys.readouterr().err == f"error: {trace}:1: expected 4 utilization values, got 2\n"
 
 
+@pytest.mark.parametrize("data, line, message", [
+    # float() reads PEP 515 digit groups: "0.1_5" would replay as 0.15.
+    (b"0.1,0.2,0.3,0.4\n0.1_5,0.2,0.3,0.4\n", 2, "expected numeric utilization values"),
+    (b"# cpu,vram,swap,bandwidth\n0.1,0.2,0.3,0_0.4\n", 2, "expected numeric utilization values"),
+    # A BOM is named as the definitions reader names it, wherever the first row is.
+    (b"\xef\xbb\xbf0.1,0.2,0.3,0.4\n", 1, "Unexpected UTF-8 BOM"),
+    (b"\xef\xbb\xbf# cpu,vram,swap,bandwidth\n0.1,0.2,0.3,0.4\n", 1, "Unexpected UTF-8 BOM"),
+])
+def test_trace_underscores_and_a_bom_are_refused_at_their_line(tmp_path, artifacts, capsys, data, line,
+                                                               message):
+    edf, _ = artifacts
+    cluster = _trace_cluster(tmp_path / "fleet")
+    trace = tmp_path / "fleet" / "load.csv"
+    trace.write_bytes(data)
+    fault = f"{trace}:{line}: {message}"
+    assert main(["validate", str(cluster)]) == 1
+    assert capsys.readouterr() == (f"{cluster}: {fault}\n", "")
+    for argv in (["scaling", "--cluster-template", str(cluster), "--max-workers", "4", "--max-services", "3",
+                  "--seed", "1", "--out", str(tmp_path / "grid.csv")],
+                 ["allocate", "--edf", str(edf), "--cluster", str(cluster), "--seed", "1"]):
+        assert main(argv) == 1, argv[0]
+        assert capsys.readouterr() == ("", f"error: {fault}\n"), argv[0]
+    assert not (tmp_path / "grid.csv").exists()
+    # The same rows without the fault replay.
+    trace.write_bytes(data.replace(b"\xef\xbb\xbf", b"").replace(b"_", b""))
+    assert main(["validate", str(cluster)]) == 0
+
+
 def test_validate_of_a_missing_trace_file_is_the_commands_internal_error(tmp_path, capsys):
     cluster = _trace_cluster(tmp_path, "nope.csv")
     assert main(["validate", str(cluster)]) == 3
@@ -958,7 +992,7 @@ def test_unexpected_exception_is_one_line_internal_error(tmp_path, monkeypatch, 
     def broken(*args, **kwargs):
         raise RuntimeError("injected\nfailure")
 
-    monkeypatch.setattr("swarmlab.swarmsim.round_results", broken)
+    monkeypatch.setattr("swarmlab.swarmsim.round_blocks", broken)
     assert main(["simulate", "--edf", str(SAMPLES / "mapping-demo.edf.json"),
                  "--cluster", str(SAMPLES / "bench.cluster.json"), "--iterations", "2",
                  "--seed", "1", "--out-dir", str(tmp_path / "out")]) == 3

@@ -5,6 +5,7 @@ patched to return.
 """
 
 import importlib.util
+import json
 import re
 import shutil
 from pathlib import Path
@@ -36,8 +37,18 @@ def test_corpus_writes_the_same_commands_and_inputs_for_one_seed(tmp_path):
     for name in ("refs-demo-simulate", "refs-ghost-validate", "refs-outside-allocate",
                  "refs-repeated-validate", "ties-flat-simulate", "ties-pooled-simulate",
                  "mutant-mapping-demo-truncate-0-validate", "mutant-bench-number-1-validate",
-                 "edge-comment-after-value-scaling", "edge-non-utf8-allocate", "trace-grid0-scaling"):
+                 "edge-comment-after-value-scaling", "edge-non-utf8-allocate", "trace-grid0-scaling",
+                 "demo-blocks-simulate", "fleet-blocks-simulate"):
         assert name in names
+    assert len(names) == 271
+    # The block-spanning runs: 1500 demo rounds are 3 blocks of 682, and 50 rounds of a fleet of
+    # 60 workers x 30 services and 3 pools are 4 blocks of 16.
+    argv = dict(commands)
+    assert argv["demo-blocks-simulate"][argv["demo-blocks-simulate"].index("--iterations") + 1] == "1500"
+    assert argv["fleet-blocks-simulate"][argv["fleet-blocks-simulate"].index("--iterations") + 1] == "50"
+    fleet = json.loads(inputs["fleet-blocks.edf.json"])
+    assert (len(fleet["services"]), len(fleet["dependencies"])) == (30, 3)
+    assert len(json.loads(inputs["fleet-blocks.cluster.json"])["workers"]) == 60
     # Each mutation of each sample document is drawn twice; only documents that are still JSON
     # are allocated, and no CDF is.
     for mutation in diffcheck.MUTATIONS:
@@ -63,7 +74,7 @@ def _planted(tmp_path: Path, module: str, old: str, new: str) -> Path:
     return src
 
 
-_TIE_RULE = "key=lambda i: (-scores[i][1], scores[i][2], i)"
+_TIE_RULE = "np.lexsort((scores[..., 2], -scores[..., 1]))[:, 0]"
 _COMMENT_CHECK = 'if data[data.rfind(b"\\n", 0, hash_at) + 1:hash_at].strip(b" \\t"):'
 
 
@@ -71,8 +82,12 @@ _COMMENT_CHECK = 'if data[data.rfind(b"\\n", 0, hash_at) + 1:hash_at].strip(b" \
     # The same tree: every record is identical.
     (_TIE_RULE, "allocator.py", _TIE_RULE, 0, None),
     # The last configuration wins ties: the tie-heavy fleets' reports change.
-    ("key=lambda i: (-scores[i][1], scores[i][2], -i)", "allocator.py", _TIE_RULE, 0,
+    ("(scores.shape[1] - 1 - np.lexsort((scores[:, ::-1, 2], -scores[:, ::-1, 1])))[:, 0]", "allocator.py",
+     _TIE_RULE, 0,
      ["ties-pooled-allocate: stdout", "ties-pooled-simulate: files"]),
+    # A fold that starts each block from empty shares: only runs of several blocks change.
+    ("rows[0] = 0.0", "metrics.py", "rows[0] = self._shares", 0,
+     ["demo-blocks-simulate: files", "fleet-blocks-simulate: files"]),
     # numpy's bulk reader judges a trace whose comment follows a value, and drops the comment
     # that the line loop refuses: the template that holds one is accepted.
     ("if False:", "swarmsim.py", _COMMENT_CHECK, 3,

@@ -1,10 +1,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from swarmlab.allocator import AllocationResult, prepare
+from swarmlab.allocator import AllocationResult, RoundBlock, prepare
 from swarmlab import metrics
 from swarmlab.cli import main
 from swarmlab.definitions import load_cluster, load_edf
@@ -47,6 +48,12 @@ def _fold(results):
 
 def _report(rounds):
     return REPORT_HEADER + "\n" + "".join(lines for lines, _, _ in rounds)
+
+
+def _block(results):
+    """``results``, rounds of one allocation, as one ``RoundBlock``."""
+    return RoundBlock(results[0].allocation, [r.chosen for r in results], [r.workers for r in results],
+                      [r.costs for r in results], [r.scores for r in results])
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +144,14 @@ def test_dispersion_hand_computed():
     std, cv = fold.dispersion()
     assert std == pytest.approx(1.0, abs=1e-12)
     assert cv == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e-200, 5e-324 * 2**20])
+def test_dispersion_of_costs_too_large_or_too_small_to_square(scale):
+    # The squares over- or underflow; the costs are divided by their peak first.
+    fold, _ = _fold([_result([("s1", "w1", 1.0 * scale), ("s2", "w2", 3.0 * scale)], ["w1", "w2"])])
+    std, cv = fold.dispersion()
+    assert std == pytest.approx(1.0 * scale, rel=1e-9) and cv == pytest.approx(0.5, rel=1e-9)
 
 
 def test_dispersion_empty_history():
@@ -238,6 +253,112 @@ def test_fold_and_frequency_check_rosters():
         _, expected = _fold(clean)
         assert [first, fold.add(clean[1])] == expected
         assert fold.dispersion() == _fold(clean)[0].dispersion()
+
+        # The block entry refuses a block of such rounds with the same message, where the
+        # block starts, and is left as it was.
+        fold = ReportFold(clean[0].allocation)
+        fold.add_block(_block(clean[:1]))
+        for rounds in ([bad], [bad, bad]):
+            with pytest.raises(DomainError) as raised:
+                fold.add_block(_block(rounds))
+            assert str(raised.value) == message
+            assert (fold.rounds, fold.feasible_rounds) == (1, 1)
+        lines, [jain_cost], [jain_count] = fold.add_block(_block(clean[1:]))
+        assert (lines, jain_cost, jain_count) == expected[1]
+        assert fold.dispersion() == _fold(clean)[0].dispersion()
+
+
+class _ReferenceFold:
+    """The fold as ``ReportFold.add`` made it one round at a time, before blocks: each placement,
+    in service order, adds to its worker's shares in Python lists with ``+=``, and the
+    round's Jain indexes are ``jains_index`` of both lists."""
+
+    def __init__(self, allocation):
+        self.worker_fields = [metrics._csv_field(name) for name in allocation.worker_ids]
+        self.service_fields = [metrics._csv_field(s.name) for s in allocation.services]
+        self.rounds = self.feasible_rounds = 0
+        self.cost = [0.0] * len(allocation.worker_ids)
+        self.count = [0.0] * len(allocation.worker_ids)
+        self.placed = []
+
+    def add(self, workers, costs):
+        t, heads = self.rounds, []
+        for j, i in enumerate(workers):
+            if i >= 0:
+                cost = costs[j]
+                self.cost[i] += cost
+                self.count[i] += 1.0
+                self.placed.append(cost)
+                heads.append(f"{t},{self.worker_fields[i]},{self.service_fields[j]},{cost:.6f},")
+        jain_cost, jain_count = jains_index(self.cost), jains_index(self.count)
+        ending = f"{jain_cost:.6f}\n"
+        self.rounds += 1
+        self.feasible_rounds += -1 not in workers
+        return ending.join(heads) + ending if heads else "", jain_cost, jain_count
+
+
+
+#: Name endings that RFC 4180 quotes (a comma, a double quote, a line end) and plain ones.
+NAME_ENDINGS = st.sampled_from(["", "", ",x", '"q"', "\nx", "\r\n"])
+#: Costs of whole runs: ordinary, all zero (every share stays 0), near 1e-200 (the squares
+#: underflow) and near 1e154 (the squares overflow).
+COST_SCALES = st.sampled_from([1.0, 1.0, 0.0, 1e-200, 1e154])
+
+
+@st.composite
+def folded_blocks(draw):
+    """An allocation over names that may need quoting, and a run of hand-placed rounds on it:
+    each service on any worker or none, several of them often on one worker, as a pool puts
+    them, and the run's cut points into 1-3 blocks."""
+    workers = [f"w{i}{draw(NAME_ENDINGS)}" for i in range(draw(st.integers(1, 12)))]
+    services = [f"s{j}{draw(NAME_ENDINGS)}" for j in range(draw(st.integers(1, 6)))]
+    pooled = [(services[0], services[1])] if len(services) > 1 and draw(st.booleans()) else []
+    allocation = prepare([make_worker(w) for w in workers], make_experiment([make_service(s) for s in services],
+                                                                            pooled))
+    scale = draw(COST_SCALES)
+    rounds = draw(st.lists(st.lists(st.tuples(st.integers(-1, len(workers) - 1), st.floats(0.0, 100.0)),
+                                    min_size=len(services), max_size=len(services)), min_size=1, max_size=8))
+    positions = [[w for w, _ in placements] for placements in rounds]
+    costs = [[cost * scale if w >= 0 else 0.0 for w, cost in placements] for placements in rounds]
+    cuts = sorted(draw(st.sets(st.integers(1, len(rounds) - 1), max_size=2))) if len(rounds) > 1 else []
+    return allocation, positions, costs, cuts
+
+
+@settings(max_examples=200, deadline=None)
+@given(folded_blocks())
+@example((prepare([make_worker("w,0"), make_worker("w1")], make_experiment([make_service("a"), make_service("b")],
+                                                                          [("a", "b")])),
+          [[0, 0], [1, 1], [-1, 0]], [[3e-200, 1e-200], [2e-200, 5e-201], [0.0, 1e-200]], [1, 2]))
+@example((prepare([make_worker("w0"), make_worker("w1"), make_worker("w2")], make_experiment([make_service("a")])),
+          [[0], [0], [2]], [[1e154], [1e154], [1e154]], [2]))  # the squares of 2e154 overflow
+def test_block_fold_equals_the_per_round_fold(blocks):
+    allocation, positions, costs, cuts = blocks
+    reference = _ReferenceFold(allocation)
+    expected = [reference.add(w, c) for w, c in zip(positions, costs)]
+
+    # Folded in 1-3 blocks: the same lines, Jain values, counts and dispersion.
+    fold, rounds = ReportFold(allocation), []
+    for start, end in zip([0, *cuts], [*cuts, len(positions)]):
+        chosen, scores = [0] * (end - start), [[(0, 0, 0)] * len(allocation.configurations)] * (end - start)
+        lines, jain_costs, jain_counts = fold.add_block(RoundBlock(allocation, chosen, positions[start:end],
+                                                                   costs[start:end], scores))
+        rounds.append((lines, jain_costs, jain_counts))
+    assert "".join(lines for lines, _, _ in rounds) == "".join(lines for lines, _, _ in expected)
+    assert [v for _, jain_costs, _ in rounds for v in jain_costs] == [jain_cost for _, jain_cost, _ in expected]
+    assert [v for _, _, jain_counts in rounds for v in jain_counts] == [jain_count for _, _, jain_count in expected]
+    assert (fold.rounds, fold.feasible_rounds) == (reference.rounds, reference.feasible_rounds)
+    # Round by round, through the one-round entry: the same again.
+    single = ReportFold(allocation)
+    assert [single.add(AllocationResult(allocation, 0, w, c, [(0, 0, 0)] * len(allocation.configurations)))
+            for w, c in zip(positions, costs)] == expected
+    # The dispersion buffer holds every placement's cost in the same order.
+    assert list(fold._placed) == list(single._placed) == reference.placed
+    if reference.placed:
+        assert fold.dispersion() == single.dispersion()
+    else:
+        for folded in (fold, single):
+            with pytest.raises(EmptyHistory):
+                folded.dispersion()
 
 
 def test_result_positions_cannot_change_after_their_check():

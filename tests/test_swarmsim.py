@@ -406,10 +406,10 @@ def call_counts(monkeypatch):
     counted(assignment, "solve")
     solve_selections = assignment.solve_selections
 
-    def count_selections(matrix, costs, big_m, selections, order=None):
+    def count_selections(matrix, costs, big_m, selections, order=None, weights=None):
         calls["solve_selections"] += 1
         calls["selections"] += len(selections)
-        return solve_selections(matrix, costs, big_m, selections, order)
+        return solve_selections(matrix, costs, big_m, selections, order, weights)
     monkeypatch.setattr(assignment, "solve_selections", count_selections)
     return calls
 
@@ -564,7 +564,8 @@ def test_trace_rows_are_the_floats_of_their_fields(tmp_path):
 
 
 def _reference_read_trace(location):
-    """A trace file's rows as they were parsed before the bulk pass: line by line."""
+    """A trace file's rows as they were parsed before the bulk pass: line by line, refusing
+    digit-group underscores, which ``float()`` alone would read."""
     with location.open("rb") as stream:
         data = stream.read(swarmsim.MAX_TRACE_BYTES + 1)
     if len(data) > swarmsim.MAX_TRACE_BYTES:
@@ -583,6 +584,8 @@ def _reference_read_trace(location):
                                                 float(fields[2]), float(fields[3]))
         except ValueError:
             raise SchemaError("expected numeric utilization values", f"{location}:{lineno}") from None
+        if "_" in line:
+            raise SchemaError("expected numeric utilization values", f"{location}:{lineno}")
         if not (0.0 <= cpu <= 1.0 and 0.0 <= vram <= 1.0 and 0.0 <= swap <= 1.0
                 and 0.0 <= bandwidth <= 1.0):
             raise SchemaError("utilization values must be within [0, 1]", f"{location}:{lineno}")
@@ -893,7 +896,7 @@ def test_config_rejects_duplicate_worker_ids():
 
 
 
-def test_round_results_refuses_a_repeated_worker_id_before_sampling(monkeypatch):
+def test_round_blocks_refuses_a_repeated_worker_id_before_sampling(monkeypatch):
     # ClusterSpec and SimConfig refuse such a fleet first; the pipeline itself refuses it
     # when it prepares, before it draws a row.
     def refuse(*_):
@@ -901,7 +904,7 @@ def test_round_results_refuses_a_repeated_worker_id_before_sampling(monkeypatch)
     monkeypatch.setattr(swarmsim, "workload_generators", refuse)
     monkeypatch.setattr(swarmsim, "sample_rounds", refuse)
     w1, w2, w3 = (replace(worker, id=f"w{k}") for k, worker in enumerate(balanced_cluster(3), 1))
-    rounds = swarmsim.round_results((w1, w2, w3, w2), bench_experiment(2), 0, None, [0, 1])
+    rounds = swarmsim.round_blocks((w1, w2, w3, w2), bench_experiment(2), 0, None, [0, 1])
     with pytest.raises(DuplicateAgent) as raised:
         next(rounds)
     assert str(raised.value) == "agent 'w2' appears twice in the fleet"
@@ -1309,7 +1312,7 @@ def test_block_rounds_equal_per_round_allocations(trace_dir, fleet, services, po
 
     prepared = allocator.prepare(workers, experiment)
     generators = [WorkloadGenerator(w.workload, seed, i, trace_dir) for i, w in enumerate(workers)]
-    per_round = [prepared.allocate_rounds([[tuple(g.sample(k)) for g in generators]])[0]
+    per_round = [prepared.allocate_rounds([[tuple(g.sample(k)) for g in generators]]).result(0)
                  for k in range(iterations)]
     assert blocked == per_round
 
@@ -1361,8 +1364,8 @@ def test_blocks_bound_the_solver_layout_of_few_workers(monkeypatch):
 
 
 def test_simulate_builds_no_per_service_objects(tmp_path, monkeypatch, kernel_rows):
-    # simulate folds each round's positions as they are; only a caller that reads a
-    # result's views builds assignments and outcomes.
+    # simulate places and folds each block as arrays: it builds no result at all. Only a
+    # caller that reads a result's views builds assignments and outcomes.
     calls = Counter()
     for cls in (Assignment, ConfigurationOutcome, AllocationResult):
         def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
@@ -1372,7 +1375,7 @@ def test_simulate_builds_no_per_service_objects(tmp_path, monkeypatch, kernel_ro
     inputs = ["--edf", str(SAMPLES / "mapping-demo.edf.json"),
               "--cluster", str(SAMPLES / "bench.cluster.json"), "--seed", "7"]
     assert main(["simulate", *inputs, "--iterations", "50", "--out-dir", str(tmp_path / "out")]) == 0
-    assert calls == Counter(AllocationResult=50)
+    assert calls == Counter()
     # One block of 50 rounds: one word matrix of the 12 levels and 12 x 50 jitter rows.
     assert kernel_rows == [12 + 12 * 50]
 
@@ -1386,13 +1389,17 @@ def _reference_results(prepared, rounds):
     gives: one ``Assignment`` per placed service, each cost read off the cost block."""
     values = prepared.costs.block(rounds)
     order = [i ^ (i >> 1) for i in range(len(prepared.selections))]
-    solutions = assignment.solve_rounds(
-        costing.integer_grid(values), prepared.costs.feasible, [prepared.selections[i] for i in order],
+    selections = [prepared.selections[i] for i in order]
+    placed, scores = assignment.solve_rounds(
+        costing.integer_grid(values), prepared.costs.feasible, selections,
         prepared.scale_order, [len(members) for members in prepared.member_columns])
     results = []
-    for round_values, visited in zip(values, solutions):
+    for round_values, workers, visited in zip(values, placed.tolist(), scores.tolist()):
         solved = [None] * len(order)
-        for i, (pairs, cost) in zip(order, visited):
+        at = 0
+        for i, selection, (_, _, cost) in zip(order, selections, visited):
+            pairs = [(w, u) for u, w in enumerate(workers[at:at + len(selection)]) if w >= 0]
+            at += len(selection)
             units = prepared.configurations[i]
             solved[i] = (pairs, sum(len(units[u].members) for _, u in pairs), cost)
         best = min(range(len(solved)), key=lambda i: (-solved[i][1], solved[i][2], i))
@@ -1493,7 +1500,7 @@ def test_simulate_reports_equal_the_fold_over_run_experiment(trace_dir, fleet, s
     prepared = allocator.prepare(workers, experiment)
     [rounds] = swarmsim.sample_rounds(swarmsim.workload_generators(workers, seed, None),
                                       range(iterations), iterations)
-    assert prepared.allocate_rounds(rounds) == results
+    assert prepared.allocate_rounds(rounds).results() == results
     reference = _reference_results(prepared, rounds)
     views = ("assignments", "unassigned", "outcomes", "total_cost", "total_cost_scaled", "feasible",
              "num_services", "chosen")

@@ -36,14 +36,17 @@ in its own output directory. The corpus holds:
   indented comments, a comment after a value, an underscore in a number, a
   NUL, a non-UTF-8 byte), through ``validate``, ``scaling`` and ``allocate``;
 - seeded ``scaling`` grids up to 40x40 on the demo cluster and the trace
-  template.
+  template;
+- ``simulate`` runs that span several blocks of rounds: the demo at 1500
+  iterations (3 blocks) and a pooled fleet in the CI fleet's shape, 60 workers
+  x 30 services with three pools, at 50 iterations (4 blocks).
 
 Each command runs with its own empty output directory, ``out/<id>``. Its
 record is its exit code, stdout, stderr and every output file's bytes (as
 sha256). The run prints the number of records, how many are identical, and
 how many differ in each part, then the first differing records. It exits 0
 when every record is identical, 1 when one differs and 2 when a tree could
-not run the corpus. A default run of its 269 commands takes a few seconds.
+not run the corpus. A default run of its 271 commands takes a few seconds.
 """
 
 from __future__ import annotations
@@ -311,6 +314,16 @@ def corpus(seed: int, directory: Path) -> list[tuple[str, list[str]]]:
             commands.append((f"{name}-grid{k}-scaling", [
                 "scaling", "--cluster-template", grid_template, "--max-workers", str(workers),
                 "--max-services", str(services), "--seed", str(seed), "--out", f"out/{name}-grid{k}-scaling/grid.csv"]))
+    # Runs of several blocks (assignment.block_rounds), so the reports carry across block
+    # boundaries: the demo's 682-round blocks, and a pooled fleet of 60 workers x 33 columns,
+    # 16 rounds a block.
+    blocks_edf, blocks_cluster = _fleet(rng, directory, "fleet-blocks", 60, 30, 3)
+    commands += [
+        ("demo-blocks-simulate", ["simulate", *demo, "--iterations", "1500", "--out-dir", "out/demo-blocks-simulate"]),
+        ("fleet-blocks-simulate", ["simulate", "--edf", blocks_edf, "--cluster", blocks_cluster,
+                                   "--seed", str(rng.randrange(2**40)), "--iterations", "50",
+                                   "--out-dir", "out/fleet-blocks-simulate"]),
+    ]
     return commands
 
 
